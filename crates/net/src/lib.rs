@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod clock;
+mod crc;
 mod faulty;
 mod inproc;
 mod launch;

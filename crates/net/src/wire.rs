@@ -12,6 +12,15 @@
 //! of [`Tile::as_slice`] (bit-exact — what arrives is what was sent, so
 //! multi-process factors stay bit-identical to sequential ones).
 //!
+//! Every tile that crosses a socket is checksummed twice (sender, reader
+//! thread), so [`crc32`] sets the codec's speed; how it is computed —
+//! slicing-by-16 everywhere, carry-less-multiply folding where the CPU has
+//! it — is in its module. Tile bodies are copied in bulk, so encode and
+//! decode run at about the CRC's speed (`net.{crc32,encode,decode}_mb_s` in
+//! `perf/`). The algorithm may change again; the *value* may not: the
+//! trailer stays CRC-32/ISO-HDLC as zlib computes it, and the bytes of a
+//! frame are pinned by a golden test.
+//!
 //! | tag | frame | body |
 //! |-----|-------|------|
 //! | 1 | `Data` | `src u32, job u32, producer u32, tile` |
@@ -45,6 +54,7 @@
 //! job" and severity/kind codes are the stable `sbc-obs` codes (this crate
 //! deliberately does not depend on `sbc-obs`; the codes are the contract).
 
+pub use crate::crc::crc32;
 use crate::msg::{NodeId, Payload, PeerStats};
 use sbc_kernels::Tile;
 use sbc_taskgraph::{TaskId, TileRef};
@@ -265,35 +275,6 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 == 1 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected — the zlib/PNG checksum).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 /// A little-endian writer appending a frame body to a caller-owned buffer.
 ///
 /// This is the single serialization surface of the protocol: every field
@@ -325,10 +306,11 @@ impl FrameWriter<'_> {
 
     fn tile(&mut self, t: &Tile) {
         self.u32(t.dim() as u32);
-        self.out.reserve(t.as_slice().len() * 8);
-        for v in t.as_slice() {
-            self.out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        // an exact-size iterator: one reserve, then a copy the compiler
+        // turns into a memcpy on little-endian targets (`to_le_bytes` keeps
+        // every bit, NaN payloads included)
+        self.out
+            .extend(t.as_slice().iter().flat_map(|v| v.to_le_bytes()));
     }
 
     fn tile_ref(&mut self, r: TileRef) {
@@ -383,14 +365,17 @@ impl<'a> Body<'a> {
 
     fn tile(&mut self) -> Result<Tile, FrameError> {
         let dim = self.u32()? as usize;
-        let words = dim
+        // `dim` is untrusted: `dim² · 8` must neither overflow nor exceed
+        // the body before anything is sized by it
+        let len = dim
             .checked_mul(dim)
-            .filter(|&n| n * 8 <= self.buf.len())
+            .and_then(|words| words.checked_mul(8))
             .ok_or(FrameError::BadBody("tile dimension overflows its body"))?;
-        let raw = self.take(words * 8)?;
+        let raw = self.take(len)?;
+        // exact-size iterator again: one allocation and a memcpy-speed copy
         let data = raw
             .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect();
         Ok(Tile::from_column_major(dim, data))
     }
@@ -825,16 +810,20 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
 
 /// Reads one frame from a stream into a caller-owned scratch buffer, so a
 /// long-lived reader (one per connection) reuses the same allocation for
-/// every frame up to its high-water size. `Ok(None)` is a clean
-/// end-of-stream (EOF exactly at a frame boundary); mid-frame EOF is
+/// every frame up to its high-water size. The scratch only ever grows — its
+/// length is the largest frame seen so far and whatever lies past the
+/// current frame is stale and never looked at — so a steady-state read
+/// neither allocates nor zero-fills. `Ok(None)` is a clean end-of-stream
+/// (EOF exactly at a frame boundary); mid-frame EOF is
 /// [`FrameError::Truncated`]. On success also returns the total frame size
 /// read from the wire.
 pub fn read_frame_into(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
 ) -> Result<Option<(Frame, u64)>, FrameError> {
-    scratch.clear();
-    scratch.resize(5, 0);
+    if scratch.len() < 5 {
+        scratch.resize(5, 0);
+    }
     let mut got = 0;
     while got < 5 {
         match r.read(&mut scratch[got..5]) {
@@ -850,13 +839,15 @@ pub fn read_frame_into(
         return Err(FrameError::BadLength(len));
     }
     let total = 5 + len as usize + 4;
-    scratch.resize(total, 0);
-    r.read_exact(&mut scratch[5..])
+    if scratch.len() < total {
+        scratch.resize(total, 0);
+    }
+    r.read_exact(&mut scratch[5..total])
         .map_err(|e| match e.kind() {
             std::io::ErrorKind::UnexpectedEof => FrameError::Truncated,
             kind => FrameError::Io(kind),
         })?;
-    let (frame, used) = decode(scratch)?;
+    let (frame, used) = decode(&scratch[..total])?;
     debug_assert_eq!(used, total);
     Ok(Some((frame, total as u64)))
 }
@@ -897,6 +888,121 @@ mod tests {
                 .wrapping_add((i * 31 + j) as u64);
             (x % 1000) as f64 / 7.0 - 60.0
         })
+    }
+
+    /// A frame with a hand-written body under a valid header and CRC —
+    /// what a hostile but checksum-literate peer can send.
+    fn sealed(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut buf = vec![tag];
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(body);
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
+
+    /// One frame per wire tag 1–19, its variable parts drawn from `seed`.
+    fn frame_of_tag(tag: u8, seed: u64) -> Frame {
+        let small = (seed % 5) as usize;
+        let word = seed as u32;
+        let text = format!("detail {seed:#x}");
+        let tile_ref = TileRef::A {
+            phase: 1,
+            slice: 2,
+            i: word % 50,
+            j: word % 7,
+        };
+        let data = Payload::Data {
+            job: word,
+            producer: !word,
+            tile: tile_of(small, seed),
+        };
+        let orig = Payload::Orig {
+            job: word,
+            tile_ref,
+            tile: tile_of(small, seed),
+        };
+        match tag {
+            TAG_DATA => Frame::Payload {
+                src: 3,
+                payload: data,
+            },
+            TAG_ORIG => Frame::Payload {
+                src: 3,
+                payload: orig,
+            },
+            TAG_POISON => Frame::Poison,
+            TAG_RESULT => Frame::Result {
+                tile_ref,
+                tile: tile_of(small, seed),
+            },
+            TAG_DONE => Frame::Done {
+                src: 2,
+                stats: PeerStats {
+                    sent: seed,
+                    sent_bytes: !seed,
+                    applied: seed >> 7,
+                },
+            },
+            TAG_HELLO => Frame::Hello { src: word },
+            TAG_ADDR => Frame::Addr { src: 1, addr: text },
+            TAG_TABLE => Frame::Table {
+                addrs: (0..small).map(|k| format!("{text}/{k}")).collect(),
+            },
+            TAG_SEQ_DATA => Frame::Seq {
+                src: 4,
+                seq: seed,
+                payload: data,
+            },
+            TAG_SEQ_ORIG => Frame::Seq {
+                src: 4,
+                seq: seed,
+                payload: orig,
+            },
+            TAG_ACK => Frame::Ack { src: 5, upto: seed },
+            TAG_JOB_SUBMIT => Frame::JobSubmit {
+                req: word,
+                op: 0,
+                prio: small as u8,
+                batch: 2,
+                nt: 12,
+                b: 32,
+                seed,
+                seed_rhs: !seed,
+            },
+            TAG_JOB_STATUS => Frame::JobStatus {
+                req: word,
+                state: small as u8,
+                info: text,
+            },
+            TAG_JOB_RESULT => Frame::JobResult {
+                req: word,
+                messages: seed >> 3,
+                bytes: seed >> 1,
+                elapsed_ns: seed,
+                plan_cached: 1,
+                tiles: (0..small)
+                    .map(|k| (TileRef::B { i: k as u32 }, tile_of(k, seed)))
+                    .collect(),
+            },
+            TAG_SHUTDOWN => Frame::Shutdown,
+            TAG_STATS_REQUEST => Frame::StatsRequest,
+            TAG_STATS_REPLY => Frame::StatsReply { text },
+            TAG_EVENTS_REQUEST => Frame::EventsRequest { max: word },
+            TAG_EVENTS_REPLY => Frame::EventsReply {
+                events: (0..small)
+                    .map(|k| EventRecord {
+                        seq: seed.wrapping_add(k as u64),
+                        t: k as f64 * 0.25,
+                        severity: 1,
+                        kind: k as u8,
+                        job: word,
+                        detail: text.clone(),
+                    })
+                    .collect(),
+            },
+            other => panic!("no frame travels under tag {other}"),
+        }
     }
 
     fn roundtrip(f: &Frame) {
@@ -1180,12 +1286,10 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        let mut buf = encode(&Frame::Poison);
-        buf[0] = 99;
-        let crc = crc32(&buf[..5]);
-        let n = buf.len();
-        buf[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode(&buf).unwrap_err(), FrameError::BadTag(99));
+        assert_eq!(
+            decode(&sealed(99, &[])).unwrap_err(),
+            FrameError::BadTag(99)
+        );
     }
 
     #[test]
@@ -1262,10 +1366,135 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_ieee_reference_vector() {
-        // the classic check value of CRC-32/ISO-HDLC
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn wire_bytes_are_pinned() {
+        // Written by the encoder as it was before the sliced CRC and the
+        // bulk tile copy (commit 7025c85): a Seq/Data frame whose 3×3 tile
+        // holds the words a lossy copy would change. If this test fails the
+        // wire format changed and old and new ranks can no longer talk.
+        const GOLDEN: &str = "\
+            0960000000\
+            04030201\
+            1817161514131211\
+            24232221\
+            34333231\
+            03000000\
+            0000000000000080\
+            0100000000000000\
+            ffffffffffffef7f\
+            efbeadde0000f47f\
+            010000000000f8ff\
+            000000000000f03f\
+            182d4454fb2109c0\
+            0000000000001000\
+            efcdab8967452301\
+            a5a2afe7";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|k| u8::from_str_radix(&GOLDEN[k..k + 2], 16).unwrap())
+            .collect();
+        let words: [u64; 9] = [
+            0x8000_0000_0000_0000, // -0.0
+            0x0000_0000_0000_0001, // the smallest subnormal
+            0x7FEF_FFFF_FFFF_FFFF, // f64::MAX
+            0x7FF4_0000_DEAD_BEEF, // a signalling NaN with a payload
+            0xFFF8_0000_0000_0001, // a negative quiet NaN with a payload
+            0x3FF0_0000_0000_0000, // 1.0
+            0xC009_21FB_5444_2D18, // -π
+            0x0010_0000_0000_0000, // f64::MIN_POSITIVE
+            0x0123_4567_89AB_CDEF,
+        ];
+        let tile = Tile::from_column_major(3, words.iter().map(|&w| f64::from_bits(w)).collect());
+        let frame = Frame::Seq {
+            src: 0x0102_0304,
+            seq: 0x1112_1314_1516_1718,
+            payload: Payload::Data {
+                job: 0x2122_2324,
+                producer: 0x3132_3334,
+                tile,
+            },
+        };
+        assert_eq!(encode(&frame), golden);
+        // NaN != NaN, so the way back is compared as re-encoded bytes
+        let (back, used) = decode(&golden).expect("golden frame decodes");
+        assert_eq!(used, golden.len());
+        assert_eq!(encode(&back), golden);
+    }
+
+    #[test]
+    fn tile_dimension_overflow_is_a_typed_error() {
+        // dim² · 8 overflows usize from dim = 2³¹ on; with a valid CRC the
+        // frame reaches the body parser, which must answer BadBody and not
+        // panic (debug) or wrap around to an empty tile (release)
+        for dim in [1u32 << 31, u32::MAX] {
+            let mut result = vec![0u8; 11]; // tile_ref A{0,0,0,0}
+            result.extend_from_slice(&dim.to_le_bytes());
+            assert!(
+                matches!(
+                    decode(&sealed(TAG_RESULT, &result)),
+                    Err(FrameError::BadBody(_))
+                ),
+                "Result frame, dim {dim}"
+            );
+
+            let mut job_result = vec![0u8; 4 + 8 + 8 + 8 + 1];
+            job_result.extend_from_slice(&1u32.to_le_bytes()); // one tile
+            job_result.extend_from_slice(&result);
+            let frame = sealed(TAG_JOB_RESULT, &job_result);
+            assert!(
+                matches!(decode(&frame), Err(FrameError::BadBody(_))),
+                "JobResult frame, dim {dim}"
+            );
+            // the stream path a serve handler or a Client takes
+            let mut cursor = std::io::Cursor::new(frame);
+            assert!(matches!(
+                read_frame_into(&mut cursor, &mut Vec::new()),
+                Err(FrameError::BadBody(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn read_frame_into_rejects_a_bad_length_before_growing_the_scratch() {
+        let mut scratch = Vec::new();
+        let mut warm = std::io::Cursor::new(encode(&Frame::Ack { src: 1, upto: 2 }));
+        read_frame_into(&mut warm, &mut scratch).unwrap().unwrap();
+        let (len, cap) = (scratch.len(), scratch.capacity());
+
+        let mut header = vec![TAG_DATA];
+        header.extend_from_slice(&(MAX_BODY + 1).to_le_bytes());
+        let mut cursor = std::io::Cursor::new(header);
+        assert_eq!(
+            read_frame_into(&mut cursor, &mut scratch).unwrap_err(),
+            FrameError::BadLength(MAX_BODY + 1)
+        );
+        assert_eq!((scratch.len(), scratch.capacity()), (len, cap));
+    }
+
+    #[test]
+    fn read_frame_into_reports_truncation_over_stale_bytes() {
+        // the worst stale content there is: the scratch still holds the
+        // whole frame the dying stream only delivers a prefix of
+        let buf = encode(&Frame::Result {
+            tile_ref: TileRef::B { i: 1 },
+            tile: tile_of(6, 3),
+        });
+        let mut scratch = Vec::new();
+        let mut whole = std::io::Cursor::new(buf.clone());
+        read_frame_into(&mut whole, &mut scratch).unwrap().unwrap();
+        assert_eq!(scratch, buf);
+        for cut in [1, 4, 5, 6, buf.len() / 2, buf.len() - 1] {
+            let mut cursor = std::io::Cursor::new(buf[..cut].to_vec());
+            assert_eq!(
+                read_frame_into(&mut cursor, &mut scratch).unwrap_err(),
+                FrameError::Truncated,
+                "cut at {cut}"
+            );
+        }
+        // and a shorter frame after a longer one decodes as itself
+        let ack = Frame::Ack { src: 0, upto: 7 };
+        let mut cursor = std::io::Cursor::new(encode(&ack));
+        let (got, n) = read_frame_into(&mut cursor, &mut scratch).unwrap().unwrap();
+        assert_eq!((got, n), (ack, 21));
     }
 
     proptest! {
@@ -1321,13 +1550,29 @@ mod tests {
         }
 
         #[test]
-        fn truncation_never_decodes(dim in 0usize..8, cut_frac in 0.0f64..1.0) {
-            let buf = encode(&Frame::Payload {
-                src: 1,
-                payload: Payload::Data { job: 0, producer: 2, tile: tile_of(dim, 42) },
-            });
+        fn truncation_never_decodes(
+            tag in 1u8..=19,
+            seed in any::<u64>(),
+            cut_frac in 0.0f64..1.0,
+        ) {
+            let buf = encode(&frame_of_tag(tag, seed));
+            prop_assert_eq!(buf[0], tag);
             let cut = ((buf.len() - 1) as f64 * cut_frac) as usize;
             prop_assert_eq!(decode(&buf[..cut]).unwrap_err(), FrameError::Truncated);
+        }
+
+        #[test]
+        fn a_single_bit_flip_never_decodes(
+            tag in 1u8..=19,
+            seed in any::<u64>(),
+            bit_frac in 0.0f64..1.0,
+        ) {
+            let frame = frame_of_tag(tag, seed);
+            let mut buf = encode(&frame);
+            prop_assert_eq!(&decode(&buf).unwrap().0, &frame);
+            let bit = ((buf.len() * 8) as f64 * bit_frac) as usize;
+            buf[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(decode(&buf).is_err(), "tag {} bit {} went undetected", tag, bit);
         }
     }
 }

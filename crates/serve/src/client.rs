@@ -5,7 +5,7 @@
 use crate::sock::Conn;
 use sbc_kernels::Tile;
 use sbc_matrix::{generate::random_spd, potrf_tiled, SymmetricTiledMatrix};
-use sbc_net::wire::{read_frame, write_frame, EventRecord, Frame, FrameError};
+use sbc_net::wire::{read_frame_into, write_frame, EventRecord, Frame, FrameError};
 use sbc_obs::{expo, MetricsSnapshot};
 use sbc_taskgraph::TileRef;
 use std::collections::HashMap;
@@ -107,6 +107,9 @@ impl From<FrameError> for ClientError {
 pub struct Client {
     conn: Conn,
     next_req: u32,
+    /// Every reply on this connection decodes through this one buffer; it
+    /// grows once to the largest `JobResult` seen and is then reused.
+    scratch: Vec<u8>,
 }
 
 impl Client {
@@ -121,6 +124,7 @@ impl Client {
         Ok(Client {
             conn: Conn::connect_retry(addr, budget)?,
             next_req: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -147,7 +151,7 @@ impl Client {
         let expect = req.batch.max(1) as usize;
         let mut replies = Vec::with_capacity(expect);
         while replies.len() < expect {
-            let frame = match read_frame(&mut self.conn)? {
+            let frame = match read_frame_into(&mut self.conn, &mut self.scratch)? {
                 Some((f, _)) => f,
                 None => {
                     return Err(ClientError::Protocol(format!(
@@ -238,7 +242,7 @@ impl Client {
     }
 
     fn read_reply(&mut self) -> Result<Frame, ClientError> {
-        match read_frame(&mut self.conn)? {
+        match read_frame_into(&mut self.conn, &mut self.scratch)? {
             Some((f, _)) => Ok(f),
             None => Err(ClientError::Protocol(
                 "server closed before answering".into(),
@@ -284,4 +288,61 @@ pub fn factor_matches(tiles: &[(TileRef, Tile)], nt: usize, b: usize, seed: u64)
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbc_net::wire::read_frame;
+    use std::os::unix::net::UnixStream;
+
+    #[test]
+    fn replies_decode_through_one_scratch_without_reallocating() {
+        let (near, mut far) = UnixStream::pair().unwrap();
+        let mut client = Client {
+            conn: Conn::Uds(near),
+            next_req: 0,
+            scratch: Vec::new(),
+        };
+        // a large reply, a smaller one, then the large size again
+        let dims = [24usize, 8, 24];
+        let server = std::thread::spawn(move || {
+            for (req, dim) in dims.into_iter().enumerate() {
+                match read_frame(&mut far) {
+                    Ok(Some((Frame::JobSubmit { .. }, _))) => {}
+                    other => panic!("expected a submission, got {other:?}"),
+                }
+                let reply = Frame::JobResult {
+                    req: req as u32,
+                    messages: 1,
+                    bytes: 8,
+                    elapsed_ns: 1,
+                    plan_cached: 0,
+                    tiles: vec![(
+                        TileRef::B { i: 0 },
+                        Tile::from_fn(dim, |i, j| (i * dim + j) as f64),
+                    )],
+                };
+                write_frame(&mut far, &reply).unwrap();
+            }
+        });
+        let mut warm = None;
+        for dim in dims {
+            match client
+                .submit(&JobRequest::potrf(1, dim, 0))
+                .unwrap()
+                .as_slice()
+            {
+                [JobReply::Done { tiles, .. }] => {
+                    assert_eq!(tiles[0].1.dim(), dim);
+                    assert_eq!(tiles[0].1.get(dim - 1, 1), ((dim - 1) * dim + 1) as f64);
+                }
+                other => panic!("expected one finished job, got {other:?}"),
+            }
+            let now = (client.scratch.as_ptr(), client.scratch.capacity());
+            // same-or-smaller replies after the first reuse its allocation
+            assert_eq!(*warm.get_or_insert(now), now, "scratch reallocated");
+        }
+        server.join().unwrap();
+    }
 }

@@ -4,7 +4,7 @@
 
 use crate::service::Service;
 use crate::sock::{is_tcp, Conn};
-use sbc_net::wire::{encode_into, read_frame, EventRecord, Frame};
+use sbc_net::wire::{encode_into, read_frame_into, EventRecord, Frame};
 use sbc_planner::Op;
 use sbc_taskgraph::TileRef;
 use std::io::Write;
@@ -92,8 +92,10 @@ fn write_reply(conn: &mut Conn, service: &Service, f: &Frame) -> std::io::Result
 /// One client connection: submissions stream in, per-job answers stream
 /// out in submission order.
 fn handle(mut conn: Conn, service: &Service, stop: &AtomicBool) {
+    // one scratch per connection, as in the mesh reader loop
+    let mut scratch = Vec::new();
     loop {
-        let frame = match read_frame(&mut conn) {
+        let frame = match read_frame_into(&mut conn, &mut scratch) {
             Ok(Some((f, _))) => f,
             Ok(None) | Err(_) => return,
         };
