@@ -1,37 +1,37 @@
-//! The threaded execution engine.
+//! The one-shot front end and the vocabulary every execution shares.
 //!
-//! Every node of the virtual platform is a small **worker pool** draining a
-//! shared per-node ready heap ([`NodeScheduler`]): workers pull the
-//! highest-priority ready task, execute its kernel against the node's tile
-//! stores, resolve successors and push producer outputs to remote consumer
-//! nodes. The ready heap is keyed by upward-rank critical-path priorities
-//! ([`Policy::CriticalPath`], the StarPU list-scheduler heuristic) or by
-//! plain submission order ([`Policy::SubmissionOrder`]).
+//! [`Executor`] runs a single task graph to completion. It owns no
+//! scheduler: [`Executor::try_run`] and [`Executor::run_rank`] build one job
+//! from the graph, tile provider and scheduling policy, submit it to a fresh
+//! [`JobTable`], close admission and start the rank engines of
+//! [`crate::jobs`] — the same engines a resident service keeps warm — then
+//! convert the [`crate::JobOutcome`] back into an [`ExecOutcome`].
 //!
-//! The interconnect is abstract: workers talk only to the
+//! The interconnect is abstract: engines talk only to the
 //! [`sbc_net::Transport`] trait. [`Executor::try_run`] meshes the nodes up
-//! in-process over [`sbc_net::InProc`] channels (the historical
-//! configuration); [`Executor::run_rank`] executes a *single* rank over any
-//! endpoint — including `sbc-net`'s TCP/UDS stream backends, where each
-//! rank is a separate OS process — and gathers results to rank 0 with the
-//! transport's `Result`/`Done` control protocol.
+//! in-process over [`sbc_net::InProc`] channels, all ranks reporting to one
+//! table; [`Executor::run_rank`] executes a *single* rank over any endpoint
+//! — including `sbc-net`'s TCP/UDS stream backends, where each rank is a
+//! separate OS process with a rank-local table — and gathers results to
+//! rank 0 with the transport's `Result`/`Done` control protocol.
 //!
 //! Communication is *schedule-invariant*: which tiles cross node boundaries
 //! is decided by placement (the data edges of the graph plus the initial
 //! fetches), never by execution order, so [`CommStats`] is bit-identical at
 //! any worker count, under either policy, and over every transport backend.
 
+use crate::jobs::{
+    run_engine, task_priorities, GraphRef, JobEngineConfig, JobId, JobSpec, JobTable,
+};
 use sbc_kernels::{KernelBackend, KernelError, Kernels, Tile, Trans};
 use sbc_matrix::generate;
-use sbc_net::{inproc_mesh, Clock, Message, Payload, PeerStats, RealClock, RecvTimeout, Transport};
-use sbc_obs::{FaultKind, GaugeKind, NodeRecorder, Recorder};
-use sbc_taskgraph::{flops_priorities, EdgeKind, TaskGraph, TaskId, TaskKind, TileRef};
-use sbc_topo::{SchedCtx, Scheduler};
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-use std::time::{Duration, Instant};
+use sbc_net::{inproc_mesh, Clock, Message, PeerStats, RealClock, RecvTimeout, Transport};
+use sbc_obs::Recorder;
+use sbc_taskgraph::{TaskGraph, TaskId, TaskKind, TileRef};
+use sbc_topo::Scheduler;
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Communication statistics of one distributed execution.
 ///
@@ -58,6 +58,23 @@ pub struct CommStats {
     pub recv_per_node: Vec<u64>,
     /// Bytes sent per node (sums to `bytes`).
     pub bytes_per_node: Vec<u64>,
+}
+
+impl CommStats {
+    /// Assembles the totals from the three per-node vectors.
+    pub fn from_per_node(
+        sent_per_node: Vec<u64>,
+        recv_per_node: Vec<u64>,
+        bytes_per_node: Vec<u64>,
+    ) -> Self {
+        CommStats {
+            messages: sent_per_node.iter().sum(),
+            bytes: bytes_per_node.iter().sum(),
+            sent_per_node,
+            recv_per_node,
+            bytes_per_node,
+        }
+    }
 }
 
 /// Result of a distributed execution: the final content of every node's
@@ -177,138 +194,6 @@ pub enum Policy {
     CriticalPath,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum WaitKey {
-    Task(TaskId),
-    Orig(TileRef),
-}
-
-/// A ready heap entry: priority (descending), then TaskId (ascending) so
-/// pops are deterministic. Priorities are non-negative f32s stored as raw
-/// bits, which preserves their order.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct ReadyTask {
-    prio: u32,
-    task: std::cmp::Reverse<TaskId>,
-}
-
-/// Mutable scheduler state shared by one node's workers, guarded by
-/// [`NodeScheduler::state`].
-struct SchedState {
-    ready: BinaryHeap<ReadyTask>,
-    deps: HashMap<TaskId, u32>,
-    /// Local tasks not yet completed; the node is done at zero.
-    remaining: u64,
-    /// Workers currently executing a kernel.
-    active: u32,
-    /// A worker is blocked on (or draining) the transport's receive side.
-    receiving: bool,
-    /// Worker 0 has shipped the node's original-tile fetches. No task may
-    /// run before this: a local task could overwrite a tile whose original
-    /// value a remote consumer still needs.
-    shipped: bool,
-    /// Set on local kernel failure or a received poison; workers exit.
-    poisoned: bool,
-    error: Option<ExecError>,
-}
-
-/// Per-node scheduler: the dependency bookkeeping and message-apply loop
-/// factored out of the worker threads. Workers take the `state` lock only
-/// to pop/push ready tasks and update counters; tiles live in `RwLock`
-/// stores that readers share. Message traffic goes through the rank's
-/// [`Transport`] endpoint, which keeps its own wire-level accounting.
-struct NodeScheduler {
-    state: Mutex<SchedState>,
-    cv: Condvar,
-    /// Tiles owned (generated or written) by this node.
-    local: RwLock<HashMap<TileRef, Tile>>,
-    /// Tiles received from other nodes, keyed by producer task or fetched
-    /// original.
-    cache: RwLock<HashMap<WaitKey, Tile>>,
-    /// Which local tasks each remote arrival unblocks (immutable).
-    waits: HashMap<WaitKey, Vec<TaskId>>,
-    /// Original tiles this node must ship to remote consumers at startup.
-    fetch_sends: Vec<(TileRef, u32)>,
-    /// Payload messages received *and applied* (transport-injected
-    /// duplicates are received but never applied).
-    applied: AtomicU64,
-    /// `Result` tiles that arrived while this rank was still executing —
-    /// only rank 0 of a multi-process gather ever sees these.
-    gathered: Mutex<Vec<(TileRef, Tile)>>,
-    /// `Done` reports that arrived while this rank was still executing.
-    dones: Mutex<Vec<(u32, PeerStats)>>,
-    /// Watchdog epoch: when this rank's scheduler was built, per the
-    /// executor's injected clock.
-    started: Instant,
-    /// The executor's time source; the watchdog is a pure function of it.
-    clock: Arc<dyn Clock>,
-    /// Nanoseconds after `started` at which progress (a task completed or
-    /// a message applied) last happened.
-    progress_ns: AtomicU64,
-}
-
-impl NodeScheduler {
-    /// Time since the watchdog epoch, per the injected clock.
-    fn epoch_elapsed(&self) -> Duration {
-        self.clock.now().saturating_duration_since(self.started)
-    }
-
-    fn touch_progress(&self) {
-        self.progress_ns
-            .store(self.epoch_elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Time since this rank last made progress.
-    fn stalled_for(&self) -> Duration {
-        self.epoch_elapsed().saturating_sub(Duration::from_nanos(
-            self.progress_ns.load(Ordering::Relaxed),
-        ))
-    }
-
-    /// A human-readable account of the remote arrivals this rank is still
-    /// missing, for [`ExecError::Stalled`].
-    fn describe_waiting(&self) -> String {
-        let cache = self
-            .cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut missing: Vec<String> = self
-            .waits
-            .keys()
-            .filter(|k| !cache.contains_key(k))
-            .map(|k| format!("{k:?}"))
-            .collect();
-        if missing.is_empty() {
-            return "no undelivered remote dependencies".to_string();
-        }
-        missing.sort();
-        format!(
-            "{} undelivered remote arrivals, first {}",
-            missing.len(),
-            missing[0]
-        )
-    }
-}
-
-/// What one rank's execution produced, before any cross-rank merge.
-struct RankRun {
-    tiles: HashMap<TileRef, Tile>,
-    applied: u64,
-    gathered: Vec<(TileRef, Tile)>,
-    dones: Vec<(u32, PeerStats)>,
-    poisoned: bool,
-    error: Option<ExecError>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn into_inner<T>(m: Mutex<T>) -> T {
-    m.into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Provides original (input) tile contents to the executor.
 ///
 /// The default provider generates the seeded random SPD matrix and RHS of
@@ -340,7 +225,10 @@ pub struct Executor<'g> {
     graph: &'g TaskGraph,
     /// Tile dimension.
     pub b: usize,
-    provider: Box<TileProvider<'g>>,
+    seed: u64,
+    /// `None` derives the right-hand-side seed from `seed`.
+    seed_rhs: Option<u64>,
+    provider: Option<Box<TileProvider<'g>>>,
     recorder: Option<&'g Recorder>,
     workers: Option<usize>,
     policy: Policy,
@@ -354,25 +242,12 @@ pub struct Executor<'g> {
 /// Configures and builds an [`Executor`] — the single surface for every
 /// knob: block size, seeds, tile provider, recorder, worker count,
 /// scheduling policy and kernel backend.
-pub struct ExecutorBuilder<'g> {
-    graph: &'g TaskGraph,
-    b: usize,
-    seed: u64,
-    seed_rhs: Option<u64>,
-    provider: Option<Box<TileProvider<'g>>>,
-    recorder: Option<&'g Recorder>,
-    workers: Option<usize>,
-    policy: Policy,
-    sched: Option<Arc<dyn Scheduler + Send + Sync>>,
-    fault: FaultPolicy,
-    clock: Arc<dyn Clock>,
-    kernels: KernelBackend,
-}
+pub struct ExecutorBuilder<'g>(Executor<'g>);
 
 impl<'g> ExecutorBuilder<'g> {
     /// Tile dimension of the matrices being executed (default 32).
     pub fn block(mut self, b: usize) -> Self {
-        self.b = b;
+        self.0.b = b;
         self
     }
 
@@ -380,14 +255,14 @@ impl<'g> ExecutorBuilder<'g> {
     /// `seed_rhs` for right-hand sides. Ignored when a custom provider is
     /// set.
     pub fn seeds(mut self, seed: u64, seed_rhs: u64) -> Self {
-        self.seed = seed;
-        self.seed_rhs = Some(seed_rhs);
+        self.0.seed = seed;
+        self.0.seed_rhs = Some(seed_rhs);
         self
     }
 
     /// Seed for the default SPD generator; the RHS seed is derived from it.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
@@ -395,7 +270,7 @@ impl<'g> ExecutorBuilder<'g> {
     /// is called on a tile's *home* node the first time the tile is needed
     /// and must be a pure function of the [`TileRef`].
     pub fn provider(mut self, provider: impl Fn(TileRef) -> Tile + Sync + 'g) -> Self {
-        self.provider = Some(Box::new(provider));
+        self.0.provider = Some(Box::new(provider));
         self
     }
 
@@ -403,20 +278,20 @@ impl<'g> ExecutorBuilder<'g> {
     /// spans (on its own per-worker track), message sends/receives,
     /// dependency waits and scheduler gauges into it.
     pub fn recorder(mut self, recorder: &'g Recorder) -> Self {
-        self.recorder = Some(recorder);
+        self.0.recorder = Some(recorder);
         self
     }
 
     /// Worker threads per node (clamped to at least 1). Default: available
     /// cores divided by the node count, at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.0.workers = Some(workers.max(1));
         self
     }
 
     /// Ready-heap ordering (default [`Policy::CriticalPath`]).
     pub fn priorities(mut self, policy: Policy) -> Self {
-        self.policy = policy;
+        self.0.policy = policy;
         self
     }
 
@@ -429,21 +304,21 @@ impl<'g> ExecutorBuilder<'g> {
     /// priorities deterministically, swapping schedulers changes execution
     /// order but never results (tested bit-exactly).
     pub fn scheduler(mut self, sched: Arc<dyn Scheduler + Send + Sync>) -> Self {
-        self.sched = Some(sched);
+        self.0.sched = Some(sched);
         self
     }
 
     /// Liveness policy: watchdog deadline and heartbeat (default: no
     /// watchdog, blocking receives).
     pub fn fault_policy(mut self, fault: FaultPolicy) -> Self {
-        self.fault = fault;
+        self.0.fault = fault;
         self
     }
 
     /// Shorthand: arms the watchdog with the given no-progress deadline,
     /// keeping the default heartbeat.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.fault.deadline = Some(deadline);
+        self.0.fault.deadline = Some(deadline);
         self
     }
 
@@ -453,7 +328,7 @@ impl<'g> ExecutorBuilder<'g> {
     /// explicitly advanced time: deterministic tests can fire a
     /// 1000-second deadline in milliseconds of real time.
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
+        self.0.clock = clock;
         self
     }
 
@@ -463,30 +338,14 @@ impl<'g> ExecutorBuilder<'g> {
     /// backends produce bit-identical tiles, so this knob changes speed,
     /// never results.
     pub fn kernels(mut self, kernels: KernelBackend) -> Self {
-        self.kernels = kernels;
+        self.0.kernels = kernels;
         self
     }
 
     /// Finalizes the configuration.
-    pub fn build(self) -> Executor<'g> {
-        let (nt, b) = (self.graph.nt, self.b);
-        let seed = self.seed;
-        let seed_rhs = self.seed_rhs.unwrap_or(seed ^ 0x05EE_D0FB);
-        let provider = self
-            .provider
-            .unwrap_or_else(|| Box::new(move |r| default_original(r, nt, b, seed, seed_rhs)));
-        Executor {
-            graph: self.graph,
-            b,
-            provider,
-            recorder: self.recorder,
-            workers: self.workers,
-            policy: self.policy,
-            sched: self.sched,
-            fault: self.fault,
-            clock: self.clock,
-            kernels: KernelBackend::resolve(self.kernels),
-        }
+    pub fn build(mut self) -> Executor<'g> {
+        self.0.kernels = KernelBackend::resolve(self.0.kernels);
+        self.0
     }
 }
 
@@ -494,7 +353,7 @@ impl<'g> Executor<'g> {
     /// Starts configuring an execution of `graph`. See
     /// [`ExecutorBuilder`] for the knobs and their defaults.
     pub fn builder(graph: &'g TaskGraph) -> ExecutorBuilder<'g> {
-        ExecutorBuilder {
+        ExecutorBuilder(Executor {
             graph,
             b: 32,
             seed: 42,
@@ -507,53 +366,54 @@ impl<'g> Executor<'g> {
             fault: FaultPolicy::default(),
             clock: Arc::new(RealClock),
             kernels: KernelBackend::default(),
-        }
+        })
     }
 
-    fn original(&self, r: TileRef) -> Tile {
-        let t = (self.provider)(r);
-        assert_eq!(
-            t.dim(),
-            self.b,
-            "provider returned a tile of wrong dimension"
-        );
-        t
+    /// Submits this execution as the single job of `table` and closes
+    /// admission, so every engine started afterwards registers the job on
+    /// its first iteration and exits on drain. Returns the job's id.
+    fn submit_closed<'s>(&'s self, table: &JobTable<'s>) -> JobId {
+        // an attached scheduler overrides the policy; the default policy is
+        // the critical-path scheduler
+        let sched: Option<&dyn Scheduler> = match (&self.sched, self.policy) {
+            (Some(sched), _) => Some(sched.as_ref()),
+            (None, Policy::CriticalPath) => Some(&sbc_topo::CriticalPath),
+            (None, Policy::SubmissionOrder) => None,
+        };
+        let spec = JobSpec {
+            id: 0,
+            graph: GraphRef::Borrowed(self.graph),
+            b: self.b,
+            seed: self.seed,
+            seed_rhs: self.seed_rhs.unwrap_or(self.seed ^ 0x05EE_D0FB),
+            prio: 0,
+            prio_bits: task_priorities(self.graph, self.b, sched),
+            provider: self.provider.as_deref().map(|p| p as &TileProvider<'s>),
+        };
+        // a one-shot table is never obs-bound, so the drift monitor's
+        // prediction is not computed
+        let id = table
+            .submit_spec(spec, (0, 0))
+            .expect("a fresh table admits its first job");
+        table.shutdown();
+        id
     }
 
-    /// Worker threads per node for this run.
-    fn workers_per_node(&self, n_nodes: usize) -> usize {
-        self.workers.unwrap_or_else(|| {
+    /// The rank engines' configuration for an `n_nodes` mesh. Worker
+    /// threads per node default to the available cores divided by the node
+    /// count, at least 1.
+    fn engine_config(&self, n_nodes: usize) -> JobEngineConfig {
+        let workers = self.workers.unwrap_or_else(|| {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1);
             (cores / n_nodes.max(1)).max(1)
-        })
-    }
-
-    /// Critical-path priorities as raw f32 bits (non-negative floats order
-    /// like their bit patterns); empty = submission order. An attached
-    /// [`Scheduler`] overrides the [`Policy`].
-    fn priorities(&self) -> Vec<u32> {
-        if let Some(sched) = &self.sched {
-            let costs: Vec<f64> = self
-                .graph
-                .tasks()
-                .iter()
-                .map(|t| t.kind.flops(self.b))
-                .collect();
-            let ctx = SchedCtx {
-                graph: self.graph,
-                task_cost: &costs,
-                comm_cost: sbc_kernels::flops::flops_gemm(self.b),
-            };
-            return sched.ranks(&ctx).into_iter().map(f32::to_bits).collect();
-        }
-        match self.policy {
-            Policy::SubmissionOrder => Vec::new(),
-            Policy::CriticalPath => flops_priorities(self.graph, self.b)
-                .into_iter()
-                .map(f32::to_bits)
-                .collect(),
+        });
+        JobEngineConfig {
+            workers,
+            heartbeat: self.fault.heartbeat,
+            deadline: self.fault.deadline,
+            kernels: self.kernels,
         }
     }
 
@@ -569,56 +429,25 @@ impl<'g> Executor<'g> {
     /// Runs the graph to completion over an in-process channel mesh,
     /// propagating kernel failures.
     ///
-    /// On failure every node is shut down via poison messages and the first
-    /// failure (in node order) is returned.
+    /// On failure every node is shut down via poison messages and the
+    /// originating failure is returned.
     pub fn try_run(&self) -> Result<ExecOutcome, ExecError> {
         let n_nodes = self.graph.num_nodes();
-        let mesh = inproc_mesh(n_nodes);
-        let prio = self.priorities();
-        let prio: &[u32] = &prio;
-
-        let runs: Vec<RankRun> = std::thread::scope(|scope| {
-            let handles: Vec<_> = mesh
-                .iter()
-                .map(|net| scope.spawn(move || self.rank_loop(net, prio)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
-                .collect()
+        let table = JobTable::with_clock(n_nodes, n_nodes, 1, Arc::clone(&self.clock));
+        let id = self.submit_closed(&table);
+        let cfg = self.engine_config(n_nodes);
+        std::thread::scope(|scope| {
+            // each rank thread owns its endpoint, as a rank process would
+            for net in inproc_mesh(n_nodes) {
+                let table = &table;
+                // a failing rank's error reaches the caller through the table
+                scope.spawn(move || run_engine(&net, table, cfg, self.recorder));
+            }
         });
-
-        // merge per-rank stores and the transports' accounting
-        let mut tiles = HashMap::new();
-        let mut sent_per_node = vec![0u64; n_nodes];
-        let mut recv_per_node = vec![0u64; n_nodes];
-        let mut bytes_per_node = vec![0u64; n_nodes];
-        let mut first_error: Option<ExecError> = None;
-        for (node, (run, net)) in runs.into_iter().zip(&mesh).enumerate() {
-            let s = net.stats();
-            sent_per_node[node] = s.sent_messages;
-            bytes_per_node[node] = s.sent_payload_bytes;
-            recv_per_node[node] = run.applied;
-            if let (None, Some(e)) = (&first_error, run.error) {
-                first_error = Some(e);
-            }
-            for (r, tile) in run.tiles {
-                let prev = tiles.insert(r, tile);
-                debug_assert!(prev.is_none(), "tile {r:?} stored on two nodes");
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
+        let out = table.wait(id)?;
         Ok(ExecOutcome {
-            tiles,
-            stats: CommStats {
-                messages: sent_per_node.iter().sum(),
-                bytes: bytes_per_node.iter().sum(),
-                sent_per_node,
-                recv_per_node,
-                bytes_per_node,
-            },
+            tiles: out.tiles,
+            stats: out.stats,
         })
     }
 
@@ -636,45 +465,42 @@ impl<'g> Executor<'g> {
     pub fn run_rank(&self, net: &dyn Transport) -> Result<Option<ExecOutcome>, ExecError> {
         let n = net.num_nodes();
         let me = net.rank();
-        let prio = self.priorities();
-        let run = self.rank_loop(net, &prio);
+        // a rank-local table: the job completes on this rank's one report
+        let table = JobTable::with_clock(n, 1, 1, Arc::clone(&self.clock));
+        let id = self.submit_closed(&table);
+        let early = run_engine(net, &table, self.engine_config(n), self.recorder)?;
+        let out = table.wait(id)?;
+        // `net` carried exactly this job, so its wire totals are the job's —
+        // including copies a fault-injecting wrapper duplicated beneath the
+        // engine's own per-job tally
+        let wire = net.stats();
+        let own = PeerStats {
+            sent: wire.sent_messages,
+            sent_bytes: wire.sent_payload_bytes,
+            applied: out.stats.recv_per_node[me as usize],
+        };
 
         if me != 0 {
-            if let Some(e) = run.error {
-                return Err(e);
-            }
-            if run.poisoned {
-                return Err(ExecError::Remote);
-            }
-            for (r, tile) in run.tiles {
+            for (r, tile) in out.tiles {
                 net.send_result(0, r, tile);
             }
-            let s = net.stats();
-            net.send_done(
-                0,
-                PeerStats {
-                    sent: s.sent_messages,
-                    sent_bytes: s.sent_payload_bytes,
-                    applied: run.applied,
-                },
-            );
+            net.send_done(0, own);
             return Ok(None);
         }
 
-        // rank 0: fold in anything that arrived during the run, then drain
-        // the inbox until every worker rank has reported
-        let mut tiles = run.tiles;
-        tiles.extend(run.gathered);
-        let mut peer: Vec<Option<PeerStats>> = vec![None; n];
-        let mut done = 0usize;
-        for (src, s) in run.dones {
-            if peer[src as usize].replace(s).is_none() {
-                done += 1;
-            }
+        // rank 0: fold in the gather frames that arrived during the run,
+        // then drain the inbox until every worker rank has reported
+        let mut gather = Gather {
+            tiles: out.tiles,
+            peer: vec![None; n],
+            missing: n - 1,
+        };
+        gather.peer[0] = Some(own);
+        for msg in early {
+            gather.absorb(msg)?;
         }
-        let mut poisoned = run.poisoned;
         let mut last_report = self.clock.now();
-        while done < n - 1 && !poisoned {
+        while gather.missing > 0 {
             let msg = match self.fault.deadline {
                 None => net.recv(),
                 Some(deadline) => match net.recv_timeout(self.fault.heartbeat) {
@@ -689,174 +515,62 @@ impl<'g> Executor<'g> {
                         for r in 1..n as u32 {
                             net.send_poison(r);
                         }
+                        let got = n - 1 - gather.missing;
                         return Err(ExecError::Stalled {
                             rank: 0,
-                            waiting_on: format!("gather: {done}/{} worker reports received", n - 1),
+                            waiting_on: format!("gather: {got}/{} worker reports received", n - 1),
                         });
                     }
                 },
             };
-            match msg {
-                Some(Message::Result { tile_ref, tile }) => {
-                    tiles.insert(tile_ref, tile);
-                    last_report = self.clock.now();
-                }
-                Some(Message::Done { src, stats }) => {
-                    if peer[src as usize].replace(stats).is_none() {
-                        done += 1;
-                    }
-                    last_report = self.clock.now();
-                }
-                Some(Message::Poison) | None => poisoned = true,
-                // stray wakes from our own completion, a duplicate payload
-                // injected after our run finished, or leftover session
-                // traffic — all harmless
-                Some(Message::Wake)
-                | Some(Message::Payload { .. })
-                | Some(Message::Seq { .. })
-                | Some(Message::Ack { .. }) => {}
+            if gather.absorb(msg.ok_or(ExecError::Remote)?)? {
+                last_report = self.clock.now();
             }
         }
-        if let Some(e) = run.error {
-            return Err(e);
-        }
-        if poisoned {
-            return Err(ExecError::Remote);
-        }
 
-        let own = net.stats();
-        let mut sent_per_node = vec![0u64; n];
-        let mut recv_per_node = vec![0u64; n];
-        let mut bytes_per_node = vec![0u64; n];
-        sent_per_node[0] = own.sent_messages;
-        bytes_per_node[0] = own.sent_payload_bytes;
-        recv_per_node[0] = run.applied;
-        for (r, s) in peer.iter().enumerate().skip(1) {
-            let s = s.expect("every worker rank reported");
-            sent_per_node[r] = s.sent;
-            bytes_per_node[r] = s.sent_bytes;
-            recv_per_node[r] = s.applied;
-        }
+        let peer = || gather.peer.iter().map(|s| s.expect("every rank reported"));
         Ok(Some(ExecOutcome {
-            tiles,
-            stats: CommStats {
-                messages: sent_per_node.iter().sum(),
-                bytes: bytes_per_node.iter().sum(),
-                sent_per_node,
-                recv_per_node,
-                bytes_per_node,
-            },
+            stats: CommStats::from_per_node(
+                peer().map(|s| s.sent).collect(),
+                peer().map(|s| s.applied).collect(),
+                peer().map(|s| s.sent_bytes).collect(),
+            ),
+            tiles: gather.tiles,
         }))
     }
+}
 
-    /// Builds one rank's scheduler from the graph and drains it with a
-    /// worker pool over `net`.
-    fn rank_loop(&self, net: &dyn Transport, prio: &[u32]) -> RankRun {
-        let g = self.graph;
-        let me = net.rank();
-        let c = g.slices;
-        let workers = self.workers_per_node(net.num_nodes());
-        let prio_of = |t: TaskId| prio.get(t as usize).copied().unwrap_or(0);
+/// Rank 0's side of the `Result`/`Done` gather protocol.
+struct Gather {
+    tiles: HashMap<TileRef, Tile>,
+    peer: Vec<Option<PeerStats>>,
+    /// Worker ranks that have not reported `Done` yet.
+    missing: usize,
+}
 
-        // global dependency counts, restricted below to this rank's tasks
-        let mut deps = g.in_degrees();
-        for (t, extra) in g.fetch_deps().into_iter().enumerate() {
-            deps[t] += extra;
-        }
-
-        let mut local_deps: HashMap<TaskId, u32> = HashMap::new();
-        let mut ready: Vec<TaskId> = Vec::new();
-        let mut remaining = 0u64;
-        let mut waits: HashMap<WaitKey, Vec<TaskId>> = HashMap::new();
-        let mut fetch_sends: Vec<(TileRef, u32)> = Vec::new();
-        for t in 0..g.len() as TaskId {
-            if g.tasks()[t as usize].node != me {
-                continue;
+impl Gather {
+    /// Folds one inbox message in. `Ok(true)` for gather traffic,
+    /// `Ok(false)` for anything harmless, [`ExecError::Remote`] for a
+    /// poison.
+    fn absorb(&mut self, msg: Message) -> Result<bool, ExecError> {
+        match msg {
+            Message::Result { tile_ref, tile } => {
+                self.tiles.insert(tile_ref, tile);
             }
-            remaining += 1;
-            local_deps.insert(t, deps[t as usize]);
-            if deps[t as usize] == 0 {
-                ready.push(t);
-            }
-            for (p, kind) in g.preds(t) {
-                if g.tasks()[p as usize].node != me {
-                    debug_assert_eq!(kind, EdgeKind::Data);
-                    let w = waits.entry(WaitKey::Task(p)).or_default();
-                    if w.last() != Some(&t) {
-                        w.push(t);
-                    }
+            Message::Done { src, stats } => {
+                if self.peer[src as usize].replace(stats).is_none() {
+                    self.missing -= 1;
                 }
             }
-        }
-        for f in g.initial_fetches() {
-            if f.home == me {
-                fetch_sends.push((f.tile, f.dest));
-            }
-            if f.dest == me {
-                waits
-                    .entry(WaitKey::Orig(f.tile))
-                    .or_default()
-                    .extend(f.consumers.iter().copied());
+            Message::Poison => return Err(ExecError::Remote),
+            // stray wakes from our own completion, a duplicate payload
+            // injected after our run finished, or leftover session
+            // traffic — all harmless
+            Message::Wake | Message::Payload { .. } | Message::Seq { .. } | Message::Ack { .. } => {
+                return Ok(false)
             }
         }
-
-        let sched = NodeScheduler {
-            state: Mutex::new(SchedState {
-                ready: ready
-                    .into_iter()
-                    .map(|t| ReadyTask {
-                        prio: prio_of(t),
-                        task: std::cmp::Reverse(t),
-                    })
-                    .collect(),
-                deps: local_deps,
-                remaining,
-                active: 0,
-                receiving: false,
-                shipped: fetch_sends.is_empty(),
-                poisoned: false,
-                error: None,
-            }),
-            cv: Condvar::new(),
-            local: RwLock::new(HashMap::new()),
-            cache: RwLock::new(HashMap::new()),
-            waits,
-            fetch_sends,
-            applied: AtomicU64::new(0),
-            gathered: Mutex::new(Vec::new()),
-            dones: Mutex::new(Vec::new()),
-            started: self.clock.now(),
-            clock: Arc::clone(&self.clock),
-            progress_ns: AtomicU64::new(0),
-        };
-
-        std::thread::scope(|scope| {
-            for widx in 0..workers {
-                let ctx = WorkerCtx {
-                    exec: self,
-                    g,
-                    me,
-                    c,
-                    sched: &sched,
-                    net,
-                    prio,
-                };
-                scope.spawn(move || ctx.worker_loop(widx as u32));
-            }
-        });
-
-        let state = into_inner(sched.state);
-        RankRun {
-            tiles: sched
-                .local
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            applied: sched.applied.into_inner(),
-            gathered: into_inner(sched.gathered),
-            dones: into_inner(sched.dones),
-            poisoned: state.poisoned,
-            error: state.error,
-        }
+        Ok(true)
     }
 }
 
@@ -878,517 +592,6 @@ pub(crate) fn default_original(r: TileRef, nt: usize, b: usize, seed: u64, seed_
         }
         TileRef::Buf { .. } => Tile::zeros(b),
         TileRef::B { i } => generate::rhs_tile(seed_rhs, b, i as usize),
-    }
-}
-
-/// What a worker decides to do after inspecting the scheduler state.
-enum Step {
-    Run(TaskId),
-    Receive,
-    Wait,
-    Exit,
-}
-
-/// Outcome of a (possibly watchdog-guarded) blocking receive.
-enum Watched {
-    /// A message arrived.
-    Msg(Message),
-    /// The rank finished or was poisoned while this worker was parked;
-    /// nothing to apply.
-    Interrupted,
-    /// The endpoint closed.
-    Closed,
-    /// No progress for longer than the deadline: the watchdog fired.
-    Stalled,
-}
-
-/// Everything one worker thread needs: the executor, its rank's scheduler
-/// and the rank's transport endpoint.
-#[derive(Clone, Copy)]
-struct WorkerCtx<'w, 'g> {
-    exec: &'w Executor<'g>,
-    g: &'g TaskGraph,
-    me: u32,
-    c: usize,
-    sched: &'w NodeScheduler,
-    net: &'w dyn Transport,
-    prio: &'w [u32],
-}
-
-impl WorkerCtx<'_, '_> {
-    fn prio_of(&self, t: TaskId) -> u32 {
-        self.prio.get(t as usize).copied().unwrap_or(0)
-    }
-
-    /// Blocks for the next message; with an armed watchdog, wakes every
-    /// heartbeat to re-check the exit conditions and the no-progress
-    /// deadline instead of parking forever.
-    fn recv_watched(&self, obs: &mut Option<NodeRecorder<'_>>) -> Watched {
-        let Some(deadline) = self.exec.fault.deadline else {
-            return match self.net.recv() {
-                Some(m) => Watched::Msg(m),
-                None => Watched::Closed,
-            };
-        };
-        loop {
-            match self.net.recv_timeout(self.exec.fault.heartbeat) {
-                RecvTimeout::Msg(m) => return Watched::Msg(m),
-                RecvTimeout::Closed => return Watched::Closed,
-                RecvTimeout::TimedOut => {
-                    {
-                        let st = lock(&self.sched.state);
-                        if st.poisoned || st.remaining == 0 {
-                            return Watched::Interrupted;
-                        }
-                    }
-                    let stalled = self.sched.stalled_for();
-                    if stalled > deadline {
-                        if let Some(o) = obs.as_mut() {
-                            let end = o.now();
-                            o.fault(FaultKind::Stall, end - stalled.as_secs_f64(), end);
-                        }
-                        return Watched::Stalled;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sends one payload message. The transport counts it at its real byte
-    /// size (control messages have their own untallied entry points —
-    /// [`Transport::send_poison`] and friends — so the payload-vs-control
-    /// split is enforced by types, not by a match at the call site).
-    fn send_payload(&self, dest: u32, payload: Payload, obs: &mut Option<NodeRecorder<'_>>) {
-        let orig = payload.is_orig();
-        if let Some(bytes) = self.net.send_payload(dest, payload) {
-            if let Some(o) = obs.as_mut() {
-                o.send(dest, bytes, orig);
-            }
-        }
-    }
-
-    /// Main loop of one worker thread.
-    fn worker_loop(&self, widx: u32) {
-        let mut obs: Option<NodeRecorder<'_>> = self.exec.recorder.map(|r| r.worker(self.me, widx));
-
-        // Worker 0 ships originals to remote consumers before any local
-        // task may run (a local write could otherwise clobber an original
-        // a remote consumer still needs); the other workers hold at the
-        // condvar until `shipped` flips.
-        if widx == 0 && !self.sched.fetch_sends.is_empty() {
-            for &(tile_ref, dest) in &self.sched.fetch_sends {
-                let tile = {
-                    let mut local = self
-                        .sched
-                        .local
-                        .write()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    local
-                        .entry(tile_ref)
-                        .or_insert_with(|| self.exec.original(tile_ref))
-                        .clone()
-                };
-                self.send_payload(
-                    dest,
-                    Payload::Orig {
-                        job: 0,
-                        tile_ref,
-                        tile,
-                    },
-                    &mut obs,
-                );
-            }
-            let mut st = lock(&self.sched.state);
-            st.shipped = true;
-            drop(st);
-            self.sched.touch_progress();
-            self.sched.cv.notify_all();
-        }
-
-        loop {
-            let step = {
-                let mut st = lock(&self.sched.state);
-                if st.poisoned || st.remaining == 0 {
-                    Step::Exit
-                } else if !st.shipped {
-                    Step::Wait
-                } else if let Some(rt) = st.ready.pop() {
-                    st.active += 1;
-                    if let Some(o) = obs.as_mut() {
-                        o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
-                    }
-                    Step::Run(rt.task.0)
-                } else if !st.receiving {
-                    st.receiving = true;
-                    Step::Receive
-                } else {
-                    Step::Wait
-                }
-            };
-            match step {
-                Step::Exit => break,
-                Step::Run(t) => self.run_task(t, &mut obs),
-                Step::Receive => {
-                    if !self.receive_and_apply(&mut obs) {
-                        break;
-                    }
-                }
-                Step::Wait => {
-                    let st = lock(&self.sched.state);
-                    if !(st.poisoned || st.remaining == 0)
-                        && (!st.shipped || (st.ready.is_empty() && st.receiving))
-                    {
-                        // spurious wakeups only cost a loop iteration
-                        drop(
-                            self.sched
-                                .cv
-                                .wait(st)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner),
-                        );
-                    }
-                }
-            }
-        }
-        // flush this worker's event buffer into the recorder
-        drop(obs);
-    }
-
-    /// Blocks on the transport as the designated receiver, applies the
-    /// arrived batch and wakes the other workers. Returns `false` when the
-    /// endpoint is closed or this rank's watchdog declared it stalled.
-    fn receive_and_apply(&self, obs: &mut Option<NodeRecorder<'_>>) -> bool {
-        let wait_start = obs.as_ref().map(|o| o.now());
-        let mut batch = Vec::new();
-        let alive = match self.recv_watched(obs) {
-            Watched::Msg(m) => {
-                batch.push(m);
-                while let Some(m) = self.net.try_recv() {
-                    batch.push(m);
-                }
-                true
-            }
-            Watched::Interrupted => true,
-            Watched::Closed => false,
-            Watched::Stalled => {
-                if let Some(o) = obs.as_mut() {
-                    let end = o.now();
-                    o.dep_wait(wait_start.unwrap_or(end), end);
-                }
-                self.fail(
-                    ExecError::Stalled {
-                        rank: self.me,
-                        waiting_on: self.sched.describe_waiting(),
-                    },
-                    obs,
-                    false,
-                );
-                return false;
-            }
-        };
-        if let Some(o) = obs.as_mut() {
-            let end = o.now();
-            o.dep_wait(wait_start.unwrap_or(end), end);
-        }
-
-        // Stash payload tiles into the cache *before* releasing any waiting
-        // task (under the state lock below), so a task that becomes ready
-        // always finds its operands.
-        let mut arrived: Vec<WaitKey> = Vec::with_capacity(batch.len());
-        let mut poisoned = !alive;
-        for msg in batch {
-            match msg {
-                // a bare Seq means no session is wrapping this endpoint;
-                // the cache's occupancy check below deduplicates it anyway
-                Message::Payload { src, payload } | Message::Seq { src, payload, .. } => {
-                    let key = match &payload {
-                        Payload::Data { producer, .. } => WaitKey::Task(*producer),
-                        Payload::Orig { tile_ref, .. } => WaitKey::Orig(*tile_ref),
-                    };
-                    let orig = payload.is_orig();
-                    let bytes = payload.payload_bytes();
-                    let tile = match payload {
-                        Payload::Data { tile, .. } | Payload::Orig { tile, .. } => tile,
-                    };
-                    // Each producer output / original fetch arrives at most
-                    // once per rank by protocol, so an occupied cache slot
-                    // means a transport-injected duplicate: drop it without
-                    // touching dependency counts or the applied tally.
-                    let duplicate = {
-                        let mut cache = self
-                            .sched
-                            .cache
-                            .write()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        match cache.entry(key) {
-                            Entry::Occupied(_) => true,
-                            Entry::Vacant(slot) => {
-                                slot.insert(tile);
-                                false
-                            }
-                        }
-                    };
-                    if duplicate {
-                        continue;
-                    }
-                    self.sched.applied.fetch_add(1, Ordering::Relaxed);
-                    self.sched.touch_progress();
-                    if let Some(o) = obs.as_mut() {
-                        o.recv(src, bytes, orig);
-                    }
-                    arrived.push(key);
-                }
-                Message::Poison => poisoned = true,
-                Message::Wake | Message::Ack { .. } => {}
-                // gather traffic reaching rank 0 before its own run ends
-                Message::Result { tile_ref, tile } => {
-                    lock(&self.sched.gathered).push((tile_ref, tile));
-                }
-                Message::Done { src, stats } => {
-                    lock(&self.sched.dones).push((src, stats));
-                }
-            }
-        }
-
-        let store_tiles = self
-            .sched
-            .local
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len();
-        let mut st = lock(&self.sched.state);
-        if poisoned {
-            st.poisoned = true;
-        }
-        for key in arrived {
-            if let Some(waiting) = self.sched.waits.get(&key) {
-                for &t in waiting {
-                    let d = st.deps.get_mut(&t).expect("waiting task is local");
-                    *d -= 1;
-                    if *d == 0 {
-                        st.ready.push(ReadyTask {
-                            prio: self.prio_of(t),
-                            task: std::cmp::Reverse(t),
-                        });
-                    }
-                }
-            }
-        }
-        st.receiving = false;
-        if let Some(o) = obs.as_mut() {
-            // sample scheduler state once per wakeup, not per task
-            o.gauge(GaugeKind::TileStore, store_tiles as f64);
-            o.gauge(GaugeKind::ReadyQueue, st.ready.len() as f64);
-            o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
-        }
-        let poisoned = st.poisoned;
-        drop(st);
-        self.sched.cv.notify_all();
-        !poisoned
-    }
-
-    /// Executes one popped task, then resolves successors, publishes the
-    /// output to remote consumers and updates completion bookkeeping.
-    fn run_task(&self, t: TaskId, obs: &mut Option<NodeRecorder<'_>>) {
-        let span_start = obs.as_ref().map(|o| o.now());
-        match self.execute_task(t) {
-            Ok(()) => {}
-            Err(e) => {
-                self.fail(
-                    ExecError::Kernel {
-                        task: t,
-                        node: self.me,
-                        error: e,
-                    },
-                    obs,
-                    true,
-                );
-                return;
-            }
-        }
-        self.sched.touch_progress();
-        if let Some(o) = obs.as_mut() {
-            let end = o.now();
-            o.task(
-                t,
-                self.g.tasks()[t as usize].kind,
-                span_start.unwrap_or(end),
-                end,
-            );
-        }
-
-        // successors: local ones get a dependency decrement, remote ones a
-        // copy of the output (one message per distinct consumer node)
-        let mut consumer_nodes: Vec<u32> = Vec::new();
-        for (s, _) in self.g.succs(t) {
-            let snode = self.g.tasks()[s as usize].node;
-            if snode != self.me && !consumer_nodes.contains(&snode) {
-                consumer_nodes.push(snode);
-            }
-        }
-        if !consumer_nodes.is_empty() {
-            let out = self
-                .sched
-                .local
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .get(&self.g.tasks()[t as usize].output(self.c))
-                .expect("task output in local store")
-                .clone();
-            for &dest in &consumer_nodes {
-                self.send_payload(
-                    dest,
-                    Payload::Data {
-                        job: 0,
-                        producer: t,
-                        tile: out.clone(),
-                    },
-                    obs,
-                );
-            }
-        }
-
-        let done = {
-            let mut st = lock(&self.sched.state);
-            st.active -= 1;
-            st.remaining -= 1;
-            for (s, _) in self.g.succs(t) {
-                if self.g.tasks()[s as usize].node == self.me {
-                    let d = st.deps.get_mut(&s).expect("successor on this node");
-                    *d -= 1;
-                    if *d == 0 {
-                        st.ready.push(ReadyTask {
-                            prio: self.prio_of(s),
-                            task: std::cmp::Reverse(s),
-                        });
-                    }
-                }
-            }
-            if let Some(o) = obs.as_mut() {
-                o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
-            }
-            st.remaining == 0 && !st.poisoned
-        };
-        self.sched.cv.notify_all();
-        if done {
-            // unblock our own receiver, if one is parked in recv
-            self.net.wake();
-        }
-    }
-
-    /// Records a local failure, poisons every other rank and unblocks this
-    /// rank's receiver. `dec_active` is true only when called from a task
-    /// execution path, which incremented the active-worker count.
-    fn fail(&self, e: ExecError, obs: &mut Option<NodeRecorder<'_>>, dec_active: bool) {
-        let _ = obs;
-        {
-            let mut st = lock(&self.sched.state);
-            if dec_active {
-                st.active -= 1;
-            } else {
-                // called from the receive path: this worker was the
-                // designated receiver and is abandoning that role
-                st.receiving = false;
-            }
-            if st.error.is_none() {
-                st.error = Some(e);
-            }
-            st.poisoned = true;
-        }
-        self.sched.cv.notify_all();
-        for n in 0..self.net.num_nodes() as u32 {
-            if n != self.me {
-                self.net.send_poison(n);
-            }
-        }
-        self.net.wake();
-    }
-
-    /// Resolves a read operand: remote original (fetch cache), remote
-    /// producer output (data cache), or local store (local producer or
-    /// local original, generated on first use).
-    fn resolve_read(&self, t: TaskId, r: TileRef) -> Tile {
-        let g = self.g;
-        // a data predecessor producing r?
-        for (p, kind) in g.preds(t) {
-            if kind == EdgeKind::Data && g.tasks()[p as usize].output(self.c) == r {
-                return if g.tasks()[p as usize].node == self.me {
-                    self.sched
-                        .local
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .get(&r)
-                        .expect("local producer wrote the tile")
-                        .clone()
-                } else {
-                    self.sched
-                        .cache
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .get(&WaitKey::Task(p))
-                        .expect("dependency ensured arrival")
-                        .clone()
-                };
-            }
-        }
-        // original data: fetched, or home-local (generate lazily)
-        if let Some(tile) = self
-            .sched
-            .cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&WaitKey::Orig(r))
-        {
-            return tile.clone();
-        }
-        self.sched
-            .local
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(r)
-            .or_insert_with(|| self.exec.original(r))
-            .clone()
-    }
-
-    /// Executes one task's kernel against the node-local stores.
-    ///
-    /// The target tile is *removed* from the store for the kernel call and
-    /// reinserted afterwards; this is safe because the graph's ordering
-    /// edges guarantee no same-node reader of the current version is
-    /// running concurrently with its writer (remote readers use received
-    /// copies).
-    fn execute_task(&self, t: TaskId) -> Result<(), KernelError> {
-        let task = self.g.tasks()[t as usize];
-        let reads = task.reads(self.c);
-        let read_tiles: Vec<Tile> = reads
-            .as_slice()
-            .iter()
-            .map(|&r| self.resolve_read(t, r))
-            .collect();
-        let target_ref = task.output(self.c);
-        let mut target = {
-            let mut local = self
-                .sched
-                .local
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            local.remove(&target_ref).unwrap_or_else(|| {
-                if matches!(task.kind, TaskKind::Move { .. }) {
-                    // a Move fully overwrites its target; never generate
-                    // data for a later-phase tile
-                    Tile::zeros(self.exec.b)
-                } else {
-                    self.exec.original(target_ref)
-                }
-            })
-        };
-
-        let result = run_kernel(self.exec.kernels, task.kind, &read_tiles, &mut target);
-        self.sched
-            .local
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(target_ref, target);
-        result
     }
 }
 
@@ -1480,19 +683,6 @@ mod tests {
     use sbc_dist::{SbcExtended, TwoDBlockCyclic};
     use sbc_net::{FaultConfig, Faulty};
     use sbc_taskgraph::build_potrf;
-
-    #[test]
-    fn ready_heap_pops_high_priority_then_low_task_id() {
-        let mut heap = BinaryHeap::new();
-        for (prio, task) in [(1.0f32, 5u32), (3.0, 9), (3.0, 2), (0.0, 0)] {
-            heap.push(ReadyTask {
-                prio: prio.to_bits(),
-                task: std::cmp::Reverse(task),
-            });
-        }
-        let order: Vec<TaskId> = std::iter::from_fn(|| heap.pop().map(|r| r.task.0)).collect();
-        assert_eq!(order, vec![2, 9, 5, 0]);
-    }
 
     type TileSnapshot = Vec<(TileRef, Vec<f64>)>;
 

@@ -1,40 +1,51 @@
-//! The resident multi-job execution engine.
+//! The task engine: the one scheduler in `sbc-runtime`.
 //!
-//! [`crate::Executor`] is one-shot: it meshes nodes up, runs a single task
-//! graph and tears everything down. A factorization *service* cannot afford
-//! that — mesh setup, session handshakes and planning dominate small jobs —
-//! so this module keeps every rank's worker pool and transport endpoint
-//! **resident** and streams jobs through them:
+//! Every execution — a one-shot [`crate::Executor`] / [`crate::Run`] or a
+//! resident `sbc-serve` mesh streaming jobs for days — is a [`JobTable`]
+//! plus one rank engine per rank:
 //!
 //! - A [`JobTable`] is the in-process control plane: clients submit
 //!   [`JobSpec`]s (admission-controlled), rank engines pick them up, and
 //!   finished [`JobOutcome`]s are published back with exact per-job
 //!   [`CommStats`]. Only tile payloads ever cross the transport; control
 //!   stays in shared memory because every deployment shape (in-process
-//!   mesh, one thread per UDS session endpoint) keeps the ranks in one
-//!   process.
-//! - [`run_jobs_rank`] is one rank's resident engine: a worker pool
-//!   draining a ready heap keyed by **(job priority, task priority)** —
-//!   the extension of the one-shot scheduler's task-priority key — with
-//!   per-job tile stores namespaced by the job id that
-//!   [`sbc_net::Payload`] now carries, so concurrent jobs share the mesh
-//!   without clobbering each other.
+//!   mesh, one thread per UDS session endpoint, one process per rank with
+//!   a rank-local table) keeps a rank and its table in one process.
+//! - [`run_jobs_rank`] is one rank's engine: a worker pool draining a
+//!   ready heap keyed by **(job priority, task priority)**, with per-job
+//!   tile stores namespaced by the job id that [`sbc_net::Payload`]
+//!   carries, so concurrent jobs share the mesh without clobbering each
+//!   other. Exactly one worker at a time parks in the transport receive
+//!   and applies arrivals; the others run tasks or wait on the condvar, and
+//!   the engine lock is held only for heap and counter updates, never
+//!   during kernels or sends.
 //!
-//! The liveness watchdog arms **per job**: the no-progress clock only runs
-//! while this rank has jobs in flight and is re-armed at every job
-//! registration, so an idle resident rank waiting for its next job never
-//! trips [`ExecError::Stalled`].
+//! A one-shot run is the degenerate table: the front end submits its single
+//! job, closes admission, then starts the engines, which register the job
+//! on their first iteration and exit on drain. Once admission is closed a
+//! parked worker blocks instead of polling for registrations.
+//!
+//! The liveness watchdog arms **per job** and reads only the table's
+//! injected [`Clock`]: the no-progress clock runs while this rank has jobs
+//! in flight and is re-armed at every job registration, so an idle resident
+//! rank waiting for its next job never trips [`ExecError::Stalled`].
 
-use crate::executor::{default_original, run_kernel, CommStats, ExecError};
+use crate::executor::{default_original, run_kernel, CommStats, ExecError, TileProvider};
 use sbc_dist::comm::messages_to_bytes;
-use sbc_kernels::{KernelBackend, Tile};
-use sbc_net::{Message, NodeId, Payload, RecvTimeout, Transport};
-use sbc_obs::{Counter, EventKind, EventLog, Gauge, Histogram, Metrics, RateWindow, Severity};
-use sbc_taskgraph::{flops_priorities, EdgeKind, TaskGraph, TaskId, TaskKind, TileRef};
+use sbc_kernels::{KernelBackend, KernelError, Tile};
+use sbc_net::{Clock, Message, NodeId, Payload, RealClock, RecvTimeout, Transport};
+use sbc_obs::{
+    Counter, EventKind, EventLog, FaultKind, Gauge, GaugeKind, Histogram, Metrics, NodeRecorder,
+    RateWindow, Recorder, Severity,
+};
+use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId, TaskKind, TileRef};
+use sbc_topo::{SchedCtx, Scheduler};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::{Duration, Instant};
 
 /// Identifies one job across the table, the engines and the wire.
@@ -44,13 +55,60 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// An admitted factorization job, shared between the table and every rank
-/// engine. Built by [`JobTable::submit`].
-pub struct JobSpec {
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A job's task graph: shared between same-shape jobs of a resident
+/// service, borrowed from the caller by a one-shot run.
+pub(crate) enum GraphRef<'a> {
+    Shared(Arc<TaskGraph>),
+    Borrowed(&'a TaskGraph),
+}
+
+impl std::ops::Deref for GraphRef<'_> {
+    type Target = TaskGraph;
+    fn deref(&self) -> &TaskGraph {
+        match self {
+            GraphRef::Shared(g) => g,
+            GraphRef::Borrowed(g) => g,
+        }
+    }
+}
+
+/// Ready-heap task priorities as raw f32 bits (non-negative floats order
+/// like their bit patterns), ranked by `sched`; `None` is submission order,
+/// the empty vector. Task costs are flop counts at tile size `b` and the
+/// communication cost is one GEMM's flops (a dimensionless surrogate: only
+/// relative magnitudes matter for ordering).
+pub(crate) fn task_priorities(
+    graph: &TaskGraph,
+    b: usize,
+    sched: Option<&dyn Scheduler>,
+) -> Vec<u32> {
+    let Some(sched) = sched else {
+        return Vec::new();
+    };
+    let costs: Vec<f64> = graph.tasks().iter().map(|t| t.kind.flops(b)).collect();
+    let ctx = SchedCtx {
+        graph,
+        task_cost: &costs,
+        comm_cost: sbc_kernels::flops::flops_gemm(b),
+    };
+    sched.ranks(&ctx).into_iter().map(f32::to_bits).collect()
+}
+
+/// An admitted job, shared between the table and every rank engine. Built
+/// by [`JobTable::submit`].
+pub struct JobSpec<'a> {
     /// Table-assigned id; also the namespace tag on every payload.
     pub id: JobId,
-    /// The task graph to execute (shared — same-shape jobs reuse one).
-    pub graph: Arc<TaskGraph>,
+    /// The task graph to execute.
+    pub(crate) graph: GraphRef<'a>,
     /// Tile dimension.
     pub b: usize,
     /// SPD input seed.
@@ -59,14 +117,29 @@ pub struct JobSpec {
     pub seed_rhs: u64,
     /// Job priority: higher jumps the shared ready heap.
     pub prio: u8,
-    /// Critical-path task priorities as raw f32 bits; empty = submission
-    /// order.
-    prio_bits: Arc<Vec<u32>>,
+    /// Task priorities from [`task_priorities`].
+    pub(crate) prio_bits: Vec<u32>,
+    /// Original-tile contents; `None` is the seeded generators.
+    pub(crate) provider: Option<&'a TileProvider<'a>>,
 }
 
-impl JobSpec {
+impl JobSpec<'_> {
     fn task_prio(&self, t: TaskId) -> u32 {
         self.prio_bits.get(t as usize).copied().unwrap_or(0)
+    }
+
+    /// The original (input) content of tile `r`.
+    fn original(&self, r: TileRef) -> Tile {
+        let Some(provider) = self.provider else {
+            return default_original(r, self.graph.nt, self.b, self.seed, self.seed_rhs);
+        };
+        let t = provider(r);
+        assert_eq!(
+            t.dim(),
+            self.b,
+            "provider returned a tile of wrong dimension"
+        );
+        t
     }
 }
 
@@ -81,7 +154,7 @@ pub struct JobOutcome {
     pub tiles: HashMap<TileRef, Tile>,
     /// This job's communication (payloads carrying its job id only).
     pub stats: CommStats,
-    /// Wall-clock from admission to the last rank finishing.
+    /// From admission to the last rank finishing, on the table's clock.
     pub elapsed: Duration,
 }
 
@@ -186,11 +259,11 @@ impl TableObs {
 
 /// Per-job accumulator while ranks report in.
 struct JobAccum {
-    tiles: HashMap<TileRef, Tile>,
+    /// Each reporting rank's tile store, handed over whole.
+    stores: Vec<HashMap<TileRef, Tile>>,
     sent_per_node: Vec<u64>,
     recv_per_node: Vec<u64>,
     bytes_per_node: Vec<u64>,
-    ranks_done: usize,
     admitted: Instant,
     /// Analytic `(messages, bytes)` the finished job must have measured.
     expected: (u64, u64),
@@ -198,27 +271,46 @@ struct JobAccum {
     started_emitted: bool,
 }
 
-struct TableState {
+/// A finished job as the last rank left it: the per-rank tile stores still
+/// unmerged, the job's statistics and its admission-to-completion time.
+struct Finished {
+    stores: Vec<HashMap<TileRef, Tile>>,
+    stats: CommStats,
+    elapsed: Duration,
+}
+
+struct TableState<'a> {
     next_id: JobId,
     /// Admitted specs each rank engine has not yet picked up.
-    incoming: Vec<VecDeque<Arc<JobSpec>>>,
+    incoming: Vec<VecDeque<Arc<JobSpec<'a>>>>,
     accum: HashMap<JobId, JobAccum>,
-    done: HashMap<JobId, JobOutcome>,
+    /// Finished jobs nobody has waited for yet.
+    done: HashMap<JobId, Finished>,
     inflight: usize,
     completed: u64,
     shutdown: bool,
-    /// First engine-level failure; everything in flight fails with it.
+    /// The failure that killed the mesh; everything in flight fails with
+    /// it. A causal error replaces an [`ExecError::Remote`] echo of it.
     dead: Option<ExecError>,
 }
 
-/// The in-process control plane of a resident mesh: admission, job
-/// hand-off to the rank engines, result accumulation and completion
-/// signalling. One table serves one mesh for its whole lifetime.
-pub struct JobTable {
+/// The in-process control plane of a mesh: admission, job hand-off to the
+/// rank engines, result accumulation and completion signalling. One table
+/// serves one mesh for its whole lifetime. The lifetime is that of the data
+/// its jobs borrow: `'static` for a resident service.
+pub struct JobTable<'a> {
     n_nodes: usize,
+    /// Rank reports that complete a job: every rank of an in-process mesh,
+    /// one for the rank-local table of a multi-process rank.
+    reports: usize,
     max_inflight: usize,
-    state: Mutex<TableState>,
+    state: Mutex<TableState<'a>>,
     cv: Condvar,
+    /// Bumped by every `submit` and `shutdown`, so a rank engine takes the
+    /// state mutex only when there is something new to pick up.
+    generation: AtomicU64,
+    /// Time source of admission stamps and of every engine's watchdog.
+    clock: Arc<dyn Clock>,
     /// Lock-free mirrors of `TableState::{inflight, completed}` so a
     /// telemetry scrape never touches the state mutex the engines use.
     inflight_now: AtomicU64,
@@ -226,12 +318,24 @@ pub struct JobTable {
     obs: OnceLock<TableObs>,
 }
 
-impl JobTable {
+impl<'a> JobTable<'a> {
     /// A table for an `n_nodes` mesh admitting at most `max_inflight`
     /// concurrent jobs (clamped to at least 1).
     pub fn new(n_nodes: usize, max_inflight: usize) -> Self {
+        Self::with_clock(n_nodes, n_nodes, max_inflight, Arc::new(RealClock))
+    }
+
+    /// [`JobTable::new`] on an injected clock, completing each job after
+    /// `reports` rank reports.
+    pub(crate) fn with_clock(
+        n_nodes: usize,
+        reports: usize,
+        max_inflight: usize,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
         JobTable {
             n_nodes,
+            reports,
             max_inflight: max_inflight.max(1),
             state: Mutex::new(TableState {
                 next_id: 0,
@@ -244,6 +348,8 @@ impl JobTable {
                 dead: None,
             }),
             cv: Condvar::new(),
+            generation: AtomicU64::new(0),
+            clock,
             inflight_now: AtomicU64::new(0),
             completed_ever: AtomicU64::new(0),
             obs: OnceLock::new(),
@@ -342,14 +448,28 @@ impl JobTable {
         use_priorities: bool,
         expected: (u64, u64),
     ) -> Result<JobId, Rejection> {
-        let prio_bits = Arc::new(if use_priorities {
-            flops_priorities(&graph, b)
-                .into_iter()
-                .map(f32::to_bits)
-                .collect()
-        } else {
-            Vec::new()
-        });
+        let sched = use_priorities.then_some(&sbc_topo::CriticalPath as &dyn Scheduler);
+        let spec = JobSpec {
+            id: 0,
+            prio_bits: task_priorities(&graph, b, sched),
+            graph: GraphRef::Shared(graph),
+            b,
+            seed,
+            seed_rhs,
+            prio,
+            provider: None,
+        };
+        self.submit_spec(spec, expected)
+    }
+
+    /// Admits `spec` under a table-assigned id. `expected` is the
+    /// `(messages, bytes)` the drift monitor holds the finished job to;
+    /// only an obs-bound table reads it.
+    pub(crate) fn submit_spec(
+        &self,
+        mut spec: JobSpec<'a>,
+        expected: (u64, u64),
+    ) -> Result<JobId, Rejection> {
         let mut st = lock(&self.state);
         let verdict = if st.dead.is_some() {
             Some(Rejection::Dead)
@@ -376,25 +496,17 @@ impl JobTable {
         st.next_id += 1;
         st.inflight += 1;
         let inflight = st.inflight;
-        let spec = Arc::new(JobSpec {
-            id,
-            graph,
-            b,
-            seed,
-            seed_rhs,
-            prio,
-            prio_bits,
-        });
-        let (nt, b) = (spec.graph.nt, spec.b);
+        spec.id = id;
+        let (nt, b, prio) = (spec.graph.nt, spec.b, spec.prio);
+        let spec = Arc::new(spec);
         st.accum.insert(
             id,
             JobAccum {
-                tiles: HashMap::new(),
+                stores: Vec::with_capacity(self.reports),
                 sent_per_node: vec![0; self.n_nodes],
                 recv_per_node: vec![0; self.n_nodes],
                 bytes_per_node: vec![0; self.n_nodes],
-                ranks_done: 0,
-                admitted: Instant::now(),
+                admitted: self.clock.now(),
                 expected,
                 started_emitted: false,
             },
@@ -402,6 +514,7 @@ impl JobTable {
         for q in &mut st.incoming {
             q.push_back(Arc::clone(&spec));
         }
+        self.generation.fetch_add(1, Ordering::Release);
         drop(st);
         self.inflight_now.store(inflight as u64, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
@@ -419,12 +532,18 @@ impl JobTable {
     }
 
     /// Blocks until `id` finishes, returning its outcome — or the engine
-    /// failure that killed the mesh while it was in flight.
+    /// failure that killed the mesh while it was in flight. The ranks' tile
+    /// stores are merged here, on the waiter's thread, so no rank engine
+    /// holds the table lock per tile.
     pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
         let mut st = lock(&self.state);
-        loop {
-            if let Some(out) = st.done.remove(&id) {
-                return Ok(out);
+        let Finished {
+            stores,
+            stats,
+            elapsed,
+        } = loop {
+            if let Some(finished) = st.done.remove(&id) {
+                break finished;
             }
             if let Some(e) = &st.dead {
                 return Err(e.clone());
@@ -433,13 +552,26 @@ impl JobTable {
                 .cv
                 .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+        };
+        drop(st);
+        let mut tiles = HashMap::with_capacity(stores.iter().map(HashMap::len).sum());
+        for (r, t) in stores.into_iter().flatten() {
+            let prev = tiles.insert(r, t);
+            debug_assert!(prev.is_none(), "tile {r:?} reported by two ranks");
         }
+        Ok(JobOutcome {
+            id,
+            tiles,
+            stats,
+            elapsed,
+        })
     }
 
-    /// Stops admitting jobs; resident engines exit once everything already
-    /// admitted has drained.
+    /// Stops admitting jobs; engines exit once everything already admitted
+    /// has drained.
     pub fn shutdown(&self) {
         lock(&self.state).shutdown = true;
+        self.generation.fetch_add(1, Ordering::Release);
         self.cv.notify_all();
     }
 
@@ -455,11 +587,11 @@ impl JobTable {
     }
 
     /// Engine side: drains `rank`'s pending registrations and reports
-    /// whether the table is draining.
-    fn take_incoming(&self, rank: NodeId) -> (Vec<Arc<JobSpec>>, bool) {
+    /// whether admission is closed.
+    fn take_incoming(&self, rank: NodeId) -> (Vec<Arc<JobSpec<'a>>>, bool) {
         let mut st = lock(&self.state);
         let q = &mut st.incoming[rank as usize];
-        let specs: Vec<Arc<JobSpec>> = q.drain(..).collect();
+        let specs: Vec<Arc<JobSpec<'a>>> = q.drain(..).collect();
         // the first rank to pick a job up marks it started
         let mut started: Vec<JobId> = Vec::new();
         for spec in &specs {
@@ -485,46 +617,30 @@ impl JobTable {
         (specs, shutdown)
     }
 
-    /// Engine side: one rank's share of `id` is finished. The final rank
-    /// to report completes the job and wakes the waiters.
-    fn rank_done(
-        &self,
-        id: JobId,
-        rank: NodeId,
-        tiles: HashMap<TileRef, Tile>,
-        sent: u64,
-        sent_bytes: u64,
-        applied: u64,
-    ) {
+    /// Engine side: `rank`'s share of a job is finished. The final rank to
+    /// report completes the job and wakes the waiters.
+    fn rank_done(&self, rank: NodeId, c: Completion) {
+        let id = c.id;
         let mut st = lock(&self.state);
         let Some(acc) = st.accum.get_mut(&id) else {
             return; // job already failed via poison
         };
-        acc.sent_per_node[rank as usize] = sent;
-        acc.bytes_per_node[rank as usize] = sent_bytes;
-        acc.recv_per_node[rank as usize] = applied;
-        for (r, t) in tiles {
-            let prev = acc.tiles.insert(r, t);
-            debug_assert!(prev.is_none(), "tile {r:?} reported by two ranks");
-        }
-        acc.ranks_done += 1;
-        if acc.ranks_done == self.n_nodes {
+        acc.sent_per_node[rank as usize] = c.sent;
+        acc.bytes_per_node[rank as usize] = c.sent_bytes;
+        acc.recv_per_node[rank as usize] = c.applied;
+        acc.stores.push(c.tiles);
+        if acc.stores.len() == self.reports {
             let acc = st.accum.remove(&id).expect("accumulator present");
-            let stats = CommStats {
-                messages: acc.sent_per_node.iter().sum(),
-                bytes: acc.bytes_per_node.iter().sum(),
-                sent_per_node: acc.sent_per_node,
-                recv_per_node: acc.recv_per_node,
-                bytes_per_node: acc.bytes_per_node,
-            };
+            let stats =
+                CommStats::from_per_node(acc.sent_per_node, acc.recv_per_node, acc.bytes_per_node);
             let measured = (stats.messages, stats.bytes);
             let expected = acc.expected;
-            let elapsed = acc.admitted.elapsed();
+            let elapsed = self.clock.now().saturating_duration_since(acc.admitted);
+            let stores = acc.stores;
             st.done.insert(
                 id,
-                JobOutcome {
-                    id,
-                    tiles: acc.tiles,
+                Finished {
+                    stores,
                     stats,
                     elapsed,
                 },
@@ -544,11 +660,12 @@ impl JobTable {
     }
 
     /// Engine side: the mesh failed. Every in-flight job fails with the
-    /// first reported error; future submissions are rejected.
+    /// originating error; future submissions are rejected.
     fn poison(&self, e: ExecError) {
         let mut st = lock(&self.state);
         let first = st.dead.is_none();
-        if first {
+        // a peer's `Remote` echo must never stand in for the causal error
+        if first || (st.dead == Some(ExecError::Remote) && e != ExecError::Remote) {
             st.dead = Some(e.clone());
         }
         let mut failed: Vec<JobId> = st.accum.keys().copied().collect();
@@ -610,33 +727,44 @@ impl Default for JobEngineConfig {
     }
 }
 
+/// A remote arrival local tasks wait on: a producer's output or a fetched
+/// original.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum WaitKey {
     Task(TaskId),
     Orig(TileRef),
 }
 
-/// Job-private tile stores: the namespace that lets concurrent jobs share
-/// one mesh. `local` holds tiles this rank owns for the job, `cache` holds
-/// remote arrivals keyed by producer task or fetched original.
-struct JobTiles {
+/// What a worker needs to run a job's tasks outside the engine lock: the
+/// spec and the job-private tile stores — the namespace that lets
+/// concurrent jobs share one mesh. `local` holds tiles this rank owns for
+/// the job, `cache` holds remote arrivals.
+struct JobCtx<'a> {
+    spec: Arc<JobSpec<'a>>,
     local: RwLock<HashMap<TileRef, Tile>>,
     cache: RwLock<HashMap<WaitKey, Tile>>,
 }
 
 /// One rank's in-flight share of a job.
-struct JobRun {
-    spec: Arc<JobSpec>,
-    tiles: Arc<JobTiles>,
-    deps: HashMap<TaskId, u32>,
+struct JobRun<'a> {
+    ctx: Arc<JobCtx<'a>>,
+    /// Unmet dependencies per task, indexed by `TaskId` (entries of other
+    /// ranks' tasks are unused).
+    deps: Vec<u32>,
+    /// Which local tasks each remote arrival unblocks.
     waits: HashMap<WaitKey, Vec<TaskId>>,
+    /// Original tiles this rank must ship to remote consumers first.
     fetch_sends: Vec<(TileRef, NodeId)>,
-    /// Tasks with no dependencies, released when shipping completes.
+    /// Tasks with no dependencies left, held until shipping completes: a
+    /// local task could overwrite a tile whose original value a remote
+    /// consumer still needs.
     initial_ready: Vec<TaskId>,
     shipped: bool,
     remaining: u64,
     sent: u64,
     sent_bytes: u64,
+    /// Payloads received *and applied* (transport-injected duplicates are
+    /// received but never applied).
     applied: u64,
 }
 
@@ -650,9 +778,20 @@ struct ReadyKey {
     task: std::cmp::Reverse<TaskId>,
 }
 
-struct EngineState {
+impl ReadyKey {
+    fn new(spec: &JobSpec<'_>, t: TaskId) -> Self {
+        ReadyKey {
+            jprio: spec.prio,
+            tprio: spec.task_prio(t),
+            job: std::cmp::Reverse(spec.id),
+            task: std::cmp::Reverse(t),
+        }
+    }
+}
+
+struct EngineState<'a> {
     ready: BinaryHeap<ReadyKey>,
-    jobs: HashMap<JobId, JobRun>,
+    jobs: HashMap<JobId, JobRun<'a>>,
     /// Jobs whose original-tile fetches have not been shipped yet; drained
     /// before the heap so no task of a job outruns its fetch sends.
     unshipped: VecDeque<JobId>,
@@ -661,75 +800,89 @@ struct EngineState {
     pending: HashMap<JobId, Vec<Payload>>,
     /// Jobs this rank completed; late duplicates for them are dropped.
     finished: HashSet<JobId>,
+    /// `Result`/`Done` frames that reached this rank while it was still
+    /// executing — only rank 0 of a multi-process gather sees these; they
+    /// are handed back to the caller.
+    gather: Vec<Message>,
+    /// Workers between draining the table's queue and installing what they
+    /// took; a closed engine is not drained while any are.
+    admitting: u32,
     receiving: bool,
     active: u32,
     poisoned: bool,
     error: Option<ExecError>,
 }
 
-struct Engine<'e> {
+struct Engine<'e, 'a> {
     net: &'e dyn Transport,
-    table: &'e JobTable,
+    table: &'e JobTable<'a>,
     cfg: JobEngineConfig,
     me: NodeId,
-    state: Mutex<EngineState>,
+    recorder: Option<&'e Recorder>,
+    state: Mutex<EngineState<'a>>,
     cv: Condvar,
+    /// Watchdog epoch, per the table's clock.
     started: Instant,
+    /// Nanoseconds after `started` at which progress (a task completed, a
+    /// message applied, a job registered) last happened.
     progress_ns: AtomicU64,
     /// Nanoseconds this rank's workers spent shipping or running tasks,
     /// summed across the pool; `busy / (workers * elapsed)` is the
-    /// engine's busy fraction.
+    /// engine's busy fraction. Only measured when `obs` consumes it.
     busy_ns: AtomicU64,
     /// Live per-rank gauges, present when the table is obs-bound.
     obs: Option<Arc<RankObs>>,
 }
 
-/// What one worker decides to do after inspecting the engine state.
-enum Step {
-    Ship(JobId),
-    Run(JobId, TaskId),
+/// What one worker does next.
+enum Step<'a> {
+    Ship(Arc<JobCtx<'a>>, Vec<(TileRef, NodeId)>),
+    Run(Arc<JobCtx<'a>>, TaskId),
     Receive,
-    Wait,
+    /// A bounded wait elapsed; look for new registrations.
+    Poll,
     Exit,
 }
 
-/// Runs one rank's resident engine over `net` until [`JobTable::shutdown`]
-/// drains it (returning `Ok`) or the mesh fails (returning the error after
-/// poisoning peers and failing every in-flight job in the table).
+/// One worker's view of the table: the generation it last acted on and
+/// whether admission had closed by then.
+#[derive(Default)]
+struct Admission {
+    generation: u64,
+    closed: bool,
+}
+
+/// A worker's recording handle, when the run is recorded.
+type Obs<'r> = Option<NodeRecorder<'r>>;
+
+/// Runs one rank's engine over `net` until [`JobTable::shutdown`] drains it
+/// (returning `Ok`) or the mesh fails (returning the error after failing
+/// every in-flight job in the table and poisoning peers).
 ///
 /// Every rank of the mesh must run this against the same table. The caller
 /// owns the thread: spawn one per rank over an in-process mesh for a
 /// service, or one per session endpoint for a socket mesh.
 pub fn run_jobs_rank(
     net: &dyn Transport,
-    table: &JobTable,
+    table: &JobTable<'_>,
     cfg: JobEngineConfig,
 ) -> Result<(), ExecError> {
-    let engine = Engine {
-        net,
-        table,
-        cfg,
-        me: net.rank(),
-        state: Mutex::new(EngineState {
-            ready: BinaryHeap::new(),
-            jobs: HashMap::new(),
-            unshipped: VecDeque::new(),
-            pending: HashMap::new(),
-            finished: HashSet::new(),
-            receiving: false,
-            active: 0,
-            poisoned: false,
-            error: None,
-        }),
-        cv: Condvar::new(),
-        started: Instant::now(),
-        progress_ns: AtomicU64::new(0),
-        busy_ns: AtomicU64::new(0),
-        obs: table.rank_obs(net.rank()),
-    };
+    run_engine(net, table, cfg, None).map(drop)
+}
+
+/// [`run_jobs_rank`] with every worker recording into `recorder`, returning
+/// the gather frames (`Result`/`Done`) that arrived while the engine ran.
+pub(crate) fn run_engine(
+    net: &dyn Transport,
+    table: &JobTable<'_>,
+    cfg: JobEngineConfig,
+    recorder: Option<&Recorder>,
+) -> Result<Vec<Message>, ExecError> {
+    let engine = Engine::new(net, table, cfg, recorder);
     std::thread::scope(|scope| {
-        for _ in 0..cfg.workers.max(1) {
-            scope.spawn(|| engine.worker_loop());
+        for widx in 0..cfg.workers.max(1) {
+            let engine = &engine;
+            scope.spawn(move || engine.worker_loop(widx as u32));
         }
     });
     let st = engine
@@ -739,19 +892,73 @@ pub fn run_jobs_rank(
     match st.error {
         Some(e) => Err(e),
         None if st.poisoned => Err(ExecError::Remote),
-        None => Ok(()),
+        None => Ok(st.gather),
     }
 }
 
-impl Engine<'_> {
+impl<'e, 'a> Engine<'e, 'a> {
+    fn new(
+        net: &'e dyn Transport,
+        table: &'e JobTable<'a>,
+        cfg: JobEngineConfig,
+        recorder: Option<&'e Recorder>,
+    ) -> Self {
+        Engine {
+            net,
+            table,
+            cfg,
+            me: net.rank(),
+            recorder,
+            state: Mutex::new(EngineState {
+                ready: BinaryHeap::new(),
+                jobs: HashMap::new(),
+                unshipped: VecDeque::new(),
+                pending: HashMap::new(),
+                finished: HashSet::new(),
+                gather: Vec::new(),
+                admitting: 0,
+                receiving: false,
+                active: 0,
+                poisoned: false,
+                error: None,
+            }),
+            cv: Condvar::new(),
+            started: table.clock.now(),
+            progress_ns: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
+            obs: table.rank_obs(net.rank()),
+        }
+    }
+
+    /// Time since the watchdog epoch, per the table's clock.
+    fn elapsed(&self) -> Duration {
+        self.table
+            .clock
+            .now()
+            .saturating_duration_since(self.started)
+    }
+
+    fn touch_progress(&self) {
+        if self.cfg.deadline.is_some() {
+            self.progress_ns
+                .store(self.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Time since this rank last made progress.
+    fn stalled_for(&self) -> Duration {
+        self.elapsed().saturating_sub(Duration::from_nanos(
+            self.progress_ns.load(Ordering::Relaxed),
+        ))
+    }
+
     /// Publishes this rank's live gauges: ready-heap depth, early-payload
     /// stash size, jobs in flight here, and the pool's busy fraction.
-    fn publish_gauges(&self, (ready, pending, jobs): (usize, usize, usize)) {
-        let Some(obs) = &self.obs else { return };
+    fn publish_gauges(&self, obs: &RankObs, (ready, pending, jobs): (usize, usize, usize)) {
         obs.ready.set(ready as f64);
         obs.pending.set(pending as f64);
         obs.inflight.set(jobs as f64);
-        let elapsed = self.started.elapsed().as_nanos() as u64;
+        let elapsed = self.elapsed().as_nanos() as u64;
         if elapsed > 0 {
             let pool = elapsed.saturating_mul(self.cfg.workers.max(1) as u64);
             let busy = self.busy_ns.load(Ordering::Relaxed) as f64 / pool as f64;
@@ -759,100 +966,125 @@ impl Engine<'_> {
         }
     }
 
-    fn touch_progress(&self) {
-        self.progress_ns
-            .store(self.started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Runs `work`, adding its duration to `busy_ns` when the rank gauges
+    /// consume it.
+    fn busy(&self, work: impl FnOnce()) {
+        if self.obs.is_none() {
+            return work();
+        }
+        let from = self.elapsed();
+        work();
+        let spent = self.elapsed().saturating_sub(from);
+        self.busy_ns
+            .fetch_add(spent.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    fn stalled_for(&self) -> Duration {
-        self.started.elapsed().saturating_sub(Duration::from_nanos(
-            self.progress_ns.load(Ordering::Relaxed),
-        ))
-    }
-
-    fn worker_loop(&self) {
+    fn worker_loop(&self, widx: u32) {
+        let mut obs: Obs<'_> = self.recorder.map(|r| r.worker(self.me, widx));
+        let mut seen = Admission::default();
         loop {
-            // pick up new registrations (table lock only — never nested
-            // inside the engine lock)
-            let (specs, shutdown) = self.table.take_incoming(self.me);
-            let mut completions = Vec::new();
-            for spec in specs {
-                if let Some(done) = self.register(spec) {
-                    completions.push(done);
-                }
-            }
-            self.report(completions);
-
-            let (step, depths) = {
-                let mut st = lock(&self.state);
-                let drained = shutdown
-                    && st.jobs.is_empty()
-                    && st.unshipped.is_empty()
-                    && st.ready.is_empty();
-                let step = if st.poisoned || drained {
-                    Step::Exit
-                } else if let Some(j) = st.unshipped.pop_front() {
-                    st.active += 1;
-                    Step::Ship(j)
-                } else if let Some(k) = st.ready.pop() {
-                    st.active += 1;
-                    Step::Run(k.job.0, k.task.0)
-                } else if !st.receiving {
-                    st.receiving = true;
-                    Step::Receive
-                } else {
-                    Step::Wait
-                };
-                // depths are captured under the lock the engine already
-                // holds and published as plain atomic stores after release,
-                // so scrapers never take this lock
-                let depths = (st.ready.len(), st.pending.len(), st.jobs.len());
-                (step, depths)
-            };
-            self.publish_gauges(depths);
-            match step {
+            self.admit(&mut seen);
+            match self.next_step(seen.closed, &mut obs) {
                 Step::Exit => break,
-                Step::Ship(j) => {
-                    let t0 = Instant::now();
-                    self.ship(j);
-                    self.busy_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-                Step::Run(j, t) => {
-                    let t0 = Instant::now();
-                    self.run_task(j, t);
-                    self.busy_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-                Step::Receive => self.receive_once(),
-                Step::Wait => {
-                    let st = lock(&self.state);
-                    if !st.poisoned && st.unshipped.is_empty() && st.ready.is_empty() {
-                        // bounded wait: new registrations arrive via the
-                        // table, which cannot poke this condvar directly
-                        drop(
-                            self.cv
-                                .wait_timeout(st, self.cfg.heartbeat)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner),
-                        );
-                    }
-                }
+                Step::Ship(ctx, sends) => self.busy(|| self.ship(&ctx, sends, &mut obs)),
+                Step::Run(ctx, t) => self.busy(|| self.run_task(&ctx, t, &mut obs)),
+                Step::Receive => self.receive_once(seen.closed, &mut obs),
+                Step::Poll => {}
             }
         }
         self.cv.notify_all();
     }
 
-    /// Builds this rank's share of `spec` and installs it. Returns the
-    /// completion report when the job has nothing to do here (no local
-    /// tasks and no fetches to ship).
-    fn register(&self, spec: Arc<JobSpec>) -> Option<Completion> {
-        let g = spec.graph.as_ref();
-        let me = self.me;
-        let mut deps_global = g.in_degrees();
-        for (t, extra) in g.fetch_deps().into_iter().enumerate() {
-            deps_global[t] += extra;
+    /// Picks up new registrations when the table's generation moved (table
+    /// lock only — never nested inside the engine lock).
+    fn admit(&self, seen: &mut Admission) {
+        let generation = self.table.generation.load(Ordering::Acquire);
+        if generation == seen.generation {
+            return;
         }
-        let mut deps: HashMap<TaskId, u32> = HashMap::new();
+        seen.generation = generation;
+        lock(&self.state).admitting += 1;
+        let (specs, closed) = self.table.take_incoming(self.me);
+        seen.closed = closed;
+        for spec in specs {
+            self.register(spec);
+        }
+        lock(&self.state).admitting -= 1;
+        self.cv.notify_all();
+        self.wake_if_idle();
+    }
+
+    /// Unblocks this rank's own receiver when the rank has nothing in
+    /// flight: it may be parked in a blocking `recv` and must re-check for
+    /// drain. Called wherever a job set or an admission ends.
+    fn wake_if_idle(&self) {
+        let st = lock(&self.state);
+        let idle = st.admitting == 0 && st.jobs.is_empty();
+        drop(st);
+        if idle {
+            self.net.wake();
+        }
+    }
+
+    /// Decides this worker's next step, parking on the condvar while
+    /// another worker holds the receive role and nothing is runnable. With
+    /// admission `closed` the park is unbounded — no registration can
+    /// arrive — otherwise it ends after a heartbeat so the caller re-checks
+    /// the table, which cannot poke this condvar.
+    fn next_step(&self, closed: bool, obs: &mut Obs<'_>) -> Step<'a> {
+        let mut st = lock(&self.state);
+        let step = loop {
+            let drained = closed && st.admitting == 0 && st.jobs.is_empty();
+            if st.poisoned || drained {
+                break Step::Exit;
+            }
+            if let Some(id) = st.unshipped.pop_front() {
+                st.active += 1;
+                let run = st.jobs.get_mut(&id).expect("unshipped job is registered");
+                break Step::Ship(Arc::clone(&run.ctx), std::mem::take(&mut run.fetch_sends));
+            }
+            if let Some(k) = st.ready.pop() {
+                st.active += 1;
+                if let Some(o) = obs.as_mut() {
+                    o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
+                }
+                break Step::Run(Arc::clone(&st.jobs[&k.job.0].ctx), k.task.0);
+            }
+            if !st.receiving {
+                st.receiving = true;
+                break Step::Receive;
+            }
+            if closed {
+                st = self
+                    .cv
+                    .wait(st)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            } else {
+                drop(self.cv.wait_timeout(st, self.cfg.heartbeat));
+                return Step::Poll;
+            }
+        };
+        // depths are captured under the lock the engine already holds and
+        // published as plain atomic stores after release, so scrapers never
+        // take this lock
+        let depths = (st.ready.len(), st.pending.len(), st.jobs.len());
+        drop(st);
+        if let Some(rank_obs) = &self.obs {
+            self.publish_gauges(rank_obs, depths);
+        }
+        step
+    }
+
+    /// Builds this rank's share of `spec` and installs it, reporting it
+    /// finished at once when the job has nothing to do here (no local tasks
+    /// and no fetches to ship).
+    fn register(&self, spec: Arc<JobSpec<'a>>) {
+        let g: &TaskGraph = &spec.graph;
+        let me = self.me;
+        let mut deps = g.in_degrees();
+        for (t, extra) in g.fetch_deps().into_iter().enumerate() {
+            deps[t] += extra;
+        }
         let mut initial_ready: Vec<TaskId> = Vec::new();
         let mut remaining = 0u64;
         let mut waits: HashMap<WaitKey, Vec<TaskId>> = HashMap::new();
@@ -862,8 +1094,7 @@ impl Engine<'_> {
                 continue;
             }
             remaining += 1;
-            deps.insert(t, deps_global[t as usize]);
-            if deps_global[t as usize] == 0 {
+            if deps[t as usize] == 0 {
                 initial_ready.push(t);
             }
             for (p, kind) in g.preds(t) {
@@ -896,8 +1127,8 @@ impl Engine<'_> {
         let id = spec.id;
         let shipped = fetch_sends.is_empty();
         let run = JobRun {
-            spec,
-            tiles: Arc::new(JobTiles {
+            ctx: Arc::new(JobCtx {
+                spec,
                 local: RwLock::new(HashMap::new()),
                 cache: RwLock::new(HashMap::new()),
             }),
@@ -914,7 +1145,7 @@ impl Engine<'_> {
 
         let mut st = lock(&self.state);
         if st.poisoned {
-            return None;
+            return;
         }
         st.jobs.insert(id, run);
         if shipped {
@@ -923,37 +1154,28 @@ impl Engine<'_> {
             st.unshipped.push_back(id);
         }
         // payloads that beat the registration
-        if let Some(pend) = st.pending.remove(&id) {
-            for payload in pend {
-                Self::apply_payload(&mut st, payload);
-            }
+        for payload in st.pending.remove(&id).unwrap_or_default() {
+            Self::apply_payload(&mut st, payload);
         }
         let done = Self::try_finish(&mut st, id);
         drop(st);
         self.cv.notify_all();
-        done
+        self.report(done);
     }
 
-    /// Pushes a registered job's zero-dependency tasks onto the shared
-    /// heap (call with `shipped` already true).
-    fn release_initial(st: &mut EngineState, id: JobId) {
-        let run = st.jobs.get_mut(&id).expect("job registered");
-        let tasks = std::mem::take(&mut run.initial_ready);
-        let (jprio, spec) = (run.spec.prio, Arc::clone(&run.spec));
-        for t in tasks {
-            st.ready.push(ReadyKey {
-                jprio,
-                tprio: spec.task_prio(t),
-                job: std::cmp::Reverse(id),
-                task: std::cmp::Reverse(t),
-            });
-        }
+    /// Pushes a registered job's dependency-free tasks onto the shared heap
+    /// (call with `shipped` already true).
+    fn release_initial(st: &mut EngineState<'a>, id: JobId) {
+        let EngineState { jobs, ready, .. } = st;
+        let run = jobs.get_mut(&id).expect("job registered");
+        let spec = &run.ctx.spec;
+        ready.extend(run.initial_ready.drain(..).map(|t| ReadyKey::new(spec, t)));
     }
 
     /// If `id` has shipped its fetches and run out of local tasks, remove
     /// it and return what the table must be told. Caller reports after
     /// releasing the engine lock.
-    fn try_finish(st: &mut EngineState, id: JobId) -> Option<Completion> {
+    fn try_finish(st: &mut EngineState<'a>, id: JobId) -> Option<Completion> {
         let run = st.jobs.get(&id)?;
         if !(run.shipped && run.remaining == 0) {
             return None;
@@ -961,13 +1183,7 @@ impl Engine<'_> {
         let run = st.jobs.remove(&id).expect("job present");
         st.finished.insert(id);
         st.pending.remove(&id);
-        let tiles = std::mem::take(
-            &mut *run
-                .tiles
-                .local
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        let tiles = std::mem::take(&mut *write(&run.ctx.local));
         Some(Completion {
             id,
             tiles,
@@ -977,10 +1193,23 @@ impl Engine<'_> {
         })
     }
 
-    fn report(&self, completions: Vec<Completion>) {
-        for c in completions {
-            self.table
-                .rank_done(c.id, self.me, c.tiles, c.sent, c.sent_bytes, c.applied);
+    /// Tells the table this rank's share of a job is finished.
+    fn report(&self, done: Option<Completion>) {
+        let Some(c) = done else { return };
+        self.table.rank_done(self.me, c);
+        self.wake_if_idle();
+    }
+
+    /// Sends one payload, tallying it into `sent` (messages, bytes) when
+    /// the transport accepted it.
+    fn send(&self, dest: NodeId, payload: Payload, sent: &mut (u64, u64), obs: &mut Obs<'_>) {
+        let orig = payload.is_orig();
+        if let Some(bytes) = self.net.send_payload(dest, payload) {
+            sent.0 += 1;
+            sent.1 += bytes;
+            if let Some(o) = obs.as_mut() {
+                o.send(dest, bytes, orig);
+            }
         }
     }
 
@@ -988,156 +1217,135 @@ impl Engine<'_> {
     /// releases the job's initial tasks. Runs outside the engine lock; the
     /// job's tasks cannot start (and thus cannot overwrite an original a
     /// remote consumer still needs) until the release below.
-    fn ship(&self, id: JobId) {
-        let (spec, tiles, sends) = {
-            let st = lock(&self.state);
-            let run = &st.jobs[&id];
-            (
-                Arc::clone(&run.spec),
-                Arc::clone(&run.tiles),
-                run.fetch_sends.clone(),
-            )
-        };
-        let (nt, b, seed, seed_rhs) = (spec.graph.nt, spec.b, spec.seed, spec.seed_rhs);
-        let mut sent = 0u64;
-        let mut sent_bytes = 0u64;
+    fn ship(&self, ctx: &JobCtx<'a>, sends: Vec<(TileRef, NodeId)>, obs: &mut Obs<'_>) {
+        let id = ctx.spec.id;
+        let mut sent = (0, 0);
         for (tile_ref, dest) in sends {
-            let tile = {
-                let mut local = tiles
-                    .local
-                    .write()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                local
-                    .entry(tile_ref)
-                    .or_insert_with(|| default_original(tile_ref, nt, b, seed, seed_rhs))
-                    .clone()
-            };
+            let tile = write(&ctx.local)
+                .entry(tile_ref)
+                .or_insert_with(|| ctx.spec.original(tile_ref))
+                .clone();
             let payload = Payload::Orig {
                 job: id,
                 tile_ref,
                 tile,
             };
-            let bytes = payload.payload_bytes();
-            if self.net.send_payload(dest, payload).is_some() {
-                sent += 1;
-                sent_bytes += bytes;
-            }
+            self.send(dest, payload, &mut sent, obs);
         }
         self.touch_progress();
-        let done = {
-            let mut st = lock(&self.state);
-            st.active -= 1;
-            if let Some(run) = st.jobs.get_mut(&id) {
-                run.sent += sent;
-                run.sent_bytes += sent_bytes;
-                run.shipped = true;
-                Self::release_initial(&mut st, id);
-                Self::try_finish(&mut st, id)
-            } else {
-                None
-            }
-        };
-        self.cv.notify_all();
-        self.report(done.into_iter().collect());
-    }
-
-    /// Executes one popped task of one job, publishes its output to remote
-    /// consumer ranks (tagged with the job id) and resolves successors.
-    fn run_task(&self, id: JobId, t: TaskId) {
-        let (spec, tiles) = {
-            let st = lock(&self.state);
-            let run = &st.jobs[&id];
-            (Arc::clone(&run.spec), Arc::clone(&run.tiles))
-        };
-        let g = spec.graph.as_ref();
-        let c = g.slices;
-
-        if let Err(error) = execute_task(self.cfg.kernels, &spec, &tiles, t) {
-            self.fail(
-                ExecError::Kernel {
-                    task: t,
-                    node: self.me,
-                    error,
-                },
-                true,
-            );
-            return;
-        }
-        self.touch_progress();
-
-        let mut consumer_nodes: Vec<NodeId> = Vec::new();
-        for (s, _) in g.succs(t) {
-            let snode = g.tasks()[s as usize].node;
-            if snode != self.me && !consumer_nodes.contains(&snode) {
-                consumer_nodes.push(snode);
-            }
-        }
-        let mut sent = 0u64;
-        let mut sent_bytes = 0u64;
-        if !consumer_nodes.is_empty() {
-            let out = tiles
-                .local
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .get(&g.tasks()[t as usize].output(c))
-                .expect("task output in local store")
-                .clone();
-            for &dest in &consumer_nodes {
-                let payload = Payload::Data {
-                    job: id,
-                    producer: t,
-                    tile: out.clone(),
-                };
-                let bytes = payload.payload_bytes();
-                if self.net.send_payload(dest, payload).is_some() {
-                    sent += 1;
-                    sent_bytes += bytes;
-                }
-            }
-        }
-
         let done = {
             let mut st = lock(&self.state);
             st.active -= 1;
             match st.jobs.get_mut(&id) {
                 None => None, // engine poisoned concurrently
                 Some(run) => {
-                    run.sent += sent;
-                    run.sent_bytes += sent_bytes;
-                    run.remaining -= 1;
-                    let mut released: Vec<TaskId> = Vec::new();
-                    for (s, _) in g.succs(t) {
-                        if g.tasks()[s as usize].node == self.me {
-                            let d = run.deps.get_mut(&s).expect("successor on this node");
-                            *d -= 1;
-                            if *d == 0 {
-                                released.push(s);
-                            }
-                        }
-                    }
-                    for s in released {
-                        st.ready.push(ReadyKey {
-                            jprio: spec.prio,
-                            tprio: spec.task_prio(s),
-                            job: std::cmp::Reverse(id),
-                            task: std::cmp::Reverse(s),
-                        });
-                    }
+                    run.sent += sent.0;
+                    run.sent_bytes += sent.1;
+                    run.shipped = true;
+                    Self::release_initial(&mut st, id);
                     Self::try_finish(&mut st, id)
                 }
             }
         };
         self.cv.notify_all();
-        self.report(done.into_iter().collect());
+        self.report(done);
     }
 
-    /// Blocks on the transport for one heartbeat as the designated
-    /// receiver, applies whatever arrived, and re-checks the per-job
-    /// watchdog on timeouts.
-    fn receive_once(&self) {
+    /// Executes one popped task of one job, publishes its output to remote
+    /// consumer ranks (tagged with the job id, one message per distinct
+    /// consumer rank) and resolves successors.
+    fn run_task(&self, ctx: &JobCtx<'a>, t: TaskId, obs: &mut Obs<'_>) {
+        let spec = &ctx.spec;
+        let g: &TaskGraph = &spec.graph;
+        let span_start = obs.as_ref().map(|o| o.now());
+        if let Err(error) = execute_task(self.cfg.kernels, ctx, t) {
+            self.fail(ExecError::Kernel {
+                task: t,
+                node: self.me,
+                error,
+            });
+            return;
+        }
+        self.touch_progress();
+        if let Some(o) = obs.as_mut() {
+            let end = o.now();
+            o.task(
+                t,
+                g.tasks()[t as usize].kind,
+                span_start.unwrap_or(end),
+                end,
+            );
+        }
+
+        let mut consumer_nodes: Vec<NodeId> = Vec::new();
+        g.remote_consumer_nodes(t, &mut consumer_nodes);
+        let mut sent = (0, 0);
+        if !consumer_nodes.is_empty() {
+            let out = read(&ctx.local)
+                .get(&g.tasks()[t as usize].output(g.slices))
+                .expect("task output in local store")
+                .clone();
+            for &dest in &consumer_nodes {
+                let payload = Payload::Data {
+                    job: spec.id,
+                    producer: t,
+                    tile: out.clone(),
+                };
+                self.send(dest, payload, &mut sent, obs);
+            }
+        }
+
+        let done = {
+            let mut st = lock(&self.state);
+            st.active -= 1;
+            if let Some(o) = obs.as_mut() {
+                o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
+            }
+            let EngineState { jobs, ready, .. } = &mut *st;
+            match jobs.get_mut(&spec.id) {
+                None => None, // engine poisoned concurrently
+                Some(run) => {
+                    run.sent += sent.0;
+                    run.sent_bytes += sent.1;
+                    run.remaining -= 1;
+                    for (s, _) in g.succs(t) {
+                        if g.tasks()[s as usize].node == self.me {
+                            let d = &mut run.deps[s as usize];
+                            *d -= 1;
+                            if *d == 0 {
+                                ready.push(ReadyKey::new(spec, s));
+                            }
+                        }
+                    }
+                    Self::try_finish(&mut st, spec.id)
+                }
+            }
+        };
+        self.cv.notify_all();
+        self.report(done);
+    }
+
+    /// Waits on the transport as the designated receiver — blocking once
+    /// admission is `closed` and no watchdog is armed, else for one
+    /// heartbeat — applies whatever arrived, and on a timeout checks the
+    /// per-job watchdog.
+    fn receive_once(&self, closed: bool, obs: &mut Obs<'_>) {
+        let wait_start = obs.as_ref().map(|o| o.now());
+        let first = if closed && self.cfg.deadline.is_none() {
+            match self.net.recv() {
+                Some(m) => RecvTimeout::Msg(m),
+                None => RecvTimeout::Closed,
+            }
+        } else {
+            self.net.recv_timeout(self.cfg.heartbeat)
+        };
+        if let Some(o) = obs.as_mut() {
+            let end = o.now();
+            o.dep_wait(wait_start.unwrap_or(end), end);
+        }
         let mut batch = Vec::new();
         let mut poisoned = false;
-        match self.net.recv_timeout(self.cfg.heartbeat) {
+        match first {
             RecvTimeout::Msg(m) => {
                 batch.push(m);
                 while let Some(m) = self.net.try_recv() {
@@ -1152,135 +1360,115 @@ impl Engine<'_> {
                 let busy = {
                     let mut st = lock(&self.state);
                     st.receiving = false;
-                    !st.jobs.is_empty() || !st.unshipped.is_empty()
+                    !st.jobs.is_empty()
                 };
                 self.cv.notify_all();
-                if let Some(deadline) = self.cfg.deadline {
-                    if busy && self.stalled_for() > deadline {
-                        let waiting_on = self.describe_waiting();
-                        self.fail(
-                            ExecError::Stalled {
-                                rank: self.me,
-                                waiting_on,
-                            },
-                            false,
-                        );
+                let stalled = self.stalled_for();
+                if busy && self.cfg.deadline.is_some_and(|d| stalled > d) {
+                    if let Some(o) = obs.as_mut() {
+                        let end = o.now();
+                        o.fault(FaultKind::Stall, end - stalled.as_secs_f64(), end);
                     }
+                    self.fail(ExecError::Stalled {
+                        rank: self.me,
+                        waiting_on: self.describe_waiting(),
+                    });
                 }
                 return;
             }
         }
 
-        let mut completions = Vec::new();
-        let mut fresh = 0u64;
+        let mut fresh = false;
         {
             let mut st = lock(&self.state);
             for msg in batch {
                 match msg {
                     // a bare Seq means no session wraps this endpoint; the
                     // cache occupancy check deduplicates it regardless
-                    Message::Payload { payload, .. } | Message::Seq { payload, .. } => {
-                        if let Some(id) = Self::apply_payload(&mut st, payload) {
-                            fresh += 1;
-                            if let Some(done) = Self::try_finish(&mut st, id) {
-                                completions.push(done);
+                    Message::Payload { src, payload } | Message::Seq { src, payload, .. } => {
+                        let (bytes, orig) = (payload.payload_bytes(), payload.is_orig());
+                        if Self::apply_payload(&mut st, payload) {
+                            fresh = true;
+                            if let Some(o) = obs.as_mut() {
+                                o.recv(src, bytes, orig);
                             }
                         }
                     }
                     Message::Poison => poisoned = true,
                     Message::Wake | Message::Ack { .. } => {}
-                    // gather control traffic never flows on a jobs mesh
-                    Message::Result { .. } | Message::Done { .. } => {}
+                    // gather traffic reaching rank 0 before its own run ends
+                    m @ (Message::Result { .. } | Message::Done { .. }) => st.gather.push(m),
                 }
             }
             st.receiving = false;
-            if poisoned {
-                st.poisoned = true;
+            if let Some(o) = obs.as_mut() {
+                // sample scheduler state once per wakeup, not per task
+                let store: usize = st.jobs.values().map(|run| read(&run.ctx.local).len()).sum();
+                o.gauge(GaugeKind::TileStore, store as f64);
+                o.gauge(GaugeKind::ReadyQueue, st.ready.len() as f64);
+                o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
             }
         }
         self.cv.notify_all();
-        if fresh > 0 {
+        if fresh {
             self.touch_progress();
         }
-        self.report(completions);
         if poisoned {
-            self.fail(ExecError::Remote, false);
+            self.fail(ExecError::Remote);
         }
     }
 
-    /// Applies one payload to its job under the engine lock. Returns the
-    /// job id when the payload was fresh (not a duplicate, not early, not
-    /// late), so the caller can check for completion.
-    fn apply_payload(st: &mut EngineState, payload: Payload) -> Option<JobId> {
+    /// Applies one payload to its job under the engine lock: stashes the
+    /// tile, then releases the tasks it unblocks. Returns whether the
+    /// payload was fresh (not a duplicate, not early, not late).
+    fn apply_payload(st: &mut EngineState<'a>, payload: Payload) -> bool {
         let id = payload.job();
-        if st.finished.contains(&id) {
-            return None; // late duplicate for a completed job
+        let EngineState {
+            jobs,
+            ready,
+            pending,
+            finished,
+            ..
+        } = st;
+        if finished.contains(&id) {
+            return false; // late duplicate for a completed job
         }
-        let Some(run) = st.jobs.get_mut(&id) else {
+        let Some(run) = jobs.get_mut(&id) else {
             // registration has not happened here yet; stash for it
-            st.pending.entry(id).or_default().push(payload);
-            return None;
+            pending.entry(id).or_default().push(payload);
+            return false;
         };
-        let key = match &payload {
-            Payload::Data { producer, .. } => WaitKey::Task(*producer),
-            Payload::Orig { tile_ref, .. } => WaitKey::Orig(*tile_ref),
-        };
-        let tile = match payload {
-            Payload::Data { tile, .. } | Payload::Orig { tile, .. } => tile,
+        let (key, tile) = match payload {
+            Payload::Data { producer, tile, .. } => (WaitKey::Task(producer), tile),
+            Payload::Orig { tile_ref, tile, .. } => (WaitKey::Orig(tile_ref), tile),
         };
         // each producer output / original fetch arrives at most once per
         // rank by protocol; an occupied slot is a transport-injected
         // duplicate and must not touch counters or dependency counts
-        let duplicate = {
-            let mut cache = run
-                .tiles
-                .cache
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match cache.entry(key) {
-                Entry::Occupied(_) => true,
-                Entry::Vacant(slot) => {
-                    slot.insert(tile);
-                    false
-                }
-            }
+        match write(&run.ctx.cache).entry(key) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(slot) => slot.insert(tile),
         };
-        if duplicate {
-            return None;
-        }
         run.applied += 1;
-        let jprio = run.spec.prio;
-        let spec = Arc::clone(&run.spec);
-        if let Some(waiting) = run.waits.get(&key) {
-            let waiting = waiting.clone();
-            for t in waiting {
-                let run = st.jobs.get_mut(&id).expect("job still present");
-                let d = run.deps.get_mut(&t).expect("waiting task is local");
-                *d -= 1;
-                if *d == 0 && run.shipped {
-                    st.ready.push(ReadyKey {
-                        jprio,
-                        tprio: spec.task_prio(t),
-                        job: std::cmp::Reverse(id),
-                        task: std::cmp::Reverse(t),
-                    });
-                } else if *d == 0 {
-                    run.initial_ready.push(t);
-                }
+        for &t in run.waits.get(&key).map_or(&[][..], Vec::as_slice) {
+            let d = &mut run.deps[t as usize];
+            *d -= 1;
+            if *d == 0 && run.shipped {
+                ready.push(ReadyKey::new(&run.ctx.spec, t));
+            } else if *d == 0 {
+                run.initial_ready.push(t);
             }
         }
-        Some(id)
+        true
     }
 
+    /// A human-readable account of the remote arrivals this rank is still
+    /// missing, for [`ExecError::Stalled`].
     fn describe_waiting(&self) -> String {
         let st = lock(&self.state);
         let mut missing: Vec<String> = Vec::new();
         for (id, run) in &st.jobs {
-            let cache = run
-                .tiles
-                .cache
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let cache = read(&run.ctx.cache);
             for k in run.waits.keys() {
                 if !cache.contains_key(k) {
                     missing.push(format!("job {id} {k:?}"));
@@ -1298,28 +1486,26 @@ impl Engine<'_> {
         )
     }
 
-    /// Records a failure, poisons peers, fails every in-flight job in the
-    /// table and stops this engine. `dec_active` is true when called from
-    /// a task/ship path that incremented the active count.
-    fn fail(&self, e: ExecError, dec_active: bool) {
+    /// Stops this engine on failure `e`: fails every in-flight job in the
+    /// table, then poisons every peer and unblocks this rank's receiver.
+    /// The table hears first, so no peer's `Remote` echo of the poison can
+    /// reach it ahead of the cause.
+    fn fail(&self, e: ExecError) {
         {
             let mut st = lock(&self.state);
-            if dec_active {
-                st.active -= 1;
-            }
             if st.error.is_none() {
                 st.error = Some(e.clone());
             }
             st.poisoned = true;
         }
         self.cv.notify_all();
+        self.table.poison(e);
         for n in 0..self.net.num_nodes() as NodeId {
             if n != self.me {
                 self.net.send_poison(n);
             }
         }
         self.net.wake();
-        self.table.poison(e);
     }
 }
 
@@ -1333,87 +1519,66 @@ struct Completion {
 }
 
 /// Resolves a read operand of task `t`: remote producer output or fetched
-/// original from the job's cache, else the job-local store (originals
-/// generated on first use).
-fn resolve_read(spec: &JobSpec, tiles: &JobTiles, t: TaskId, r: TileRef) -> Tile {
-    let g = spec.graph.as_ref();
-    let c = g.slices;
+/// original from the job's cache, else the job-local store (local producer,
+/// or local original generated on first use).
+fn resolve_read(ctx: &JobCtx<'_>, t: TaskId, r: TileRef) -> Tile {
+    let g: &TaskGraph = &ctx.spec.graph;
     let me = g.tasks()[t as usize].node;
     for (p, kind) in g.preds(t) {
-        if kind == EdgeKind::Data && g.tasks()[p as usize].output(c) == r {
+        if kind == EdgeKind::Data && g.tasks()[p as usize].output(g.slices) == r {
             return if g.tasks()[p as usize].node == me {
-                tiles
-                    .local
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                read(&ctx.local)
                     .get(&r)
                     .expect("local producer wrote the tile")
                     .clone()
             } else {
-                tiles
-                    .cache
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                read(&ctx.cache)
                     .get(&WaitKey::Task(p))
                     .expect("dependency ensured arrival")
                     .clone()
             };
         }
     }
-    if let Some(tile) = tiles
-        .cache
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&WaitKey::Orig(r))
-    {
+    if let Some(tile) = read(&ctx.cache).get(&WaitKey::Orig(r)) {
         return tile.clone();
     }
-    tiles
-        .local
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    write(&ctx.local)
         .entry(r)
-        .or_insert_with(|| default_original(r, g.nt, spec.b, spec.seed, spec.seed_rhs))
+        .or_insert_with(|| ctx.spec.original(r))
         .clone()
 }
 
-/// Executes one task's kernel against the job's private stores (the
-/// job-namespace twin of the one-shot executor's `execute_task`).
-fn execute_task(
-    kernels: KernelBackend,
-    spec: &JobSpec,
-    tiles: &JobTiles,
-    t: TaskId,
-) -> Result<(), sbc_kernels::KernelError> {
-    let g = spec.graph.as_ref();
-    let c = g.slices;
-    let task = g.tasks()[t as usize];
+/// Executes one task's kernel against the job's private stores.
+///
+/// The target tile is *removed* from the store for the kernel call and
+/// reinserted afterwards; this is safe because the graph's ordering edges
+/// guarantee no same-rank reader of the current version is running
+/// concurrently with its writer (remote readers use received copies).
+fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, t: TaskId) -> Result<(), KernelError> {
+    let spec = &ctx.spec;
+    let c = spec.graph.slices;
+    let task = spec.graph.tasks()[t as usize];
     let reads = task.reads(c);
     let read_tiles: Vec<Tile> = reads
         .as_slice()
         .iter()
-        .map(|&r| resolve_read(spec, tiles, t, r))
+        .map(|&r| resolve_read(ctx, t, r))
         .collect();
     let target_ref = task.output(c);
     let mut target = {
-        let mut local = tiles
-            .local
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut local = write(&ctx.local);
         local.remove(&target_ref).unwrap_or_else(|| {
             if matches!(task.kind, TaskKind::Move { .. }) {
+                // a Move fully overwrites its target; never generate data
+                // for a later-phase tile
                 Tile::zeros(spec.b)
             } else {
-                default_original(target_ref, g.nt, spec.b, spec.seed, spec.seed_rhs)
+                spec.original(target_ref)
             }
         })
     };
     let result = run_kernel(kernels, task.kind, &read_tiles, &mut target);
-    tiles
-        .local
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(target_ref, target);
+    write(&ctx.local).insert(target_ref, target);
     result
 }
 
@@ -1421,8 +1586,10 @@ fn execute_task(
 mod tests {
     use super::*;
     use crate::executor::Executor;
-    use sbc_dist::{SbcExtended, TwoDBlockCyclic};
-    use sbc_net::inproc_mesh;
+    use sbc_dist::comm::potrf_messages;
+    use sbc_dist::{Distribution, SbcExtended, TwoDBlockCyclic};
+    use sbc_matrix::{potrf_tiled, random_spd};
+    use sbc_net::{inproc_mesh, InProc, PeerStats, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
 
     const B: usize = 8;
@@ -1440,13 +1607,45 @@ mod tests {
         });
     }
 
-    fn one_shot_reference(graph: &TaskGraph, seed: u64, seed_rhs: u64) -> crate::ExecOutcome {
-        Executor::builder(graph)
-            .block(B)
-            .seeds(seed, seed_rhs)
-            .workers(1)
-            .build()
-            .run()
+    /// A seeded POTRF job over `graph`, its tasks ranked by `sched`.
+    fn potrf_spec<'a>(
+        graph: &Arc<TaskGraph>,
+        seed: u64,
+        sched: Option<&dyn Scheduler>,
+        provider: Option<&'a TileProvider<'a>>,
+    ) -> JobSpec<'a> {
+        JobSpec {
+            id: 0,
+            prio_bits: task_priorities(graph, B, sched),
+            graph: GraphRef::Shared(Arc::clone(graph)),
+            b: B,
+            seed,
+            seed_rhs: seed ^ 1,
+            prio: 0,
+            provider,
+        }
+    }
+
+    /// The oracle every job is held to: the gathered factor is the
+    /// sequential `potrf_tiled` one bit for bit, and the job's own traffic
+    /// is exactly the analytic count of `dist` — sent, received and in bytes.
+    fn assert_sequential<D: Distribution>(out: &JobOutcome, dist: &D, nt: usize, seed: u64) {
+        let mut seq = random_spd(seed, nt, B);
+        potrf_tiled(&mut seq).expect("sequential factorization failed");
+        let factor = crate::gather_symmetric(&out.tiles, nt, B, 0, |_| 0).expect("gather failed");
+        for (i, j) in seq.tile_coords() {
+            assert_eq!(
+                factor.tile(i, j).max_abs_diff(seq.tile(i, j)),
+                0.0,
+                "job {} tile ({i},{j}) differs from sequential",
+                out.id
+            );
+        }
+        let messages = potrf_messages(dist, nt);
+        assert_eq!(out.stats.messages, messages, "job {} messages", out.id);
+        assert_eq!(out.stats.bytes, messages_to_bytes(messages, B));
+        assert_eq!(out.stats.sent_per_node.iter().sum::<u64>(), messages);
+        assert_eq!(out.stats.recv_per_node.iter().sum::<u64>(), messages);
     }
 
     #[test]
@@ -1470,15 +1669,26 @@ mod tests {
         // highest job priority first; within a job priority, highest task
         // priority; ties broken by ascending job then task id
         assert_eq!(order, vec![(7, 0), (2, 4), (1, 3), (2, 9)]);
+
+        // within one job (a one-shot run): high priority first, then low
+        // task id
+        for (tprio, task) in [(1.0f32, 5u32), (3.0, 9), (3.0, 2), (0.0, 0)] {
+            heap.push(ReadyKey {
+                jprio: 0,
+                tprio: tprio.to_bits(),
+                job: std::cmp::Reverse(0),
+                task: std::cmp::Reverse(task),
+            });
+        }
+        let order: Vec<TaskId> = std::iter::from_fn(|| heap.pop().map(|k| k.task.0)).collect();
+        assert_eq!(order, vec![2, 9, 5, 0]);
     }
 
     #[test]
-    fn two_concurrent_jobs_match_their_one_shot_runs() {
+    fn two_concurrent_jobs_match_sequential() {
         let d = SbcExtended::new(4); // 6 nodes
-        let graph = Arc::new(build_potrf(&d, 10));
-        let exp_a = one_shot_reference(&graph, 2022, 7);
-        let exp_b = one_shot_reference(&graph, 99, 100);
-
+        let nt = 10;
+        let graph = Arc::new(build_potrf(&d, nt));
         let table = JobTable::new(graph.num_nodes(), 8);
         let (ga, gb) = (Arc::clone(&graph), Arc::clone(&graph));
         let mut results = Vec::new();
@@ -1497,16 +1707,112 @@ mod tests {
                 },
             );
         }
-        for (out, exp) in results.iter().zip([&exp_a, &exp_b]) {
-            assert_eq!(out.stats, exp.stats, "per-job stats must stay exact");
-            assert_eq!(out.tiles.len(), exp.tiles.len());
-            for (r, t) in &exp.tiles {
-                assert_eq!(
-                    out.tiles[r].as_slice(),
-                    t.as_slice(),
-                    "tile {r:?} differs from the one-shot run"
-                );
+        assert_sequential(&results[0], &d, nt, 2022);
+        assert_sequential(&results[1], &d, nt, 99);
+        // same placement, same traffic, rank by rank: sharing the mesh
+        // leaks nothing from one job's counts into the other's
+        assert_eq!(results[0].stats, results[1].stats);
+    }
+
+    /// The front-end conversion: `Executor::try_run` is a one-job table, so
+    /// a job submitted by hand and the one-shot run of the same graph agree
+    /// on every tile and on the whole `CommStats`.
+    #[test]
+    fn single_job_table_agrees_with_try_run() {
+        let d = TwoDBlockCyclic::new(3, 2);
+        let graph = Arc::new(build_potrf(&d, 9));
+        let one_shot = Executor::builder(&graph)
+            .block(B)
+            .seeds(5, 6)
+            .workers(2)
+            .build()
+            .try_run()
+            .unwrap();
+        let table = JobTable::new(graph.num_nodes(), 1);
+        let table_ref = &table;
+        let g = Arc::clone(&graph);
+        let mut got = None;
+        {
+            let got = &mut got;
+            run_mesh(
+                &table,
+                graph.num_nodes(),
+                JobEngineConfig::default(),
+                move || {
+                    let id = table_ref.submit(g, B, 5, 6, 0, true).unwrap();
+                    *got = Some(table_ref.wait(id).unwrap());
+                },
+            );
+        }
+        let out = got.expect("job ran");
+        assert_eq!(out.stats, one_shot.stats);
+        assert_eq!(out.tiles.len(), one_shot.tiles.len());
+        for (r, t) in &one_shot.tiles {
+            assert_eq!(out.tiles[r], *t, "tile {r:?} differs");
+        }
+    }
+
+    #[test]
+    fn jobs_under_different_schedulers_stay_bit_identical() {
+        let d = SbcExtended::new(4); // 6 nodes
+        let nt = 10;
+        let graph = Arc::new(build_potrf(&d, nt));
+        let table = JobTable::new(graph.num_nodes(), 8);
+        let cfg = JobEngineConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let table_ref = &table;
+        let g = &graph;
+        let mut results = Vec::new();
+        {
+            let results = &mut results;
+            run_mesh(&table, graph.num_nodes(), cfg, move || {
+                let cp = potrf_spec(g, 31, Some(&sbc_topo::CriticalPath), None);
+                let heft = potrf_spec(g, 32, Some(&sbc_topo::Heft), None);
+                assert_ne!(cp.prio_bits, heft.prio_bits, "the two rankings coincide");
+                let a = table_ref.submit_spec(cp, (0, 0)).unwrap();
+                let b = table_ref.submit_spec(heft, (0, 0)).unwrap();
+                results.push(table_ref.wait(a).unwrap());
+                results.push(table_ref.wait(b).unwrap());
+            });
+        }
+        assert_sequential(&results[0], &d, nt, 31);
+        assert_sequential(&results[1], &d, nt, 32);
+        assert_eq!(results[0].stats, results[1].stats);
+    }
+
+    #[test]
+    fn recorded_two_job_run_has_a_span_per_task() {
+        let d = SbcExtended::new(3); // 3 nodes
+        let graph = Arc::new(build_potrf(&d, 8));
+        let n = graph.num_nodes();
+        let table = JobTable::new(n, 8);
+        let recorder = Recorder::new();
+        for seed in [1, 2] {
+            table
+                .submit(Arc::clone(&graph), B, seed, seed, 0, true)
+                .unwrap();
+        }
+        table.shutdown();
+        let cfg = JobEngineConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let mesh = inproc_mesh(n);
+        std::thread::scope(|scope| {
+            for net in &mesh {
+                let (table, recorder) = (&table, &recorder);
+                scope.spawn(move || run_engine(net, table, cfg, Some(recorder)).unwrap());
             }
+        });
+        let recording = recorder.drain();
+        assert_eq!(sbc_obs::task_spans(&recording).len(), 2 * graph.len());
+        for rank in 0..n as u32 {
+            assert!(
+                recording.events_on(rank) > 0,
+                "rank {rank} recorded nothing"
+            );
         }
     }
 
@@ -1534,31 +1840,49 @@ mod tests {
         let _ = first;
     }
 
+    /// One rank of a 2x2 mesh driven by hand on a virtual clock. Its peers
+    /// never run, so a job admitted here stays in flight waiting on remote
+    /// tiles: the watchdog must ignore any amount of idle time before the
+    /// admission, re-arm at it, and fire only once the job itself has gone
+    /// a deadline without progress.
     #[test]
     fn idle_resident_rank_does_not_trip_the_watchdog() {
         let d = TwoDBlockCyclic::new(2, 2);
         let graph = Arc::new(build_potrf(&d, 6));
-        let exp = one_shot_reference(&graph, 5, 6);
-        let table = JobTable::new(graph.num_nodes(), 4);
+        let n = graph.num_nodes();
+        let clock = Arc::new(VirtualClock::new());
+        let table = JobTable::with_clock(n, n, 4, Arc::clone(&clock) as Arc<dyn Clock>);
         let cfg = JobEngineConfig {
+            heartbeat: Duration::from_millis(1),
             deadline: Some(Duration::from_millis(80)),
             ..Default::default()
         };
-        let table_ref = &table;
-        let g = Arc::clone(&graph);
-        let mut got = None;
-        {
-            let got = &mut got;
-            run_mesh(&table, graph.num_nodes(), cfg, move || {
-                // idle for several deadlines: a per-process no-progress
-                // clock would declare a stall here
-                std::thread::sleep(Duration::from_millis(400));
-                let id = table_ref.submit(g, B, 5, 6, 0, true).unwrap();
-                *got = Some(table_ref.wait(id));
-            });
-        }
-        let out = got.expect("job ran").expect("idle ranks must not stall");
-        assert_eq!(out.stats, exp.stats);
+        let mesh = inproc_mesh(n);
+        let engine = Engine::new(&mesh[0], &table, cfg, None);
+        let mut seen = Admission::default();
+        let error = |engine: &Engine| lock(&engine.state).error.clone();
+
+        // idle for several deadlines: a per-process no-progress clock would
+        // declare a stall here
+        clock.advance(Duration::from_millis(400));
+        engine.receive_once(false, &mut None);
+        assert_eq!(error(&engine), None, "an idle rank stalled");
+
+        let id = table.submit(graph, B, 5, 6, 0, true).unwrap();
+        engine.admit(&mut seen);
+        engine.receive_once(false, &mut None);
+        assert_eq!(error(&engine), None, "admission did not re-arm the clock");
+
+        clock.advance(Duration::from_millis(81));
+        engine.receive_once(false, &mut None);
+        assert!(
+            matches!(error(&engine), Some(ExecError::Stalled { rank: 0, .. })),
+            "a stall during a job must still fire"
+        );
+        assert!(matches!(
+            table.wait(id),
+            Err(ExecError::Stalled { rank: 0, .. })
+        ));
     }
 
     #[test]
@@ -1696,13 +2020,10 @@ mod tests {
     #[test]
     fn high_priority_jobs_jump_the_shared_heap() {
         // behavioural smoke: many jobs at mixed priorities all complete
-        // and each stays bit-identical to its one-shot run
+        // and each stays bit-identical to the sequential factor
         let d = SbcExtended::new(3); // 3 nodes
-        let graph = Arc::new(build_potrf(&d, 8));
-        let mut exps = Vec::new();
-        for s in 0..4u64 {
-            exps.push(one_shot_reference(&graph, 100 + s, 200 + s));
-        }
+        let nt = 8;
+        let graph = Arc::new(build_potrf(&d, nt));
         let table = JobTable::new(graph.num_nodes(), 8);
         let table_ref = &table;
         let g = &graph;
@@ -1728,10 +2049,145 @@ mod tests {
             );
         }
         assert_eq!(table.completed(), 4);
-        for (out, exp) in outs.iter().zip(&exps) {
-            assert_eq!(out.stats, exp.stats);
-            for (r, t) in &exp.tiles {
-                assert_eq!(out.tiles[r].as_slice(), t.as_slice());
+        for (s, out) in outs.iter().enumerate() {
+            assert_sequential(out, &d, nt, 100 + s as u64);
+        }
+    }
+
+    /// An endpoint that, once it has delivered a poison, holds the sender
+    /// until the table has heard of *a* failure. On the `armed` rank — the
+    /// one whose kernel fails — this forces the interleaving in which a
+    /// peer's `Remote` echo beats the cause to the table, if the engine
+    /// poisons peers before recording the cause.
+    struct PoisonGate<'t, 'a> {
+        inner: InProc,
+        table: &'t JobTable<'a>,
+        armed: bool,
+    }
+
+    impl Transport for PoisonGate<'_, '_> {
+        fn send_poison(&self, dest: NodeId) {
+            self.inner.send_poison(dest);
+            let patience = Instant::now();
+            while self.armed
+                && lock(&self.table.state).dead.is_none()
+                && patience.elapsed() < Duration::from_secs(5)
+            {
+                std::thread::yield_now();
+            }
+        }
+        fn rank(&self) -> NodeId {
+            self.inner.rank()
+        }
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
+            self.inner.send_payload(dest, payload)
+        }
+        fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile) {
+            self.inner.send_result(dest, tile_ref, tile);
+        }
+        fn send_done(&self, dest: NodeId, stats: PeerStats) {
+            self.inner.send_done(dest, stats);
+        }
+        fn wake(&self) {
+            self.inner.wake();
+        }
+        fn recv(&self) -> Option<Message> {
+            self.inner.recv()
+        }
+        fn try_recv(&self) -> Option<Message> {
+            self.inner.try_recv()
+        }
+        fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
+            self.inner.recv_timeout(timeout)
+        }
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Runs one POTRF whose diagonal tile (4,4) is not positive definite as
+    /// the single job of a 6-rank table and returns what its waiter sees.
+    /// `gated` puts the failing rank behind a [`PoisonGate`].
+    fn failing_job(workers: usize, gated: bool) -> Result<JobOutcome, ExecError> {
+        let d = SbcExtended::new(4); // 6 nodes
+        let nt = 9;
+        let graph = Arc::new(build_potrf(&d, nt));
+        let n = graph.num_nodes();
+        let failing_rank = graph
+            .tasks()
+            .iter()
+            .find(|t| t.kind == TaskKind::Potrf { k: 4 })
+            .expect("the graph factors tile (4,4)")
+            .node;
+        let provider = move |r: TileRef| match r {
+            TileRef::A {
+                phase: 0,
+                i: 4,
+                j: 4,
+                ..
+            } => Tile::from_fn(B, |r, c| if r == c { -1.0 } else { 0.0 }),
+            r => default_original(r, nt, B, 7, 8),
+        };
+        let table = JobTable::new(n, 1);
+        let id = table
+            .submit_spec(
+                potrf_spec(&graph, 7, Some(&sbc_topo::CriticalPath), Some(&provider)),
+                (0, 0),
+            )
+            .unwrap();
+        table.shutdown();
+        let cfg = JobEngineConfig {
+            workers,
+            ..Default::default()
+        };
+        let mesh: Vec<_> = inproc_mesh(n)
+            .into_iter()
+            .map(|inner| PoisonGate {
+                armed: gated && inner.rank() == failing_rank,
+                inner,
+                table: &table,
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for net in &mesh {
+                let table = &table;
+                scope.spawn(move || run_jobs_rank(net, table, cfg));
+            }
+        });
+        table.wait(id)
+    }
+
+    fn assert_kernel_failure(got: Result<JobOutcome, ExecError>, context: &str) {
+        match got {
+            Err(ExecError::Kernel { .. }) => {}
+            Err(other) => panic!("{context}: the waiter saw {other:?}, not the kernel failure"),
+            Ok(_) => panic!("{context}: a non-SPD input factorized"),
+        }
+    }
+
+    /// `Engine::fail` once poisoned peers *before* telling the table, so a
+    /// peer's `Remote` could be recorded first and reach the waiter instead
+    /// of the cause. The gate makes that interleaving certain.
+    #[test]
+    fn a_peers_remote_echo_never_beats_the_cause_to_the_table() {
+        for workers in [1, 4] {
+            assert_kernel_failure(failing_job(workers, true), &format!("workers {workers}"));
+        }
+    }
+
+    /// The same failure with nothing forcing the order: whatever the
+    /// scheduler does, the waiter sees the originating kernel error.
+    #[test]
+    fn the_waiter_sees_the_originating_failure_on_every_repetition() {
+        for workers in [1, 4] {
+            for rep in 0..50 {
+                assert_kernel_failure(
+                    failing_job(workers, false),
+                    &format!("workers {workers} repetition {rep}"),
+                );
             }
         }
     }

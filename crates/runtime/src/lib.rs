@@ -23,7 +23,17 @@
 //! task, so a tile version is never transferred twice to the same node.
 //! Within a node, ready tasks drain through a shared heap ordered by
 //! critical-path priorities ([`Policy::CriticalPath`]) — the StarPU list
-//! scheduler the paper runs — or submission order.
+//! scheduler the paper runs — by any `sbc_topo::Scheduler`, or in
+//! submission order.
+//!
+//! There is **one task engine** ([`jobs`]): a [`JobTable`] hands jobs to one
+//! rank engine per rank, which schedules, executes, sends, receives and
+//! watches for stalls. It has two front ends. A *one-shot* run —
+//! [`Executor`], hence [`Run`] and [`PlannedExecutor`] — is a table holding
+//! one job: submit, close admission, run the engines until they drain,
+//! convert the [`JobOutcome`] into an [`ExecOutcome`]. A *resident* mesh
+//! (`sbc-serve`) keeps the same engines running ([`run_jobs_rank`]) and
+//! streams jobs through [`JobTable::submit`].
 //!
 //! The high-level entry point is the [`Run`] builder: pick a workload
 //! ([`Run::potrf`], [`Run::posv`], …), set tile size, seeds, worker count,

@@ -1,10 +1,10 @@
 //! # sbc-serve — a resident multi-job factorization service
 //!
-//! Everything below the service boundary in this workspace is one-shot: a
-//! process meshes its ranks up, factorizes one matrix, gathers, exits. For
-//! a stream of small and mid-size problems that shape is backwards — mesh
-//! setup, session handshakes and distribution planning dominate the actual
-//! factorization. This crate keeps all of it **warm**:
+//! A one-shot `sbc_runtime::Run` meshes its ranks up, factorizes one
+//! matrix, gathers, exits. For a stream of small and mid-size problems that
+//! shape is backwards — mesh setup, session handshakes and distribution
+//! planning dominate the actual factorization. This crate keeps all of it
+//! **warm**, on the same task engine a one-shot run uses:
 //!
 //! - [`Service`] owns a resident mesh (one
 //!   [`sbc_runtime::jobs::run_jobs_rank`] engine per rank), a shared

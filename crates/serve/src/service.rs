@@ -89,7 +89,7 @@ pub struct Submitted {
 /// A resident factorization service: submit jobs from any thread, wait for
 /// their outcomes, read the metrics, shut down once.
 pub struct Service {
-    table: Arc<JobTable>,
+    table: Arc<JobTable<'static>>,
     planner: Planner,
     metrics: Arc<Metrics>,
     events: Arc<EventLog>,

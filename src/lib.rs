@@ -44,7 +44,7 @@
 //! | [`topo`] | network topology model (racks, switches, per-link bandwidth/latency, routing) and the pluggable scheduler zoo (critical-path, HEFT, lookahead, work-stealing) with Pareto sweep reports |
 //! | [`net`] | pluggable transport layer: in-process channels, real TCP/UDS stream sockets with a CRC-checked wire protocol, fault injection, multi-process launcher |
 //! | [`mc`] | exhaustive model checker for the ARQ session protocol: bounded exploration of all deliver/drop/duplicate/reorder interleavings on a virtual clock, exactly-once + exact-accounting + liveness invariants, replayable counterexamples (`paper mc`) |
-//! | [`runtime`] | distributed runtime over [`net`]: priority-scheduled worker pools per node, byte-exact communication accounting, the [`runtime::Run`] builder, per-rank execution via [`runtime::Executor::run_rank`] |
+//! | [`runtime`] | distributed runtime over [`net`]: one task engine (a job table plus a priority-scheduled worker pool per rank) behind two front ends — the one-shot [`runtime::Run`] builder / [`runtime::Executor::run_rank`] and the resident [`runtime::JobTable`] — with byte-exact per-job communication accounting |
 //! | [`outofcore`] | sequential two-level-memory model (Section III-E): LRU transfer simulation and I/O bounds |
 //! | [`planner`] | autotuning distribution planner: candidate search, analytic cost model, simulation refinement, concurrent plan cache, drift reports |
 //! | [`serve`] | resident factorization service: multi-job engine over a warm mesh, job wire protocol, admission control, `paper serve`/`paper submit` |
