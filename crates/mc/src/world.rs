@@ -15,10 +15,9 @@ use std::time::Duration;
 
 use sbc_kernels::Tile;
 use sbc_net::{
-    Clock, Message, NodeId, Payload, PeerStats, RecvTimeout, Session, SessionConfig, Transport,
+    Clock, Message, NodeId, Payload, RecvTimeout, Session, SessionConfig, Transport,
     TransportStats, VirtualClock,
 };
-use sbc_taskgraph::TileRef;
 
 use crate::scenario::{LossModel, Scenario};
 
@@ -159,7 +158,7 @@ struct NetState {
     counter: Vec<u64>,
     /// Per-sender frames censored by a deterministic gate.
     gate_drops: Vec<u64>,
-    /// Per-sender `send_seq` attempts — the wire-ledger side of
+    /// Per-sender `Seq` send attempts — the wire-ledger side of
     /// `sent_messages + retrans_messages`.
     seq_attempts: Vec<u64>,
     /// Per-sender acks emitted.
@@ -248,65 +247,23 @@ impl Transport for McNet {
         self.peers
     }
 
-    fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
-        let bytes = payload.payload_bytes();
-        self.lock().enqueue(
-            self.rank,
-            dest,
-            Message::Payload {
-                src: self.rank,
-                payload,
-            },
-        );
-        Some(bytes)
-    }
-
-    fn send_seq(&self, dest: NodeId, seq: u64, payload: Payload) -> Option<u64> {
-        let bytes = payload.payload_bytes();
-        let delivered = self.lock().submit_seq(
-            self.rank,
-            dest,
-            Message::Seq {
-                src: self.rank,
-                seq,
-                payload,
-            },
-        );
-        delivered.then_some(bytes)
-    }
-
-    fn send_ack(&self, dest: NodeId, upto: u64) {
-        self.control_sent.fetch_add(1, Ordering::Relaxed);
+    /// Sequenced payloads meet the scenario's loss gate, acks feed the
+    /// control ledgers, and everything lands on the in-flight vector.
+    fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
+        let bytes = msg.payload().map_or(0, Payload::payload_bytes);
         let mut net = self.lock();
-        net.acks[self.rank as usize] += 1;
-        net.enqueue(
-            self.rank,
-            dest,
-            Message::Ack {
-                src: self.rank,
-                upto,
-            },
-        );
-    }
-
-    fn send_poison(&self, dest: NodeId) {
-        self.lock().enqueue(self.rank, dest, Message::Poison);
-    }
-
-    fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile) {
-        self.lock()
-            .enqueue(self.rank, dest, Message::Result { tile_ref, tile });
-    }
-
-    fn send_done(&self, dest: NodeId, stats: PeerStats) {
-        self.lock().enqueue(
-            self.rank,
-            dest,
-            Message::Done {
-                src: self.rank,
-                stats,
-            },
-        );
+        match msg {
+            Message::Seq { .. } => {
+                return net.submit_seq(self.rank, dest, msg).then_some(bytes);
+            }
+            Message::Ack { .. } => {
+                self.control_sent.fetch_add(1, Ordering::Relaxed);
+                net.acks[self.rank as usize] += 1;
+            }
+            _ => {}
+        }
+        net.enqueue(self.rank, dest, msg);
+        Some(bytes)
     }
 
     fn wake(&self) {}

@@ -23,10 +23,8 @@
 //! so its `applied` count stays at the analytic value while the transport's
 //! message count measures the injected excess.
 
-use crate::msg::{Message, NodeId, Payload, PeerStats};
+use crate::msg::{Message, NodeId};
 use crate::transport::{RecvTimeout, Transport, TransportStats};
-use sbc_kernels::Tile;
-use sbc_taskgraph::TileRef;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -159,11 +157,10 @@ impl<T: Transport> Faulty<T> {
         &self.inner
     }
 
-    /// The shared fault gate: one decision per payload send, applied
-    /// identically to plain and sequenced payloads so a session under test
-    /// sees the same schedule the raw executor would. The decision itself
-    /// is the pure [`FaultConfig::decide`]; this wrapper owns the live
-    /// counters and the delay side effect.
+    /// The fault gate: one decision per payload-carrying send, so a session
+    /// under test sees the same schedule the raw executor would. The
+    /// decision itself is the pure [`FaultConfig::decide`]; this wrapper
+    /// owns the live counters and the delay side effect.
     fn gate(&self) -> FaultDecision {
         if let Some(d) = self.cfg.delay {
             std::thread::sleep(d);
@@ -217,27 +214,22 @@ impl<T: Transport> Transport for Faulty<T> {
         self.inner.num_nodes()
     }
 
-    fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
+    /// Faults target the counted data path only — whatever carries a
+    /// [`Message::payload`], plain or sequenced, meets the same gate; acks,
+    /// poison and the gather pass untouched, since perturbing the recovery
+    /// and shutdown machinery would test nothing the runtime promises.
+    fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
+        if msg.payload().is_none() {
+            return self.inner.send(dest, msg);
+        }
         match self.gate() {
             FaultDecision::Drop => None,
             FaultDecision::Duplicate => {
-                self.inner.send_payload(dest, payload.clone());
-                self.inner.send_payload(dest, payload)
+                self.inner.send(dest, msg.clone());
+                self.inner.send(dest, msg)
             }
-            FaultDecision::Deliver => self.inner.send_payload(dest, payload),
+            FaultDecision::Deliver => self.inner.send(dest, msg),
         }
-    }
-
-    fn send_poison(&self, dest: NodeId) {
-        self.inner.send_poison(dest);
-    }
-
-    fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile) {
-        self.inner.send_result(dest, tile_ref, tile);
-    }
-
-    fn send_done(&self, dest: NodeId, stats: PeerStats) {
-        self.inner.send_done(dest, stats);
     }
 
     fn wake(&self) {
@@ -250,23 +242,6 @@ impl<T: Transport> Transport for Faulty<T> {
 
     fn try_recv(&self) -> Option<Message> {
         self.inner.try_recv()
-    }
-
-    fn send_seq(&self, dest: NodeId, seq: u64, payload: Payload) -> Option<u64> {
-        match self.gate() {
-            FaultDecision::Drop => None,
-            FaultDecision::Duplicate => {
-                self.inner.send_seq(dest, seq, payload.clone());
-                self.inner.send_seq(dest, seq, payload)
-            }
-            FaultDecision::Deliver => self.inner.send_seq(dest, seq, payload),
-        }
-    }
-
-    // acks and timed receives pass through untouched: faults target the
-    // counted data path, not the recovery machinery itself
-    fn send_ack(&self, dest: NodeId, upto: u64) {
-        self.inner.send_ack(dest, upto);
     }
 
     fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
@@ -282,6 +257,8 @@ impl<T: Transport> Transport for Faulty<T> {
 mod tests {
     use super::*;
     use crate::inproc::inproc_mesh;
+    use crate::msg::{Payload, PeerStats};
+    use sbc_kernels::Tile;
 
     fn payload(k: u32) -> Payload {
         Payload::Data {
@@ -344,7 +321,11 @@ mod tests {
         let a = Faulty::new(mesh.next().unwrap(), FaultConfig::dropping(1));
         let b = mesh.next().unwrap();
         a.send_poison(1);
-        a.send_done(1, PeerStats::default());
+        let done = Message::Done {
+            src: 0,
+            stats: PeerStats::default(),
+        };
+        assert_eq!(a.send(1, done), Some(0));
         assert!(matches!(b.recv(), Some(Message::Poison)));
         assert!(matches!(b.recv(), Some(Message::Done { .. })));
         assert_eq!(a.send_payload(1, payload(0)), None, "all payloads dropped");

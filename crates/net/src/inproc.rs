@@ -7,48 +7,93 @@
 //! per node drains in arrival order. Nothing is serialized, so frame byte
 //! counts stay zero and payload accounting is the only traffic measure.
 
-use crate::msg::{Message, NodeId, Payload, PeerStats};
-use crate::transport::{RecvTimeout, StatsCell, Transport, TransportStats};
+use crate::msg::{Message, NodeId};
+use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use sbc_kernels::Tile;
-use sbc_taskgraph::TileRef;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// A rank's inbox: an unbounded channel whose receiving half any worker
+/// thread of the rank may park on. Both [`InProc`] (peers push directly)
+/// and [`crate::StreamTransport`] (socket reader threads push decoded
+/// frames) receive through this one type.
+pub(crate) struct Mailbox {
+    tx: Sender<Message>,
+    rx: Mutex<Receiver<Message>>,
+}
+
+impl Mailbox {
+    pub fn new() -> Mailbox {
+        let (tx, rx) = unbounded();
+        Mailbox {
+            tx,
+            rx: Mutex::new(rx),
+        }
+    }
+
+    /// A handle that delivers into this inbox.
+    pub fn sender(&self) -> Sender<Message> {
+        self.tx.clone()
+    }
+
+    fn rx(&self) -> MutexGuard<'_, Receiver<Message>> {
+        self.rx
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    pub fn wake(&self) {
+        let _ = self.tx.send(Message::Wake);
+    }
+
+    pub fn recv(&self) -> Option<Message> {
+        self.rx().recv().ok()
+    }
+
+    pub fn try_recv(&self) -> Option<Message> {
+        self.rx().try_recv().ok()
+    }
+
+    pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
+        match self.rx().recv_timeout(timeout) {
+            Ok(msg) => RecvTimeout::Msg(msg),
+            Err(RecvTimeoutError::Timeout) => RecvTimeout::TimedOut,
+            Err(RecvTimeoutError::Disconnected) => RecvTimeout::Closed,
+        }
+    }
+}
 
 /// One rank's endpoint of an in-process channel mesh.
 pub struct InProc {
     rank: NodeId,
     txs: Vec<Sender<Message>>,
-    rx: Mutex<Receiver<Message>>,
+    inbox: Mailbox,
     stats: StatsCell,
 }
 
 /// Builds a fully connected `n`-rank in-process mesh; element `r` is rank
 /// `r`'s endpoint.
 pub fn inproc_mesh(n: usize) -> Vec<InProc> {
-    let mut txs = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    rxs.into_iter()
+    let inboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::new()).collect();
+    let txs: Vec<Sender<Message>> = inboxes.iter().map(Mailbox::sender).collect();
+    inboxes
+        .into_iter()
         .enumerate()
-        .map(|(rank, rx)| InProc {
+        .map(|(rank, inbox)| InProc {
             rank: rank as NodeId,
             txs: txs.clone(),
-            rx: Mutex::new(rx),
+            inbox,
             stats: StatsCell::default(),
         })
         .collect()
 }
 
 impl InProc {
-    fn count_if_payload(&self, msg: &Message) {
-        if let Message::Payload { payload, .. } | Message::Seq { payload, .. } = msg {
-            self.stats.count_recv(payload.payload_bytes(), 0);
-        }
+    /// Nothing reads an in-process message before its receiver does, so
+    /// the receive side is counted as the message is handed over.
+    fn counted(&self, msg: Message) -> Message {
+        self.stats.count_received(Traffic::of(&msg), 0);
+        msg
     }
 }
 
@@ -61,94 +106,28 @@ impl Transport for InProc {
         self.txs.len()
     }
 
-    fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
-        let bytes = payload.payload_bytes();
-        self.txs[dest as usize]
-            .send(Message::Payload {
-                src: self.rank,
-                payload,
-            })
-            .ok()?;
-        self.stats.count_send(bytes, 0);
-        Some(bytes)
-    }
-
-    fn send_poison(&self, dest: NodeId) {
-        let _ = self.txs[dest as usize].send(Message::Poison);
-    }
-
-    fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile) {
-        let _ = self.txs[dest as usize].send(Message::Result { tile_ref, tile });
-    }
-
-    fn send_done(&self, dest: NodeId, stats: PeerStats) {
-        let _ = self.txs[dest as usize].send(Message::Done {
-            src: self.rank,
-            stats,
-        });
+    fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
+        let traffic = Traffic::of(&msg);
+        self.txs[dest as usize].send(msg).ok()?;
+        Some(self.stats.count_sent(traffic, 0))
     }
 
     fn wake(&self) {
-        let _ = self.txs[self.rank as usize].send(Message::Wake);
+        self.inbox.wake();
     }
 
     fn recv(&self) -> Option<Message> {
-        let rx = self
-            .rx
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let msg = rx.recv().ok()?;
-        self.count_if_payload(&msg);
-        Some(msg)
+        self.inbox.recv().map(|m| self.counted(m))
     }
 
     fn try_recv(&self) -> Option<Message> {
-        let rx = self
-            .rx
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let msg = rx.try_recv().ok()?;
-        self.count_if_payload(&msg);
-        Some(msg)
-    }
-
-    fn send_seq(&self, dest: NodeId, seq: u64, payload: Payload) -> Option<u64> {
-        let bytes = payload.payload_bytes();
-        self.txs[dest as usize]
-            .send(Message::Seq {
-                src: self.rank,
-                seq,
-                payload,
-            })
-            .ok()?;
-        self.stats.count_send(bytes, 0);
-        Some(bytes)
-    }
-
-    fn send_ack(&self, dest: NodeId, upto: u64) {
-        if self.txs[dest as usize]
-            .send(Message::Ack {
-                src: self.rank,
-                upto,
-            })
-            .is_ok()
-        {
-            self.stats.count_control(0);
-        }
+        self.inbox.try_recv().map(|m| self.counted(m))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        let rx = self
-            .rx
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match rx.recv_timeout(timeout) {
-            Ok(msg) => {
-                self.count_if_payload(&msg);
-                RecvTimeout::Msg(msg)
-            }
-            Err(RecvTimeoutError::Timeout) => RecvTimeout::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => RecvTimeout::Closed,
+        match self.inbox.recv_timeout(timeout) {
+            RecvTimeout::Msg(m) => RecvTimeout::Msg(self.counted(m)),
+            other => other,
         }
     }
 
@@ -161,52 +140,8 @@ impl Transport for InProc {
 mod tests {
     use super::*;
 
-    #[test]
-    fn payloads_are_counted_and_delivered_in_order() {
-        let mesh = inproc_mesh(2);
-        let t = Tile::zeros(4);
-        assert_eq!(
-            mesh[0].send_payload(
-                1,
-                Payload::Data {
-                    job: 0,
-                    producer: 3,
-                    tile: t.clone()
-                }
-            ),
-            Some(128)
-        );
-        mesh[0].send_poison(1);
-        mesh[1].wake();
-        let first = mesh[1].recv().unwrap();
-        assert!(matches!(
-            first,
-            Message::Payload {
-                src: 0,
-                payload: Payload::Data { producer: 3, .. }
-            }
-        ));
-        assert_eq!(mesh[1].recv(), Some(Message::Poison));
-        assert_eq!(mesh[1].recv(), Some(Message::Wake));
-        let s0 = mesh[0].stats();
-        assert_eq!((s0.sent_messages, s0.sent_payload_bytes), (1, 128));
-        assert_eq!(s0.sent_frame_bytes, 0, "in-process sends have no framing");
-        let s1 = mesh[1].stats();
-        assert_eq!((s1.recv_messages, s1.recv_payload_bytes), (1, 128));
-    }
-
-    #[test]
-    fn control_messages_are_never_counted() {
-        let mesh = inproc_mesh(2);
-        mesh[0].send_poison(1);
-        mesh[0].send_done(1, PeerStats::default());
-        mesh[0].send_result(1, TileRef::B { i: 0 }, Tile::zeros(2));
-        for _ in 0..3 {
-            mesh[1].recv().unwrap();
-        }
-        assert_eq!(mesh[0].stats(), TransportStats::default());
-        assert_eq!(mesh[1].stats(), TransportStats::default());
-    }
+    // delivery, ordering and the counting rule are checked for every
+    // backend at once in `tests/conformance.rs`
 
     #[test]
     fn try_recv_is_non_blocking() {

@@ -14,9 +14,8 @@
 //! "reserved" and re-bound.
 
 use crate::msg::NodeId;
-use crate::stream::{
-    connect_retry, default_connect_timeout, Backend, Listener, MeshBuilder, StreamTransport,
-};
+use crate::sock::{connect_retry, Backend, Listener};
+use crate::stream::{default_connect_timeout, MeshBuilder, StreamTransport};
 use crate::wire::{self, Frame};
 use std::io;
 use std::process::{Child, Command};
@@ -58,7 +57,7 @@ fn worker(nodes: usize, backend: Backend, rank: NodeId) -> io::Result<StreamTran
     let root_addr: String = env_parse(ENV_ROOT)?;
     let builder = MeshBuilder::bind(backend, rank, nodes)?;
 
-    let mut rendezvous = connect_retry(backend, &root_addr, default_connect_timeout())?;
+    let mut rendezvous = connect_retry(&root_addr, default_connect_timeout())?;
     wire::write_frame(
         &mut rendezvous,
         &Frame::Addr {
@@ -81,7 +80,7 @@ fn worker(nodes: usize, backend: Backend, rank: NodeId) -> io::Result<StreamTran
 
 fn root(nodes: usize, backend: Backend, child_args: &[String]) -> io::Result<Role> {
     let builder = MeshBuilder::bind(backend, 0, nodes)?;
-    let (rendezvous, rendezvous_addr) = Listener::bind(backend)?;
+    let rendezvous = Listener::bind_ephemeral(backend)?;
 
     let exe = std::env::current_exe()?;
     let mut children = Vec::with_capacity(nodes - 1);
@@ -92,7 +91,7 @@ fn root(nodes: usize, backend: Backend, child_args: &[String]) -> io::Result<Rol
                 .env(ENV_RANK, rank.to_string())
                 .env(ENV_NODES, nodes.to_string())
                 .env(ENV_BACKEND, backend.name())
-                .env(ENV_ROOT, &rendezvous_addr)
+                .env(ENV_ROOT, rendezvous.addr())
                 .spawn()?,
         );
     }

@@ -2,7 +2,13 @@
 //!
 //! The paper's experiments ship tiles between nodes over MPI; this crate is
 //! the substrate that turns the runtime's "network" into a swappable
-//! backend behind one object-safe [`Transport`] trait:
+//! backend behind one object-safe [`Transport`] trait with **one sender**,
+//! [`Transport::send`]`(dest, `[`Message`]`)`. Three decisions have one owner
+//! each: which messages exist ([`Message`]), which of them are traffic
+//! ([`Message::payload`] — every backend's accounting, the fault gate and
+//! the model checker's ledgers read that one accessor), and what a message
+//! looks like on a socket ([`wire::Frame::from_message`] /
+//! [`wire::Frame::into_message`]). A backend only moves what it is handed.
 //!
 //! * [`InProc`] — the historical configuration: every node is a thread in
 //!   one address space and messages travel over unbounded in-process
@@ -14,14 +20,20 @@
 //!   bounded per-peer send queues with blocking backpressure. Send buffers
 //!   come from a per-transport [`BufferPool`] and frames are laid down in
 //!   place with [`wire::encode_into`], so a steady-state payload send
-//!   performs zero fresh heap allocations (see [`PoolStats`]).
+//!   performs zero fresh heap allocations (see [`PoolStats`]). It receives
+//!   through the same channel inbox `InProc` does.
 //! * [`Faulty`] — a wrapper injecting drops, duplicates and delays into
-//!   payload traffic for the failure-injection tests.
+//!   payload-carrying sends for the failure-injection tests.
 //! * [`Session`] — a reliability layer over any of the above: per-peer
 //!   sequence numbers, cumulative acks, retransmission with capped
 //!   exponential backoff and a receiver-side reorder/dedup window, keeping
 //!   logical payload accounting exact while retransmits and acks land in
 //!   separate `retrans_*`/`control_*` counters.
+//!
+//! [`Listener`], [`connect_retry`] and [`Conn`] are the workspace's only
+//! socket code — the mesh, the launcher and `sbc-serve`'s client front all
+//! bind, accept and dial through them (an address with a `:` is TCP,
+//! anything else a socket path; every TCP stream is `TCP_NODELAY`).
 //!
 //! [`launch`] turns a single binary into a multi-process run: the parent
 //! becomes rank 0, spawns one OS process per remaining rank, and all ranks
@@ -44,6 +56,7 @@ mod launch;
 mod msg;
 mod pool;
 mod session;
+mod sock;
 mod stream;
 mod transport;
 pub mod wire;
@@ -58,8 +71,8 @@ pub use session::{
     PeerRecvProbe, PeerSendProbe, Session, SessionConfig, SessionEvent, SessionEventKind,
     SessionProbe, UnackedProbe,
 };
+pub use sock::{connect_retry, Backend, Conn, ConnectTimeout, Listener, StreamIo};
 pub use stream::{
-    local_mesh, Backend, ConnectTimeout, MeshBuilder, StreamTransport, DEFAULT_CONNECT_TIMEOUT,
-    ENV_CONNECT_TIMEOUT_MS,
+    local_mesh, MeshBuilder, StreamTransport, DEFAULT_CONNECT_TIMEOUT, ENV_CONNECT_TIMEOUT_MS,
 };
 pub use transport::{RecvTimeout, Transport, TransportStats};

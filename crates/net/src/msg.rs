@@ -3,9 +3,15 @@
 //! The split between [`Payload`] and the control variants of [`Message`] is
 //! deliberate: payload messages carry tiles and are *counted* (they are the
 //! communication volume the paper analyzes), control messages coordinate
-//! shutdown and result gathering and are free. The type system enforces the
-//! split — `Transport::send_payload` only accepts a [`Payload`], so a
-//! control message can never be mistaken for traffic.
+//! shutdown, result gathering and session recovery and are free. The split
+//! is enforced in exactly one place: [`Message::payload`] says which
+//! variants carry a counted [`Payload`], and every reader of that question —
+//! the backends' accounting, the fault gate, the model checker's ledgers —
+//! asks it there. A [`Message::Result`] carries a tile too, but no
+//! `Payload`, so the gather can never be mistaken for traffic.
+//!
+//! This file and [`crate::wire`] (the `Frame` form of each variant) are the
+//! only two that change when the vocabulary does.
 
 use sbc_kernels::Tile;
 use sbc_taskgraph::{TaskId, TileRef};
@@ -134,4 +140,21 @@ pub enum Message {
         /// One past the highest contiguously received sequence number.
         upto: u64,
     },
+}
+
+impl Message {
+    /// The counted tile payload this message carries, if any — the one
+    /// definition of "traffic". `Some` for [`Message::Payload`] and
+    /// [`Message::Seq`] (a sequenced copy costs what the plain one does),
+    /// `None` for every control variant.
+    pub fn payload(&self) -> Option<&Payload> {
+        match self {
+            Message::Payload { payload, .. } | Message::Seq { payload, .. } => Some(payload),
+            Message::Poison
+            | Message::Wake
+            | Message::Result { .. }
+            | Message::Done { .. }
+            | Message::Ack { .. } => None,
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Reliable per-peer sessions over any [`Transport`].
 //!
 //! [`Session`] wraps a (possibly lossy) transport and guarantees that every
-//! payload handed to [`Transport::send_payload`] is eventually delivered to
+//! payload handed to [`Transport::send`] is eventually delivered to
 //! its destination exactly once, in per-peer order, without changing the
 //! *logical* payload accounting: each payload counts once in
 //! `sent_messages`/`sent_payload_bytes` no matter how many times the wire
@@ -18,7 +18,7 @@
 //! `next_expected` and a bounded reorder window:
 //!
 //! ```text
-//!   send_payload(dest, p)
+//!   send(dest, Payload{p})
 //!        │ assign seq = next_seq++, queue as unacked
 //!        ▼
 //!   [in flight] ──(rto elapses)──▶ retransmit, rto = min(2·rto, cap)
@@ -50,10 +50,8 @@
 //! own drains complete.
 
 use crate::clock::{Clock, RealClock};
-use crate::msg::{Message, NodeId, Payload, PeerStats};
-use crate::transport::{RecvTimeout, StatsCell, Transport, TransportStats};
-use sbc_kernels::Tile;
-use sbc_taskgraph::TileRef;
+use crate::msg::{Message, NodeId, Payload};
+use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -279,8 +277,9 @@ impl<T: Transport> Session<T> {
                 }
             }
         }
+        let src = self.rank();
         for (dest, seq, payload) in due {
-            self.inner.send_seq(dest, seq, payload);
+            self.inner.send(dest, Message::Seq { src, seq, payload });
         }
     }
 
@@ -290,8 +289,9 @@ impl<T: Transport> Session<T> {
     /// frame here, one interleaving at a time; deliveries surface via
     /// [`pop_ready`](Session::pop_ready).
     pub fn handle_wire(&self, msg: Message) {
+        let src = self.rank();
         for (dest, upto) in self.process(msg) {
-            self.inner.send_ack(dest, upto);
+            self.inner.send(dest, Message::Ack { src, upto });
         }
     }
 
@@ -318,7 +318,8 @@ impl<T: Transport> Session<T> {
                             break;
                         };
                         st.recv[s].next_expected = ne + 1;
-                        self.stats.count_recv(p.payload_bytes(), 0);
+                        self.stats
+                            .count_received(Traffic::Payload(p.payload_bytes()), 0);
                         st.pending.push_back(Message::Payload { src, payload: p });
                     }
                 }
@@ -499,8 +500,24 @@ impl<T: Transport> Transport for Session<T> {
         self.inner.num_nodes()
     }
 
-    fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
-        let bytes = payload.payload_bytes();
+    fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
+        let payload = match msg {
+            // sessions do not nest: a sequenced send from above is a
+            // logical payload like any other
+            Message::Payload { payload, .. } | Message::Seq { payload, .. } => payload,
+            control => {
+                if matches!(control, Message::Poison) {
+                    // this rank is aborting: retransmitting its in-flight
+                    // payloads at teardown would only delay the shutdown
+                    self.poisoned.store(true, Ordering::Relaxed);
+                }
+                return self.inner.send(dest, control);
+            }
+        };
+        // the logical send is counted exactly once, and accepted, whatever
+        // the wire does with any copy of it
+        let logical = Traffic::Payload(payload.payload_bytes());
+        let bytes = self.stats.count_sent(logical, 0);
         let seq = {
             let mut st = self.lock();
             let ps = &mut st.send[dest as usize];
@@ -514,25 +531,9 @@ impl<T: Transport> Transport for Session<T> {
             });
             seq
         };
-        // the logical send is counted exactly once, whatever the wire does
-        self.stats.count_send(bytes, 0);
-        self.inner.send_seq(dest, seq, payload);
+        let src = self.rank();
+        self.inner.send(dest, Message::Seq { src, seq, payload });
         Some(bytes)
-    }
-
-    fn send_poison(&self, dest: NodeId) {
-        // this rank is aborting: retransmitting its in-flight payloads at
-        // teardown would only delay the collective shutdown
-        self.poisoned.store(true, Ordering::Relaxed);
-        self.inner.send_poison(dest);
-    }
-
-    fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile) {
-        self.inner.send_result(dest, tile_ref, tile);
-    }
-
-    fn send_done(&self, dest: NodeId, stats: PeerStats) {
-        self.inner.send_done(dest, stats);
     }
 
     fn wake(&self) {
@@ -552,16 +553,6 @@ impl<T: Transport> Transport for Session<T> {
         }
         self.drive_timers();
         self.pop_ready()
-    }
-
-    fn send_seq(&self, dest: NodeId, seq: u64, payload: Payload) -> Option<u64> {
-        // sessions do not nest; treat an outer sequenced send as logical
-        let _ = seq;
-        self.send_payload(dest, payload)
-    }
-
-    fn send_ack(&self, dest: NodeId, upto: u64) {
-        self.inner.send_ack(dest, upto);
     }
 
     fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
@@ -618,6 +609,7 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::faulty::{FaultConfig, Faulty};
     use crate::inproc::inproc_mesh;
+    use sbc_kernels::Tile;
 
     fn payload(k: u32) -> Payload {
         Payload::Data {
@@ -768,7 +760,11 @@ mod tests {
         let mut mesh = inproc_mesh(2).into_iter();
         let a = Session::with_config(mesh.next().unwrap(), fast());
         let b = Session::with_config(mesh.next().unwrap(), fast());
-        a.send_done(1, PeerStats::default());
+        let done = Message::Done {
+            src: 0,
+            stats: crate::msg::PeerStats::default(),
+        };
+        assert_eq!(a.send(1, done), Some(0));
         a.send_poison(1);
         assert!(matches!(
             b.recv_timeout(Duration::from_secs(5)),

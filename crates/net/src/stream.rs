@@ -15,126 +15,21 @@
 //! connection — peers that finish early close their sockets without
 //! aborting anyone.
 
-use crate::msg::{Message, NodeId, Payload, PeerStats};
+use crate::inproc::Mailbox;
+use crate::msg::{Message, NodeId};
 use crate::pool::{BufferPool, PoolStats, PooledBuf};
-use crate::transport::{RecvTimeout, StatsCell, Transport, TransportStats};
+use crate::sock::{connect_retry, Backend, Conn, Listener};
+use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
 use crate::wire::{self, Frame};
-use sbc_kernels::Tile;
-use sbc_taskgraph::TileRef;
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crossbeam::channel::Sender;
+use std::io::{self, Write};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Frames queued per peer before a sender blocks (the backpressure window).
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
-
-/// Which socket family a stream mesh runs over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// `std::net` TCP over localhost (or any routed interface).
-    Tcp,
-    /// `std::os::unix::net` Unix-domain sockets in the temp directory.
-    Uds,
-}
-
-impl Backend {
-    /// Parses a CLI-style backend name (`"tcp"` / `"uds"`).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.to_ascii_lowercase().as_str() {
-            "tcp" => Some(Backend::Tcp),
-            "uds" | "unix" => Some(Backend::Uds),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Tcp => "tcp",
-            Backend::Uds => "uds",
-        }
-    }
-}
-
-/// A boxed bidirectional byte stream.
-pub(crate) trait StreamIo: Read + Write + Send {}
-impl<T: Read + Write + Send> StreamIo for T {}
-pub(crate) type BoxStream = Box<dyn StreamIo>;
-
-static UDS_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A bound-but-not-yet-meshed listener; knows its own address.
-pub(crate) enum Listener {
-    Tcp(TcpListener),
-    Uds {
-        listener: UnixListener,
-        path: PathBuf,
-    },
-}
-
-impl Listener {
-    /// Binds an ephemeral listener and returns it with its dial address.
-    pub(crate) fn bind(backend: Backend) -> io::Result<(Listener, String)> {
-        match backend {
-            Backend::Tcp => {
-                let l = TcpListener::bind("127.0.0.1:0")?;
-                let addr = l.local_addr()?.to_string();
-                Ok((Listener::Tcp(l), addr))
-            }
-            Backend::Uds => {
-                let path = std::env::temp_dir().join(format!(
-                    "sbc-net-{}-{}.sock",
-                    std::process::id(),
-                    UDS_COUNTER.fetch_add(1, Ordering::Relaxed),
-                ));
-                let l = UnixListener::bind(&path)?;
-                let addr = path.to_string_lossy().into_owned();
-                Ok((Listener::Uds { listener: l, path }, addr))
-            }
-        }
-    }
-
-    /// Blocks for one inbound connection.
-    pub(crate) fn accept(&self) -> io::Result<BoxStream> {
-        match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true).ok();
-                Ok(Box::new(s))
-            }
-            Listener::Uds { listener, .. } => {
-                let (s, _) = listener.accept()?;
-                Ok(Box::new(s))
-            }
-        }
-    }
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        if let Listener::Uds { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-fn connect_once(backend: Backend, addr: &str) -> io::Result<BoxStream> {
-    match backend {
-        Backend::Tcp => {
-            let s = TcpStream::connect(addr)?;
-            s.set_nodelay(true).ok();
-            Ok(Box::new(s))
-        }
-        Backend::Uds => Ok(Box::new(UnixStream::connect(addr)?)),
-    }
-}
 
 /// How long a mesh dial retries an unreachable peer before giving up,
 /// unless overridden by [`MeshBuilder::connect_timeout`] or
@@ -146,40 +41,6 @@ pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 /// fast, typed failure instead of a 20-second hang when a rank never comes
 /// up. Malformed or zero values fall back to [`DEFAULT_CONNECT_TIMEOUT`].
 pub const ENV_CONNECT_TIMEOUT_MS: &str = "SBC_NET_CONNECT_TIMEOUT_MS";
-
-/// The typed failure for an expired mesh connect deadline: who we dialed,
-/// over what backend, and for how long. Carried as the source of an
-/// [`io::Error`] with kind [`io::ErrorKind::TimedOut`], so callers holding
-/// a plain `io::Error` can `downcast` to it:
-///
-/// ```ignore
-/// let err: io::Error = mesh_builder.connect(&addrs).unwrap_err();
-/// let t: &ConnectTimeout = err.get_ref().unwrap().downcast_ref().unwrap();
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnectTimeout {
-    /// The address that never accepted.
-    pub addr: String,
-    /// The socket family dialed.
-    pub backend: Backend,
-    /// The deadline that expired.
-    pub timeout: Duration,
-}
-
-impl std::fmt::Display for ConnectTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "no {} listener at {} within {:?} (override with {})",
-            self.backend.name(),
-            self.addr,
-            self.timeout,
-            ENV_CONNECT_TIMEOUT_MS,
-        )
-    }
-}
-
-impl std::error::Error for ConnectTimeout {}
 
 /// Resolves the effective connect deadline: the env override when set and
 /// sane, the default otherwise. Factored over the raw env string so the
@@ -195,138 +56,11 @@ pub(crate) fn default_connect_timeout() -> Duration {
     connect_timeout_from(std::env::var(ENV_CONNECT_TIMEOUT_MS).ok().as_deref())
 }
 
-/// Dials `addr`, retrying while the peer's listener is not up yet (process
-/// startup is not synchronized across ranks). When the deadline expires the
-/// error is a typed [`ConnectTimeout`] under [`io::ErrorKind::TimedOut`],
-/// never a generic refusal from the last attempt.
-pub(crate) fn connect_retry(
-    backend: Backend,
-    addr: &str,
-    timeout: Duration,
-) -> io::Result<BoxStream> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match connect_once(backend, addr) {
-            Ok(s) => return Ok(s),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::ConnectionRefused
-                        | io::ErrorKind::ConnectionReset
-                        | io::ErrorKind::NotFound
-                        | io::ErrorKind::AddrNotAvailable
-                ) =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        ConnectTimeout {
-                            addr: addr.to_owned(),
-                            backend,
-                            timeout,
-                        },
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// The rank's shared inbox: reader threads push decoded messages, worker
-/// threads pop them.
-#[derive(Default)]
-struct Inbox {
-    state: Mutex<InboxState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct InboxState {
-    q: VecDeque<Message>,
-    closed: bool,
-}
-
-impl Inbox {
-    fn push(&self, m: Message) {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        st.q.push_back(m);
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    fn pop_wait(&self) -> Option<Message> {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if let Some(m) = st.q.pop_front() {
-                return Some(m);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self
-                .cv
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn pop_wait_timeout(&self, timeout: Duration) -> RecvTimeout {
-        let deadline = Instant::now() + timeout;
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if let Some(m) = st.q.pop_front() {
-                return RecvTimeout::Msg(m);
-            }
-            if st.closed {
-                return RecvTimeout::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return RecvTimeout::TimedOut;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-        }
-    }
-
-    fn pop(&self) -> Option<Message> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .q
-            .pop_front()
-    }
-
-    fn close(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .closed = true;
-        self.cv.notify_all();
-    }
-}
-
 /// Half-built mesh endpoint: bound, address known, not yet connected.
 pub struct MeshBuilder {
-    backend: Backend,
     rank: NodeId,
     n: usize,
     listener: Listener,
-    addr: String,
     queue_depth: usize,
     connect_timeout: Duration,
 }
@@ -338,13 +72,10 @@ impl MeshBuilder {
             (rank as usize) < n,
             "rank {rank} out of range for {n} nodes"
         );
-        let (listener, addr) = Listener::bind(backend)?;
         Ok(MeshBuilder {
-            backend,
             rank,
             n,
-            listener,
-            addr,
+            listener: Listener::bind_ephemeral(backend)?,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             connect_timeout: default_connect_timeout(),
         })
@@ -352,7 +83,7 @@ impl MeshBuilder {
 
     /// The address peers should dial to reach this rank.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.listener.addr()
     }
 
     /// Overrides the per-peer send-queue depth (the backpressure window).
@@ -362,7 +93,7 @@ impl MeshBuilder {
     }
 
     /// Overrides how long [`connect`](MeshBuilder::connect) retries each
-    /// unreachable peer before failing with a typed [`ConnectTimeout`].
+    /// unreachable peer before failing with a typed [`crate::ConnectTimeout`].
     /// Defaults to [`ENV_CONNECT_TIMEOUT_MS`] when set, else
     /// [`DEFAULT_CONNECT_TIMEOUT`].
     pub fn connect_timeout(mut self, timeout: Duration) -> MeshBuilder {
@@ -375,7 +106,7 @@ impl MeshBuilder {
     /// rank's listener address; every rank must call this concurrently.
     pub fn connect(self, addrs: &[String]) -> io::Result<StreamTransport> {
         assert_eq!(addrs.len(), self.n, "address table size mismatch");
-        let inbox = Arc::new(Inbox::default());
+        let inbox = Mailbox::new();
         let stats = Arc::new(StatsCell::default());
         let pool = BufferPool::default();
         let mut peers: Vec<Option<SyncSender<PooledBuf>>> = (0..self.n).map(|_| None).collect();
@@ -385,7 +116,7 @@ impl MeshBuilder {
             if dest == self.rank as usize {
                 continue;
             }
-            let mut stream = connect_retry(self.backend, addr, self.connect_timeout)?;
+            let mut stream = connect_retry(addr, self.connect_timeout)?;
             wire::write_frame(&mut stream, &Frame::Hello { src: self.rank })?;
             let (tx, rx) = sync_channel::<PooledBuf>(self.queue_depth);
             writers.push(std::thread::spawn(move || {
@@ -414,7 +145,7 @@ impl MeshBuilder {
                     ));
                 }
             }
-            let inbox = Arc::clone(&inbox);
+            let inbox = inbox.sender();
             let stats = Arc::clone(&stats);
             // detached: exits on clean EOF when the peer closes its end
             std::thread::spawn(move || reader_loop(stream, &inbox, &stats));
@@ -433,60 +164,28 @@ impl MeshBuilder {
     }
 }
 
-fn reader_loop(mut stream: BoxStream, inbox: &Inbox, stats: &StatsCell) {
+fn reader_loop(mut stream: Conn, inbox: &Sender<Message>, stats: &StatsCell) {
     // one scratch buffer per connection: every frame on this stream decodes
     // through the same allocation (grown once to the high-water frame size)
     let mut scratch = Vec::new();
     loop {
         match wire::read_frame_into(&mut stream, &mut scratch) {
-            Ok(Some((frame, frame_bytes))) => {
-                let msg = match frame {
-                    Frame::Payload { src, payload } => {
-                        stats.count_recv(payload.payload_bytes(), frame_bytes);
-                        Message::Payload { src, payload }
-                    }
-                    Frame::Seq { src, seq, payload } => {
-                        stats.count_recv(payload.payload_bytes(), frame_bytes);
-                        Message::Seq { src, seq, payload }
-                    }
-                    other => {
-                        stats
-                            .recv_frame_bytes
-                            .fetch_add(frame_bytes, Ordering::Relaxed);
-                        match other {
-                            Frame::Poison => Message::Poison,
-                            Frame::Result { tile_ref, tile } => Message::Result { tile_ref, tile },
-                            Frame::Done { src, stats } => Message::Done { src, stats },
-                            Frame::Ack { src, upto } => Message::Ack { src, upto },
-                            // setup frames never appear mid-run, and the
-                            // job/telemetry protocol is spoken on dedicated
-                            // client connections, never inside a mesh; ignore
-                            Frame::Hello { .. }
-                            | Frame::Addr { .. }
-                            | Frame::Table { .. }
-                            | Frame::JobSubmit { .. }
-                            | Frame::JobStatus { .. }
-                            | Frame::JobResult { .. }
-                            | Frame::Shutdown
-                            | Frame::StatsRequest
-                            | Frame::StatsReply { .. }
-                            | Frame::EventsRequest { .. }
-                            | Frame::EventsReply { .. } => {
-                                continue;
-                            }
-                            Frame::Payload { .. } | Frame::Seq { .. } => {
-                                unreachable!("matched above")
-                            }
-                        }
-                    }
-                };
-                inbox.push(msg);
-            }
+            // a frame that is not mesh traffic (setup, or the job protocol
+            // of a dedicated client connection) costs its bytes and is
+            // otherwise ignored
+            Ok(Some((frame, frame_bytes))) => match frame.into_message() {
+                Some(msg) => {
+                    stats.count_received(Traffic::of(&msg), frame_bytes);
+                    // the endpoint may be gone already; so is its inbox
+                    let _ = inbox.send(msg);
+                }
+                None => stats.count_received(Traffic::Free, frame_bytes),
+            },
             // clean close: the peer finished and dropped its endpoint
             Ok(None) => return,
             // corruption or a mid-frame death: abort this rank
             Err(_) => {
-                inbox.push(Message::Poison);
+                let _ = inbox.send(Message::Poison);
                 return;
             }
         }
@@ -499,33 +198,13 @@ pub struct StreamTransport {
     rank: NodeId,
     n: usize,
     peers: Vec<Option<SyncSender<PooledBuf>>>,
-    inbox: Arc<Inbox>,
+    inbox: Mailbox,
     stats: Arc<StatsCell>,
     pool: BufferPool,
     writers: Vec<JoinHandle<()>>,
 }
 
 impl StreamTransport {
-    /// Encodes a frame into a buffer checked out of this transport's pool.
-    fn encode_pooled(&self, frame: &Frame) -> PooledBuf {
-        let mut buf = self.pool.checkout();
-        wire::encode_into(frame, &mut buf);
-        buf
-    }
-
-    /// Queues a control frame to `dest`, counting only framing bytes.
-    fn send_control(&self, dest: NodeId, frame: &Frame) {
-        if let Some(tx) = self.peers[dest as usize].as_ref() {
-            let buf = self.encode_pooled(frame);
-            let frame_bytes = buf.len() as u64;
-            if tx.send(buf).is_ok() {
-                self.stats
-                    .sent_frame_bytes
-                    .fetch_add(frame_bytes, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Checkout accounting of the send-buffer pool. Steady state shows
     /// `misses` flat while `hits` grow: sends are not allocating.
     pub fn pool_stats(&self) -> PoolStats {
@@ -542,78 +221,30 @@ impl Transport for StreamTransport {
         self.n
     }
 
-    fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
-        let bytes = payload.payload_bytes();
-        let frame = Frame::Payload {
-            src: self.rank,
-            payload,
-        };
-        let buf = self.encode_pooled(&frame);
-        let frame_bytes = buf.len() as u64;
+    fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
+        let traffic = Traffic::of(&msg);
+        let frame = Frame::from_message(msg)?;
+        // encode in place into a buffer checked out of this transport's pool
+        let mut buf = self.pool.checkout();
+        let frame_bytes = wire::encode_into(&frame, &mut buf) as u64;
         self.peers[dest as usize].as_ref()?.send(buf).ok()?;
-        self.stats.count_send(bytes, frame_bytes);
-        Some(bytes)
-    }
-
-    fn send_poison(&self, dest: NodeId) {
-        self.send_control(dest, &Frame::Poison);
-    }
-
-    fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile) {
-        self.send_control(dest, &Frame::Result { tile_ref, tile });
-    }
-
-    fn send_done(&self, dest: NodeId, stats: PeerStats) {
-        self.send_control(
-            dest,
-            &Frame::Done {
-                src: self.rank,
-                stats,
-            },
-        );
+        Some(self.stats.count_sent(traffic, frame_bytes))
     }
 
     fn wake(&self) {
-        self.inbox.push(Message::Wake);
+        self.inbox.wake();
     }
 
     fn recv(&self) -> Option<Message> {
-        self.inbox.pop_wait()
+        self.inbox.recv()
     }
 
     fn try_recv(&self) -> Option<Message> {
-        self.inbox.pop()
-    }
-
-    fn send_seq(&self, dest: NodeId, seq: u64, payload: Payload) -> Option<u64> {
-        let bytes = payload.payload_bytes();
-        let frame = Frame::Seq {
-            src: self.rank,
-            seq,
-            payload,
-        };
-        let buf = self.encode_pooled(&frame);
-        let frame_bytes = buf.len() as u64;
-        self.peers[dest as usize].as_ref()?.send(buf).ok()?;
-        self.stats.count_send(bytes, frame_bytes);
-        Some(bytes)
-    }
-
-    fn send_ack(&self, dest: NodeId, upto: u64) {
-        if let Some(tx) = self.peers[dest as usize].as_ref() {
-            let buf = self.encode_pooled(&Frame::Ack {
-                src: self.rank,
-                upto,
-            });
-            let frame_bytes = buf.len() as u64;
-            if tx.send(buf).is_ok() {
-                self.stats.count_control(frame_bytes);
-            }
-        }
+        self.inbox.try_recv()
     }
 
     fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        self.inbox.pop_wait_timeout(timeout)
+        self.inbox.recv_timeout(timeout)
     }
 
     fn stats(&self) -> TransportStats {
@@ -629,7 +260,6 @@ impl Drop for StreamTransport {
         for w in self.writers.drain(..) {
             let _ = w.join();
         }
-        self.inbox.close();
     }
 }
 
@@ -660,84 +290,10 @@ pub fn local_mesh(backend: Backend, n: usize) -> io::Result<Vec<StreamTransport>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn exercise_mesh(backend: Backend) {
-        let mesh = local_mesh(backend, 3).unwrap();
-        let tile = Tile::from_fn(4, |i, j| (i * 4 + j) as f64);
-        let sent = mesh[0]
-            .send_payload(
-                2,
-                Payload::Data {
-                    job: 0,
-                    producer: 11,
-                    tile: tile.clone(),
-                },
-            )
-            .unwrap();
-        assert_eq!(sent, 128);
-        mesh[1].send_poison(2);
-        mesh[0].send_done(
-            2,
-            PeerStats {
-                sent: 1,
-                sent_bytes: 128,
-                applied: 0,
-            },
-        );
-        let mut got_payload = false;
-        let mut got_poison = false;
-        let mut got_done = false;
-        for _ in 0..3 {
-            match mesh[2].recv().unwrap() {
-                Message::Payload {
-                    src: 0,
-                    payload:
-                        Payload::Data {
-                            producer: 11,
-                            tile: t,
-                            ..
-                        },
-                } => {
-                    assert_eq!(t.as_slice(), tile.as_slice(), "bit-exact transfer");
-                    got_payload = true;
-                }
-                Message::Poison => got_poison = true,
-                Message::Done { src: 0, stats } => {
-                    assert_eq!(stats.sent, 1);
-                    got_done = true;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(got_payload && got_poison && got_done);
-        let s0 = mesh[0].stats();
-        assert_eq!((s0.sent_messages, s0.sent_payload_bytes), (1, 128));
-        assert!(
-            s0.sent_frame_bytes > 128,
-            "framing overhead must be visible: {}",
-            s0.sent_frame_bytes
-        );
-        // receive accounting settles once the reader thread has decoded
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let s2 = mesh[2].stats();
-            if s2.recv_payload_bytes == 128 || Instant::now() > deadline {
-                assert_eq!((s2.recv_messages, s2.recv_payload_bytes), (1, 128));
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn tcp_mesh_delivers_payloads_and_control() {
-        exercise_mesh(Backend::Tcp);
-    }
-
-    #[test]
-    fn uds_mesh_delivers_payloads_and_control() {
-        exercise_mesh(Backend::Uds);
-    }
+    use crate::msg::Payload;
+    use crate::ConnectTimeout;
+    use sbc_kernels::Tile;
+    use std::time::Instant;
 
     #[test]
     fn uds_socket_files_are_cleaned_up() {
@@ -763,14 +319,6 @@ mod tests {
             })
             .count();
         assert!(after <= before, "socket files leaked: {before} -> {after}");
-    }
-
-    #[test]
-    fn wake_unblocks_own_recv() {
-        let mesh = local_mesh(Backend::Tcp, 2).unwrap();
-        mesh[0].wake();
-        assert_eq!(mesh[0].recv(), Some(Message::Wake));
-        assert_eq!(mesh[0].stats(), TransportStats::default());
     }
 
     #[test]
@@ -874,44 +422,9 @@ mod tests {
     }
 
     #[test]
-    fn expired_connect_deadline_is_a_typed_error() {
-        // bind-then-drop: the port was ours a moment ago, so nothing else
-        // is listening there and every dial is refused
-        let vacant = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        let t0 = Instant::now();
-        let err = match connect_retry(Backend::Tcp, &vacant, Duration::from_millis(50)) {
-            Ok(_) => panic!("no listener: the dial must fail"),
-            Err(e) => e,
-        };
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "a 50ms budget must not take the old hard-coded 20s"
-        );
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        let typed: &ConnectTimeout = err
-            .get_ref()
-            .expect("timeout carries a typed source")
-            .downcast_ref()
-            .expect("source downcasts to ConnectTimeout");
-        assert_eq!(typed.addr, vacant);
-        assert_eq!(typed.backend, Backend::Tcp);
-        assert_eq!(typed.timeout, Duration::from_millis(50));
-        let msg = err.to_string();
-        assert!(
-            msg.contains(ENV_CONNECT_TIMEOUT_MS),
-            "error should name the override knob: {msg}"
-        );
-    }
-
-    #[test]
     fn mesh_builder_connect_surfaces_the_typed_timeout() {
-        let vacant = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
+        // bind-then-drop: nothing listens on a port that was just ours
+        let vacant = Listener::bind("127.0.0.1:0").unwrap().addr().to_owned();
         let b = MeshBuilder::bind(Backend::Tcp, 0, 2)
             .unwrap()
             .connect_timeout(Duration::from_millis(50));

@@ -1,8 +1,13 @@
-//! The [`Transport`] trait: what the runtime requires of an interconnect.
+//! The [`Transport`] trait — what the runtime requires of an interconnect —
+//! and the accounting every implementation shares.
+//!
+//! The trait has one sender, [`Transport::send`], and knows no message
+//! variant by name. The counting rule lives here once: `Traffic::of`
+//! classifies a message (through [`Message::payload`]) and `StatsCell`'s
+//! `count_sent` / `count_received` apply it, for the in-process mesh, the
+//! socket mesh and the session's logical counters alike.
 
-use crate::msg::{Message, NodeId, Payload, PeerStats};
-use sbc_kernels::Tile;
-use sbc_taskgraph::TileRef;
+use crate::msg::{Message, NodeId, Payload};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -46,6 +51,11 @@ pub struct TransportStats {
 /// methods, `Send + Sync`). Sends may block on backpressure but must not
 /// deadlock against the receive path; `recv` blocks until a message arrives
 /// or the endpoint is closed.
+///
+/// There is one sender. Which messages exist is [`Message`]'s business,
+/// which of them count as traffic is [`Message::payload`]'s, and how they
+/// look on a socket is [`crate::wire::Frame`]'s; a backend only moves what
+/// it is handed, so a new message variant touches none of them.
 pub trait Transport: Send + Sync {
     /// This endpoint's rank.
     fn rank(&self) -> NodeId;
@@ -53,22 +63,25 @@ pub trait Transport: Send + Sync {
     /// Number of ranks in the mesh.
     fn num_nodes(&self) -> usize;
 
-    /// Sends a counted tile payload to `dest`, blocking on backpressure.
+    /// Sends `msg` to `dest`, blocking on backpressure.
     ///
-    /// Returns the payload byte count if the message was accepted for
-    /// delivery, `None` if the peer is gone (shutdown race) or the message
-    /// was dropped by a fault-injecting wrapper.
-    fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64>;
+    /// Returns the payload bytes accepted for delivery (`0` for a control
+    /// message), or `None` if the peer is gone (shutdown race) or the message
+    /// was dropped by a fault-injecting wrapper. [`Message::Wake`] is not for
+    /// peers — it has no wire form, and reaches a rank's own inbox through
+    /// [`Transport::wake`].
+    fn send(&self, dest: NodeId, msg: Message) -> Option<u64>;
+
+    /// Sends a counted tile payload from this rank to `dest`.
+    fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
+        let src = self.rank();
+        self.send(dest, Message::Payload { src, payload })
+    }
 
     /// Tells `dest` that this rank failed and it should abort.
-    fn send_poison(&self, dest: NodeId);
-
-    /// Ships a result tile to `dest` (rank 0) during the final gather.
-    fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile);
-
-    /// Reports this rank's totals to `dest` (rank 0); the gather is
-    /// complete when every rank has reported.
-    fn send_done(&self, dest: NodeId, stats: PeerStats);
+    fn send_poison(&self, dest: NodeId) {
+        self.send(dest, Message::Poison);
+    }
 
     /// Pushes a [`Message::Wake`] into this rank's *own* inbox, unblocking
     /// a receiver parked in [`Transport::recv`].
@@ -80,39 +93,9 @@ pub trait Transport: Send + Sync {
     /// Returns the next message if one is already queued.
     fn try_recv(&self) -> Option<Message>;
 
-    /// Sends a sequenced payload to `dest` on behalf of a reliability
-    /// session. Counted exactly like [`Transport::send_payload`]; the `seq`
-    /// travels with the message so the receiving session can reorder and
-    /// deduplicate.
-    ///
-    /// The default implementation ignores `seq` and degrades to a plain
-    /// payload send, which is correct only over loss-free transports.
-    fn send_seq(&self, dest: NodeId, seq: u64, payload: Payload) -> Option<u64> {
-        let _ = seq;
-        self.send_payload(dest, payload)
-    }
-
-    /// Sends a cumulative ack ("everything below `upto` arrived") to
-    /// `dest`. Control traffic: counted in `control_messages`/
-    /// `control_bytes`, never in payload volume. The default implementation
-    /// is a no-op for backends that predate sessions.
-    fn send_ack(&self, dest: NodeId, upto: u64) {
-        let _ = (dest, upto);
-    }
-
-    /// Blocks for the next message for at most `timeout`.
-    ///
-    /// The default implementation cannot honor the timeout and degrades to
-    /// a blocking [`Transport::recv`]; real backends override it so
-    /// watchdogs and session retransmit timers can make progress while a
-    /// rank waits.
-    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        let _ = timeout;
-        match self.recv() {
-            Some(m) => RecvTimeout::Msg(m),
-            None => RecvTimeout::Closed,
-        }
-    }
+    /// Blocks for the next message for at most `timeout`, so watchdogs and
+    /// session retransmit timers make progress while a rank waits.
+    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout;
 
     /// A snapshot of this endpoint's wire-level accounting.
     fn stats(&self) -> TransportStats;
@@ -144,34 +127,62 @@ pub(crate) struct StatsCell {
     pub control_bytes: AtomicU64,
 }
 
+/// How one message enters the accounting: the single counting rule every
+/// backend applies, derived from [`Message::payload`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Traffic {
+    /// A counted tile payload of this many bytes (`Payload`, `Seq`).
+    Payload(u64),
+    /// A session ack: control traffic, never payload volume.
+    Ack,
+    /// Everything else only adds its framing bytes.
+    Free,
+}
+
+impl Traffic {
+    pub fn of(msg: &Message) -> Traffic {
+        match msg.payload() {
+            Some(p) => Traffic::Payload(p.payload_bytes()),
+            None if matches!(msg, Message::Ack { .. }) => Traffic::Ack,
+            None => Traffic::Free,
+        }
+    }
+}
+
 impl StatsCell {
-    pub fn count_send(&self, payload_bytes: u64, frame_bytes: u64) {
-        self.sent_messages.fetch_add(1, Ordering::Relaxed);
-        self.sent_payload_bytes
-            .fetch_add(payload_bytes, Ordering::Relaxed);
+    /// Counts one send the backend accepted; returns its payload bytes.
+    pub fn count_sent(&self, traffic: Traffic, frame_bytes: u64) -> u64 {
         self.sent_frame_bytes
             .fetch_add(frame_bytes, Ordering::Relaxed);
+        match traffic {
+            Traffic::Payload(bytes) => {
+                self.sent_messages.fetch_add(1, Ordering::Relaxed);
+                self.sent_payload_bytes.fetch_add(bytes, Ordering::Relaxed);
+                bytes
+            }
+            Traffic::Ack => {
+                self.control_messages.fetch_add(1, Ordering::Relaxed);
+                self.control_bytes.fetch_add(frame_bytes, Ordering::Relaxed);
+                0
+            }
+            Traffic::Free => 0,
+        }
     }
 
-    pub fn count_recv(&self, payload_bytes: u64, frame_bytes: u64) {
-        self.recv_messages.fetch_add(1, Ordering::Relaxed);
-        self.recv_payload_bytes
-            .fetch_add(payload_bytes, Ordering::Relaxed);
+    /// Counts one message (or ignored frame) that arrived.
+    pub fn count_received(&self, traffic: Traffic, frame_bytes: u64) {
         self.recv_frame_bytes
             .fetch_add(frame_bytes, Ordering::Relaxed);
+        if let Traffic::Payload(bytes) = traffic {
+            self.recv_messages.fetch_add(1, Ordering::Relaxed);
+            self.recv_payload_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
     }
 
     pub fn count_retrans(&self, payload_bytes: u64) {
         self.retrans_messages.fetch_add(1, Ordering::Relaxed);
         self.retrans_bytes
             .fetch_add(payload_bytes, Ordering::Relaxed);
-    }
-
-    pub fn count_control(&self, frame_bytes: u64) {
-        self.control_messages.fetch_add(1, Ordering::Relaxed);
-        self.control_bytes.fetch_add(frame_bytes, Ordering::Relaxed);
-        self.sent_frame_bytes
-            .fetch_add(frame_bytes, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self) -> TransportStats {

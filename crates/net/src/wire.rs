@@ -55,7 +55,7 @@
 //! deliberately does not depend on `sbc-obs`; the codes are the contract).
 
 pub use crate::crc::crc32;
-use crate::msg::{NodeId, Payload, PeerStats};
+use crate::msg::{Message, NodeId, Payload, PeerStats};
 use sbc_kernels::Tile;
 use sbc_taskgraph::{TaskId, TileRef};
 use std::io::Read;
@@ -231,6 +231,60 @@ pub enum Frame {
         /// The events, oldest first.
         events: Vec<EventRecord>,
     },
+}
+
+impl Frame {
+    /// The wire form of a mesh message — with [`Frame::into_message`], the
+    /// only place the two vocabularies meet. `None` for [`Message::Wake`],
+    /// which never leaves its rank.
+    pub fn from_message(msg: Message) -> Option<Frame> {
+        Some(match msg {
+            Message::Payload { src, payload } => Frame::Payload { src, payload },
+            Message::Seq { src, seq, payload } => Frame::Seq { src, seq, payload },
+            Message::Ack { src, upto } => Frame::Ack { src, upto },
+            Message::Poison => Frame::Poison,
+            Message::Result { tile_ref, tile } => Frame::Result { tile_ref, tile },
+            Message::Done { src, stats } => Frame::Done { src, stats },
+            Message::Wake => return None,
+        })
+    }
+
+    /// Body length of a [`Frame::JobResult`] carrying `tiles` tiles of
+    /// dimension `dim`; `None` when it overflows. A service compares this
+    /// with [`MAX_BODY`] *before* admitting a job whose answer it could
+    /// never send.
+    pub fn job_result_body_len(tiles: u64, dim: u64) -> Option<u64> {
+        // req, messages, bytes, elapsed_ns, plan_cached, count; then per
+        // tile an 11-byte tile_ref, a u32 dimension and the words
+        let per_tile = dim.checked_mul(dim)?.checked_mul(8)?.checked_add(11 + 4)?;
+        tiles.checked_mul(per_tile)?.checked_add(4 + 3 * 8 + 1 + 4)
+    }
+
+    /// The mesh message a frame carries. `None` for frames that are not
+    /// mesh traffic: the setup handshake (`Hello`, `Addr`, `Table`) and the
+    /// client↔service protocol (tags 12–19), which is spoken on dedicated
+    /// connections.
+    pub fn into_message(self) -> Option<Message> {
+        Some(match self {
+            Frame::Payload { src, payload } => Message::Payload { src, payload },
+            Frame::Seq { src, seq, payload } => Message::Seq { src, seq, payload },
+            Frame::Ack { src, upto } => Message::Ack { src, upto },
+            Frame::Poison => Message::Poison,
+            Frame::Result { tile_ref, tile } => Message::Result { tile_ref, tile },
+            Frame::Done { src, stats } => Message::Done { src, stats },
+            Frame::Hello { .. }
+            | Frame::Addr { .. }
+            | Frame::Table { .. }
+            | Frame::JobSubmit { .. }
+            | Frame::JobStatus { .. }
+            | Frame::JobResult { .. }
+            | Frame::Shutdown
+            | Frame::StatsRequest
+            | Frame::StatsReply { .. }
+            | Frame::EventsRequest { .. }
+            | Frame::EventsReply { .. } => return None,
+        })
+    }
 }
 
 /// Why a frame could not be decoded.
@@ -1068,6 +1122,94 @@ mod tests {
                 tile: tile_of(0, 0),
             },
         });
+    }
+
+    /// Every mesh message has exactly one frame and comes back from it
+    /// unchanged; `Wake` has none; and walking every tag the other way,
+    /// exactly the mesh tags (1–5, 9–11) carry a message.
+    #[test]
+    fn messages_and_frames_convert_both_ways() {
+        let data = Payload::Data {
+            job: 2,
+            producer: 9,
+            tile: tile_of(3, 1),
+        };
+        let orig = Payload::Orig {
+            job: 0,
+            tile_ref: TileRef::B { i: 4 },
+            tile: tile_of(2, 5),
+        };
+        let messages = [
+            Message::Payload {
+                src: 1,
+                payload: data.clone(),
+            },
+            Message::Payload {
+                src: 2,
+                payload: orig.clone(),
+            },
+            Message::Seq {
+                src: 3,
+                seq: 17,
+                payload: data,
+            },
+            Message::Seq {
+                src: 4,
+                seq: u64::MAX,
+                payload: orig,
+            },
+            Message::Ack { src: 5, upto: 8 },
+            Message::Poison,
+            Message::Result {
+                tile_ref: TileRef::B { i: 1 },
+                tile: tile_of(2, 3),
+            },
+            Message::Done {
+                src: 6,
+                stats: PeerStats {
+                    sent: 1,
+                    sent_bytes: 2,
+                    applied: 3,
+                },
+            },
+        ];
+        for m in messages {
+            let frame = Frame::from_message(m.clone()).expect("a mesh message has a frame");
+            roundtrip(&frame);
+            assert_eq!(frame.into_message(), Some(m));
+        }
+        assert_eq!(Frame::from_message(Message::Wake), None);
+        for tag in 1..=19u8 {
+            let mesh = matches!(tag, 1..=5 | 9..=11);
+            assert_eq!(
+                frame_of_tag(tag, 7).into_message().is_some(),
+                mesh,
+                "tag {tag}"
+            );
+        }
+    }
+
+    #[test]
+    fn job_result_body_len_is_the_encoded_length() {
+        for (tiles, dim) in [(0usize, 5usize), (1, 0), (3, 4), (10, 1)] {
+            let frame = Frame::JobResult {
+                req: 1,
+                messages: 2,
+                bytes: 3,
+                elapsed_ns: 4,
+                plan_cached: 1,
+                tiles: (0..tiles)
+                    .map(|i| (TileRef::B { i: i as u32 }, tile_of(dim, i as u64)))
+                    .collect(),
+            };
+            assert_eq!(
+                Frame::job_result_body_len(tiles as u64, dim as u64),
+                Some(encode(&frame).len() as u64 - 9),
+                "{tiles} tiles of dimension {dim}"
+            );
+        }
+        assert_eq!(Frame::job_result_body_len(1, u64::from(u32::MAX)), None);
+        assert_eq!(Frame::job_result_body_len(u64::MAX, 1), None);
     }
 
     #[test]

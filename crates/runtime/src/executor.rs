@@ -481,10 +481,16 @@ impl<'g> Executor<'g> {
         };
 
         if me != 0 {
-            for (r, tile) in out.tiles {
-                net.send_result(0, r, tile);
+            for (tile_ref, tile) in out.tiles {
+                net.send(0, Message::Result { tile_ref, tile });
             }
-            net.send_done(0, own);
+            net.send(
+                0,
+                Message::Done {
+                    src: me,
+                    stats: own,
+                },
+            );
             return Ok(None);
         }
 

@@ -1589,7 +1589,7 @@ mod tests {
     use sbc_dist::comm::potrf_messages;
     use sbc_dist::{Distribution, SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
-    use sbc_net::{inproc_mesh, InProc, PeerStats, TransportStats, VirtualClock};
+    use sbc_net::{inproc_mesh, InProc, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
 
     const B: usize = 8;
@@ -2066,30 +2066,24 @@ mod tests {
     }
 
     impl Transport for PoisonGate<'_, '_> {
-        fn send_poison(&self, dest: NodeId) {
-            self.inner.send_poison(dest);
+        fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
+            let poison = matches!(msg, Message::Poison);
+            let sent = self.inner.send(dest, msg);
             let patience = Instant::now();
-            while self.armed
+            while poison
+                && self.armed
                 && lock(&self.table.state).dead.is_none()
                 && patience.elapsed() < Duration::from_secs(5)
             {
                 std::thread::yield_now();
             }
+            sent
         }
         fn rank(&self) -> NodeId {
             self.inner.rank()
         }
         fn num_nodes(&self) -> usize {
             self.inner.num_nodes()
-        }
-        fn send_payload(&self, dest: NodeId, payload: Payload) -> Option<u64> {
-            self.inner.send_payload(dest, payload)
-        }
-        fn send_result(&self, dest: NodeId, tile_ref: TileRef, tile: Tile) {
-            self.inner.send_result(dest, tile_ref, tile);
-        }
-        fn send_done(&self, dest: NodeId, stats: PeerStats) {
-            self.inner.send_done(dest, stats);
         }
         fn wake(&self) {
             self.inner.wake();

@@ -2,10 +2,10 @@
 //! bit-exact validation helpers every caller should run on the factors it
 //! gets back.
 
-use crate::sock::Conn;
 use sbc_kernels::Tile;
 use sbc_matrix::{generate::random_spd, potrf_tiled, SymmetricTiledMatrix};
 use sbc_net::wire::{read_frame_into, write_frame, EventRecord, Frame, FrameError};
+use sbc_net::Conn;
 use sbc_obs::{expo, MetricsSnapshot};
 use sbc_taskgraph::TileRef;
 use std::collections::HashMap;
@@ -122,7 +122,7 @@ impl Client {
     /// [`Client::connect`] with an explicit retry budget.
     pub fn connect_with_budget(addr: &str, budget: Duration) -> std::io::Result<Client> {
         Ok(Client {
-            conn: Conn::connect_retry(addr, budget)?,
+            conn: sbc_net::connect_retry(addr, budget)?,
             next_req: 0,
             scratch: Vec::new(),
         })
@@ -300,7 +300,7 @@ mod tests {
     fn replies_decode_through_one_scratch_without_reallocating() {
         let (near, mut far) = UnixStream::pair().unwrap();
         let mut client = Client {
-            conn: Conn::Uds(near),
+            conn: Box::new(near),
             next_req: 0,
             scratch: Vec::new(),
         };

@@ -42,9 +42,8 @@
 mod client;
 mod server;
 mod service;
-mod sock;
 
 pub use client::{factor_matches, potrf_reference, Client, ClientError, JobReply, JobRequest};
 pub use sbc_net::wire::EventRecord;
-pub use server::serve;
+pub use server::{serve, serve_on};
 pub use service::{ServeConfig, Service, Submitted};

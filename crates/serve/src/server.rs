@@ -3,57 +3,27 @@
 //! UDS or TCP, one handler thread per client connection.
 
 use crate::service::Service;
-use crate::sock::{is_tcp, Conn};
-use sbc_net::wire::{encode_into, read_frame_into, EventRecord, Frame};
+use sbc_net::wire::{encode_into, read_frame_into, EventRecord, Frame, MAX_BODY};
+use sbc_net::{Conn, Listener};
 use sbc_planner::Op;
 use sbc_taskgraph::TileRef;
 use std::io::Write;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-enum ListenerKind {
-    Tcp(TcpListener),
-    Uds(UnixListener),
-}
-
-impl ListenerKind {
-    fn bind(addr: &str) -> std::io::Result<ListenerKind> {
-        if is_tcp(addr) {
-            let l = TcpListener::bind(addr)?;
-            l.set_nonblocking(true)?;
-            Ok(ListenerKind::Tcp(l))
-        } else {
-            // a stale socket file from a previous run blocks the bind
-            let _ = std::fs::remove_file(addr);
-            let l = UnixListener::bind(addr)?;
-            l.set_nonblocking(true)?;
-            Ok(ListenerKind::Uds(l))
-        }
-    }
-
-    fn accept(&self) -> std::io::Result<Conn> {
-        match self {
-            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nonblocking(false);
-                Conn::Tcp(s)
-            }),
-            ListenerKind::Uds(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nonblocking(false);
-                Conn::Uds(s)
-            }),
-        }
-    }
-}
-
-/// Runs the accept loop of `service` on `addr` (a `host:port` or a socket
-/// path) until a client sends [`Frame::Shutdown`], then drains in-flight
-/// jobs, stops the resident mesh and returns. Engine failures surface as
-/// an error after the drain.
+/// Binds `addr` (a `host:port` or a socket path) and runs [`serve_on`].
 pub fn serve(service: Arc<Service>, addr: &str) -> std::io::Result<()> {
-    let listener = ListenerKind::bind(addr)?;
+    serve_on(service, Listener::bind(addr)?)
+}
+
+/// Runs the accept loop of `service` on an already-bound listener (whose
+/// [`Listener::addr`] tells a caller that bound port 0 where to dial) until
+/// a client sends [`Frame::Shutdown`], then drains in-flight jobs, stops the
+/// resident mesh and returns. Engine failures surface as an error after the
+/// drain.
+pub fn serve_on(service: Arc<Service>, listener: Listener) -> std::io::Result<()> {
+    listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
     let mut handlers = Vec::new();
     while !stop.load(Ordering::SeqCst) {
@@ -72,9 +42,8 @@ pub fn serve(service: Arc<Service>, addr: &str) -> std::io::Result<()> {
     for h in handlers {
         let _ = h.join();
     }
-    if !is_tcp(addr) {
-        let _ = std::fs::remove_file(addr);
-    }
+    // stop being dialable (a socket file goes with it) before the drain
+    drop(listener);
     service
         .shutdown()
         .map_err(|e| std::io::Error::other(format!("resident mesh failed: {e}")))
@@ -159,6 +128,27 @@ fn handle(mut conn: Conn, service: &Service, stop: &AtomicBool) {
     }
 }
 
+/// Why a submission cannot be served, if it cannot. `nt` and `b` come off
+/// the wire: a shape is refused before planning (which allocates by it)
+/// unless its whole factor fits the one `JobResult` frame that answers it.
+fn refusal(op: u8, nt: u32, b: u32) -> Option<String> {
+    if Op::ALL.get(op as usize) != Some(&Op::Potrf) {
+        return Some(format!(
+            "op {op} is not served over the wire (only 0 = POTRF)"
+        ));
+    }
+    if nt == 0 || b == 0 {
+        return Some(format!("degenerate shape nt={nt} b={b}"));
+    }
+    let tiles = u64::from(nt) * (u64::from(nt) + 1) / 2;
+    match Frame::job_result_body_len(tiles, u64::from(b)) {
+        Some(len) if len <= u64::from(MAX_BODY) => None,
+        _ => Some(format!(
+            "shape nt={nt} b={b} is too large: its factor exceeds the {MAX_BODY}-byte reply frame"
+        )),
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     conn: &mut Conn,
@@ -172,31 +162,12 @@ fn handle_submit(
     seed: u64,
     seed_rhs: u64,
 ) -> std::io::Result<()> {
+    if let Some(info) = refusal(op, nt, b) {
+        let state = 3;
+        write_reply(conn, service, &Frame::JobStatus { req, state, info })?;
+        return conn.flush();
+    }
     let (nt, b) = (nt as usize, b as usize);
-    if Op::ALL.get(op as usize) != Some(&Op::Potrf) {
-        write_reply(
-            conn,
-            service,
-            &Frame::JobStatus {
-                req,
-                state: 3,
-                info: format!("op {op} is not served over the wire (only 0 = POTRF)"),
-            },
-        )?;
-        return conn.flush();
-    }
-    if nt == 0 || b == 0 {
-        write_reply(
-            conn,
-            service,
-            &Frame::JobStatus {
-                req,
-                state: 3,
-                info: format!("degenerate shape nt={nt} b={b}"),
-            },
-        )?;
-        return conn.flush();
-    }
 
     // admit the whole batch first (same shape → one graph, one plan),
     // then answer in seed order

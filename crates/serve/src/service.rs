@@ -15,12 +15,12 @@ use sbc_obs::{
     chrome_trace_from_spans, expo, Counter, EventLog, Gauge, Metrics, MetricsSnapshot, ObsEvent,
     SpanRing, TraceEvent,
 };
-use sbc_planner::{Op, Planner, PlannerConfig};
+use sbc_planner::{Op, Plan, Planner, PlannerConfig};
 use sbc_runtime::jobs::{run_jobs_rank, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
 use sbc_runtime::{gather_symmetric, ExecError, KernelBackend};
 use sbc_simgrid::Platform;
 use sbc_taskgraph::TaskGraph;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,6 +77,8 @@ impl Default for ServeConfig {
     }
 }
 
+type GraphKey = (Op, usize, usize);
+
 /// An admitted job's ticket.
 #[derive(Debug, Clone, Copy)]
 pub struct Submitted {
@@ -93,7 +95,11 @@ pub struct Service {
     planner: Planner,
     metrics: Arc<Metrics>,
     events: Arc<EventLog>,
-    graphs: Mutex<HashMap<(Op, usize, usize), Arc<TaskGraph>>>,
+    /// One shared graph per `(op, nt, b)`, oldest insertion first, at most
+    /// `graph_capacity` of them (the plan cache's own bound): a stream of
+    /// distinct shapes must not grow a resident service without limit.
+    graphs: Mutex<VecDeque<(GraphKey, Arc<TaskGraph>)>>,
+    graph_capacity: usize,
     engines: Mutex<Vec<JoinHandle<Result<(), ExecError>>>>,
     spans: SpanRing,
     throughput: Arc<Gauge>,
@@ -148,7 +154,8 @@ impl Service {
             reply_pool: BufferPool::default(),
             metrics,
             events,
-            graphs: Mutex::new(HashMap::new()),
+            graphs: Mutex::new(VecDeque::new()),
+            graph_capacity: cfg.planner.cache_capacity.max(1),
             engines: Mutex::new(engines),
             spans: SpanRing::with_capacity(cfg.trace_spans),
             rate_window: cfg.rate_window,
@@ -170,11 +177,7 @@ impl Service {
         prio: u8,
     ) -> Result<Submitted, Rejection> {
         let plan = self.planner.plan(op, nt, b);
-        let graph = Arc::clone(
-            lock(&self.graphs)
-                .entry((op, nt, b))
-                .or_insert_with(|| Arc::new(plan.build_graph())),
-        );
+        let graph = self.graph(&plan);
         let id = self
             .table
             .submit(graph, b, seed, seed_rhs, prio, plan.use_priorities)?;
@@ -182,6 +185,39 @@ impl Service {
             id,
             plan_cached: plan.cached,
         })
+    }
+
+    fn cached_graph(&self, key: GraphKey) -> Option<Arc<TaskGraph>> {
+        let graphs = lock(&self.graphs);
+        let hit = graphs.iter().find(|(k, _)| *k == key);
+        hit.map(|(_, g)| Arc::clone(g))
+    }
+
+    /// The shape's shared task graph: cached, or built — outside the lock,
+    /// so one cold shape never stalls submissions of warm ones — and cached
+    /// in place of the oldest entry. A plan is a pure function of its shape,
+    /// so a rebuilt graph equals the evicted one.
+    fn graph(&self, plan: &Plan) -> Arc<TaskGraph> {
+        let key = (plan.op, plan.nt, plan.b);
+        if let Some(g) = self.cached_graph(key) {
+            return g;
+        }
+        let built = Arc::new(plan.build_graph());
+        let mut graphs = lock(&self.graphs);
+        // two first submissions of one shape may race to here; both graphs
+        // are equal, and one cached copy is enough
+        if !graphs.iter().any(|(k, _)| *k == key) {
+            if graphs.len() >= self.graph_capacity {
+                graphs.pop_front();
+            }
+            graphs.push_back((key, Arc::clone(&built)));
+        }
+        built
+    }
+
+    /// Graphs currently cached (never more than the plan cache's capacity).
+    pub fn cached_graphs(&self) -> usize {
+        lock(&self.graphs).len()
     }
 
     /// Blocks until `id` finishes. Completion counters, latency and drift
@@ -209,9 +245,11 @@ impl Service {
         b: usize,
         out: &JobOutcome,
     ) -> Result<SymmetricTiledMatrix, ExecError> {
-        let slices = lock(&self.graphs)
-            .get(&(Op::Potrf, nt, b))
-            .map_or(1, |g| g.slices.max(1));
+        // the shape's graph may have been evicted since the job was admitted
+        let graph = self
+            .cached_graph((Op::Potrf, nt, b))
+            .unwrap_or_else(|| self.graph(&self.planner.plan(Op::Potrf, nt, b)));
+        let slices = graph.slices.max(1);
         gather_symmetric(&out.tiles, nt, b, 0, |j| (j % slices) as u8)
     }
 

@@ -5,8 +5,11 @@
 use sbc_dist::comm::messages_to_bytes;
 use sbc_net::wire::{read_frame, write_frame, Frame};
 use sbc_obs::{EventKind, Severity};
-use sbc_planner::{Op, Planner};
-use sbc_serve::{factor_matches, serve, Client, JobReply, JobRequest, ServeConfig, Service};
+use sbc_planner::{Op, Planner, PlannerConfig};
+use sbc_serve::{
+    factor_matches, potrf_reference, serve, serve_on, Client, JobReply, JobRequest, ServeConfig,
+    Service,
+};
 use sbc_simgrid::Platform;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -249,18 +252,30 @@ fn wire_rejects_unknown_ops_and_degenerate_shapes() {
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
         }
     };
-    let submit = |op: u8, nt: u32| Frame::JobSubmit {
+    let submit = |op: u8, nt: u32, b: u32| Frame::JobSubmit {
         req: 9,
         op,
         prio: 0,
         batch: 1,
         nt,
-        b: B as u32,
+        b,
         seed: 1,
         seed_rhs: 2,
     };
-    for (op, nt) in [(5u8, 8u32), (0, 0)] {
-        write_frame(&mut conn, &submit(op, nt)).unwrap();
+    // an unserved op, an empty matrix, then three shapes whose factor could
+    // never be answered in one `JobResult` frame: two that overflow any
+    // arithmetic done on them unchecked, and one just over the frame cap
+    // (2080 tiles of 128 KiB; nt = 63 would still fit). Each must be refused
+    // before anything is planned or allocated by it.
+    let b = B as u32;
+    for (op, nt, b) in [
+        (5u8, 8u32, b),
+        (0, 0, b),
+        (0, u32::MAX, 1),
+        (0, 1, u32::MAX),
+        (0, 64, 128),
+    ] {
+        write_frame(&mut conn, &submit(op, nt, b)).unwrap();
         conn.flush().unwrap();
         let (frame, _) = read_frame(&mut conn).unwrap().expect("an answer");
         match frame {
@@ -279,4 +294,84 @@ fn wire_rejects_unknown_ops_and_degenerate_shapes() {
         Some(0),
         "wire-level rejections never reach admission"
     );
+}
+
+/// The service over TCP, end to end — every other test here dials a socket
+/// path. The listener is bound first (port 0) so the test learns the port.
+#[test]
+fn serves_over_tcp() {
+    let listener = sbc_net::Listener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.addr().to_owned();
+    let service = Service::start(ServeConfig {
+        nodes: 4,
+        ..ServeConfig::default()
+    });
+    let server = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || serve_on(service, listener))
+    };
+
+    let mut client = Client::connect(&addr).unwrap();
+    let (nt, seed) = (9, 31);
+    match client
+        .submit(&JobRequest::potrf(nt, B, seed))
+        .unwrap()
+        .as_slice()
+    {
+        [JobReply::Done { tiles, .. }] => assert!(factor_matches(tiles, nt, B, seed)),
+        other => panic!("expected one finished job, got {other:?}"),
+    }
+    let scrape = client.stats().unwrap();
+    assert_eq!(scrape.counter("serve.jobs.done"), Some(1));
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+/// A long-lived service sees an open-ended stream of shapes; its graph
+/// cache is bounded by the plan cache's capacity, and a job whose graph was
+/// evicted while it ran — or whose shape comes back later — is still exact.
+#[test]
+fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
+    let capacity = 2;
+    let service = Service::start(ServeConfig {
+        nodes: 4,
+        planner: PlannerConfig {
+            cache_capacity: capacity,
+            ..PlannerConfig::default()
+        },
+        ..ServeConfig::default()
+    });
+    let check = |nt: usize, seed: u64, id| {
+        let out = service.wait(id).unwrap();
+        let factor = service.gather_potrf(nt, B, &out).unwrap();
+        let expect = potrf_reference(nt, B, seed);
+        for (i, j) in expect.tile_coords() {
+            assert_eq!(
+                factor.tile(i, j).as_slice(),
+                expect.tile(i, j).as_slice(),
+                "nt={nt} tile ({i},{j})"
+            );
+        }
+    };
+    // all admitted before any is gathered: the first three graphs are
+    // evicted while their jobs are still in flight
+    let shapes: Vec<usize> = (4..4 + capacity + 3).collect();
+    let ids: Vec<_> = shapes
+        .iter()
+        .map(|&nt| {
+            service
+                .submit(Op::Potrf, nt, B, nt as u64, 0, 0)
+                .unwrap()
+                .id
+        })
+        .collect();
+    assert!(service.cached_graphs() <= capacity);
+    for (&nt, id) in shapes.iter().zip(ids) {
+        check(nt, nt as u64, id);
+    }
+    assert!(service.cached_graphs() <= capacity);
+    let again = service.submit(Op::Potrf, shapes[0], B, 99, 0, 0).unwrap();
+    check(shapes[0], 99, again.id);
+    assert!(service.cached_graphs() <= capacity);
+    service.shutdown().unwrap();
 }
