@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sbc_dist::{DiagonalCycling, SbcExtended};
 use sbc_simgrid::{Platform, ScheduleMode, SimConfig, Simulator};
 use sbc_taskgraph::build_potrf;
+use sbc_topo::{CriticalPath, Scheduler, SubmissionOrder};
 
 fn bench_schedule_variants(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_schedules");
@@ -17,21 +18,21 @@ fn bench_schedule_variants(c: &mut Criterion) {
     let d = SbcExtended::new(8);
     let graph = build_potrf(&d, nt);
     let p = Platform::bora(28);
+    let (prio, fifo): (&dyn Scheduler, &dyn Scheduler) = (&CriticalPath, &SubmissionOrder);
     let variants = [
-        ("prio_tasks_fifo_msgs", ScheduleMode::Async, true, false),
-        ("fifo_tasks", ScheduleMode::Async, false, false),
-        ("prio_msgs", ScheduleMode::Async, true, true),
-        ("bulk_sync", ScheduleMode::BulkSynchronous, true, false),
+        ("prio_tasks_fifo_msgs", ScheduleMode::Async, prio, false),
+        ("fifo_tasks", ScheduleMode::Async, fifo, false),
+        ("prio_msgs", ScheduleMode::Async, prio, true),
+        ("bulk_sync", ScheduleMode::BulkSynchronous, prio, false),
     ];
-    for (name, mode, prio, pcomm) in variants {
+    for (name, mode, sched, pcomm) in variants {
         let cfg = SimConfig {
             tile_b: 500,
             mode,
-            use_priorities: prio,
             priority_comms: pcomm,
         };
         g.bench_function(name, |bench| {
-            bench.iter(|| Simulator::new(&graph, &p, cfg).run());
+            bench.iter(|| Simulator::new(&graph, &p, cfg).with_scheduler(sched).run());
         });
     }
     g.finish();

@@ -15,11 +15,7 @@ use sbc_kernels::{KernelBackend, Kernels, Tile, Trans};
 /// recorded against the naive kernels, so the series stays comparable.
 const K: KernelBackend = KernelBackend::Naive;
 
-const BACKENDS: [KernelBackend; 3] = [
-    KernelBackend::Naive,
-    KernelBackend::Blocked,
-    KernelBackend::Arch,
-];
+const BACKENDS: [KernelBackend; 2] = [KernelBackend::Naive, KernelBackend::Blocked];
 
 fn bench_gemm(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemm_nt");

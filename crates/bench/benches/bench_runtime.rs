@@ -35,7 +35,6 @@ fn bench_distributed_potrf(c: &mut Criterion) {
 /// wall-clock may differ, and it can only improve where the host actually
 /// has cores to back the workers.
 fn bench_runtime_workers(c: &mut Criterion) {
-    use sbc_runtime::{Executor, Policy};
     use sbc_taskgraph::build_potrf;
 
     let mut g = c.benchmark_group("runtime_workers");
@@ -49,13 +48,12 @@ fn bench_runtime_workers(c: &mut Criterion) {
             &workers,
             |bench, &workers| {
                 bench.iter(|| {
-                    Executor::builder(&graph)
+                    Run::graph(&graph)
                         .block(b)
-                        .seeds(42, 43)
+                        .seed(42)
                         .workers(workers)
-                        .priorities(Policy::CriticalPath)
-                        .build()
-                        .run()
+                        .execute()
+                        .unwrap()
                 });
             },
         );
@@ -67,7 +65,6 @@ fn bench_runtime_workers(c: &mut Criterion) {
 /// recorder attached (acceptance: tracing costs <= 5%, disabled ~0%).
 fn bench_recorded_potrf(c: &mut Criterion) {
     use sbc_obs::Recorder;
-    use sbc_runtime::Executor;
     use sbc_taskgraph::build_potrf;
 
     let mut g = c.benchmark_group("runtime_recorded");
@@ -76,23 +73,17 @@ fn bench_recorded_potrf(c: &mut Criterion) {
     let (nt, b) = (12usize, 16usize);
     let graph = build_potrf(&d, nt);
     g.bench_function("bare", |bench| {
-        bench.iter(|| {
-            Executor::builder(&graph)
-                .block(b)
-                .seeds(42, 43)
-                .build()
-                .run()
-        });
+        bench.iter(|| Run::graph(&graph).block(b).seed(42).execute().unwrap());
     });
     g.bench_function("recorded", |bench| {
         bench.iter(|| {
             let rec = Recorder::new();
-            let out = Executor::builder(&graph)
+            let out = Run::graph(&graph)
                 .block(b)
-                .seeds(42, 43)
+                .seed(42)
                 .recorder(&rec)
-                .build()
-                .run();
+                .execute()
+                .unwrap();
             (out, rec.drain())
         });
     });

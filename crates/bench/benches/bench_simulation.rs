@@ -58,7 +58,6 @@ fn bench_fig9_miniature(c: &mut Criterion) {
         let cfg = SimConfig {
             tile_b: 500,
             mode: *mode,
-            use_priorities: true,
             priority_comms: false,
         };
         g.bench_function(*name, |bench| {

@@ -868,7 +868,7 @@ fn observed_run(out_path: &str, full: bool, workers: Option<usize>) {
         chrome_trace, json, metrics_from_recording, render_gantt, task_spans, ExecProfile, Recorder,
     };
     use sbc_planner::{Op, Planner};
-    use sbc_runtime::PlannedExecutor;
+    use sbc_runtime::Run;
     use sbc_simgrid::Platform;
 
     let (nt, b) = if full { (40, 64) } else { (20, 32) };
@@ -882,12 +882,12 @@ fn observed_run(out_path: &str, full: bool, workers: Option<usize>) {
         println!("workers per node: {w}");
     }
 
-    let mut exec = PlannedExecutor::new(plan, 0xB10C, 0xCAFE);
-    if let Some(w) = workers {
-        exec = exec.workers(w);
-    }
     let recorder = Recorder::new();
-    let outcome = exec.run_recorded(&recorder);
+    let mut run = Run::plan(&plan).seed(0xB10C).recorder(&recorder);
+    if let Some(w) = workers {
+        run = run.workers(w);
+    }
+    let outcome = run.execute().expect("distributed execution failed");
     let recording = recorder.drain();
     let nodes = recording.nodes();
 
@@ -910,7 +910,7 @@ fn observed_run(out_path: &str, full: bool, workers: Option<usize>) {
         metrics_from_recording(&recording).snapshot().render()
     );
 
-    let report = sbc_planner::compare(exec.plan(), &profile);
+    let report = sbc_planner::compare(&plan, &profile);
     print!("{}", report.render());
     assert_eq!(outcome.stats.messages, profile.messages);
 }

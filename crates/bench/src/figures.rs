@@ -8,6 +8,7 @@ use sbc_simgrid::{Platform, ScheduleMode, SimConfig, Simulator};
 use sbc_taskgraph::{
     build_posv, build_potrf, build_potrf_25d, build_potri, build_potri_remap, TaskGraph,
 };
+use sbc_topo::{CriticalPath, Scheduler, SubmissionOrder};
 
 /// Sweep sizes: `Quick` finishes in a couple of minutes on a laptop;
 /// `Full` runs the paper's n range (up to n = 300 000 for Fig 8 and
@@ -42,7 +43,6 @@ fn simulate(
     let cfg = SimConfig {
         tile_b: b,
         mode,
-        use_priorities: true,
         priority_comms: false,
     };
     Simulator::new(graph, &platform, cfg).run()
@@ -378,38 +378,43 @@ pub fn ablations(scale: Scale) -> Figure {
     let sbc = SbcExtended::new(8);
     let g = build_potrf(&sbc, nt);
     let platform = Platform::bora(28);
-    let mk = |mode, prio, pcomm| SimConfig {
+    let mk = |mode, pcomm| SimConfig {
         tile_b: TILE_B,
         mode,
-        use_priorities: prio,
         priority_comms: pcomm,
     };
+    let (prio, fifo): (&dyn Scheduler, &dyn Scheduler) = (&CriticalPath, &SubmissionOrder);
     let configs = [
         (
             "baseline (async, prio tasks, fifo msgs)",
-            mk(ScheduleMode::Async, true, false),
+            mk(ScheduleMode::Async, false),
+            prio,
         ),
-        ("fifo ready queues", mk(ScheduleMode::Async, false, false)),
+        ("fifo ready queues", mk(ScheduleMode::Async, false), fifo),
         (
             "priority-ordered messages",
-            mk(ScheduleMode::Async, true, true),
+            mk(ScheduleMode::Async, true),
+            prio,
         ),
         (
             "bulk-synchronous barrier",
-            mk(ScheduleMode::BulkSynchronous, true, false),
+            mk(ScheduleMode::BulkSynchronous, false),
+            prio,
         ),
     ];
     let mut points = Vec::new();
     let mut notes = vec![format!("SBC r=8, nt = {nt}, P = 28; y = makespan seconds")];
-    for (i, (name, cfg)) in configs.iter().enumerate() {
-        let r = Simulator::new(&g, &platform, *cfg).run();
+    for (i, (name, cfg, sched)) in configs.iter().enumerate() {
+        let r = Simulator::new(&g, &platform, *cfg)
+            .with_scheduler(*sched)
+            .run();
         points.push((i as f64, r.makespan));
         notes.push(format!("x={i}: {name}"));
     }
     // diagonal-cycling variant (communication identical; balance differs)
     let anti = sbc_dist::SbcExtended::with_cycling(8, sbc_dist::DiagonalCycling::AntiDiagonal);
     let g2 = build_potrf(&anti, nt);
-    let r = Simulator::new(&g2, &platform, mk(ScheduleMode::Async, true, false)).run();
+    let r = Simulator::new(&g2, &platform, mk(ScheduleMode::Async, false)).run();
     points.push((configs.len() as f64, r.makespan));
     notes.push(format!(
         "x={}: anti-diagonal pattern cycling",

@@ -1,4 +1,4 @@
-//! Pluggable kernel backends: one dispatch surface, several engines.
+//! Pluggable kernel backends: one dispatch surface, two engines.
 //!
 //! [`KernelBackend`] selects *how* the tile kernels execute without changing
 //! *what* they compute: every backend is **bit-identical** to [`Naive`] —
@@ -11,22 +11,20 @@
 //!   written as `chunks_exact`-style portable code the compiler
 //!   autovectorizes. Non-multiple-of-block tile dims fall back to the naive
 //!   element order on the ragged edges (which is the same order the
-//!   microkernels use, so bit-identity holds everywhere).
-//! * [`Arch`] — `std::arch` SIMD microkernels (AVX2 on `x86_64`), compiled
-//!   only under the `simd` cargo feature and selected at *runtime* via CPU
-//!   feature detection; on any other CPU (or without the feature) it falls
-//!   back to [`Blocked`]. The intrinsics use separate multiply and add —
-//!   never FMA, which rounds once instead of twice and would break
-//!   bit-identity with the scalar backends.
+//!   microkernels use, so bit-identity holds everywhere). On `x86_64` its
+//!   hot loops are also compiled under AVX2 and AVX-512F code generation
+//!   and the widest version the running CPU supports is picked by feature
+//!   detection — from what the code observes, not from an option. Separate
+//!   multiply and add everywhere, never FMA, which rounds once instead of
+//!   twice and would break bit-identity.
 //!
 //! [`Naive`]: KernelBackend::Naive
 //! [`Blocked`]: KernelBackend::Blocked
-//! [`Arch`]: KernelBackend::Arch
 //!
 //! ## Selection precedence
 //!
 //! The runtime crates resolve the backend as **env > builder > default**:
-//! the `SBC_KERNELS` environment variable (`naive` / `blocked` / `arch`)
+//! the `SBC_KERNELS` environment variable (`naive` / `blocked`)
 //! overrides whatever the builder requested ([`KernelBackend::resolve`]),
 //! and the default is [`KernelBackend::Naive`].
 
@@ -41,14 +39,10 @@ pub enum KernelBackend {
     Naive,
     /// Cache-blocked, register-tiled portable kernels.
     Blocked,
-    /// `std::arch` SIMD kernels (requires the `simd` cargo feature);
-    /// silently falls back to [`KernelBackend::Blocked`] when the feature
-    /// is off or the CPU lacks the instructions.
-    Arch,
 }
 
 /// Environment variable overriding the backend choice (`naive` /
-/// `blocked` / `arch`); see [`KernelBackend::resolve`].
+/// `blocked`); see [`KernelBackend::resolve`].
 pub const KERNELS_ENV: &str = "SBC_KERNELS";
 
 impl KernelBackend {
@@ -57,7 +51,6 @@ impl KernelBackend {
         match s.to_ascii_lowercase().as_str() {
             "naive" => Some(KernelBackend::Naive),
             "blocked" => Some(KernelBackend::Blocked),
-            "arch" | "simd" => Some(KernelBackend::Arch),
             _ => None,
         }
     }
@@ -67,7 +60,6 @@ impl KernelBackend {
         match self {
             KernelBackend::Naive => "naive",
             KernelBackend::Blocked => "blocked",
-            KernelBackend::Arch => "arch",
         }
     }
 
@@ -83,16 +75,6 @@ impl KernelBackend {
     /// returns the [`KERNELS_ENV`] override when present, else `requested`.
     pub fn resolve(requested: KernelBackend) -> KernelBackend {
         Self::from_env().unwrap_or(requested)
-    }
-
-    /// The backend that will actually run: [`KernelBackend::Arch`] demotes
-    /// itself to [`KernelBackend::Blocked`] when the `simd` feature is off
-    /// or the running CPU lacks the required instructions.
-    pub fn effective(self) -> KernelBackend {
-        match self {
-            KernelBackend::Arch if !crate::arch::available() => KernelBackend::Blocked,
-            other => other,
-        }
     }
 }
 
@@ -175,33 +157,30 @@ impl Kernels for KernelBackend {
         beta: f64,
         c: &mut Tile,
     ) {
-        match self.effective() {
+        match self {
             KernelBackend::Naive => crate::gemm::naive_gemm(transa, transb, alpha, a, b, beta, c),
             KernelBackend::Blocked => blocked::gemm(transa, transb, alpha, a, b, beta, c),
-            KernelBackend::Arch => crate::arch::gemm(transa, transb, alpha, a, b, beta, c),
         }
     }
 
     fn syrk(&self, trans: Trans, alpha: f64, a: &Tile, beta: f64, c: &mut Tile) {
-        match self.effective() {
+        match self {
             KernelBackend::Naive => crate::syrk::naive_syrk(trans, alpha, a, beta, c),
-            // the Arch backend accelerates GEMM with intrinsics and shares
-            // the blocked implementations for everything else
-            _ => blocked::syrk(trans, alpha, a, beta, c),
+            KernelBackend::Blocked => blocked::syrk(trans, alpha, a, beta, c),
         }
     }
 
     fn potrf(&self, a: &mut Tile) -> Result<(), KernelError> {
-        match self.effective() {
+        match self {
             KernelBackend::Naive => crate::potrf::naive_potrf(a),
-            _ => blocked::potrf(a),
+            KernelBackend::Blocked => blocked::potrf(a),
         }
     }
 
     fn trsm_right_lower_trans(&self, alpha: f64, l: &Tile, b: &mut Tile) {
-        match self.effective() {
+        match self {
             KernelBackend::Naive => crate::trsm::naive_trsm_right_lower_trans(alpha, l, b),
-            _ => blocked::trsm_right_lower_trans(alpha, l, b),
+            KernelBackend::Blocked => blocked::trsm_right_lower_trans(alpha, l, b),
         }
     }
 
@@ -252,35 +231,21 @@ mod tests {
 
     #[test]
     fn names_roundtrip_through_parse() {
-        for b in [
-            KernelBackend::Naive,
-            KernelBackend::Blocked,
-            KernelBackend::Arch,
-        ] {
+        for b in [KernelBackend::Naive, KernelBackend::Blocked] {
             assert_eq!(KernelBackend::parse(b.name()), Some(b));
         }
         assert_eq!(
             KernelBackend::parse("BLOCKED"),
             Some(KernelBackend::Blocked)
         );
-        assert_eq!(KernelBackend::parse("mkl"), None);
+        for gone in ["mkl", "arch", "simd"] {
+            assert_eq!(KernelBackend::parse(gone), None);
+        }
     }
 
     #[test]
     fn default_is_naive() {
         assert_eq!(KernelBackend::default(), KernelBackend::Naive);
-    }
-
-    #[test]
-    fn effective_never_returns_unrunnable_arch() {
-        // whatever the feature/CPU situation, `effective` must settle on a
-        // backend that can actually execute
-        let eff = KernelBackend::Arch.effective();
-        assert!(matches!(eff, KernelBackend::Arch | KernelBackend::Blocked));
-        if !crate::arch::available() {
-            assert_eq!(eff, KernelBackend::Blocked);
-        }
-        assert_eq!(KernelBackend::Naive.effective(), KernelBackend::Naive);
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub(crate) fn gemm(
 /// The scale applied to `A[:,k]` when updating destination column `j`:
 /// `alpha * B[k,j]` (`transb = No`) or `alpha * B[j,k]` (`transb = Yes`).
 #[inline(always)]
-pub(crate) fn s_val(transb: Trans, alpha: f64, b: &Tile, j: usize, k: usize) -> f64 {
+fn s_val(transb: Trans, alpha: f64, b: &Tile, j: usize, k: usize) -> f64 {
     match transb {
         Trans::No => alpha * b.get(k, j),
         Trans::Yes => alpha * b.get(j, k),
@@ -161,7 +161,7 @@ multiversion! {
 /// True when no scale value of panel `j0..j0+NR` is an exact zero, i.e.
 /// the branch-free microkernel computes the identical operation sequence.
 #[inline(always)]
-pub(crate) fn panel_all_nonzero(n: usize, transb: Trans, alpha: f64, b: &Tile, j0: usize) -> bool {
+fn panel_all_nonzero(n: usize, transb: Trans, alpha: f64, b: &Tile, j0: usize) -> bool {
     for k in 0..n {
         for t in 0..NR {
             if s_val(transb, alpha, b, j0 + t, k) == 0.0 {
@@ -269,26 +269,8 @@ fn axpy_col_rows(
     }
 }
 
-/// One destination column of the `transa = No` gemm forms in the exact
-/// naive order; the ragged-edge path shared with the arch backend.
-#[cfg_attr(not(feature = "simd"), allow(dead_code))]
-pub(crate) fn axpy_col_naive(
-    transb: Trans,
-    alpha: f64,
-    a: &Tile,
-    b: &Tile,
-    c: &mut Tile,
-    j: usize,
-) {
-    let n = c.dim();
-    axpy_col_rows(n, 0, transb, alpha, a, b, j, c.col_mut(j));
-}
-
 /// Borrows four consecutive columns of a tile mutably.
-pub(crate) fn four_cols_mut(
-    t: &mut Tile,
-    j0: usize,
-) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
+fn four_cols_mut(t: &mut Tile, j0: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
     let n = t.dim();
     let panel = &mut t.as_mut_slice()[j0 * n..(j0 + 4) * n];
     let (c0, rest) = panel.split_at_mut(n);
@@ -323,7 +305,7 @@ multiversion! {
     /// B[:,j])`, blocked over groups of four `j` so each `A` column is
     /// streamed once per group instead of once per output element; each
     /// individual dot is the exact naive four-stripe reduction.
-    pub(crate) fn gemm_dot_blocked / gemm_dot_blocked_impl(
+    fn gemm_dot_blocked / gemm_dot_blocked_impl(
         alpha: f64, a: &Tile, b: &Tile, c: &mut Tile
     ) {
         let n = c.dim();
@@ -358,7 +340,7 @@ multiversion! {
     /// `transa = Yes, transb = Yes`: single-chain scalar dots as in the
     /// naive kernel, four `i` side by side sharing the strided walk over
     /// the `B` row.
-    pub(crate) fn gemm_tt_blocked / gemm_tt_blocked_impl(
+    fn gemm_tt_blocked / gemm_tt_blocked_impl(
         alpha: f64, a: &Tile, b: &Tile, c: &mut Tile
     ) {
         let n = c.dim();

@@ -17,15 +17,15 @@
 //! All kernels operate on [`Tile`]s: square, column-major, `f64` blocks of a
 //! fixed dimension `b`. They are the Rust stand-in for the MKL/BLAS kernels
 //! used by the paper's Chameleon experiments, validated against naive
-//! reference implementations in [`reference`].
+//! reference implementations in [`mod@reference`].
 //!
 //! ## Backends
 //!
 //! Kernels are dispatched through the [`Kernels`] trait, implemented by
-//! [`KernelBackend`]: `Naive` (the reference loop nests), `Blocked`
-//! (cache-blocked, register-tiled portable kernels) and `Arch`
-//! (`std::arch` SIMD behind the `simd` cargo feature, with runtime
-//! fallback to `Blocked`). All backends produce **bit-identical** results;
+//! [`KernelBackend`]: `Naive` (the reference loop nests) and `Blocked`
+//! (cache-blocked, register-tiled portable kernels, multiversioned for
+//! AVX2/AVX-512F and dispatched by CPU feature detection). Both backends
+//! produce **bit-identical** results;
 //! selection precedence is the `SBC_KERNELS` env var, then the builder,
 //! then the `Naive` default. All entry points go through [`Kernels`]; the
 //! per-operation modules only expose the reference implementations
@@ -37,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-mod arch;
 pub mod backend;
 mod blocked;
 pub mod flops;

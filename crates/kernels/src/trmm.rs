@@ -1,6 +1,7 @@
 //! Triangular matrix multiply on tiles.
 //!
-//! The tiled LAUUM sweep needs `B := L^T * B` ([`trmm_left_lower_trans`]);
+//! The tiled LAUUM sweep needs `B := L^T * B`
+//! ([`Kernels::trmm_left_lower_trans`](crate::Kernels::trmm_left_lower_trans));
 //! the plain `B := L * B` variant is provided for completeness and used by
 //! verification code.
 

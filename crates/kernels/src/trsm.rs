@@ -1,12 +1,13 @@
 //! Triangular solves with a tile of right-hand sides.
 //!
-//! Three variants are needed by the tiled algorithms:
+//! Three variants are needed by the tiled algorithms, all dispatched through
+//! [`Kernels`](crate::Kernels):
 //!
-//! * [`trsm_right_lower_trans`] — `B := alpha * B * L^{-T}`: the panel TRSM
+//! * `trsm_right_lower_trans` — `B := alpha * B * L^{-T}`: the panel TRSM
 //!   of Cholesky (line 4 of Algorithm 1), `A[j][i] := A[j][i] * L[i][i]^{-T}`.
-//! * [`trsm_right_lower`] — `B := alpha * B * L^{-1}`: used (with
+//! * `trsm_right_lower` — `B := alpha * B * L^{-1}`: used (with
 //!   `alpha = -1`) by the tiled TRTRI sweep.
-//! * [`trsm_left_lower`] / [`trsm_left_lower_trans`] — `B := alpha * L^{-1} B`
+//! * `trsm_left_lower` / `trsm_left_lower_trans` — `B := alpha * L^{-1} B`
 //!   and `B := alpha * L^{-T} B`: the forward/backward sweeps of POSV and the
 //!   left solve of TRTRI.
 //!

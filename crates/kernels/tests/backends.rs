@@ -6,20 +6,12 @@
 //! them. These properties drive all backends over the same inputs and
 //! compare raw `f64` bits, so even `-0.0` vs `+0.0` or differing NaN
 //! payloads would fail.
-//!
-//! `Arch` is always included: without the `simd` feature (or on a CPU
-//! without AVX2) it resolves to `Blocked`, which must itself match
-//! `Naive`, so the property is meaningful in every configuration.
 
 use proptest::prelude::*;
 use sbc_kernels::reference::{random_spd_tile, SplitMix64};
 use sbc_kernels::{KernelBackend, Kernels, Tile, Trans};
 
-const ALL: [KernelBackend; 3] = [
-    KernelBackend::Naive,
-    KernelBackend::Blocked,
-    KernelBackend::Arch,
-];
+const ALL: [KernelBackend; 2] = [KernelBackend::Naive, KernelBackend::Blocked];
 
 fn bits_eq(a: &Tile, b: &Tile) -> bool {
     a.as_slice()

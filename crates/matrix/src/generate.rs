@@ -77,7 +77,7 @@ pub fn general_tile(seed: u64, nt: usize, b: usize, i: usize, j: usize) -> Tile 
 }
 
 /// Generates a random diagonally dominant general (non-symmetric)
-/// [`FullTiledMatrix`] for the LU substrate.
+/// [`FullTiledMatrix`](crate::FullTiledMatrix) for the LU substrate.
 pub fn random_general(seed: u64, nt: usize, b: usize) -> crate::storage::FullTiledMatrix {
     crate::storage::FullTiledMatrix::from_tile_fn(nt, b, |i, j| general_tile(seed, nt, b, i, j))
 }

@@ -189,8 +189,9 @@ pub enum Frame {
     JobStatus {
         /// Echo of the submission's request id.
         req: u32,
-        /// Lifecycle state (`0` queued, `1` running, `2` done, `3` rejected,
-        /// `4` failed).
+        /// Lifecycle state (`0` queued, `1` running, `2` done, `3` rejected
+        /// at admission, `4` failed, `5` the whole request refused — its one
+        /// answer, whatever its batch).
         state: u8,
         /// Human-readable detail; rejection and failure reasons live here.
         info: String,
@@ -459,7 +460,7 @@ impl<'a> Body<'a> {
 
 /// Serializes a frame into `out`, reusing its capacity: the buffer is
 /// cleared, the tag and a length placeholder go down first, the body is
-/// written in place through [`FrameWriter`], the length is patched at
+/// written in place, the length is patched at
 /// `out[1..5]` and the CRC trailer appended. Returns the encoded size.
 ///
 /// This is the hot-path entry point — paired with a pooled buffer

@@ -202,7 +202,6 @@ mod tests {
     use super::*;
     use crate::candidates::DistChoice;
     use crate::model::CostBreakdown;
-    use sbc_simgrid::ScheduleMode;
 
     fn dummy_plan(nt: usize) -> Arc<Plan> {
         Arc::new(Plan {
@@ -210,8 +209,6 @@ mod tests {
             nt,
             b: 500,
             choice: DistChoice::SbcExtended { r: 8 },
-            mode: ScheduleMode::Async,
-            use_priorities: true,
             cost: CostBreakdown {
                 messages: 0,
                 comm_seconds: 0.0,

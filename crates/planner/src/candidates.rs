@@ -15,6 +15,7 @@ use sbc_dist::{
 use sbc_kernels::flops;
 use sbc_taskgraph::builders;
 use sbc_taskgraph::TaskGraph;
+use std::sync::Arc;
 
 /// The dense linear-algebra operations the planner knows how to place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,7 +72,8 @@ impl Op {
 ///
 /// All variants carry only their defining integers, so a choice is `Copy`
 /// and trivially hashable; the concrete `sbc_dist` object is rebuilt on
-/// demand (construction is cheap relative to scoring).
+/// demand by [`DistChoice::distribution`] (construction is cheap relative to
+/// scoring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistChoice {
     /// ScaLAPACK-style 2D block cyclic `p x q` on `p * q` nodes.
@@ -163,29 +165,46 @@ impl DistChoice {
         }
     }
 
+    /// The 2D distribution this choice places tiles by: the choice itself
+    /// for the flat families, one slice's for a 2.5D choice, the symmetric
+    /// phases' for the remap strategy.
+    pub fn distribution(self) -> Arc<dyn Distribution> {
+        match self {
+            DistChoice::TwoDbc { p, q } | DistChoice::TwoFiveDBc { p, q, .. } => {
+                Arc::new(TwoDBlockCyclic::new(p, q))
+            }
+            DistChoice::SbcBasic { r } | DistChoice::TwoFiveDSbc { r, .. } => {
+                Arc::new(SbcBasic::new(r))
+            }
+            DistChoice::SbcExtended { r } | DistChoice::PotriRemap { r, .. } => {
+                Arc::new(SbcExtended::new(r))
+            }
+        }
+    }
+
     /// Exact message count of `op` on an `nt x nt` tile matrix under this
     /// choice, from the `sbc_dist::comm` counters.
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.
     pub fn messages(self, op: Op, nt: usize) -> u64 {
+        assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
+        let dist = self.distribution();
         match self {
-            DistChoice::TwoDbc { p, q } => flat_messages(&TwoDBlockCyclic::new(p, q), op, nt),
-            DistChoice::SbcBasic { r } => flat_messages(&SbcBasic::new(r), op, nt),
-            DistChoice::SbcExtended { r } => flat_messages(&SbcExtended::new(r), op, nt),
-            DistChoice::TwoFiveDSbc { r, c } => {
-                assert_eq!(op, Op::Potrf, "2.5D supports POTRF only");
-                comm::potrf_25d_messages(&TwoPointFiveD::new(SbcBasic::new(r), c), nt).total()
+            DistChoice::TwoFiveDSbc { c, .. } | DistChoice::TwoFiveDBc { c, .. } => {
+                comm::potrf_25d_messages(&TwoPointFiveD::new(dist, c), nt).total()
             }
-            DistChoice::TwoFiveDBc { p, q, c } => {
-                assert_eq!(op, Op::Potrf, "2.5D supports POTRF only");
-                comm::potrf_25d_messages(&TwoPointFiveD::new(TwoDBlockCyclic::new(p, q), c), nt)
-                    .total()
+            DistChoice::PotriRemap { p, q, .. } => {
+                comm::potri_remap_messages(&dist, &TwoDBlockCyclic::new(p, q), nt)
             }
-            DistChoice::PotriRemap { r, p, q } => {
-                assert_eq!(op, Op::Potri, "remap supports POTRI only");
-                comm::potri_remap_messages(&SbcExtended::new(r), &TwoDBlockCyclic::new(p, q), nt)
-            }
+            _ => match op {
+                Op::Potrf => comm::potrf_messages(&dist, nt),
+                Op::Posv => comm::posv_messages(&dist, &RowCyclic::new(dist.num_nodes()), nt),
+                Op::Trtri => comm::trtri_messages(&dist, nt),
+                Op::Lauum => comm::lauum_messages(&dist, nt),
+                Op::Potri => comm::potri_messages(&dist, nt),
+                Op::Lu => comm::lu_messages(&dist, nt),
+            },
         }
     }
 
@@ -221,20 +240,7 @@ impl DistChoice {
     /// mean. For 2.5D choices the per-slice distribution is measured (the
     /// iteration round-robin splits work evenly across slices).
     pub fn gemm_imbalance(self, nt: usize) -> f64 {
-        match self {
-            DistChoice::TwoDbc { p, q } => {
-                balance::gemm_balance(&TwoDBlockCyclic::new(p, q), nt).imbalance()
-            }
-            DistChoice::SbcBasic { r } | DistChoice::TwoFiveDSbc { r, .. } => {
-                balance::gemm_balance(&SbcBasic::new(r), nt).imbalance()
-            }
-            DistChoice::SbcExtended { r } | DistChoice::PotriRemap { r, .. } => {
-                balance::gemm_balance(&SbcExtended::new(r), nt).imbalance()
-            }
-            DistChoice::TwoFiveDBc { p, q, .. } => {
-                balance::gemm_balance(&TwoDBlockCyclic::new(p, q), nt).imbalance()
-            }
-        }
+        balance::gemm_balance(&self.distribution(), nt).imbalance()
     }
 
     /// Builds the task graph executing `op` under this choice, ready for
@@ -243,45 +249,24 @@ impl DistChoice {
     /// # Panics
     /// Panics if `!self.supports(op)`.
     pub fn build_graph(self, op: Op, nt: usize) -> TaskGraph {
+        assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
+        let dist = self.distribution();
         match self {
-            DistChoice::TwoDbc { p, q } => flat_graph(&TwoDBlockCyclic::new(p, q), op, nt),
-            DistChoice::SbcBasic { r } => flat_graph(&SbcBasic::new(r), op, nt),
-            DistChoice::SbcExtended { r } => flat_graph(&SbcExtended::new(r), op, nt),
-            DistChoice::TwoFiveDSbc { r, c } => {
-                assert_eq!(op, Op::Potrf, "2.5D supports POTRF only");
-                builders::build_potrf_25d(&TwoPointFiveD::new(SbcBasic::new(r), c), nt)
+            DistChoice::TwoFiveDSbc { c, .. } | DistChoice::TwoFiveDBc { c, .. } => {
+                builders::build_potrf_25d(&TwoPointFiveD::new(dist, c), nt)
             }
-            DistChoice::TwoFiveDBc { p, q, c } => {
-                assert_eq!(op, Op::Potrf, "2.5D supports POTRF only");
-                builders::build_potrf_25d(&TwoPointFiveD::new(TwoDBlockCyclic::new(p, q), c), nt)
+            DistChoice::PotriRemap { p, q, .. } => {
+                builders::build_potri_remap(&dist, &TwoDBlockCyclic::new(p, q), nt)
             }
-            DistChoice::PotriRemap { r, p, q } => {
-                assert_eq!(op, Op::Potri, "remap supports POTRI only");
-                builders::build_potri_remap(&SbcExtended::new(r), &TwoDBlockCyclic::new(p, q), nt)
-            }
+            _ => match op {
+                Op::Potrf => builders::build_potrf(&dist, nt),
+                Op::Posv => builders::build_posv(&dist, &RowCyclic::new(dist.num_nodes()), nt),
+                Op::Trtri => builders::build_trtri(&dist, nt),
+                Op::Lauum => builders::build_lauum(&dist, nt),
+                Op::Potri => builders::build_potri(&dist, nt),
+                Op::Lu => builders::build_lu(&dist, nt),
+            },
         }
-    }
-}
-
-fn flat_messages<D: Distribution>(dist: &D, op: Op, nt: usize) -> u64 {
-    match op {
-        Op::Potrf => comm::potrf_messages(dist, nt),
-        Op::Posv => comm::posv_messages(dist, &RowCyclic::new(dist.num_nodes()), nt),
-        Op::Trtri => comm::trtri_messages(dist, nt),
-        Op::Lauum => comm::lauum_messages(dist, nt),
-        Op::Potri => comm::potri_messages(dist, nt),
-        Op::Lu => comm::lu_messages(dist, nt),
-    }
-}
-
-fn flat_graph<D: Distribution>(dist: &D, op: Op, nt: usize) -> TaskGraph {
-    match op {
-        Op::Potrf => builders::build_potrf(dist, nt),
-        Op::Posv => builders::build_posv(dist, &RowCyclic::new(dist.num_nodes()), nt),
-        Op::Trtri => builders::build_trtri(dist, nt),
-        Op::Lauum => builders::build_lauum(dist, nt),
-        Op::Potri => builders::build_potri(dist, nt),
-        Op::Lu => builders::build_lu(dist, nt),
     }
 }
 

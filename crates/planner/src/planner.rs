@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use sbc_obs::{Counter, Metrics};
-use sbc_simgrid::{Platform, ScheduleMode, SimConfig, SimReport, Simulator};
+use sbc_simgrid::{Platform, SimConfig, SimReport, Simulator};
 use sbc_taskgraph::TaskGraph;
 use sbc_topo::Topology;
 
@@ -23,9 +23,6 @@ pub struct PlannerConfig {
     pub refine_top_k: usize,
     /// Maximum number of memoized plans (strict bound).
     pub cache_capacity: usize,
-    /// Schedule tasks by critical-path priority (the paper's Chameleon
-    /// configuration) rather than FIFO.
-    pub use_priorities: bool,
 }
 
 impl Default for PlannerConfig {
@@ -33,13 +30,13 @@ impl Default for PlannerConfig {
         PlannerConfig {
             refine_top_k: 0,
             cache_capacity: 256,
-            use_priorities: true,
         }
     }
 }
 
-/// The planner's answer: a distribution choice plus the schedule settings
-/// to run it with, and the model's reasoning.
+/// The planner's answer: a distribution choice and the model's reasoning.
+/// How to schedule it is not part of a plan: every front end defaults to the
+/// paper's Chameleon configuration (asynchronous, critical-path ranks).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plan {
     /// Operation planned for.
@@ -50,10 +47,6 @@ pub struct Plan {
     pub b: usize,
     /// The selected distribution.
     pub choice: DistChoice,
-    /// Release mode for the scheduler.
-    pub mode: ScheduleMode,
-    /// Whether to schedule by critical-path priority.
-    pub use_priorities: bool,
     /// The analytic score that won the search.
     pub cost: CostBreakdown,
     /// Simulated makespan in seconds, when refinement ran.
@@ -68,12 +61,9 @@ impl Plan {
         self.choice.build_graph(self.op, self.nt)
     }
 
-    /// Simulator configuration matching this plan's schedule settings.
+    /// Simulator configuration for this plan's tile size.
     pub fn sim_config(&self) -> SimConfig {
-        let mut c = SimConfig::chameleon(self.b);
-        c.mode = self.mode;
-        c.use_priorities = self.use_priorities;
-        c
+        SimConfig::chameleon(self.b)
     }
 }
 
@@ -200,8 +190,6 @@ impl Planner {
             nt,
             b,
             choice,
-            mode: ScheduleMode::Async,
-            use_priorities: self.config.use_priorities,
             cost,
             refined_makespan: refined,
             cached: false,
@@ -229,8 +217,7 @@ impl Planner {
         let graph = choice.build_graph(op, nt);
         let mut platform = self.platform().clone();
         platform.nodes = choice.nodes_used();
-        let mut config = SimConfig::chameleon(b);
-        config.use_priorities = self.config.use_priorities;
+        let config = SimConfig::chameleon(b);
         match self.model.topology() {
             Some(topo) => Simulator::with_topology(&graph, &platform, config, topo).run(),
             None => Simulator::new(&graph, &platform, config).run(),

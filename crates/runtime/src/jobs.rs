@@ -1,8 +1,9 @@
 //! The task engine: the one scheduler in `sbc-runtime`.
 //!
-//! Every execution — a one-shot [`crate::Executor`] / [`crate::Run`] or a
-//! resident `sbc-serve` mesh streaming jobs for days — is a [`JobTable`]
-//! plus one rank engine per rank:
+//! Every execution — a one-shot [`crate::Run`] or a resident `sbc-serve`
+//! mesh streaming jobs for days — is a [`JobTable`] plus one rank engine per
+//! rank. What a job *is* lives in [`JobSpec`], how engines run it in
+//! [`JobEngineConfig`]; every front end writes into those two:
 //!
 //! - A [`JobTable`] is the in-process control plane: clients submit
 //!   [`JobSpec`]s (admission-controlled), rank engines pick them up, and
@@ -30,7 +31,7 @@
 //! in flight and is re-armed at every job registration, so an idle resident
 //! rank waiting for its next job never trips [`ExecError::Stalled`].
 
-use crate::executor::{default_original, run_kernel, CommStats, ExecError, TileProvider};
+use crate::exec::{default_original, run_kernel, CommStats, ExecError, TileProvider};
 use sbc_dist::comm::messages_to_bytes;
 use sbc_kernels::{KernelBackend, KernelError, Tile};
 use sbc_net::{Clock, Message, NodeId, Payload, RealClock, RecvTimeout, Transport};
@@ -39,7 +40,7 @@ use sbc_obs::{
     RateWindow, Recorder, Severity,
 };
 use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId, TaskKind, TileRef};
-use sbc_topo::{SchedCtx, Scheduler};
+use sbc_topo::{CriticalPath, SchedCtx, Scheduler};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,6 +66,7 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 /// A job's task graph: shared between same-shape jobs of a resident
 /// service, borrowed from the caller by a one-shot run.
+#[derive(Clone)]
 pub(crate) enum GraphRef<'a> {
     Shared(Arc<TaskGraph>),
     Borrowed(&'a TaskGraph),
@@ -80,30 +82,8 @@ impl std::ops::Deref for GraphRef<'_> {
     }
 }
 
-/// Ready-heap task priorities as raw f32 bits (non-negative floats order
-/// like their bit patterns), ranked by `sched`; `None` is submission order,
-/// the empty vector. Task costs are flop counts at tile size `b` and the
-/// communication cost is one GEMM's flops (a dimensionless surrogate: only
-/// relative magnitudes matter for ordering).
-pub(crate) fn task_priorities(
-    graph: &TaskGraph,
-    b: usize,
-    sched: Option<&dyn Scheduler>,
-) -> Vec<u32> {
-    let Some(sched) = sched else {
-        return Vec::new();
-    };
-    let costs: Vec<f64> = graph.tasks().iter().map(|t| t.kind.flops(b)).collect();
-    let ctx = SchedCtx {
-        graph,
-        task_cost: &costs,
-        comm_cost: sbc_kernels::flops::flops_gemm(b),
-    };
-    sched.ranks(&ctx).into_iter().map(f32::to_bits).collect()
-}
-
-/// An admitted job, shared between the table and every rank engine. Built
-/// by [`JobTable::submit`].
+/// What a job is, shared between the table and every rank engine: the one
+/// description [`crate::Run`] and [`JobTable::submit`] both fill.
 pub struct JobSpec<'a> {
     /// Table-assigned id; also the namespace tag on every payload.
     pub id: JobId,
@@ -117,13 +97,47 @@ pub struct JobSpec<'a> {
     pub seed_rhs: u64,
     /// Job priority: higher jumps the shared ready heap.
     pub prio: u8,
-    /// Task priorities from [`task_priorities`].
+    /// Ready-heap task priorities as raw f32 bits (non-negative floats
+    /// order like their bit patterns).
     pub(crate) prio_bits: Vec<u32>,
     /// Original-tile contents; `None` is the seeded generators.
     pub(crate) provider: Option<&'a TileProvider<'a>>,
 }
 
-impl JobSpec<'_> {
+impl<'a> JobSpec<'a> {
+    /// Describes a job, its tasks ranked by `sched`. Task costs are flop
+    /// counts at tile size `b` and the communication cost is one GEMM's
+    /// flops (a dimensionless surrogate: only relative magnitudes matter for
+    /// ordering). Stealing schedulers run without stealing — placement is
+    /// fixed by the graph, so only the ranks apply. `provider: None` is the
+    /// seeded generators. The table assigns the id at admission.
+    pub(crate) fn new(
+        graph: GraphRef<'a>,
+        b: usize,
+        (seed, seed_rhs): (u64, u64),
+        prio: u8,
+        sched: &dyn Scheduler,
+        provider: Option<&'a TileProvider<'a>>,
+    ) -> Self {
+        let costs: Vec<f64> = graph.tasks().iter().map(|t| t.kind.flops(b)).collect();
+        let ctx = SchedCtx {
+            graph: &graph,
+            task_cost: &costs,
+            comm_cost: sbc_kernels::flops::flops_gemm(b),
+        };
+        let prio_bits = sched.ranks(&ctx).into_iter().map(f32::to_bits).collect();
+        JobSpec {
+            id: 0,
+            graph,
+            b,
+            seed,
+            seed_rhs,
+            prio,
+            prio_bits,
+            provider,
+        }
+    }
+
     fn task_prio(&self, t: TaskId) -> u32 {
         self.prio_bits.get(t as usize).copied().unwrap_or(0)
     }
@@ -131,7 +145,7 @@ impl JobSpec<'_> {
     /// The original (input) content of tile `r`.
     fn original(&self, r: TileRef) -> Tile {
         let Some(provider) = self.provider else {
-            return default_original(r, self.graph.nt, self.b, self.seed, self.seed_rhs);
+            return default_original(r, &self.graph, self.b, self.seed, self.seed_rhs);
         };
         let t = provider(r);
         assert_eq!(
@@ -144,18 +158,25 @@ impl JobSpec<'_> {
 }
 
 /// One finished job: the merged tile stores of every rank plus the job's
-/// own communication statistics — exactly what a one-shot
-/// [`crate::ExecOutcome`] reports, per job.
-#[derive(Debug)]
-pub struct JobOutcome {
+/// own communication statistics.
+pub struct JobOutcome<'a> {
     /// The job.
     pub id: JobId,
+    graph: GraphRef<'a>,
     /// Final tile values, merged across ranks.
     pub tiles: HashMap<TileRef, Tile>,
     /// This job's communication (payloads carrying its job id only).
     pub stats: CommStats,
     /// From admission to the last rank finishing, on the table's clock.
     pub elapsed: Duration,
+}
+
+impl JobOutcome<'_> {
+    /// The graph the job executed — what [`crate::gather`] reads the shape
+    /// of the result from.
+    pub fn graph(&self) -> &TaskGraph {
+        &self.graph
+    }
 }
 
 /// Why a submission was refused at the door.
@@ -258,7 +279,8 @@ impl TableObs {
 }
 
 /// Per-job accumulator while ranks report in.
-struct JobAccum {
+struct JobAccum<'a> {
+    graph: GraphRef<'a>,
     /// Each reporting rank's tile store, handed over whole.
     stores: Vec<HashMap<TileRef, Tile>>,
     sent_per_node: Vec<u64>,
@@ -273,7 +295,8 @@ struct JobAccum {
 
 /// A finished job as the last rank left it: the per-rank tile stores still
 /// unmerged, the job's statistics and its admission-to-completion time.
-struct Finished {
+struct Finished<'a> {
+    graph: GraphRef<'a>,
     stores: Vec<HashMap<TileRef, Tile>>,
     stats: CommStats,
     elapsed: Duration,
@@ -283,9 +306,9 @@ struct TableState<'a> {
     next_id: JobId,
     /// Admitted specs each rank engine has not yet picked up.
     incoming: Vec<VecDeque<Arc<JobSpec<'a>>>>,
-    accum: HashMap<JobId, JobAccum>,
+    accum: HashMap<JobId, JobAccum<'a>>,
     /// Finished jobs nobody has waited for yet.
-    done: HashMap<JobId, Finished>,
+    done: HashMap<JobId, Finished<'a>>,
     inflight: usize,
     completed: u64,
     shutdown: bool,
@@ -361,6 +384,11 @@ impl<'a> JobTable<'a> {
         self.n_nodes
     }
 
+    /// The admission bound: most jobs admitted and not yet finished.
+    pub fn max_inflight(&self) -> usize {
+        self.max_inflight
+    }
+
     /// Binds the table (and every rank engine started against it) to a
     /// metrics registry and an event log. Call once, before engines start;
     /// later calls are ignored. Registers the full instrument vocabulary
@@ -411,10 +439,10 @@ impl<'a> JobTable<'a> {
             .map(Arc::clone)
     }
 
-    /// Submits one job. `use_priorities` selects critical-path task
-    /// ordering within the job (the graph-level half of the heap key;
-    /// `prio` is the job-level half). Returns the job id, or the admission
-    /// verdict when the queue is full or the table is draining.
+    /// Submits one job, its tasks in critical-path order within the job (the
+    /// graph-level half of the heap key; `prio` is the job-level half).
+    /// Returns the job id, or the admission verdict when the queue is full
+    /// or the table is draining.
     pub fn submit(
         &self,
         graph: Arc<TaskGraph>,
@@ -422,14 +450,13 @@ impl<'a> JobTable<'a> {
         seed: u64,
         seed_rhs: u64,
         prio: u8,
-        use_priorities: bool,
     ) -> Result<JobId, Rejection> {
         // the analytic prediction the finished job is checked against: the
         // graph's exact message count (== the planner's cost model) and the
         // tile-payload bytes those messages carry
         let msgs = graph.count_messages();
         let expected = (msgs, messages_to_bytes(msgs, b));
-        self.submit_expecting(graph, b, seed, seed_rhs, prio, use_priorities, expected)
+        self.submit_expecting(graph, b, seed, seed_rhs, prio, expected)
     }
 
     /// [`JobTable::submit`] with an explicit `(messages, bytes)` comm
@@ -437,7 +464,6 @@ impl<'a> JobTable<'a> {
     /// monitor compares the job's measured [`CommStats`] against this at
     /// completion, so planting a wrong prediction here is how tests prove
     /// the `obs.drift.*` alarms fire.
-    #[allow(clippy::too_many_arguments)]
     pub fn submit_expecting(
         &self,
         graph: Arc<TaskGraph>,
@@ -445,20 +471,10 @@ impl<'a> JobTable<'a> {
         seed: u64,
         seed_rhs: u64,
         prio: u8,
-        use_priorities: bool,
         expected: (u64, u64),
     ) -> Result<JobId, Rejection> {
-        let sched = use_priorities.then_some(&sbc_topo::CriticalPath as &dyn Scheduler);
-        let spec = JobSpec {
-            id: 0,
-            prio_bits: task_priorities(&graph, b, sched),
-            graph: GraphRef::Shared(graph),
-            b,
-            seed,
-            seed_rhs,
-            prio,
-            provider: None,
-        };
+        let graph = GraphRef::Shared(graph);
+        let spec = JobSpec::new(graph, b, (seed, seed_rhs), prio, &CriticalPath, None);
         self.submit_spec(spec, expected)
     }
 
@@ -502,6 +518,7 @@ impl<'a> JobTable<'a> {
         st.accum.insert(
             id,
             JobAccum {
+                graph: spec.graph.clone(),
                 stores: Vec::with_capacity(self.reports),
                 sent_per_node: vec![0; self.n_nodes],
                 recv_per_node: vec![0; self.n_nodes],
@@ -535,9 +552,10 @@ impl<'a> JobTable<'a> {
     /// failure that killed the mesh while it was in flight. The ranks' tile
     /// stores are merged here, on the waiter's thread, so no rank engine
     /// holds the table lock per tile.
-    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
+    pub fn wait(&self, id: JobId) -> Result<JobOutcome<'a>, ExecError> {
         let mut st = lock(&self.state);
         let Finished {
+            graph,
             stores,
             stats,
             elapsed,
@@ -561,6 +579,7 @@ impl<'a> JobTable<'a> {
         }
         Ok(JobOutcome {
             id,
+            graph,
             tiles,
             stats,
             elapsed,
@@ -636,10 +655,11 @@ impl<'a> JobTable<'a> {
             let measured = (stats.messages, stats.bytes);
             let expected = acc.expected;
             let elapsed = self.clock.now().saturating_duration_since(acc.admitted);
-            let stores = acc.stores;
+            let (graph, stores) = (acc.graph, acc.stores);
             st.done.insert(
                 id,
                 Finished {
+                    graph,
                     stores,
                     stats,
                     elapsed,
@@ -1585,12 +1605,13 @@ fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, t: TaskId) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Executor;
+    use crate::{gather, Run, RunResult};
     use sbc_dist::comm::potrf_messages;
     use sbc_dist::{Distribution, SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
     use sbc_net::{inproc_mesh, InProc, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
+    use sbc_topo::{Heft, SubmissionOrder};
 
     const B: usize = 8;
 
@@ -1611,18 +1632,17 @@ mod tests {
     fn potrf_spec<'a>(
         graph: &Arc<TaskGraph>,
         seed: u64,
-        sched: Option<&dyn Scheduler>,
+        sched: &dyn Scheduler,
         provider: Option<&'a TileProvider<'a>>,
     ) -> JobSpec<'a> {
-        JobSpec {
-            id: 0,
-            prio_bits: task_priorities(graph, B, sched),
-            graph: GraphRef::Shared(Arc::clone(graph)),
-            b: B,
-            seed,
-            seed_rhs: seed ^ 1,
-            prio: 0,
-            provider,
+        let graph = GraphRef::Shared(Arc::clone(graph));
+        JobSpec::new(graph, B, (seed, seed ^ 1), 0, sched, provider)
+    }
+
+    fn factor_of(out: &JobOutcome) -> sbc_matrix::SymmetricTiledMatrix {
+        match gather(out.graph(), &out.tiles, B).expect("gather failed") {
+            RunResult::Factor(factor) => factor,
+            other => panic!("a POTRF job gathered {other:?}"),
         }
     }
 
@@ -1632,7 +1652,7 @@ mod tests {
     fn assert_sequential<D: Distribution>(out: &JobOutcome, dist: &D, nt: usize, seed: u64) {
         let mut seq = random_spd(seed, nt, B);
         potrf_tiled(&mut seq).expect("sequential factorization failed");
-        let factor = crate::gather_symmetric(&out.tiles, nt, B, 0, |_| 0).expect("gather failed");
+        let factor = factor_of(out);
         for (i, j) in seq.tile_coords() {
             assert_eq!(
                 factor.tile(i, j).max_abs_diff(seq.tile(i, j)),
@@ -1700,8 +1720,8 @@ mod tests {
                 graph.num_nodes(),
                 JobEngineConfig::default(),
                 move || {
-                    let a = table_ref.submit(ga, B, 2022, 7, 1, true).unwrap();
-                    let b = table_ref.submit(gb, B, 99, 100, 2, true).unwrap();
+                    let a = table_ref.submit(ga, B, 2022, 7, 1).unwrap();
+                    let b = table_ref.submit(gb, B, 99, 100, 2).unwrap();
                     results.push(table_ref.wait(a).unwrap());
                     results.push(table_ref.wait(b).unwrap());
                 },
@@ -1714,19 +1734,19 @@ mod tests {
         assert_eq!(results[0].stats, results[1].stats);
     }
 
-    /// The front-end conversion: `Executor::try_run` is a one-job table, so
-    /// a job submitted by hand and the one-shot run of the same graph agree
-    /// on every tile and on the whole `CommStats`.
+    /// The front-end conversion: `Run::execute` is a one-job table, so a job
+    /// submitted by hand and the one-shot run of the same graph agree on
+    /// every tile and on the whole `CommStats`.
     #[test]
-    fn single_job_table_agrees_with_try_run() {
+    fn single_job_table_agrees_with_a_one_shot_run() {
         let d = TwoDBlockCyclic::new(3, 2);
         let graph = Arc::new(build_potrf(&d, 9));
-        let one_shot = Executor::builder(&graph)
+        let one_shot = Run::graph(&graph)
             .block(B)
-            .seeds(5, 6)
+            .seed(5)
+            .seed_rhs(6)
             .workers(2)
-            .build()
-            .try_run()
+            .execute()
             .unwrap();
         let table = JobTable::new(graph.num_nodes(), 1);
         let table_ref = &table;
@@ -1739,16 +1759,17 @@ mod tests {
                 graph.num_nodes(),
                 JobEngineConfig::default(),
                 move || {
-                    let id = table_ref.submit(g, B, 5, 6, 0, true).unwrap();
+                    let id = table_ref.submit(g, B, 5, 6, 0).unwrap();
                     *got = Some(table_ref.wait(id).unwrap());
                 },
             );
         }
         let out = got.expect("job ran");
         assert_eq!(out.stats, one_shot.stats);
-        assert_eq!(out.tiles.len(), one_shot.tiles.len());
-        for (r, t) in &one_shot.tiles {
-            assert_eq!(out.tiles[r], *t, "tile {r:?} differs");
+        let factor = factor_of(&out);
+        assert_eq!(out.tiles.len(), factor.tile_coords().count());
+        for (i, j) in factor.tile_coords() {
+            assert_eq!(factor.tile(i, j), one_shot.factor().tile(i, j), "({i},{j})");
         }
     }
 
@@ -1768,8 +1789,8 @@ mod tests {
         {
             let results = &mut results;
             run_mesh(&table, graph.num_nodes(), cfg, move || {
-                let cp = potrf_spec(g, 31, Some(&sbc_topo::CriticalPath), None);
-                let heft = potrf_spec(g, 32, Some(&sbc_topo::Heft), None);
+                let cp = potrf_spec(g, 31, &CriticalPath, None);
+                let heft = potrf_spec(g, 32, &Heft, None);
                 assert_ne!(cp.prio_bits, heft.prio_bits, "the two rankings coincide");
                 let a = table_ref.submit_spec(cp, (0, 0)).unwrap();
                 let b = table_ref.submit_spec(heft, (0, 0)).unwrap();
@@ -1782,6 +1803,53 @@ mod tests {
         assert_eq!(results[0].stats, results[1].stats);
     }
 
+    /// `SubmissionOrder` is the scheduler form of what used to be "no
+    /// priority vector": it ranks every task zero, which a [`ReadyKey`]
+    /// cannot tell from the empty vector — same pop order (`TaskId` order),
+    /// same factor, same `CommStats`.
+    #[test]
+    fn submission_order_scheduler_matches_the_empty_priority_vector() {
+        let d = SbcExtended::new(4); // 6 nodes
+        let nt = 10;
+        let graph = Arc::new(build_potrf(&d, nt));
+        let ranked = potrf_spec(&graph, 31, &SubmissionOrder, None);
+        let mut empty = potrf_spec(&graph, 31, &SubmissionOrder, None);
+        assert_eq!(ranked.prio_bits, vec![0; graph.len()]);
+        empty.prio_bits = Vec::new();
+        let tasks = 0..graph.len() as TaskId;
+        let pop_order = |spec: &JobSpec| {
+            let mut heap: BinaryHeap<_> = tasks
+                .clone()
+                .rev()
+                .map(|t| ReadyKey::new(spec, t))
+                .collect();
+            std::iter::from_fn(|| heap.pop().map(|k| k.task.0)).collect::<Vec<_>>()
+        };
+        assert_eq!(pop_order(&ranked), pop_order(&empty));
+        assert_eq!(pop_order(&ranked), tasks.clone().collect::<Vec<_>>());
+
+        let table = JobTable::new(graph.num_nodes(), 8);
+        let table_ref = &table;
+        let mut results = Vec::new();
+        {
+            let results = &mut results;
+            run_mesh(
+                &table,
+                graph.num_nodes(),
+                JobEngineConfig::default(),
+                move || {
+                    let a = table_ref.submit_spec(ranked, (0, 0)).unwrap();
+                    let b = table_ref.submit_spec(empty, (0, 0)).unwrap();
+                    results.push(table_ref.wait(a).unwrap());
+                    results.push(table_ref.wait(b).unwrap());
+                },
+            );
+        }
+        assert_sequential(&results[0], &d, nt, 31);
+        assert_sequential(&results[1], &d, nt, 31);
+        assert_eq!(results[0].stats, results[1].stats);
+    }
+
     #[test]
     fn recorded_two_job_run_has_a_span_per_task() {
         let d = SbcExtended::new(3); // 3 nodes
@@ -1790,9 +1858,7 @@ mod tests {
         let table = JobTable::new(n, 8);
         let recorder = Recorder::new();
         for seed in [1, 2] {
-            table
-                .submit(Arc::clone(&graph), B, seed, seed, 0, true)
-                .unwrap();
+            table.submit(Arc::clone(&graph), B, seed, seed, 0).unwrap();
         }
         table.shutdown();
         let cfg = JobEngineConfig {
@@ -1824,10 +1890,10 @@ mod tests {
         // no engines are running, so the first job can never finish and
         // the second must bounce with a reason
         let first = table
-            .submit(Arc::clone(&graph), B, 1, 2, 0, true)
+            .submit(Arc::clone(&graph), B, 1, 2, 0)
             .expect("first admitted");
         let err = table
-            .submit(Arc::clone(&graph), B, 3, 4, 0, true)
+            .submit(Arc::clone(&graph), B, 3, 4, 0)
             .expect_err("second rejected");
         assert_eq!(
             err,
@@ -1868,7 +1934,7 @@ mod tests {
         engine.receive_once(false, &mut None);
         assert_eq!(error(&engine), None, "an idle rank stalled");
 
-        let id = table.submit(graph, B, 5, 6, 0, true).unwrap();
+        let id = table.submit(graph, B, 5, 6, 0).unwrap();
         engine.admit(&mut seen);
         engine.receive_once(false, &mut None);
         assert_eq!(error(&engine), None, "admission did not re-arm the clock");
@@ -1902,7 +1968,7 @@ mod tests {
             move || {
                 for s in 0..3u64 {
                     let id = table_ref
-                        .submit(Arc::clone(g), B, 10 + s, 20 + s, 0, true)
+                        .submit(Arc::clone(g), B, 10 + s, 20 + s, 0)
                         .unwrap();
                     table_ref.wait(id).unwrap();
                 }
@@ -1952,7 +2018,7 @@ mod tests {
                 // a prediction that is off by one message (and its bytes)
                 let planted = (real_msgs + 1, messages_to_bytes(real_msgs, B));
                 let id = table_ref
-                    .submit_expecting(Arc::clone(g), B, 7, 8, 0, true, planted)
+                    .submit_expecting(Arc::clone(g), B, 7, 8, 0, planted)
                     .unwrap();
                 table_ref.wait(id).unwrap();
             },
@@ -1986,9 +2052,9 @@ mod tests {
         assert!(snap.gauges.iter().any(|(n, _, _)| n == "jobs.rank3.busy"));
         assert_eq!(snap.histogram("serve.job.latency").unwrap().count, 0);
 
-        let first = table.submit(Arc::clone(&graph), B, 1, 2, 0, true).unwrap();
+        let first = table.submit(Arc::clone(&graph), B, 1, 2, 0).unwrap();
         table
-            .submit(Arc::clone(&graph), B, 3, 4, 0, true)
+            .submit(Arc::clone(&graph), B, 3, 4, 0)
             .expect_err("queue full");
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("serve.jobs.rejected"), Some(1));
@@ -2012,7 +2078,7 @@ mod tests {
         let table = JobTable::new(graph.num_nodes(), 4);
         table.shutdown();
         assert_eq!(
-            table.submit(graph, B, 1, 2, 0, true).unwrap_err(),
+            table.submit(graph, B, 1, 2, 0).unwrap_err(),
             Rejection::ShuttingDown
         );
     }
@@ -2038,7 +2104,7 @@ mod tests {
                     let ids: Vec<JobId> = (0..4u64)
                         .map(|s| {
                             table_ref
-                                .submit(Arc::clone(g), B, 100 + s, 200 + s, (s % 3) as u8, true)
+                                .submit(Arc::clone(g), B, 100 + s, 200 + s, (s % 3) as u8)
                                 .unwrap()
                         })
                         .collect();
@@ -2105,7 +2171,7 @@ mod tests {
     /// Runs one POTRF whose diagonal tile (4,4) is not positive definite as
     /// the single job of a 6-rank table and returns what its waiter sees.
     /// `gated` puts the failing rank behind a [`PoisonGate`].
-    fn failing_job(workers: usize, gated: bool) -> Result<JobOutcome, ExecError> {
+    fn failing_job(workers: usize, gated: bool) -> Result<(), ExecError> {
         let d = SbcExtended::new(4); // 6 nodes
         let nt = 9;
         let graph = Arc::new(build_potrf(&d, nt));
@@ -2116,19 +2182,19 @@ mod tests {
             .find(|t| t.kind == TaskKind::Potrf { k: 4 })
             .expect("the graph factors tile (4,4)")
             .node;
-        let provider = move |r: TileRef| match r {
+        let provider = |r: TileRef| match r {
             TileRef::A {
                 phase: 0,
                 i: 4,
                 j: 4,
                 ..
             } => Tile::from_fn(B, |r, c| if r == c { -1.0 } else { 0.0 }),
-            r => default_original(r, nt, B, 7, 8),
+            r => default_original(r, &graph, B, 7, 8),
         };
         let table = JobTable::new(n, 1);
         let id = table
             .submit_spec(
-                potrf_spec(&graph, 7, Some(&sbc_topo::CriticalPath), Some(&provider)),
+                potrf_spec(&graph, 7, &CriticalPath, Some(&provider)),
                 (0, 0),
             )
             .unwrap();
@@ -2151,10 +2217,10 @@ mod tests {
                 scope.spawn(move || run_jobs_rank(net, table, cfg));
             }
         });
-        table.wait(id)
+        table.wait(id).map(drop)
     }
 
-    fn assert_kernel_failure(got: Result<JobOutcome, ExecError>, context: &str) {
+    fn assert_kernel_failure(got: Result<(), ExecError>, context: &str) {
         match got {
             Err(ExecError::Kernel { .. }) => {}
             Err(other) => panic!("{context}: the waiter saw {other:?}, not the kernel failure"),

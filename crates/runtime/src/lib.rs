@@ -4,10 +4,9 @@
 //! MPI between nodes. This crate is the functional substitute: every
 //! "node" is a small pool of worker threads with *private* tile storage,
 //! the "network" is a pluggable [`sbc_net::Transport`] — in-process
-//! channels by default ([`Executor::try_run`]), real TCP/UDS sockets with
-//! one OS process per rank through [`Executor::run_rank`] /
-//! [`Run::execute_rank`] — and every tile that crosses a node boundary is
-//! counted — so the runtime simultaneously
+//! channels by default ([`Run::execute`]), real TCP/UDS sockets with one OS
+//! process per rank through [`Run::execute_rank`] — and every tile that
+//! crosses a node boundary is counted — so the runtime simultaneously
 //!
 //! 1. proves the task graphs are executable (deadlock-free, correctly
 //!    ordered: results match the sequential algorithms bit-for-bit at any
@@ -21,43 +20,41 @@
 //! output tile to every node that needs it (one message per consumer node,
 //! point-to-point, no collectives); receivers cache tiles keyed by producer
 //! task, so a tile version is never transferred twice to the same node.
-//! Within a node, ready tasks drain through a shared heap ordered by
-//! critical-path priorities ([`Policy::CriticalPath`]) — the StarPU list
-//! scheduler the paper runs — by any `sbc_topo::Scheduler`, or in
-//! submission order.
 //!
-//! There is **one task engine** ([`jobs`]): a [`JobTable`] hands jobs to one
-//! rank engine per rank, which schedules, executes, sends, receives and
-//! watches for stalls. It has two front ends. A *one-shot* run —
-//! [`Executor`], hence [`Run`] and [`PlannedExecutor`] — is a table holding
-//! one job: submit, close admission, run the engines until they drain,
-//! convert the [`JobOutcome`] into an [`ExecOutcome`]. A *resident* mesh
-//! (`sbc-serve`) keeps the same engines running ([`run_jobs_rank`]) and
-//! streams jobs through [`JobTable::submit`].
+//! ## One builder, two structs
 //!
-//! The high-level entry point is the [`Run`] builder: pick a workload
-//! ([`Run::potrf`], [`Run::posv`], …), set tile size, seeds, worker count,
-//! policy, an optional [`sbc_obs::Recorder`] (task spans per worker,
-//! per-message events, dependency waits, scheduler gauges) or a custom
-//! tile provider, then [`Run::execute`]. Lower-level control — your own
-//! graph, your own gather — goes through [`Executor::builder`];
-//! planner-produced plans run via [`PlannedExecutor`].
+//! There is **one task engine** ([`jobs`]) and one way into it. The engine
+//! reads two structs, and each decision about a job has one owner:
+//!
+//! | decision | owner |
+//! |---|---|
+//! | what a job is — graph, tile size, seeds, tile provider, priority vector | [`JobSpec`], built in one place ([`Run`] fills it for a one-shot run, [`JobTable::submit`] for a resident mesh) |
+//! | how engines run it — workers, heartbeat, watchdog deadline, kernel backend | [`JobEngineConfig`] |
+//! | what the result is — which tiles, which container | the graph's `sbc_taskgraph::ResultKind`, read by [`gather`] alone |
+//! | ready order | one `&dyn sbc_topo::Scheduler` (default `CriticalPath`, the StarPU list scheduler the paper runs; `SubmissionOrder` for none) |
+//!
+//! [`Run`] is the only builder: pick an operation ([`Run::potrf`],
+//! [`Run::posv`], …), bring your own graph ([`Run::graph`]) or a planner's
+//! answer ([`Run::plan`]); set tile size, seeds, workers, scheduler,
+//! deadline, kernels, an optional [`sbc_obs::Recorder`] (task spans per
+//! worker, per-message events, dependency waits, scheduler gauges) or a
+//! custom tile provider — one setter each — then [`Run::execute`]. A
+//! one-shot run is a [`JobTable`] holding one job: submit, close admission,
+//! run the rank engines until they drain, [`gather`] the [`JobOutcome`]. A
+//! *resident* mesh (`sbc-serve`) keeps the same engines running
+//! ([`run_jobs_rank`]) and streams jobs through [`JobTable::submit`].
 
 #![warn(missing_docs)]
 
-pub mod executor;
+pub mod exec;
 pub mod jobs;
-pub mod planned;
 pub mod run;
 
-pub use executor::{
-    CommStats, ExecError, ExecOutcome, Executor, ExecutorBuilder, FaultPolicy, Policy, TileProvider,
-};
+pub use exec::{CommStats, ExecError, TileProvider};
 pub use jobs::{
     run_jobs_rank, JobEngineConfig, JobId, JobOutcome, JobSpec, JobTable, Rejection,
     JOB_LATENCY_BOUNDS,
 };
-pub use planned::{run_plan, PlannedExecutor};
-pub use run::{gather_symmetric, Run, RunOutput, RunResult, Workload};
+pub use run::{gather, Run, RunOutput, RunResult};
 // the kernel-backend selector is part of the run configuration surface
 pub use sbc_kernels::{KernelBackend, Kernels, KERNELS_ENV};

@@ -1,18 +1,15 @@
-//! The unified entry point: one builder for every distributed operation.
-//!
-//! [`Run`] replaces the old family of `run_*` free functions (each a
-//! slightly different signature) with a single fluent surface:
+//! The one front end: a [`Run`] describes a job and how to run it, then runs
+//! it once.
 //!
 //! ```
 //! use sbc_dist::SbcExtended;
-//! use sbc_runtime::{Policy, Run};
+//! use sbc_runtime::Run;
 //!
 //! let dist = SbcExtended::new(4);
 //! let out = Run::potrf(&dist, 8)
 //!     .block(8)
 //!     .seed(2022)
 //!     .workers(2)
-//!     .priorities(Policy::CriticalPath)
 //!     .execute()
 //!     .unwrap();
 //! let l = out.factor(); // lower tiles hold L
@@ -20,50 +17,40 @@
 //! assert_eq!(l.tile(0, 0).dim(), 8);
 //! ```
 //!
-//! A `Run` owns its task graph (built at construction, so it can be
-//! inspected via [`Run::graph`] before executing), and `execute` gathers
-//! the workload's result fallibly: a tile missing from the merged stores
-//! surfaces as [`ExecError::MissingTile`] instead of a panic.
+//! A `Run` is a builder over the two structs the engine reads. *What the job
+//! is* — graph, tile size, seeds, tile provider, ready order — becomes the
+//! one [`JobSpec`] of a fresh [`JobTable`]; *how engines run it* — workers,
+//! watchdog deadline, kernel backend — is a [`JobEngineConfig`], with the
+//! clock and the recorder beside it. [`Run::execute`] meshes the graph's
+//! nodes up in-process over [`sbc_net::InProc`] channels, all ranks
+//! reporting to one table; [`Run::execute_rank`] executes a *single* rank
+//! over any endpoint — including `sbc-net`'s TCP/UDS stream backends, where
+//! each rank is a separate OS process with a rank-local table — and gathers
+//! to rank 0 with the transport's `Result`/`Done` control protocol. Either
+//! way the result is assembled by [`gather`], which reads its shape off the
+//! graph.
 
-use crate::executor::{
-    CommStats, ExecError, ExecOutcome, Executor, FaultPolicy, Policy, TileProvider,
-};
+use crate::exec::{CommStats, ExecError, TileProvider};
+use crate::jobs::{run_engine, GraphRef, JobEngineConfig, JobId, JobSpec, JobTable};
 use sbc_dist::{Distribution, RowCyclic, TwoPointFiveD};
 use sbc_kernels::{KernelBackend, Tile};
-use sbc_matrix::{generate, FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
-use sbc_net::Transport;
+use sbc_matrix::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
+use sbc_net::{inproc_mesh, Clock, Message, PeerStats, RealClock, RecvTimeout, Transport};
 use sbc_obs::Recorder;
+use sbc_planner::Plan;
 use sbc_taskgraph::{
     build_lauum, build_lu, build_posv, build_potrf, build_potrf_25d, build_potri,
-    build_potri_remap, build_trtri, TaskGraph, TileRef,
+    build_potri_remap, build_trtri, ResultKind, TaskGraph, TileRef,
 };
+use sbc_topo::{CriticalPath, Scheduler};
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Which distributed operation a [`Run`] executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Cholesky factorization (`A = L·Lᵀ`).
-    Potrf,
-    /// 2.5D Cholesky with accumulation slices (paper Section IV).
-    Potrf25d,
-    /// Factorize and solve against a right-hand-side panel.
-    Posv,
-    /// LU factorization without pivoting (diagonally dominant input).
-    Lu,
-    /// Inversion of the lower-triangular factor.
-    Trtri,
-    /// `Lᵀ·L` product of the lower triangle.
-    Lauum,
-    /// Full SPD inverse (POTRF + TRTRI + LAUUM).
-    Potri,
-    /// POTRI with the paper's "SBC remap 2DBC" redistribution
-    /// (Section V-F.2).
-    PotriRemap,
-}
-
-/// The gathered result of a [`Run`], by workload shape.
+/// The gathered result of a job, by the shape its graph declares
+/// ([`ResultKind`]).
 pub enum RunResult {
-    /// A symmetric tiled matrix (factor, inverse, …) — every workload
+    /// A symmetric tiled matrix (factor, inverse, …) — every operation
     /// except POSV and LU.
     Factor(SymmetricTiledMatrix),
     /// The solution panel of a POSV run.
@@ -82,12 +69,56 @@ impl std::fmt::Debug for RunResult {
     }
 }
 
+/// Assembles a finished job's result from its merged tile stores. Which
+/// tiles (phase, slice) and which container is decided here and nowhere
+/// else, from the graph alone; a tile the execution never produced is
+/// [`ExecError::MissingTile`], not a panic.
+pub fn gather(
+    graph: &TaskGraph,
+    tiles: &HashMap<TileRef, Tile>,
+    b: usize,
+) -> Result<RunResult, ExecError> {
+    let nt = graph.nt;
+    // the final value of tile (i, j) lives on the 2.5D slice that ran
+    // iteration j (slice 0 of a 2D graph)
+    let a = |phase: u8, i: usize, j: usize| TileRef::A {
+        phase,
+        slice: (j % graph.slices) as u8,
+        i: i as u32,
+        j: j as u32,
+    };
+    let mut missing = None;
+    let mut fetch = |r: TileRef| {
+        tiles.get(&r).cloned().unwrap_or_else(|| {
+            missing.get_or_insert(r);
+            Tile::zeros(b)
+        })
+    };
+    let result = match graph.result {
+        ResultKind::Symmetric { phase } => {
+            RunResult::Factor(SymmetricTiledMatrix::from_tile_fn(nt, b, |i, j| {
+                fetch(a(phase, i, j))
+            }))
+        }
+        ResultKind::Panel => RunResult::Solution(TiledPanel::from_tile_fn(nt, b, |i| {
+            fetch(TileRef::B { i: i as u32 })
+        })),
+        ResultKind::Full => RunResult::Full(FullTiledMatrix::from_tile_fn(nt, b, |i, j| {
+            fetch(a(0, i, j))
+        })),
+    };
+    match missing {
+        Some(tile) => Err(ExecError::MissingTile { tile }),
+        None => Ok(result),
+    }
+}
+
 /// What [`Run::execute`] returns: the gathered result plus the measured
 /// communication.
 #[derive(Debug)]
 pub struct RunOutput {
     /// Measured communication statistics (schedule-invariant: identical at
-    /// every worker count and scheduling policy).
+    /// every worker count and under every scheduler).
     pub stats: CommStats,
     result: RunResult,
 }
@@ -96,34 +127,34 @@ impl RunOutput {
     /// The symmetric result matrix.
     ///
     /// # Panics
-    /// Panics if the workload was POSV or LU — use [`Self::solution`] /
+    /// Panics if the operation was POSV or LU — use [`Self::solution`] /
     /// [`Self::lu_factors`] for those.
     pub fn factor(&self) -> &SymmetricTiledMatrix {
         match &self.result {
             RunResult::Factor(m) => m,
-            other => panic!("workload produced {other:?}, not a symmetric matrix"),
+            other => panic!("the run produced {other:?}, not a symmetric matrix"),
         }
     }
 
     /// The POSV solution panel.
     ///
     /// # Panics
-    /// Panics if the workload was not POSV.
+    /// Panics if the operation was not POSV.
     pub fn solution(&self) -> &TiledPanel {
         match &self.result {
             RunResult::Solution(x) => x,
-            other => panic!("workload produced {other:?}, not a solution panel"),
+            other => panic!("the run produced {other:?}, not a solution panel"),
         }
     }
 
     /// The packed LU factors.
     ///
     /// # Panics
-    /// Panics if the workload was not LU.
+    /// Panics if the operation was not LU.
     pub fn lu_factors(&self) -> &FullTiledMatrix {
         match &self.result {
             RunResult::Full(m) => m,
-            other => panic!("workload produced {other:?}, not LU factors"),
+            other => panic!("the run produced {other:?}, not LU factors"),
         }
     }
 
@@ -135,97 +166,105 @@ impl RunOutput {
 
 /// A configured distributed operation, ready to execute.
 ///
-/// Construct with one of the workload constructors ([`Run::potrf`],
-/// [`Run::posv`], …), adjust the knobs, then [`Run::execute`]. Defaults:
-/// tile size 32, seed 42 (RHS seed derived), worker count and scheduling
-/// policy from [`Executor`]'s defaults.
+/// Start from an operation ([`Run::potrf`], [`Run::posv`], …), from a graph
+/// you built ([`Run::graph`]) or from a planner's answer ([`Run::plan`]),
+/// adjust the knobs — each has exactly one setter — then [`Run::execute`].
+/// Defaults: tile size 32, seed 42 (RHS seed derived), seeded input
+/// generators, critical-path ready order, available cores divided by the
+/// node count as workers, no watchdog, `Naive` kernels, real time.
 pub struct Run<'a> {
-    graph: TaskGraph,
-    workload: Workload,
-    nt: usize,
-    slices: usize,
-    gather_phase: u8,
+    // what the job is: one `JobSpec`
+    graph: GraphRef<'a>,
     b: usize,
     seed: u64,
     seed_rhs: Option<u64>,
-    workers: Option<usize>,
-    policy: Policy,
-    sched: Option<std::sync::Arc<dyn sbc_topo::Scheduler + Send + Sync>>,
-    fault: FaultPolicy,
-    clock: Option<std::sync::Arc<dyn sbc_net::Clock>>,
-    recorder: Option<&'a Recorder>,
     provider: Option<Box<TileProvider<'a>>>,
-    kernels: KernelBackend,
+    sched: Arc<dyn Scheduler + Send + Sync>,
+    /// How engines run it. `workers: 0` is "not chosen".
+    engine: JobEngineConfig,
+    clock: Arc<dyn Clock>,
+    recorder: Option<&'a Recorder>,
 }
 
 impl<'a> Run<'a> {
-    fn with_graph(graph: TaskGraph, workload: Workload, nt: usize) -> Self {
+    fn new(graph: GraphRef<'a>) -> Self {
         Run {
             graph,
-            workload,
-            nt,
-            slices: 1,
-            gather_phase: 0,
             b: 32,
             seed: 42,
             seed_rhs: None,
-            workers: None,
-            policy: Policy::default(),
-            sched: None,
-            fault: FaultPolicy::default(),
-            clock: None,
-            recorder: None,
             provider: None,
-            kernels: KernelBackend::default(),
+            sched: Arc::new(CriticalPath),
+            engine: JobEngineConfig {
+                workers: 0,
+                heartbeat: Duration::from_millis(50),
+                ..Default::default()
+            },
+            clock: Arc::new(RealClock),
+            recorder: None,
         }
+    }
+
+    fn owning(graph: TaskGraph) -> Self {
+        Self::new(GraphRef::Shared(Arc::new(graph)))
+    }
+
+    /// Executes a graph the caller built (and keeps). Inputs, ready order
+    /// and the gathered result follow the graph exactly as they do for the
+    /// operation constructors.
+    pub fn graph(graph: &'a TaskGraph) -> Self {
+        Self::new(GraphRef::Borrowed(graph))
+    }
+
+    /// Executes a planner's [`Plan`]: its distribution's graph for its
+    /// operation, at its tile size — from `(op, nt, b)` to a distributed
+    /// execution without naming a distribution anywhere.
+    pub fn plan(plan: &Plan) -> Self {
+        Self::owning(plan.build_graph()).block(plan.b)
     }
 
     /// Cholesky factorization of the seeded SPD matrix under `dist`.
     pub fn potrf<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::with_graph(build_potrf(dist, nt), Workload::Potrf, nt)
+        Self::owning(build_potrf(dist, nt))
     }
 
-    /// 2.5D Cholesky factorization (Section IV). The final value of tile
-    /// `(i, j)` lives on the slice that executed iteration `j`.
+    /// 2.5D Cholesky factorization (paper Section IV). The final value of
+    /// tile `(i, j)` lives on the slice that executed iteration `j`.
     pub fn potrf_25d<D: Distribution>(d25: &TwoPointFiveD<D>, nt: usize) -> Self {
-        let mut run = Self::with_graph(build_potrf_25d(d25, nt), Workload::Potrf25d, nt);
-        run.slices = d25.slices();
-        run
+        Self::owning(build_potrf_25d(d25, nt))
     }
 
     /// POSV: factorize the seeded SPD matrix and solve against the seeded
     /// right-hand side distributed by `rhs_dist`.
     pub fn posv<D: Distribution>(dist: &D, rhs_dist: &RowCyclic, nt: usize) -> Self {
-        Self::with_graph(build_posv(dist, rhs_dist, nt), Workload::Posv, nt)
+        Self::owning(build_posv(dist, rhs_dist, nt))
     }
 
     /// LU factorization (no pivoting) of the seeded diagonally dominant
     /// general matrix.
     pub fn lu<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::with_graph(build_lu(dist, nt), Workload::Lu, nt)
+        Self::owning(build_lu(dist, nt))
     }
 
     /// TRTRI of the lower triangle of the seeded matrix.
     pub fn trtri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::with_graph(build_trtri(dist, nt), Workload::Trtri, nt)
+        Self::owning(build_trtri(dist, nt))
     }
 
     /// LAUUM of the lower triangle of the seeded matrix.
     pub fn lauum<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::with_graph(build_lauum(dist, nt), Workload::Lauum, nt)
+        Self::owning(build_lauum(dist, nt))
     }
 
     /// POTRI (full SPD inverse) under one distribution.
     pub fn potri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::with_graph(build_potri(dist, nt), Workload::Potri, nt)
+        Self::owning(build_potri(dist, nt))
     }
 
-    /// POTRI with the paper's "SBC remap 2DBC" strategy: factor under
-    /// `sym`, remap to `bc` for the inversion, remap back.
+    /// POTRI with the paper's "SBC remap 2DBC" strategy (Section V-F.2):
+    /// factor under `sym`, remap to `bc` for the inversion, remap back.
     pub fn potri_remap<A: Distribution, B: Distribution>(sym: &A, bc: &B, nt: usize) -> Self {
-        let mut run = Self::with_graph(build_potri_remap(sym, bc, nt), Workload::PotriRemap, nt);
-        run.gather_phase = 2;
-        run
+        Self::owning(build_potri_remap(sym, bc, nt))
     }
 
     /// Tile dimension (default 32).
@@ -247,49 +286,38 @@ impl<'a> Run<'a> {
         self
     }
 
+    /// Custom original-tile provider replacing the seeded generators —
+    /// real data, or an injected failure. It is called on a tile's *home*
+    /// node the first time the tile is needed and must be a pure function
+    /// of the [`TileRef`].
+    pub fn provider(mut self, provider: impl Fn(TileRef) -> Tile + Sync + 'a) -> Self {
+        self.provider = Some(Box::new(provider));
+        self
+    }
+
+    /// Ranks the ready heaps with an `sbc-topo` [`Scheduler`] (default
+    /// [`CriticalPath`], the paper's StarPU list-scheduler configuration;
+    /// `sbc_topo::SubmissionOrder` pops in `TaskId` order). Every scheduler
+    /// assigns priorities deterministically, so swapping schedulers changes
+    /// execution order but never results (tested bit-exactly).
+    pub fn scheduler(mut self, sched: Arc<dyn Scheduler + Send + Sync>) -> Self {
+        self.sched = sched;
+        self
+    }
+
     /// Worker threads per node (clamped to at least 1). Default: available
     /// cores divided by the node count, at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
+        self.engine.workers = workers.max(1);
         self
     }
 
-    /// Ready-heap scheduling policy (default [`Policy::CriticalPath`]).
-    pub fn priorities(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Ranks the ready heaps with an `sbc-topo` [`Scheduler`](sbc_topo::Scheduler)
-    /// from the zoo, overriding [`Self::priorities`]. Results are
-    /// bit-identical under every scheduler; only execution order changes.
-    pub fn scheduler(
-        mut self,
-        sched: std::sync::Arc<dyn sbc_topo::Scheduler + Send + Sync>,
-    ) -> Self {
-        self.sched = Some(sched);
-        self
-    }
-
-    /// Liveness watchdog configuration (default: no deadline — blocking
-    /// receives never time out).
-    pub fn fault_policy(mut self, fault: FaultPolicy) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Shorthand: arm the watchdog with `deadline` as the maximum time a
-    /// rank may sit without progress before the run fails with
-    /// [`ExecError::Stalled`] instead of hanging.
-    pub fn deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.fault.deadline = Some(deadline);
-        self
-    }
-
-    /// The time source the watchdog reads (default: real time). See
-    /// [`ExecutorBuilder::clock`](crate::ExecutorBuilder::clock).
-    pub fn clock(mut self, clock: std::sync::Arc<dyn sbc_net::Clock>) -> Self {
-        self.clock = Some(clock);
+    /// Arms the liveness watchdog: the maximum time a rank may sit without
+    /// progress (applying a message or completing a task) before the run
+    /// fails with [`ExecError::Stalled`] instead of hanging. Default: no
+    /// deadline — blocking receives never time out.
+    pub fn deadline(mut self, deadline: Duration) -> Self {
+        self.engine.deadline = Some(deadline);
         self
     }
 
@@ -299,7 +327,17 @@ impl<'a> Run<'a> {
     /// communication statistics do not depend on this knob, only speed
     /// does.
     pub fn kernels(mut self, kernels: KernelBackend) -> Self {
-        self.kernels = kernels;
+        self.engine.kernels = kernels;
+        self
+    }
+
+    /// The time source the watchdog (progress epochs, stall deadlines,
+    /// gather pacing) reads — default [`RealClock`]. Injecting an
+    /// [`sbc_net::VirtualClock`] makes stall detection a pure function of
+    /// explicitly advanced time: deterministic tests can fire a
+    /// 1000-second deadline in milliseconds of real time.
+    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
         self
     }
 
@@ -310,191 +348,202 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Custom original-tile provider replacing the seeded generators. Must
-    /// be a pure function of the [`TileRef`].
-    pub fn provider(mut self, provider: impl Fn(TileRef) -> Tile + Sync + 'a) -> Self {
-        self.provider = Some(Box::new(provider));
-        self
-    }
-
-    /// The workload this run executes.
-    pub fn workload(&self) -> Workload {
-        self.workload
-    }
-
-    /// The task graph this run will execute — inspectable before
+    /// The task graph this run executes — inspectable before
     /// [`Self::execute`] (e.g. for message-count assertions).
-    pub fn graph(&self) -> &TaskGraph {
+    pub fn task_graph(&self) -> &TaskGraph {
         &self.graph
     }
 
-    /// Executes the graph and gathers the workload's result.
+    /// Submits this run as the single job of `table` and closes admission,
+    /// so every engine started afterwards registers the job on its first
+    /// iteration and exits on drain. Returns the job's id.
+    fn submit_closed<'s>(&'s self, table: &JobTable<'s>) -> JobId {
+        let spec = JobSpec::new(
+            GraphRef::Borrowed(&self.graph),
+            self.b,
+            (self.seed, self.seed_rhs.unwrap_or(self.seed ^ 0x05EE_D0FB)),
+            0,
+            self.sched.as_ref(),
+            self.provider.as_deref().map(|p| p as &TileProvider<'s>),
+        );
+        // a one-shot table is never obs-bound, so the drift monitor's
+        // prediction is not computed
+        let id = table
+            .submit_spec(spec, (0, 0))
+            .expect("a fresh table admits its first job");
+        table.shutdown();
+        id
+    }
+
+    /// The rank engines' configuration for an `n_nodes` mesh.
+    fn engine_config(&self, n_nodes: usize) -> JobEngineConfig {
+        let mut cfg = self.engine;
+        if cfg.workers == 0 {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            cfg.workers = (cores / n_nodes.max(1)).max(1);
+        }
+        cfg.kernels = KernelBackend::resolve(cfg.kernels);
+        cfg
+    }
+
+    fn output(
+        &self,
+        tiles: &HashMap<TileRef, Tile>,
+        stats: CommStats,
+    ) -> Result<RunOutput, ExecError> {
+        let result = gather(&self.graph, tiles, self.b)?;
+        Ok(RunOutput { stats, result })
+    }
+
+    /// Runs the graph to completion over an in-process channel mesh and
+    /// gathers its result.
     ///
     /// Kernel failures and missing result tiles surface as [`ExecError`];
-    /// every node shuts down cleanly first.
-    pub fn execute(self) -> Result<RunOutput, ExecError> {
-        self.run_with(|e| e.try_run().map(Some))
-            .map(|o| o.expect("try_run always returns an outcome"))
+    /// on failure every node is shut down via poison messages first and the
+    /// originating failure is returned.
+    pub fn execute(&self) -> Result<RunOutput, ExecError> {
+        let n_nodes = self.graph.num_nodes();
+        let table = JobTable::with_clock(n_nodes, n_nodes, 1, Arc::clone(&self.clock));
+        let id = self.submit_closed(&table);
+        let (cfg, recorder) = (self.engine_config(n_nodes), self.recorder);
+        std::thread::scope(|scope| {
+            // each rank thread owns its endpoint, as a rank process would
+            for net in inproc_mesh(n_nodes) {
+                let table = &table;
+                // a failing rank's error reaches the caller through the table
+                scope.spawn(move || run_engine(&net, table, cfg, recorder));
+            }
+        });
+        let out = table.wait(id)?;
+        self.output(&out.tiles, out.stats)
     }
 
-    /// Executes *this rank's* share of the graph over `net` — the
-    /// multi-process counterpart of [`Self::execute`], one OS process (or
-    /// caller-managed thread) per rank.
+    /// Executes *this rank's* share of the graph over `net` — the entry
+    /// point for multi-process runs, where each rank is its own OS process
+    /// (or caller-managed thread) holding one transport endpoint (see
+    /// `sbc_net::launch`).
     ///
-    /// Every rank must construct an identical `Run` and call this with its
-    /// own transport endpoint. Worker ranks return `Ok(None)` after
-    /// shipping their tiles to rank 0; rank 0 gathers and returns
-    /// `Ok(Some(output))`. See [`Executor::run_rank`].
-    pub fn execute_rank(self, net: &dyn Transport) -> Result<Option<RunOutput>, ExecError> {
-        self.run_with(|e| e.run_rank(net))
-    }
+    /// Every rank of the mesh must build an identical `Run` and call this
+    /// with its own endpoint. Worker ranks (`net.rank() != 0`) ship their
+    /// final tiles and a [`PeerStats`] report to rank 0 and return
+    /// `Ok(None)`; rank 0 waits for every report, gathers and returns
+    /// `Ok(Some(output))`. A failure on any rank poisons the whole mesh: the
+    /// failing rank returns its own [`ExecError`], every other rank
+    /// [`ExecError::Remote`].
+    pub fn execute_rank(&self, net: &dyn Transport) -> Result<Option<RunOutput>, ExecError> {
+        let n = net.num_nodes();
+        let me = net.rank();
+        // a rank-local table: the job completes on this rank's one report
+        let table = JobTable::with_clock(n, 1, 1, Arc::clone(&self.clock));
+        let id = self.submit_closed(&table);
+        let early = run_engine(net, &table, self.engine_config(n), self.recorder)?;
+        let out = table.wait(id)?;
+        // `net` carried exactly this job, so its wire totals are the job's —
+        // including copies a fault-injecting wrapper duplicated beneath the
+        // engine's own per-job tally
+        let wire = net.stats();
+        let own = PeerStats {
+            sent: wire.sent_messages,
+            sent_bytes: wire.sent_payload_bytes,
+            applied: out.stats.recv_per_node[me as usize],
+        };
 
-    fn run_with(
-        self,
-        f: impl FnOnce(&Executor<'_>) -> Result<Option<ExecOutcome>, ExecError>,
-    ) -> Result<Option<RunOutput>, ExecError> {
-        let Run {
-            graph,
-            workload,
-            nt,
-            slices,
-            gather_phase,
-            b,
-            seed,
-            seed_rhs,
-            workers,
-            policy,
-            sched,
-            fault,
-            clock,
-            recorder,
-            provider,
-            kernels,
-        } = self;
-        let seed_rhs = seed_rhs.unwrap_or(seed ^ 0x05EE_D0FB);
+        if me != 0 {
+            for (tile_ref, tile) in out.tiles {
+                net.send(0, Message::Result { tile_ref, tile });
+            }
+            net.send(
+                0,
+                Message::Done {
+                    src: me,
+                    stats: own,
+                },
+            );
+            return Ok(None);
+        }
 
-        let mut builder = Executor::builder(&graph)
-            .block(b)
-            .seeds(seed, seed_rhs)
-            .priorities(policy)
-            .fault_policy(fault)
-            .kernels(kernels);
-        if let Some(s) = sched {
-            builder = builder.scheduler(s);
+        // rank 0: fold in the gather frames that arrived during the run,
+        // then drain the inbox until every worker rank has reported
+        let mut gather = Gather {
+            tiles: out.tiles,
+            peer: vec![None; n],
+            missing: n - 1,
+        };
+        gather.peer[0] = Some(own);
+        for msg in early {
+            gather.absorb(msg)?;
         }
-        if let Some(c) = clock {
-            builder = builder.clock(c);
-        }
-        if let Some(w) = workers {
-            builder = builder.workers(w);
-        }
-        if let Some(r) = recorder {
-            builder = builder.recorder(r);
-        }
-        let lu_provider;
-        if let Some(p) = provider {
-            builder = builder.provider(p);
-        } else if workload == Workload::Lu {
-            // LU inputs are general (non-symmetric) tiles everywhere,
-            // unlike the symmetric operations' default provider
-            lu_provider = move |r: TileRef| match r {
-                TileRef::A { phase: 0, i, j, .. } => {
-                    generate::general_tile(seed, nt, b, i as usize, j as usize)
-                }
-                _ => unreachable!("LU graphs only touch phase-0 matrix tiles"),
+        let mut last_report = self.clock.now();
+        while gather.missing > 0 {
+            let msg = match self.engine.deadline {
+                None => net.recv(),
+                Some(deadline) => match net.recv_timeout(self.engine.heartbeat) {
+                    RecvTimeout::Msg(m) => Some(m),
+                    RecvTimeout::Closed => None,
+                    RecvTimeout::TimedOut => {
+                        if self.clock.now().saturating_duration_since(last_report) <= deadline {
+                            continue;
+                        }
+                        // the gather itself stalled: missing worker
+                        // reports will never arrive — abort the mesh
+                        for r in 1..n as u32 {
+                            net.send_poison(r);
+                        }
+                        let got = n - 1 - gather.missing;
+                        return Err(ExecError::Stalled {
+                            rank: 0,
+                            waiting_on: format!("gather: {got}/{} worker reports received", n - 1),
+                        });
+                    }
+                },
             };
-            builder = builder.provider(lu_provider);
-        }
-
-        let out = match f(&builder.build())? {
-            None => return Ok(None),
-            Some(out) => out,
-        };
-        let result = match workload {
-            Workload::Potrf | Workload::Trtri | Workload::Lauum | Workload::Potri => {
-                RunResult::Factor(gather_symmetric(&out.tiles, nt, b, 0, |_| 0)?)
+            if gather.absorb(msg.ok_or(ExecError::Remote)?)? {
+                last_report = self.clock.now();
             }
-            Workload::PotriRemap => {
-                RunResult::Factor(gather_symmetric(&out.tiles, nt, b, gather_phase, |_| 0)?)
+        }
+
+        let peer = || gather.peer.iter().map(|s| s.expect("every rank reported"));
+        let stats = CommStats::from_per_node(
+            peer().map(|s| s.sent).collect(),
+            peer().map(|s| s.applied).collect(),
+            peer().map(|s| s.sent_bytes).collect(),
+        );
+        self.output(&gather.tiles, stats).map(Some)
+    }
+}
+
+/// Rank 0's side of the `Result`/`Done` gather protocol.
+struct Gather {
+    tiles: HashMap<TileRef, Tile>,
+    peer: Vec<Option<PeerStats>>,
+    /// Worker ranks that have not reported `Done` yet.
+    missing: usize,
+}
+
+impl Gather {
+    /// Folds one inbox message in. `Ok(true)` for gather traffic,
+    /// `Ok(false)` for anything harmless, [`ExecError::Remote`] for a
+    /// poison.
+    fn absorb(&mut self, msg: Message) -> Result<bool, ExecError> {
+        match msg {
+            Message::Result { tile_ref, tile } => {
+                self.tiles.insert(tile_ref, tile);
             }
-            Workload::Potrf25d => RunResult::Factor(gather_symmetric(&out.tiles, nt, b, 0, |j| {
-                (j % slices) as u8
-            })?),
-            Workload::Posv => RunResult::Solution(gather_panel(&out.tiles, nt, b)?),
-            Workload::Lu => RunResult::Full(gather_full(&out.tiles, nt, b)?),
-        };
-        Ok(Some(RunOutput {
-            stats: out.stats,
-            result,
-        }))
-    }
-}
-
-/// Looks a result tile up, reporting absence as an error instead of
-/// panicking (the executor's stores only hold what the graph produced).
-fn require(tiles: &HashMap<TileRef, Tile>, r: TileRef) -> Result<&Tile, ExecError> {
-    tiles.get(&r).ok_or(ExecError::MissingTile { tile: r })
-}
-
-/// Assembles the lower-triangular factor from an execution's merged tile
-/// stores: tile `(i, j)` is `TileRef::A { phase, slice: slice_of(j), .. }`.
-/// Used by [`Run`] for its own gathers and by the resident service to
-/// materialize per-job factors.
-pub fn gather_symmetric(
-    tiles: &HashMap<TileRef, Tile>,
-    nt: usize,
-    b: usize,
-    phase: u8,
-    slice_of: impl Fn(usize) -> u8,
-) -> Result<SymmetricTiledMatrix, ExecError> {
-    let tile_ref = |i: usize, j: usize| TileRef::A {
-        phase,
-        slice: slice_of(j),
-        i: i as u32,
-        j: j as u32,
-    };
-    for i in 0..nt {
-        for j in 0..=i {
-            require(tiles, tile_ref(i, j))?;
+            Message::Done { src, stats } => {
+                if self.peer[src as usize].replace(stats).is_none() {
+                    self.missing -= 1;
+                }
+            }
+            Message::Poison => return Err(ExecError::Remote),
+            // stray wakes from our own completion, a duplicate payload
+            // injected after our run finished, or leftover session
+            // traffic — all harmless
+            Message::Wake | Message::Payload { .. } | Message::Seq { .. } | Message::Ack { .. } => {
+                return Ok(false)
+            }
         }
+        Ok(true)
     }
-    Ok(SymmetricTiledMatrix::from_tile_fn(nt, b, |i, j| {
-        tiles[&tile_ref(i, j)].clone()
-    }))
-}
-
-fn gather_panel(
-    tiles: &HashMap<TileRef, Tile>,
-    nt: usize,
-    b: usize,
-) -> Result<TiledPanel, ExecError> {
-    for i in 0..nt {
-        require(tiles, TileRef::B { i: i as u32 })?;
-    }
-    Ok(TiledPanel::from_tile_fn(nt, b, |i| {
-        tiles[&TileRef::B { i: i as u32 }].clone()
-    }))
-}
-
-fn gather_full(
-    tiles: &HashMap<TileRef, Tile>,
-    nt: usize,
-    b: usize,
-) -> Result<FullTiledMatrix, ExecError> {
-    let tile_ref = |i: usize, j: usize| TileRef::A {
-        phase: 0,
-        slice: 0,
-        i: i as u32,
-        j: j as u32,
-    };
-    for i in 0..nt {
-        for j in 0..nt {
-            require(tiles, tile_ref(i, j))?;
-        }
-    }
-    Ok(FullTiledMatrix::from_tile_fn(nt, b, |i, j| {
-        tiles[&tile_ref(i, j)].clone()
-    }))
 }
 
 #[cfg(test)]
@@ -503,13 +552,24 @@ mod tests {
     use sbc_dist::comm;
     use sbc_dist::{SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
+    use sbc_net::{FaultConfig, Faulty};
+
+    fn assert_same_factor(a: &RunOutput, b: &RunOutput, context: &str) {
+        for (i, j) in a.factor().tile_coords() {
+            assert_eq!(
+                a.factor().tile(i, j),
+                b.factor().tile(i, j),
+                "{context}: tile ({i},{j}) differs"
+            );
+        }
+    }
 
     #[test]
     fn builder_run_matches_sequential_and_analytic_counts() {
         let dist = SbcExtended::new(5);
         let nt = 12;
         let run = Run::potrf(&dist, nt).block(8).seed(2022);
-        let expected_messages = run.graph().count_messages();
+        let expected_messages = run.task_graph().count_messages();
         let out = run.execute().unwrap();
         assert_eq!(out.stats.messages, expected_messages);
         assert_eq!(out.stats.messages, comm::potrf_messages(&dist, nt));
@@ -522,12 +582,22 @@ mod tests {
 
     #[test]
     fn gather_reports_missing_tiles_instead_of_panicking() {
-        // a graph covering only 4 tiles cannot gather a 6-tile matrix
+        // the stores of a 2-tile-wide factorization cannot fill a 3-tile one
+        let produced: HashMap<TileRef, Tile> = [(0, 0), (1, 0), (1, 1)]
+            .into_iter()
+            .map(|(i, j)| {
+                let r = TileRef::A {
+                    phase: 0,
+                    slice: 0,
+                    i,
+                    j,
+                };
+                (r, Tile::zeros(8))
+            })
+            .collect();
         let dist = TwoDBlockCyclic::new(2, 2);
-        let mut run = Run::potrf(&dist, 2).block(8).seed(1);
-        run.nt = 3; // ask the gather for more than the graph produced
-        let err = run.execute().unwrap_err();
-        match err {
+        assert!(gather(&build_potrf(&dist, 2), &produced, 8).is_ok());
+        match gather(&build_potrf(&dist, 3), &produced, 8).unwrap_err() {
             ExecError::MissingTile { tile } => {
                 assert!(matches!(tile, TileRef::A { i: 2, .. }), "{tile:?}");
             }
@@ -536,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn accessor_panics_carry_workload_context() {
+    fn accessor_panics_carry_the_result_shape() {
         let dist = TwoDBlockCyclic::new(1, 1);
         let out = Run::potrf(&dist, 2).block(8).execute().unwrap();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -546,5 +616,91 @@ mod tests {
         let (result, stats) = out.into_parts();
         assert!(matches!(result, RunResult::Factor(_)));
         assert_eq!(stats.messages, 0);
+    }
+
+    #[test]
+    fn worker_counts_do_not_change_results_or_traffic() {
+        let d = SbcExtended::new(5); // 10 nodes
+        let g = build_potrf(&d, 12);
+        let run = |workers| {
+            let run = Run::graph(&g).block(8).seed(2022).workers(workers);
+            run.execute().unwrap()
+        };
+        let base = run(1);
+        for workers in [2, 4] {
+            let out = run(workers);
+            assert_same_factor(&base, &out, &format!("workers={workers}"));
+            assert_eq!(base.stats, out.stats, "stats differ at workers={workers}");
+        }
+    }
+
+    #[test]
+    fn the_rhs_seed_is_derived_unless_set() {
+        let d = SbcExtended::new(4);
+        let rhs = RowCyclic::new(6);
+        let derived = Run::posv(&d, &rhs, 8).block(8).seed(9).execute().unwrap();
+        let explicit = |seed_rhs| {
+            let run = Run::posv(&d, &rhs, 8).block(8).seed(9).seed_rhs(seed_rhs);
+            run.execute().unwrap()
+        };
+        let same = explicit(9 ^ 0x05EE_D0FB);
+        assert_eq!(derived.stats, same.stats);
+        assert_eq!(derived.solution().max_abs_diff(same.solution()), 0.0);
+        assert!(derived.solution().max_abs_diff(explicit(10).solution()) > 0.0);
+    }
+
+    /// Drives `execute_rank` over a caller-owned mesh, one thread per rank,
+    /// returning rank 0's gathered output.
+    fn run_ranks<T: Transport>(run: &Run<'_>, mesh: &[T]) -> RunOutput {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = mesh
+                .iter()
+                .map(|net| scope.spawn(move || run.execute_rank(net)))
+                .collect();
+            let mut out = None;
+            for h in handles {
+                if let Some(o) = h.join().expect("rank thread panicked").unwrap() {
+                    out = Some(o);
+                }
+            }
+            out.expect("rank 0 gathered an output")
+        })
+    }
+
+    #[test]
+    fn execute_rank_gather_matches_execute() {
+        let d = SbcExtended::new(4); // 6 nodes
+        let g = build_potrf(&d, 10);
+        let run = Run::graph(&g).block(8).seed(2022).workers(1);
+        let expected = run.execute().unwrap();
+        let mesh = inproc_mesh(g.num_nodes());
+        let out = run_ranks(&run, &mesh);
+        assert_eq!(out.stats, expected.stats);
+        assert_same_factor(&expected, &out, "execute_rank");
+    }
+
+    #[test]
+    fn duplicating_and_delaying_transport_does_not_change_the_result() {
+        let d = TwoDBlockCyclic::new(2, 2);
+        let g = build_potrf(&d, 8);
+        let run = Run::graph(&g).block(8).seed(3).workers(2);
+        let clean = run.execute().unwrap();
+        let cfg = FaultConfig {
+            dup_every: 2,
+            delay: Some(std::time::Duration::from_micros(50)),
+            ..Default::default()
+        };
+        let mesh: Vec<_> = inproc_mesh(g.num_nodes())
+            .into_iter()
+            .map(|t| Faulty::new(t, cfg))
+            .collect();
+        let out = run_ranks(&run, &mesh);
+        // duplicates inflate the wire counts but are never applied, so the
+        // result and the applied totals stay at the clean run's values
+        let injected: u64 = mesh.iter().map(|t| t.duplicated()).sum();
+        assert!(injected > 0, "the fault plan injected nothing");
+        assert_eq!(out.stats.messages, clean.stats.messages + injected);
+        assert_eq!(out.stats.recv_per_node, clean.stats.recv_per_node);
+        assert_same_factor(&clean, &out, "under faults");
     }
 }

@@ -1,4 +1,4 @@
-//! End-to-end workload tests over the public `Run` / `Executor` surface:
+//! End-to-end workload tests over the public `Run` surface:
 //! every distributed operation matches its sequential counterpart bitwise
 //! (or to a tiny residual), and the measured traffic equals the analytic
 //! counts of `sbc_dist::comm`.
@@ -6,10 +6,10 @@
 use sbc_dist::comm;
 use sbc_dist::{Distribution, RowCyclic, SbcBasic, SbcExtended, TwoDBlockCyclic, TwoPointFiveD};
 use sbc_matrix::{
-    cholesky_residual, inverse_residual, lauum_tiled, posv_tiled, potrf_tiled, random_panel,
-    random_spd, solve_residual, trtri_tiled,
+    cholesky_residual, inverse_residual, lauum_tiled, lu_tiled, posv_tiled, potrf_tiled,
+    potri_tiled, random_general, random_panel, random_spd, solve_residual, trtri_tiled,
 };
-use sbc_runtime::{Executor, Run};
+use sbc_runtime::Run;
 
 const B: usize = 8;
 const SEED: u64 = 2022;
@@ -215,12 +215,12 @@ fn recorded_run_observes_every_task_and_message() {
     let nt = 10;
     let g = build_potrf(&dist, nt);
     let rec = Recorder::new();
-    let out = Executor::builder(&g)
+    let out = Run::graph(&g)
         .block(B)
-        .seeds(SEED, SEED ^ 1)
+        .seed(SEED)
         .recorder(&rec)
-        .build()
-        .run();
+        .execute()
+        .unwrap();
     let recording = rec.drain();
     let profile = ExecProfile::from_recording(&recording);
     // one task span per graph task, one send event per message
@@ -245,11 +245,7 @@ fn kernel_backends_do_not_change_results_or_traffic() {
     let dist = SbcExtended::new(5);
     let nt = 12;
     let mut base: Option<(Vec<Vec<f64>>, sbc_runtime::CommStats)> = None;
-    for kernels in [
-        KernelBackend::Naive,
-        KernelBackend::Blocked,
-        KernelBackend::Arch,
-    ] {
+    for kernels in [KernelBackend::Naive, KernelBackend::Blocked] {
         let out = Run::potrf(&dist, nt)
             .block(B)
             .seed(SEED)
@@ -285,4 +281,94 @@ fn kernel_backends_do_not_change_results_or_traffic() {
 /// A tiny SPD tile for the object-safety probe above.
 fn sbc_kernels_identity_probe() -> sbc_kernels::Tile {
     sbc_kernels::Tile::from_fn(4, |i, j| if i == j { 4.0 } else { 1.0 })
+}
+
+/// Planner → [`Run::plan`] → gathered result, for every operation on two
+/// platforms plus the 2.5D and remap choices no search at this size returns:
+/// the run hands back the result *shape* the sequential `sbc-matrix`
+/// algorithm produces (factor / solution panel / full LU), bit-identical to
+/// it, and measures exactly the traffic of the plan's graph — the plan's own
+/// analytic count — at any worker count.
+#[test]
+fn every_planned_operation_gathers_the_sequential_result() {
+    use sbc_planner::{DistChoice, Op, Plan, Planner};
+    use sbc_simgrid::Platform;
+
+    let nt = 12;
+    for nodes in [6, 15] {
+        let planner = Planner::new(Platform::bora(nodes));
+        let mut plans: Vec<Plan> = Op::ALL.iter().map(|&op| planner.plan(op, nt, B)).collect();
+        if nodes == 15 {
+            // the paper regime: extended SBC r = 6, at its analytic count
+            assert_eq!(plans[0].choice, DistChoice::SbcExtended { r: 6 });
+            let analytic = comm::potrf_messages(&SbcExtended::new(6), nt);
+            assert_eq!(plans[0].cost.messages, analytic);
+        }
+        let forced = [
+            (Op::Potrf, DistChoice::TwoFiveDSbc { r: 2, c: 3 }),
+            (Op::Potrf, DistChoice::TwoFiveDBc { p: 2, q: 1, c: 2 }),
+            (Op::Potri, DistChoice::PotriRemap { r: 4, p: 3, q: 2 }),
+        ];
+        for (op, choice) in forced {
+            let mut plan = planner.plan(op, nt, B);
+            plan.choice = choice;
+            plan.cost.messages = choice.messages(op, nt);
+            plans.push(plan);
+        }
+
+        for plan in plans {
+            let label = format!("{} as {}", plan.op.name(), plan.choice.describe());
+            let run = Run::plan(&plan).seed(SEED).workers(1);
+            let expected = run.task_graph().count_messages();
+            // the plan's analytic count is exact for a single sweep; for the
+            // composed operations it is the sum of the parts, which the
+            // merged graph undercuts by the tiles it already holds
+            if matches!(plan.op, Op::Posv | Op::Potri) {
+                assert!(expected <= plan.cost.messages, "{label}");
+            } else {
+                assert_eq!(expected, plan.cost.messages, "{label}");
+            }
+            let out = run.execute().unwrap();
+            assert_eq!(out.stats.messages, expected, "{label}");
+            let pooled = Run::plan(&plan).seed(SEED).workers(4).execute().unwrap();
+            assert_eq!(out.stats, pooled.stats, "{label}: workers changed traffic");
+
+            let a0 = random_spd(SEED, nt, B);
+            let mut seq = a0.clone();
+            match plan.op {
+                Op::Posv => {
+                    let mut xs = random_panel(SEED ^ 0x05EE_D0FB, nt, B);
+                    posv_tiled(&mut seq, &mut xs).unwrap();
+                    assert!(out.solution().max_abs_diff(&xs) == 0.0, "{label}");
+                    continue;
+                }
+                Op::Lu => {
+                    let mut lu = random_general(SEED, nt, B);
+                    lu_tiled(&mut lu).unwrap();
+                    for i in 0..nt {
+                        for j in 0..nt {
+                            assert_eq!(out.lu_factors().tile(i, j), lu.tile(i, j), "{label}");
+                        }
+                    }
+                    continue;
+                }
+                Op::Potrf => potrf_tiled(&mut seq).unwrap(),
+                Op::Trtri => trtri_tiled(&mut seq).unwrap(),
+                Op::Lauum => lauum_tiled(&mut seq),
+                Op::Potri => potri_tiled(&mut seq).unwrap(),
+            }
+            if matches!(
+                plan.choice,
+                DistChoice::TwoFiveDSbc { .. } | DistChoice::TwoFiveDBc { .. }
+            ) {
+                // 2.5D sums each tile's updates slice by slice, so the factor
+                // is the sequential one up to rounding, not bit for bit
+                assert!(cholesky_residual(&a0, out.factor()) < 1e-12, "{label}");
+                continue;
+            }
+            for (i, j) in seq.tile_coords() {
+                assert_eq!(out.factor().tile(i, j), seq.tile(i, j), "{label} ({i},{j})");
+            }
+        }
+    }
 }

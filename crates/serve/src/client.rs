@@ -12,8 +12,10 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::time::Duration;
 
-/// One submission: `batch` same-shape POTRF jobs whose seeds count up from
-/// `seed` / `seed_rhs`.
+use crate::server::REFUSED;
+
+/// One submission: `batch` same-shape POTRF jobs whose seeds count up
+/// (wrapping) from `seed` / `seed_rhs`.
 #[derive(Debug, Clone, Copy)]
 pub struct JobRequest {
     /// Tile count per side.
@@ -61,7 +63,9 @@ pub enum JobReply {
         /// `j <= i`.
         tiles: Vec<(TileRef, Tile)>,
     },
-    /// Admission control refused the job; the reason is verbatim.
+    /// Admission control refused the job — or the service refused the whole
+    /// request (an unserved op, a shape or batch it cannot hold), in which
+    /// case this is the request's only reply. The reason is verbatim.
     Rejected(String),
     /// The job was admitted but the mesh failed it.
     Failed(String),
@@ -129,7 +133,8 @@ impl Client {
     }
 
     /// Submits one request and blocks until every job of the batch has a
-    /// terminal answer, returned in seed order.
+    /// terminal answer, returned in seed order — or until the service
+    /// refuses the request as a whole, which is a single reply.
     pub fn submit(&mut self, req: &JobRequest) -> Result<Vec<JobReply>, ClientError> {
         let id = self.next_req;
         self.next_req += 1;
@@ -170,6 +175,11 @@ impl Client {
                     // queued/running updates are informational
                 }
                 Frame::JobStatus { state: 3, info, .. } => replies.push(JobReply::Rejected(info)),
+                Frame::JobStatus {
+                    state: REFUSED,
+                    info,
+                    ..
+                } => return Ok(vec![JobReply::Rejected(info)]),
                 Frame::JobStatus { state: 4, info, .. } => replies.push(JobReply::Failed(info)),
                 Frame::JobStatus { state, .. } => {
                     return Err(ClientError::Protocol(format!("unknown job state {state}")))

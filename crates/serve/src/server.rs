@@ -128,10 +128,23 @@ fn handle(mut conn: Conn, service: &Service, stop: &AtomicBool) {
     }
 }
 
-/// Why a submission cannot be served, if it cannot. `nt` and `b` come off
-/// the wire: a shape is refused before planning (which allocates by it)
-/// unless its whole factor fits the one `JobResult` frame that answers it.
-fn refusal(op: u8, nt: u32, b: u32) -> Option<String> {
+/// Most tasks one served job's graph may hold. A POTRF of `nt` tiles has
+/// `nt (nt + 1) (nt + 2) / 6` of them, so a shape whose factor fits the reply
+/// frame can still be cubic in `nt` when `b` is tiny; this admits `nt <= 115`
+/// (the largest `b = 128` shape the frame allows is `nt = 63`).
+const MAX_TASKS: u64 = 1 << 18;
+
+/// The [`Frame::JobStatus`] state of a whole-request refusal: one answer for
+/// the request however large its `batch`, unlike the per-job admission
+/// rejection (state 3).
+pub(crate) const REFUSED: u8 = 5;
+
+/// Why a request cannot be served at all, if it cannot. Everything here
+/// comes off the wire, so it is checked (in checked arithmetic) before
+/// planning, which allocates by it: the whole factor must fit the one
+/// `JobResult` frame that answers a job, the graph must stay under
+/// [`MAX_TASKS`], and the batch must be one admission could ever hold.
+fn refusal(op: u8, nt: u32, b: u32, batch: u32, max_inflight: usize) -> Option<String> {
     if Op::ALL.get(op as usize) != Some(&Op::Potrf) {
         return Some(format!(
             "op {op} is not served over the wire (only 0 = POTRF)"
@@ -140,7 +153,21 @@ fn refusal(op: u8, nt: u32, b: u32) -> Option<String> {
     if nt == 0 || b == 0 {
         return Some(format!("degenerate shape nt={nt} b={b}"));
     }
-    let tiles = u64::from(nt) * (u64::from(nt) + 1) / 2;
+    if batch as usize > max_inflight {
+        return Some(format!(
+            "batch {batch} exceeds the {max_inflight} jobs the service admits at once"
+        ));
+    }
+    let nt64 = u64::from(nt);
+    let tasks = nt64
+        .checked_mul(nt64 + 1)
+        .and_then(|t| t.checked_mul(nt64 + 2));
+    if tasks.is_none_or(|t| t / 6 > MAX_TASKS) {
+        return Some(format!(
+            "shape nt={nt} is too large: its graph exceeds {MAX_TASKS} tasks"
+        ));
+    }
+    let tiles = nt64 * (nt64 + 1) / 2;
     match Frame::job_result_body_len(tiles, u64::from(b)) {
         Some(len) if len <= u64::from(MAX_BODY) => None,
         _ => Some(format!(
@@ -162,8 +189,8 @@ fn handle_submit(
     seed: u64,
     seed_rhs: u64,
 ) -> std::io::Result<()> {
-    if let Some(info) = refusal(op, nt, b) {
-        let state = 3;
+    if let Some(info) = refusal(op, nt, b, batch, service.table.max_inflight()) {
+        let state = REFUSED;
         write_reply(conn, service, &Frame::JobStatus { req, state, info })?;
         return conn.flush();
     }
@@ -173,7 +200,8 @@ fn handle_submit(
     // then answer in seed order
     let mut admitted = Vec::new();
     for k in 0..u64::from(batch.max(1)) {
-        match service.submit(Op::Potrf, nt, b, seed + k, seed_rhs + k, prio) {
+        let (seed, seed_rhs) = (seed.wrapping_add(k), seed_rhs.wrapping_add(k));
+        match service.submit(Op::Potrf, nt, b, seed, seed_rhs, prio) {
             Ok(sub) => {
                 write_reply(
                     conn,

@@ -17,7 +17,7 @@ use sbc_obs::{
 };
 use sbc_planner::{Op, Plan, Planner, PlannerConfig};
 use sbc_runtime::jobs::{run_jobs_rank, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
-use sbc_runtime::{gather_symmetric, ExecError, KernelBackend};
+use sbc_runtime::{gather, ExecError, KernelBackend, RunResult};
 use sbc_simgrid::Platform;
 use sbc_taskgraph::TaskGraph;
 use std::collections::VecDeque;
@@ -91,7 +91,7 @@ pub struct Submitted {
 /// A resident factorization service: submit jobs from any thread, wait for
 /// their outcomes, read the metrics, shut down once.
 pub struct Service {
-    table: Arc<JobTable<'static>>,
+    pub(crate) table: Arc<JobTable<'static>>,
     planner: Planner,
     metrics: Arc<Metrics>,
     events: Arc<EventLog>,
@@ -178,19 +178,11 @@ impl Service {
     ) -> Result<Submitted, Rejection> {
         let plan = self.planner.plan(op, nt, b);
         let graph = self.graph(&plan);
-        let id = self
-            .table
-            .submit(graph, b, seed, seed_rhs, prio, plan.use_priorities)?;
+        let id = self.table.submit(graph, b, seed, seed_rhs, prio)?;
         Ok(Submitted {
             id,
             plan_cached: plan.cached,
         })
-    }
-
-    fn cached_graph(&self, key: GraphKey) -> Option<Arc<TaskGraph>> {
-        let graphs = lock(&self.graphs);
-        let hit = graphs.iter().find(|(k, _)| *k == key);
-        hit.map(|(_, g)| Arc::clone(g))
     }
 
     /// The shape's shared task graph: cached, or built — outside the lock,
@@ -199,8 +191,8 @@ impl Service {
     /// so a rebuilt graph equals the evicted one.
     fn graph(&self, plan: &Plan) -> Arc<TaskGraph> {
         let key = (plan.op, plan.nt, plan.b);
-        if let Some(g) = self.cached_graph(key) {
-            return g;
+        if let Some((_, g)) = lock(&self.graphs).iter().find(|(k, _)| *k == key) {
+            return Arc::clone(g);
         }
         let built = Arc::new(plan.build_graph());
         let mut graphs = lock(&self.graphs);
@@ -224,7 +216,7 @@ impl Service {
     /// are recorded by the job table the moment the last rank reports; this
     /// method only adds the per-job trace span and refreshes the
     /// throughput gauge.
-    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
+    pub fn wait(&self, id: JobId) -> Result<JobOutcome<'static>, ExecError> {
         let out = self.table.wait(id)?;
         self.throughput.set(self.jobs_per_sec());
         let end = self.started.elapsed().as_secs_f64();
@@ -237,20 +229,23 @@ impl Service {
         Ok(out)
     }
 
-    /// Assembles a POTRF job's lower-triangular factor from its outcome,
-    /// resolving the shape's 2.5D slice layout from the shared graph.
+    /// Assembles a POTRF job's lower-triangular factor from its outcome; the
+    /// job's own graph (2.5D slices included) says where each tile is.
+    ///
+    /// # Panics
+    /// Panics if `out` is not the outcome of a symmetric-result job of
+    /// `nt` tiles.
     pub fn gather_potrf(
         &self,
         nt: usize,
         b: usize,
         out: &JobOutcome,
     ) -> Result<SymmetricTiledMatrix, ExecError> {
-        // the shape's graph may have been evicted since the job was admitted
-        let graph = self
-            .cached_graph((Op::Potrf, nt, b))
-            .unwrap_or_else(|| self.graph(&self.planner.plan(Op::Potrf, nt, b)));
-        let slices = graph.slices.max(1);
-        gather_symmetric(&out.tiles, nt, b, 0, |j| (j % slices) as u8)
+        assert_eq!(out.graph().nt, nt, "job {} is not of this shape", out.id);
+        match gather(out.graph(), &out.tiles, b)? {
+            RunResult::Factor(factor) => Ok(factor),
+            other => panic!("job {} produced {other:?}, not a factor", out.id),
+        }
     }
 
     /// The service's metrics registry (`serve.jobs.*`, `serve.job.latency`,

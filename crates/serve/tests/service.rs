@@ -252,11 +252,11 @@ fn wire_rejects_unknown_ops_and_degenerate_shapes() {
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
         }
     };
-    let submit = |op: u8, nt: u32, b: u32| Frame::JobSubmit {
+    let submit = |op: u8, nt: u32, b: u32, batch: u32| Frame::JobSubmit {
         req: 9,
         op,
         prio: 0,
-        batch: 1,
+        batch,
         nt,
         b,
         seed: 1,
@@ -265,26 +265,60 @@ fn wire_rejects_unknown_ops_and_degenerate_shapes() {
     // an unserved op, an empty matrix, then three shapes whose factor could
     // never be answered in one `JobResult` frame: two that overflow any
     // arithmetic done on them unchecked, and one just over the frame cap
-    // (2080 tiles of 128 KiB; nt = 63 would still fit). Each must be refused
-    // before anything is planned or allocated by it.
+    // (2080 tiles of 128 KiB; nt = 63 would still fit); a shape whose factor
+    // fits the frame but whose graph is cubic in nt (~1.8e10 tasks); and a
+    // batch no admission could ever hold. Each must be refused — the whole
+    // request, with one answer — before anything is planned, allocated or
+    // looped over by it.
     let b = B as u32;
-    for (op, nt, b) in [
-        (5u8, 8u32, b),
-        (0, 0, b),
-        (0, u32::MAX, 1),
-        (0, 1, u32::MAX),
-        (0, 64, 128),
+    for (op, nt, b, batch) in [
+        (5u8, 8u32, b, 1u32),
+        (0, 0, b, 1),
+        (0, u32::MAX, 1, 1),
+        (0, 1, u32::MAX, 1),
+        (0, 64, 128, 1),
+        (0, 4800, 1, 1),
+        (0, 8, b, u32::MAX),
     ] {
-        write_frame(&mut conn, &submit(op, nt, b)).unwrap();
+        write_frame(&mut conn, &submit(op, nt, b, batch)).unwrap();
         conn.flush().unwrap();
         let (frame, _) = read_frame(&mut conn).unwrap().expect("an answer");
         match frame {
-            Frame::JobStatus { state: 3, info, .. } => {
+            Frame::JobStatus { state: 5, info, .. } => {
                 assert!(!info.is_empty(), "rejections must carry a reason")
             }
             other => panic!("expected a rejection, got {other:?}"),
         }
     }
+
+    // through the client: a refused request is answered once whatever its
+    // batch, so `submit` returns instead of waiting for two more answers
+    let mut client = Client::connect(&addr).unwrap();
+    let refused = JobRequest {
+        batch: 3,
+        ..JobRequest::potrf(64, 128, 1)
+    };
+    match client.submit(&refused).unwrap().as_slice() {
+        [JobReply::Rejected(why)] => assert!(why.contains("too large"), "{why}"),
+        other => panic!("expected the request's single refusal, got {other:?}"),
+    }
+    // seeds count up wrapping: both jobs of a batch starting at u64::MAX run
+    let wrapping = JobRequest {
+        seed: u64::MAX,
+        seed_rhs: u64::MAX,
+        batch: 2,
+        ..JobRequest::potrf(6, B, 0)
+    };
+    let replies = client.submit(&wrapping).unwrap();
+    assert_eq!(replies.len(), 2, "one answer per batched job");
+    for (k, reply) in replies.iter().enumerate() {
+        let JobReply::Done { tiles, .. } = reply else {
+            panic!("batched job {k} refused: {reply:?}");
+        };
+        assert!(factor_matches(tiles, 6, B, u64::MAX.wrapping_add(k as u64)));
+    }
+    drop(client);
+
     write_frame(&mut conn, &Frame::Shutdown).unwrap();
     conn.flush().unwrap();
     drop(conn);

@@ -3,7 +3,7 @@
 use crate::platform::Platform;
 use crate::stats::{SimReport, TraceEvent};
 use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId};
-use sbc_topo::{SchedCtx, Scheduler, Topology};
+use sbc_topo::{CriticalPath, SchedCtx, Scheduler, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -28,9 +28,6 @@ pub struct SimConfig {
     pub tile_b: usize,
     /// Scheduling mode.
     pub mode: ScheduleMode,
-    /// Use critical-path priorities in the ready queues (`false` = FIFO;
-    /// ablation of the StarPU priority heuristic).
-    pub use_priorities: bool,
     /// Order each node's outgoing messages by consumer-task priority
     /// instead of production (FIFO) order. StarPU-MPI processes requests in
     /// submission order by default, and FIFO also measures best here — the
@@ -45,7 +42,6 @@ impl SimConfig {
         SimConfig {
             tile_b,
             mode: ScheduleMode::Async,
-            use_priorities: true,
             priority_comms: false,
         }
     }
@@ -212,8 +208,9 @@ pub struct Simulator<'a> {
 }
 
 impl<'a> Simulator<'a> {
-    /// Prepares a simulation. Computes critical-path priorities using the
-    /// platform's task-time model.
+    /// Prepares a simulation whose ready queues are ranked by
+    /// [`CriticalPath`] over the platform's task-time model; see
+    /// [`Self::with_scheduler`] for any other order.
     ///
     /// # Panics
     /// Panics if the graph targets more nodes than the platform has.
@@ -224,21 +221,15 @@ impl<'a> Simulator<'a> {
             graph.num_nodes(),
             platform.nodes
         );
-        let priorities = if config.use_priorities {
-            sbc_taskgraph::critical_path_priorities(graph, |t| {
-                platform.task_seconds(&t.kind, config.tile_b)
-            })
-        } else {
-            vec![0.0; graph.len()]
-        };
         Simulator {
             graph,
             platform,
             config,
-            priorities,
+            priorities: Vec::new(),
             topology: None,
             steal: false,
         }
+        .with_scheduler(&CriticalPath)
     }
 
     /// Prepares a simulation over an explicit network [`Topology`]: graph
@@ -272,7 +263,8 @@ impl<'a> Simulator<'a> {
     /// simulated cross-node work stealing if the scheduler asks for it).
     /// Task costs are the platform's modelled seconds; the communication
     /// cost handed to rank computation is the port time of one tile.
-    /// Overrides `config.use_priorities`.
+    /// `sbc_topo::SubmissionOrder` gives FIFO ready queues (the ablation of
+    /// the StarPU priority heuristic).
     pub fn with_scheduler(mut self, scheduler: &dyn Scheduler) -> Self {
         let costs: Vec<f64> = self
             .graph
@@ -887,7 +879,7 @@ mod tests {
     use crate::platform::Platform;
     use sbc_dist::{SbcBasic, SbcExtended, TwoDBlockCyclic, TwoPointFiveD};
     use sbc_taskgraph::{build_potrf, build_potrf_25d};
-    use sbc_topo::{zoo, CriticalPath, WorkStealing};
+    use sbc_topo::{zoo, CriticalPath, SubmissionOrder, WorkStealing};
 
     fn sim(graph: &TaskGraph, platform: &Platform, b: usize) -> SimReport {
         Simulator::new(graph, platform, SimConfig::chameleon(b)).run()
@@ -944,7 +936,6 @@ mod tests {
             SimConfig {
                 tile_b: 500,
                 mode: ScheduleMode::BulkSynchronous,
-                use_priorities: true,
                 priority_comms: false,
             },
         )
@@ -966,17 +957,9 @@ mod tests {
         let g = build_potrf(&d, 36);
         let p = Platform::bora(15);
         let with = Simulator::new(&g, &p, SimConfig::chameleon(500)).run();
-        let without = Simulator::new(
-            &g,
-            &p,
-            SimConfig {
-                tile_b: 500,
-                mode: ScheduleMode::Async,
-                use_priorities: false,
-                priority_comms: false,
-            },
-        )
-        .run();
+        let without = Simulator::new(&g, &p, SimConfig::chameleon(500))
+            .with_scheduler(&SubmissionOrder)
+            .run();
         assert!(with.makespan <= without.makespan * 1.02);
     }
 

@@ -32,6 +32,23 @@ pub enum EdgeKind {
     Ordering,
 }
 
+/// What a finished execution of a graph leaves behind — and so which tiles
+/// a gather collects into which container, and what the seeded inputs are.
+/// Set by the operation builders, next to `nt` and `slices`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResultKind {
+    /// The lower triangle of a symmetric matrix (SPD input): tile `(i, j)` is
+    /// `TileRef::A` at redistribution phase `phase` on slice `j % slices`.
+    Symmetric {
+        /// Phase whose tiles hold the result (0 without redistribution).
+        phase: u8,
+    },
+    /// The right-hand-side panel `TileRef::B` (POSV's solution).
+    Panel,
+    /// Every tile of a full matrix with general, non-symmetric input (LU).
+    Full,
+}
+
 const WAR_BIT: u32 = 1 << 31;
 
 /// Compressed sparse storage of predecessor/successor lists.
@@ -63,6 +80,8 @@ pub struct TaskGraph {
     pub nt: usize,
     /// 2.5D slice count (1 for plain 2D graphs).
     pub slices: usize,
+    /// What the executed graph's result is.
+    pub result: ResultKind,
 }
 
 impl TaskGraph {
@@ -231,6 +250,9 @@ pub struct GraphBuilder {
     num_nodes: usize,
     nt: usize,
     slices: usize,
+    /// What the finished graph's result is; the phase-0 symmetric matrix
+    /// unless an operation builder says otherwise.
+    pub(crate) result: ResultKind,
     // scratch for dedup
     scratch: Vec<u32>,
 }
@@ -248,6 +270,7 @@ impl GraphBuilder {
             num_nodes,
             nt,
             slices,
+            result: ResultKind::Symmetric { phase: 0 },
             scratch: Vec::new(),
         }
     }
@@ -408,6 +431,7 @@ impl GraphBuilder {
             num_nodes: self.num_nodes,
             nt: self.nt,
             slices: self.slices,
+            result: self.result,
         }
     }
 }

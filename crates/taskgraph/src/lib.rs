@@ -35,6 +35,8 @@ pub use builders::{
     build_lauum, build_lu, build_posv, build_potrf, build_potrf_25d, build_potri,
     build_potri_remap, build_trtri,
 };
-pub use graph::{EdgeKind, GraphBuilder, InitialFetch, TaskGraph};
-pub use priority::{critical_path_length, critical_path_priorities, flops_cost, flops_priorities};
+pub use graph::{EdgeKind, GraphBuilder, InitialFetch, ResultKind, TaskGraph};
+pub use priority::{
+    critical_path_length, critical_path_priorities, flops_priorities, upward_ranks,
+};
 pub use task::{Task, TaskId, TaskKind, TileRef};

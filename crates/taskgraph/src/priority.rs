@@ -10,13 +10,10 @@
 use crate::graph::TaskGraph;
 use crate::task::Task;
 
-/// Computes longest-path-to-exit priorities with a per-task cost model
-/// (typically estimated execution seconds; flops work as well since only
-/// ordering matters).
-///
-/// Larger is more urgent. Communication costs are not included — the
-/// simulator/runtime use these as list-scheduling keys only.
-pub fn critical_path_priorities(g: &TaskGraph, cost: impl Fn(&Task) -> f64) -> Vec<f32> {
+/// The upward rank of every task under per-task costs indexed by `TaskId`:
+/// the workspace's one implementation of the reverse pass, shared by
+/// [`critical_path_priorities`] and `sbc_topo::CriticalPath`.
+pub fn upward_ranks(g: &TaskGraph, cost: impl Fn(usize) -> f64) -> Vec<f32> {
     let n = g.len();
     let mut prio = vec![0.0f32; n];
     for t in (0..n).rev() {
@@ -24,9 +21,19 @@ pub fn critical_path_priorities(g: &TaskGraph, cost: impl Fn(&Task) -> f64) -> V
         for (s, _) in g.succs(t as u32) {
             best = best.max(prio[s as usize]);
         }
-        prio[t] = best + cost(&g.tasks()[t]) as f32;
+        prio[t] = best + cost(t) as f32;
     }
     prio
+}
+
+/// Computes longest-path-to-exit priorities with a per-task cost model
+/// (typically estimated execution seconds; flops work as well since only
+/// ordering matters).
+///
+/// Larger is more urgent. Communication costs are not included — the
+/// simulator/runtime use these as list-scheduling keys only.
+pub fn critical_path_priorities(g: &TaskGraph, cost: impl Fn(&Task) -> f64) -> Vec<f32> {
+    upward_ranks(g, |t| cost(&g.tasks()[t]))
 }
 
 /// The weighted critical-path length of the graph (the makespan lower bound
@@ -37,20 +44,12 @@ pub fn critical_path_length(g: &TaskGraph, cost: impl Fn(&Task) -> f64) -> f64 {
         .fold(0.0f32, f32::max) as f64
 }
 
-/// The default per-task cost hook: each kind's flop count at tile size `b`.
-///
-/// Runtimes that have measured per-kind kernel times can pass their own
-/// closure to [`critical_path_priorities`]; for list-scheduling only the
-/// *ordering* of priorities matters, and flops preserve the ordering that
-/// real kernel times induce (all kinds are O(b^3) dense kernels).
-pub fn flops_cost(b: usize) -> impl Fn(&Task) -> f64 {
-    move |t| t.kind.flops(b)
-}
-
-/// Upward-rank priorities under the default flop cost model — the key the
-/// threaded runtime's ready heaps are ordered by.
+/// Upward-rank priorities under the default cost model — each kind's flop
+/// count at tile size `b`. For list-scheduling only the *ordering* of
+/// priorities matters, and flops preserve the ordering that real kernel
+/// times induce (all kinds are O(b^3) dense kernels).
 pub fn flops_priorities(g: &TaskGraph, b: usize) -> Vec<f32> {
-    critical_path_priorities(g, flops_cost(b))
+    critical_path_priorities(g, |t| t.kind.flops(b))
 }
 
 #[cfg(test)]

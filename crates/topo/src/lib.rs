@@ -16,8 +16,9 @@
 //!   (regression-tested), so the simulator's existing results are the
 //!   special case, not a casualty.
 //! * [`Scheduler`] — the list-scheduler contract shared by the simulator
-//!   and the threaded runtime, with four implementations:
-//!   [`CriticalPath`] (today's default, bit-identical ranks),
+//!   and the threaded runtime — the one selector of ready order in both —
+//!   with five implementations: [`CriticalPath`] (every front end's
+//!   default), [`SubmissionOrder`] (no ranking: `TaskId` order),
 //!   [`Heft`] (communication-aware upward rank), [`Lookahead`]
 //!   (bounded-horizon rank) and [`WorkStealing`] (critical-path ranks plus
 //!   simulator-side cross-node stealing).
@@ -36,5 +37,7 @@ pub mod sched;
 pub mod topology;
 
 pub use pareto::{pareto_front, render_report, SweepPoint};
-pub use sched::{zoo, CriticalPath, Heft, Lookahead, SchedCtx, Scheduler, WorkStealing};
+pub use sched::{
+    zoo, CriticalPath, Heft, Lookahead, SchedCtx, Scheduler, SubmissionOrder, WorkStealing,
+};
 pub use topology::{Hop, HostId, Link, LinkId, Route, SwitchId, Topology, TopologyBuilder};

@@ -8,11 +8,12 @@
 //! both executors. Larger rank = more urgent; ranks are non-negative `f32`
 //! (the runtime stores them as raw bits, which order like the floats).
 //!
-//! [`CriticalPath`] reproduces `sbc_taskgraph::critical_path_priorities`
-//! **bit-for-bit** (same reverse pass, same `f32` arithmetic), so plugging
-//! it in changes nothing — the regression suites rely on that.
+//! [`CriticalPath`] is `sbc_taskgraph::upward_ranks` over the context's
+//! costs — the same pass `critical_path_priorities` runs — and
+//! [`SubmissionOrder`] ranks every task zero, which leaves the heaps' task-id
+//! tie-break in charge.
 
-use sbc_taskgraph::{EdgeKind, TaskGraph};
+use sbc_taskgraph::{upward_ranks, EdgeKind, TaskGraph};
 
 /// Everything a scheduler may consult when ranking tasks.
 pub struct SchedCtx<'a> {
@@ -44,8 +45,8 @@ pub trait Scheduler: Sync {
     }
 }
 
-/// Upward-rank critical-path priorities — today's default, bit-identical
-/// to [`sbc_taskgraph::critical_path_priorities`].
+/// Upward-rank critical-path priorities — every front end's default, the
+/// ranks of [`sbc_taskgraph::critical_path_priorities`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CriticalPath;
 
@@ -55,17 +56,22 @@ impl Scheduler for CriticalPath {
     }
 
     fn ranks(&self, ctx: &SchedCtx<'_>) -> Vec<f32> {
-        let g = ctx.graph;
-        let n = g.len();
-        let mut prio = vec![0.0f32; n];
-        for t in (0..n).rev() {
-            let mut best = 0.0f32;
-            for (s, _) in g.succs(t as u32) {
-                best = best.max(prio[s as usize]);
-            }
-            prio[t] = best + ctx.task_cost[t] as f32;
-        }
-        prio
+        upward_ranks(ctx.graph, |t| ctx.task_cost[t])
+    }
+}
+
+/// No ranking: ready tasks pop in submission (`TaskId`) order, close to the
+/// sequential schedule — the ablation of the priority heuristic.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SubmissionOrder;
+
+impl Scheduler for SubmissionOrder {
+    fn name(&self) -> &'static str {
+        "submission-order"
+    }
+
+    fn ranks(&self, ctx: &SchedCtx<'_>) -> Vec<f32> {
+        vec![0.0; ctx.graph.len()]
     }
 }
 
@@ -125,11 +131,8 @@ impl Scheduler for Lookahead {
         for _ in 0..self.depth {
             let mut next = vec![0.0f32; n];
             for t in 0..n {
-                let mut best = 0.0f32;
-                for (s, _) in g.succs(t as u32) {
-                    best = best.max(prio[s as usize]);
-                }
-                next[t] = own[t] + best;
+                let ahead = g.succs(t as u32).map(|(s, _)| prio[s as usize]);
+                next[t] = own[t] + ahead.fold(0.0f32, f32::max);
             }
             prio = next;
         }

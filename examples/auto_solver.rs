@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example auto_solver`
 
 use sbc::planner::{Op, Planner};
-use sbc::runtime::PlannedExecutor;
+use sbc::runtime::Run;
 use sbc::simgrid::Platform;
 
 fn main() {
@@ -31,8 +31,7 @@ fn main() {
             plan.cost.total_seconds
         );
 
-        let exec = PlannedExecutor::new(plan, seed, seed + 1);
-        let out = exec.run();
+        let out = Run::plan(&plan).seed(seed).execute().unwrap();
         println!(
             "  executed on {} node-threads: {} tiles sent, {} bytes",
             plan.choice.nodes_used(),

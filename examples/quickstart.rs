@@ -26,10 +26,9 @@ fn main() {
         nt * b
     );
 
-    // Blocked kernels run the same math faster; every backend is
+    // Blocked kernels run the same math faster; both backends are
     // bit-identical, so the factor and the message counts below cannot
-    // change (build with `--features sbc-kernels/simd` — or set
-    // SBC_KERNELS=arch — for the std::arch microkernels).
+    // change.
     let out = Run::potrf(&sbc, nt)
         .block(b)
         .seed(seed)

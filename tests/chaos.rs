@@ -23,7 +23,7 @@ use sbc::matrix::{potrf_tiled, random_spd, SymmetricTiledMatrix};
 use sbc::net::{
     inproc_mesh, local_mesh, Backend, FaultConfig, Faulty, Session, Transport, TransportStats,
 };
-use sbc::runtime::{ExecError, Policy, Run, RunOutput};
+use sbc::runtime::{ExecError, Run, RunOutput};
 use std::time::{Duration, Instant};
 
 const B: usize = 8;
@@ -296,7 +296,7 @@ fn compound_fault_schedule_over_uds_recovers() {
 /// job never leak into a job's counts.
 #[test]
 fn two_jobs_share_one_faulty_uds_mesh_bit_identically() {
-    use sbc::runtime::{gather_symmetric, run_jobs_rank, JobEngineConfig, JobTable};
+    use sbc::runtime::{gather, run_jobs_rank, JobEngineConfig, JobTable, RunResult};
     use sbc::taskgraph::build_potrf;
     use std::sync::Arc;
 
@@ -341,10 +341,10 @@ fn two_jobs_share_one_faulty_uds_mesh_bit_identically() {
             .collect();
         let driver = scope.spawn(move || {
             let a = table
-                .submit(Arc::clone(&graph), B, SEED, SEED ^ 1, 0, true)
+                .submit(Arc::clone(&graph), B, SEED, SEED ^ 1, 0)
                 .expect("job A admitted");
             let b = table
-                .submit(graph, B, seed_b, seed_b ^ 1, 1, true)
+                .submit(graph, B, seed_b, seed_b ^ 1, 1)
                 .expect("job B admitted");
             let outs = (table.wait(a), table.wait(b));
             table.shutdown();
@@ -376,8 +376,11 @@ fn two_jobs_share_one_faulty_uds_mesh_bit_identically() {
     ] {
         let mut seq = random_spd(seed, nt, B);
         potrf_tiled(&mut seq).expect("sequential factorization failed");
-        let factor = gather_symmetric(&out.tiles, nt, B, 0, |_| 0)
-            .unwrap_or_else(|e| panic!("{label}: {name} gather failed: {e}"));
+        let RunResult::Factor(factor) = gather(out.graph(), &out.tiles, B)
+            .unwrap_or_else(|e| panic!("{label}: {name} gather failed: {e}"))
+        else {
+            panic!("{label}: {name} did not gather a symmetric factor");
+        };
         for (i, j) in seq.tile_coords() {
             assert_eq!(
                 factor.tile(i, j).max_abs_diff(seq.tile(i, j)),
@@ -396,8 +399,8 @@ fn two_jobs_share_one_faulty_uds_mesh_bit_identically() {
 }
 
 /// Watchdog regression: a transport that drops every payload and has no
-/// reliability session cannot make progress — under both scheduling
-/// policies the run must end with [`ExecError::Stalled`] naming the stuck
+/// reliability session cannot make progress — under both ready
+/// orders the run must end with [`ExecError::Stalled`] naming the stuck
 /// rank within the deadline, not hang.
 #[test]
 fn all_drop_transport_stalls_instead_of_hanging() {
@@ -405,8 +408,13 @@ fn all_drop_transport_stalls_instead_of_hanging() {
     let dist = TwoDBlockCyclic::new(2, 2);
     let n = dist.num_nodes();
     let deadline = Duration::from_millis(300);
-    for policy in [Policy::CriticalPath, Policy::SubmissionOrder] {
-        let label = format!("seed={SEED} all-drop watchdog under {policy:?}");
+    use sbc::topo::{CriticalPath, Scheduler, SubmissionOrder};
+    let scheds: [std::sync::Arc<dyn Scheduler + Send + Sync>; 2] = [
+        std::sync::Arc::new(CriticalPath),
+        std::sync::Arc::new(SubmissionOrder),
+    ];
+    for sched in scheds {
+        let label = format!("seed={SEED} all-drop watchdog under {}", sched.name());
         let cfg = FaultConfig {
             drop_every: 1, // every payload vanishes, forever
             ..Default::default()
@@ -422,13 +430,14 @@ fn all_drop_transport_stalls_instead_of_hanging() {
                 .map(|net| {
                     let label = &label;
                     let dist = &dist;
+                    let sched = std::sync::Arc::clone(&sched);
                     scope.spawn(move || {
                         Run::potrf(dist, nt)
                             .block(B)
                             .seed(SEED)
                             .workers(2)
-                            .priorities(policy)
-                            .fault_policy(sbc::runtime::FaultPolicy::with_deadline(deadline))
+                            .scheduler(sched)
+                            .deadline(deadline)
                             .execute_rank(net)
                             .expect_err(&format!("{label}: an all-drop run cannot succeed"))
                     })

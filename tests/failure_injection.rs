@@ -1,11 +1,11 @@
 //! Failure injection: kernel errors inside the distributed runtime must be
-//! reported cleanly (no deadlock, no panic) via `Executor::try_run` — at
+//! reported cleanly (no deadlock, no panic) via `Run::execute` — at
 //! any worker count.
 
 use sbc::dist::{SbcExtended, TwoDBlockCyclic};
 use sbc::kernels::{KernelError, Tile};
 use sbc::matrix::generate;
-use sbc::runtime::{ExecError, Executor};
+use sbc::runtime::{ExecError, Run};
 use sbc::taskgraph::{build_potrf, build_trtri, TileRef};
 
 const B: usize = 6;
@@ -32,12 +32,11 @@ fn non_spd_input_is_reported_not_deadlocked() {
     let g = build_potrf(&dist, nt);
     for workers in [1, 4] {
         // poison a later diagonal tile so plenty of tasks run first
-        let exec = Executor::builder(&g)
+        let exec = Run::graph(&g)
             .block(B)
             .provider(poisoned_spd(nt, (4, 4)))
-            .workers(workers)
-            .build();
-        let err = exec.try_run().expect_err("poisoned input must fail");
+            .workers(workers);
+        let err = exec.execute().expect_err("poisoned input must fail");
         match err {
             ExecError::Kernel { node, error, .. } => {
                 assert!(
@@ -63,11 +62,8 @@ fn failure_on_first_tile() {
     let dist = TwoDBlockCyclic::new(2, 2);
     let nt = 6;
     let g = build_potrf(&dist, nt);
-    let exec = Executor::builder(&g)
-        .block(B)
-        .provider(poisoned_spd(nt, (0, 0)))
-        .build();
-    let err = exec.try_run().expect_err("must fail immediately");
+    let exec = Run::graph(&g).block(B).provider(poisoned_spd(nt, (0, 0)));
+    let err = exec.execute().expect_err("must fail immediately");
     assert!(
         matches!(err, ExecError::Kernel { task: 0, .. }),
         "first POTRF is task 0, got {err}"
@@ -80,17 +76,12 @@ fn singular_triangle_in_trtri() {
     let nt = 5;
     let g = build_trtri(&dist, nt);
     // provider with an exactly singular diagonal tile
-    let exec = Executor::builder(&g)
-        .block(B)
-        .provider(move |r| match r {
-            TileRef::A { phase: 0, i, j, .. } if i == j && i == 2 => Tile::zeros(B),
-            TileRef::A { phase: 0, i, j, .. } => {
-                generate::spd_tile(9, nt, B, i as usize, j as usize)
-            }
-            _ => Tile::zeros(B),
-        })
-        .build();
-    let err = exec.try_run().expect_err("singular triangle must fail");
+    let exec = Run::graph(&g).block(B).provider(move |r| match r {
+        TileRef::A { phase: 0, i, j, .. } if i == j && i == 2 => Tile::zeros(B),
+        TileRef::A { phase: 0, i, j, .. } => generate::spd_tile(9, nt, B, i as usize, j as usize),
+        _ => Tile::zeros(B),
+    });
+    let err = exec.execute().expect_err("singular triangle must fail");
     assert!(
         matches!(
             err,
@@ -104,11 +95,11 @@ fn singular_triangle_in_trtri() {
 }
 
 #[test]
-fn healthy_inputs_still_succeed_via_try_run() {
+fn healthy_inputs_still_succeed_via_execute() {
     let dist = SbcExtended::new(4);
     let nt = 8;
     let g = build_potrf(&dist, nt);
-    let exec = Executor::builder(&g).block(B).seeds(42, 43).build();
-    let out = exec.try_run().expect("healthy run succeeds");
+    let exec = Run::graph(&g).block(B).seed(42).seed_rhs(43);
+    let out = exec.execute().expect("healthy run succeeds");
     assert_eq!(out.stats.messages, g.count_messages());
 }

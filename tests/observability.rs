@@ -6,7 +6,7 @@ use sbc::obs::{
     chrome_trace, json, metrics_from_recording, render_gantt, task_spans, ExecProfile, Recorder,
 };
 use sbc::planner::{compare, Op, Planner};
-use sbc::runtime::PlannedExecutor;
+use sbc::runtime::Run;
 use sbc::simgrid::Platform;
 
 #[test]
@@ -15,10 +15,9 @@ fn recorded_distributed_cholesky_exports_everything() {
     // real: 10 OS threads, channels as the interconnect.
     let planner = Planner::new(Platform::bora(10));
     let plan = planner.plan(Op::Potrf, 12, 8);
-    let exec = PlannedExecutor::new(plan, 7, 11);
-
     let recorder = Recorder::new();
-    let outcome = exec.run_recorded(&recorder);
+    let exec = Run::plan(&plan).seed(7).seed_rhs(11).recorder(&recorder);
+    let outcome = exec.execute().expect("distributed execution failed");
     let recording = recorder.drain();
 
     // Every node participated and left events behind.
@@ -40,7 +39,7 @@ fn recorded_distributed_cholesky_exports_everything() {
 
     // Text Gantt over the measured spans.
     let spans = task_spans(&recording);
-    assert_eq!(spans.len(), exec.graph().len());
+    assert_eq!(spans.len(), exec.task_graph().len());
     let gantt = render_gantt(&spans, nodes, 1, 60);
     assert!(gantt.contains("gantt ("));
     assert_eq!(gantt.lines().count(), 1 + nodes);
@@ -51,7 +50,7 @@ fn recorded_distributed_cholesky_exports_everything() {
     let snap = metrics.snapshot();
     assert_eq!(
         snap.counter("tasks.executed"),
-        Some(exec.graph().len() as u64)
+        Some(exec.task_graph().len() as u64)
     );
     assert_eq!(snap.counter("messages.sent"), Some(outcome.stats.messages));
     let latency_total: u64 = ["potrf", "trsm", "syrk", "gemm"]
@@ -59,16 +58,16 @@ fn recorded_distributed_cholesky_exports_everything() {
         .filter_map(|k| snap.histogram(&format!("latency.{k}")))
         .map(|h| h.count)
         .sum();
-    assert_eq!(latency_total, exec.graph().len() as u64);
+    assert_eq!(latency_total, exec.task_graph().len() as u64);
     let report = snap.render();
     assert!(report.contains("latency.potrf"), "{report}");
 
     // Drift: the measured run must hit the model's communication exactly.
     let profile = ExecProfile::from_recording(&recording);
     assert_eq!(profile.messages, outcome.stats.messages);
-    assert_eq!(profile.messages, exec.plan().cost.messages);
+    assert_eq!(profile.messages, plan.cost.messages);
     assert_eq!(profile.bytes, outcome.stats.bytes);
-    let drift = compare(exec.plan(), &profile);
+    let drift = compare(&plan, &profile);
     assert!(drift.comm_exact(), "{}", drift.render());
     assert!((drift.message_ratio() - 1.0).abs() < 1e-12);
 }
@@ -89,7 +88,12 @@ fn simulated_and_measured_traces_share_the_gantt() {
     assert!(sim_gantt.contains("node   0 |"));
 
     let recorder = Recorder::new();
-    PlannedExecutor::new(plan, 1, 2).run_recorded(&recorder);
+    Run::plan(&plan)
+        .seed(1)
+        .seed_rhs(2)
+        .recorder(&recorder)
+        .execute()
+        .expect("distributed execution failed");
     let measured = task_spans(&recorder.drain());
     assert_eq!(measured.len(), sim_trace.len());
     let measured_gantt = render_gantt(&measured, 10, 1, 40);

@@ -70,7 +70,6 @@ fn async_beats_bulk_synchronous() {
         SimConfig {
             tile_b: b,
             mode: ScheduleMode::BulkSynchronous,
-            use_priorities: true,
             priority_comms: false,
         },
     )

@@ -7,7 +7,7 @@
 use sbc::dist::{comm, Distribution, SbcExtended, TwoDBlockCyclic};
 use sbc::matrix::{potrf_tiled, random_spd, SymmetricTiledMatrix};
 use sbc::net::{inproc_mesh, local_mesh, Backend, FaultConfig, Faulty, Transport, TransportStats};
-use sbc::runtime::{CommStats, Executor, Run, RunOutput};
+use sbc::runtime::{CommStats, Run, RunOutput};
 use sbc::taskgraph::build_potrf;
 
 const B: usize = 8;
@@ -141,12 +141,8 @@ fn faulty_transport_is_deduplicated_by_the_runtime() {
     let dist = TwoDBlockCyclic::new(2, 2);
     let nt = 9;
     let g = build_potrf(&dist, nt);
-    let exec = Executor::builder(&g)
-        .block(B)
-        .seeds(SEED, 7)
-        .workers(2)
-        .build();
-    let clean = exec.try_run().expect("clean run failed");
+    let exec = Run::graph(&g).block(B).seed(SEED).seed_rhs(7).workers(2);
+    let clean = exec.execute().expect("clean run failed");
 
     let cfg = FaultConfig {
         dup_every: 3,
@@ -161,7 +157,7 @@ fn faulty_transport_is_deduplicated_by_the_runtime() {
     let out = std::thread::scope(|scope| {
         let handles: Vec<_> = mesh
             .iter()
-            .map(|net| scope.spawn(move || exec.run_rank(net)))
+            .map(|net| scope.spawn(move || exec.execute_rank(net)))
             .collect();
         let mut out = None;
         for h in handles {
@@ -183,8 +179,12 @@ fn faulty_transport_is_deduplicated_by_the_runtime() {
         out.stats.recv_per_node, clean.stats.recv_per_node,
         "duplicates were applied instead of dropped"
     );
-    for (r, tile) in &clean.tiles {
-        assert_eq!(out.tiles[r], *tile, "tile {r:?} differs under faults");
+    for (i, j) in clean.factor().tile_coords() {
+        assert_eq!(
+            out.factor().tile(i, j),
+            clean.factor().tile(i, j),
+            "tile ({i},{j}) differs under faults"
+        );
     }
 }
 

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use sbc::dist::{comm, Distribution, SbcBasic, SbcExtended, TwoDBlockCyclic};
-use sbc::runtime::{CommStats, Policy, Run};
+use sbc::runtime::{CommStats, Run};
+use sbc::topo::{CriticalPath, Scheduler, SubmissionOrder};
+use std::sync::Arc;
 
 /// A debuggable descriptor of a small distribution of varied family.
 #[derive(Debug, Clone)]
@@ -86,23 +88,23 @@ proptest! {
         }
     }
 
-    /// Both scheduling policies produce the same bits and the same traffic
+    /// Both ready orders produce the same bits and the same traffic
     /// (the ready-heap order only permutes independent tasks).
     #[test]
     fn policy_is_invisible_too(seed in any::<u64>(), r in 3usize..6, nt in 2usize..8) {
         let d = SbcExtended::new(r);
         let b = 4;
-        let run = |p: Policy| {
+        let run = |s: Arc<dyn Scheduler + Send + Sync>| {
             Run::potrf(&d, nt)
                 .block(b)
                 .seed(seed)
                 .workers(2)
-                .priorities(p)
+                .scheduler(s)
                 .execute()
                 .unwrap()
         };
-        let cp = run(Policy::CriticalPath);
-        let sub = run(Policy::SubmissionOrder);
+        let cp = run(Arc::new(CriticalPath));
+        let sub = run(Arc::new(SubmissionOrder));
         prop_assert_eq!(&cp.stats, &sub.stats);
         for (i, j) in cp.factor().tile_coords() {
             prop_assert!(
