@@ -2,14 +2,19 @@
 //! every experiment; Fig 7's efficiency model is calibrated against such
 //! kernels), dispatched through the [`Kernels`] trait.
 //!
-//! The `kernel_backends` group races every [`KernelBackend`] on the same
-//! GEMM shape the paper's runs spend their time in (`b = 256`, `C -= A·Bᵀ`)
-//! — under `SBC_BENCH_JSON` its records land in `BENCH_criterion.json`, so
-//! the blocked/naive speedup is a tracked datapoint, not folklore.
+//! The `kernel_backends` group races every [`KernelBackend`] on the four
+//! kernels of POTRF at the tile sizes where a backend can lose — below,
+//! at and between the multiples of the `Blocked` register tile (`b` = 8 …
+//! 128; 48 is the ragged one) — and on the GEMM shape the paper's runs
+//! spend their time in (`b = 256`, `C -= A·Bᵀ`). Under `SBC_BENCH_JSON` its
+//! records land in `BENCH_criterion.json`, so the blocked/naive ratio at
+//! every size is a tracked datapoint, not folklore.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sbc_kernels::reference::{random_lower_tile, random_spd_tile, random_tile};
-use sbc_kernels::{KernelBackend, Kernels, Tile, Trans};
+use sbc_kernels::{
+    flops_gemm, flops_potrf, flops_syrk, flops_trsm, KernelBackend, Kernels, Tile, Trans,
+};
 
 /// The backend the shape-sweep groups measure; the historical series was
 /// recorded against the naive kernels, so the series stays comparable.
@@ -33,15 +38,52 @@ fn bench_gemm(c: &mut Criterion) {
 
 fn bench_kernel_backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel_backends");
-    let b = 256usize;
-    let a = random_tile(b, 9);
-    let bt = random_tile(b, 10);
-    g.throughput(Throughput::Elements((2 * b * b * b) as u64));
-    for k in BACKENDS {
-        g.bench_with_input(BenchmarkId::new("gemm_nt_256", k), &k, |bench, &k| {
-            let mut ct = Tile::zeros(b);
-            bench.iter(|| k.gemm(Trans::No, Trans::Yes, -1.0, &a, &bt, 1.0, &mut ct));
-        });
+    for b in [8usize, 16, 32, 48, 64, 128, 256] {
+        let a = random_tile(b, 9);
+        let bt = random_tile(b, 10);
+        let l = random_lower_tile(b, 11);
+        let spd = random_spd_tile(b, 12);
+        for k in BACKENDS {
+            g.throughput(Throughput::Elements(flops_gemm(b) as u64));
+            g.bench_with_input(
+                BenchmarkId::new(format!("gemm_nt_{b}"), k),
+                &k,
+                |bench, &k| {
+                    let mut ct = Tile::zeros(b);
+                    bench.iter(|| k.gemm(Trans::No, Trans::Yes, -1.0, &a, &bt, 1.0, &mut ct));
+                },
+            );
+            if b == 256 {
+                continue;
+            }
+            g.throughput(Throughput::Elements(flops_syrk(b) as u64));
+            g.bench_with_input(BenchmarkId::new(format!("syrk_{b}"), k), &k, |bench, &k| {
+                let mut ct = Tile::zeros(b);
+                bench.iter(|| k.syrk(Trans::No, -1.0, &a, 1.0, &mut ct));
+            });
+            // TRSM and POTRF overwrite their operand: each iteration
+            // starts from a reset tile, an O(b^2) copy inside the timing
+            g.throughput(Throughput::Elements(flops_trsm(b) as u64));
+            g.bench_with_input(BenchmarkId::new(format!("trsm_{b}"), k), &k, |bench, &k| {
+                let mut x = Tile::zeros(b);
+                bench.iter(|| {
+                    x.as_mut_slice().copy_from_slice(a.as_slice());
+                    k.trsm_right_lower_trans(1.0, &l, &mut x);
+                });
+            });
+            g.throughput(Throughput::Elements(flops_potrf(b) as u64));
+            g.bench_with_input(
+                BenchmarkId::new(format!("potrf_{b}"), k),
+                &k,
+                |bench, &k| {
+                    let mut x = Tile::zeros(b);
+                    bench.iter(|| {
+                        x.as_mut_slice().copy_from_slice(spd.as_slice());
+                        k.potrf(&mut x).unwrap();
+                    });
+                },
+            );
+        }
     }
     g.finish();
 }

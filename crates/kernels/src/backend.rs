@@ -6,17 +6,21 @@
 //! the same order, so factors, residuals and the analytic byte accounting
 //! the paper's experiments rest on are unchanged by the backend choice.
 //!
-//! * [`Naive`] — the reference loop nests (unit-stride axpys and dots).
-//! * [`Blocked`] — cache-blocked, register-tiled GEMM/SYRK/TRSM/POTRF
-//!   written as `chunks_exact`-style portable code the compiler
-//!   autovectorizes. Non-multiple-of-block tile dims fall back to the naive
-//!   element order on the ragged edges (which is the same order the
-//!   microkernels use, so bit-identity holds everywhere). On `x86_64` its
-//!   hot loops are also compiled under AVX2 and AVX-512F code generation
-//!   and the widest version the running CPU supports is picked by feature
-//!   detection — from what the code observes, not from an option. Separate
-//!   multiply and add everywhere, never FMA, which rounds once instead of
-//!   twice and would break bit-identity.
+//! * [`Blocked`] — the default: cache-blocked, register-tiled
+//!   GEMM/SYRK/TRSM/POTRF written as portable code the compiler
+//!   autovectorizes. All four run one column-panel microkernel; ragged
+//!   edges and the triangular kernels' diagonals are covered by a ladder
+//!   of narrower microtiles whose surplus lanes are discarded, so no row is
+//!   ever walked one element at a time, and tiles too small for a microtile
+//!   go straight to the [`Naive`] loops — it is never the slower tier. On
+//!   `x86_64` its hot loops are also compiled under AVX2 and AVX-512F code
+//!   generation and the widest version the running CPU supports is picked
+//!   by feature detection — from what the code observes, not from an
+//!   option. Separate multiply and add everywhere, never FMA, which rounds
+//!   once instead of twice and would break bit-identity.
+//! * [`Naive`] — the reference loop nests (unit-stride axpys and dots): what
+//!   the bitwise suites compare against, and what serves the ten kernels
+//!   outside POTRF under either backend.
 //!
 //! [`Naive`]: KernelBackend::Naive
 //! [`Blocked`]: KernelBackend::Blocked
@@ -26,7 +30,8 @@
 //! The runtime crates resolve the backend as **env > builder > default**:
 //! the `SBC_KERNELS` environment variable (`naive` / `blocked`)
 //! overrides whatever the builder requested ([`KernelBackend::resolve`]),
-//! and the default is [`KernelBackend::Naive`].
+//! and the default is [`KernelBackend::Blocked`]. A value that names
+//! neither is reported once on stderr and otherwise ignored.
 
 use crate::{blocked, KernelError, Tile, Trans};
 
@@ -34,10 +39,10 @@ use crate::{blocked, KernelError, Tile, Trans};
 /// variants compute bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
-    /// Reference loop nests (the default).
-    #[default]
+    /// Reference loop nests: what every backend is bit-identical to.
     Naive,
-    /// Cache-blocked, register-tiled portable kernels.
+    /// Cache-blocked, register-tiled portable kernels (the default).
+    #[default]
     Blocked,
 }
 
@@ -64,11 +69,29 @@ impl KernelBackend {
     }
 
     /// The backend requested by the [`KERNELS_ENV`] environment variable,
-    /// if set to a recognized name.
+    /// if set to a recognized name. Any other value is reported on stderr —
+    /// once per process: every `Run` resolves its backend — and ignored, so
+    /// a stale or mistyped name cannot silently select the other tier.
     pub fn from_env() -> Option<KernelBackend> {
-        std::env::var(KERNELS_ENV)
-            .ok()
-            .and_then(|v| Self::parse(&v))
+        let value = std::env::var_os(KERNELS_ENV)?;
+        let value = value.to_string_lossy();
+        let parsed = Self::parse(&value);
+        if parsed.is_none() {
+            static REPORTED: std::sync::Once = std::sync::Once::new();
+            REPORTED.call_once(|| eprintln!("{}", Self::unrecognized(&value)));
+        }
+        parsed
+    }
+
+    /// What [`KernelBackend::from_env`] says about a value that names no
+    /// backend.
+    fn unrecognized(value: &str) -> String {
+        format!(
+            "warning: ignoring {KERNELS_ENV}={value:?}: not a kernel backend \
+             (accepted: `{}`, `{}`)",
+            KernelBackend::Naive,
+            KernelBackend::Blocked
+        )
     }
 
     /// Applies the selection precedence **env > builder > default**:
@@ -244,8 +267,20 @@ mod tests {
     }
 
     #[test]
-    fn default_is_naive() {
-        assert_eq!(KernelBackend::default(), KernelBackend::Naive);
+    fn default_is_blocked() {
+        assert_eq!(KernelBackend::default(), KernelBackend::Blocked);
+    }
+
+    #[test]
+    fn an_unrecognized_env_value_is_named_with_the_accepted_ones() {
+        // the parse and the wording, without touching the process
+        // environment other tests run under
+        for stale in ["arch", "niave", ""] {
+            assert_eq!(KernelBackend::parse(stale), None);
+            let report = KernelBackend::unrecognized(stale);
+            assert!(report.contains(KERNELS_ENV) && report.contains(&format!("{stale:?}")));
+            assert!(report.contains("`naive`") && report.contains("`blocked`"));
+        }
     }
 
     #[test]

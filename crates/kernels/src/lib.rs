@@ -22,14 +22,16 @@
 //! ## Backends
 //!
 //! Kernels are dispatched through the [`Kernels`] trait, implemented by
-//! [`KernelBackend`]: `Naive` (the reference loop nests) and `Blocked`
-//! (cache-blocked, register-tiled portable kernels, multiversioned for
-//! AVX2/AVX-512F and dispatched by CPU feature detection). Both backends
-//! produce **bit-identical** results;
-//! selection precedence is the `SBC_KERNELS` env var, then the builder,
-//! then the `Naive` default. All entry points go through [`Kernels`]; the
-//! per-operation modules only expose the reference implementations
-//! crate-internally.
+//! [`KernelBackend`]: `Blocked`, the default (cache-blocked, register-tiled
+//! portable kernels for GEMM, SYRK, TRSM and POTRF on one shared
+//! microkernel, multiversioned for AVX2/AVX-512F and dispatched by CPU
+//! feature detection; tiles below 16 x 16 go straight to the reference
+//! loops, so it is never the slower choice) and `Naive` (the reference loop
+//! nests, which also serve every other kernel under both backends). Both
+//! backends produce **bit-identical** results; selection precedence is the
+//! `SBC_KERNELS` env var, then the builder, then the `Blocked` default. All
+//! entry points go through [`Kernels`]; the per-operation modules only
+//! expose the reference implementations crate-internally.
 //!
 //! The kernels never allocate (except [`Tile`] constructors) and are
 //! `Send + Sync`-friendly: they borrow tiles mutably/immutably so the

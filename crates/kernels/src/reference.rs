@@ -77,6 +77,17 @@ pub fn random_tile(b: usize, seed: u64) -> Tile {
     Tile::from_fn(b, |_, _| rng.next_signed())
 }
 
+/// True when the two tiles hold the same bits: `-0.0` is not `0.0` and a
+/// NaN equals only its own bit pattern. The comparison every
+/// backend-equivalence test makes.
+pub fn bits_eq(a: &Tile, b: &Tile) -> bool {
+    a.dim() == b.dim()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Random well-conditioned lower-triangular tile: entries in [-1, 1) below
 /// the diagonal, diagonal shifted away from zero. The strictly upper part
 /// holds garbage values so kernels that must ignore it get exercised.

@@ -6,19 +6,18 @@
 //! them. These properties drive all backends over the same inputs and
 //! compare raw `f64` bits, so even `-0.0` vs `+0.0` or differing NaN
 //! payloads would fail.
+//!
+//! The proptests draw shapes at random; the `sweep_*` tests below them walk
+//! a fixed set — every tile dimension next to a ladder rung, a panel
+//! boundary or the small-tile rule, every transpose pair and coefficient,
+//! with special values planted where they are read — so that no rung or
+//! edge depends on the draw.
 
 use proptest::prelude::*;
-use sbc_kernels::reference::{random_spd_tile, SplitMix64};
+use sbc_kernels::reference::{bits_eq, random_spd_tile, SplitMix64};
 use sbc_kernels::{KernelBackend, Kernels, Tile, Trans};
 
 const ALL: [KernelBackend; 2] = [KernelBackend::Naive, KernelBackend::Blocked];
-
-fn bits_eq(a: &Tile, b: &Tile) -> bool {
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .all(|(x, y)| x.to_bits() == y.to_bits())
-}
 
 /// A random tile, optionally salted with exact zeros (and negative
 /// zeros) so the `s != 0.0` skip paths of the naive kernels — and the
@@ -152,6 +151,174 @@ proptest! {
             let err = k.potrf(&mut a);
             prop_assert_eq!(&err, &expect_err, "potrf error b={} differs on {}", b, k);
             prop_assert!(bits_eq(&expect, &a), "potrf failure state b={b} differs on {k}");
+        }
+    }
+}
+
+// ---------------------------------------------------- deterministic sweep
+
+/// Every dimension up to 40 and the neighbours of 48, 64, 96 and 128:
+/// each rung of the row ladder alone and in every combination, zero to
+/// three ragged columns, one and several staged scale blocks.
+fn sweep_dims() -> impl Iterator<Item = usize> {
+    (1..=40).chain([47, 48, 63, 64, 65, 95, 96, 127, 128, 129])
+}
+
+const COEFFS: [f64; 3] = [0.0, 1.0, -1.0];
+const TRANS: [Trans; 2] = [Trans::No, Trans::Yes];
+
+/// Every `(alpha, beta)` from the set the runtime uses.
+fn coeff_pairs() -> impl Iterator<Item = (f64, f64)> {
+    COEFFS
+        .into_iter()
+        .flat_map(|alpha| COEFFS.map(|beta| (alpha, beta)))
+}
+
+/// The NaN this machine's arithmetic produces. Every NaN that arises or
+/// propagates during a kernel then carries one bit pattern, so comparing
+/// NaN bits tests the kernels and not which operand of a commutative
+/// instruction the compiler happened to put first.
+fn nan() -> f64 {
+    std::hint::black_box(f64::INFINITY) - std::hint::black_box(f64::INFINITY)
+}
+
+fn specials() -> [f64; 5] {
+    [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, nan()]
+}
+
+/// A random tile with each special value planted at two places that move
+/// with `salt`: sparse enough that most panels keep an all-nonzero scale
+/// stream (and run the microtiles with `inf`/NaN in it) and most outputs
+/// stay finite, dense enough that across the dimensions swept every path
+/// meets every value.
+fn planted_tile(b: usize, seed: u64, salt: usize) -> Tile {
+    let mut rng = SplitMix64::new(seed);
+    let mut t = Tile::from_fn(b, |_, _| rng.next_signed());
+    for (n, v) in specials().into_iter().enumerate() {
+        let (i, j) = ((3 * n + salt) % b, (7 * n + 2 * salt + 1) % b);
+        t.set(i, j, v);
+        t.set(b - 1 - i, (b / 2 + j) % b, v);
+    }
+    t
+}
+
+/// Overwrites the strictly upper triangle with special values. The
+/// triangular kernels must neither write it nor let it reach the lower
+/// triangle — and it is exactly what a microtile's discarded lanes load.
+fn poison_strict_upper(t: &mut Tile) {
+    let s = specials();
+    for j in 1..t.dim() {
+        for i in 0..j {
+            t.set(i, j, s[(i + 2 * j) % s.len()]);
+        }
+    }
+}
+
+fn assert_bits_eq(expect: &Tile, got: &Tile, what: std::fmt::Arguments) {
+    assert!(bits_eq(expect, got), "{what} differs from Naive");
+}
+
+#[test]
+fn sweep_gemm_is_bit_identical() {
+    for b in sweep_dims() {
+        let a = planted_tile(b, 1, b);
+        let bt = planted_tile(b, 2, b + 1);
+        let c0 = planted_tile(b, 3, b + 2);
+        for (ta, tb) in TRANS.into_iter().flat_map(|ta| TRANS.map(|tb| (ta, tb))) {
+            for (alpha, beta) in coeff_pairs() {
+                let mut expect = c0.clone();
+                KernelBackend::Naive.gemm(ta, tb, alpha, &a, &bt, beta, &mut expect);
+                let mut c = c0.clone();
+                KernelBackend::Blocked.gemm(ta, tb, alpha, &a, &bt, beta, &mut c);
+                assert_bits_eq(
+                    &expect,
+                    &c,
+                    format_args!("gemm {ta:?}/{tb:?} alpha={alpha} beta={beta} b={b}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sweep_syrk_is_bit_identical() {
+    for b in sweep_dims() {
+        // rows 0 and 1 are above the diagonal of almost every column: the
+        // rows a trapezoid's discarded lanes read
+        let mut a = planted_tile(b, 4, b);
+        a.set(0, b / 3, f64::NEG_INFINITY);
+        a.set(1 % b, b / 2, nan());
+        let mut c0 = planted_tile(b, 5, b + 1);
+        poison_strict_upper(&mut c0);
+        for trans in TRANS {
+            for (alpha, beta) in coeff_pairs() {
+                let mut expect = c0.clone();
+                KernelBackend::Naive.syrk(trans, alpha, &a, beta, &mut expect);
+                let mut c = c0.clone();
+                KernelBackend::Blocked.syrk(trans, alpha, &a, beta, &mut c);
+                assert_bits_eq(
+                    &expect,
+                    &c,
+                    format_args!("syrk {trans:?} alpha={alpha} beta={beta} b={b}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sweep_trsm_is_bit_identical() {
+    for b in sweep_dims() {
+        // planted multipliers below the diagonal, a dominant finite
+        // diagonal, poison above it
+        let mut l = planted_tile(b, 6, b);
+        for i in 0..b {
+            l.set(i, i, 2.0 + (i % 3) as f64);
+        }
+        poison_strict_upper(&mut l);
+        let rhs = planted_tile(b, 7, b + 1);
+        for alpha in COEFFS {
+            let mut expect = rhs.clone();
+            KernelBackend::Naive.trsm_right_lower_trans(alpha, &l, &mut expect);
+            let mut x = rhs.clone();
+            KernelBackend::Blocked.trsm_right_lower_trans(alpha, &l, &mut x);
+            assert_bits_eq(&expect, &x, format_args!("trsm alpha={alpha} b={b}"));
+        }
+    }
+}
+
+#[test]
+fn sweep_potrf_is_bit_identical_failures_included() {
+    for b in sweep_dims() {
+        let mut spd = random_spd_tile(b, b as u64);
+        poison_strict_upper(&mut spd);
+        // the first, a middle and the last column of a four-column panel in
+        // the middle of the tile, and the tile's own first and last column
+        let p = b / 8 * 4;
+        let pivots = [0, p, p + 1, p + 3, b - 1].map(|k| k.min(b - 1));
+        let mut cases = vec![("clean".to_string(), spd.clone())];
+        for k in pivots {
+            let mut a = spd.clone();
+            a.set(k, k, -1.0);
+            cases.push((format!("bad pivot {k}"), a));
+        }
+        if b > 2 {
+            // an exact zero among the multipliers (the skip path), and an
+            // infinity that turns the last pivot into -inf on the way
+            let mut a = spd.clone();
+            a.set(b / 2, 0, 0.0);
+            cases.push(("zero multiplier".to_string(), a.clone()));
+            a.set(b - 1, 0, f64::INFINITY);
+            cases.push(("infinite entry".to_string(), a));
+        }
+        for (what, a0) in cases {
+            let mut expect = a0.clone();
+            let expect_err = KernelBackend::Naive.potrf(&mut expect);
+            let mut a = a0.clone();
+            let err = KernelBackend::Blocked.potrf(&mut a);
+            assert_eq!(err, expect_err, "potrf {what} b={b}");
+            assert_eq!(err.is_err(), what != "clean" && what != "zero multiplier");
+            assert_bits_eq(&expect, &a, format_args!("potrf {what} b={b}"));
         }
     }
 }

@@ -14,8 +14,9 @@
 use crate::storage::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
 use sbc_kernels::{KernelBackend, KernelError, Kernels, Trans};
 
-/// Kernel backend for the sequential sweeps: [`KernelBackend::Naive`]
-/// unless the `SBC_KERNELS` environment variable overrides it. All
+/// Kernel backend for the sequential sweeps: the default
+/// ([`KernelBackend::Blocked`]) unless the `SBC_KERNELS` environment
+/// variable overrides it. All
 /// backends are bit-identical, so the override changes speed only.
 fn kernels() -> KernelBackend {
     KernelBackend::resolve(KernelBackend::default())

@@ -1300,19 +1300,22 @@ impl<'e, 'a> Engine<'e, 'a> {
         let mut consumer_nodes: Vec<NodeId> = Vec::new();
         g.remote_consumer_nodes(t, &mut consumer_nodes);
         let mut sent = (0, 0);
-        if !consumer_nodes.is_empty() {
+        if let Some((&last, others)) = consumer_nodes.split_last() {
+            // one copy per destination: the one taken out of the store
+            // under the read lock is the last send's own
             let out = read(&ctx.local)
                 .get(&g.tasks()[t as usize].output(g.slices))
                 .expect("task output in local store")
                 .clone();
-            for &dest in &consumer_nodes {
-                let payload = Payload::Data {
-                    job: spec.id,
-                    producer: t,
-                    tile: out.clone(),
-                };
-                self.send(dest, payload, &mut sent, obs);
+            let data = |tile| Payload::Data {
+                job: spec.id,
+                producer: t,
+                tile,
+            };
+            for &dest in others {
+                self.send(dest, data(out.clone()), &mut sent, obs);
             }
+            self.send(last, data(out), &mut sent, obs);
         }
 
         let done = {

@@ -240,35 +240,46 @@ fn recorded_run_observes_every_task_and_message() {
 #[test]
 fn kernel_backends_do_not_change_results_or_traffic() {
     // the backend knob may only change speed: factors must stay
-    // bit-identical and the communication statistics untouched
+    // bit-identical and the communication statistics untouched. The four
+    // shapes the benchmark ledger runs (tile sizes on both sides of the
+    // `Blocked` small-tile rule), then the shape this test always ran. A
+    // run that sets no backend — the default, `Blocked` — is held to the
+    // `Naive` reference.
     use sbc_runtime::{KernelBackend, Kernels};
-    let dist = SbcExtended::new(5);
-    let nt = 12;
-    let mut base: Option<(Vec<Vec<f64>>, sbc_runtime::CommStats)> = None;
-    for kernels in [KernelBackend::Naive, KernelBackend::Blocked] {
-        let out = Run::potrf(&dist, nt)
-            .block(B)
-            .seed(SEED)
-            .workers(2)
-            .kernels(kernels)
-            .execute()
-            .unwrap();
-        let mut coords: Vec<_> = out.factor().tile_coords().collect();
-        coords.sort_unstable();
-        let tiles: Vec<Vec<f64>> = coords
-            .iter()
-            .map(|&(i, j)| out.factor().tile(i, j).as_slice().to_vec())
-            .collect();
-        match &base {
-            None => base = Some((tiles, out.stats)),
-            Some((t0, s0)) => {
-                // bitwise: f64 equality on every element, including signs
-                let same = t0
-                    .iter()
-                    .zip(&tiles)
-                    .all(|(a, b)| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-                assert!(same, "factor differs under {kernels}");
-                assert_eq!(s0, &out.stats, "comm stats differ under {kernels}");
+    let shapes = [
+        (4, 12, 128),
+        (4, 64, 4),
+        (4, 20, 64),
+        (4, 12, 32),
+        (5, 12, B),
+    ];
+    for (r, nt, b) in shapes {
+        let dist = SbcExtended::new(r);
+        let mut base: Option<(Vec<Vec<f64>>, sbc_runtime::CommStats)> = None;
+        for kernels in [Some(KernelBackend::Naive), None] {
+            let run = Run::potrf(&dist, nt).block(b).seed(SEED).workers(2);
+            let run = match kernels {
+                Some(k) => run.kernels(k),
+                None => run,
+            };
+            let out = run.execute().unwrap();
+            let mut coords: Vec<_> = out.factor().tile_coords().collect();
+            coords.sort_unstable();
+            let tiles: Vec<Vec<f64>> = coords
+                .iter()
+                .map(|&(i, j)| out.factor().tile(i, j).as_slice().to_vec())
+                .collect();
+            match &base {
+                None => base = Some((tiles, out.stats)),
+                Some((t0, s0)) => {
+                    // bitwise: f64 equality on every element, including signs
+                    let same = t0
+                        .iter()
+                        .zip(&tiles)
+                        .all(|(a, b)| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+                    assert!(same, "factor differs under {kernels:?} at nt={nt} b={b}");
+                    assert_eq!(s0, &out.stats, "comm stats differ under {kernels:?}");
+                }
             }
         }
     }

@@ -10,7 +10,7 @@
 //! the job path nothing measurable.
 
 use sbc_matrix::SymmetricTiledMatrix;
-use sbc_net::{inproc_mesh, BufferPool, PoolStats};
+use sbc_net::{inproc_mesh, BufferPool, InProc, PoolStats, Transport};
 use sbc_obs::{
     chrome_trace_from_spans, expo, Counter, EventLog, Gauge, Metrics, MetricsSnapshot, ObsEvent,
     SpanRing, TraceEvent,
@@ -39,7 +39,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission bound: jobs admitted and not yet finished.
     pub max_inflight: usize,
-    /// Rank engines' receive poll tick.
+    /// Rank engines' receive poll tick. Not what starts a job: a
+    /// submission wakes every rank itself.
     pub heartbeat: Duration,
     /// Per-job no-progress watchdog (never fires on an idle rank).
     pub deadline: Option<Duration>,
@@ -54,9 +55,10 @@ pub struct ServeConfig {
     /// Sliding window for [`Service::jobs_per_sec`]: the rate decays to
     /// zero this long after traffic stops.
     pub rate_window: Duration,
-    /// Kernel backend the rank engines' workers dispatch through. All
-    /// backends are bit-identical, so this only changes job latency; the
-    /// `SBC_KERNELS` environment variable overrides it at start time.
+    /// Kernel backend the rank engines' workers dispatch through
+    /// (default: `Blocked`). All backends are bit-identical, so this only
+    /// changes job latency; the `SBC_KERNELS` environment variable
+    /// overrides it at start time.
     pub kernels: KernelBackend,
 }
 
@@ -101,6 +103,10 @@ pub struct Service {
     graphs: Mutex<VecDeque<(GraphKey, Arc<TaskGraph>)>>,
     graph_capacity: usize,
     engines: Mutex<Vec<JoinHandle<Result<(), ExecError>>>>,
+    /// Every rank's endpoint of the resident mesh, shared with its engine
+    /// thread so that [`Service::submit`] and [`Service::shutdown`] can wake
+    /// the rank's parked receiver (the table itself cannot).
+    mesh: Vec<Arc<InProc>>,
     spans: SpanRing,
     throughput: Arc<Gauge>,
     rate_window: Duration,
@@ -134,11 +140,12 @@ impl Service {
             deadline: cfg.deadline,
             kernels: KernelBackend::resolve(cfg.kernels),
         };
-        let engines = inproc_mesh(cfg.nodes)
-            .into_iter()
+        let mesh: Vec<Arc<InProc>> = inproc_mesh(cfg.nodes).into_iter().map(Arc::new).collect();
+        let engines = mesh
+            .iter()
             .map(|net| {
-                let table = Arc::clone(&table);
-                std::thread::spawn(move || run_jobs_rank(&net, &table, engine_cfg))
+                let (net, table) = (Arc::clone(net), Arc::clone(&table));
+                std::thread::spawn(move || run_jobs_rank(&*net, &table, engine_cfg))
             })
             .collect();
         Arc::new(Service {
@@ -157,6 +164,7 @@ impl Service {
             graphs: Mutex::new(VecDeque::new()),
             graph_capacity: cfg.planner.cache_capacity.max(1),
             engines: Mutex::new(engines),
+            mesh,
             spans: SpanRing::with_capacity(cfg.trace_spans),
             rate_window: cfg.rate_window,
             started: Instant::now(),
@@ -164,9 +172,9 @@ impl Service {
     }
 
     /// Plans (warm cache first), reuses the shape's shared task graph, and
-    /// submits one job. The ticket reports whether the plan was cached.
-    /// Admission counters and lifecycle events are recorded by the job
-    /// table itself.
+    /// submits one job, which every rank picks up at once. The ticket
+    /// reports whether the plan was cached. Admission counters and
+    /// lifecycle events are recorded by the job table itself.
     pub fn submit(
         &self,
         op: Op,
@@ -179,10 +187,23 @@ impl Service {
         let plan = self.planner.plan(op, nt, b);
         let graph = self.graph(&plan);
         let id = self.table.submit(graph, b, seed, seed_rhs, prio)?;
+        self.wake_ranks();
         Ok(Submitted {
             id,
             plan_cached: plan.cached,
         })
+    }
+
+    /// Ends every rank's receive wait so that it looks at the table now. A
+    /// resident engine otherwise notices a new registration only when its
+    /// `heartbeat` tick expires: up to a tick of delay per job, and — under
+    /// a closed-loop client, whose next submission follows the previous
+    /// reply by a nearly constant time — a delay that locks onto one phase
+    /// of the tick and differs from one run of the service to the next.
+    fn wake_ranks(&self) {
+        for net in &self.mesh {
+            net.wake();
+        }
     }
 
     /// The shape's shared task graph: cached, or built — outside the lock,
@@ -333,6 +354,7 @@ impl Service {
     /// first engine failure, if any.
     pub fn shutdown(&self) -> Result<(), ExecError> {
         self.table.shutdown();
+        self.wake_ranks();
         let mut first = None;
         for h in lock(&self.engines).drain(..) {
             match h.join() {

@@ -14,6 +14,7 @@ use sbc_simgrid::Platform;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 const B: usize = 8;
 
@@ -408,4 +409,35 @@ fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
     check(shapes[0], 99, again.id);
     assert!(service.cached_graphs() <= capacity);
     service.shutdown().unwrap();
+}
+
+/// A job starts when it is admitted, not at the ranks' next poll tick: with
+/// a tick of an hour, parked ranks still pick a submission up, run it, and
+/// leave on shutdown. (With polling alone every job of a closed-loop client
+/// started a fixed fraction of the tick late, a different one in each run.)
+#[test]
+fn a_submission_does_not_wait_for_the_poll_tick() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let service = Service::start(ServeConfig {
+            heartbeat: Duration::from_secs(3600),
+            ..ServeConfig::default()
+        });
+        // every rank is parked in its hour-long receive by now
+        std::thread::sleep(Duration::from_millis(50));
+        for seed in 0..3 {
+            let job = service.submit(Op::Potrf, 6, B, seed, 0, 0).unwrap();
+            let out = service.wait(job.id).unwrap();
+            let factor = service.gather_potrf(6, B, &out).unwrap();
+            let expect = potrf_reference(6, B, seed);
+            for (i, j) in expect.tile_coords() {
+                assert_eq!(factor.tile(i, j).as_slice(), expect.tile(i, j).as_slice());
+            }
+        }
+        service.shutdown().unwrap();
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a served job or the shutdown waited for the poll tick");
 }

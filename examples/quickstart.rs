@@ -26,7 +26,8 @@ fn main() {
         nt * b
     );
 
-    // Blocked kernels run the same math faster; both backends are
+    // Blocked kernels (the default, named here to show the knob) run the
+    // same math faster than the `Naive` reference loops; both backends are
     // bit-identical, so the factor and the message counts below cannot
     // change.
     let out = Run::potrf(&sbc, nt)
