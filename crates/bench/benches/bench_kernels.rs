@@ -8,7 +8,8 @@
 //! 128; 48 is the ragged one) — and on the GEMM shape the paper's runs
 //! spend their time in (`b = 256`, `C -= A·Bᵀ`). Under `SBC_BENCH_JSON` its
 //! records land in `BENCH_criterion.json`, so the blocked/naive ratio at
-//! every size is a tracked datapoint, not folklore.
+//! every size is a tracked datapoint, not folklore. The `tile` group puts the
+//! accessor tax of a shared-buffer [`Tile`] beside the copy it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sbc_kernels::reference::{random_lower_tile, random_spd_tile, random_tile};
@@ -156,9 +157,44 @@ fn bench_factor_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// What sharing a tile's buffer costs and saves, at the `potrf-tasks` tile
+/// size (`b = 4`, where a kernel is a few dozen nanoseconds and an accessor's
+/// uniqueness check shows) and at `potrf-compute`'s (`b = 128`, where the
+/// copy a clone no longer makes was 128 KiB): `clone` is the count bump every
+/// operand read, in-process send and gather now pays, `first_write_after_clone`
+/// is the clone plus the copy-on-write it defers — the whole price of the old
+/// deep clone, paid only by a tile that is written while still shared — and
+/// `col_mut` is one checked accessor call on an unshared tile.
+fn bench_tile(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tile");
+    for b in [4usize, 128] {
+        let t = random_tile(b, 13);
+        g.throughput(Throughput::Bytes(t.bytes() as u64));
+        g.bench_with_input(BenchmarkId::new("clone", b), &b, |bench, _| {
+            bench.iter(|| t.clone());
+        });
+        g.bench_with_input(
+            BenchmarkId::new("first_write_after_clone", b),
+            &b,
+            |bench, _| {
+                bench.iter(|| {
+                    let mut copy = t.clone();
+                    copy.col_mut(0)[0] = 1.0;
+                    copy
+                });
+            },
+        );
+        g.bench_with_input(BenchmarkId::new("col_mut", b), &b, |bench, _| {
+            let mut own = Tile::zeros(b);
+            bench.iter(|| own.col_mut(0)[0] += 1.0);
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_gemm, bench_kernel_backends, bench_syrk, bench_trsm, bench_factor_kernels
+    targets = bench_gemm, bench_kernel_backends, bench_syrk, bench_trsm, bench_factor_kernels, bench_tile
 );
 criterion_main!(benches);

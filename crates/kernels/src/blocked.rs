@@ -450,6 +450,7 @@ multiversion! {
         alpha: f64, a: &Tile, b: &Tile, c: &mut Tile
     ) {
         let n = c.dim();
+        let c = c.as_mut_slice();
         let mut j0 = 0;
         while j0 + NR <= n {
             let (y0, y1, y2, y3) = (b.col(j0), b.col(j0 + 1), b.col(j0 + 2), b.col(j0 + 3));
@@ -459,19 +460,17 @@ multiversion! {
                 let d1 = dot4(x, y1);
                 let d2 = dot4(x, y2);
                 let d3 = dot4(x, y3);
-                c.set(i, j0, c.get(i, j0) + alpha * d0);
-                c.set(i, j0 + 1, c.get(i, j0 + 1) + alpha * d1);
-                c.set(i, j0 + 2, c.get(i, j0 + 2) + alpha * d2);
-                c.set(i, j0 + 3, c.get(i, j0 + 3) + alpha * d3);
+                c[j0 * n + i] += alpha * d0;
+                c[(j0 + 1) * n + i] += alpha * d1;
+                c[(j0 + 2) * n + i] += alpha * d2;
+                c[(j0 + 3) * n + i] += alpha * d3;
             }
             j0 += NR;
         }
         for j in j0..n {
             let y = b.col(j);
             for i in 0..n {
-                let d = dot4(a.col(i), y);
-                let v = c.get(i, j) + alpha * d;
-                c.set(i, j, v);
+                c[j * n + i] += alpha * dot4(a.col(i), y);
             }
         }
     }
@@ -486,6 +485,7 @@ multiversion! {
     ) {
         let n = c.dim();
         for j in 0..n {
+            let cj = c.col_mut(j);
             let mut i0 = 0;
             while i0 + NR <= n {
                 let (x0, x1, x2, x3) = (a.col(i0), a.col(i0 + 1), a.col(i0 + 2), a.col(i0 + 3));
@@ -499,18 +499,16 @@ multiversion! {
                     d[3] += x3[k] * bv;
                 }
                 for (t, dt) in d.into_iter().enumerate() {
-                    let v = c.get(i0 + t, j) + alpha * dt;
-                    c.set(i0 + t, j, v);
+                    cj[i0 + t] += alpha * dt;
                 }
                 i0 += NR;
             }
-            for i in i0..n {
+            for (i, cij) in cj.iter_mut().enumerate().skip(i0) {
                 let mut d = 0.0;
                 for (k, xk) in a.col(i).iter().enumerate() {
                     d += xk * b.get(j, k);
                 }
-                let v = c.get(i, j) + alpha * d;
-                c.set(i, j, v);
+                *cij += alpha * d;
             }
         }
     }
@@ -534,9 +532,8 @@ fn syrk_blocked(trans: Trans, alpha: f64, a: &Tile, beta: f64, c: &mut Tile) {
 
     if beta != 1.0 {
         for j in 0..n {
-            for i in j..n {
-                let v = beta * c.get(i, j);
-                c.set(i, j, v);
+            for x in &mut c.col_mut(j)[j..] {
+                *x *= beta;
             }
         }
     }
@@ -566,7 +563,7 @@ multiversion! {
     fn syrk_dot_blocked / syrk_dot_blocked_impl(alpha: f64, a: &Tile, c: &mut Tile) {
         let n = c.dim();
         for j in 0..n {
-            let aj = a.col(j);
+            let (aj, cj) = (a.col(j), c.col_mut(j));
             let mut i = j;
             while i + NR <= n {
                 let (x0, x1, x2, x3) = (a.col(i), a.col(i + 1), a.col(i + 2), a.col(i + 3));
@@ -580,19 +577,17 @@ multiversion! {
                     d[3] += x3[k] * y;
                 }
                 for (t, dt) in d.into_iter().enumerate() {
-                    let v = c.get(i + t, j) + alpha * dt;
-                    c.set(i + t, j, v);
+                    cj[i + t] += alpha * dt;
                 }
                 i += NR;
             }
-            for ii in i..n {
+            for (ii, cij) in cj.iter_mut().enumerate().skip(i) {
                 let mut d = 0.0;
                 let x = a.col(ii);
                 for k in 0..n {
                     d += x[k] * aj[k];
                 }
-                let v = c.get(ii, j) + alpha * d;
-                c.set(ii, j, v);
+                *cij += alpha * d;
             }
         }
     }

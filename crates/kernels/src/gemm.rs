@@ -44,8 +44,10 @@ pub(crate) fn naive_gemm(
     assert_eq!(a.dim(), n, "gemm: A dimension mismatch");
     assert_eq!(b.dim(), n, "gemm: B dimension mismatch");
 
+    // one uniqueness check per call; the loops below index the slice
+    let c = c.as_mut_slice();
     if beta != 1.0 {
-        for x in c.as_mut_slice() {
+        for x in c.iter_mut() {
             *x *= beta;
         }
     }
@@ -57,10 +59,11 @@ pub(crate) fn naive_gemm(
         (Trans::No, Trans::No) => {
             // C[:,j] += alpha * sum_k B[k,j] * A[:,k]
             for j in 0..n {
+                let cj = &mut c[j * n..(j + 1) * n];
                 for k in 0..n {
                     let s = alpha * b.get(k, j);
                     if s != 0.0 {
-                        axpy(s, a.col(k), c.col_mut(j));
+                        axpy(s, a.col(k), cj);
                     }
                 }
             }
@@ -68,10 +71,11 @@ pub(crate) fn naive_gemm(
         (Trans::No, Trans::Yes) => {
             // C[:,j] += alpha * sum_k B[j,k] * A[:,k]
             for j in 0..n {
+                let cj = &mut c[j * n..(j + 1) * n];
                 for k in 0..n {
                     let s = alpha * b.get(j, k);
                     if s != 0.0 {
-                        axpy(s, a.col(k), c.col_mut(j));
+                        axpy(s, a.col(k), cj);
                     }
                 }
             }
@@ -79,23 +83,21 @@ pub(crate) fn naive_gemm(
         (Trans::Yes, Trans::No) => {
             // C[i,j] += alpha * dot(A[:,i], B[:,j])
             for j in 0..n {
-                for i in 0..n {
-                    let d = dot(a.col(i), b.col(j));
-                    let v = c.get(i, j) + alpha * d;
-                    c.set(i, j, v);
+                let (bj, cj) = (b.col(j), &mut c[j * n..(j + 1) * n]);
+                for (i, cij) in cj.iter_mut().enumerate() {
+                    *cij += alpha * dot(a.col(i), bj);
                 }
             }
         }
         (Trans::Yes, Trans::Yes) => {
             // C[i,j] += alpha * sum_k A[k,i] * B[j,k]
             for j in 0..n {
-                for i in 0..n {
+                for (i, cij) in c[j * n..(j + 1) * n].iter_mut().enumerate() {
                     let mut d = 0.0;
                     for k in 0..n {
                         d += a.get(k, i) * b.get(j, k);
                     }
-                    let v = c.get(i, j) + alpha * d;
-                    c.set(i, j, v);
+                    *cij += alpha * d;
                 }
             }
         }

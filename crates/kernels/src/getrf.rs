@@ -24,23 +24,20 @@ use crate::{KernelError, Tile};
 /// The reference implementation behind [`crate::KernelBackend::Naive`].
 pub(crate) fn naive_getrf(a: &mut Tile) -> Result<(), KernelError> {
     let n = a.dim();
+    let data = a.as_mut_slice();
     for kk in 0..n {
-        let pivot = a.get(kk, kk);
+        let pivot = data[kk * n + kk];
         if pivot == 0.0 || !pivot.is_finite() {
             return Err(KernelError::SingularTriangle(kk));
         }
         // scale the column below the pivot
-        {
-            let col = a.col_mut(kk);
-            for v in &mut col[kk + 1..n] {
-                *v /= pivot;
-            }
+        for v in &mut data[kk * n + kk + 1..(kk + 1) * n] {
+            *v /= pivot;
         }
         // trailing update: A[kk+1.., j] -= A[kk+1.., kk] * A[kk, j]
         for j in kk + 1..n {
-            let s = a.get(kk, j);
+            let s = data[j * n + kk];
             if s != 0.0 {
-                let data = a.as_mut_slice();
                 let (lo, hi) = data.split_at_mut(j * n);
                 let ck = &lo[kk * n..kk * n + n];
                 let cj = &mut hi[..n];

@@ -14,26 +14,25 @@ use crate::Tile;
 /// The reference implementation behind [`crate::KernelBackend::Naive`].
 pub(crate) fn naive_lauum(a: &mut Tile) {
     let n = a.dim();
+    let data = a.as_mut_slice();
     for i in 0..n {
-        let aii = a.get(i, i);
+        let aii = data[i * n + i];
         if i + 1 < n {
             // A[i, 0..i] := aii * A[i, 0..i] + A[i+1.., 0..i]^T . A[i+1.., i]
             for j in 0..i {
-                let mut s = aii * a.get(i, j);
+                let mut s = aii * data[j * n + i];
                 for k in i + 1..n {
-                    s += a.get(k, j) * a.get(k, i);
+                    s += data[j * n + k] * data[i * n + k];
                 }
-                a.set(i, j, s);
+                data[j * n + i] = s;
             }
             // A[i,i] := dot(A[i.., i], A[i.., i])
-            let col = a.col(i);
-            let d: f64 = col[i..n].iter().map(|v| v * v).sum();
-            a.set(i, i, d);
+            let d: f64 = data[i * n + i..(i + 1) * n].iter().map(|v| v * v).sum();
+            data[i * n + i] = d;
         } else {
             // last row: scale by aii
             for j in 0..n {
-                let v = aii * a.get(i, j);
-                a.set(i, j, v);
+                data[j * n + i] *= aii;
             }
         }
     }

@@ -18,26 +18,23 @@ use crate::{KernelError, Tile};
 /// The reference implementation behind [`crate::KernelBackend::Naive`].
 pub(crate) fn naive_potrf(a: &mut Tile) -> Result<(), KernelError> {
     let n = a.dim();
+    let data = a.as_mut_slice();
     for k in 0..n {
-        let akk = a.get(k, k);
+        let akk = data[k * n + k];
         if akk <= 0.0 || !akk.is_finite() {
             return Err(KernelError::NotPositiveDefinite(k));
         }
         let pivot = akk.sqrt();
-        a.set(k, k, pivot);
+        data[k * n + k] = pivot;
         // scale the column below the pivot
-        {
-            let col = a.col_mut(k);
-            for v in &mut col[k + 1..n] {
-                *v /= pivot;
-            }
+        for v in &mut data[k * n + k + 1..(k + 1) * n] {
+            *v /= pivot;
         }
         // trailing update: for j > k, A[j.., j] -= A[j,k] * A[j.., k]
         for j in k + 1..n {
-            let s = a.get(j, k);
+            let s = data[k * n + j];
             if s != 0.0 {
                 // borrow columns k (read) and j (write) simultaneously
-                let data = a.as_mut_slice();
                 let (lo, hi) = data.split_at_mut(j * n);
                 let ck = &lo[k * n..k * n + n];
                 let cj = &mut hi[..n];

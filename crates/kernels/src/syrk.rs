@@ -22,11 +22,12 @@ pub(crate) fn naive_syrk(trans: Trans, alpha: f64, a: &Tile, beta: f64, c: &mut 
     let n = c.dim();
     assert_eq!(a.dim(), n, "syrk: A dimension mismatch");
 
+    // one uniqueness check per call; the loops below index the slice
+    let c = c.as_mut_slice();
     if beta != 1.0 {
         for j in 0..n {
-            for i in j..n {
-                let v = beta * c.get(i, j);
-                c.set(i, j, v);
+            for x in &mut c[j * n + j..(j + 1) * n] {
+                *x *= beta;
             }
         }
     }
@@ -39,11 +40,11 @@ pub(crate) fn naive_syrk(trans: Trans, alpha: f64, a: &Tile, beta: f64, c: &mut 
             // C[i,j] += alpha * sum_k A[i,k] A[j,k]  (i >= j)
             // axpy form over columns of A, writing only rows >= j.
             for j in 0..n {
+                let ccol = &mut c[j * n..(j + 1) * n];
                 for k in 0..n {
                     let s = alpha * a.get(j, k);
                     if s != 0.0 {
                         let acol = a.col(k);
-                        let ccol = c.col_mut(j);
                         for i in j..n {
                             ccol[i] += s * acol[i];
                         }
@@ -54,15 +55,14 @@ pub(crate) fn naive_syrk(trans: Trans, alpha: f64, a: &Tile, beta: f64, c: &mut 
         Trans::Yes => {
             // C[i,j] += alpha * dot(A[:,i], A[:,j])  (i >= j)
             for j in 0..n {
-                for i in j..n {
+                let (aj, ccol) = (a.col(j), &mut c[j * n..(j + 1) * n]);
+                for (i, cij) in ccol.iter_mut().enumerate().skip(j) {
                     let mut d = 0.0;
                     let ai = a.col(i);
-                    let aj = a.col(j);
                     for k in 0..n {
                         d += ai[k] * aj[k];
                     }
-                    let v = c.get(i, j) + alpha * d;
-                    c.set(i, j, v);
+                    *cij += alpha * d;
                 }
             }
         }

@@ -5,15 +5,39 @@
 //! `b × b`, each owned by one node, and every inter-node message carries
 //! exactly one tile (Section V-C of the paper: Chameleon/StarPU communicate
 //! tile-by-tile with point-to-point messages).
+//!
+//! # Cost model
+//!
+//! A tile's values live in one reference-counted allocation, so a tile is
+//! allocated once and every later copy of it is a handle:
+//!
+//! * [`Clone`] is O(1) — it bumps a count. Reading an operand, sending a
+//!   tile to a rank of the same process, retaining it for retransmission
+//!   and gathering a result all clone.
+//! * The first write to a tile whose buffer is still shared copies the
+//!   buffer (`b² · 8` bytes, one allocation) and un-shares it; a write to an
+//!   unshared tile writes in place. Handles never observe each other's
+//!   writes: a clone is logically a private copy.
+//! * Every `&mut` accessor ([`Tile::set`], [`Tile::as_mut_slice`],
+//!   [`Tile::col_mut`], …) checks uniqueness first — an atomic
+//!   read-modify-write, a few dozen cycles. A loop therefore takes
+//!   [`Tile::as_mut_slice`] (or a column) *once* and indexes the slice;
+//!   calling `set` per element pays the check per element.
+//!
+//! Equality stays by value.
+
+use std::sync::Arc;
 
 /// A square `b × b` tile of `f64` values in column-major order.
 ///
 /// Column-major matches BLAS/LAPACK conventions and makes the inner loops of
-/// the kernels unit-stride over rows of a column.
+/// the kernels unit-stride over rows of a column. Cloning shares the buffer;
+/// see the [module documentation](self) for what that costs and when a
+/// write copies.
 #[derive(Clone, PartialEq)]
 pub struct Tile {
     b: usize,
-    data: Vec<f64>,
+    data: Arc<[f64]>,
 }
 
 impl std::fmt::Debug for Tile {
@@ -37,37 +61,44 @@ impl Tile {
     pub fn zeros(b: usize) -> Self {
         Tile {
             b,
-            data: vec![0.0; b * b],
+            data: std::iter::repeat_n(0.0, b * b).collect(),
         }
     }
 
     /// Creates an identity tile of dimension `b`.
     pub fn identity(b: usize) -> Self {
-        let mut t = Tile::zeros(b);
-        for i in 0..b {
-            t.set(i, i, 1.0);
-        }
-        t
+        Tile::from_fn(b, |i, j| if i == j { 1.0 } else { 0.0 })
     }
 
-    /// Creates a tile from a column-major slice of length `b * b`.
+    /// Creates a tile from `b * b` values in column-major order — a
+    /// `Vec`, or an iterator: one of exact size (a slice or range adapter,
+    /// as in the wire decoder) is written straight into the tile's
+    /// allocation, with no staging `Vec`.
     ///
     /// # Panics
-    /// Panics if `data.len() != b * b`.
-    pub fn from_column_major(b: usize, data: Vec<f64>) -> Self {
+    /// Panics if `data` does not yield exactly `b * b` values.
+    pub fn from_column_major(b: usize, data: impl IntoIterator<Item = f64>) -> Self {
+        let data: Arc<[f64]> = data.into_iter().collect();
         assert_eq!(data.len(), b * b, "tile data length must be b*b");
         Tile { b, data }
     }
 
-    /// Creates a tile by evaluating `f(i, j)` at every (row, column).
+    /// Creates a tile by evaluating `f(i, j)` at every (row, column), in
+    /// storage order: column by column, rows ascending within a column
+    /// (the seeded generators draw from one random stream and rely on it).
     pub fn from_fn(b: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(b * b);
-        for j in 0..b {
-            for i in 0..b {
-                data.push(f(i, j));
-            }
-        }
-        Tile { b, data }
+        let (mut i, mut j) = (0, 0);
+        Tile::from_column_major(
+            b,
+            (0..b * b).map(|_| {
+                let v = f(i, j);
+                i += 1;
+                if i == b {
+                    (i, j) = (0, j + 1);
+                }
+                v
+            }),
+        )
     }
 
     /// Tile dimension `b`.
@@ -93,7 +124,8 @@ impl Tile {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.b && j < self.b);
-        self.data[j * self.b + i] = v;
+        let at = j * self.b + i;
+        self.as_mut_slice()[at] = v;
     }
 
     /// Raw column-major data.
@@ -102,10 +134,12 @@ impl Tile {
         &self.data
     }
 
-    /// Mutable raw column-major data.
+    /// Mutable raw column-major data. Copies the buffer first if another
+    /// handle still shares it; every other `&mut` accessor goes through
+    /// here.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        Arc::make_mut(&mut self.data)
     }
 
     /// Borrows column `j` as a slice of `b` contiguous rows.
@@ -117,7 +151,8 @@ impl Tile {
     /// Mutably borrows column `j`.
     #[inline]
     pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[j * self.b..(j + 1) * self.b]
+        let b = self.b;
+        &mut self.as_mut_slice()[j * b..(j + 1) * b]
     }
 
     /// Returns the transposed tile.
@@ -128,20 +163,21 @@ impl Tile {
     /// Zeroes the strictly upper triangle, keeping the lower triangle and
     /// diagonal. Used to canonicalize Cholesky factors for comparisons.
     pub fn zero_strict_upper(&mut self) {
-        for j in 1..self.b {
-            for i in 0..j {
-                self.set(i, j, 0.0);
-            }
+        let b = self.b;
+        let data = self.as_mut_slice();
+        for j in 1..b {
+            data[j * b..j * b + j].fill(0.0);
         }
     }
 
     /// Mirrors the lower triangle onto the upper triangle, producing a
     /// symmetric tile. Used when expanding symmetric storage.
     pub fn symmetrize_from_lower(&mut self) {
-        for j in 1..self.b {
+        let b = self.b;
+        let data = self.as_mut_slice();
+        for j in 1..b {
             for i in 0..j {
-                let v = self.get(j, i);
-                self.set(i, j, v);
+                data[j * b + i] = data[i * b + j];
             }
         }
     }
@@ -162,7 +198,7 @@ impl Tile {
     /// Panics if dimensions differ.
     pub fn add_assign(&mut self, other: &Tile) {
         assert_eq!(self.b, other.b, "tile dimension mismatch in add_assign");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.data.iter()) {
             *a += b;
         }
     }
@@ -173,7 +209,7 @@ impl Tile {
     /// Panics if dimensions differ.
     pub fn sub_assign(&mut self, other: &Tile) {
         assert_eq!(self.b, other.b, "tile dimension mismatch in sub_assign");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.data.iter()) {
             *a -= b;
         }
     }
@@ -267,6 +303,126 @@ mod tests {
             for j in 0..3 {
                 assert_eq!(t.get(i, j), t.get(j, i));
             }
+        }
+    }
+
+    type Write = fn(&mut Tile);
+
+    /// Every `&mut` accessor, as a write that changes at least one value of
+    /// the tile the sharing test builds.
+    fn writes() -> [(&'static str, Write); 7] {
+        [
+            ("set", |t| t.set(2, 1, -7.0)),
+            ("as_mut_slice", |t| t.as_mut_slice()[5] = -7.0),
+            ("col_mut", |t| t.col_mut(3)[0] = -7.0),
+            ("add_assign", |t| t.add_assign(&Tile::identity(4))),
+            ("sub_assign", |t| t.sub_assign(&Tile::identity(4))),
+            ("zero_strict_upper", Tile::zero_strict_upper),
+            ("symmetrize_from_lower", Tile::symmetrize_from_lower),
+        ]
+    }
+
+    fn ptr(t: &Tile) -> *const f64 {
+        t.as_slice().as_ptr()
+    }
+
+    fn bits(t: &Tile) -> Vec<u64> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_clone_shares_the_buffer_until_either_handle_writes() {
+        for (name, write) in writes() {
+            // NaN and -0.0 on board: "unchanged" is judged on the bits
+            let mut original = Tile::from_fn(4, |i, j| (1 + i + 10 * j) as f64);
+            original.set(0, 3, f64::NAN);
+            original.set(3, 0, -0.0);
+            let before = bits(&original);
+
+            let mut copy = original.clone();
+            assert_eq!(ptr(&copy), ptr(&original), "{name}: a clone shares");
+            write(&mut copy);
+            assert_ne!(ptr(&copy), ptr(&original), "{name}: a write un-shares");
+            assert_eq!(bits(&original), before, "{name}: the other handle moved");
+            assert_ne!(bits(&copy), before, "{name}: the write happened");
+
+            // now unshared: further writes happen in place
+            let at = ptr(&copy);
+            write(&mut copy);
+            assert_eq!(ptr(&copy), at, "{name}: an unshared tile was copied");
+        }
+    }
+
+    #[test]
+    fn a_write_through_the_original_leaves_the_clone_alone() {
+        let mut original = Tile::from_fn(3, |i, j| (i * 3 + j) as f64);
+        let copy = original.clone();
+        let (at, before) = (ptr(&copy), bits(&copy));
+        original.set(1, 1, 99.0);
+        assert_eq!((ptr(&copy), bits(&copy)), (at, before));
+        assert_eq!(original.get(1, 1), 99.0);
+        // the clone is the last handle on the old buffer: it writes in place
+        let mut copy = copy;
+        copy.set(0, 0, 1.0);
+        assert_eq!(ptr(&copy), at);
+    }
+
+    #[test]
+    fn equality_is_by_value_not_by_buffer() {
+        let a = Tile::from_fn(3, |i, j| (i + 2 * j) as f64);
+        let b = Tile::from_column_major(3, a.as_slice().to_vec());
+        assert_ne!(ptr(&a), ptr(&b));
+        assert_eq!(a, b);
+        assert_ne!(a, Tile::zeros(3));
+        assert_ne!(Tile::zeros(2), Tile::zeros(3));
+        // IEEE equality: a NaN differs from itself, even through a shared
+        // buffer, and the two zeros are equal
+        let mut nan = Tile::zeros(2);
+        nan.set(0, 0, f64::NAN);
+        assert_ne!(nan, nan.clone());
+        let mut neg = Tile::zeros(2);
+        neg.set(1, 1, -0.0);
+        assert_eq!(neg, Tile::zeros(2));
+    }
+
+    #[test]
+    fn constructors_check_the_length() {
+        assert_eq!(Tile::from_column_major(0, Vec::new()).bytes(), 0);
+        for wrong in [3, 5] {
+            let built = std::panic::catch_unwind(|| Tile::from_column_major(2, vec![0.0; wrong]));
+            assert!(built.is_err(), "{wrong} values are not a 2 x 2 tile");
+        }
+    }
+
+    #[test]
+    fn tiles_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Tile>();
+
+        // a reader on a clone and a writer on its own handle, released
+        // together: the reader must see the pre-write values throughout,
+        // whichever of them the copy-on-write races with
+        let b = 64;
+        for round in 0..50 {
+            let mut mine = Tile::from_fn(b, |i, j| (i + b * j) as f64);
+            let theirs = mine.clone();
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..20 {
+                        for (k, v) in theirs.as_slice().iter().enumerate() {
+                            assert_eq!(*v, k as f64, "round {round}");
+                        }
+                    }
+                });
+                start.wait();
+                for v in mine.as_mut_slice() {
+                    *v = -1.0;
+                }
+                reader.join().expect("the reader saw a torn tile");
+            });
+            assert!(mine.as_slice().iter().all(|&v| v == -1.0));
         }
     }
 

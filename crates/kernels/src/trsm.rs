@@ -26,18 +26,19 @@ pub(crate) fn naive_trsm_right_lower_trans(alpha: f64, l: &Tile, b: &mut Tile) {
     let n = b.dim();
     assert_eq!(l.dim(), n, "trsm: L dimension mismatch");
     scale(alpha, b);
+    let data = b.as_mut_slice();
     for j in 0..n {
         for k in 0..j {
             let s = l.get(j, k);
             if s != 0.0 {
-                let (xk, xj) = two_cols(b, k, j);
+                let (xk, xj) = two_cols(data, n, k, j);
                 for i in 0..n {
                     xj[i] -= s * xk[i];
                 }
             }
         }
         let d = l.get(j, j);
-        for x in b.col_mut(j) {
+        for x in &mut data[j * n..(j + 1) * n] {
             *x /= d;
         }
     }
@@ -53,18 +54,19 @@ pub(crate) fn naive_trsm_right_lower(alpha: f64, l: &Tile, b: &mut Tile) {
     let n = b.dim();
     assert_eq!(l.dim(), n, "trsm: L dimension mismatch");
     scale(alpha, b);
+    let data = b.as_mut_slice();
     for j in (0..n).rev() {
         for k in j + 1..n {
             let s = l.get(k, j);
             if s != 0.0 {
-                let (xk, xj) = two_cols(b, k, j);
+                let (xk, xj) = two_cols(data, n, k, j);
                 for i in 0..n {
                     xj[i] -= s * xk[i];
                 }
             }
         }
         let d = l.get(j, j);
-        for x in b.col_mut(j) {
+        for x in &mut data[j * n..(j + 1) * n] {
             *x /= d;
         }
     }
@@ -151,18 +153,19 @@ pub(crate) fn naive_trsm_left_unit_lower(l: &Tile, b: &mut Tile) {
 pub(crate) fn naive_trsm_right_upper(u: &Tile, b: &mut Tile) {
     let n = b.dim();
     assert_eq!(u.dim(), n, "trsm: U dimension mismatch");
+    let data = b.as_mut_slice();
     for j in 0..n {
         for kk in 0..j {
             let s = u.get(kk, j);
             if s != 0.0 {
-                let (xk, xj) = two_cols(b, kk, j);
+                let (xk, xj) = two_cols(data, n, kk, j);
                 for i in 0..n {
                     xj[i] -= s * xk[i];
                 }
             }
         }
         let d = u.get(j, j);
-        for x in b.col_mut(j) {
+        for x in &mut data[j * n..(j + 1) * n] {
             *x /= d;
         }
     }
@@ -176,11 +179,10 @@ fn scale(alpha: f64, b: &mut Tile) {
     }
 }
 
-/// Borrows two distinct columns of a tile mutably/immutably.
-fn two_cols(t: &mut Tile, src: usize, dst: usize) -> (&[f64], &mut [f64]) {
-    let n = t.dim();
+/// Borrows two distinct columns of a tile's data (dimension `n`)
+/// mutably/immutably.
+fn two_cols(data: &mut [f64], n: usize, src: usize, dst: usize) -> (&[f64], &mut [f64]) {
     assert_ne!(src, dst);
-    let data = t.as_mut_slice();
     if src < dst {
         let (lo, hi) = data.split_at_mut(dst * n);
         (&lo[src * n..src * n + n], &mut hi[..n])

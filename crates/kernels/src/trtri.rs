@@ -18,32 +18,31 @@ use crate::{KernelError, Tile};
 /// The reference implementation behind [`crate::KernelBackend::Naive`].
 pub(crate) fn naive_trtri(a: &mut Tile) -> Result<(), KernelError> {
     let n = a.dim();
+    let data = a.as_mut_slice();
     for j in (0..n).rev() {
-        let d = a.get(j, j);
+        let d = data[j * n + j];
         if d == 0.0 || !d.is_finite() {
             return Err(KernelError::SingularTriangle(j));
         }
         let inv = 1.0 / d;
-        a.set(j, j, inv);
+        data[j * n + j] = inv;
         if j + 1 < n {
             // x := T * x where T = inv(L[j+1.., j+1..]) already stored,
             // x = A[j+1.., j]. Lower trmv, in place, processed bottom-up via
             // column axpys: for k descending, x[k+1..] += x[k]*T[k+1..,k];
             // x[k] *= T[k,k].
             for k in (j + 1..n).rev() {
-                let xk = a.get(k, j);
+                let xk = data[j * n + k];
                 if xk != 0.0 {
                     for i in k + 1..n {
-                        let v = a.get(i, j) + xk * a.get(i, k);
-                        a.set(i, j, v);
+                        data[j * n + i] += xk * data[k * n + i];
                     }
                 }
-                a.set(k, j, xk * a.get(k, k));
+                data[j * n + k] = xk * data[k * n + k];
             }
             // scale by -1/l_jj (inv already is 1/l_jj)
-            for i in j + 1..n {
-                let v = -inv * a.get(i, j);
-                a.set(i, j, v);
+            for v in &mut data[j * n + j + 1..(j + 1) * n] {
+                *v *= -inv;
             }
         }
     }

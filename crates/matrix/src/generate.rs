@@ -33,14 +33,15 @@ pub fn spd_tile(seed: u64, nt: usize, b: usize, i: usize, j: usize) -> Tile {
         let mut rng = SplitMix64::new(tile_seed(seed, i, j));
         // diagonal tile: symmetric random + dominant diagonal
         let mut t = Tile::zeros(b);
+        let data = t.as_mut_slice();
         for c in 0..b {
             for r in c..b {
                 let v = 2.0 * rng.next_f64() - 1.0;
                 if r == c {
-                    t.set(r, c, v + 2.0 * n);
+                    data[c * b + r] = v + 2.0 * n;
                 } else {
-                    t.set(r, c, v);
-                    t.set(c, r, v);
+                    data[c * b + r] = v;
+                    data[r * b + c] = v;
                 }
             }
         }
@@ -68,9 +69,9 @@ pub fn general_tile(seed: u64, nt: usize, b: usize, i: usize, j: usize) -> Tile 
     let mut rng = SplitMix64::new(tile_seed(seed ^ 0x6E6E, i, j));
     let mut t = Tile::from_fn(b, |_, _| 2.0 * rng.next_f64() - 1.0);
     if i == j {
+        let data = t.as_mut_slice();
         for d in 0..b {
-            let v = t.get(d, d) + 2.0 * n;
-            t.set(d, d, v);
+            data[d * b + d] += 2.0 * n;
         }
     }
     t

@@ -427,12 +427,12 @@ impl<'a> Body<'a> {
             .and_then(|words| words.checked_mul(8))
             .ok_or(FrameError::BadBody("tile dimension overflows its body"))?;
         let raw = self.take(len)?;
-        // exact-size iterator again: one allocation and a memcpy-speed copy
-        let data = raw
+        // exact-size iterator again: the tile's one allocation and a
+        // memcpy-speed copy into it
+        let words = raw
             .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(Tile::from_column_major(dim, data))
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+        Ok(Tile::from_column_major(dim, words))
     }
 
     fn tile_ref(&mut self) -> Result<TileRef, FrameError> {
@@ -1546,7 +1546,7 @@ mod tests {
             0x0010_0000_0000_0000, // f64::MIN_POSITIVE
             0x0123_4567_89AB_CDEF,
         ];
-        let tile = Tile::from_column_major(3, words.iter().map(|&w| f64::from_bits(w)).collect());
+        let tile = Tile::from_column_major(3, words.iter().map(|&w| f64::from_bits(w)));
         let frame = Frame::Seq {
             src: 0x0102_0304,
             seq: 0x1112_1314_1516_1718,

@@ -91,6 +91,15 @@ pub enum ExecError {
         /// What the rank was blocked on, for diagnosis.
         waiting_on: String,
     },
+    /// A worker thread panicked inside a task or a tile provider. The rank
+    /// caught it, failed its jobs and poisoned the mesh, so the run ends
+    /// with this error instead of peers waiting forever on a dead rank.
+    Panicked {
+        /// The rank whose worker panicked.
+        rank: u32,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -110,6 +119,9 @@ impl std::fmt::Display for ExecError {
             }
             ExecError::Stalled { rank, waiting_on } => {
                 write!(f, "rank {rank} stalled past its deadline: {waiting_on}")
+            }
+            ExecError::Panicked { rank, message } => {
+                write!(f, "a worker of rank {rank} panicked: {message}")
             }
         }
     }

@@ -142,18 +142,26 @@ impl<'a> JobSpec<'a> {
         self.prio_bits.get(t as usize).copied().unwrap_or(0)
     }
 
-    /// The original (input) content of tile `r`.
-    fn original(&self, r: TileRef) -> Tile {
+    /// The original (input) content of tile `r`; a provider's tile of the
+    /// wrong dimension is the caller's error, not a panic.
+    fn original(&self, r: TileRef) -> Result<Tile, KernelError> {
         let Some(provider) = self.provider else {
-            return default_original(r, &self.graph, self.b, self.seed, self.seed_rhs);
+            return Ok(default_original(
+                r,
+                &self.graph,
+                self.b,
+                self.seed,
+                self.seed_rhs,
+            ));
         };
         let t = provider(r);
-        assert_eq!(
-            t.dim(),
-            self.b,
-            "provider returned a tile of wrong dimension"
-        );
-        t
+        if t.dim() != self.b {
+            return Err(KernelError::DimensionMismatch {
+                expected: self.b,
+                found: t.dim(),
+            });
+        }
+        Ok(t)
     }
 }
 
@@ -765,6 +773,16 @@ struct JobCtx<'a> {
     cache: RwLock<HashMap<WaitKey, Tile>>,
 }
 
+impl JobCtx<'_> {
+    /// The job-local tile `r`, generated from its original on first use.
+    fn local_or_original(&self, r: TileRef) -> Result<Tile, KernelError> {
+        match write(&self.local).entry(r) {
+            Entry::Occupied(slot) => Ok(slot.get().clone()),
+            Entry::Vacant(slot) => Ok(slot.insert(self.spec.original(r)?).clone()),
+        }
+    }
+}
+
 /// One rank's in-flight share of a job.
 struct JobRun<'a> {
     ctx: Arc<JobCtx<'a>>,
@@ -773,8 +791,9 @@ struct JobRun<'a> {
     deps: Vec<u32>,
     /// Which local tasks each remote arrival unblocks.
     waits: HashMap<WaitKey, Vec<TaskId>>,
-    /// Original tiles this rank must ship to remote consumers first.
-    fetch_sends: Vec<(TileRef, NodeId)>,
+    /// Original tiles this rank must ship to remote consumers first, each
+    /// with the first task that waits for it.
+    fetch_sends: Vec<FetchSend>,
     /// Tasks with no dependencies left, held until shipping completes: a
     /// local task could overwrite a tile whose original value a remote
     /// consumer still needs.
@@ -854,9 +873,13 @@ struct Engine<'e, 'a> {
     obs: Option<Arc<RankObs>>,
 }
 
+/// An original tile to ship: which, where to, and the first task there that
+/// reads it (the task a failure to produce the tile is reported against).
+type FetchSend = (TileRef, NodeId, TaskId);
+
 /// What one worker does next.
 enum Step<'a> {
-    Ship(Arc<JobCtx<'a>>, Vec<(TileRef, NodeId)>),
+    Ship(Arc<JobCtx<'a>>, Vec<FetchSend>),
     Run(Arc<JobCtx<'a>>, TaskId),
     Receive,
     /// A bounded wait elapsed; look for new registrations.
@@ -999,7 +1022,26 @@ impl<'e, 'a> Engine<'e, 'a> {
             .fetch_add(spent.as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// One worker thread. A panic below it — a task, a tile provider — is
+    /// caught and turned into [`Engine::fail`]: a rank whose worker died
+    /// silently would send no poison and every peer would block in `recv`
+    /// for good.
     fn worker_loop(&self, widx: u32) {
+        let work = std::panic::AssertUnwindSafe(|| self.work(widx));
+        if let Err(panic) = std::panic::catch_unwind(work) {
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("a panic that carried no message")
+                .to_string();
+            let rank = self.me;
+            self.fail(ExecError::Panicked { rank, message });
+        }
+        self.cv.notify_all();
+    }
+
+    fn work(&self, widx: u32) {
         let mut obs: Obs<'_> = self.recorder.map(|r| r.worker(self.me, widx));
         let mut seen = Admission::default();
         loop {
@@ -1012,7 +1054,6 @@ impl<'e, 'a> Engine<'e, 'a> {
                 Step::Poll => {}
             }
         }
-        self.cv.notify_all();
     }
 
     /// Picks up new registrations when the table's generation moved (table
@@ -1108,7 +1149,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         let mut initial_ready: Vec<TaskId> = Vec::new();
         let mut remaining = 0u64;
         let mut waits: HashMap<WaitKey, Vec<TaskId>> = HashMap::new();
-        let mut fetch_sends: Vec<(TileRef, NodeId)> = Vec::new();
+        let mut fetch_sends: Vec<FetchSend> = Vec::new();
         for t in 0..g.len() as TaskId {
             if g.tasks()[t as usize].node != me {
                 continue;
@@ -1129,7 +1170,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         }
         for f in g.initial_fetches() {
             if f.home == me {
-                fetch_sends.push((f.tile, f.dest));
+                fetch_sends.push((f.tile, f.dest, f.consumers[0]));
             }
             if f.dest == me {
                 waits
@@ -1237,14 +1278,17 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// releases the job's initial tasks. Runs outside the engine lock; the
     /// job's tasks cannot start (and thus cannot overwrite an original a
     /// remote consumer still needs) until the release below.
-    fn ship(&self, ctx: &JobCtx<'a>, sends: Vec<(TileRef, NodeId)>, obs: &mut Obs<'_>) {
+    fn ship(&self, ctx: &JobCtx<'a>, sends: Vec<FetchSend>, obs: &mut Obs<'_>) {
         let id = ctx.spec.id;
         let mut sent = (0, 0);
-        for (tile_ref, dest) in sends {
-            let tile = write(&ctx.local)
-                .entry(tile_ref)
-                .or_insert_with(|| ctx.spec.original(tile_ref))
-                .clone();
+        for (tile_ref, dest, task) in sends {
+            let tile = match ctx.local_or_original(tile_ref) {
+                Ok(tile) => tile,
+                Err(error) => {
+                    let node = self.me;
+                    return self.fail(ExecError::Kernel { task, node, error });
+                }
+            };
             let payload = Payload::Orig {
                 job: id,
                 tile_ref,
@@ -1300,22 +1344,19 @@ impl<'e, 'a> Engine<'e, 'a> {
         let mut consumer_nodes: Vec<NodeId> = Vec::new();
         g.remote_consumer_nodes(t, &mut consumer_nodes);
         let mut sent = (0, 0);
-        if let Some((&last, others)) = consumer_nodes.split_last() {
-            // one copy per destination: the one taken out of the store
-            // under the read lock is the last send's own
-            let out = read(&ctx.local)
+        if !consumer_nodes.is_empty() {
+            let tile = read(&ctx.local)
                 .get(&g.tasks()[t as usize].output(g.slices))
                 .expect("task output in local store")
                 .clone();
-            let data = |tile| Payload::Data {
-                job: spec.id,
-                producer: t,
-                tile,
-            };
-            for &dest in others {
-                self.send(dest, data(out.clone()), &mut sent, obs);
+            for &dest in &consumer_nodes {
+                let payload = Payload::Data {
+                    job: spec.id,
+                    producer: t,
+                    tile: tile.clone(),
+                };
+                self.send(dest, payload, &mut sent, obs);
             }
-            self.send(last, data(out), &mut sent, obs);
         }
 
         let done = {
@@ -1544,12 +1585,12 @@ struct Completion {
 /// Resolves a read operand of task `t`: remote producer output or fetched
 /// original from the job's cache, else the job-local store (local producer,
 /// or local original generated on first use).
-fn resolve_read(ctx: &JobCtx<'_>, t: TaskId, r: TileRef) -> Tile {
+fn resolve_read(ctx: &JobCtx<'_>, t: TaskId, r: TileRef) -> Result<Tile, KernelError> {
     let g: &TaskGraph = &ctx.spec.graph;
     let me = g.tasks()[t as usize].node;
     for (p, kind) in g.preds(t) {
         if kind == EdgeKind::Data && g.tasks()[p as usize].output(g.slices) == r {
-            return if g.tasks()[p as usize].node == me {
+            return Ok(if g.tasks()[p as usize].node == me {
                 read(&ctx.local)
                     .get(&r)
                     .expect("local producer wrote the tile")
@@ -1559,16 +1600,13 @@ fn resolve_read(ctx: &JobCtx<'_>, t: TaskId, r: TileRef) -> Tile {
                     .get(&WaitKey::Task(p))
                     .expect("dependency ensured arrival")
                     .clone()
-            };
+            });
         }
     }
     if let Some(tile) = read(&ctx.cache).get(&WaitKey::Orig(r)) {
-        return tile.clone();
+        return Ok(tile.clone());
     }
-    write(&ctx.local)
-        .entry(r)
-        .or_insert_with(|| ctx.spec.original(r))
-        .clone()
+    ctx.local_or_original(r)
 }
 
 /// Executes one task's kernel against the job's private stores.
@@ -1582,23 +1620,19 @@ fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, t: TaskId) -> Result<(
     let c = spec.graph.slices;
     let task = spec.graph.tasks()[t as usize];
     let reads = task.reads(c);
-    let read_tiles: Vec<Tile> = reads
+    let read_tiles = reads
         .as_slice()
         .iter()
         .map(|&r| resolve_read(ctx, t, r))
-        .collect();
+        .collect::<Result<Vec<Tile>, _>>()?;
     let target_ref = task.output(c);
-    let mut target = {
-        let mut local = write(&ctx.local);
-        local.remove(&target_ref).unwrap_or_else(|| {
-            if matches!(task.kind, TaskKind::Move { .. }) {
-                // a Move fully overwrites its target; never generate data
-                // for a later-phase tile
-                Tile::zeros(spec.b)
-            } else {
-                spec.original(target_ref)
-            }
-        })
+    let stored = write(&ctx.local).remove(&target_ref);
+    let mut target = match stored {
+        Some(tile) => tile,
+        // a Move replaces its target with a handle on its source: an empty
+        // placeholder, never generated data for a later-phase tile
+        None if matches!(task.kind, TaskKind::Move { .. }) => Tile::zeros(0),
+        None => spec.original(target_ref)?,
     };
     let result = run_kernel(kernels, task.kind, &read_tiles, &mut target);
     write(&ctx.local).insert(target_ref, target);

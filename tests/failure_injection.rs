@@ -1,12 +1,13 @@
-//! Failure injection: kernel errors inside the distributed runtime must be
-//! reported cleanly (no deadlock, no panic) via `Run::execute` — at
-//! any worker count.
+//! Failure injection: kernel errors, malformed provider tiles and panics
+//! inside the distributed runtime must be reported cleanly (no deadlock, no
+//! panic) via `Run::execute` — at any worker count.
 
 use sbc::dist::{SbcExtended, TwoDBlockCyclic};
 use sbc::kernels::{KernelError, Tile};
 use sbc::matrix::generate;
 use sbc::runtime::{ExecError, Run};
 use sbc::taskgraph::{build_potrf, build_trtri, TileRef};
+use std::time::Duration;
 
 const B: usize = 6;
 
@@ -102,4 +103,76 @@ fn healthy_inputs_still_succeed_via_execute() {
     let exec = Run::graph(&g).block(B).seed(42).seed_rhs(43);
     let out = exec.execute().expect("healthy run succeeds");
     assert_eq!(out.stats.messages, g.count_messages());
+}
+
+/// Runs `run` on a thread of its own and fails the test if no result is back
+/// in time: the bugs below were hangs, and a hung test would stall CI
+/// instead of failing it.
+fn within_deadline<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || tx.send(run()));
+    let out = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the run neither returned nor failed: it hangs");
+    runner
+        .join()
+        .expect("runner thread")
+        .expect("receiver alive");
+    out
+}
+
+#[test]
+fn a_wrong_dimension_provider_tile_is_a_typed_error() {
+    fn check(op: &str, workers: usize, run: fn() -> Run<'static>) {
+        let result = within_deadline(move || {
+            run()
+                .block(8)
+                .workers(workers)
+                .provider(|_| Tile::zeros(3))
+                .execute()
+        });
+        let err = result.expect_err("a 3 x 3 tile cannot stand in for an 8 x 8 one");
+        let expected = KernelError::DimensionMismatch {
+            expected: 8,
+            found: 3,
+        };
+        assert!(
+            matches!(&err, ExecError::Kernel { error, .. } if *error == expected),
+            "{op}, workers={workers}: {err}"
+        );
+    }
+    for workers in [1, 4] {
+        // POTRF meets the tile as a kernel's own target, TRTRI while
+        // shipping an original to a remote consumer
+        check("potrf", workers, || Run::potrf(&SbcExtended::new(4), 6));
+        check("trtri", workers, || {
+            Run::trtri(&TwoDBlockCyclic::new(2, 2), 5)
+        });
+    }
+}
+
+#[test]
+fn a_panicking_provider_fails_the_run_instead_of_hanging_it() {
+    for workers in [1, 4] {
+        let result = within_deadline(move || {
+            let nt = 6;
+            Run::potrf(&SbcExtended::new(4), nt)
+                .block(B)
+                .workers(workers)
+                // one rank's worker dies mid-run; its peers are by then
+                // waiting on tiles only it can send
+                .provider(move |r| match r {
+                    TileRef::A { i: 3, j: 3, .. } => panic!("no data for {r:?}"),
+                    TileRef::A { i, j, .. } => generate::spd_tile(7, nt, B, i as usize, j as usize),
+                    _ => Tile::zeros(B),
+                })
+                .execute()
+        });
+        match result.expect_err("the provider panicked") {
+            ExecError::Panicked { message, .. } => {
+                assert!(message.contains("no data for"), "{message}");
+            }
+            other => panic!("workers={workers}: expected the panic, got {other}"),
+        }
+    }
 }
