@@ -302,6 +302,11 @@ impl<T: Transport> Session<T> {
         let now = self.clock.now();
         let mut st = self.lock();
         match msg {
+            // `src` comes off the wire. A frame from no rank of this mesh is
+            // noise, dropped like one that failed its CRC: it has no peer
+            // state to index and nobody to ack
+            Message::Seq { src, .. } | Message::Ack { src, .. }
+                if src as usize >= st.recv.len() => {}
             Message::Seq { src, seq, payload } => {
                 let s = src as usize;
                 if seq >= st.recv[s].next_expected + self.cfg.window {

@@ -215,3 +215,50 @@ fn sessions_over_sockets_conform() {
     let mesh = local_mesh(Backend::Uds, 3).expect("uds mesh");
     conformance(mesh.into_iter().map(Session::new).collect(), true);
 }
+
+/// `mesh` is a fresh 2-rank mesh of bare endpoints; rank 0 becomes a
+/// session. The `src` of a `Seq` or an `Ack` is wire data: one that names no
+/// rank of the mesh used to index the session's per-peer state out of
+/// bounds. It is dropped — no delivery, no ack to a rank that does not
+/// exist — and the session keeps serving its real peer.
+fn session_drops_frames_from_outside_the_mesh<T: Transport>(mut mesh: Vec<T>) {
+    let raw = mesh.pop().expect("rank 1");
+    let session = Session::new(mesh.pop().expect("rank 0"));
+    let payload = |producer| Payload::Data {
+        job: 1,
+        producer,
+        tile: tile(2),
+    };
+    let seq = |src, payload| Message::Seq {
+        src,
+        seq: 0,
+        payload,
+    };
+    raw.send(0, Message::Ack { src: 9, upto: 1 });
+    raw.send(0, seq(2, payload(5)));
+    // a real frame behind the strays: it surfaces, they do not
+    let (src, real) = (1, payload(6));
+    raw.send(0, seq(src, real.clone()));
+    assert_eq!(
+        session.recv_timeout(Duration::from_secs(10)),
+        RecvTimeout::Msg(Message::Payload { src, payload: real })
+    );
+    assert_eq!(
+        session.recv_timeout(Duration::from_millis(50)),
+        RecvTimeout::TimedOut
+    );
+    // one ack, for the one real payload, to the one real peer
+    assert_eq!(
+        raw.recv_timeout(Duration::from_secs(10)),
+        RecvTimeout::Msg(Message::Ack { src: 0, upto: 1 })
+    );
+    assert_eq!(raw.try_recv(), None);
+    assert_eq!(session.stats().control_messages, 1);
+    assert_eq!(session.stats().recv_messages, 1);
+}
+
+#[test]
+fn a_session_drops_frames_whose_source_is_not_a_peer() {
+    session_drops_frames_from_outside_the_mesh(inproc_mesh(2));
+    session_drops_frames_from_outside_the_mesh(local_mesh(Backend::Uds, 2).expect("uds mesh"));
+}

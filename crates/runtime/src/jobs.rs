@@ -39,10 +39,11 @@ use sbc_obs::{
     Counter, EventKind, EventLog, FaultKind, Gauge, GaugeKind, Histogram, Metrics, NodeRecorder,
     RateWindow, Recorder, Severity,
 };
-use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId, TaskKind, TileRef};
+use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId, TaskKind, TileRef, TileSpace};
 use sbc_topo::{CriticalPath, SchedCtx, Scheduler};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
@@ -63,6 +64,38 @@ fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+/// Multiply–rotate hasher for the two maps keyed by [`WaitKey`], which are
+/// looked up per operand and per arrival. Their key sets are the graph's:
+/// `waits` is built from it and `cache` admits only keys `waits` holds, so
+/// nothing off the wire chooses a key and SipHash's flooding resistance buys
+/// nothing here. Maps keyed by what a peer sends (`pending`, `finished`) stay
+/// on the default hasher.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type WaitMap<V> = HashMap<WaitKey, V, BuildHasherDefault<IdHasher>>;
 
 /// A job's task graph: shared between same-shape jobs of a resident
 /// service, borrowed from the caller by a one-shot run.
@@ -100,6 +133,9 @@ pub struct JobSpec<'a> {
     /// Ready-heap task priorities as raw f32 bits (non-negative floats
     /// order like their bit patterns).
     pub(crate) prio_bits: Vec<u32>,
+    /// Unmet dependencies of every task before anything has run; each rank
+    /// starts from a copy.
+    deps: Vec<u32>,
     /// Original-tile contents; `None` is the seeded generators.
     pub(crate) provider: Option<&'a TileProvider<'a>>,
 }
@@ -126,8 +162,10 @@ impl<'a> JobSpec<'a> {
             comm_cost: sbc_kernels::flops::flops_gemm(b),
         };
         let prio_bits = sched.ranks(&ctx).into_iter().map(f32::to_bits).collect();
+        let deps = graph.initial_deps();
         JobSpec {
             id: 0,
+            deps,
             graph,
             b,
             seed,
@@ -763,23 +801,72 @@ enum WaitKey {
     Orig(TileRef),
 }
 
+/// The tiles one rank holds for one job: a table indexed by
+/// [`TileSpace::slot`], as long as the job's graph says a table must be.
+struct TileStore {
+    space: TileSpace,
+    slots: Vec<Option<Tile>>,
+    occupied: usize,
+}
+
+impl TileStore {
+    fn new(graph: &TaskGraph) -> Self {
+        TileStore {
+            space: graph.tile_space(),
+            slots: vec![None; graph.tile_slots()],
+            occupied: 0,
+        }
+    }
+
+    fn get(&self, r: TileRef) -> Option<&Tile> {
+        self.slots[self.space.slot(r)].as_ref()
+    }
+
+    fn take(&mut self, r: TileRef) -> Option<Tile> {
+        let tile = self.slots[self.space.slot(r)].take();
+        self.occupied -= tile.is_some() as usize;
+        tile
+    }
+
+    fn put(&mut self, r: TileRef, tile: Tile) {
+        let prev = self.slots[self.space.slot(r)].replace(tile);
+        self.occupied += prev.is_none() as usize;
+    }
+
+    /// Empties the store into a map under the names the rest of the system
+    /// uses — once per rank per job, when the rank reports.
+    fn drain(&mut self) -> HashMap<TileRef, Tile> {
+        let mut tiles = HashMap::with_capacity(self.occupied);
+        for (slot, tile) in std::mem::take(&mut self.slots).into_iter().enumerate() {
+            if let Some(tile) = tile {
+                tiles.insert(self.space.tile(slot), tile);
+            }
+        }
+        self.occupied = 0;
+        tiles
+    }
+}
+
 /// What a worker needs to run a job's tasks outside the engine lock: the
 /// spec and the job-private tile stores — the namespace that lets
 /// concurrent jobs share one mesh. `local` holds tiles this rank owns for
 /// the job, `cache` holds remote arrivals.
 struct JobCtx<'a> {
     spec: Arc<JobSpec<'a>>,
-    local: RwLock<HashMap<TileRef, Tile>>,
-    cache: RwLock<HashMap<WaitKey, Tile>>,
+    local: RwLock<TileStore>,
+    cache: RwLock<WaitMap<Tile>>,
 }
 
 impl JobCtx<'_> {
     /// The job-local tile `r`, generated from its original on first use.
     fn local_or_original(&self, r: TileRef) -> Result<Tile, KernelError> {
-        match write(&self.local).entry(r) {
-            Entry::Occupied(slot) => Ok(slot.get().clone()),
-            Entry::Vacant(slot) => Ok(slot.insert(self.spec.original(r)?).clone()),
+        let mut local = write(&self.local);
+        if let Some(tile) = local.get(r) {
+            return Ok(tile.clone());
         }
+        let tile = self.spec.original(r)?;
+        local.put(r, tile.clone());
+        Ok(tile)
     }
 }
 
@@ -790,7 +877,7 @@ struct JobRun<'a> {
     /// ranks' tasks are unused).
     deps: Vec<u32>,
     /// Which local tasks each remote arrival unblocks.
-    waits: HashMap<WaitKey, Vec<TaskId>>,
+    waits: WaitMap<Vec<TaskId>>,
     /// Original tiles this rank must ship to remote consumers first, each
     /// with the first task that waits for it.
     fetch_sends: Vec<FetchSend>,
@@ -830,7 +917,9 @@ impl ReadyKey {
 
 struct EngineState<'a> {
     ready: BinaryHeap<ReadyKey>,
-    jobs: HashMap<JobId, JobRun<'a>>,
+    /// In-flight jobs, found by scanning for the id: there are at most the
+    /// table's `max_inflight` of them, one in a one-shot run.
+    jobs: Vec<JobRun<'a>>,
     /// Jobs whose original-tile fetches have not been shipped yet; drained
     /// before the heap so no task of a job outruns its fetch sends.
     unshipped: VecDeque<JobId>,
@@ -847,9 +936,18 @@ struct EngineState<'a> {
     /// took; a closed engine is not drained while any are.
     admitting: u32,
     receiving: bool,
+    /// Workers waiting on the engine condvar in [`Engine::next_step`]; who
+    /// changes what they wait for signals only when there are any.
+    parked: u32,
     active: u32,
     poisoned: bool,
     error: Option<ExecError>,
+}
+
+/// The in-flight job `id` (a free function, so callers can hold the ready
+/// heap beside it).
+fn find_job<'j, 'a>(jobs: &'j mut [JobRun<'a>], id: JobId) -> Option<&'j mut JobRun<'a>> {
+    jobs.iter_mut().find(|run| run.ctx.spec.id == id)
 }
 
 struct Engine<'e, 'a> {
@@ -923,10 +1021,12 @@ pub(crate) fn run_engine(
 ) -> Result<Vec<Message>, ExecError> {
     let engine = Engine::new(net, table, cfg, recorder);
     std::thread::scope(|scope| {
-        for widx in 0..cfg.workers.max(1) {
+        for widx in 1..cfg.workers.max(1) {
             let engine = &engine;
             scope.spawn(move || engine.worker_loop(widx as u32));
         }
+        // worker 0 is the caller, a thread its front end spawned per rank
+        engine.worker_loop(0);
     });
     let st = engine
         .state
@@ -954,13 +1054,14 @@ impl<'e, 'a> Engine<'e, 'a> {
             recorder,
             state: Mutex::new(EngineState {
                 ready: BinaryHeap::new(),
-                jobs: HashMap::new(),
+                jobs: Vec::new(),
                 unshipped: VecDeque::new(),
                 pending: HashMap::new(),
                 finished: HashSet::new(),
                 gather: Vec::new(),
                 admitting: 0,
                 receiving: false,
+                parked: 0,
                 active: 0,
                 poisoned: false,
                 error: None,
@@ -1038,7 +1139,21 @@ impl<'e, 'a> Engine<'e, 'a> {
             let rank = self.me;
             self.fail(ExecError::Panicked { rank, message });
         }
-        self.cv.notify_all();
+        self.unlock_and_signal(lock(&self.state));
+    }
+
+    /// Releases the engine lock after a change parked workers may be waiting
+    /// for, waking them only if there are any: `Condvar::notify_all` is a
+    /// system call even with nobody waiting, and most tasks end with nobody
+    /// waiting. No wake-up is lost — a worker parks with the lock held, so
+    /// either it is counted here or it took the lock after the change and
+    /// sees it before it waits.
+    fn unlock_and_signal(&self, st: MutexGuard<'_, EngineState<'a>>) {
+        let parked = st.parked;
+        drop(st);
+        if parked > 0 {
+            self.cv.notify_all();
+        }
     }
 
     fn work(&self, widx: u32) {
@@ -1070,8 +1185,9 @@ impl<'e, 'a> Engine<'e, 'a> {
         for spec in specs {
             self.register(spec);
         }
-        lock(&self.state).admitting -= 1;
-        self.cv.notify_all();
+        let mut st = lock(&self.state);
+        st.admitting -= 1;
+        self.unlock_and_signal(st);
         self.wake_if_idle();
     }
 
@@ -1101,7 +1217,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             }
             if let Some(id) = st.unshipped.pop_front() {
                 st.active += 1;
-                let run = st.jobs.get_mut(&id).expect("unshipped job is registered");
+                let run = find_job(&mut st.jobs, id).expect("unshipped job is registered");
                 break Step::Ship(Arc::clone(&run.ctx), std::mem::take(&mut run.fetch_sends));
             }
             if let Some(k) = st.ready.pop() {
@@ -1109,19 +1225,26 @@ impl<'e, 'a> Engine<'e, 'a> {
                 if let Some(o) = obs.as_mut() {
                     o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
                 }
-                break Step::Run(Arc::clone(&st.jobs[&k.job.0].ctx), k.task.0);
+                let run = find_job(&mut st.jobs, k.job.0).expect("a ready task's job runs");
+                break Step::Run(Arc::clone(&run.ctx), k.task.0);
             }
             if !st.receiving {
                 st.receiving = true;
                 break Step::Receive;
             }
+            st.parked += 1;
             if closed {
                 st = self
                     .cv
                     .wait(st)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
+                st.parked -= 1;
             } else {
-                drop(self.cv.wait_timeout(st, self.cfg.heartbeat));
+                let (mut st, _) = self
+                    .cv
+                    .wait_timeout(st, self.cfg.heartbeat)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                st.parked -= 1;
                 return Step::Poll;
             }
         };
@@ -1142,13 +1265,10 @@ impl<'e, 'a> Engine<'e, 'a> {
     fn register(&self, spec: Arc<JobSpec<'a>>) {
         let g: &TaskGraph = &spec.graph;
         let me = self.me;
-        let mut deps = g.in_degrees();
-        for (t, extra) in g.fetch_deps().into_iter().enumerate() {
-            deps[t] += extra;
-        }
+        let deps = spec.deps.clone();
         let mut initial_ready: Vec<TaskId> = Vec::new();
         let mut remaining = 0u64;
-        let mut waits: HashMap<WaitKey, Vec<TaskId>> = HashMap::new();
+        let mut waits: WaitMap<Vec<TaskId>> = WaitMap::default();
         let mut fetch_sends: Vec<FetchSend> = Vec::new();
         for t in 0..g.len() as TaskId {
             if g.tasks()[t as usize].node != me {
@@ -1189,9 +1309,9 @@ impl<'e, 'a> Engine<'e, 'a> {
         let shipped = fetch_sends.is_empty();
         let run = JobRun {
             ctx: Arc::new(JobCtx {
+                local: RwLock::new(TileStore::new(g)),
+                cache: RwLock::new(WaitMap::default()),
                 spec,
-                local: RwLock::new(HashMap::new()),
-                cache: RwLock::new(HashMap::new()),
             }),
             deps,
             waits,
@@ -1208,7 +1328,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         if st.poisoned {
             return;
         }
-        st.jobs.insert(id, run);
+        st.jobs.push(run);
         if shipped {
             Self::release_initial(&mut st, id);
         } else {
@@ -1219,8 +1339,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             Self::apply_payload(&mut st, payload);
         }
         let done = Self::try_finish(&mut st, id);
-        drop(st);
-        self.cv.notify_all();
+        self.unlock_and_signal(st);
         self.report(done);
     }
 
@@ -1228,36 +1347,38 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// (call with `shipped` already true).
     fn release_initial(st: &mut EngineState<'a>, id: JobId) {
         let EngineState { jobs, ready, .. } = st;
-        let run = jobs.get_mut(&id).expect("job registered");
+        let run = find_job(jobs, id).expect("job registered");
         let spec = &run.ctx.spec;
         ready.extend(run.initial_ready.drain(..).map(|t| ReadyKey::new(spec, t)));
     }
 
     /// If `id` has shipped its fetches and run out of local tasks, remove
-    /// it and return what the table must be told. Caller reports after
-    /// releasing the engine lock.
-    fn try_finish(st: &mut EngineState<'a>, id: JobId) -> Option<Completion> {
-        let run = st.jobs.get(&id)?;
+    /// it and return it for [`Engine::report`], which the caller invokes
+    /// after releasing the engine lock.
+    fn try_finish(st: &mut EngineState<'a>, id: JobId) -> Option<JobRun<'a>> {
+        let at = st.jobs.iter().position(|run| run.ctx.spec.id == id)?;
+        let run = &st.jobs[at];
         if !(run.shipped && run.remaining == 0) {
             return None;
         }
-        let run = st.jobs.remove(&id).expect("job present");
         st.finished.insert(id);
         st.pending.remove(&id);
-        let tiles = std::mem::take(&mut *write(&run.ctx.local));
-        Some(Completion {
-            id,
+        Some(st.jobs.swap_remove(at))
+    }
+
+    /// Tells the table this rank's share of a job is finished.
+    fn report(&self, done: Option<JobRun<'a>>) {
+        let Some(run) = done else { return };
+        // no worker is inside a finished job any more: the store is ours
+        let tiles = write(&run.ctx.local).drain();
+        let completion = Completion {
+            id: run.ctx.spec.id,
             tiles,
             sent: run.sent,
             sent_bytes: run.sent_bytes,
             applied: run.applied,
-        })
-    }
-
-    /// Tells the table this rank's share of a job is finished.
-    fn report(&self, done: Option<Completion>) {
-        let Some(c) = done else { return };
-        self.table.rank_done(self.me, c);
+        };
+        self.table.rank_done(self.me, completion);
         self.wake_if_idle();
     }
 
@@ -1297,21 +1418,19 @@ impl<'e, 'a> Engine<'e, 'a> {
             self.send(dest, payload, &mut sent, obs);
         }
         self.touch_progress();
-        let done = {
-            let mut st = lock(&self.state);
-            st.active -= 1;
-            match st.jobs.get_mut(&id) {
-                None => None, // engine poisoned concurrently
-                Some(run) => {
-                    run.sent += sent.0;
-                    run.sent_bytes += sent.1;
-                    run.shipped = true;
-                    Self::release_initial(&mut st, id);
-                    Self::try_finish(&mut st, id)
-                }
+        let mut st = lock(&self.state);
+        st.active -= 1;
+        let done = match find_job(&mut st.jobs, id) {
+            None => None, // engine poisoned concurrently
+            Some(run) => {
+                run.sent += sent.0;
+                run.sent_bytes += sent.1;
+                run.shipped = true;
+                Self::release_initial(&mut st, id);
+                Self::try_finish(&mut st, id)
             }
         };
-        self.cv.notify_all();
+        self.unlock_and_signal(st);
         self.report(done);
     }
 
@@ -1346,7 +1465,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         let mut sent = (0, 0);
         if !consumer_nodes.is_empty() {
             let tile = read(&ctx.local)
-                .get(&g.tasks()[t as usize].output(g.slices))
+                .get(g.tasks()[t as usize].output(g.slices))
                 .expect("task output in local store")
                 .clone();
             for &dest in &consumer_nodes {
@@ -1359,33 +1478,36 @@ impl<'e, 'a> Engine<'e, 'a> {
             }
         }
 
-        let done = {
-            let mut st = lock(&self.state);
-            st.active -= 1;
-            if let Some(o) = obs.as_mut() {
-                o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
-            }
-            let EngineState { jobs, ready, .. } = &mut *st;
-            match jobs.get_mut(&spec.id) {
-                None => None, // engine poisoned concurrently
-                Some(run) => {
-                    run.sent += sent.0;
-                    run.sent_bytes += sent.1;
-                    run.remaining -= 1;
-                    for (s, _) in g.succs(t) {
-                        if g.tasks()[s as usize].node == self.me {
-                            let d = &mut run.deps[s as usize];
-                            *d -= 1;
-                            if *d == 0 {
-                                ready.push(ReadyKey::new(spec, s));
-                            }
+        let mut st = lock(&self.state);
+        st.active -= 1;
+        if let Some(o) = obs.as_mut() {
+            o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
+        }
+        let EngineState { jobs, ready, .. } = &mut *st;
+        let last = match find_job(jobs, spec.id) {
+            None => false, // engine poisoned concurrently
+            Some(run) => {
+                run.sent += sent.0;
+                run.sent_bytes += sent.1;
+                run.remaining -= 1;
+                for (s, _) in g.succs(t) {
+                    if g.tasks()[s as usize].node == self.me {
+                        let d = &mut run.deps[s as usize];
+                        *d -= 1;
+                        if *d == 0 {
+                            ready.push(ReadyKey::new(spec, s));
                         }
                     }
-                    Self::try_finish(&mut st, spec.id)
                 }
+                run.remaining == 0
             }
         };
-        self.cv.notify_all();
+        let done = if last {
+            Self::try_finish(&mut st, spec.id)
+        } else {
+            None
+        };
+        self.unlock_and_signal(st);
         self.report(done);
     }
 
@@ -1421,12 +1543,10 @@ impl<'e, 'a> Engine<'e, 'a> {
                 // the per-job watchdog: only a rank with work in flight can
                 // stall — an idle resident rank waits for its next job
                 // indefinitely without tripping
-                let busy = {
-                    let mut st = lock(&self.state);
-                    st.receiving = false;
-                    !st.jobs.is_empty()
-                };
-                self.cv.notify_all();
+                let mut st = lock(&self.state);
+                st.receiving = false;
+                let busy = !st.jobs.is_empty();
+                self.unlock_and_signal(st);
                 let stalled = self.stalled_for();
                 if busy && self.cfg.deadline.is_some_and(|d| stalled > d) {
                     if let Some(o) = obs.as_mut() {
@@ -1443,37 +1563,39 @@ impl<'e, 'a> Engine<'e, 'a> {
         }
 
         let mut fresh = false;
-        {
-            let mut st = lock(&self.state);
-            for msg in batch {
-                match msg {
-                    // a bare Seq means no session wraps this endpoint; the
-                    // cache occupancy check deduplicates it regardless
-                    Message::Payload { src, payload } | Message::Seq { src, payload, .. } => {
-                        let (bytes, orig) = (payload.payload_bytes(), payload.is_orig());
-                        if Self::apply_payload(&mut st, payload) {
-                            fresh = true;
-                            if let Some(o) = obs.as_mut() {
-                                o.recv(src, bytes, orig);
-                            }
+        let mut st = lock(&self.state);
+        for msg in batch {
+            match msg {
+                // a bare Seq means no session wraps this endpoint; the
+                // cache occupancy check deduplicates it regardless
+                Message::Payload { src, payload } | Message::Seq { src, payload, .. } => {
+                    let (bytes, orig) = (payload.payload_bytes(), payload.is_orig());
+                    if Self::apply_payload(&mut st, payload) {
+                        fresh = true;
+                        if let Some(o) = obs.as_mut() {
+                            o.recv(src, bytes, orig);
                         }
                     }
-                    Message::Poison => poisoned = true,
-                    Message::Wake | Message::Ack { .. } => {}
-                    // gather traffic reaching rank 0 before its own run ends
-                    m @ (Message::Result { .. } | Message::Done { .. }) => st.gather.push(m),
                 }
-            }
-            st.receiving = false;
-            if let Some(o) = obs.as_mut() {
-                // sample scheduler state once per wakeup, not per task
-                let store: usize = st.jobs.values().map(|run| read(&run.ctx.local).len()).sum();
-                o.gauge(GaugeKind::TileStore, store as f64);
-                o.gauge(GaugeKind::ReadyQueue, st.ready.len() as f64);
-                o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
+                Message::Poison => poisoned = true,
+                Message::Wake | Message::Ack { .. } => {}
+                // gather traffic reaching rank 0 before its own run ends
+                m @ (Message::Result { .. } | Message::Done { .. }) => st.gather.push(m),
             }
         }
-        self.cv.notify_all();
+        st.receiving = false;
+        if let Some(o) = obs.as_mut() {
+            // sample scheduler state once per wakeup, not per task
+            let store: usize = st
+                .jobs
+                .iter()
+                .map(|run| read(&run.ctx.local).occupied)
+                .sum();
+            o.gauge(GaugeKind::TileStore, store as f64);
+            o.gauge(GaugeKind::ReadyQueue, st.ready.len() as f64);
+            o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
+        }
+        self.unlock_and_signal(st);
         if fresh {
             self.touch_progress();
         }
@@ -1497,7 +1619,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         if finished.contains(&id) {
             return false; // late duplicate for a completed job
         }
-        let Some(run) = jobs.get_mut(&id) else {
+        let Some(run) = find_job(jobs, id) else {
             // registration has not happened here yet; stash for it
             pending.entry(id).or_default().push(payload);
             return false;
@@ -1505,6 +1627,10 @@ impl<'e, 'a> Engine<'e, 'a> {
         let (key, tile) = match payload {
             Payload::Data { producer, tile, .. } => (WaitKey::Task(producer), tile),
             Payload::Orig { tile_ref, tile, .. } => (WaitKey::Orig(tile_ref), tile),
+        };
+        // a tile no task of this rank waits for is not this job's traffic
+        let Some(waiting) = run.waits.get(&key) else {
+            return false;
         };
         // each producer output / original fetch arrives at most once per
         // rank by protocol; an occupied slot is a transport-injected
@@ -1514,7 +1640,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             Entry::Vacant(slot) => slot.insert(tile),
         };
         run.applied += 1;
-        for &t in run.waits.get(&key).map_or(&[][..], Vec::as_slice) {
+        for &t in waiting {
             let d = &mut run.deps[t as usize];
             *d -= 1;
             if *d == 0 && run.shipped {
@@ -1531,8 +1657,8 @@ impl<'e, 'a> Engine<'e, 'a> {
     fn describe_waiting(&self) -> String {
         let st = lock(&self.state);
         let mut missing: Vec<String> = Vec::new();
-        for (id, run) in &st.jobs {
-            let cache = read(&run.ctx.cache);
+        for run in &st.jobs {
+            let (id, cache) = (run.ctx.spec.id, read(&run.ctx.cache));
             for k in run.waits.keys() {
                 if !cache.contains_key(k) {
                     missing.push(format!("job {id} {k:?}"));
@@ -1555,14 +1681,12 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// The table hears first, so no peer's `Remote` echo of the poison can
     /// reach it ahead of the cause.
     fn fail(&self, e: ExecError) {
-        {
-            let mut st = lock(&self.state);
-            if st.error.is_none() {
-                st.error = Some(e.clone());
-            }
-            st.poisoned = true;
+        let mut st = lock(&self.state);
+        if st.error.is_none() {
+            st.error = Some(e.clone());
         }
-        self.cv.notify_all();
+        st.poisoned = true;
+        self.unlock_and_signal(st);
         self.table.poison(e);
         for n in 0..self.net.num_nodes() as NodeId {
             if n != self.me {
@@ -1592,7 +1716,7 @@ fn resolve_read(ctx: &JobCtx<'_>, t: TaskId, r: TileRef) -> Result<Tile, KernelE
         if kind == EdgeKind::Data && g.tasks()[p as usize].output(g.slices) == r {
             return Ok(if g.tasks()[p as usize].node == me {
                 read(&ctx.local)
-                    .get(&r)
+                    .get(r)
                     .expect("local producer wrote the tile")
                     .clone()
             } else {
@@ -1626,7 +1750,7 @@ fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, t: TaskId) -> Result<(
         .map(|&r| resolve_read(ctx, t, r))
         .collect::<Result<Vec<Tile>, _>>()?;
     let target_ref = task.output(c);
-    let stored = write(&ctx.local).remove(&target_ref);
+    let stored = write(&ctx.local).take(target_ref);
     let mut target = match stored {
         Some(tile) => tile,
         // a Move replaces its target with a handle on its source: an empty
@@ -1635,7 +1759,7 @@ fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, t: TaskId) -> Result<(
         None => spec.original(target_ref)?,
     };
     let result = run_kernel(kernels, task.kind, &read_tiles, &mut target);
-    write(&ctx.local).insert(target_ref, target);
+    write(&ctx.local).put(target_ref, target);
     result
 }
 
@@ -1986,6 +2110,150 @@ mod tests {
             table.wait(id),
             Err(ExecError::Stalled { rank: 0, .. })
         ));
+    }
+
+    /// `cache` admits only keys `waits` holds — the reason both may run on a
+    /// cheap hasher — so a payload for a tile no task of this rank waits for
+    /// is dropped: not cached, not counted as applied.
+    #[test]
+    fn an_arrival_nobody_here_waits_for_is_dropped() {
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
+        let n = graph.num_nodes();
+        let table = JobTable::new(n, 1);
+        let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
+        let mesh = inproc_mesh(n);
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None);
+        engine.admit(&mut Admission::default());
+        // rank 0's own first task: nobody waits for a local producer's tile
+        let producer = 0;
+        assert_eq!(graph.tasks()[producer as usize].node, 0);
+        mesh[1].send_payload(
+            0,
+            Payload::Data {
+                job: id,
+                producer,
+                tile: Tile::zeros(B),
+            },
+        );
+        engine.receive_once(false, &mut None);
+        let st = lock(&engine.state);
+        assert_eq!(st.jobs[0].applied, 0);
+        assert!(read(&st.jobs[0].ctx.cache).is_empty());
+    }
+
+    /// Parks one worker in `next_step` (the caller holds the receive role
+    /// and the heap is empty), runs `transition` on the calling thread and
+    /// returns what released the worker: `Some(task)` for a `Run`, `None`
+    /// for an `Exit`. The wait is under a deadline — a lost wake-up is a
+    /// hang — and a stuck worker is freed before the test fails.
+    fn released_by(engine: &Engine, transition: impl FnOnce()) -> Option<TaskId> {
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let step = match engine.next_step(true, &mut None) {
+                    Step::Run(_, t) => Some(t),
+                    Step::Exit => None,
+                    _ => panic!("a parked worker was handed the wrong step"),
+                };
+                tx.send(step).expect("the test is still waiting");
+            });
+            let patience = Instant::now();
+            while lock(&engine.state).parked == 0 {
+                assert!(patience.elapsed() < Duration::from_secs(30), "never parked");
+                std::thread::yield_now();
+            }
+            transition();
+            rx.recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| {
+                    lock(&engine.state).poisoned = true;
+                    engine.cv.notify_all();
+                    panic!("the transition left the parked worker asleep");
+                })
+        })
+    }
+
+    /// Runs every task the heap offers until only the receive role is left,
+    /// and takes it.
+    fn run_until_receive(engine: &Engine) {
+        loop {
+            match engine.next_step(true, &mut None) {
+                Step::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
+                Step::Receive => return,
+                _ => panic!("a registered job neither runs nor receives"),
+            }
+        }
+    }
+
+    /// The engine signals its condvar only when `parked` says somebody
+    /// waits. The three transitions a parked worker depends on — a remote
+    /// arrival readies a task, the engine fails, the last job drains — each
+    /// release it. Nothing here reads real time but the test's own deadline.
+    #[test]
+    fn a_parked_worker_is_released_by_arrival_failure_and_drain() {
+        let clock = Arc::new(VirtualClock::new());
+        let engine_on = |net, table| Engine::new(net, table, JobEngineConfig::default(), None);
+
+        // (a), (b): rank 0 of a 2x2 mesh whose peers never run
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
+        let n = graph.num_nodes();
+        let table = JobTable::with_clock(n, n, 1, Arc::clone(&clock) as Arc<dyn Clock>);
+        let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
+        table.shutdown();
+        let mesh = inproc_mesh(n);
+        let engine = engine_on(&mesh[0], &table);
+        engine.admit(&mut Admission::default());
+        run_until_receive(&engine);
+        // a local task one remote arrival away from ready, and that arrival
+        let (task, producer) = {
+            let st = lock(&engine.state);
+            let deps = &st.jobs[0].deps;
+            let tasks = graph.tasks();
+            (0..graph.len() as TaskId)
+                .filter(|&t| tasks[t as usize].node == 0 && deps[t as usize] == 1)
+                .find_map(|t| {
+                    let remote = |&(p, _): &(TaskId, EdgeKind)| tasks[p as usize].node != 0;
+                    graph.preds(t).find(remote).map(|(p, _)| (t, p))
+                })
+                .expect("rank 0 waits on some remote tile")
+        };
+        let from = &mesh[graph.tasks()[producer as usize].node as usize];
+        let released = released_by(&engine, || {
+            let tile = Tile::zeros(B);
+            from.send_payload(
+                0,
+                Payload::Data {
+                    job: id,
+                    producer,
+                    tile,
+                },
+            );
+            engine.receive_once(true, &mut None);
+        });
+        assert_eq!(released, Some(task), "(a) a remote arrival");
+
+        assert!(matches!(engine.next_step(true, &mut None), Step::Receive));
+        let released = released_by(&engine, || engine.fail(ExecError::Remote));
+        assert_eq!(released, None, "(b) a failure");
+
+        // (c): a one-rank job; its last task finishes while a worker is parked
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(1, 1), 2));
+        let table = JobTable::with_clock(1, 1, 1, clock as Arc<dyn Clock>);
+        let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
+        table.shutdown();
+        let mesh = inproc_mesh(1);
+        let engine = engine_on(&mesh[0], &table);
+        engine.admit(&mut Admission::default());
+        let last = loop {
+            match engine.next_step(true, &mut None) {
+                Step::Run(ctx, t) if t as usize + 1 == graph.len() => break (ctx, t),
+                Step::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
+                _ => panic!("a chain of local tasks runs one after the other"),
+            }
+        };
+        assert!(matches!(engine.next_step(true, &mut None), Step::Receive));
+        let released = released_by(&engine, || engine.run_task(&last.0, last.1, &mut None));
+        assert_eq!(released, None, "(c) drain");
+        assert!(table.wait(id).is_ok());
     }
 
     #[test]

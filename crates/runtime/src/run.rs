@@ -472,7 +472,7 @@ impl<'a> Run<'a> {
         };
         gather.peer[0] = Some(own);
         for msg in early {
-            gather.absorb(msg)?;
+            gather.absorb(msg, net)?;
         }
         let mut last_report = self.clock.now();
         while gather.missing > 0 {
@@ -487,9 +487,7 @@ impl<'a> Run<'a> {
                         }
                         // the gather itself stalled: missing worker
                         // reports will never arrive — abort the mesh
-                        for r in 1..n as u32 {
-                            net.send_poison(r);
-                        }
+                        poison_workers(net);
                         let got = n - 1 - gather.missing;
                         return Err(ExecError::Stalled {
                             rank: 0,
@@ -498,7 +496,7 @@ impl<'a> Run<'a> {
                     }
                 },
             };
-            if gather.absorb(msg.ok_or(ExecError::Remote)?)? {
+            if gather.absorb(msg.ok_or(ExecError::Remote)?, net)? {
                 last_report = self.clock.now();
             }
         }
@@ -513,6 +511,13 @@ impl<'a> Run<'a> {
     }
 }
 
+/// Rank 0 aborting a gather: every worker rank is told to stop.
+fn poison_workers(net: &dyn Transport) {
+    for r in 1..net.num_nodes() as u32 {
+        net.send_poison(r);
+    }
+}
+
 /// Rank 0's side of the `Result`/`Done` gather protocol.
 struct Gather {
     tiles: HashMap<TileRef, Tile>,
@@ -522,15 +527,22 @@ struct Gather {
 }
 
 impl Gather {
-    /// Folds one inbox message in. `Ok(true)` for gather traffic,
-    /// `Ok(false)` for anything harmless, [`ExecError::Remote`] for a
-    /// poison.
-    fn absorb(&mut self, msg: Message) -> Result<bool, ExecError> {
+    /// Folds one inbox message of rank 0's endpoint `net` in. `Ok(true)` for
+    /// gather traffic, `Ok(false)` for anything harmless,
+    /// [`ExecError::Remote`] for a poison — or for a report no worker of
+    /// this mesh can have sent, which poisons the workers first.
+    fn absorb(&mut self, msg: Message, net: &dyn Transport) -> Result<bool, ExecError> {
         match msg {
             Message::Result { tile_ref, tile } => {
                 self.tiles.insert(tile_ref, tile);
             }
             Message::Done { src, stats } => {
+                // `src` comes off the wire: rank 0's own slot holds its own
+                // counts, and there is no slot past the last rank
+                if src == 0 || src as usize >= self.peer.len() {
+                    poison_workers(net);
+                    return Err(ExecError::Remote);
+                }
                 if self.peer[src as usize].replace(stats).is_none() {
                     self.missing -= 1;
                 }
@@ -603,6 +615,43 @@ mod tests {
                 assert!(matches!(tile, TileRef::A { i: 2, .. }), "{tile:?}");
             }
             other => panic!("expected MissingTile, got {other:?}"),
+        }
+    }
+
+    /// The `src` of a `Done` is wire data. Naming rank 0 it used to
+    /// overwrite rank 0's own counts, past the last rank it indexed out of
+    /// bounds; both are a mesh failure now — the workers are poisoned and
+    /// the gather ends in `Remote` with its state untouched.
+    #[test]
+    fn gather_refuses_a_done_from_no_worker_of_the_mesh() {
+        let stats = |sent| PeerStats {
+            sent,
+            sent_bytes: 8 * sent,
+            applied: 0,
+        };
+        for src in [0, 3, 9] {
+            let mesh = inproc_mesh(3);
+            let mut gather = Gather {
+                tiles: HashMap::new(),
+                peer: vec![Some(stats(7)), None, None],
+                missing: 2,
+            };
+            let done = |src, sent| Message::Done {
+                src,
+                stats: stats(sent),
+            };
+            assert_eq!(gather.absorb(done(1, 5), &mesh[0]), Ok(true));
+            assert_eq!(
+                gather.absorb(done(src, 99), &mesh[0]),
+                Err(ExecError::Remote),
+                "src {src}"
+            );
+            assert_eq!(gather.peer, [Some(stats(7)), Some(stats(5)), None]);
+            assert_eq!(gather.missing, 1);
+            for worker in &mesh[1..] {
+                assert_eq!(worker.try_recv(), Some(Message::Poison), "src {src}");
+            }
+            assert_eq!(mesh[0].try_recv(), None);
         }
     }
 

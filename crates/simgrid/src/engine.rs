@@ -319,10 +319,7 @@ impl<'a> Simulator<'a> {
             topo: self.topology,
         };
 
-        let mut deps = g.in_degrees();
-        for (t, extra) in g.fetch_deps().into_iter().enumerate() {
-            deps[t] += extra;
-        }
+        let mut deps = g.initial_deps();
         // node each task will execute on; differs from its home placement
         // only after a steal
         let mut exec: Vec<u32> = g.tasks().iter().map(|t| t.node).collect();

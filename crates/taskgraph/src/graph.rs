@@ -1,6 +1,6 @@
 //! Task graph storage and the superscalar dependency-inference builder.
 
-use crate::task::{Task, TaskId, TileRef};
+use crate::task::{Task, TaskId, TileRef, TileSpace};
 use std::collections::HashMap;
 
 /// A transfer of *original* (never written in this graph) tile data from its
@@ -82,9 +82,25 @@ pub struct TaskGraph {
     pub slices: usize,
     /// What the executed graph's result is.
     pub result: ResultKind,
+    /// One past the highest [`TileSpace`] slot any task or home names.
+    tile_slots: usize,
 }
 
 impl TaskGraph {
+    /// The numbering of this graph's tiles.
+    pub fn tile_space(&self) -> TileSpace {
+        TileSpace {
+            nt: self.nt,
+            slices: self.slices,
+        }
+    }
+
+    /// How long a table indexed by [`TileSpace::slot`] must be to hold every
+    /// tile this graph touches.
+    pub fn tile_slots(&self) -> usize {
+        self.tile_slots
+    }
+
     /// The tasks in submission (= topological) order.
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
@@ -159,10 +175,11 @@ impl TaskGraph {
         total
     }
 
-    /// Extra dependency counts per task contributed by initial fetches (a
-    /// consumer cannot start before its fetched originals arrive).
-    pub fn fetch_deps(&self) -> Vec<u32> {
-        let mut deps = vec![0u32; self.len()];
+    /// What every task waits for before anything has run: its in-degree plus
+    /// one per fetched original it consumes (a consumer cannot start before
+    /// they arrive) — the counters an executor starts from and decrements.
+    pub fn initial_deps(&self) -> Vec<u32> {
+        let mut deps = self.in_degrees();
         for f in &self.initial_fetches {
             for &t in &f.consumers {
                 deps[t as usize] += 1;
@@ -226,6 +243,17 @@ struct DataState {
     last_writer: Option<TaskId>,
     /// Readers since the last write, with their executing node.
     readers: Vec<(TaskId, u32)>,
+    /// Home node of the original (input) data, for tiles consumed before any
+    /// task writes them. Registered by builders of standalone operations.
+    home: Option<u32>,
+}
+
+/// The state of the tile in `slot`, growing the table to reach it.
+fn state(data: &mut Vec<DataState>, slot: usize) -> &mut DataState {
+    if slot >= data.len() {
+        data.resize_with(slot + 1, DataState::default);
+    }
+    &mut data[slot]
 }
 
 /// Superscalar task-graph builder: submit tasks in sequential-program order
@@ -242,14 +270,12 @@ pub struct GraphBuilder {
     tasks: Vec<Task>,
     // flat (consumer, encoded pred) pairs, turned into CSR at finish
     edge_list: Vec<(u32, u32)>,
-    data: HashMap<TileRef, DataState>,
-    /// Home node of original (input) data, for tiles consumed before any
-    /// task writes them. Registered by builders of standalone operations.
-    homes: HashMap<TileRef, u32>,
-    fetches: HashMap<(TileRef, u32), Vec<TaskId>>,
+    /// Per-tile state, indexed by [`TileSpace::slot`].
+    data: Vec<DataState>,
+    /// Consumers per `(tile slot, consumer node)` of a remote original.
+    fetches: HashMap<(usize, u32), Vec<TaskId>>,
     num_nodes: usize,
-    nt: usize,
-    slices: usize,
+    space: TileSpace,
     /// What the finished graph's result is; the phase-0 symmetric matrix
     /// unless an operation builder says otherwise.
     pub(crate) result: ResultKind,
@@ -264,12 +290,10 @@ impl GraphBuilder {
         GraphBuilder {
             tasks: Vec::new(),
             edge_list: Vec::new(),
-            data: HashMap::new(),
-            homes: HashMap::new(),
+            data: Vec::new(),
             fetches: HashMap::new(),
             num_nodes,
-            nt,
-            slices,
+            space: TileSpace { nt, slices },
             result: ResultKind::Symmetric { phase: 0 },
             scratch: Vec::new(),
         }
@@ -279,7 +303,18 @@ impl GraphBuilder {
     /// with no writer yet, by a task on a different node, then records an
     /// [`InitialFetch`] instead of being silently treated as local.
     pub fn set_home(&mut self, tile: TileRef, node: u32) {
-        self.homes.insert(tile, node);
+        state(&mut self.data, self.space.slot(tile)).home = Some(node);
+    }
+
+    /// Records that `tid` on `node` consumes the tile in `slot` before any
+    /// task wrote it: a fetch when the tile's original lives elsewhere.
+    fn read_original(&mut self, slot: usize, tid: TaskId, node: u32) {
+        if self.data[slot].home.is_some_and(|home| home != node) {
+            let entry = self.fetches.entry((slot, node)).or_default();
+            if entry.last() != Some(&tid) {
+                entry.push(tid);
+            }
+        }
     }
 
     /// Submits a task reading `reads` and read-modify-writing `target`.
@@ -293,43 +328,23 @@ impl GraphBuilder {
         self.scratch.clear();
         for r in reads {
             debug_assert_ne!(*r, target, "target must not be listed in reads");
-            let st = self.data.entry(*r).or_default();
-            match st.last_writer {
+            let slot = self.space.slot(*r);
+            match state(&mut self.data, slot).last_writer {
                 Some(w) => self.scratch.push(w), // data edge
-                None => {
-                    // reading original data: remote homes need a fetch
-                    if let Some(&home) = self.homes.get(r) {
-                        if home != task.node {
-                            let entry = self.fetches.entry((*r, task.node)).or_default();
-                            if entry.last() != Some(&tid) {
-                                entry.push(tid);
-                            }
-                        }
-                    }
-                }
+                // reading original data: remote homes need a fetch
+                None => self.read_original(slot, tid, task.node),
             }
-            st.readers.push((tid, task.node));
+            self.data[slot].readers.push((tid, task.node));
         }
         {
-            if self
-                .data
-                .get(&target)
-                .is_none_or(|st| st.last_writer.is_none())
-            {
+            let slot = self.space.slot(target);
+            match state(&mut self.data, slot).last_writer {
+                // write chain (local, still carries data for RMW)
+                Some(w) => self.scratch.push(w),
                 // first write read-modifies the original: remote home needs a fetch
-                if let Some(&home) = self.homes.get(&target) {
-                    if home != task.node {
-                        let entry = self.fetches.entry((target, task.node)).or_default();
-                        if entry.last() != Some(&tid) {
-                            entry.push(tid);
-                        }
-                    }
-                }
+                None => self.read_original(slot, tid, task.node),
             }
-            let st = self.data.entry(target).or_default();
-            if let Some(w) = st.last_writer {
-                self.scratch.push(w); // write chain (local, still carries data for RMW)
-            }
+            let st = &mut self.data[slot];
             for &(rdr, node) in &st.readers {
                 if node == task.node {
                     self.scratch.push(rdr | WAR_BIT);
@@ -358,8 +373,8 @@ impl GraphBuilder {
     /// [`Task::reads`] / [`Task::output`] with this builder's slice count —
     /// the normal entry point for the operation builders.
     pub fn submit_task(&mut self, task: Task) -> TaskId {
-        let reads = task.reads(self.slices);
-        let target = task.output(self.slices);
+        let reads = task.reads(self.space.slices);
+        let target = task.output(self.space.slices);
         self.submit(task, reads.as_slice(), target)
     }
 
@@ -404,18 +419,26 @@ impl GraphBuilder {
             cursor[p] += 1;
         }
 
-        let homes = self.homes;
-        let mut initial_fetches: Vec<InitialFetch> = self
-            .fetches
+        // the slot breaks ties between fetches one task starts, so the
+        // order does not depend on the map's
+        let mut fetches: Vec<_> = self.fetches.into_iter().collect();
+        fetches.sort_by_key(|((slot, dest), consumers)| {
+            (
+                self.data[*slot].home,
+                *dest,
+                consumers.first().copied(),
+                *slot,
+            )
+        });
+        let initial_fetches = fetches
             .into_iter()
-            .map(|((tile, dest), consumers)| InitialFetch {
-                tile,
-                home: homes[&tile],
+            .map(|((slot, dest), consumers)| InitialFetch {
+                tile: self.space.tile(slot),
+                home: self.data[slot].home.expect("a fetched tile has a home"),
                 dest,
                 consumers,
             })
             .collect();
-        initial_fetches.sort_by_key(|f| (f.home, f.dest, f.consumers.first().copied()));
 
         TaskGraph {
             tasks: self.tasks,
@@ -429,9 +452,10 @@ impl GraphBuilder {
             },
             initial_fetches,
             num_nodes: self.num_nodes,
-            nt: self.nt,
-            slices: self.slices,
+            nt: self.space.nt,
+            slices: self.space.slices,
             result: self.result,
+            tile_slots: self.data.len(),
         }
     }
 }

@@ -39,4 +39,4 @@ pub use graph::{EdgeKind, GraphBuilder, InitialFetch, ResultKind, TaskGraph};
 pub use priority::{
     critical_path_length, critical_path_priorities, flops_priorities, upward_ranks,
 };
-pub use task::{Task, TaskId, TaskKind, TileRef};
+pub use task::{Task, TaskId, TaskKind, TileRef, TileSpace};

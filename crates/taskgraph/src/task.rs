@@ -41,6 +41,87 @@ pub enum TileRef {
     },
 }
 
+/// The one numbering of tiles: every [`TileRef`] a graph over `nt x nt`
+/// tiles and `slices` 2.5D slices can name has a slot, so per-tile state
+/// lives in a table indexed by [`TileSpace::slot`] instead of a hash map
+/// keyed by `TileRef`. Its two users are the dependency-inferring
+/// [`crate::GraphBuilder`] and the runtime's per-rank tile store.
+///
+/// Layout, in slot order: the `nt` right-hand-side tiles `B`; then, only when
+/// `slices > 1`, one `nt²` plane of accumulation buffers `Buf` per slice;
+/// then one `nt²` plane of `A` tiles per `(phase, slice)`, phases outermost —
+/// so a table needs to reach only as far as the last phase a graph names
+/// ([`crate::TaskGraph::tile_slots`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileSpace {
+    /// Tile count `N` of the matrix.
+    pub nt: usize,
+    /// 2.5D slice count (1 for plain 2D graphs).
+    pub slices: usize,
+}
+
+impl TileSpace {
+    /// Slot of the first `A` tile: past the panel and the buffer planes.
+    fn a_base(&self) -> usize {
+        let buffers = if self.slices > 1 { self.slices } else { 0 };
+        self.nt + buffers * self.nt * self.nt
+    }
+
+    /// The slot of tile `r`.
+    ///
+    /// # Panics
+    /// Panics if `r` is not a tile of this space (a coordinate `>= nt`, a
+    /// slice `>= slices`, a `Buf` when `slices == 1`): it would otherwise
+    /// share a slot with another tile. (The messages are static: formatting
+    /// the tile into them costs the builders 4 % of their time.)
+    #[inline]
+    pub fn slot(&self, r: TileRef) -> usize {
+        let (nt, c) = (self.nt, self.slices);
+        let cell = |i: u32, j: u32| {
+            assert!((i as usize) < nt && (j as usize) < nt, "tile outside nt");
+            i as usize * nt + j as usize
+        };
+        match r {
+            TileRef::B { i } => {
+                assert!((i as usize) < nt, "tile outside nt");
+                i as usize
+            }
+            TileRef::Buf { slice, i, j } => {
+                assert!(c > 1 && (slice as usize) < c, "tile outside the slices");
+                nt + slice as usize * nt * nt + cell(i, j)
+            }
+            TileRef::A { phase, slice, i, j } => {
+                assert!((slice as usize) < c, "tile outside the slices");
+                self.a_base() + (phase as usize * c + slice as usize) * nt * nt + cell(i, j)
+            }
+        }
+    }
+
+    /// The tile in `slot` — the inverse of [`TileSpace::slot`].
+    pub fn tile(&self, slot: usize) -> TileRef {
+        let (nt, c) = (self.nt, self.slices);
+        if slot < nt {
+            return TileRef::B { i: slot as u32 };
+        }
+        let plane = nt * nt;
+        let cell = |rest: usize| ((rest % plane / nt) as u32, (rest % nt) as u32);
+        if slot < self.a_base() {
+            let rest = slot - nt;
+            let (i, j) = cell(rest);
+            let slice = (rest / plane) as u8;
+            return TileRef::Buf { slice, i, j };
+        }
+        let rest = slot - self.a_base();
+        let (i, j) = cell(rest);
+        TileRef::A {
+            phase: (rest / plane / c) as u8,
+            slice: (rest / plane % c) as u8,
+            i,
+            j,
+        }
+    }
+}
+
 /// The kind (and coordinates) of a task. Coordinates follow the loop
 /// variables of the corresponding sequential algorithm in `sbc-matrix`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -113,3 +113,45 @@ proptest! {
         }
     }
 }
+
+/// No lost wake-up. The engine signals its condvar only when a worker is
+/// parked on it, so a signal skipped at the wrong moment leaves a worker
+/// asleep next to a ready task — with several workers per rank that is a
+/// run that never ends, not a wrong answer. Many short runs at worker counts
+/// above the host's cores, every one held to the sequential factor and the
+/// analytic traffic, under a deadline because the failure is a hang.
+#[test]
+fn multi_worker_runs_lose_no_wake_up() {
+    let (nt, b, seed) = (24, 4, 11);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let d = SbcExtended::new(4);
+        let mut seq = sbc::matrix::random_spd(seed, nt, b);
+        sbc::matrix::potrf_tiled(&mut seq).unwrap();
+        let messages = comm::potrf_messages(&d, nt);
+        for workers in [3, 4] {
+            for rep in 0..200 {
+                let run = Run::potrf(&d, nt).block(b).seed(seed).workers(workers);
+                let out = run.execute().unwrap();
+                for (i, j) in seq.tile_coords() {
+                    assert_eq!(
+                        out.factor().tile(i, j).max_abs_diff(seq.tile(i, j)),
+                        0.0,
+                        "workers={workers} rep={rep} tile ({i},{j})"
+                    );
+                }
+                assert_eq!(out.stats.messages, messages, "workers={workers} rep={rep}");
+                assert_eq!(out.stats.bytes, comm::messages_to_bytes(messages, b));
+                assert_eq!(out.stats.recv_per_node.iter().sum::<u64>(), messages);
+            }
+        }
+        tx.send(()).expect("the test is still waiting");
+    });
+    let verdict = rx.recv_timeout(std::time::Duration::from_secs(60));
+    assert_ne!(
+        verdict,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "400 multi-worker runs neither finished nor failed: a worker sleeps on"
+    );
+    runner.join().expect("a run failed; its assertion is above");
+}
