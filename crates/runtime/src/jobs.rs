@@ -12,29 +12,31 @@
 //!   stays in shared memory because every deployment shape (in-process
 //!   mesh, one thread per UDS session endpoint, one process per rank with
 //!   a rank-local table) keeps a rank and its table in one process.
-//! - [`run_jobs_rank`] is one rank's engine: a worker pool draining a
-//!   ready heap keyed by **(job priority, task priority)**, with per-job
-//!   tile stores namespaced by the job id that [`sbc_net::Payload`]
-//!   carries, so concurrent jobs share the mesh without clobbering each
-//!   other. Exactly one worker at a time parks in the transport receive
-//!   and applies arrivals; the others run tasks or wait on the condvar, and
-//!   the engine lock is held only for heap and counter updates, never
-//!   during kernels or sends.
+//! - A rank engine is a state machine over a ready heap keyed by **(job
+//!   priority, task priority)**, with per-job tile stores namespaced by the
+//!   job id that [`sbc_net::Payload`] carries, so concurrent jobs share the
+//!   mesh without clobbering each other. Its one entry point, `Engine::step`,
+//!   picks up admissions, absorbs arrivals and runs a bounded number of
+//!   ready steps, then returns; it never blocks, and the engine lock is held
+//!   only for heap and counter updates, never during kernels or sends.
+//!   Threads are a driver's business (`crate::drive`): [`run_jobs_rank`]
+//!   gives one rank of any mesh its own workers, [`run_jobs_inproc`] steps
+//!   every rank of an in-process mesh on one shared pool.
 //!
 //! A one-shot run is the degenerate table: the front end submits its single
 //! job, closes admission, then starts the engines, which register the job
-//! on their first iteration and exit on drain. Once admission is closed a
-//! parked worker blocks instead of polling for registrations.
+//! on their first step and drain once it is done.
 //!
 //! The liveness watchdog arms **per job** and reads only the table's
 //! injected [`Clock`]: the no-progress clock runs while this rank has jobs
 //! in flight and is re-armed at every job registration, so an idle resident
 //! rank waiting for its next job never trips [`ExecError::Stalled`].
 
+use crate::drive;
 use crate::exec::{default_original, run_kernel, CommStats, ExecError, TileProvider};
 use sbc_dist::comm::messages_to_bytes;
 use sbc_kernels::{KernelBackend, KernelError, Tile};
-use sbc_net::{Clock, Message, NodeId, Payload, RealClock, RecvTimeout, Transport};
+use sbc_net::{inproc_mesh, Clock, Message, NodeId, Payload, RealClock, Transport};
 use sbc_obs::{
     Counter, EventKind, EventLog, FaultKind, Gauge, GaugeKind, Histogram, Metrics, NodeRecorder,
     RateWindow, Recorder, Severity,
@@ -42,7 +44,7 @@ use sbc_obs::{
 use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId, TaskKind, TileRef, TileSpace};
 use sbc_topo::{CriticalPath, SchedCtx, Scheduler};
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
@@ -69,8 +71,8 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// looked up per operand and per arrival. Their key sets are the graph's:
 /// `waits` is built from it and `cache` admits only keys `waits` holds, so
 /// nothing off the wire chooses a key and SipHash's flooding resistance buys
-/// nothing here. Maps keyed by what a peer sends (`pending`, `finished`) stay
-/// on the default hasher.
+/// nothing here. `pending`, keyed by what a peer sends, stays on the default
+/// hasher.
 #[derive(Default)]
 struct IdHasher(u64);
 
@@ -378,8 +380,12 @@ pub struct JobTable<'a> {
     /// Bumped by every `submit` and `shutdown`, so a rank engine takes the
     /// state mutex only when there is something new to pick up.
     generation: AtomicU64,
+    /// Told of every admission and of the shutdown, when a driver that
+    /// steps ranks only when they have work installed it; otherwise the
+    /// engines poll `generation`.
+    on_admit: OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Time source of admission stamps and of every engine's watchdog.
-    clock: Arc<dyn Clock>,
+    pub(crate) clock: Arc<dyn Clock>,
     /// Lock-free mirrors of `TableState::{inflight, completed}` so a
     /// telemetry scrape never touches the state mutex the engines use.
     inflight_now: AtomicU64,
@@ -418,6 +424,7 @@ impl<'a> JobTable<'a> {
             }),
             cv: Condvar::new(),
             generation: AtomicU64::new(0),
+            on_admit: OnceLock::new(),
             clock,
             inflight_now: AtomicU64::new(0),
             completed_ever: AtomicU64::new(0),
@@ -476,6 +483,18 @@ impl<'a> JobTable<'a> {
     /// times. Zero when [`JobTable::bind_obs`] was never called. Lock-free.
     pub fn completion_rate(&self, window: Duration) -> f64 {
         self.obs.get().map_or(0.0, |o| o.rate.rate(window))
+    }
+
+    /// Installs the admission hook: `hook` runs after every admission and
+    /// after the shutdown, outside the table lock. The first hook stays.
+    pub(crate) fn on_admit(&self, hook: Box<dyn Fn() + Send + Sync>) {
+        let _ = self.on_admit.set(hook);
+    }
+
+    fn admitted(&self) {
+        if let Some(hook) = self.on_admit.get() {
+            hook();
+        }
     }
 
     fn rank_obs(&self, rank: NodeId) -> Option<Arc<RankObs>> {
@@ -579,6 +598,7 @@ impl<'a> JobTable<'a> {
         }
         self.generation.fetch_add(1, Ordering::Release);
         drop(st);
+        self.admitted();
         self.inflight_now.store(inflight as u64, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.submitted.inc();
@@ -637,6 +657,7 @@ impl<'a> JobTable<'a> {
     pub fn shutdown(&self) {
         lock(&self.state).shutdown = true;
         self.generation.fetch_add(1, Ordering::Release);
+        self.admitted();
         self.cv.notify_all();
     }
 
@@ -768,10 +789,14 @@ impl<'a> JobTable<'a> {
 /// One rank engine's knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct JobEngineConfig {
-    /// Worker threads in this rank's resident pool (at least 1).
+    /// Steppers per rank (at least 1): the threads of a rank under
+    /// [`run_jobs_rank`], the most pooled threads one rank may hold at once
+    /// under [`run_jobs_inproc`].
     pub workers: usize,
-    /// Receive poll tick: how often a parked receiver re-checks for new
-    /// job registrations and (under a session) drives retransmissions.
+    /// Receive timeout of [`run_jobs_rank`]'s idle workers: how often they
+    /// re-check for new job registrations and the watchdog and, under a
+    /// session, drive retransmissions. The pooled driver is told of
+    /// admissions and timers instead and never reads it.
     pub heartbeat: Duration,
     /// Per-job no-progress watchdog; `None` disables it. The clock only
     /// runs while this rank has jobs in flight.
@@ -926,22 +951,33 @@ struct EngineState<'a> {
     /// Payloads that arrived before their job was registered on this rank
     /// (registration races remote ships).
     pending: HashMap<JobId, Vec<Payload>>,
-    /// Jobs this rank completed; late duplicates for them are dropped.
-    finished: HashSet<JobId>,
+    /// One past the last job id this rank took from the table. The table
+    /// admits ids in order and a rank's queue is FIFO, so an id below it that
+    /// is neither in `jobs` nor in `registering` has finished here: what
+    /// arrives for it is a late duplicate. Per-job state stays O(jobs in
+    /// flight) for the life of a resident rank.
+    taken: JobId,
+    /// Jobs taken from the table whose share is still being built outside
+    /// the lock; a payload for one of them is stashed, not dropped.
+    registering: Vec<JobId>,
     /// `Result`/`Done` frames that reached this rank while it was still
     /// executing — only rank 0 of a multi-process gather sees these; they
     /// are handed back to the caller.
     gather: Vec<Message>,
-    /// Workers between draining the table's queue and installing what they
-    /// took; a closed engine is not drained while any are.
-    admitting: u32,
-    receiving: bool,
-    /// Workers waiting on the engine condvar in [`Engine::next_step`]; who
-    /// changes what they wait for signals only when there are any.
-    parked: u32,
+    /// Admission is closed: with nothing in flight the rank is drained.
+    closed: bool,
     active: u32,
     poisoned: bool,
     error: Option<ExecError>,
+    /// Recorder time at which the rank went idle with a job in flight; the
+    /// next fresh arrival closes a dep-wait span there.
+    idle_since: Option<f64>,
+}
+
+impl EngineState<'_> {
+    fn drained(&self) -> bool {
+        self.poisoned || (self.closed && self.registering.is_empty() && self.jobs.is_empty())
+    }
 }
 
 /// The in-flight job `id` (a free function, so callers can hold the ready
@@ -950,22 +986,68 @@ fn find_job<'j, 'a>(jobs: &'j mut [JobRun<'a>], id: JobId) -> Option<&'j mut Job
     jobs.iter_mut().find(|run| run.ctx.spec.id == id)
 }
 
-struct Engine<'e, 'a> {
+/// Ship or run steps one [`Engine::step`] takes at most before it hands its
+/// thread back to the driver, so the ranks sharing a pooled thread take
+/// turns. Each hand-back may move the rank's working set to another core:
+/// at b = 4 a budget of 8 cost a fifth more time per factorization than 64,
+/// while served jobs could not tell the two apart.
+const STEP_BUDGET: usize = 64;
+
+/// What one [`Engine::step`] left behind, for its driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// The step used its whole budget: step the rank again.
+    Ran,
+    /// Nothing is runnable until an arrival, an admission, or `next_timer`
+    /// — the watchdog's deadline on the table's clock, armed while a job is
+    /// in flight.
+    Idle {
+        /// When to step the rank again even if nothing arrives.
+        next_timer: Option<Instant>,
+    },
+    /// Admission is closed and nothing is in flight, or the rank failed.
+    Drained,
+}
+
+/// Where a step's arrivals come from.
+pub(crate) enum Arrivals {
+    /// Everything the rank's inbox holds, taken with `try_recv`.
+    Inbox,
+    /// Messages the driver already took from the inbox; a step handed these
+    /// leaves the inbox alone (another thread may be blocked on it).
+    Taken(Vec<Message>),
+}
+
+/// The one call an engine makes into whoever steps it.
+pub(crate) trait Driver: Sync {
+    /// Rank `rank`'s state changed — a task readied, a job finished, the
+    /// rank failed or drained, admission closed. `work` says whether ship
+    /// or run steps are waiting for a stepper.
+    fn nudge(&self, rank: NodeId, work: bool);
+}
+
+/// One rank's engine: its jobs, its ready heap and its end of the mesh. It
+/// never blocks and owns no thread; a driver calls [`Engine::step`].
+pub(crate) struct Engine<'e, 'a> {
     net: &'e dyn Transport,
     table: &'e JobTable<'a>,
+    driver: &'e dyn Driver,
     cfg: JobEngineConfig,
     me: NodeId,
-    recorder: Option<&'e Recorder>,
+    /// One recording handle per stepper lane (`workers` of them), held for
+    /// the length of a step; `None` when the run is not recorded.
+    lanes: Option<Mutex<Vec<NodeRecorder<'e>>>>,
     state: Mutex<EngineState<'a>>,
-    cv: Condvar,
+    /// The table generation this rank last picked admissions up at.
+    generation: AtomicU64,
     /// Watchdog epoch, per the table's clock.
     started: Instant,
     /// Nanoseconds after `started` at which progress (a task completed, a
     /// message applied, a job registered) last happened.
     progress_ns: AtomicU64,
-    /// Nanoseconds this rank's workers spent shipping or running tasks,
-    /// summed across the pool; `busy / (workers * elapsed)` is the
-    /// engine's busy fraction. Only measured when `obs` consumes it.
+    /// Nanoseconds this rank's steppers spent shipping or running tasks,
+    /// summed across lanes; `busy / (workers * elapsed)` is the engine's
+    /// busy fraction. Only measured when `obs` consumes it.
     busy_ns: AtomicU64,
     /// Live per-rank gauges, present when the table is obs-bound.
     obs: Option<Arc<RankObs>>,
@@ -975,25 +1057,16 @@ struct Engine<'e, 'a> {
 /// reads it (the task a failure to produce the tile is reported against).
 type FetchSend = (TileRef, NodeId, TaskId);
 
-/// What one worker does next.
-enum Step<'a> {
+/// The next unit of work a step takes.
+enum Work<'a> {
     Ship(Arc<JobCtx<'a>>, Vec<FetchSend>),
     Run(Arc<JobCtx<'a>>, TaskId),
-    Receive,
-    /// A bounded wait elapsed; look for new registrations.
-    Poll,
-    Exit,
+    /// Nothing is ready.
+    Idle,
+    Drained,
 }
 
-/// One worker's view of the table: the generation it last acted on and
-/// whether admission had closed by then.
-#[derive(Default)]
-struct Admission {
-    generation: u64,
-    closed: bool,
-}
-
-/// A worker's recording handle, when the run is recorded.
+/// A stepper lane's recording handle, when the run is recorded.
 type Obs<'r> = Option<NodeRecorder<'r>>;
 
 /// Runs one rank's engine over `net` until [`JobTable::shutdown`] drains it
@@ -1001,77 +1074,91 @@ type Obs<'r> = Option<NodeRecorder<'r>>;
 /// every in-flight job in the table and poisoning peers).
 ///
 /// Every rank of the mesh must run this against the same table. The caller
-/// owns the thread: spawn one per rank over an in-process mesh for a
-/// service, or one per session endpoint for a socket mesh.
+/// owns the thread and `cfg.workers − 1` more are spawned: one call per
+/// session endpoint of a socket mesh. An in-process mesh is better served
+/// by [`run_jobs_inproc`], which steps all its ranks on a shared pool.
 pub fn run_jobs_rank(
     net: &dyn Transport,
     table: &JobTable<'_>,
     cfg: JobEngineConfig,
 ) -> Result<(), ExecError> {
-    run_engine(net, table, cfg, None).map(drop)
+    drive::run_threaded(net, table, cfg, None).map(drop)
 }
 
-/// [`run_jobs_rank`] with every worker recording into `recorder`, returning
-/// the gather frames (`Result`/`Done`) that arrived while the engine ran.
-pub(crate) fn run_engine(
-    net: &dyn Transport,
-    table: &JobTable<'_>,
-    cfg: JobEngineConfig,
-    recorder: Option<&Recorder>,
-) -> Result<Vec<Message>, ExecError> {
-    let engine = Engine::new(net, table, cfg, recorder);
-    std::thread::scope(|scope| {
-        for widx in 1..cfg.workers.max(1) {
-            let engine = &engine;
-            scope.spawn(move || engine.worker_loop(widx as u32));
-        }
-        // worker 0 is the caller, a thread its front end spawned per rank
-        engine.worker_loop(0);
-    });
-    let st = engine
-        .state
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    match st.error {
-        Some(e) => Err(e),
-        None if st.poisoned => Err(ExecError::Remote),
-        None => Ok(st.gather),
-    }
+/// Runs every rank of an in-process mesh of `table.num_nodes()` ranks until
+/// [`JobTable::shutdown`] drains it, returning the first failing rank's
+/// error. A rank is a state machine here, not a thread:
+/// `min(ranks × cfg.workers, available_parallelism)` threads — the caller
+/// one of them — step whichever ranks have work, and an admission or a
+/// message marks its rank runnable.
+pub fn run_jobs_inproc(table: &JobTable<'_>, cfg: JobEngineConfig) -> Result<(), ExecError> {
+    let n = table.num_nodes();
+    let threads = drive::pool_threads(n, cfg.workers);
+    drive::run_pooled(inproc_mesh(n), table, cfg, None, threads)
 }
 
 impl<'e, 'a> Engine<'e, 'a> {
-    fn new(
+    pub(crate) fn new(
         net: &'e dyn Transport,
         table: &'e JobTable<'a>,
         cfg: JobEngineConfig,
         recorder: Option<&'e Recorder>,
+        driver: &'e dyn Driver,
     ) -> Self {
+        let me = net.rank();
+        let lanes = recorder.map(|r| {
+            let lanes = (0..cfg.workers.max(1) as u32)
+                .rev()
+                .map(|w| r.worker(me, w));
+            Mutex::new(lanes.collect())
+        });
         Engine {
             net,
             table,
+            driver,
             cfg,
-            me: net.rank(),
-            recorder,
+            me,
+            lanes,
             state: Mutex::new(EngineState {
                 ready: BinaryHeap::new(),
                 jobs: Vec::new(),
                 unshipped: VecDeque::new(),
                 pending: HashMap::new(),
-                finished: HashSet::new(),
+                taken: 0,
+                registering: Vec::new(),
                 gather: Vec::new(),
-                admitting: 0,
-                receiving: false,
-                parked: 0,
+                closed: false,
                 active: 0,
                 poisoned: false,
                 error: None,
+                idle_since: None,
             }),
-            cv: Condvar::new(),
+            generation: AtomicU64::new(0),
             started: table.clock.now(),
             progress_ns: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
-            obs: table.rank_obs(net.rank()),
+            obs: table.rank_obs(me),
         }
+    }
+
+    /// How the rank ended: its own failure, a peer's, or the gather frames
+    /// that arrived while it ran.
+    pub(crate) fn finish(self) -> Result<Vec<Message>, ExecError> {
+        let st = self
+            .state
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match st.error {
+            Some(e) => Err(e),
+            None if st.poisoned => Err(ExecError::Remote),
+            None => Ok(st.gather),
+        }
+    }
+
+    /// Whether admission has closed, as of this rank's last pickup: a driver
+    /// that cannot be told of admissions must poll for them until then.
+    pub(crate) fn closed(&self) -> bool {
+        lock(&self.state).closed
     }
 
     /// Time since the watchdog epoch, per the table's clock.
@@ -1097,7 +1184,7 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     /// Publishes this rank's live gauges: ready-heap depth, early-payload
-    /// stash size, jobs in flight here, and the pool's busy fraction.
+    /// stash size, jobs in flight here, and the lanes' busy fraction.
     fn publish_gauges(&self, obs: &RankObs, (ready, pending, jobs): (usize, usize, usize)) {
         obs.ready.set(ready as f64);
         obs.pending.set(pending as f64);
@@ -1123,130 +1210,99 @@ impl<'e, 'a> Engine<'e, 'a> {
             .fetch_add(spent.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// One worker thread. A panic below it — a task, a tile provider — is
-    /// caught and turned into [`Engine::fail`]: a rank whose worker died
-    /// silently would send no poison and every peer would block in `recv`
-    /// for good.
-    fn worker_loop(&self, widx: u32) {
-        let work = std::panic::AssertUnwindSafe(|| self.work(widx));
-        if let Err(panic) = std::panic::catch_unwind(work) {
+    /// Releases the engine lock after a change a stepper may act on and
+    /// tells the driver, with whether ship or run steps are waiting.
+    fn unlock_and_nudge(&self, st: MutexGuard<'_, EngineState<'a>>) {
+        let work = !st.ready.is_empty() || !st.unshipped.is_empty();
+        drop(st);
+        self.driver.nudge(self.me, work);
+    }
+
+    /// One bounded, non-blocking unit of this rank's work — the only code
+    /// that decides what the rank does next: pick up admitted jobs, absorb
+    /// `arrivals`, then take up to [`STEP_BUDGET`] ship or run steps. A panic
+    /// below it — a task, a tile provider — is caught and turned into
+    /// [`Engine::fail`]: a rank that died silently would send no poison and
+    /// every peer would wait on it for good.
+    pub(crate) fn step(&self, arrivals: Arrivals) -> Progress {
+        let mut lane: Obs<'e> = self.lanes.as_ref().map(|lanes| {
+            lock(lanes)
+                .pop()
+                .expect("a driver runs at most `workers` steppers of a rank")
+        });
+        let body = std::panic::AssertUnwindSafe(|| self.step_on(&mut lane, arrivals));
+        let progress = std::panic::catch_unwind(body).unwrap_or_else(|panic| {
             let message = panic
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| panic.downcast_ref::<&str>().copied())
                 .unwrap_or("a panic that carried no message")
                 .to_string();
-            let rank = self.me;
-            self.fail(ExecError::Panicked { rank, message });
+            self.fail(ExecError::Panicked {
+                rank: self.me,
+                message,
+            });
+            Progress::Drained
+        });
+        if let (Some(lanes), Some(lane)) = (&self.lanes, lane) {
+            lock(lanes).push(lane);
         }
-        self.unlock_and_signal(lock(&self.state));
+        progress
     }
 
-    /// Releases the engine lock after a change parked workers may be waiting
-    /// for, waking them only if there are any: `Condvar::notify_all` is a
-    /// system call even with nobody waiting, and most tasks end with nobody
-    /// waiting. No wake-up is lost — a worker parks with the lock held, so
-    /// either it is counted here or it took the lock after the change and
-    /// sees it before it waits.
-    fn unlock_and_signal(&self, st: MutexGuard<'_, EngineState<'a>>) {
-        let parked = st.parked;
-        drop(st);
-        if parked > 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn work(&self, widx: u32) {
-        let mut obs: Obs<'_> = self.recorder.map(|r| r.worker(self.me, widx));
-        let mut seen = Admission::default();
-        loop {
-            self.admit(&mut seen);
-            match self.next_step(seen.closed, &mut obs) {
-                Step::Exit => break,
-                Step::Ship(ctx, sends) => self.busy(|| self.ship(&ctx, sends, &mut obs)),
-                Step::Run(ctx, t) => self.busy(|| self.run_task(&ctx, t, &mut obs)),
-                Step::Receive => self.receive_once(seen.closed, &mut obs),
-                Step::Poll => {}
+    fn step_on(&self, obs: &mut Obs<'e>, arrivals: Arrivals) -> Progress {
+        self.admit();
+        self.absorb(arrivals, obs);
+        for _ in 0..STEP_BUDGET {
+            match self.take_work(obs) {
+                Work::Ship(ctx, sends) => self.busy(|| self.ship(&ctx, sends, obs)),
+                Work::Run(ctx, t) => self.busy(|| self.run_task(&ctx, t, obs)),
+                Work::Idle => return self.idle(obs),
+                Work::Drained => return Progress::Drained,
             }
         }
+        Progress::Ran
     }
 
-    /// Picks up new registrations when the table's generation moved (table
-    /// lock only — never nested inside the engine lock).
-    fn admit(&self, seen: &mut Admission) {
+    /// Picks up new registrations when the table's generation moved. The
+    /// table lock nests inside the engine lock here, so the taken ids are
+    /// `registering` before any arrival for them can be judged.
+    fn admit(&self) {
         let generation = self.table.generation.load(Ordering::Acquire);
-        if generation == seen.generation {
+        if self.generation.fetch_max(generation, Ordering::AcqRel) >= generation {
             return;
         }
-        seen.generation = generation;
-        lock(&self.state).admitting += 1;
+        let mut st = lock(&self.state);
         let (specs, closed) = self.table.take_incoming(self.me);
-        seen.closed = closed;
+        st.closed |= closed;
+        if let Some(last) = specs.last() {
+            st.taken = last.id + 1;
+        }
+        st.registering.extend(specs.iter().map(|spec| spec.id));
+        self.unlock_and_nudge(st);
         for spec in specs {
             self.register(spec);
         }
-        let mut st = lock(&self.state);
-        st.admitting -= 1;
-        self.unlock_and_signal(st);
-        self.wake_if_idle();
     }
 
-    /// Unblocks this rank's own receiver when the rank has nothing in
-    /// flight: it may be parked in a blocking `recv` and must re-check for
-    /// drain. Called wherever a job set or an admission ends.
-    fn wake_if_idle(&self) {
-        let st = lock(&self.state);
-        let idle = st.admitting == 0 && st.jobs.is_empty();
-        drop(st);
-        if idle {
-            self.net.wake();
-        }
-    }
-
-    /// Decides this worker's next step, parking on the condvar while
-    /// another worker holds the receive role and nothing is runnable. With
-    /// admission `closed` the park is unbounded — no registration can
-    /// arrive — otherwise it ends after a heartbeat so the caller re-checks
-    /// the table, which cannot poke this condvar.
-    fn next_step(&self, closed: bool, obs: &mut Obs<'_>) -> Step<'a> {
+    /// The next ship or run step, if any, and whether the rank is drained.
+    fn take_work(&self, obs: &mut Obs<'_>) -> Work<'a> {
         let mut st = lock(&self.state);
-        let step = loop {
-            let drained = closed && st.admitting == 0 && st.jobs.is_empty();
-            if st.poisoned || drained {
-                break Step::Exit;
+        let work = if st.drained() {
+            Work::Drained
+        } else if let Some(id) = st.unshipped.pop_front() {
+            st.active += 1;
+            let run = find_job(&mut st.jobs, id).expect("unshipped job is registered");
+            Work::Ship(Arc::clone(&run.ctx), std::mem::take(&mut run.fetch_sends))
+        } else if let Some(k) = st.ready.pop() {
+            st.active += 1;
+            if let Some(o) = obs.as_mut() {
+                o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
             }
-            if let Some(id) = st.unshipped.pop_front() {
-                st.active += 1;
-                let run = find_job(&mut st.jobs, id).expect("unshipped job is registered");
-                break Step::Ship(Arc::clone(&run.ctx), std::mem::take(&mut run.fetch_sends));
-            }
-            if let Some(k) = st.ready.pop() {
-                st.active += 1;
-                if let Some(o) = obs.as_mut() {
-                    o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
-                }
-                let run = find_job(&mut st.jobs, k.job.0).expect("a ready task's job runs");
-                break Step::Run(Arc::clone(&run.ctx), k.task.0);
-            }
-            if !st.receiving {
-                st.receiving = true;
-                break Step::Receive;
-            }
-            st.parked += 1;
-            if closed {
-                st = self
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st.parked -= 1;
-            } else {
-                let (mut st, _) = self
-                    .cv
-                    .wait_timeout(st, self.cfg.heartbeat)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st.parked -= 1;
-                return Step::Poll;
-            }
+            let run = find_job(&mut st.jobs, k.job.0).expect("a ready task's job runs");
+            Work::Run(Arc::clone(&run.ctx), k.task.0)
+        } else {
+            Work::Idle
         };
         // depths are captured under the lock the engine already holds and
         // published as plain atomic stores after release, so scrapers never
@@ -1256,7 +1312,39 @@ impl<'e, 'a> Engine<'e, 'a> {
         if let Some(rank_obs) = &self.obs {
             self.publish_gauges(rank_obs, depths);
         }
-        step
+        work
+    }
+
+    /// Nothing to run: start a dep-wait span if a job is in flight, and
+    /// check the per-job watchdog. Only a rank with work in flight can
+    /// stall — an idle resident rank waits for its next job indefinitely.
+    fn idle(&self, obs: &mut Obs<'_>) -> Progress {
+        let mut st = lock(&self.state);
+        let busy = !st.jobs.is_empty();
+        if busy && st.idle_since.is_none() {
+            st.idle_since = obs.as_ref().map(|o| o.now());
+        }
+        drop(st);
+        let Some(deadline) = self.cfg.deadline.filter(|_| busy) else {
+            return Progress::Idle { next_timer: None };
+        };
+        let stalled = self.stalled_for();
+        if stalled > deadline {
+            if let Some(o) = obs.as_mut() {
+                let end = o.now();
+                o.fault(FaultKind::Stall, end - stalled.as_secs_f64(), end);
+            }
+            self.fail(ExecError::Stalled {
+                rank: self.me,
+                waiting_on: self.describe_waiting(),
+            });
+            return Progress::Drained;
+        }
+        // just past the deadline, so the step it schedules finds it passed
+        let left = deadline - stalled + Duration::from_nanos(1);
+        Progress::Idle {
+            next_timer: Some(self.table.clock.now() + left),
+        }
     }
 
     /// Builds this rank's share of `spec` and installs it, reporting it
@@ -1325,6 +1413,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         };
 
         let mut st = lock(&self.state);
+        st.registering.retain(|&r| r != id);
         if st.poisoned {
             return;
         }
@@ -1335,11 +1424,18 @@ impl<'e, 'a> Engine<'e, 'a> {
             st.unshipped.push_back(id);
         }
         // payloads that beat the registration
+        let mut refused = None;
         for payload in st.pending.remove(&id).unwrap_or_default() {
-            Self::apply_payload(&mut st, payload);
+            if let Err(e) = Self::apply_payload(&mut st, me, payload) {
+                refused = Some(e);
+                break;
+            }
         }
         let done = Self::try_finish(&mut st, id);
-        self.unlock_and_signal(st);
+        self.unlock_and_nudge(st);
+        if let Some(e) = refused {
+            return self.fail(e);
+        }
         self.report(done);
     }
 
@@ -1354,14 +1450,14 @@ impl<'e, 'a> Engine<'e, 'a> {
 
     /// If `id` has shipped its fetches and run out of local tasks, remove
     /// it and return it for [`Engine::report`], which the caller invokes
-    /// after releasing the engine lock.
+    /// after releasing the engine lock. From here on the id is below
+    /// `taken` and in neither `jobs` nor `registering`: finished.
     fn try_finish(st: &mut EngineState<'a>, id: JobId) -> Option<JobRun<'a>> {
         let at = st.jobs.iter().position(|run| run.ctx.spec.id == id)?;
         let run = &st.jobs[at];
         if !(run.shipped && run.remaining == 0) {
             return None;
         }
-        st.finished.insert(id);
         st.pending.remove(&id);
         Some(st.jobs.swap_remove(at))
     }
@@ -1369,7 +1465,7 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// Tells the table this rank's share of a job is finished.
     fn report(&self, done: Option<JobRun<'a>>) {
         let Some(run) = done else { return };
-        // no worker is inside a finished job any more: the store is ours
+        // no stepper is inside a finished job any more: the store is ours
         let tiles = write(&run.ctx.local).drain();
         let completion = Completion {
             id: run.ctx.spec.id,
@@ -1379,7 +1475,6 @@ impl<'e, 'a> Engine<'e, 'a> {
             applied: run.applied,
         };
         self.table.rank_done(self.me, completion);
-        self.wake_if_idle();
     }
 
     /// Sends one payload, tallying it into `sent` (messages, bytes) when
@@ -1430,7 +1525,7 @@ impl<'e, 'a> Engine<'e, 'a> {
                 Self::try_finish(&mut st, id)
             }
         };
-        self.unlock_and_signal(st);
+        self.unlock_and_nudge(st);
         self.report(done);
     }
 
@@ -1507,62 +1602,22 @@ impl<'e, 'a> Engine<'e, 'a> {
         } else {
             None
         };
-        self.unlock_and_signal(st);
+        self.unlock_and_nudge(st);
         self.report(done);
     }
 
-    /// Waits on the transport as the designated receiver — blocking once
-    /// admission is `closed` and no watchdog is armed, else for one
-    /// heartbeat — applies whatever arrived, and on a timeout checks the
-    /// per-job watchdog.
-    fn receive_once(&self, closed: bool, obs: &mut Obs<'_>) {
-        let wait_start = obs.as_ref().map(|o| o.now());
-        let first = if closed && self.cfg.deadline.is_none() {
-            match self.net.recv() {
-                Some(m) => RecvTimeout::Msg(m),
-                None => RecvTimeout::Closed,
-            }
-        } else {
-            self.net.recv_timeout(self.cfg.heartbeat)
+    /// Applies `arrivals` under one engine lock. A fresh payload ends the
+    /// rank's dep-wait span and counts as progress; a poison or a refused
+    /// payload fails the rank after the lock is released.
+    fn absorb(&self, arrivals: Arrivals, obs: &mut Obs<'_>) {
+        let batch = match arrivals {
+            Arrivals::Taken(batch) => batch,
+            Arrivals::Inbox => std::iter::from_fn(|| self.net.try_recv()).collect(),
         };
-        if let Some(o) = obs.as_mut() {
-            let end = o.now();
-            o.dep_wait(wait_start.unwrap_or(end), end);
+        if batch.is_empty() {
+            return;
         }
-        let mut batch = Vec::new();
-        let mut poisoned = false;
-        match first {
-            RecvTimeout::Msg(m) => {
-                batch.push(m);
-                while let Some(m) = self.net.try_recv() {
-                    batch.push(m);
-                }
-            }
-            RecvTimeout::Closed => poisoned = true,
-            RecvTimeout::TimedOut => {
-                // the per-job watchdog: only a rank with work in flight can
-                // stall — an idle resident rank waits for its next job
-                // indefinitely without tripping
-                let mut st = lock(&self.state);
-                st.receiving = false;
-                let busy = !st.jobs.is_empty();
-                self.unlock_and_signal(st);
-                let stalled = self.stalled_for();
-                if busy && self.cfg.deadline.is_some_and(|d| stalled > d) {
-                    if let Some(o) = obs.as_mut() {
-                        let end = o.now();
-                        o.fault(FaultKind::Stall, end - stalled.as_secs_f64(), end);
-                    }
-                    self.fail(ExecError::Stalled {
-                        rank: self.me,
-                        waiting_on: self.describe_waiting(),
-                    });
-                }
-                return;
-            }
-        }
-
-        let mut fresh = false;
+        let (mut fresh, mut poisoned, mut refused) = (false, false, None);
         let mut st = lock(&self.state);
         for msg in batch {
             match msg {
@@ -1570,10 +1625,17 @@ impl<'e, 'a> Engine<'e, 'a> {
                 // cache occupancy check deduplicates it regardless
                 Message::Payload { src, payload } | Message::Seq { src, payload, .. } => {
                     let (bytes, orig) = (payload.payload_bytes(), payload.is_orig());
-                    if Self::apply_payload(&mut st, payload) {
-                        fresh = true;
-                        if let Some(o) = obs.as_mut() {
-                            o.recv(src, bytes, orig);
+                    match Self::apply_payload(&mut st, self.me, payload) {
+                        Ok(false) => {}
+                        Ok(true) => {
+                            fresh = true;
+                            if let Some(o) = obs.as_mut() {
+                                o.recv(src, bytes, orig);
+                            }
+                        }
+                        Err(e) => {
+                            refused = Some(e);
+                            break;
                         }
                     }
                 }
@@ -1583,9 +1645,11 @@ impl<'e, 'a> Engine<'e, 'a> {
                 m @ (Message::Result { .. } | Message::Done { .. }) => st.gather.push(m),
             }
         }
-        st.receiving = false;
         if let Some(o) = obs.as_mut() {
-            // sample scheduler state once per wakeup, not per task
+            if let Some(start) = st.idle_since.take().filter(|_| fresh) {
+                o.dep_wait(start, o.now());
+            }
+            // sample scheduler state once per absorbed batch, not per task
             let store: usize = st
                 .jobs
                 .iter()
@@ -1595,34 +1659,43 @@ impl<'e, 'a> Engine<'e, 'a> {
             o.gauge(GaugeKind::ReadyQueue, st.ready.len() as f64);
             o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
         }
-        self.unlock_and_signal(st);
+        self.unlock_and_nudge(st);
         if fresh {
             self.touch_progress();
         }
-        if poisoned {
+        if let Some(e) = refused {
+            self.fail(e);
+        } else if poisoned {
             self.fail(ExecError::Remote);
         }
     }
 
     /// Applies one payload to its job under the engine lock: stashes the
-    /// tile, then releases the tasks it unblocks. Returns whether the
-    /// payload was fresh (not a duplicate, not early, not late).
-    fn apply_payload(st: &mut EngineState<'a>, payload: Payload) -> bool {
+    /// tile, then releases the tasks it unblocks. `Ok` says whether the
+    /// payload was fresh (not a duplicate, not early, not late); a tile of
+    /// the wrong dimension is refused before anything is applied or
+    /// counted, as the error of the first local task that waits for it.
+    fn apply_payload(
+        st: &mut EngineState<'a>,
+        me: NodeId,
+        payload: Payload,
+    ) -> Result<bool, ExecError> {
         let id = payload.job();
         let EngineState {
             jobs,
             ready,
             pending,
-            finished,
+            taken,
+            registering,
             ..
         } = st;
-        if finished.contains(&id) {
-            return false; // late duplicate for a completed job
-        }
         let Some(run) = find_job(jobs, id) else {
-            // registration has not happened here yet; stash for it
-            pending.entry(id).or_default().push(payload);
-            return false;
+            if id >= *taken || registering.contains(&id) {
+                // registration has not happened here yet; stash for it
+                pending.entry(id).or_default().push(payload);
+            }
+            // else a late duplicate for a job this rank finished
+            return Ok(false);
         };
         let (key, tile) = match payload {
             Payload::Data { producer, tile, .. } => (WaitKey::Task(producer), tile),
@@ -1630,13 +1703,24 @@ impl<'e, 'a> Engine<'e, 'a> {
         };
         // a tile no task of this rank waits for is not this job's traffic
         let Some(waiting) = run.waits.get(&key) else {
-            return false;
+            return Ok(false);
         };
+        let expected = run.ctx.spec.b;
+        if tile.dim() != expected {
+            return Err(ExecError::Kernel {
+                task: waiting[0],
+                node: me,
+                error: KernelError::DimensionMismatch {
+                    expected,
+                    found: tile.dim(),
+                },
+            });
+        }
         // each producer output / original fetch arrives at most once per
         // rank by protocol; an occupied slot is a transport-injected
         // duplicate and must not touch counters or dependency counts
         match write(&run.ctx.cache).entry(key) {
-            Entry::Occupied(_) => return false,
+            Entry::Occupied(_) => return Ok(false),
             Entry::Vacant(slot) => slot.insert(tile),
         };
         run.applied += 1;
@@ -1649,7 +1733,7 @@ impl<'e, 'a> Engine<'e, 'a> {
                 run.initial_ready.push(t);
             }
         }
-        true
+        Ok(true)
     }
 
     /// A human-readable account of the remote arrivals this rank is still
@@ -1677,23 +1761,21 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     /// Stops this engine on failure `e`: fails every in-flight job in the
-    /// table, then poisons every peer and unblocks this rank's receiver.
-    /// The table hears first, so no peer's `Remote` echo of the poison can
-    /// reach it ahead of the cause.
+    /// table, then poisons every peer. The table hears first, so no peer's
+    /// `Remote` echo of the poison can reach it ahead of the cause.
     fn fail(&self, e: ExecError) {
         let mut st = lock(&self.state);
         if st.error.is_none() {
             st.error = Some(e.clone());
         }
         st.poisoned = true;
-        self.unlock_and_signal(st);
+        self.unlock_and_nudge(st);
         self.table.poison(e);
         for n in 0..self.net.num_nodes() as NodeId {
             if n != self.me {
                 self.net.send_poison(n);
             }
         }
-        self.net.wake();
     }
 }
 
@@ -1770,7 +1852,7 @@ mod tests {
     use sbc_dist::comm::potrf_messages;
     use sbc_dist::{Distribution, SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
-    use sbc_net::{inproc_mesh, InProc, TransportStats, VirtualClock};
+    use sbc_net::{InProc, RecvTimeout, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
     use sbc_topo::{Heft, SubmissionOrder};
 
@@ -2011,34 +2093,51 @@ mod tests {
         assert_eq!(results[0].stats, results[1].stats);
     }
 
+    /// Both drivers record a span per task, each on the lane that ran it.
     #[test]
     fn recorded_two_job_run_has_a_span_per_task() {
         let d = SbcExtended::new(3); // 3 nodes
         let graph = Arc::new(build_potrf(&d, 8));
         let n = graph.num_nodes();
-        let table = JobTable::new(n, 8);
-        let recorder = Recorder::new();
-        for seed in [1, 2] {
-            table.submit(Arc::clone(&graph), B, seed, seed, 0).unwrap();
-        }
-        table.shutdown();
         let cfg = JobEngineConfig {
             workers: 2,
             ..Default::default()
         };
-        let mesh = inproc_mesh(n);
-        std::thread::scope(|scope| {
-            for net in &mesh {
-                let (table, recorder) = (&table, &recorder);
-                scope.spawn(move || run_engine(net, table, cfg, Some(recorder)).unwrap());
+        for pooled in [false, true] {
+            let table = JobTable::new(n, 8);
+            let recorder = Recorder::new();
+            for seed in [1, 2] {
+                table.submit(Arc::clone(&graph), B, seed, seed, 0).unwrap();
             }
-        });
-        let recording = recorder.drain();
-        assert_eq!(sbc_obs::task_spans(&recording).len(), 2 * graph.len());
-        for rank in 0..n as u32 {
+            table.shutdown();
+            let mesh = inproc_mesh(n);
+            if pooled {
+                drive::run_pooled(mesh, &table, cfg, Some(&recorder), 2).unwrap();
+            } else {
+                std::thread::scope(|scope| {
+                    for net in &mesh {
+                        let (table, recorder) = (&table, &recorder);
+                        let run = move || drive::run_threaded(net, table, cfg, Some(recorder));
+                        scope.spawn(move || run().unwrap());
+                    }
+                });
+            }
+            let recording = recorder.drain();
+            let spans = sbc_obs::task_spans(&recording);
+            assert_eq!(spans.len(), 2 * graph.len(), "pooled {pooled}");
+            for rank in 0..n as u32 {
+                assert!(
+                    recording.events_on(rank) > 0,
+                    "pooled {pooled}: rank {rank} recorded nothing"
+                );
+            }
+            let lanes = recording.events.iter().filter_map(|e| match *e {
+                sbc_obs::Event::Task { worker, .. } => Some(worker),
+                _ => None,
+            });
             assert!(
-                recording.events_on(rank) > 0,
-                "rank {rank} recorded nothing"
+                lanes.max() < Some(2),
+                "pooled {pooled}: a task off its rank's lanes"
             );
         }
     }
@@ -2067,7 +2166,25 @@ mod tests {
         let _ = first;
     }
 
-    /// One rank of a 2x2 mesh driven by hand on a virtual clock. Its peers
+    /// Hand-driven engines: the test is the only stepper, so nobody needs
+    /// telling.
+    struct ByHand;
+
+    impl Driver for ByHand {
+        fn nudge(&self, _: NodeId, _: bool) {}
+    }
+
+    /// Steps `engine` until a step leaves work undone no longer.
+    fn settle(engine: &Engine) -> Progress {
+        loop {
+            match engine.step(Arrivals::Inbox) {
+                Progress::Ran => {}
+                progress => return progress,
+            }
+        }
+    }
+
+    /// One rank of a 2x2 mesh stepped by hand on a virtual clock. Its peers
     /// never run, so a job admitted here stays in flight waiting on remote
     /// tiles: the watchdog must ignore any amount of idle time before the
     /// admission, re-arm at it, and fire only once the job itself has gone
@@ -2079,29 +2196,40 @@ mod tests {
         let n = graph.num_nodes();
         let clock = Arc::new(VirtualClock::new());
         let table = JobTable::with_clock(n, n, 4, Arc::clone(&clock) as Arc<dyn Clock>);
+        let deadline = Duration::from_millis(80);
         let cfg = JobEngineConfig {
-            heartbeat: Duration::from_millis(1),
-            deadline: Some(Duration::from_millis(80)),
+            deadline: Some(deadline),
             ..Default::default()
         };
         let mesh = inproc_mesh(n);
-        let engine = Engine::new(&mesh[0], &table, cfg, None);
-        let mut seen = Admission::default();
+        let engine = Engine::new(&mesh[0], &table, cfg, None, &ByHand);
         let error = |engine: &Engine| lock(&engine.state).error.clone();
 
         // idle for several deadlines: a per-process no-progress clock would
         // declare a stall here
         clock.advance(Duration::from_millis(400));
-        engine.receive_once(false, &mut None);
+        let idle = settle(&engine);
+        assert_eq!(
+            idle,
+            Progress::Idle { next_timer: None },
+            "no job, no timer"
+        );
         assert_eq!(error(&engine), None, "an idle rank stalled");
 
         let id = table.submit(graph, B, 5, 6, 0).unwrap();
-        engine.admit(&mut seen);
-        engine.receive_once(false, &mut None);
+        let armed = settle(&engine);
         assert_eq!(error(&engine), None, "admission did not re-arm the clock");
+        // the driver is asked back just past the job's deadline
+        let due = clock.now() + deadline + Duration::from_nanos(1);
+        assert_eq!(
+            armed,
+            Progress::Idle {
+                next_timer: Some(due)
+            }
+        );
 
         clock.advance(Duration::from_millis(81));
-        engine.receive_once(false, &mut None);
+        assert_eq!(settle(&engine), Progress::Drained);
         assert!(
             matches!(error(&engine), Some(ExecError::Stalled { rank: 0, .. })),
             "a stall during a job must still fire"
@@ -2110,6 +2238,22 @@ mod tests {
             table.wait(id),
             Err(ExecError::Stalled { rank: 0, .. })
         ));
+    }
+
+    /// A remote task of `graph` that some task of rank 0 waits for, and the
+    /// first such task of rank 0 (the one a payload's failure is blamed on).
+    fn remote_producer(graph: &TaskGraph) -> (TaskId, TaskId) {
+        let tasks = graph.tasks();
+        (0..graph.len() as TaskId)
+            .filter(|&p| tasks[p as usize].node != 0)
+            .find_map(|p| {
+                let local = graph.succs(p).map(|(s, _)| s);
+                local
+                    .filter(|&s| tasks[s as usize].node == 0)
+                    .min()
+                    .map(|s| (p, s))
+            })
+            .expect("rank 0 waits on some remote tile")
     }
 
     /// `cache` admits only keys `waits` holds — the reason both may run on a
@@ -2122,8 +2266,8 @@ mod tests {
         let table = JobTable::new(n, 1);
         let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
         let mesh = inproc_mesh(n);
-        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None);
-        engine.admit(&mut Admission::default());
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None, &ByHand);
+        settle(&engine);
         // rank 0's own first task: nobody waits for a local producer's tile
         let producer = 0;
         assert_eq!(graph.tasks()[producer as usize].node, 0);
@@ -2135,30 +2279,150 @@ mod tests {
                 tile: Tile::zeros(B),
             },
         );
-        engine.receive_once(false, &mut None);
+        settle(&engine);
         let st = lock(&engine.state);
         assert_eq!(st.jobs[0].applied, 0);
         assert!(read(&st.jobs[0].ctx.cache).is_empty());
     }
 
-    /// Parks one worker in `next_step` (the caller holds the receive role
-    /// and the heap is empty), runs `transition` on the calling thread and
-    /// returns what released the worker: `Some(task)` for a `Run`, `None`
-    /// for an `Exit`. The wait is under a deadline — a lost wake-up is a
-    /// hang — and a stuck worker is freed before the test fails.
-    fn released_by(engine: &Engine, transition: impl FnOnce()) -> Option<TaskId> {
-        std::thread::scope(|scope| {
+    /// A payload's tile is checked against the job's `b` on arrival. One of
+    /// the wrong size is the typed error of the first local task waiting for
+    /// it — never a kernel's dimension assert, caught as a panic — the peers
+    /// are poisoned, and nothing is applied or counted.
+    #[test]
+    fn an_arrival_of_the_wrong_dimension_is_a_typed_error() {
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
+        let n = graph.num_nodes();
+        let table = JobTable::new(n, 1);
+        let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
+        let mesh = inproc_mesh(n);
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None, &ByHand);
+        settle(&engine);
+        let (producer, first) = remote_producer(&graph);
+        let from = &mesh[graph.tasks()[producer as usize].node as usize];
+        let tile = Tile::zeros(B + 1);
+        from.send_payload(
+            0,
+            Payload::Data {
+                job: id,
+                producer,
+                tile,
+            },
+        );
+        assert_eq!(settle(&engine), Progress::Drained);
+
+        let expected = ExecError::Kernel {
+            task: first,
+            node: 0,
+            error: KernelError::DimensionMismatch {
+                expected: B,
+                found: B + 1,
+            },
+        };
+        let st = lock(&engine.state);
+        assert_eq!(st.error, Some(expected.clone()));
+        assert_eq!(st.jobs[0].applied, 0);
+        assert!(read(&st.jobs[0].ctx.cache).is_empty());
+        drop(st);
+        for peer in &mesh[1..] {
+            let inbox: Vec<Message> = std::iter::from_fn(|| peer.try_recv()).collect();
+            assert!(inbox.contains(&Message::Poison), "rank {}", peer.rank());
+        }
+        assert_eq!(table.wait(id).err(), Some(expected));
+    }
+
+    /// A resident rank keeps nothing of the jobs it finished: "finished" is
+    /// "below the ids this rank took, and not in flight". A thousand jobs
+    /// leave no per-job entry behind; then a late duplicate for an early job
+    /// is dropped — not stashed, applied or counted — while an early payload
+    /// for the next job is stashed and applied when that job registers.
+    #[test]
+    fn a_resident_rank_keeps_no_state_for_finished_jobs() {
+        // rank 0 of a 2-rank mesh, completing jobs on its own report: the
+        // thousand jobs stay on it, the next one waits on rank 1
+        let alone = Arc::new(build_potrf(&TwoDBlockCyclic::new(1, 1), 2));
+        let shared = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 1), 4));
+        let table = JobTable::with_clock(2, 1, 1, Arc::new(RealClock));
+        let mesh = inproc_mesh(2);
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None, &ByHand);
+        for seed in 0..1000 {
+            let id = table.submit(Arc::clone(&alone), B, seed, seed, 0).unwrap();
+            assert_eq!(settle(&engine), Progress::Idle { next_timer: None });
+            table
+                .wait(id)
+                .expect("a one-rank job finishes in its first steps");
+        }
+        {
+            let st = lock(&engine.state);
+            assert!(st.jobs.is_empty() && st.registering.is_empty() && st.pending.is_empty());
+            assert_eq!(st.taken, 1000);
+        }
+
+        let (producer, _) = remote_producer(&shared);
+        let data = |job| Payload::Data {
+            job,
+            producer,
+            tile: Tile::zeros(B),
+        };
+        mesh[1].send_payload(0, data(3)); // long finished
+        mesh[1].send_payload(0, data(1000)); // not admitted yet
+        settle(&engine);
+        {
+            let st = lock(&engine.state);
+            let stashed: Vec<JobId> = st.pending.keys().copied().collect();
+            assert_eq!(
+                stashed,
+                [1000],
+                "the late payload dropped, the early one stashed"
+            );
+            assert_eq!(st.pending[&1000].len(), 1);
+        }
+        let id = table.submit(shared, B, 7, 7, 0).unwrap();
+        assert_eq!(id, 1000);
+        settle(&engine);
+        let st = lock(&engine.state);
+        assert!(st.pending.is_empty());
+        assert_eq!(st.jobs.len(), 1);
+        assert_eq!(
+            st.jobs[0].applied, 1,
+            "the stashed payload applies at registration"
+        );
+    }
+
+    /// Parks one worker of the threaded driver (the test holds the receive
+    /// role and the heap is empty), runs `transition` on the calling thread
+    /// and returns what released the worker: `Some(task)` if it then takes
+    /// a task to run, `None` if the rank drained. The wait is under a
+    /// deadline — a lost wake-up is a hang — and a stuck worker is freed
+    /// before the test fails.
+    fn released_by(
+        engine: &Engine,
+        parking: &drive::Parking,
+        net: &dyn Transport,
+        transition: impl FnOnce(),
+    ) -> Option<TaskId> {
+        lock(&parking.park).receiving = true;
+        let released = std::thread::scope(|scope| {
             let (tx, rx) = std::sync::mpsc::channel();
             scope.spawn(move || {
-                let step = match engine.next_step(true, &mut None) {
-                    Step::Run(_, t) => Some(t),
-                    Step::Exit => None,
+                // the threaded driver's loop, with the step cut down to the
+                // choice of work
+                let work = loop {
+                    let seen = lock(&parking.park).changes;
+                    match engine.take_work(&mut None) {
+                        Work::Idle => parking.wait(seen, net, None),
+                        work => break work,
+                    };
+                };
+                let step = match work {
+                    Work::Run(_, t) => Some(t),
+                    Work::Drained => None,
                     _ => panic!("a parked worker was handed the wrong step"),
                 };
                 tx.send(step).expect("the test is still waiting");
             });
             let patience = Instant::now();
-            while lock(&engine.state).parked == 0 {
+            while lock(&parking.park).parked == 0 {
                 assert!(patience.elapsed() < Duration::from_secs(30), "never parked");
                 std::thread::yield_now();
             }
@@ -2166,32 +2430,35 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(30))
                 .unwrap_or_else(|_| {
                     lock(&engine.state).poisoned = true;
-                    engine.cv.notify_all();
+                    parking.changed(lock(&parking.park));
                     panic!("the transition left the parked worker asleep");
                 })
-        })
+        });
+        lock(&parking.park).receiving = false;
+        released
     }
 
-    /// Runs every task the heap offers until only the receive role is left,
-    /// and takes it.
-    fn run_until_receive(engine: &Engine) {
+    /// Runs every task the heap offers until none is left.
+    fn run_until_idle(engine: &Engine) {
         loop {
-            match engine.next_step(true, &mut None) {
-                Step::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
-                Step::Receive => return,
-                _ => panic!("a registered job neither runs nor receives"),
+            match engine.take_work(&mut None) {
+                Work::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
+                Work::Idle => return,
+                _ => panic!("a registered job neither runs nor waits"),
             }
         }
     }
 
-    /// The engine signals its condvar only when `parked` says somebody
-    /// waits. The three transitions a parked worker depends on — a remote
-    /// arrival readies a task, the engine fails, the last job drains — each
-    /// release it. Nothing here reads real time but the test's own deadline.
+    /// The threaded driver wakes its parked workers only when the engine
+    /// nudges it. The three transitions a parked worker depends on — a
+    /// remote arrival readies a task, the engine fails, the last job drains
+    /// — each release it. Nothing here reads real time but the test's own
+    /// deadline.
     #[test]
     fn a_parked_worker_is_released_by_arrival_failure_and_drain() {
         let clock = Arc::new(VirtualClock::new());
-        let engine_on = |net, table| Engine::new(net, table, JobEngineConfig::default(), None);
+        let cfg = JobEngineConfig::default();
+        let parking = drive::Parking::default();
 
         // (a), (b): rank 0 of a 2x2 mesh whose peers never run
         let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
@@ -2200,9 +2467,9 @@ mod tests {
         let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
         table.shutdown();
         let mesh = inproc_mesh(n);
-        let engine = engine_on(&mesh[0], &table);
-        engine.admit(&mut Admission::default());
-        run_until_receive(&engine);
+        let engine = Engine::new(&mesh[0], &table, cfg, None, &parking);
+        engine.admit();
+        run_until_idle(&engine);
         // a local task one remote arrival away from ready, and that arrival
         let (task, producer) = {
             let st = lock(&engine.state);
@@ -2217,7 +2484,7 @@ mod tests {
                 .expect("rank 0 waits on some remote tile")
         };
         let from = &mesh[graph.tasks()[producer as usize].node as usize];
-        let released = released_by(&engine, || {
+        let released = released_by(&engine, &parking, &mesh[0], || {
             let tile = Tile::zeros(B);
             from.send_payload(
                 0,
@@ -2227,12 +2494,13 @@ mod tests {
                     tile,
                 },
             );
-            engine.receive_once(true, &mut None);
+            engine.absorb(Arrivals::Inbox, &mut None);
         });
         assert_eq!(released, Some(task), "(a) a remote arrival");
 
-        assert!(matches!(engine.next_step(true, &mut None), Step::Receive));
-        let released = released_by(&engine, || engine.fail(ExecError::Remote));
+        let released = released_by(&engine, &parking, &mesh[0], || {
+            engine.fail(ExecError::Remote)
+        });
         assert_eq!(released, None, "(b) a failure");
 
         // (c): a one-rank job; its last task finishes while a worker is parked
@@ -2241,17 +2509,19 @@ mod tests {
         let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
         table.shutdown();
         let mesh = inproc_mesh(1);
-        let engine = engine_on(&mesh[0], &table);
-        engine.admit(&mut Admission::default());
+        let parking = drive::Parking::default();
+        let engine = Engine::new(&mesh[0], &table, cfg, None, &parking);
+        engine.admit();
         let last = loop {
-            match engine.next_step(true, &mut None) {
-                Step::Run(ctx, t) if t as usize + 1 == graph.len() => break (ctx, t),
-                Step::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
+            match engine.take_work(&mut None) {
+                Work::Run(ctx, t) if t as usize + 1 == graph.len() => break (ctx, t),
+                Work::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
                 _ => panic!("a chain of local tasks runs one after the other"),
             }
         };
-        assert!(matches!(engine.next_step(true, &mut None), Step::Receive));
-        let released = released_by(&engine, || engine.run_task(&last.0, last.1, &mut None));
+        let released = released_by(&engine, &parking, &mesh[0], || {
+            engine.run_task(&last.0, last.1, &mut None)
+        });
         assert_eq!(released, None, "(c) drain");
         assert!(table.wait(id).is_ok());
     }
@@ -2475,8 +2745,9 @@ mod tests {
 
     /// Runs one POTRF whose diagonal tile (4,4) is not positive definite as
     /// the single job of a 6-rank table and returns what its waiter sees.
-    /// `gated` puts the failing rank behind a [`PoisonGate`].
-    fn failing_job(workers: usize, gated: bool) -> Result<(), ExecError> {
+    /// `gated` puts the failing rank behind a [`PoisonGate`]; `pooled` steps
+    /// the mesh on two pooled threads instead of a thread per rank.
+    fn failing_job(workers: usize, gated: bool, pooled: bool) -> Result<(), ExecError> {
         let d = SbcExtended::new(4); // 6 nodes
         let nt = 9;
         let graph = Arc::new(build_potrf(&d, nt));
@@ -2516,12 +2787,16 @@ mod tests {
                 table: &table,
             })
             .collect();
-        std::thread::scope(|scope| {
-            for net in &mesh {
-                let table = &table;
-                scope.spawn(move || run_jobs_rank(net, table, cfg));
-            }
-        });
+        if pooled {
+            let _ = drive::run_pooled(mesh, &table, cfg, None, 2);
+        } else {
+            std::thread::scope(|scope| {
+                for net in &mesh {
+                    let table = &table;
+                    scope.spawn(move || run_jobs_rank(net, table, cfg));
+                }
+            });
+        }
         table.wait(id).map(drop)
     }
 
@@ -2535,24 +2810,33 @@ mod tests {
 
     /// `Engine::fail` once poisoned peers *before* telling the table, so a
     /// peer's `Remote` could be recorded first and reach the waiter instead
-    /// of the cause. The gate makes that interleaving certain.
+    /// of the cause. The gate makes that interleaving certain, under both
+    /// drivers.
     #[test]
     fn a_peers_remote_echo_never_beats_the_cause_to_the_table() {
-        for workers in [1, 4] {
-            assert_kernel_failure(failing_job(workers, true), &format!("workers {workers}"));
+        for pooled in [false, true] {
+            for workers in [1, 4] {
+                assert_kernel_failure(
+                    failing_job(workers, true, pooled),
+                    &format!("pooled {pooled} workers {workers}"),
+                );
+            }
         }
     }
 
     /// The same failure with nothing forcing the order: whatever the
-    /// scheduler does, the waiter sees the originating kernel error.
+    /// scheduler or the driver does, the waiter sees the originating kernel
+    /// error.
     #[test]
     fn the_waiter_sees_the_originating_failure_on_every_repetition() {
-        for workers in [1, 4] {
-            for rep in 0..50 {
-                assert_kernel_failure(
-                    failing_job(workers, false),
-                    &format!("workers {workers} repetition {rep}"),
-                );
+        for pooled in [false, true] {
+            for workers in [1, 4] {
+                for rep in 0..50 {
+                    assert_kernel_failure(
+                        failing_job(workers, false, pooled),
+                        &format!("pooled {pooled} workers {workers} repetition {rep}"),
+                    );
+                }
             }
         }
     }

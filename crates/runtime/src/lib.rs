@@ -42,18 +42,25 @@
 //! one-shot run is a [`JobTable`] holding one job: submit, close admission,
 //! run the rank engines until they drain, [`gather`] the [`JobOutcome`]. A
 //! *resident* mesh (`sbc-serve`) keeps the same engines running
-//! ([`run_jobs_rank`]) and streams jobs through [`JobTable::submit`].
+//! ([`run_jobs_inproc`]) and streams jobs through [`JobTable::submit`].
+//!
+//! A rank engine is a state machine, not a thread; the mesh decides who
+//! steps it. Every rank of an in-process mesh ([`Run::execute`],
+//! [`run_jobs_inproc`]) shares one pool of `min(ranks × workers, cores)`
+//! threads; a rank on any other transport ([`Run::execute_rank`],
+//! [`run_jobs_rank`]) gets `workers` threads of its own.
 
 #![warn(missing_docs)]
 
+mod drive;
 pub mod exec;
 pub mod jobs;
 pub mod run;
 
 pub use exec::{CommStats, ExecError, TileProvider};
 pub use jobs::{
-    run_jobs_rank, JobEngineConfig, JobId, JobOutcome, JobSpec, JobTable, Rejection,
-    JOB_LATENCY_BOUNDS,
+    run_jobs_inproc, run_jobs_rank, JobEngineConfig, JobId, JobOutcome, JobSpec, JobTable,
+    Rejection, JOB_LATENCY_BOUNDS,
 };
 pub use run::{gather, Run, RunOutput, RunResult};
 // the kernel-backend selector is part of the run configuration surface

@@ -23,15 +23,17 @@
 //! watchdog deadline, kernel backend — is a [`JobEngineConfig`], with the
 //! clock and the recorder beside it. [`Run::execute`] meshes the graph's
 //! nodes up in-process over [`sbc_net::InProc`] channels, all ranks
-//! reporting to one table; [`Run::execute_rank`] executes a *single* rank
+//! reporting to one table and stepped on one shared thread pool;
+//! [`Run::execute_rank`] executes a *single* rank on its own workers
 //! over any endpoint — including `sbc-net`'s TCP/UDS stream backends, where
 //! each rank is a separate OS process with a rank-local table — and gathers
 //! to rank 0 with the transport's `Result`/`Done` control protocol. Either
 //! way the result is assembled by [`gather`], which reads its shape off the
 //! graph.
 
+use crate::drive::{pool_threads, run_pooled, run_threaded};
 use crate::exec::{CommStats, ExecError, TileProvider};
-use crate::jobs::{run_engine, GraphRef, JobEngineConfig, JobId, JobSpec, JobTable};
+use crate::jobs::{GraphRef, JobEngineConfig, JobId, JobSpec, JobTable};
 use sbc_dist::{Distribution, RowCyclic, TwoPointFiveD};
 use sbc_kernels::{KernelBackend, Tile};
 use sbc_matrix::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
@@ -305,8 +307,10 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Worker threads per node (clamped to at least 1). Default: available
-    /// cores divided by the node count, at least 1.
+    /// Steppers per node (clamped to at least 1): the most pooled threads
+    /// one rank holds at once under [`Run::execute`], the rank's own
+    /// threads under [`Run::execute_rank`]. Default: available cores
+    /// divided by the node count, at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
         self.engine.workers = workers.max(1);
         self
@@ -397,24 +401,26 @@ impl<'a> Run<'a> {
     }
 
     /// Runs the graph to completion over an in-process channel mesh and
-    /// gathers its result.
+    /// gathers its result. The ranks are stepped on `min(nodes × workers,
+    /// cores)` pooled threads, the caller one of them.
     ///
     /// Kernel failures and missing result tiles surface as [`ExecError`];
     /// on failure every node is shut down via poison messages first and the
     /// originating failure is returned.
     pub fn execute(&self) -> Result<RunOutput, ExecError> {
         let n_nodes = self.graph.num_nodes();
+        let cfg = self.engine_config(n_nodes);
+        self.execute_pooled(pool_threads(n_nodes, cfg.workers))
+    }
+
+    /// [`Run::execute`] on exactly `threads` pooled threads.
+    pub(crate) fn execute_pooled(&self, threads: usize) -> Result<RunOutput, ExecError> {
+        let n_nodes = self.graph.num_nodes();
         let table = JobTable::with_clock(n_nodes, n_nodes, 1, Arc::clone(&self.clock));
         let id = self.submit_closed(&table);
-        let (cfg, recorder) = (self.engine_config(n_nodes), self.recorder);
-        std::thread::scope(|scope| {
-            // each rank thread owns its endpoint, as a rank process would
-            for net in inproc_mesh(n_nodes) {
-                let table = &table;
-                // a failing rank's error reaches the caller through the table
-                scope.spawn(move || run_engine(&net, table, cfg, recorder));
-            }
-        });
+        let cfg = self.engine_config(n_nodes);
+        // a failing rank's error reaches the caller through the table
+        let _ = run_pooled(inproc_mesh(n_nodes), &table, cfg, self.recorder, threads);
         let out = table.wait(id)?;
         self.output(&out.tiles, out.stats)
     }
@@ -437,7 +443,7 @@ impl<'a> Run<'a> {
         // a rank-local table: the job completes on this rank's one report
         let table = JobTable::with_clock(n, 1, 1, Arc::clone(&self.clock));
         let id = self.submit_closed(&table);
-        let early = run_engine(net, &table, self.engine_config(n), self.recorder)?;
+        let early = run_threaded(net, &table, self.engine_config(n), self.recorder)?;
         let out = table.wait(id)?;
         // `net` carried exactly this job, so its wire totals are the job's —
         // including copies a fault-injecting wrapper duplicated beneath the

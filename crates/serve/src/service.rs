@@ -10,13 +10,13 @@
 //! the job path nothing measurable.
 
 use sbc_matrix::SymmetricTiledMatrix;
-use sbc_net::{inproc_mesh, BufferPool, InProc, PoolStats, Transport};
+use sbc_net::{BufferPool, PoolStats};
 use sbc_obs::{
     chrome_trace_from_spans, expo, Counter, EventLog, Gauge, Metrics, MetricsSnapshot, ObsEvent,
     SpanRing, TraceEvent,
 };
 use sbc_planner::{Op, Plan, Planner, PlannerConfig};
-use sbc_runtime::jobs::{run_jobs_rank, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
+use sbc_runtime::jobs::{run_jobs_inproc, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
 use sbc_runtime::{gather, ExecError, KernelBackend, RunResult};
 use sbc_simgrid::Platform;
 use sbc_taskgraph::TaskGraph;
@@ -35,13 +35,11 @@ pub struct ServeConfig {
     /// Mesh size: ranks kept resident (the planner plans for exactly this
     /// platform, so its cache stays valid for the service lifetime).
     pub nodes: usize,
-    /// Worker threads per rank engine.
+    /// Steppers per rank: the most of the service's pooled threads one
+    /// rank holds at once.
     pub workers: usize,
     /// Admission bound: jobs admitted and not yet finished.
     pub max_inflight: usize,
-    /// Rank engines' receive poll tick. Not what starts a job: a
-    /// submission wakes every rank itself.
-    pub heartbeat: Duration,
     /// Per-job no-progress watchdog (never fires on an idle rank).
     pub deadline: Option<Duration>,
     /// Planner tunables; the plan cache is the service's per-job tuning
@@ -68,7 +66,6 @@ impl Default for ServeConfig {
             nodes: 6,
             workers: 1,
             max_inflight: 16,
-            heartbeat: Duration::from_millis(2),
             deadline: None,
             planner: PlannerConfig::default(),
             trace_spans: 4096,
@@ -102,11 +99,9 @@ pub struct Service {
     /// distinct shapes must not grow a resident service without limit.
     graphs: Mutex<VecDeque<(GraphKey, Arc<TaskGraph>)>>,
     graph_capacity: usize,
-    engines: Mutex<Vec<JoinHandle<Result<(), ExecError>>>>,
-    /// Every rank's endpoint of the resident mesh, shared with its engine
-    /// thread so that [`Service::submit`] and [`Service::shutdown`] can wake
-    /// the rank's parked receiver (the table itself cannot).
-    mesh: Vec<Arc<InProc>>,
+    /// The thread that drives the resident mesh (and spawned the rest of
+    /// its pool); `None` once joined.
+    engines: Mutex<Option<JoinHandle<Result<(), ExecError>>>>,
     spans: SpanRing,
     throughput: Arc<Gauge>,
     rate_window: Duration,
@@ -121,8 +116,9 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the resident mesh (spawning one engine thread per rank) and
-    /// binds the observability registry: `serve.jobs.*` counters, the
+    /// Starts the resident mesh — its ranks stepped on `min(nodes ×
+    /// workers, cores)` pooled threads, the only threads the mesh keeps —
+    /// and binds the observability registry: `serve.jobs.*` counters, the
     /// `serve.job.latency` histogram, the `obs.drift.*` alarm counters and
     /// per-rank engine gauges all register eagerly here.
     pub fn start(cfg: ServeConfig) -> Arc<Service> {
@@ -136,18 +132,14 @@ impl Service {
         table.bind_obs(&metrics, Arc::clone(&events), 4096);
         let engine_cfg = JobEngineConfig {
             workers: cfg.workers,
-            heartbeat: cfg.heartbeat,
             deadline: cfg.deadline,
             kernels: KernelBackend::resolve(cfg.kernels),
+            ..JobEngineConfig::default()
         };
-        let mesh: Vec<Arc<InProc>> = inproc_mesh(cfg.nodes).into_iter().map(Arc::new).collect();
-        let engines = mesh
-            .iter()
-            .map(|net| {
-                let (net, table) = (Arc::clone(net), Arc::clone(&table));
-                std::thread::spawn(move || run_jobs_rank(&*net, &table, engine_cfg))
-            })
-            .collect();
+        let engines = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || run_jobs_inproc(&table, engine_cfg))
+        };
         Arc::new(Service {
             table,
             planner,
@@ -163,8 +155,7 @@ impl Service {
             events,
             graphs: Mutex::new(VecDeque::new()),
             graph_capacity: cfg.planner.cache_capacity.max(1),
-            engines: Mutex::new(engines),
-            mesh,
+            engines: Mutex::new(Some(engines)),
             spans: SpanRing::with_capacity(cfg.trace_spans),
             rate_window: cfg.rate_window,
             started: Instant::now(),
@@ -187,23 +178,10 @@ impl Service {
         let plan = self.planner.plan(op, nt, b);
         let graph = self.graph(&plan);
         let id = self.table.submit(graph, b, seed, seed_rhs, prio)?;
-        self.wake_ranks();
         Ok(Submitted {
             id,
             plan_cached: plan.cached,
         })
-    }
-
-    /// Ends every rank's receive wait so that it looks at the table now. A
-    /// resident engine otherwise notices a new registration only when its
-    /// `heartbeat` tick expires: up to a tick of delay per job, and — under
-    /// a closed-loop client, whose next submission follows the previous
-    /// reply by a nearly constant time — a delay that locks onto one phase
-    /// of the tick and differs from one run of the service to the next.
-    fn wake_ranks(&self) {
-        for net in &self.mesh {
-            net.wake();
-        }
     }
 
     /// The shape's shared task graph: cached, or built — outside the lock,
@@ -351,25 +329,13 @@ impl Service {
     }
 
     /// Drains admitted jobs, stops the engines and joins them. Returns the
-    /// first engine failure, if any.
+    /// first failing rank's error, if any.
     pub fn shutdown(&self) -> Result<(), ExecError> {
         self.table.shutdown();
-        self.wake_ranks();
-        let mut first = None;
-        for h in lock(&self.engines).drain(..) {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    first.get_or_insert(e);
-                }
-                Err(_) => {
-                    first.get_or_insert(ExecError::Remote);
-                }
-            }
-        }
-        match first {
-            Some(e) => Err(e),
-            None => Ok(()),
+        match lock(&self.engines).take().map(JoinHandle::join) {
+            None | Some(Ok(Ok(()))) => Ok(()),
+            Some(Ok(Err(e))) => Err(e),
+            Some(Err(_)) => Err(ExecError::Remote),
         }
     }
 }

@@ -411,19 +411,17 @@ fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
     service.shutdown().unwrap();
 }
 
-/// A job starts when it is admitted, not at the ranks' next poll tick: with
-/// a tick of an hour, parked ranks still pick a submission up, run it, and
-/// leave on shutdown. (With polling alone every job of a closed-loop client
-/// started a fixed fraction of the tick late, a different one in each run.)
+/// A job starts when it is admitted, not at some poll tick: admission marks
+/// every rank runnable, so idle ranks pick a submission up, run it, and
+/// leave on shutdown, with no tick left to wait for. (With polling alone
+/// every job of a closed-loop client started a fixed fraction of the tick
+/// late, a different one in each run.)
 #[test]
 fn a_submission_does_not_wait_for_the_poll_tick() {
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let service = Service::start(ServeConfig {
-            heartbeat: Duration::from_secs(3600),
-            ..ServeConfig::default()
-        });
-        // every rank is parked in its hour-long receive by now
+        let service = Service::start(ServeConfig::default());
+        // every rank is idle by now, its pool threads parked
         std::thread::sleep(Duration::from_millis(50));
         for seed in 0..3 {
             let job = service.submit(Op::Potrf, 6, B, seed, 0, 0).unwrap();

@@ -176,3 +176,54 @@ fn a_panicking_provider_fails_the_run_instead_of_hanging_it() {
         }
     }
 }
+
+/// A peer's tile is checked on arrival. A rank handed a payload of the wrong
+/// dimension fails with the typed error of its first task waiting for that
+/// tile — not a kernel's dimension assert caught as a panic — and poisons
+/// its peers. A test thread plays rank 0 of a two-rank mesh here and sends
+/// rank 1 a 3 x 3 tile where an 8 x 8 one belongs.
+#[test]
+fn a_wrong_dimension_payload_is_a_typed_error() {
+    use sbc::net::{inproc_mesh, Message, Payload, Transport};
+
+    let (outcome, poisoned, first) = within_deadline(|| {
+        let g = build_potrf(&TwoDBlockCyclic::new(2, 1), 4);
+        let tasks = g.tasks();
+        // rank 0's first POTRF, and the first task of rank 1 that reads it
+        let producer = 0;
+        assert_eq!(tasks[producer as usize].node, 0);
+        let on_rank1 = |&s: &u32| tasks[s as usize].node == 1;
+        let first = g.succs(producer).map(|(s, _)| s).filter(on_rank1).min();
+        let mut mesh = inproc_mesh(2).into_iter();
+        let (rank0, rank1) = (mesh.next().unwrap(), mesh.next().unwrap());
+        let tile = Tile::zeros(3);
+        rank0.send_payload(
+            1,
+            Payload::Data {
+                job: 0,
+                producer,
+                tile,
+            },
+        );
+        let outcome = Run::graph(&g)
+            .block(8)
+            .execute_rank(&rank1)
+            .map(|out| out.is_some());
+        let poisoned = std::iter::from_fn(|| rank0.try_recv()).any(|m| m == Message::Poison);
+        (
+            outcome,
+            poisoned,
+            first.expect("rank 1 reads rank 0's first tile"),
+        )
+    });
+    let expected = ExecError::Kernel {
+        task: first,
+        node: 1,
+        error: KernelError::DimensionMismatch {
+            expected: 8,
+            found: 3,
+        },
+    };
+    assert_eq!(outcome, Err(expected));
+    assert!(poisoned, "the misbehaving peer was not poisoned");
+}

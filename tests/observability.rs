@@ -2,8 +2,10 @@
 //! across many virtual nodes, recorded, exported, and cross-checked against
 //! the planner's predictions — the acceptance pipeline behind `paper obs`.
 
+use sbc::dist::SbcExtended;
 use sbc::obs::{
-    chrome_trace, json, metrics_from_recording, render_gantt, task_spans, ExecProfile, Recorder,
+    chrome_trace, json, metrics_from_recording, render_gantt, task_spans, Event, ExecProfile,
+    Recorder,
 };
 use sbc::planner::{compare, Op, Planner};
 use sbc::runtime::Run;
@@ -98,4 +100,45 @@ fn simulated_and_measured_traces_share_the_gantt() {
     assert_eq!(measured.len(), sim_trace.len());
     let measured_gantt = render_gantt(&measured, 10, 1, 40);
     assert!(measured_gantt.contains("node   0 |"));
+}
+
+/// A rank is stepped by pooled threads, not run by its own, and a recording
+/// keeps its vocabulary: one task span per task of the graph, each on a lane
+/// of the rank that ran it, and dep-wait spans — from a rank going idle with
+/// a job in flight to the arrival that ended the wait — on every rank that
+/// waited on a remote tile.
+#[test]
+fn a_pooled_run_records_task_and_dep_wait_spans_per_rank() {
+    let workers = 2;
+    let recorder = Recorder::new();
+    let run = Run::potrf(&SbcExtended::new(4), 12)
+        .block(8)
+        .workers(workers)
+        .recorder(&recorder);
+    let outcome = run.execute().expect("distributed execution failed");
+    let recording = recorder.drain();
+    assert_eq!(task_spans(&recording).len(), run.task_graph().len());
+
+    let (mut received, mut waited) = (Vec::new(), Vec::new());
+    for e in &recording.events {
+        match *e {
+            Event::Task { worker, .. } => assert!(worker < workers as u32, "lane {worker}"),
+            Event::Recv { node, .. } => received.push(node),
+            Event::DepWait { node, start, end } => {
+                assert!(end >= start, "a dep-wait span ends before it starts");
+                waited.push(node);
+            }
+            _ => {}
+        }
+    }
+    received.sort_unstable();
+    received.dedup();
+    waited.sort_unstable();
+    waited.dedup();
+    // every rank that received a tile had a task waiting for it
+    assert_eq!(received.len(), 6, "every rank of the mesh receives");
+    assert_eq!(waited, received, "ranks with dep-wait spans");
+    let profile = ExecProfile::from_recording(&recording);
+    assert!(profile.dep_wait_seconds > 0.0);
+    assert_eq!(profile.messages, outcome.stats.messages);
 }

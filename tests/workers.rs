@@ -155,3 +155,63 @@ fn multi_worker_runs_lose_no_wake_up() {
     );
     runner.join().expect("a run failed; its assertion is above");
 }
+
+/// The same loop through the threaded driver, which `Run::execute` no longer
+/// reaches: every rank of an in-process mesh on `workers` threads of its own
+/// (`run_jobs_rank`), one receiver blocked in the inbox and the others parked
+/// on the driver's condvar. A wake-up lost there is a run that never ends.
+#[test]
+fn threaded_runs_lose_no_wake_up() {
+    use sbc::net::inproc_mesh;
+    use sbc::runtime::{gather, run_jobs_rank, JobEngineConfig, JobTable, RunResult};
+
+    let (nt, b, seed) = (24, 4, 11);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let d = SbcExtended::new(4);
+        let graph = Arc::new(sbc::taskgraph::build_potrf(&d, nt));
+        let n = graph.num_nodes();
+        let mut seq = sbc::matrix::random_spd(seed, nt, b);
+        sbc::matrix::potrf_tiled(&mut seq).unwrap();
+        let messages = comm::potrf_messages(&d, nt);
+        for workers in [3, 4] {
+            let cfg = JobEngineConfig {
+                workers,
+                ..Default::default()
+            };
+            for rep in 0..200 {
+                let table = JobTable::new(n, 1);
+                let id = table.submit(Arc::clone(&graph), b, seed, seed, 0).unwrap();
+                table.shutdown();
+                std::thread::scope(|scope| {
+                    for net in inproc_mesh(n) {
+                        let table = &table;
+                        scope.spawn(move || run_jobs_rank(&net, table, cfg).unwrap());
+                    }
+                });
+                let out = table.wait(id).unwrap();
+                let RunResult::Factor(factor) = gather(out.graph(), &out.tiles, b).unwrap() else {
+                    panic!("a POTRF gathered no factor");
+                };
+                for (i, j) in seq.tile_coords() {
+                    assert_eq!(
+                        factor.tile(i, j).max_abs_diff(seq.tile(i, j)),
+                        0.0,
+                        "workers={workers} rep={rep} tile ({i},{j})"
+                    );
+                }
+                assert_eq!(out.stats.messages, messages, "workers={workers} rep={rep}");
+                assert_eq!(out.stats.bytes, comm::messages_to_bytes(messages, b));
+                assert_eq!(out.stats.recv_per_node.iter().sum::<u64>(), messages);
+            }
+        }
+        tx.send(()).expect("the test is still waiting");
+    });
+    let verdict = rx.recv_timeout(std::time::Duration::from_secs(60));
+    assert_ne!(
+        verdict,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "400 threaded multi-worker runs neither finished nor failed: a worker sleeps on"
+    );
+    runner.join().expect("a run failed; its assertion is above");
+}
