@@ -281,6 +281,7 @@ fn render(scenario: &Scenario, actions: &[Action]) -> String {
 fn describe_plain(a: &Action) -> String {
     match a {
         Action::Deliver { uid } => format!("deliver frame {uid}"),
+        Action::DeliverBatch { dst } => format!("deliver batch to r{dst}"),
         Action::Drop { uid } => format!("drop frame {uid}"),
         Action::Duplicate { uid } => format!("duplicate frame {uid}"),
         Action::Tick => "tick".to_string(),

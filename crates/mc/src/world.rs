@@ -29,6 +29,13 @@ pub enum Action {
         /// Frame id within the current execution.
         uid: u64,
     },
+    /// Hand every in-flight frame addressed to `dst`, in wire order, to
+    /// its session as one batch — what a drained inbox holds once all of
+    /// it has arrived, and the one shape in which acks coalesce.
+    DeliverBatch {
+        /// Receiving rank.
+        dst: NodeId,
+    },
     /// Lose in-flight payload frame `uid` (adversarial, budgeted).
     Drop {
         /// Frame id within the current execution.
@@ -370,6 +377,17 @@ impl World {
             }
             out.extend(heads.into_values().map(|uid| Action::Deliver { uid }));
         }
+        // a batch of one is a Deliver
+        let mut queued: BTreeMap<NodeId, usize> = BTreeMap::new();
+        for f in &net.inflight {
+            *queued.entry(f.dst).or_default() += 1;
+        }
+        out.extend(
+            queued
+                .into_iter()
+                .filter(|&(_, frames)| frames > 1)
+                .map(|(dst, _)| Action::DeliverBatch { dst }),
+        );
         // Progress-guided timer reduction: a timer firing is only
         // *necessary* when some unacked payload has neither a wire copy
         // nor a covering ack in flight — anything the sender could learn
@@ -448,18 +466,25 @@ impl World {
             Action::Deliver { uid } => {
                 let frame = self.take_frame(uid);
                 let desc = describe_frame("deliver", &frame);
-                let dst = frame.dst as usize;
-                self.sessions[dst].handle_wire(frame.msg);
-                while let Some(m) = self.sessions[dst].pop_ready() {
-                    if let Message::Payload {
-                        src,
-                        payload: Payload::Data { producer, .. },
-                    } = m
-                    {
-                        self.record_delivery(src, frame.dst, producer, sc)?;
-                    }
-                }
+                self.hand_over(frame.dst, [frame.msg], sc)?;
                 Ok(desc)
+            }
+            Action::DeliverBatch { dst } => {
+                let batch: Vec<WireFrame> = {
+                    let mut net = self.lock_net();
+                    let (batch, rest) = std::mem::take(&mut net.inflight)
+                        .into_iter()
+                        .partition(|f| f.dst == dst);
+                    net.inflight = rest;
+                    batch
+                };
+                let desc = batch
+                    .iter()
+                    .map(|f| describe_frame("", f))
+                    .collect::<Vec<_>>()
+                    .join(";");
+                self.hand_over(dst, batch.into_iter().map(|f| f.msg), sc)?;
+                Ok(format!("deliver batch to r{dst}:{desc}"))
             }
             Action::Drop { uid } => {
                 let frame = self.take_frame(uid);
@@ -512,6 +537,28 @@ impl World {
                 ))
             }
         }
+    }
+
+    /// Feeds `batch` to `dst`'s session as one drained batch and checks
+    /// every payload that surfaces.
+    fn hand_over(
+        &mut self,
+        dst: NodeId,
+        batch: impl IntoIterator<Item = Message>,
+        sc: &Scenario,
+    ) -> Result<(), Violation> {
+        let d = dst as usize;
+        self.sessions[d].handle_wire(batch);
+        while let Some(m) = self.sessions[d].pop_ready() {
+            if let Message::Payload {
+                src,
+                payload: Payload::Data { producer, .. },
+            } = m
+            {
+                self.record_delivery(src, dst, producer, sc)?;
+            }
+        }
+        Ok(())
     }
 
     fn take_frame(&mut self, uid: u64) -> WireFrame {

@@ -2,7 +2,7 @@
 //! exhaustive adversary, the pre-fix periodic drop gate provably
 //! livelocks, and checker-found traces replay as ordinary tests.
 
-use sbc_mc::{check, replay, LossModel, Scenario, Violation};
+use sbc_mc::{check, replay, Action, LossModel, Scenario, Violation};
 use sbc_net::FaultConfig;
 
 /// Two peers exchanging three payloads over a faithful network: the only
@@ -149,6 +149,25 @@ fn potrf_traffic_checks_clean_on_a_two_node_grid() {
     let report = check(&sc);
     assert!(report.passed(), "violation: {:?}", report.violation);
     assert!(report.terminal_states >= 1);
+}
+
+/// A drained batch is acked once per source: three payloads handed over as
+/// one batch leave exactly one ack in flight, and delivering it ends the
+/// execution fully delivered.
+#[test]
+fn a_batch_of_three_payloads_is_covered_by_one_ack() {
+    let sc = Scenario::scripted(2, &[(0, 1), (0, 1), (0, 1)]);
+    let outcome = replay(
+        &sc,
+        &[Action::DeliverBatch { dst: 1 }, Action::Deliver { uid: 3 }],
+    );
+    assert_eq!(outcome.violation, None, "{}", outcome.rendered);
+    assert!(outcome.terminal, "{}", outcome.rendered);
+    assert!(
+        outcome.rendered.contains("ack upto=3"),
+        "{}",
+        outcome.rendered
+    );
 }
 
 /// Replaying an empty trace on an empty script is a terminal, fully

@@ -16,7 +16,8 @@ use std::time::Duration;
 /// A rank's inbox: an unbounded channel whose receiving half any worker
 /// thread of the rank may park on. Both [`InProc`] (peers push directly)
 /// and [`crate::StreamTransport`] (socket reader threads push decoded
-/// frames) receive through this one type.
+/// frames) receive through this one type. Being unbounded is what lets a
+/// socket reader never block on anything but its socket.
 pub(crate) struct Mailbox {
     tx: Sender<Message>,
     rx: Mutex<Receiver<Message>>,

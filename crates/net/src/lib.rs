@@ -16,12 +16,15 @@
 //! * [`StreamTransport`] — real sockets ([`Backend::Tcp`] over
 //!   `std::net`, [`Backend::Uds`] over `std::os::unix::net`) speaking the
 //!   length-prefixed little-endian wire protocol of [`wire`]: tagged
-//!   frames, tile payloads as raw `f64` words, CRC32 integrity check, and
-//!   bounded per-peer send queues with blocking backpressure. Send buffers
-//!   come from a per-transport [`BufferPool`] and frames are laid down in
-//!   place with [`wire::encode_into`], so a steady-state payload send
-//!   performs zero fresh heap allocations (see [`PoolStats`]). It receives
-//!   through the same channel inbox `InProc` does.
+//!   frames, tile payloads as raw `f64` words, CRC32 integrity check. A
+//!   frame is written to the peer's socket by the thread that sends it, so
+//!   the socket buffer is the backpressure window and a send to a peer that
+//!   hung up returns `None`. Send buffers come from a per-transport
+//!   [`BufferPool`] and frames are laid down in place with
+//!   [`wire::encode_into`], so a steady-state payload send performs zero
+//!   fresh heap allocations (see [`PoolStats`]). One reader thread per
+//!   inbound connection feeds the same channel inbox `InProc` receives
+//!   through.
 //! * [`Faulty`] — a wrapper injecting drops, duplicates and delays into
 //!   payload-carrying sends for the failure-injection tests.
 //! * [`Session`] — a reliability layer over any of the above: per-peer

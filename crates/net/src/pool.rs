@@ -2,12 +2,12 @@
 //! payload hot path.
 //!
 //! Every stream send encodes its frame into a [`PooledBuf`] checked out of
-//! the transport's [`BufferPool`] instead of a fresh `Vec<u8>`. The buffer
-//! rides the per-peer writer queue, is written to the socket, and on drop
-//! returns to the pool with its capacity intact — so once the pool has
-//! warmed up to the run's working set (bounded by the writer-queue depths),
-//! a steady-state payload send performs **zero fresh heap allocations**:
-//! `encode_into` reuses the returned buffer's capacity.
+//! the transport's [`BufferPool`] instead of a fresh `Vec<u8>`. The sending
+//! thread writes the buffer to the socket and drops it, returning it to the
+//! pool with its capacity intact — so once the pool has warmed up to the
+//! run's working set (one buffer per send in progress), a steady-state
+//! payload send performs **zero fresh heap allocations**: `encode_into`
+//! reuses the returned buffer's capacity.
 //!
 //! The pool keeps exact counters — [`PoolStats::hits`] (checkout served
 //! from a returned buffer), [`PoolStats::misses`] (pool empty, fresh buffer
@@ -46,7 +46,7 @@ struct PoolInner {
 
 /// A shared pool of reusable byte buffers. Cloning is cheap and shares the
 /// same pool; every [`StreamTransport`](crate::StreamTransport) owns one and
-/// threads it through its writer queues.
+/// checks a buffer out of it per send.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     inner: Arc<PoolInner>,

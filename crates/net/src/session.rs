@@ -36,6 +36,12 @@
 //!   ack(src, next_expected) — cumulative: "everything below arrived"
 //! ```
 //!
+//! Frames are stepped a batch at a time: whatever the inner transport
+//! already holds is drained into one [`Session::handle_wire`] call, which
+//! sends one ack per source — the last, highest `next_expected` — after the
+//! whole batch. Acks are cumulative, so the ones a batch skips carry no
+//! information; a batch of one is the per-frame protocol.
+//!
 //! ## Deadlock freedom
 //!
 //! The session has no background threads. Retransmission and ack
@@ -125,8 +131,8 @@ pub struct SessionEvent {
 ///
 /// The session retains the *logical* [`Payload`] (the tile), never wire
 /// bytes: each (re)transmission re-encodes through the transport, whose
-/// pooled send buffers return to their [`crate::BufferPool`] as soon as the
-/// writer thread has flushed them — an unacked payload does not pin a frame
+/// pooled send buffers return to their [`crate::BufferPool`] as soon as
+/// they are written to the socket — an unacked payload does not pin a frame
 /// buffer for its whole round trip.
 struct Unacked {
     seq: u64,
@@ -283,22 +289,39 @@ impl<T: Transport> Session<T> {
         }
     }
 
-    /// Feeds one wire-level message through the session state machine,
-    /// emitting any resulting cumulative acks through the inner transport.
-    /// Public stepping primitive: the model checker injects each in-flight
-    /// frame here, one interleaving at a time; deliveries surface via
+    /// Feeds one batch of wire-level messages through the session state
+    /// machine, in order, then sends one cumulative ack to each source that
+    /// sent a `Seq` in the batch — covering everything the batch delivered,
+    /// and re-acking a batch of duplicates once. Public stepping primitive:
+    /// the blocking pump hands it everything the inner transport holds, the
+    /// model checker one in-flight frame or a destination's whole queue, one
+    /// interleaving at a time; deliveries surface via
     /// [`pop_ready`](Session::pop_ready).
-    pub fn handle_wire(&self, msg: Message) {
+    pub fn handle_wire(&self, batch: impl IntoIterator<Item = Message>) {
+        let mut acks: Vec<(NodeId, u64)> = Vec::new();
+        for msg in batch {
+            if let Some((src, upto)) = self.process(msg) {
+                match acks.iter_mut().find(|(dest, _)| *dest == src) {
+                    Some(ack) => ack.1 = ack.1.max(upto),
+                    None => acks.push((src, upto)),
+                }
+            }
+        }
         let src = self.rank();
-        for (dest, upto) in self.process(msg) {
+        for (dest, upto) in acks {
             self.inner.send(dest, Message::Ack { src, upto });
         }
     }
 
-    /// Feeds one inner message through the session state machine; acks to
-    /// emit are returned so the caller can send them outside the lock.
-    fn process(&self, msg: Message) -> Vec<(NodeId, u64)> {
-        let mut acks = Vec::new();
+    /// Everything the inner transport holds right now, without waiting.
+    fn inbound(&self) -> impl Iterator<Item = Message> + '_ {
+        std::iter::from_fn(|| self.inner.try_recv())
+    }
+
+    /// Feeds one inner message through the session state machine; the ack
+    /// it calls for, if any, is returned so the caller can send it outside
+    /// the lock.
+    fn process(&self, msg: Message) -> Option<(NodeId, u64)> {
         let now = self.clock.now();
         let mut st = self.lock();
         match msg {
@@ -312,7 +335,7 @@ impl<T: Transport> Session<T> {
                 if seq >= st.recv[s].next_expected + self.cfg.window {
                     // beyond the reorder window: discard, the sender will
                     // retransmit once the window has advanced
-                    return acks;
+                    return None;
                 }
                 if seq >= st.recv[s].next_expected {
                     st.recv[s].window.entry(seq).or_insert(payload);
@@ -329,7 +352,7 @@ impl<T: Transport> Session<T> {
                     }
                 }
                 // cumulative: re-acks duplicates, confirms new arrivals
-                acks.push((src, st.recv[s].next_expected));
+                return Some((src, st.recv[s].next_expected));
             }
             Message::Ack { src, upto } => {
                 let ps = &mut st.send[src as usize];
@@ -349,7 +372,7 @@ impl<T: Transport> Session<T> {
             }
             other => st.pending.push_back(other),
         }
-        acks
+        None
     }
 
     /// Pops the next ready message — a delivered payload (in per-peer
@@ -418,8 +441,10 @@ impl<T: Transport> Session<T> {
     }
 
     /// Core receive pump: drains pending deliveries, drives retransmits,
-    /// and feeds inner traffic through the state machine until a message
-    /// is deliverable, the deadline passes, or the inner endpoint closes.
+    /// and feeds inner traffic through the state machine — each arrival
+    /// together with everything queued behind it, as one batch — until a
+    /// message is deliverable, the deadline passes, or the inner endpoint
+    /// closes.
     /// A thin real-time loop over the same stepping primitives the model
     /// checker drives explicitly.
     fn pump(&self, deadline: Option<Instant>) -> RecvTimeout {
@@ -437,7 +462,7 @@ impl<T: Transport> Session<T> {
                 wait = wait.min(d - now);
             }
             match self.inner.recv_timeout(wait) {
-                RecvTimeout::Msg(m) => self.handle_wire(m),
+                RecvTimeout::Msg(m) => self.handle_wire(std::iter::once(m).chain(self.inbound())),
                 RecvTimeout::TimedOut => {}
                 RecvTimeout::Closed => {
                     return match self.pop_ready() {
@@ -553,9 +578,7 @@ impl<T: Transport> Transport for Session<T> {
     }
 
     fn try_recv(&self) -> Option<Message> {
-        while let Some(m) = self.inner.try_recv() {
-            self.handle_wire(m);
-        }
+        self.handle_wire(self.inbound());
         self.drive_timers();
         self.pop_ready()
     }
@@ -599,7 +622,7 @@ impl<T: Transport> Drop for Session<T> {
             match self.inner.recv_timeout(self.cfg.tick) {
                 RecvTimeout::Msg(m) => {
                     // keep acking inbound payloads so peers' drains finish
-                    self.handle_wire(m);
+                    self.handle_wire(std::iter::once(m).chain(self.inbound()));
                 }
                 RecvTimeout::TimedOut => {}
                 RecvTimeout::Closed => break,
@@ -671,6 +694,42 @@ mod tests {
         let s = b.stats();
         assert_eq!((s.recv_messages, s.recv_payload_bytes), (5, 160));
         assert!(s.control_messages > 0, "acks were sent");
+    }
+
+    #[test]
+    fn a_drained_batch_is_acked_once_per_source() {
+        let mut mesh = inproc_mesh(2).into_iter();
+        let a = Session::with_config(mesh.next().unwrap(), fast());
+        let b = Session::with_config(mesh.next().unwrap(), fast());
+        for k in 0..8 {
+            a.send_payload(1, payload(k));
+        }
+        // b's first receive drains all eight and covers them with one ack
+        assert_eq!(producer_of(&b.recv().unwrap()), 0);
+        assert_eq!(b.inner().stats().control_messages, 1);
+        for k in 1..8 {
+            assert_eq!(producer_of(&b.try_recv().unwrap()), k);
+        }
+        assert_eq!(b.stats().control_messages, 1, "delivered, not re-acked");
+        a.recv_timeout(Duration::from_millis(20));
+        assert_eq!(a.unacked(), 0, "the one ack said upto 8");
+
+        // a retransmitted duplicate is re-acked once and not delivered again
+        a.inner().send(
+            1,
+            Message::Seq {
+                src: 0,
+                seq: 3,
+                payload: payload(3),
+            },
+        );
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(20)),
+            RecvTimeout::TimedOut
+        );
+        assert_eq!(b.stats().control_messages, 2);
+        assert_eq!(b.stats().recv_messages, 8);
+        assert_eq!(a.inner().try_recv(), Some(Message::Ack { src: 1, upto: 8 }));
     }
 
     #[test]
@@ -818,7 +877,7 @@ mod tests {
         clock.advance_to(due);
         a.drive_timers();
         let m = b.inner().try_recv().expect("retransmit crossed the wire");
-        b.handle_wire(m);
+        b.handle_wire([m]);
         assert_eq!(producer_of(&b.pop_ready().expect("delivered")), 7);
         assert_eq!(a.stats().retrans_messages, 1);
         // the backoff doubled: the next deadline is 2·rto out
@@ -829,7 +888,7 @@ mod tests {
         );
         // feed the ack back: the in-flight queue empties
         let ack = a.inner().inner().try_recv().expect("b acked");
-        a.handle_wire(ack);
+        a.handle_wire([ack]);
         assert_eq!(a.unacked(), 0);
         assert_eq!(b.stats().recv_messages, 1);
     }

@@ -6,30 +6,36 @@
 //! are write-only, inbound streams read-only, so no stream is ever shared
 //! between a reader and a writer.
 //!
-//! Sends are queued per peer into a **bounded** queue drained by one writer
-//! thread per connection — when a peer's queue is full, the sending worker
-//! blocks until the writer catches up (blocking backpressure, unlike the
-//! unbounded in-process channels). One reader thread per inbound connection
-//! decodes frames into the rank's shared inbox; a decode failure (bad CRC,
-//! truncation mid-frame) poisons the rank, while a clean EOF just ends that
-//! connection — peers that finish early close their sockets without
-//! aborting anyone.
+//! A frame is written by the thread that sends it: [`Transport::send`]
+//! encodes into a pooled buffer outside any lock, then `write_all`s it to
+//! the peer's outbound stream under that peer's mutex, on the caller's
+//! thread. The socket buffer is the backpressure window — a sender to a
+//! slow peer blocks in the write — and a peer that hung up fails the write,
+//! so `send` returns `None` from then on. One reader thread per inbound
+//! connection decodes frames into the rank's shared inbox; a decode failure
+//! (bad CRC, truncation mid-frame) poisons the rank, while a clean EOF just
+//! ends that connection — peers that finish early close their sockets
+//! without aborting anyone. A mesh of `n` ranks therefore runs `n(n − 1)`
+//! threads, one per connection.
+//!
+//! **Invariant: a thread that reads a socket never writes one.** That is
+//! why a blocked write cannot deadlock, however full every socket buffer
+//! is and whoever is writing to whom: the bytes it waits to hand over are
+//! taken by the destination's reader thread for that connection, which
+//! only reads and pushes into the rank's unbounded inbox — it never waits
+//! on a lock, a send or the rank itself. So every write completes while
+//! the peer's process lives, and fails when it does not.
 
 use crate::inproc::Mailbox;
 use crate::msg::{Message, NodeId};
-use crate::pool::{BufferPool, PoolStats, PooledBuf};
+use crate::pool::{BufferPool, PoolStats};
 use crate::sock::{connect_retry, Backend, Conn, Listener};
 use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
 use crate::wire::{self, Frame};
 use crossbeam::channel::Sender;
 use std::io::{self, Write};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Frames queued per peer before a sender blocks (the backpressure window).
-pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 
 /// How long a mesh dial retries an unreachable peer before giving up,
 /// unless overridden by [`MeshBuilder::connect_timeout`] or
@@ -61,7 +67,6 @@ pub struct MeshBuilder {
     rank: NodeId,
     n: usize,
     listener: Listener,
-    queue_depth: usize,
     connect_timeout: Duration,
 }
 
@@ -76,7 +81,6 @@ impl MeshBuilder {
             rank,
             n,
             listener: Listener::bind_ephemeral(backend)?,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
             connect_timeout: default_connect_timeout(),
         })
     }
@@ -84,12 +88,6 @@ impl MeshBuilder {
     /// The address peers should dial to reach this rank.
     pub fn addr(&self) -> &str {
         self.listener.addr()
-    }
-
-    /// Overrides the per-peer send-queue depth (the backpressure window).
-    pub fn queue_depth(mut self, depth: usize) -> MeshBuilder {
-        self.queue_depth = depth.max(1);
-        self
     }
 
     /// Overrides how long [`connect`](MeshBuilder::connect) retries each
@@ -108,9 +106,7 @@ impl MeshBuilder {
         assert_eq!(addrs.len(), self.n, "address table size mismatch");
         let inbox = Mailbox::new();
         let stats = Arc::new(StatsCell::default());
-        let pool = BufferPool::default();
-        let mut peers: Vec<Option<SyncSender<PooledBuf>>> = (0..self.n).map(|_| None).collect();
-        let mut writers = Vec::with_capacity(self.n.saturating_sub(1));
+        let mut peers: Vec<Mutex<Option<Conn>>> = (0..self.n).map(|_| Mutex::new(None)).collect();
 
         for (dest, addr) in addrs.iter().enumerate() {
             if dest == self.rank as usize {
@@ -118,20 +114,7 @@ impl MeshBuilder {
             }
             let mut stream = connect_retry(addr, self.connect_timeout)?;
             wire::write_frame(&mut stream, &Frame::Hello { src: self.rank })?;
-            let (tx, rx) = sync_channel::<PooledBuf>(self.queue_depth);
-            writers.push(std::thread::spawn(move || {
-                // each received buffer drops at the end of its iteration,
-                // returning to the transport's pool for the next send
-                while let Ok(buf) = rx.recv() {
-                    if stream.write_all(&buf).is_err() {
-                        // peer is gone; drain the queue so senders unblock
-                        while rx.recv().is_ok() {}
-                        return;
-                    }
-                }
-                let _ = stream.flush();
-            }));
-            peers[dest] = Some(tx);
+            peers[dest] = Mutex::new(Some(stream));
         }
 
         for _ in 1..self.n {
@@ -158,8 +141,7 @@ impl MeshBuilder {
             peers,
             inbox,
             stats,
-            pool,
-            writers,
+            pool: BufferPool::default(),
         })
     }
 }
@@ -194,19 +176,25 @@ fn reader_loop(mut stream: Conn, inbox: &Sender<Message>, stats: &StatsCell) {
 
 /// One rank's endpoint of a socket mesh ([`Backend::Tcp`] or
 /// [`Backend::Uds`]). Built by [`MeshBuilder::connect`] or [`local_mesh`].
+/// Dropping it closes its outbound streams, which ends the peers' reader
+/// threads for those connections.
 pub struct StreamTransport {
     rank: NodeId,
     n: usize,
-    peers: Vec<Option<SyncSender<PooledBuf>>>,
+    /// The outbound stream to each peer: `None` for this rank itself and
+    /// for a peer whose write failed (a half-written frame must never be
+    /// followed by another).
+    peers: Vec<Mutex<Option<Conn>>>,
     inbox: Mailbox,
     stats: Arc<StatsCell>,
     pool: BufferPool,
-    writers: Vec<JoinHandle<()>>,
 }
 
 impl StreamTransport {
-    /// Checkout accounting of the send-buffer pool. Steady state shows
-    /// `misses` flat while `hits` grow: sends are not allocating.
+    /// Checkout accounting of the send-buffer pool. A buffer returns right
+    /// after its write, so `outstanding` counts sends in progress; steady
+    /// state shows `misses` flat while `hits` grow: sends are not
+    /// allocating.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -224,10 +212,19 @@ impl Transport for StreamTransport {
     fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
         let traffic = Traffic::of(&msg);
         let frame = Frame::from_message(msg)?;
-        // encode in place into a buffer checked out of this transport's pool
+        // encode in place into a buffer checked out of this transport's
+        // pool, before taking the peer's lock
         let mut buf = self.pool.checkout();
         let frame_bytes = wire::encode_into(&frame, &mut buf) as u64;
-        self.peers[dest as usize].as_ref()?.send(buf).ok()?;
+        let mut peer = self.peers[dest as usize]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if peer.as_mut()?.write_all(&buf).is_err() {
+            // the peer hung up: close our end too
+            *peer = None;
+            return None;
+        }
+        drop(peer);
         Some(self.stats.count_sent(traffic, frame_bytes))
     }
 
@@ -249,17 +246,6 @@ impl Transport for StreamTransport {
 
     fn stats(&self) -> TransportStats {
         self.stats.snapshot()
-    }
-}
-
-impl Drop for StreamTransport {
-    fn drop(&mut self) {
-        // dropping the queue senders ends the writer threads after they
-        // flush; readers exit on their own at peer EOF and are detached
-        self.peers.clear();
-        for w in self.writers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
@@ -293,7 +279,6 @@ mod tests {
     use crate::msg::Payload;
     use crate::ConnectTimeout;
     use sbc_kernels::Tile;
-    use std::time::Instant;
 
     #[test]
     fn uds_socket_files_are_cleaned_up() {
@@ -321,12 +306,20 @@ mod tests {
         assert!(after <= before, "socket files leaked: {before} -> {after}");
     }
 
+    fn data(producer: u32, dim: usize) -> Payload {
+        Payload::Data {
+            job: 0,
+            producer,
+            tile: Tile::zeros(dim),
+        }
+    }
+
     #[test]
     fn steady_state_sends_allocate_nothing() {
-        // once every queued buffer has returned to the pool, each further
-        // payload send must be a pool *hit* — i.e. encode into a recycled
-        // buffer with zero fresh heap allocation. The miss counter is the
-        // proof: it plateaus after warm-up while hits keep growing.
+        // a send's buffer is back in the pool when `send` returns, so each
+        // further payload send must be a pool *hit* — i.e. encode into a
+        // recycled buffer with zero fresh heap allocation. The miss counter
+        // is the proof: it plateaus after warm-up while hits keep growing.
         let mesh = local_mesh(Backend::Tcp, 2).unwrap();
         let tile = Tile::from_fn(16, |i, j| (i * 16 + j) as f64);
         let send_and_deliver = |k: u32| {
@@ -340,26 +333,18 @@ mod tests {
                     },
                 )
                 .unwrap();
+            assert_eq!(mesh[0].pool_stats().outstanding, 0, "written, returned");
             mesh[1].recv().unwrap();
-        };
-        let wait_drained = || {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while mesh[0].pool_stats().outstanding != 0 {
-                assert!(Instant::now() < deadline, "send buffer never returned");
-                std::thread::sleep(Duration::from_millis(1));
-            }
         };
 
         // warm-up: the pool starts empty, so the first send must miss
         send_and_deliver(0);
-        wait_drained();
         let warm = mesh[0].pool_stats();
         assert!(warm.misses >= 1);
 
         let n_msgs = 100u32;
         for k in 1..=n_msgs {
             send_and_deliver(k);
-            wait_drained();
         }
         let end = mesh[0].pool_stats();
         assert_eq!(
@@ -372,53 +357,103 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bounded_queue_applies_backpressure_without_deadlock() {
-        // queue depth 1: the second send must wait for the writer, but the
-        // peer's reader keeps draining so everything still goes through
-        let builders: Vec<MeshBuilder> = (0..2)
-            .map(|r| {
-                MeshBuilder::bind(Backend::Tcp, r, 2)
-                    .unwrap()
-                    .queue_depth(1)
-            })
-            .collect();
-        let addrs: Vec<String> = builders.iter().map(|b| b.addr().to_string()).collect();
-        let mesh: Vec<StreamTransport> = std::thread::scope(|scope| {
-            builders
-                .into_iter()
-                .map(|b| {
-                    let addrs = &addrs;
-                    scope.spawn(move || b.connect(addrs).unwrap())
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
+    /// Every rank of `mesh` sends `frames` frames of b = 64 (200 are 6.5 MB,
+    /// far more than a socket buffer) to the next rank of a ring, all ranks
+    /// at once and before anyone receives, so the writers block on full
+    /// sockets that only the readers drain. Returns what each rank
+    /// received, in order, with its source.
+    fn ring_flood(mesh: &[StreamTransport], frames: u32) -> Vec<Vec<(NodeId, u32)>> {
+        let n = mesh.len();
+        std::thread::scope(|s| {
+            for (r, t) in mesh.iter().enumerate() {
+                s.spawn(move || {
+                    for k in 0..frames {
+                        let dest = ((r + 1) % n) as NodeId;
+                        assert!(t.send_payload(dest, data(k, 64)).is_some());
+                    }
+                });
+            }
         });
-        let n_msgs = 200u32;
-        for k in 0..n_msgs {
-            mesh[0]
-                .send_payload(
-                    1,
-                    Payload::Data {
-                        job: 0,
-                        producer: k,
-                        tile: Tile::zeros(8),
-                    },
-                )
-                .unwrap();
-        }
-        for k in 0..n_msgs {
-            match mesh[1].recv().unwrap() {
-                Message::Payload {
-                    payload: Payload::Data { producer, .. },
-                    ..
-                } => assert_eq!(producer, k, "frames arrive in order"),
-                other => panic!("unexpected {other:?}"),
+        mesh.iter()
+            .map(|t| {
+                (0..frames)
+                    .map(|_| match t.recv().unwrap() {
+                        Message::Payload {
+                            src,
+                            payload: Payload::Data { producer, .. },
+                        } => (src, producer),
+                        other => panic!("unexpected {other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn writes_on_the_senders_thread_cannot_deadlock() {
+        // a 2-rank mesh sending both ways, and a 3-rank ring 0 → 1 → 2 → 0
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for backend in [Backend::Tcp, Backend::Uds] {
+                for n in [2, 3] {
+                    let mesh = local_mesh(backend, n).unwrap();
+                    let frames = 200;
+                    for (r, got) in ring_flood(&mesh, frames).into_iter().enumerate() {
+                        let src = ((r + n - 1) % n) as NodeId;
+                        let want: Vec<_> = (0..frames).map(|k| (src, k)).collect();
+                        assert_eq!(got, want, "{backend:?} n={n}: rank {r}, in per-peer order");
+                        assert_eq!(mesh[r].stats().sent_messages, u64::from(frames));
+                    }
+                }
+            }
+            done.send(()).unwrap();
+        });
+        match finished.recv_timeout(Duration::from_secs(30)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("deadlock: the flood did not finish in 30 s")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("the flood failed (see its panic above)")
             }
         }
-        assert_eq!(mesh[0].stats().sent_messages, u64::from(n_msgs));
+    }
+
+    #[test]
+    fn a_send_to_a_hung_up_peer_is_refused_and_not_counted() {
+        for backend in [Backend::Uds, Backend::Tcp] {
+            // this thread plays rank 1 of a 2-rank mesh by hand
+            let rank0 = MeshBuilder::bind(backend, 0, 2).unwrap();
+            let rank1 = Listener::bind_ephemeral(backend).unwrap();
+            let addrs = vec![rank0.addr().to_string(), rank1.addr().to_string()];
+            let (t, inbound, _outbound) = std::thread::scope(|s| {
+                let t = s.spawn(|| rank0.connect(&addrs).unwrap());
+                let mut inbound = rank1.accept().unwrap();
+                assert!(matches!(
+                    wire::read_frame(&mut inbound),
+                    Ok(Some((Frame::Hello { src: 0 }, _)))
+                ));
+                let mut outbound = connect_retry(&addrs[0], Duration::from_secs(5)).unwrap();
+                wire::write_frame(&mut outbound, &Frame::Hello { src: 1 }).unwrap();
+                (t.join().unwrap(), inbound, outbound)
+            });
+            // rank 1 hangs up the stream rank 0 writes to
+            drop(inbound);
+            let first = t.send_payload(1, data(0, 4));
+            // over TCP the first frame may land before the peer's reset
+            // comes back; give the reset time to arrive
+            std::thread::sleep(Duration::from_millis(50));
+            let rest: Vec<_> = (1..8).map(|k| t.send_payload(1, data(k, 4))).collect();
+            if backend == Backend::Uds {
+                assert_eq!(first, None, "a closed Unix socket refuses at once");
+            }
+            assert_eq!(rest, vec![None; 7], "{backend:?}: sends after the hang-up");
+            assert_eq!(
+                t.stats().sent_messages,
+                u64::from(first.is_some()),
+                "{backend:?}: a refused send is not counted"
+            );
+        }
     }
 
     #[test]

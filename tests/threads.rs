@@ -1,6 +1,8 @@
 //! An in-process mesh is stepped, not threaded: `Run::execute` runs its
 //! ranks on `min(ranks × workers, cores)` pooled threads, the caller one of
-//! them, and a resident `Service` keeps that many — not one per rank.
+//! them, and a resident `Service` keeps that many — not one per rank. A
+//! socket mesh runs one reader thread per connection and nothing else: a
+//! frame is written by the thread that sends it.
 //!
 //! One `#[test]` only: the count is the process's (`/proc/self/task`), and
 //! tests of one binary run on parallel threads.
@@ -8,6 +10,7 @@
 use sbc::dist::SbcExtended;
 use sbc::kernels::Tile;
 use sbc::matrix::generate;
+use sbc::net::{local_mesh, Backend};
 use sbc::planner::Op;
 use sbc::runtime::Run;
 use sbc::serve::{ServeConfig, Service};
@@ -89,5 +92,19 @@ fn an_in_process_mesh_keeps_one_thread_per_core_at_most() {
         settled_at(before),
         before,
         "a pooled thread outlived the service"
+    );
+
+    // a connected 6-rank socket mesh: n(n − 1) = 30 readers, no writers
+    let mesh = local_mesh(Backend::Uds, 6).expect("uds mesh");
+    assert_eq!(
+        settled_at(before + 30) - before,
+        30,
+        "threads of a UDS mesh"
+    );
+    drop(mesh);
+    assert_eq!(
+        settled_at(before),
+        before,
+        "a reader outlived its connection"
     );
 }
