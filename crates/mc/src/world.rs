@@ -11,7 +11,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
 use sbc_kernels::Tile;
 use sbc_net::{
@@ -273,7 +274,11 @@ impl Transport for McNet {
         Some(bytes)
     }
 
-    fn wake(&self) {}
+    fn set_waker(&self, _waker: Option<Waker>) {}
+
+    fn next_timer(&self) -> Option<Instant> {
+        None
+    }
 
     fn recv(&self) -> Option<Message> {
         None

@@ -17,8 +17,15 @@
 //! at construction plus an atomic offset), so downstream consumers that
 //! timestamp events with `Instant` — [`crate::SessionEvent`], the
 //! observability recorder — need no changes.
+//!
+//! A wait for a timer is bounded in real time, which a virtual clock does
+//! not follow, so a waiter also registers with
+//! [`Clock::wake_on_advance`]: advancing a [`VirtualClock`] wakes it to read
+//! the clock again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// A monotonic time source.
@@ -29,6 +36,14 @@ use std::time::{Duration, Instant};
 pub trait Clock: Send + Sync {
     /// The current instant according to this clock.
     fn now(&self) -> Instant;
+
+    /// Has `waker` woken the next time this clock is moved by hand. A
+    /// waiter registers before it reads [`Clock::now`] to size a timed wait,
+    /// so an advance in between is either seen or wakes it. The default
+    /// registers nothing: a clock that follows real time is never moved by
+    /// hand, and a wait bounded in real time already ends when its timer is
+    /// due.
+    fn wake_on_advance(&self, _waker: &Waker) {}
 }
 
 /// The production clock: [`Instant::now`].
@@ -47,11 +62,13 @@ impl Clock for RealClock {
 /// [`advance_to`](VirtualClock::advance_to)) moves it forward; `now()`
 /// returns a fixed epoch plus the accumulated offset. Cloneable handles are
 /// shared by wrapping in [`std::sync::Arc`], which is how a checker drives
-/// every session in a world from one clock.
+/// every session in a world from one clock. Every advance wakes, once, the
+/// wakers registered through [`Clock::wake_on_advance`] since the last one.
 #[derive(Debug)]
 pub struct VirtualClock {
     epoch: Instant,
     nanos: AtomicU64,
+    wakers: Mutex<Vec<Waker>>,
 }
 
 impl VirtualClock {
@@ -60,7 +77,18 @@ impl VirtualClock {
         VirtualClock {
             epoch: Instant::now(),
             nanos: AtomicU64::new(0),
+            wakers: Mutex::new(Vec::new()),
         }
+    }
+
+    fn wakers(&self) -> MutexGuard<'_, Vec<Waker>> {
+        self.wakers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes what waits on this clock, outside the lock.
+    fn moved(&self) {
+        let woken = std::mem::take(&mut *self.wakers());
+        woken.into_iter().for_each(Waker::wake);
     }
 
     /// Moves time forward by `d`.
@@ -69,6 +97,7 @@ impl VirtualClock {
             u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
             Ordering::SeqCst,
         );
+        self.moved();
     }
 
     /// Moves time forward so that `now() == t`; a no-op if `t` is not in
@@ -76,7 +105,9 @@ impl VirtualClock {
     pub fn advance_to(&self, t: Instant) {
         let target =
             u64::try_from(t.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX);
-        self.nanos.fetch_max(target, Ordering::SeqCst);
+        if self.nanos.fetch_max(target, Ordering::SeqCst) < target {
+            self.moved();
+        }
     }
 
     /// Virtual time elapsed since construction.
@@ -95,12 +126,52 @@ impl Clock for VirtualClock {
     fn now(&self) -> Instant {
         self.epoch + Duration::from_nanos(self.nanos.load(Ordering::SeqCst))
     }
+
+    fn wake_on_advance(&self, waker: &Waker) {
+        let mut wakers = self.wakers();
+        if !wakers.iter().any(|w| w.will_wake(waker)) {
+            wakers.push(waker.clone());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::task::Wake;
+
+    #[derive(Default)]
+    struct Count(AtomicU64);
+
+    impl Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A registration is woken by the next advance that moves the clock,
+    /// once, however often it was made.
+    #[test]
+    fn an_advance_wakes_each_registered_waiter_once() {
+        let c = VirtualClock::new();
+        let count = Arc::new(Count::default());
+        let waker = Waker::from(Arc::clone(&count));
+        let woken = || count.0.load(Ordering::SeqCst);
+        c.wake_on_advance(&waker);
+        c.wake_on_advance(&waker);
+        c.advance_to(c.now()); // not a move
+        assert_eq!(woken(), 0);
+        c.advance(Duration::from_secs(1));
+        assert_eq!(woken(), 1, "woken once");
+        c.advance(Duration::from_secs(1));
+        assert_eq!(woken(), 1, "a registration is used up");
+        c.wake_on_advance(&waker);
+        c.advance_to(c.now() + Duration::from_secs(1));
+        assert_eq!(woken(), 2);
+        // the clock that follows real time registers nothing
+        RealClock.wake_on_advance(&waker);
+    }
 
     #[test]
     fn virtual_time_only_moves_when_advanced() {

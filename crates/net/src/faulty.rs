@@ -2,7 +2,7 @@
 //!
 //! [`Faulty`] wraps any [`Transport`] and perturbs its *payload* traffic:
 //! seeded drops, periodic duplicates, and a fixed delay per send. Control
-//! messages (poison, wake, result, done) always pass through untouched —
+//! messages (poison, ack, result, done) always pass through untouched —
 //! injecting faults there would break shutdown and gather protocols rather
 //! than exercise the runtime's data-path robustness.
 //!
@@ -26,7 +26,8 @@
 use crate::msg::{Message, NodeId};
 use crate::transport::{RecvTimeout, Transport, TransportStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
 /// What [`Faulty`] injects. A period of 0 disables that fault.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -232,8 +233,12 @@ impl<T: Transport> Transport for Faulty<T> {
         }
     }
 
-    fn wake(&self) {
-        self.inner.wake();
+    fn set_waker(&self, waker: Option<Waker>) {
+        self.inner.set_waker(waker);
+    }
+
+    fn next_timer(&self) -> Option<Instant> {
+        self.inner.next_timer()
     }
 
     fn recv(&self) -> Option<Message> {

@@ -3,60 +3,83 @@
 //! This is the PR 3 runtime configuration behind the [`Transport`] trait.
 //! Channels are unbounded, so sends never block — which is exactly what
 //! preserves the scheduler's invariants: a producer can always eagerly push
-//! its output and return to the ready heap, and the single parked receiver
-//! per node drains in arrival order. Nothing is serialized, so frame byte
-//! counts stay zero and payload accounting is the only traffic measure.
+//! its output and return to the ready heap. Nothing is serialized, so frame
+//! byte counts stay zero and payload accounting is the only traffic measure.
 
 use crate::msg::{Message, NodeId};
 use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
-/// A rank's inbox: an unbounded channel whose receiving half any worker
-/// thread of the rank may park on. Both [`InProc`] (peers push directly)
-/// and [`crate::StreamTransport`] (socket reader threads push decoded
-/// frames) receive through this one type. Being unbounded is what lets a
-/// socket reader never block on anything but its socket.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A rank's inbox: an unbounded channel, and the waker of whoever steps the
+/// rank. Both [`InProc`] (peers push directly) and [`crate::StreamTransport`]
+/// (socket reader threads push decoded frames) receive through this one
+/// type. Being unbounded is what lets a socket reader never block on
+/// anything but its socket; a push takes no lock but the waker's, and the
+/// waker only marks the rank runnable.
 pub(crate) struct Mailbox {
-    tx: Sender<Message>,
+    inlet: Inlet,
     rx: Mutex<Receiver<Message>>,
+}
+
+/// A handle that delivers into one [`Mailbox`]: one per sender.
+#[derive(Clone)]
+pub(crate) struct Inlet {
+    tx: Sender<Message>,
+    waker: Arc<Mutex<Option<Waker>>>,
+}
+
+impl Inlet {
+    /// Delivers `msg`, then wakes the mailbox's waker, so whoever it wakes
+    /// finds the message in; `false` when the mailbox is gone.
+    pub fn push(&self, msg: Message) -> bool {
+        if self.tx.send(msg).is_err() {
+            return false;
+        }
+        if let Some(waker) = &*lock(&self.waker) {
+            waker.wake_by_ref();
+        }
+        true
+    }
 }
 
 impl Mailbox {
     pub fn new() -> Mailbox {
         let (tx, rx) = unbounded();
         Mailbox {
-            tx,
+            inlet: Inlet {
+                tx,
+                waker: Arc::default(),
+            },
             rx: Mutex::new(rx),
         }
     }
 
     /// A handle that delivers into this inbox.
-    pub fn sender(&self) -> Sender<Message> {
-        self.tx.clone()
+    pub fn inlet(&self) -> Inlet {
+        self.inlet.clone()
     }
 
-    fn rx(&self) -> MutexGuard<'_, Receiver<Message>> {
-        self.rx
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    pub fn wake(&self) {
-        let _ = self.tx.send(Message::Wake);
+    pub fn set_waker(&self, waker: Option<Waker>) {
+        *lock(&self.inlet.waker) = waker;
     }
 
     pub fn recv(&self) -> Option<Message> {
-        self.rx().recv().ok()
+        lock(&self.rx).recv().ok()
     }
 
     pub fn try_recv(&self) -> Option<Message> {
-        self.rx().try_recv().ok()
+        lock(&self.rx).try_recv().ok()
     }
 
     pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        match self.rx().recv_timeout(timeout) {
+        match lock(&self.rx).recv_timeout(timeout) {
             Ok(msg) => RecvTimeout::Msg(msg),
             Err(RecvTimeoutError::Timeout) => RecvTimeout::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvTimeout::Closed,
@@ -67,7 +90,7 @@ impl Mailbox {
 /// One rank's endpoint of an in-process channel mesh.
 pub struct InProc {
     rank: NodeId,
-    txs: Vec<Sender<Message>>,
+    peers: Vec<Inlet>,
     inbox: Mailbox,
     stats: StatsCell,
 }
@@ -76,13 +99,13 @@ pub struct InProc {
 /// `r`'s endpoint.
 pub fn inproc_mesh(n: usize) -> Vec<InProc> {
     let inboxes: Vec<Mailbox> = (0..n).map(|_| Mailbox::new()).collect();
-    let txs: Vec<Sender<Message>> = inboxes.iter().map(Mailbox::sender).collect();
+    let peers: Vec<Inlet> = inboxes.iter().map(Mailbox::inlet).collect();
     inboxes
         .into_iter()
         .enumerate()
         .map(|(rank, inbox)| InProc {
             rank: rank as NodeId,
-            txs: txs.clone(),
+            peers: peers.clone(),
             inbox,
             stats: StatsCell::default(),
         })
@@ -104,17 +127,23 @@ impl Transport for InProc {
     }
 
     fn num_nodes(&self) -> usize {
-        self.txs.len()
+        self.peers.len()
     }
 
     fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
         let traffic = Traffic::of(&msg);
-        self.txs[dest as usize].send(msg).ok()?;
+        if !self.peers[dest as usize].push(msg) {
+            return None;
+        }
         Some(self.stats.count_sent(traffic, 0))
     }
 
-    fn wake(&self) {
-        self.inbox.wake();
+    fn set_waker(&self, waker: Option<Waker>) {
+        self.inbox.set_waker(waker);
+    }
+
+    fn next_timer(&self) -> Option<Instant> {
+        None
     }
 
     fn recv(&self) -> Option<Message> {
@@ -141,14 +170,15 @@ impl Transport for InProc {
 mod tests {
     use super::*;
 
-    // delivery, ordering and the counting rule are checked for every
-    // backend at once in `tests/conformance.rs`
+    // delivery, ordering, waking and the counting rule are checked for
+    // every backend at once in `tests/conformance.rs`
 
     #[test]
     fn try_recv_is_non_blocking() {
-        let mesh = inproc_mesh(1);
+        let mesh = inproc_mesh(2);
         assert_eq!(mesh[0].try_recv(), None);
-        mesh[0].wake();
-        assert_eq!(mesh[0].try_recv(), Some(Message::Wake));
+        mesh[1].send_poison(0);
+        assert_eq!(mesh[0].try_recv(), Some(Message::Poison));
+        assert_eq!(mesh[0].try_recv(), None);
     }
 }

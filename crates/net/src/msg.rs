@@ -101,9 +101,6 @@ pub enum Message {
     },
     /// Another rank failed; abort cleanly.
     Poison,
-    /// No-op used to unblock a rank's own receiver at completion. Never
-    /// counted as traffic.
-    Wake,
     /// A result tile shipped to rank 0 during the final gather.
     Result {
         /// Which logical tile.
@@ -151,7 +148,6 @@ impl Message {
         match self {
             Message::Payload { payload, .. } | Message::Seq { payload, .. } => Some(payload),
             Message::Poison
-            | Message::Wake
             | Message::Result { .. }
             | Message::Done { .. }
             | Message::Ack { .. } => None,

@@ -45,15 +45,21 @@
 //! ## Deadlock freedom
 //!
 //! The session has no background threads. Retransmission and ack
-//! processing are driven from *inside* [`Transport::recv`] /
-//! [`Transport::recv_timeout`] by pumping the inner transport in
-//! [`SessionConfig::tick`]-sized slices — so any rank that is blocked
-//! waiting for a message is, by construction, also the rank driving the
-//! retransmissions and acks that unblock its peers. A rank that stops
-//! receiving has either finished (nothing left to deliver to it) or
+//! processing run *inside* its receives: [`Transport::try_recv`] handles
+//! whatever the inner transport holds and fires the timers that are due,
+//! and [`Transport::next_timer`] tells the driver stepping the rank when
+//! the next one is, so a rank that waits for a message is stepped at its
+//! retransmission time as well as at every arrival. The blocking
+//! [`Transport::recv`] / [`Transport::recv_timeout`] do the same by pumping
+//! the inner transport in [`SessionConfig::tick`]-sized slices. A rank that
+//! stops receiving has either finished (nothing left to deliver to it) or
 //! dropped its endpoint, and [`Drop`] drains outstanding traffic for up to
 //! [`SessionConfig::linger`] while still acking inbound payloads so peers'
 //! own drains complete.
+//!
+//! The timers read the session's [`Clock`], and a driver waits for them on
+//! its own clock; a session and the job table whose engine steps it must
+//! therefore share one.
 
 use crate::clock::{Clock, RealClock};
 use crate::msg::{Message, NodeId, Payload};
@@ -61,6 +67,7 @@ use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStat
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// Timing and window knobs of a [`Session`].
@@ -72,9 +79,11 @@ pub struct SessionConfig {
     /// Upper bound of the exponential backoff (`rto` doubles per resend of
     /// the same payload up to this cap).
     pub backoff_cap: Duration,
-    /// Granularity at which a blocked receiver pumps the inner transport
-    /// to drive retransmissions; the effective retransmit latency is
-    /// `rto` rounded up to the next tick.
+    /// Granularity at which a blocking receive (`recv`, `recv_timeout`, the
+    /// teardown drain) pumps the inner transport to drive retransmissions;
+    /// there the effective retransmit latency is `rto` rounded up to the
+    /// next tick. A driver that steps the rank at
+    /// [`Transport::next_timer`] fires them on time.
     pub tick: Duration,
     /// How long [`Drop`] keeps retransmitting unacked payloads before
     /// giving up. Zero disables the teardown drain entirely (and a
@@ -566,8 +575,12 @@ impl<T: Transport> Transport for Session<T> {
         Some(bytes)
     }
 
-    fn wake(&self) {
-        self.inner.wake();
+    fn set_waker(&self, waker: Option<Waker>) {
+        self.inner.set_waker(waker);
+    }
+
+    fn next_timer(&self) -> Option<Instant> {
+        self.next_retransmit_due()
     }
 
     fn recv(&self) -> Option<Message> {

@@ -22,20 +22,22 @@
 //! why a blocked write cannot deadlock, however full every socket buffer
 //! is and whoever is writing to whom: the bytes it waits to hand over are
 //! taken by the destination's reader thread for that connection, which
-//! only reads and pushes into the rank's unbounded inbox — it never waits
-//! on a lock, a send or the rank itself. So every write completes while
-//! the peer's process lives, and fails when it does not.
+//! only reads, pushes into the rank's unbounded inbox and wakes the inbox's
+//! waker — which marks the rank runnable under a lock no sender holds
+//! across a send. It never waits on a send or the rank itself. So every
+//! write completes while the peer's process lives, and fails when it does
+//! not.
 
-use crate::inproc::Mailbox;
+use crate::inproc::{Inlet, Mailbox};
 use crate::msg::{Message, NodeId};
 use crate::pool::{BufferPool, PoolStats};
 use crate::sock::{connect_retry, Backend, Conn, Listener};
 use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
 use crate::wire::{self, Frame};
-use crossbeam::channel::Sender;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
 /// How long a mesh dial retries an unreachable peer before giving up,
 /// unless overridden by [`MeshBuilder::connect_timeout`] or
@@ -128,7 +130,7 @@ impl MeshBuilder {
                     ));
                 }
             }
-            let inbox = inbox.sender();
+            let inbox = inbox.inlet();
             let stats = Arc::clone(&stats);
             // detached: exits on clean EOF when the peer closes its end
             std::thread::spawn(move || reader_loop(stream, &inbox, &stats));
@@ -146,7 +148,7 @@ impl MeshBuilder {
     }
 }
 
-fn reader_loop(mut stream: Conn, inbox: &Sender<Message>, stats: &StatsCell) {
+fn reader_loop(mut stream: Conn, inbox: &Inlet, stats: &StatsCell) {
     // one scratch buffer per connection: every frame on this stream decodes
     // through the same allocation (grown once to the high-water frame size)
     let mut scratch = Vec::new();
@@ -159,7 +161,7 @@ fn reader_loop(mut stream: Conn, inbox: &Sender<Message>, stats: &StatsCell) {
                 Some(msg) => {
                     stats.count_received(Traffic::of(&msg), frame_bytes);
                     // the endpoint may be gone already; so is its inbox
-                    let _ = inbox.send(msg);
+                    inbox.push(msg);
                 }
                 None => stats.count_received(Traffic::Free, frame_bytes),
             },
@@ -167,7 +169,7 @@ fn reader_loop(mut stream: Conn, inbox: &Sender<Message>, stats: &StatsCell) {
             Ok(None) => return,
             // corruption or a mid-frame death: abort this rank
             Err(_) => {
-                let _ = inbox.send(Message::Poison);
+                inbox.push(Message::Poison);
                 return;
             }
         }
@@ -211,7 +213,7 @@ impl Transport for StreamTransport {
 
     fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
         let traffic = Traffic::of(&msg);
-        let frame = Frame::from_message(msg)?;
+        let frame = Frame::from_message(msg);
         // encode in place into a buffer checked out of this transport's
         // pool, before taking the peer's lock
         let mut buf = self.pool.checkout();
@@ -228,8 +230,12 @@ impl Transport for StreamTransport {
         Some(self.stats.count_sent(traffic, frame_bytes))
     }
 
-    fn wake(&self) {
-        self.inbox.wake();
+    fn set_waker(&self, waker: Option<Waker>) {
+        self.inbox.set_waker(waker);
+    }
+
+    fn next_timer(&self) -> Option<Instant> {
+        None
     }
 
     fn recv(&self) -> Option<Message> {

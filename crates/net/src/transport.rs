@@ -9,7 +9,8 @@
 
 use crate::msg::{Message, NodeId, Payload};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
 /// Wire-level accounting of one rank's endpoint.
 ///
@@ -50,7 +51,10 @@ pub struct TransportStats {
 /// Implementations are shared by every worker thread of a rank (`&self`
 /// methods, `Send + Sync`). Sends may block on backpressure but must not
 /// deadlock against the receive path; `recv` blocks until a message arrives
-/// or the endpoint is closed.
+/// or the endpoint is closed. A driver that steps a rank only when it has
+/// something to do never blocks in the inbox: it registers a waker
+/// ([`Transport::set_waker`]), receives with [`Transport::try_recv`], and
+/// steps the rank again at [`Transport::next_timer`].
 ///
 /// There is one sender. Which messages exist is [`Message`]'s business,
 /// which of them count as traffic is [`Message::payload`]'s, and how they
@@ -67,9 +71,7 @@ pub trait Transport: Send + Sync {
     ///
     /// Returns the payload bytes accepted for delivery (`0` for a control
     /// message), or `None` if the peer is gone (shutdown race) or the message
-    /// was dropped by a fault-injecting wrapper. [`Message::Wake`] is not for
-    /// peers — it has no wire form, and reaches a rank's own inbox through
-    /// [`Transport::wake`].
+    /// was dropped by a fault-injecting wrapper.
     fn send(&self, dest: NodeId, msg: Message) -> Option<u64>;
 
     /// Sends a counted tile payload from this rank to `dest`.
@@ -83,9 +85,16 @@ pub trait Transport: Send + Sync {
         self.send(dest, Message::Poison);
     }
 
-    /// Pushes a [`Message::Wake`] into this rank's *own* inbox, unblocking
-    /// a receiver parked in [`Transport::recv`].
-    fn wake(&self);
+    /// Has `waker` woken after every message that reaches this endpoint's
+    /// inbox, from then on; `None` stops it. It is woken on the thread that
+    /// delivered — a peer's send, a socket reader — so waking may mark the
+    /// rank runnable and nothing more: never receive, never send.
+    fn set_waker(&self, waker: Option<Waker>);
+
+    /// When this endpoint next needs a [`Transport::try_recv`] although
+    /// nothing arrived — a session's earliest retransmission — on the clock
+    /// it was built with; `None` while no timer is armed.
+    fn next_timer(&self) -> Option<Instant>;
 
     /// Blocks for the next message; `None` means the endpoint closed.
     fn recv(&self) -> Option<Message>;
@@ -93,8 +102,9 @@ pub trait Transport: Send + Sync {
     /// Returns the next message if one is already queued.
     fn try_recv(&self) -> Option<Message>;
 
-    /// Blocks for the next message for at most `timeout`, so watchdogs and
-    /// session retransmit timers make progress while a rank waits.
+    /// Blocks for the next message for at most `timeout`, so a caller that
+    /// waits outside any driver — a gather, a session draining at teardown —
+    /// can give up or fire its own timers.
     fn recv_timeout(&self, timeout: Duration) -> RecvTimeout;
 
     /// A snapshot of this endpoint's wire-level accounting.

@@ -236,18 +236,16 @@ pub enum Frame {
 
 impl Frame {
     /// The wire form of a mesh message — with [`Frame::into_message`], the
-    /// only place the two vocabularies meet. `None` for [`Message::Wake`],
-    /// which never leaves its rank.
-    pub fn from_message(msg: Message) -> Option<Frame> {
-        Some(match msg {
+    /// only place the two vocabularies meet.
+    pub fn from_message(msg: Message) -> Frame {
+        match msg {
             Message::Payload { src, payload } => Frame::Payload { src, payload },
             Message::Seq { src, seq, payload } => Frame::Seq { src, seq, payload },
             Message::Ack { src, upto } => Frame::Ack { src, upto },
             Message::Poison => Frame::Poison,
             Message::Result { tile_ref, tile } => Frame::Result { tile_ref, tile },
             Message::Done { src, stats } => Frame::Done { src, stats },
-            Message::Wake => return None,
-        })
+        }
     }
 
     /// Body length of a [`Frame::JobResult`] carrying `tiles` tiles of
@@ -1126,7 +1124,7 @@ mod tests {
     }
 
     /// Every mesh message has exactly one frame and comes back from it
-    /// unchanged; `Wake` has none; and walking every tag the other way,
+    /// unchanged; and walking every tag the other way,
     /// exactly the mesh tags (1–5, 9–11) carry a message.
     #[test]
     fn messages_and_frames_convert_both_ways() {
@@ -1175,11 +1173,10 @@ mod tests {
             },
         ];
         for m in messages {
-            let frame = Frame::from_message(m.clone()).expect("a mesh message has a frame");
+            let frame = Frame::from_message(m.clone());
             roundtrip(&frame);
             assert_eq!(frame.into_message(), Some(m));
         }
-        assert_eq!(Frame::from_message(Message::Wake), None);
         for tag in 1..=19u8 {
             let mesh = matches!(tag, 1..=5 | 9..=11);
             assert_eq!(

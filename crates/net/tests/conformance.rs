@@ -10,7 +10,20 @@ use sbc_net::{
     RecvTimeout, Session, Transport, TransportStats,
 };
 use sbc_taskgraph::TileRef;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::task::{Wake, Waker};
+use std::time::{Duration, Instant};
+
+/// A waker that counts its wake-ups.
+#[derive(Default)]
+struct Wakes(AtomicUsize);
+
+impl Wake for Wakes {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
 
 fn tile(dim: usize) -> Tile {
     Tile::from_fn(dim, |i, j| (i * dim + j) as f64 - 1.5)
@@ -68,16 +81,10 @@ fn conformance<T: Transport>(mesh: Vec<T>, session: bool) {
         assert_eq!(t.stats(), TransportStats::default(), "a fresh endpoint");
     }
 
-    // wake reaches the caller's own inbox, nobody else's, and counts nothing
-    mesh[1].wake();
-    assert_eq!(
-        mesh[1].recv_timeout(Duration::from_secs(5)),
-        RecvTimeout::Msg(Message::Wake)
-    );
-    for t in &mesh {
-        assert_eq!(t.try_recv(), None);
-        assert_eq!(t.stats(), TransportStats::default(), "wake is free");
-    }
+    // rank 2's waker is woken once per message that reaches its inbox
+    let wakes = Arc::new(Wakes::default());
+    mesh[2].set_waker(Some(Waker::from(Arc::clone(&wakes))));
+    assert_eq!(mesh[2].next_timer(), None, "nothing in flight");
 
     // every variant from rank 0 to rank 2, with rank 1's payloads to the
     // same inbox interleaved
@@ -130,6 +137,8 @@ fn conformance<T: Transport>(mesh: Vec<T>, session: bool) {
         }
     }
     assert!(ones.next().is_none());
+    // only a session keeps what it sent, until acked, on a timer
+    assert_eq!(mesh[0].next_timer().is_some(), session);
 
     // what must surface at rank 2, per sender, in order
     let expect_zero: Vec<Message> = from_zero
@@ -160,6 +169,19 @@ fn conformance<T: Transport>(mesh: Vec<T>, session: bool) {
     );
     assert_eq!(got_one, from_one, "rank 1's messages, equal and in order");
     assert_eq!(mesh[2].try_recv(), None, "nothing arrives twice");
+    // a reader thread wakes just after its push, so the count may lag the
+    // last receive a little; an ack a session consumed was delivered too
+    let delivered = expect_zero.len() + from_one.len() + usize::from(session);
+    let patience = Instant::now();
+    while wakes.0.load(Ordering::SeqCst) < delivered && patience.elapsed().as_secs() < 5 {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        wakes.0.load(Ordering::SeqCst),
+        delivered,
+        "one wake per delivery"
+    );
+    mesh[2].set_waker(None);
 
     // totals: three payload-bearing sends from rank 0 (3², 2², 4² words),
     // two one-word tiles from rank 1, all of it received once by rank 2

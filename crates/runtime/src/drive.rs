@@ -1,212 +1,83 @@
-//! The two drivers of the rank engine. An [`Engine`] is a state machine:
+//! The one driver of the rank engine. An [`Engine`] is a state machine:
 //! [`Engine::step`] does one bounded, non-blocking unit of a rank's work and
 //! says what it left behind ([`Progress`]). Who calls it, on which thread,
-//! and what a thread does while its rank has nothing to do is a driver's
-//! business — and all of a driver's business, since neither owns any
-//! protocol logic:
-//!
-//! | driver | who gets it | threads | blocks on | owns parking |
-//! |---|---|---|---|---|
-//! | threaded ([`run_threaded`]) | [`crate::Run::execute_rank`], [`crate::run_jobs_rank`]: one rank per call, any `Transport` | `workers` per rank, the caller one of them | the rank's inbox (one receiver), a condvar (the rest) | [`Parking`]: the receive role, the parked count, a change counter |
-//! | pooled ([`run_pooled`]) | [`crate::Run::execute`], [`crate::run_jobs_inproc`] (`sbc-serve`): every rank of an in-process mesh | `min(ranks × workers, cores)` for the whole mesh, the caller one of them | one condvar, until a rank is runnable or its timer is due | [`Pool`]: one run queue, an Idle/Queued/Running/Notified slot per rank |
+//! and what a thread does meanwhile is [`run_pooled`]'s business, and it
+//! owns no protocol logic: it steps the ranks of the endpoints it is given
+//! — a whole in-process mesh, or the one endpoint of a process's rank — on
+//! one pool of threads, the caller one of them. A rank is stepped once
+//! something marks it runnable: its inbox (a push wakes the endpoint's
+//! waker, on the pushing thread), the table (an admission, the shutdown),
+//! one of its timers (the watchdog, the endpoint's own) or its own step (a
+//! second lane). A mark only queues the rank under the pool's lock — never a
+//! receive, never a send — so a socket reader that marks its rank never
+//! waits on a sender. Idle pool threads wait for the earliest timer; a clock
+//! advanced by hand wakes them to read it again.
 
 use crate::exec::ExecError;
-use crate::jobs::{Arrivals, Driver, Engine, JobEngineConfig, JobTable, Progress};
-use sbc_net::{Clock, Message, NodeId, RecvTimeout, Transport, TransportStats};
+use crate::jobs::{Driver, Engine, JobEngineConfig, JobTable, Progress};
+use sbc_net::{Clock, Message, Transport};
 use sbc_obs::Recorder;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::task::{Wake, Waker};
+use std::time::Instant;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Waits on `cv`, for at most `bound` when there is one.
-fn wait_on<'g, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'g, T>,
-    bound: Option<Duration>,
-) -> MutexGuard<'g, T> {
-    match bound {
-        Some(timeout) => match cv.wait_timeout(guard, timeout) {
-            Ok((guard, _)) => guard,
-            Err(poisoned) => poisoned.into_inner().0,
-        },
-        None => cv.wait(guard).unwrap_or_else(PoisonError::into_inner),
-    }
-}
-
-// ------------------------------------------------------------------ threaded
-
-/// Runs one rank over `net` on `cfg.workers` threads — the caller and
-/// `workers − 1` spawned — until it drains, returning how it ended.
-pub(crate) fn run_threaded(
-    net: &dyn Transport,
-    table: &JobTable<'_>,
-    cfg: JobEngineConfig,
-    recorder: Option<&Recorder>,
-) -> Result<Vec<Message>, ExecError> {
-    let parking = Parking::default();
-    let engine = Engine::new(net, table, cfg, recorder, &parking);
-    std::thread::scope(|scope| {
-        for _ in 1..cfg.workers.max(1) {
-            scope.spawn(|| parking.work(&engine, net, cfg.heartbeat));
-        }
-        parking.work(&engine, net, cfg.heartbeat);
-    });
-    engine.finish()
-}
-
-/// The threaded driver's waiting room. One thread at a time holds the
-/// receive role and blocks in the inbox; the others park on `cv`. No
-/// wake-up is lost: a thread reads `changes` before it steps and parks only
-/// if nothing changed since, and every change — the engine's nudge, or a
-/// worker seeing the rank drain — is counted under the same lock that reads
-/// `parked`.
-#[derive(Default)]
-pub(crate) struct Parking {
-    pub(crate) park: Mutex<Park>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-pub(crate) struct Park {
-    /// Counts every change a parked thread may be waiting for.
-    pub(crate) changes: u64,
-    pub(crate) parked: u32,
-    pub(crate) receiving: bool,
-}
-
-impl Driver for Parking {
-    fn nudge(&self, _rank: NodeId, _work: bool) {
-        self.changed(lock(&self.park));
-    }
-}
-
-impl Parking {
-    /// Counts a change and wakes the parked threads, if there are any:
-    /// `Condvar::notify_all` is a system call even with nobody waiting.
-    pub(crate) fn changed(&self, mut p: MutexGuard<'_, Park>) {
-        p.changes += 1;
-        let parked = p.parked;
-        drop(p);
-        if parked > 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// One worker thread: step, and when the rank is idle, receive or park.
-    fn work(&self, engine: &Engine, net: &dyn Transport, heartbeat: Duration) {
-        let mut taken = Vec::new();
-        loop {
-            let seen = lock(&self.park).changes;
-            match engine.step(Arrivals::Taken(std::mem::take(&mut taken))) {
-                Progress::Ran => {}
-                // the siblings must see it too, the receiver among them
-                Progress::Drained => {
-                    net.wake();
-                    return self.changed(lock(&self.park));
-                }
-                Progress::Idle { next_timer } => {
-                    // a timer, or admissions nobody tells this driver of,
-                    // bound every wait by a heartbeat
-                    let polling = next_timer.is_some() || !engine.closed();
-                    taken = self.wait(seen, net, polling.then_some(heartbeat));
-                }
-            }
-        }
-    }
-
-    /// Waits for a change since `seen`: as the receiver in the inbox, or
-    /// parked. `None` waits without a bound. Returns what was received.
-    pub(crate) fn wait(
-        &self,
-        seen: u64,
-        net: &dyn Transport,
-        bound: Option<Duration>,
-    ) -> Vec<Message> {
-        let mut p = lock(&self.park);
-        if p.changes != seen {
-            return Vec::new();
-        }
-        if !p.receiving {
-            p.receiving = true;
-            drop(p);
-            let first = match bound {
-                Some(timeout) => net.recv_timeout(timeout),
-                None => net.recv().map_or(RecvTimeout::Closed, RecvTimeout::Msg),
-            };
-            let taken = match first {
-                RecvTimeout::Msg(m) => {
-                    let mut batch = vec![m];
-                    batch.extend(std::iter::from_fn(|| net.try_recv()));
-                    batch
-                }
-                RecvTimeout::TimedOut => Vec::new(),
-                // a closed endpoint is a dead mesh, which is what a poison says
-                RecvTimeout::Closed => vec![Message::Poison],
-            };
-            // what the batch changes, absorbing it tells the others
-            lock(&self.park).receiving = false;
-            return taken;
-        }
-        p.parked += 1;
-        let mut p = wait_on(&self.cv, p, bound);
-        p.parked -= 1;
-        Vec::new()
-    }
-}
-
-// -------------------------------------------------------------------- pooled
-
-/// Threads the pooled driver runs for `ranks` ranks of `workers` lanes each:
-/// one per lane, no more than the host has cores.
+/// Threads the pool runs for `ranks` ranks of `workers` lanes each: one per
+/// lane, no more than the host has cores.
 pub(crate) fn pool_threads(ranks: usize, workers: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     (ranks * workers.max(1)).min(cores).max(1)
 }
 
-/// Runs every rank of the in-process mesh `mesh` (rank `r` is element `r`)
-/// on `threads` pooled threads, the caller one of them, until every rank
-/// drained; returns the first failing rank's error, in rank order.
-pub(crate) fn run_pooled<T: Transport>(
-    mesh: Vec<T>,
+/// Runs the rank of every endpoint in `nets` on `threads` pooled threads,
+/// the caller one of them, until every rank drained. Returns the first
+/// failing rank's error, in the order of `nets`, or else the gather frames
+/// that reached the ranks while they ran.
+pub(crate) fn run_pooled(
+    nets: &[&dyn Transport],
     table: &JobTable<'_>,
     cfg: JobEngineConfig,
     recorder: Option<&Recorder>,
     threads: usize,
-) -> Result<(), ExecError> {
-    let pool = Arc::new(Pool::new(mesh.len(), cfg.workers, Arc::clone(&table.clock)));
+) -> Result<Vec<Message>, ExecError> {
+    let pool = Arc::new(Pool::new(nets.len(), cfg.workers, Arc::clone(&table.clock)));
     let hook = Arc::clone(&pool);
     table.on_admit(Box::new(move || hook.notify_all()));
-    let nets: Vec<Stepped<'_, T>> = mesh
-        .into_iter()
-        .map(|inner| Stepped { inner, pool: &pool })
+    let runnable: Vec<Arc<Runnable>> = (0..nets.len())
+        .map(|slot| Arc::new(Runnable(Arc::clone(&pool), slot)))
         .collect();
     let engines: Vec<Engine> = nets
         .iter()
-        .map(|net| Engine::new(net, table, cfg, recorder, &*pool))
+        .zip(&runnable)
+        .map(|(&net, rank)| {
+            net.set_waker(Some(Waker::from(Arc::clone(rank))));
+            Engine::new(net, table, cfg, recorder, &**rank)
+        })
         .collect();
+    let moved = Waker::from(Arc::clone(&pool));
     std::thread::scope(|scope| {
         for _ in 1..threads.max(1) {
-            scope.spawn(|| pool.run(&engines));
+            scope.spawn(|| pool.run(&engines, &moved));
         }
-        pool.run(&engines);
+        pool.run(&engines, &moved);
     });
-    let failed = engines
-        .into_iter()
-        .map(Engine::finish)
-        .find_map(Result::err);
-    failed.map_or(Ok(()), Err)
+    for net in nets {
+        net.set_waker(None);
+    }
+    let gathered: Result<Vec<Vec<_>>, _> = engines.into_iter().map(Engine::finish).collect();
+    gathered.map(|frames| frames.into_iter().flatten().collect())
 }
 
-/// One shared run queue for the ranks of a mesh. A rank is `Idle` (no slot
+/// One shared run queue for the ranks of a pool. A rank is `Idle` (no slot
 /// taken), `Queued`, `Running`, or `Notified` — running while something
 /// arrived, so it is queued again when its step ends instead of the
 /// arrival being lost. With `workers > 1` a rank may hold up to that many
 /// queued or running steps at once.
-pub(crate) struct Pool {
+struct Pool {
     state: Mutex<PoolState>,
     /// Idle pool threads wait here.
     cv: Condvar,
@@ -238,7 +109,7 @@ struct Slot {
 
 impl Pool {
     /// A pool over `ranks` ranks, every one of them queued for its first
-    /// step (which picks up what the table already admitted).
+    /// step (which picks up what the table admitted and the inbox holds).
     fn new(ranks: usize, workers: usize, clock: Arc<dyn Clock>) -> Self {
         let slot = || Slot {
             queued: 1,
@@ -288,10 +159,6 @@ impl Pool {
         self.enqueue(st, rank);
     }
 
-    fn notify(&self, rank: usize) {
-        self.mark(&mut lock(&self.state), rank);
-    }
-
     /// An admission or a shutdown: every rank has something to pick up.
     fn notify_all(&self) {
         let mut st = lock(&self.state);
@@ -300,20 +167,26 @@ impl Pool {
         }
     }
 
-    /// One pool thread: step queued ranks until every rank drained.
-    fn run(&self, engines: &[Engine]) {
+    /// One pool thread: step queued ranks until every rank drained. `moved`
+    /// is the pool's own waker, which a clock advanced by hand wakes.
+    fn run(&self, engines: &[Engine], moved: &Waker) {
         let mut st = lock(&self.state);
         while st.live > 0 {
             // a due timer is served even while other ranks keep the queue full
-            let next = if st.armed > 0 {
-                self.fire_due(&mut st)
-            } else {
-                None
-            };
+            let next = (st.armed > 0).then(|| self.fire_due(&mut st)).flatten();
             let Some(rank) = st.queue.pop_front() else {
+                let wait = next.map(|due| {
+                    self.clock.wake_on_advance(moved);
+                    due.saturating_duration_since(self.clock.now())
+                });
                 st.idle += 1;
-                let wait = next.map(|due| due.saturating_duration_since(self.clock.now()));
-                st = wait_on(&self.cv, st, wait);
+                st = match wait {
+                    Some(timeout) => match self.cv.wait_timeout(st, timeout) {
+                        Ok((st, _)) => st,
+                        Err(poisoned) => poisoned.into_inner().0,
+                    },
+                    None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
+                };
                 st.idle -= 1;
                 continue;
             };
@@ -323,7 +196,7 @@ impl Pool {
             // what arrived so far, this step absorbs
             slot.notified = false;
             drop(st);
-            let progress = engines[rank].step(Arrivals::Inbox);
+            let progress = engines[rank].step();
             st = lock(&self.state);
             let slot = &mut st.ranks[rank];
             slot.running -= 1;
@@ -364,57 +237,33 @@ impl Pool {
     }
 }
 
-impl Driver for Pool {
-    /// A rank's own step readied work: recruit another lane for it, when it
-    /// has one. A rank with one lane keeps stepping on the thread it has.
-    fn nudge(&self, rank: NodeId, work: bool) {
-        if work && self.workers > 1 {
-            self.enqueue(&mut lock(&self.state), rank as usize);
+/// The clock moved: idle pool threads read it again.
+impl Wake for Pool {
+    fn wake(self: Arc<Self>) {
+        let st = lock(&self.state);
+        if st.idle > 0 {
+            self.cv.notify_all();
         }
     }
 }
 
-/// An endpoint of a pooled mesh: a send marks its destination runnable, a
-/// wake its own rank. Everything else is the inner endpoint's.
-struct Stepped<'p, T> {
-    inner: T,
-    pool: &'p Pool,
+/// One rank of a pool — the pool, and the rank's slot in it: the waker its
+/// inbox wakes after every delivery, and the driver its engine nudges.
+struct Runnable(Arc<Pool>, usize);
+
+impl Wake for Runnable {
+    fn wake(self: Arc<Self>) {
+        self.0.mark(&mut lock(&self.0.state), self.1);
+    }
 }
 
-impl<T: Transport> Transport for Stepped<'_, T> {
-    fn rank(&self) -> NodeId {
-        self.inner.rank()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.inner.num_nodes()
-    }
-
-    fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
-        let sent = self.inner.send(dest, msg);
-        self.pool.notify(dest as usize);
-        sent
-    }
-
-    fn wake(&self) {
-        self.inner.wake();
-        self.pool.notify(self.inner.rank() as usize);
-    }
-
-    fn recv(&self) -> Option<Message> {
-        self.inner.recv()
-    }
-
-    fn try_recv(&self) -> Option<Message> {
-        self.inner.try_recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.inner.stats()
+impl Driver for Runnable {
+    /// The rank's own step readied work: recruit another lane for it, when
+    /// it has one. A rank with one lane keeps stepping on the thread it has.
+    fn nudge(&self, work: bool) {
+        if work && self.0.workers > 1 {
+            self.0.enqueue(&mut lock(&self.0.state), self.1);
+        }
     }
 }
 
@@ -423,43 +272,62 @@ mod tests {
     use super::*;
     use crate::Run;
     use sbc_dist::{comm, SbcExtended, TwoDBlockCyclic};
-    use sbc_net::{inproc_mesh, FaultConfig, Faulty};
-    use sbc_taskgraph::build_potrf;
+    use sbc_kernels::Tile;
+    use sbc_net::{inproc_mesh, FaultConfig, Faulty, Payload, VirtualClock};
+    use sbc_taskgraph::{build_potrf, EdgeKind, TaskId};
     use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
-    /// Nothing polls a pooled mesh: a rank idle with a job in flight is
-    /// stepped again when its watchdog deadline comes due. Over a mesh that
-    /// drops every payload, the run ends in `Stalled` about a deadline after
-    /// it started — not at a tick, and not never.
+    /// Runs `run` on a thread of its own; `None` if it is not back within a
+    /// minute — the bugs these tests pin are hangs.
+    fn within_a_minute<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+        let runner = std::thread::spawn(run);
+        let patience = Instant::now();
+        while !runner.is_finished() {
+            if patience.elapsed() > Duration::from_secs(60) {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Some(runner.join().expect("the run panicked"))
+    }
+
+    /// An all-drop 2x2 mesh on `threads` pool threads, its watchdog armed at
+    /// `deadline` on `clock`. Returns whether the run failed, what the job's
+    /// waiter saw, and how long it took in real time.
+    fn all_drop_run(
+        deadline: Duration,
+        clock: Arc<dyn Clock>,
+    ) -> (bool, Option<ExecError>, Duration) {
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
+        let n = graph.num_nodes();
+        let table = JobTable::with_clock(n, n, 1, clock);
+        let id = table.submit(graph, 8, 1, 2, 0).unwrap();
+        table.shutdown();
+        let cfg = JobEngineConfig {
+            deadline: Some(deadline),
+            ..Default::default()
+        };
+        let mesh: Vec<_> = inproc_mesh(n)
+            .into_iter()
+            .map(|t| Faulty::new(t, FaultConfig::dropping(1)))
+            .collect();
+        let nets: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
+        let started = Instant::now();
+        let failed = run_pooled(&nets, &table, cfg, None, 2).is_err();
+        (failed, table.wait(id).err(), started.elapsed())
+    }
+
+    /// Nothing polls a pool: a rank idle with a job in flight is stepped
+    /// again when its watchdog deadline comes due. Over a mesh that drops
+    /// every payload, the run ends in `Stalled` about a deadline after it
+    /// started — not at a tick, and not never.
     #[test]
     fn a_stalled_pooled_rank_is_stepped_at_its_deadline() {
         let deadline = Duration::from_millis(200);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
-            let n = graph.num_nodes();
-            let table = JobTable::new(n, 1);
-            let id = table.submit(graph, 8, 1, 2, 0).unwrap();
-            table.shutdown();
-            let cfg = JobEngineConfig {
-                deadline: Some(deadline),
-                ..Default::default()
-            };
-            let drop_all = FaultConfig {
-                drop_every: 1,
-                ..Default::default()
-            };
-            let mesh: Vec<_> = inproc_mesh(n)
-                .into_iter()
-                .map(|t| Faulty::new(t, drop_all))
-                .collect();
-            let started = Instant::now();
-            let failed = run_pooled(mesh, &table, cfg, None, 2).is_err();
-            let _ = tx.send((failed, table.wait(id).err(), started.elapsed()));
-        });
-        let (failed, waited, took) = rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("no timer fired: the stalled run never ended");
+        let (failed, waited, took) =
+            within_a_minute(move || all_drop_run(deadline, Arc::new(sbc_net::RealClock)))
+                .expect("no timer fired: the stalled run never ended");
         assert!(failed, "an all-drop run cannot succeed");
         assert!(
             matches!(waited, Some(ExecError::Stalled { .. })),
@@ -472,12 +340,48 @@ mod tests {
         );
     }
 
-    /// No lost wake-up in the pooled driver. A send that races its
-    /// destination's running step, a rank recruiting a second lane, a pool
-    /// thread parking as the last rank is queued: each, lost, is a run that
-    /// never ends rather than a wrong answer. Many short runs at one, two
-    /// and three pool threads and one and two lanes per rank, every one held
-    /// to the sequential factor and the analytic traffic, under a deadline.
+    /// A pool waits for a timer in real time; on a clock advanced by hand
+    /// the advance must end that wait. The same all-drop mesh, its table on
+    /// a virtual clock ticked 10 s per real millisecond: a 1000 s deadline
+    /// fires within real-time moments, not after 1000 s.
+    #[test]
+    fn a_pooled_rank_on_a_virtual_clock_stalls_at_its_deadline() {
+        let clock = Arc::new(VirtualClock::new());
+        let ticking = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let ticker = {
+            let (clock, ticking) = (Arc::clone(&clock), Arc::clone(&ticking));
+            std::thread::spawn(move || {
+                while ticking.load(std::sync::atomic::Ordering::Relaxed) {
+                    clock.advance(Duration::from_secs(10));
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        };
+        let deadline = Duration::from_secs(1000);
+        let on_clock = Arc::clone(&clock) as Arc<dyn Clock>;
+        let outcome = within_a_minute(move || all_drop_run(deadline, on_clock));
+        ticking.store(false, std::sync::atomic::Ordering::Relaxed);
+        ticker.join().unwrap();
+        let (failed, waited, _) = outcome.unwrap_or_else(|| {
+            panic!(
+                "still running after a minute and {:?} of virtual time",
+                clock.elapsed()
+            )
+        });
+        assert!(failed, "an all-drop run cannot succeed");
+        assert!(
+            matches!(waited, Some(ExecError::Stalled { .. })),
+            "the waiter saw {waited:?}"
+        );
+        assert!(clock.elapsed() >= deadline);
+    }
+
+    /// No lost wake-up in the pool. A send that races its destination's
+    /// running step, a rank recruiting a second lane, a pool thread parking
+    /// as the last rank is queued: each, lost, is a run that never ends
+    /// rather than a wrong answer. Many short runs at one, two and three
+    /// pool threads and one and two lanes per rank, every one held to the
+    /// sequential factor and the analytic traffic, under a deadline.
     #[test]
     fn pooled_runs_lose_no_wake_up() {
         let (nt, b, seed) = (24, 4, 11);
@@ -516,5 +420,104 @@ mod tests {
             "1200 pooled runs neither finished nor failed: a rank was left idle with work"
         );
         runner.join().expect("a run failed; its assertion is above");
+    }
+
+    /// Steps `engine` by hand, as a pool thread would, until a step leaves
+    /// work undone no longer.
+    fn settle(engine: &Engine) -> Progress {
+        loop {
+            match engine.step() {
+                Progress::Ran => {}
+                progress => return progress,
+            }
+        }
+    }
+
+    /// Rank 0 of a pool over its endpoint alone, stepped by hand; the pool
+    /// sees it idle after every `settle`. Whether something queued it again
+    /// is the pool's queue, read and emptied by `requeued`.
+    struct ByHand {
+        pool: Arc<Pool>,
+        rank: Arc<Runnable>,
+    }
+
+    impl ByHand {
+        fn new(net: &dyn Transport, table: &JobTable<'_>) -> Self {
+            let pool = Arc::new(Pool::new(1, 1, Arc::clone(&table.clock)));
+            let hook = Arc::clone(&pool);
+            table.on_admit(Box::new(move || hook.notify_all()));
+            let rank = Arc::new(Runnable(Arc::clone(&pool), 0));
+            net.set_waker(Some(Waker::from(Arc::clone(&rank))));
+            let by_hand = ByHand { pool, rank };
+            by_hand.requeued();
+            by_hand
+        }
+
+        fn requeued(&self) -> bool {
+            let mut st = lock(&self.pool.state);
+            let queued = st.queue.drain(..).count() > 0;
+            st.ranks[0].queued = 0;
+            queued
+        }
+    }
+
+    /// A rank the pool left idle is queued again by each of the three things
+    /// that give it work: a message in its inbox (a peer's tile), a peer's
+    /// failure (its poison, through the same inbox) and the end of admission
+    /// (through the table's hook). A mark that goes nowhere is a rank left
+    /// idle with work — a hang.
+    #[test]
+    fn an_idle_rank_is_requeued_by_arrival_failure_and_drain() {
+        let clock = Arc::new(VirtualClock::new()) as Arc<dyn Clock>;
+        let cfg = JobEngineConfig::default();
+
+        // (a), (b): rank 0 of a 2x2 mesh whose peers never run
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
+        let n = graph.num_nodes();
+        let table = JobTable::with_clock(n, n, 1, Arc::clone(&clock));
+        let id = table.submit(Arc::clone(&graph), 8, 5, 6, 0).unwrap();
+        table.shutdown();
+        let mesh = inproc_mesh(n);
+        let pool = ByHand::new(&mesh[0], &table);
+        let engine = Engine::new(&mesh[0], &table, cfg, None, &*pool.rank);
+        assert_eq!(settle(&engine), Progress::Idle { next_timer: None });
+        assert!(!pool.requeued(), "rank 0's own sends mark its peers only");
+        // a remote tile rank 0 waits for
+        let tasks = graph.tasks();
+        let remote = |&(p, _): &(TaskId, EdgeKind)| tasks[p as usize].node != 0;
+        let producer = (0..graph.len() as TaskId)
+            .filter(|&t| tasks[t as usize].node == 0)
+            .find_map(|t| graph.preds(t).find(remote).map(|(p, _)| p))
+            .expect("rank 0 waits on some remote tile");
+        let from = &mesh[tasks[producer as usize].node as usize];
+        let tile = Tile::zeros(8);
+        from.send_payload(
+            0,
+            Payload::Data {
+                job: id,
+                producer,
+                tile,
+            },
+        );
+        assert!(pool.requeued(), "(a) a remote arrival");
+        assert!(matches!(settle(&engine), Progress::Idle { .. }));
+        pool.requeued();
+
+        from.send_poison(0);
+        assert!(pool.requeued(), "(b) a peer's failure");
+        assert_eq!(settle(&engine), Progress::Drained);
+        assert_eq!(table.wait(id).err(), Some(ExecError::Remote));
+        mesh[0].set_waker(None);
+
+        // (c): a resident rank idle between jobs, until admission closes
+        let table = JobTable::with_clock(1, 1, 1, clock);
+        let mesh = inproc_mesh(1);
+        let pool = ByHand::new(&mesh[0], &table);
+        let engine = Engine::new(&mesh[0], &table, cfg, None, &*pool.rank);
+        assert_eq!(settle(&engine), Progress::Idle { next_timer: None });
+        assert!(!pool.requeued());
+        table.shutdown();
+        assert!(pool.requeued(), "(c) the end of admission");
+        assert_eq!(settle(&engine), Progress::Drained);
     }
 }

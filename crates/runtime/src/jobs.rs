@@ -10,8 +10,8 @@
 //!   finished [`JobOutcome`]s are published back with exact per-job
 //!   [`CommStats`]. Only tile payloads ever cross the transport; control
 //!   stays in shared memory because every deployment shape (in-process
-//!   mesh, one thread per UDS session endpoint, one process per rank with
-//!   a rank-local table) keeps a rank and its table in one process.
+//!   mesh, a socket mesh held in one process, one process per rank with a
+//!   rank-local table) keeps a rank and its table in one process.
 //! - A rank engine is a state machine over a ready heap keyed by **(job
 //!   priority, task priority)**, with per-job tile stores namespaced by the
 //!   job id that [`sbc_net::Payload`] carries, so concurrent jobs share the
@@ -19,9 +19,8 @@
 //!   picks up admissions, absorbs arrivals and runs a bounded number of
 //!   ready steps, then returns; it never blocks, and the engine lock is held
 //!   only for heap and counter updates, never during kernels or sends.
-//!   Threads are a driver's business (`crate::drive`): [`run_jobs_rank`]
-//!   gives one rank of any mesh its own workers, [`run_jobs_inproc`] steps
-//!   every rank of an in-process mesh on one shared pool.
+//!   Threads are the driver's business (`crate::drive`): [`run_jobs`] steps
+//!   the ranks of the endpoints it is given on one shared pool.
 //!
 //! A one-shot run is the degenerate table: the front end submits its single
 //! job, closes admission, then starts the engines, which register the job
@@ -36,7 +35,7 @@ use crate::drive;
 use crate::exec::{default_original, run_kernel, CommStats, ExecError, TileProvider};
 use sbc_dist::comm::messages_to_bytes;
 use sbc_kernels::{KernelBackend, KernelError, Tile};
-use sbc_net::{inproc_mesh, Clock, Message, NodeId, Payload, RealClock, Transport};
+use sbc_net::{Clock, Message, NodeId, Payload, RealClock, Transport};
 use sbc_obs::{
     Counter, EventKind, EventLog, FaultKind, Gauge, GaugeKind, Histogram, Metrics, NodeRecorder,
     RateWindow, Recorder, Severity,
@@ -380,9 +379,8 @@ pub struct JobTable<'a> {
     /// Bumped by every `submit` and `shutdown`, so a rank engine takes the
     /// state mutex only when there is something new to pick up.
     generation: AtomicU64,
-    /// Told of every admission and of the shutdown, when a driver that
-    /// steps ranks only when they have work installed it; otherwise the
-    /// engines poll `generation`.
+    /// Told of every admission and of the shutdown: the driver that steps
+    /// the table's ranks marks them runnable here.
     on_admit: OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Time source of admission stamps and of every engine's watchdog.
     pub(crate) clock: Arc<dyn Clock>,
@@ -789,15 +787,9 @@ impl<'a> JobTable<'a> {
 /// One rank engine's knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct JobEngineConfig {
-    /// Steppers per rank (at least 1): the threads of a rank under
-    /// [`run_jobs_rank`], the most pooled threads one rank may hold at once
-    /// under [`run_jobs_inproc`].
+    /// Steppers per rank (at least 1): the most pooled threads one rank
+    /// may hold at once under [`run_jobs`].
     pub workers: usize,
-    /// Receive timeout of [`run_jobs_rank`]'s idle workers: how often they
-    /// re-check for new job registrations and the watchdog and, under a
-    /// session, drive retransmissions. The pooled driver is told of
-    /// admissions and timers instead and never reads it.
-    pub heartbeat: Duration,
     /// Per-job no-progress watchdog; `None` disables it. The clock only
     /// runs while this rank has jobs in flight.
     pub deadline: Option<Duration>,
@@ -811,7 +803,6 @@ impl Default for JobEngineConfig {
     fn default() -> Self {
         JobEngineConfig {
             workers: 1,
-            heartbeat: Duration::from_millis(2),
             deadline: None,
             kernels: KernelBackend::default(),
         }
@@ -999,8 +990,8 @@ pub(crate) enum Progress {
     /// The step used its whole budget: step the rank again.
     Ran,
     /// Nothing is runnable until an arrival, an admission, or `next_timer`
-    /// — the watchdog's deadline on the table's clock, armed while a job is
-    /// in flight.
+    /// on the table's clock — the earlier of the watchdog's deadline, armed
+    /// while a job is in flight, and the endpoint's own timer.
     Idle {
         /// When to step the rank again even if nothing arrives.
         next_timer: Option<Instant>,
@@ -1009,21 +1000,12 @@ pub(crate) enum Progress {
     Drained,
 }
 
-/// Where a step's arrivals come from.
-pub(crate) enum Arrivals {
-    /// Everything the rank's inbox holds, taken with `try_recv`.
-    Inbox,
-    /// Messages the driver already took from the inbox; a step handed these
-    /// leaves the inbox alone (another thread may be blocked on it).
-    Taken(Vec<Message>),
-}
-
 /// The one call an engine makes into whoever steps it.
 pub(crate) trait Driver: Sync {
-    /// Rank `rank`'s state changed — a task readied, a job finished, the
-    /// rank failed or drained, admission closed. `work` says whether ship
-    /// or run steps are waiting for a stepper.
-    fn nudge(&self, rank: NodeId, work: bool);
+    /// The rank's state changed — a task readied, a job finished, the rank
+    /// failed or drained, admission closed. `work` says whether ship or run
+    /// steps are waiting for a stepper.
+    fn nudge(&self, work: bool);
 }
 
 /// One rank's engine: its jobs, its ready heap and its end of the mesh. It
@@ -1069,32 +1051,22 @@ enum Work<'a> {
 /// A stepper lane's recording handle, when the run is recorded.
 type Obs<'r> = Option<NodeRecorder<'r>>;
 
-/// Runs one rank's engine over `net` until [`JobTable::shutdown`] drains it
-/// (returning `Ok`) or the mesh fails (returning the error after failing
-/// every in-flight job in the table and poisoning peers).
-///
-/// Every rank of the mesh must run this against the same table. The caller
-/// owns the thread and `cfg.workers − 1` more are spawned: one call per
-/// session endpoint of a socket mesh. An in-process mesh is better served
-/// by [`run_jobs_inproc`], which steps all its ranks on a shared pool.
-pub fn run_jobs_rank(
-    net: &dyn Transport,
+/// Runs the rank engines of `endpoints` against `table` until
+/// [`JobTable::shutdown`] drains them, or returns the first failing rank's
+/// error once every in-flight job failed and the peers are poisoned. The
+/// ranks are stepped on `min(endpoints × cfg.workers, cores)` pooled
+/// threads, the caller one of them, each when its inbox, an admission or a
+/// timer marks it runnable. The table tells one driver of its admissions, so
+/// every endpoint a process holds goes into one call. A session endpoint
+/// must run on the table's clock.
+pub fn run_jobs<T: Transport>(
+    endpoints: &[T],
     table: &JobTable<'_>,
     cfg: JobEngineConfig,
 ) -> Result<(), ExecError> {
-    drive::run_threaded(net, table, cfg, None).map(drop)
-}
-
-/// Runs every rank of an in-process mesh of `table.num_nodes()` ranks until
-/// [`JobTable::shutdown`] drains it, returning the first failing rank's
-/// error. A rank is a state machine here, not a thread:
-/// `min(ranks × cfg.workers, available_parallelism)` threads — the caller
-/// one of them — step whichever ranks have work, and an admission or a
-/// message marks its rank runnable.
-pub fn run_jobs_inproc(table: &JobTable<'_>, cfg: JobEngineConfig) -> Result<(), ExecError> {
-    let n = table.num_nodes();
-    let threads = drive::pool_threads(n, cfg.workers);
-    drive::run_pooled(inproc_mesh(n), table, cfg, None, threads)
+    let nets: Vec<&dyn Transport> = endpoints.iter().map(|t| t as &dyn Transport).collect();
+    let threads = drive::pool_threads(nets.len(), cfg.workers);
+    drive::run_pooled(&nets, table, cfg, None, threads).map(drop)
 }
 
 impl<'e, 'a> Engine<'e, 'a> {
@@ -1155,12 +1127,6 @@ impl<'e, 'a> Engine<'e, 'a> {
         }
     }
 
-    /// Whether admission has closed, as of this rank's last pickup: a driver
-    /// that cannot be told of admissions must poll for them until then.
-    pub(crate) fn closed(&self) -> bool {
-        lock(&self.state).closed
-    }
-
     /// Time since the watchdog epoch, per the table's clock.
     fn elapsed(&self) -> Duration {
         self.table
@@ -1215,22 +1181,22 @@ impl<'e, 'a> Engine<'e, 'a> {
     fn unlock_and_nudge(&self, st: MutexGuard<'_, EngineState<'a>>) {
         let work = !st.ready.is_empty() || !st.unshipped.is_empty();
         drop(st);
-        self.driver.nudge(self.me, work);
+        self.driver.nudge(work);
     }
 
     /// One bounded, non-blocking unit of this rank's work — the only code
     /// that decides what the rank does next: pick up admitted jobs, absorb
-    /// `arrivals`, then take up to [`STEP_BUDGET`] ship or run steps. A panic
-    /// below it — a task, a tile provider — is caught and turned into
-    /// [`Engine::fail`]: a rank that died silently would send no poison and
-    /// every peer would wait on it for good.
-    pub(crate) fn step(&self, arrivals: Arrivals) -> Progress {
+    /// what the inbox holds, then take up to [`STEP_BUDGET`] ship or run
+    /// steps. A panic below it — a task, a tile provider — is caught and
+    /// turned into [`Engine::fail`]: a rank that died silently would send
+    /// no poison and every peer would wait on it for good.
+    pub(crate) fn step(&self) -> Progress {
         let mut lane: Obs<'e> = self.lanes.as_ref().map(|lanes| {
             lock(lanes)
                 .pop()
                 .expect("a driver runs at most `workers` steppers of a rank")
         });
-        let body = std::panic::AssertUnwindSafe(|| self.step_on(&mut lane, arrivals));
+        let body = std::panic::AssertUnwindSafe(|| self.step_on(&mut lane));
         let progress = std::panic::catch_unwind(body).unwrap_or_else(|panic| {
             let message = panic
                 .downcast_ref::<String>()
@@ -1250,9 +1216,9 @@ impl<'e, 'a> Engine<'e, 'a> {
         progress
     }
 
-    fn step_on(&self, obs: &mut Obs<'e>, arrivals: Arrivals) -> Progress {
+    fn step_on(&self, obs: &mut Obs<'e>) -> Progress {
         self.admit();
-        self.absorb(arrivals, obs);
+        self.absorb(obs);
         for _ in 0..STEP_BUDGET {
             match self.take_work(obs) {
                 Work::Ship(ctx, sends) => self.busy(|| self.ship(&ctx, sends, obs)),
@@ -1318,6 +1284,8 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// Nothing to run: start a dep-wait span if a job is in flight, and
     /// check the per-job watchdog. Only a rank with work in flight can
     /// stall — an idle resident rank waits for its next job indefinitely.
+    /// The rank is stepped again at the watchdog's deadline or its
+    /// endpoint's own timer, whichever comes first.
     fn idle(&self, obs: &mut Obs<'_>) -> Progress {
         let mut st = lock(&self.state);
         let busy = !st.jobs.is_empty();
@@ -1325,8 +1293,9 @@ impl<'e, 'a> Engine<'e, 'a> {
             st.idle_since = obs.as_ref().map(|o| o.now());
         }
         drop(st);
+        let next_timer = self.net.next_timer();
         let Some(deadline) = self.cfg.deadline.filter(|_| busy) else {
-            return Progress::Idle { next_timer: None };
+            return Progress::Idle { next_timer };
         };
         let stalled = self.stalled_for();
         if stalled > deadline {
@@ -1341,9 +1310,9 @@ impl<'e, 'a> Engine<'e, 'a> {
             return Progress::Drained;
         }
         // just past the deadline, so the step it schedules finds it passed
-        let left = deadline - stalled + Duration::from_nanos(1);
+        let watchdog = self.table.clock.now() + deadline - stalled + Duration::from_nanos(1);
         Progress::Idle {
-            next_timer: Some(self.table.clock.now() + left),
+            next_timer: Some(next_timer.map_or(watchdog, |t| t.min(watchdog))),
         }
     }
 
@@ -1606,14 +1575,12 @@ impl<'e, 'a> Engine<'e, 'a> {
         self.report(done);
     }
 
-    /// Applies `arrivals` under one engine lock. A fresh payload ends the
-    /// rank's dep-wait span and counts as progress; a poison or a refused
-    /// payload fails the rank after the lock is released.
-    fn absorb(&self, arrivals: Arrivals, obs: &mut Obs<'_>) {
-        let batch = match arrivals {
-            Arrivals::Taken(batch) => batch,
-            Arrivals::Inbox => std::iter::from_fn(|| self.net.try_recv()).collect(),
-        };
+    /// Takes everything the inbox holds and applies it under one engine
+    /// lock. A fresh payload ends the rank's dep-wait span and counts as
+    /// progress; a poison or a refused payload fails the rank after the lock
+    /// is released.
+    fn absorb(&self, obs: &mut Obs<'_>) {
+        let batch: Vec<Message> = std::iter::from_fn(|| self.net.try_recv()).collect();
         if batch.is_empty() {
             return;
         }
@@ -1640,7 +1607,7 @@ impl<'e, 'a> Engine<'e, 'a> {
                     }
                 }
                 Message::Poison => poisoned = true,
-                Message::Wake | Message::Ack { .. } => {}
+                Message::Ack { .. } => {}
                 // gather traffic reaching rank 0 before its own run ends
                 m @ (Message::Result { .. } | Message::Done { .. }) => st.gather.push(m),
             }
@@ -1852,18 +1819,17 @@ mod tests {
     use sbc_dist::comm::potrf_messages;
     use sbc_dist::{Distribution, SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
-    use sbc_net::{InProc, RecvTimeout, TransportStats, VirtualClock};
+    use sbc_net::{inproc_mesh, InProc, RecvTimeout, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
     use sbc_topo::{Heft, SubmissionOrder};
+    use std::task::Waker;
 
     const B: usize = 8;
 
     fn run_mesh(table: &JobTable, n: usize, cfg: JobEngineConfig, body: impl FnOnce() + Send) {
         let mesh = inproc_mesh(n);
         std::thread::scope(|scope| {
-            for net in &mesh {
-                scope.spawn(move || run_jobs_rank(net, table, cfg));
-            }
+            scope.spawn(|| run_jobs(&mesh, table, cfg));
             scope.spawn(move || {
                 body();
                 table.shutdown();
@@ -2093,7 +2059,7 @@ mod tests {
         assert_eq!(results[0].stats, results[1].stats);
     }
 
-    /// Both drivers record a span per task, each on the lane that ran it.
+    /// A recorded run has a span per task, each on the lane that ran it.
     #[test]
     fn recorded_two_job_run_has_a_span_per_task() {
         let d = SbcExtended::new(3); // 3 nodes
@@ -2103,43 +2069,29 @@ mod tests {
             workers: 2,
             ..Default::default()
         };
-        for pooled in [false, true] {
-            let table = JobTable::new(n, 8);
-            let recorder = Recorder::new();
-            for seed in [1, 2] {
-                table.submit(Arc::clone(&graph), B, seed, seed, 0).unwrap();
-            }
-            table.shutdown();
-            let mesh = inproc_mesh(n);
-            if pooled {
-                drive::run_pooled(mesh, &table, cfg, Some(&recorder), 2).unwrap();
-            } else {
-                std::thread::scope(|scope| {
-                    for net in &mesh {
-                        let (table, recorder) = (&table, &recorder);
-                        let run = move || drive::run_threaded(net, table, cfg, Some(recorder));
-                        scope.spawn(move || run().unwrap());
-                    }
-                });
-            }
-            let recording = recorder.drain();
-            let spans = sbc_obs::task_spans(&recording);
-            assert_eq!(spans.len(), 2 * graph.len(), "pooled {pooled}");
-            for rank in 0..n as u32 {
-                assert!(
-                    recording.events_on(rank) > 0,
-                    "pooled {pooled}: rank {rank} recorded nothing"
-                );
-            }
-            let lanes = recording.events.iter().filter_map(|e| match *e {
-                sbc_obs::Event::Task { worker, .. } => Some(worker),
-                _ => None,
-            });
+        let table = JobTable::new(n, 8);
+        let recorder = Recorder::new();
+        for seed in [1, 2] {
+            table.submit(Arc::clone(&graph), B, seed, seed, 0).unwrap();
+        }
+        table.shutdown();
+        let mesh = inproc_mesh(n);
+        let nets: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
+        drive::run_pooled(&nets, &table, cfg, Some(&recorder), 2).unwrap();
+        let recording = recorder.drain();
+        let spans = sbc_obs::task_spans(&recording);
+        assert_eq!(spans.len(), 2 * graph.len());
+        for rank in 0..n as u32 {
             assert!(
-                lanes.max() < Some(2),
-                "pooled {pooled}: a task off its rank's lanes"
+                recording.events_on(rank) > 0,
+                "rank {rank} recorded nothing"
             );
         }
+        let lanes = recording.events.iter().filter_map(|e| match *e {
+            sbc_obs::Event::Task { worker, .. } => Some(worker),
+            _ => None,
+        });
+        assert!(lanes.max() < Some(2), "a task off its rank's lanes");
     }
 
     #[test]
@@ -2171,13 +2123,13 @@ mod tests {
     struct ByHand;
 
     impl Driver for ByHand {
-        fn nudge(&self, _: NodeId, _: bool) {}
+        fn nudge(&self, _: bool) {}
     }
 
     /// Steps `engine` until a step leaves work undone no longer.
     fn settle(engine: &Engine) -> Progress {
         loop {
-            match engine.step(Arrivals::Inbox) {
+            match engine.step() {
                 Progress::Ran => {}
                 progress => return progress,
             }
@@ -2389,143 +2341,6 @@ mod tests {
         );
     }
 
-    /// Parks one worker of the threaded driver (the test holds the receive
-    /// role and the heap is empty), runs `transition` on the calling thread
-    /// and returns what released the worker: `Some(task)` if it then takes
-    /// a task to run, `None` if the rank drained. The wait is under a
-    /// deadline — a lost wake-up is a hang — and a stuck worker is freed
-    /// before the test fails.
-    fn released_by(
-        engine: &Engine,
-        parking: &drive::Parking,
-        net: &dyn Transport,
-        transition: impl FnOnce(),
-    ) -> Option<TaskId> {
-        lock(&parking.park).receiving = true;
-        let released = std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            scope.spawn(move || {
-                // the threaded driver's loop, with the step cut down to the
-                // choice of work
-                let work = loop {
-                    let seen = lock(&parking.park).changes;
-                    match engine.take_work(&mut None) {
-                        Work::Idle => parking.wait(seen, net, None),
-                        work => break work,
-                    };
-                };
-                let step = match work {
-                    Work::Run(_, t) => Some(t),
-                    Work::Drained => None,
-                    _ => panic!("a parked worker was handed the wrong step"),
-                };
-                tx.send(step).expect("the test is still waiting");
-            });
-            let patience = Instant::now();
-            while lock(&parking.park).parked == 0 {
-                assert!(patience.elapsed() < Duration::from_secs(30), "never parked");
-                std::thread::yield_now();
-            }
-            transition();
-            rx.recv_timeout(Duration::from_secs(30))
-                .unwrap_or_else(|_| {
-                    lock(&engine.state).poisoned = true;
-                    parking.changed(lock(&parking.park));
-                    panic!("the transition left the parked worker asleep");
-                })
-        });
-        lock(&parking.park).receiving = false;
-        released
-    }
-
-    /// Runs every task the heap offers until none is left.
-    fn run_until_idle(engine: &Engine) {
-        loop {
-            match engine.take_work(&mut None) {
-                Work::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
-                Work::Idle => return,
-                _ => panic!("a registered job neither runs nor waits"),
-            }
-        }
-    }
-
-    /// The threaded driver wakes its parked workers only when the engine
-    /// nudges it. The three transitions a parked worker depends on — a
-    /// remote arrival readies a task, the engine fails, the last job drains
-    /// — each release it. Nothing here reads real time but the test's own
-    /// deadline.
-    #[test]
-    fn a_parked_worker_is_released_by_arrival_failure_and_drain() {
-        let clock = Arc::new(VirtualClock::new());
-        let cfg = JobEngineConfig::default();
-        let parking = drive::Parking::default();
-
-        // (a), (b): rank 0 of a 2x2 mesh whose peers never run
-        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
-        let n = graph.num_nodes();
-        let table = JobTable::with_clock(n, n, 1, Arc::clone(&clock) as Arc<dyn Clock>);
-        let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
-        table.shutdown();
-        let mesh = inproc_mesh(n);
-        let engine = Engine::new(&mesh[0], &table, cfg, None, &parking);
-        engine.admit();
-        run_until_idle(&engine);
-        // a local task one remote arrival away from ready, and that arrival
-        let (task, producer) = {
-            let st = lock(&engine.state);
-            let deps = &st.jobs[0].deps;
-            let tasks = graph.tasks();
-            (0..graph.len() as TaskId)
-                .filter(|&t| tasks[t as usize].node == 0 && deps[t as usize] == 1)
-                .find_map(|t| {
-                    let remote = |&(p, _): &(TaskId, EdgeKind)| tasks[p as usize].node != 0;
-                    graph.preds(t).find(remote).map(|(p, _)| (t, p))
-                })
-                .expect("rank 0 waits on some remote tile")
-        };
-        let from = &mesh[graph.tasks()[producer as usize].node as usize];
-        let released = released_by(&engine, &parking, &mesh[0], || {
-            let tile = Tile::zeros(B);
-            from.send_payload(
-                0,
-                Payload::Data {
-                    job: id,
-                    producer,
-                    tile,
-                },
-            );
-            engine.absorb(Arrivals::Inbox, &mut None);
-        });
-        assert_eq!(released, Some(task), "(a) a remote arrival");
-
-        let released = released_by(&engine, &parking, &mesh[0], || {
-            engine.fail(ExecError::Remote)
-        });
-        assert_eq!(released, None, "(b) a failure");
-
-        // (c): a one-rank job; its last task finishes while a worker is parked
-        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(1, 1), 2));
-        let table = JobTable::with_clock(1, 1, 1, clock as Arc<dyn Clock>);
-        let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
-        table.shutdown();
-        let mesh = inproc_mesh(1);
-        let parking = drive::Parking::default();
-        let engine = Engine::new(&mesh[0], &table, cfg, None, &parking);
-        engine.admit();
-        let last = loop {
-            match engine.take_work(&mut None) {
-                Work::Run(ctx, t) if t as usize + 1 == graph.len() => break (ctx, t),
-                Work::Run(ctx, t) => engine.run_task(&ctx, t, &mut None),
-                _ => panic!("a chain of local tasks runs one after the other"),
-            }
-        };
-        let released = released_by(&engine, &parking, &mesh[0], || {
-            engine.run_task(&last.0, last.1, &mut None)
-        });
-        assert_eq!(released, None, "(c) drain");
-        assert!(table.wait(id).is_ok());
-    }
-
     #[test]
     fn clean_runs_feed_the_drift_ok_counter_and_the_event_log() {
         let d = SbcExtended::new(3); // 3 nodes
@@ -2726,8 +2541,11 @@ mod tests {
         fn num_nodes(&self) -> usize {
             self.inner.num_nodes()
         }
-        fn wake(&self) {
-            self.inner.wake();
+        fn set_waker(&self, waker: Option<Waker>) {
+            self.inner.set_waker(waker);
+        }
+        fn next_timer(&self) -> Option<Instant> {
+            self.inner.next_timer()
         }
         fn recv(&self) -> Option<Message> {
             self.inner.recv()
@@ -2745,9 +2563,9 @@ mod tests {
 
     /// Runs one POTRF whose diagonal tile (4,4) is not positive definite as
     /// the single job of a 6-rank table and returns what its waiter sees.
-    /// `gated` puts the failing rank behind a [`PoisonGate`]; `pooled` steps
-    /// the mesh on two pooled threads instead of a thread per rank.
-    fn failing_job(workers: usize, gated: bool, pooled: bool) -> Result<(), ExecError> {
+    /// `gated` puts the failing rank behind a [`PoisonGate`]; two pool
+    /// threads step the mesh, so a gated step never holds the only one.
+    fn failing_job(workers: usize, gated: bool) -> Result<(), ExecError> {
         let d = SbcExtended::new(4); // 6 nodes
         let nt = 9;
         let graph = Arc::new(build_potrf(&d, nt));
@@ -2787,16 +2605,8 @@ mod tests {
                 table: &table,
             })
             .collect();
-        if pooled {
-            let _ = drive::run_pooled(mesh, &table, cfg, None, 2);
-        } else {
-            std::thread::scope(|scope| {
-                for net in &mesh {
-                    let table = &table;
-                    scope.spawn(move || run_jobs_rank(net, table, cfg));
-                }
-            });
-        }
+        let nets: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
+        let _ = drive::run_pooled(&nets, &table, cfg, None, 2);
         table.wait(id).map(drop)
     }
 
@@ -2810,33 +2620,25 @@ mod tests {
 
     /// `Engine::fail` once poisoned peers *before* telling the table, so a
     /// peer's `Remote` could be recorded first and reach the waiter instead
-    /// of the cause. The gate makes that interleaving certain, under both
-    /// drivers.
+    /// of the cause. The gate makes that interleaving certain.
     #[test]
     fn a_peers_remote_echo_never_beats_the_cause_to_the_table() {
-        for pooled in [false, true] {
-            for workers in [1, 4] {
-                assert_kernel_failure(
-                    failing_job(workers, true, pooled),
-                    &format!("pooled {pooled} workers {workers}"),
-                );
-            }
+        for workers in [1, 4] {
+            assert_kernel_failure(failing_job(workers, true), &format!("workers {workers}"));
         }
     }
 
     /// The same failure with nothing forcing the order: whatever the
-    /// scheduler or the driver does, the waiter sees the originating kernel
+    /// scheduler or the pool does, the waiter sees the originating kernel
     /// error.
     #[test]
     fn the_waiter_sees_the_originating_failure_on_every_repetition() {
-        for pooled in [false, true] {
-            for workers in [1, 4] {
-                for rep in 0..50 {
-                    assert_kernel_failure(
-                        failing_job(workers, false, pooled),
-                        &format!("pooled {pooled} workers {workers} repetition {rep}"),
-                    );
-                }
+        for workers in [1, 4] {
+            for rep in 0..100 {
+                assert_kernel_failure(
+                    failing_job(workers, false),
+                    &format!("workers {workers} repetition {rep}"),
+                );
             }
         }
     }

@@ -29,7 +29,7 @@
 //! | decision | owner |
 //! |---|---|
 //! | what a job is — graph, tile size, seeds, tile provider, priority vector | [`JobSpec`], built in one place ([`Run`] fills it for a one-shot run, [`JobTable::submit`] for a resident mesh) |
-//! | how engines run it — workers, heartbeat, watchdog deadline, kernel backend | [`JobEngineConfig`] |
+//! | how engines run it — workers, watchdog deadline, kernel backend | [`JobEngineConfig`] |
 //! | what the result is — which tiles, which container | the graph's `sbc_taskgraph::ResultKind`, read by [`gather`] alone |
 //! | ready order | one `&dyn sbc_topo::Scheduler` (default `CriticalPath`, the StarPU list scheduler the paper runs; `SubmissionOrder` for none) |
 //!
@@ -42,13 +42,13 @@
 //! one-shot run is a [`JobTable`] holding one job: submit, close admission,
 //! run the rank engines until they drain, [`gather`] the [`JobOutcome`]. A
 //! *resident* mesh (`sbc-serve`) keeps the same engines running
-//! ([`run_jobs_inproc`]) and streams jobs through [`JobTable::submit`].
+//! ([`run_jobs`]) and streams jobs through [`JobTable::submit`].
 //!
-//! A rank engine is a state machine, not a thread; the mesh decides who
-//! steps it. Every rank of an in-process mesh ([`Run::execute`],
-//! [`run_jobs_inproc`]) shares one pool of `min(ranks × workers, cores)`
-//! threads; a rank on any other transport ([`Run::execute_rank`],
-//! [`run_jobs_rank`]) gets `workers` threads of its own.
+//! A rank engine is a state machine, not a thread. One driver steps them
+//! all: the ranks a call holds — an in-process mesh, or a process's one rank
+//! ([`Run::execute_rank`]) — share `min(ranks × workers, cores)` threads,
+//! and a rank is stepped when its inbox, the table or a timer marks it
+//! runnable. No thread blocks in an inbox.
 
 #![warn(missing_docs)]
 
@@ -59,8 +59,7 @@ pub mod run;
 
 pub use exec::{CommStats, ExecError, TileProvider};
 pub use jobs::{
-    run_jobs_inproc, run_jobs_rank, JobEngineConfig, JobId, JobOutcome, JobSpec, JobTable,
-    Rejection, JOB_LATENCY_BOUNDS,
+    run_jobs, JobEngineConfig, JobId, JobOutcome, JobSpec, JobTable, Rejection, JOB_LATENCY_BOUNDS,
 };
 pub use run::{gather, Run, RunOutput, RunResult};
 // the kernel-backend selector is part of the run configuration surface

@@ -24,14 +24,14 @@
 //! clock and the recorder beside it. [`Run::execute`] meshes the graph's
 //! nodes up in-process over [`sbc_net::InProc`] channels, all ranks
 //! reporting to one table and stepped on one shared thread pool;
-//! [`Run::execute_rank`] executes a *single* rank on its own workers
+//! [`Run::execute_rank`] executes a *single* rank on a pool of its own
 //! over any endpoint — including `sbc-net`'s TCP/UDS stream backends, where
 //! each rank is a separate OS process with a rank-local table — and gathers
 //! to rank 0 with the transport's `Result`/`Done` control protocol. Either
 //! way the result is assembled by [`gather`], which reads its shape off the
 //! graph.
 
-use crate::drive::{pool_threads, run_pooled, run_threaded};
+use crate::drive::{pool_threads, run_pooled};
 use crate::exec::{CommStats, ExecError, TileProvider};
 use crate::jobs::{GraphRef, JobEngineConfig, JobId, JobSpec, JobTable};
 use sbc_dist::{Distribution, RowCyclic, TwoPointFiveD};
@@ -199,7 +199,6 @@ impl<'a> Run<'a> {
             sched: Arc::new(CriticalPath),
             engine: JobEngineConfig {
                 workers: 0,
-                heartbeat: Duration::from_millis(50),
                 ..Default::default()
             },
             clock: Arc::new(RealClock),
@@ -308,9 +307,9 @@ impl<'a> Run<'a> {
     }
 
     /// Steppers per node (clamped to at least 1): the most pooled threads
-    /// one rank holds at once under [`Run::execute`], the rank's own
-    /// threads under [`Run::execute_rank`]. Default: available cores
-    /// divided by the node count, at least 1.
+    /// one rank holds at once, of `min(nodes × workers, cores)` under
+    /// [`Run::execute`] and `min(workers, cores)` under [`Run::execute_rank`].
+    /// Default: available cores divided by the node count, at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
         self.engine.workers = workers.max(1);
         self
@@ -336,11 +335,12 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// The time source the watchdog (progress epochs, stall deadlines,
-    /// gather pacing) reads — default [`RealClock`]. Injecting an
-    /// [`sbc_net::VirtualClock`] makes stall detection a pure function of
-    /// explicitly advanced time: deterministic tests can fire a
-    /// 1000-second deadline in milliseconds of real time.
+    /// The time source the watchdog (progress epochs, stall deadlines) reads
+    /// — default [`RealClock`]. Injecting an [`sbc_net::VirtualClock`] makes
+    /// stall detection a pure function of explicitly advanced time, each
+    /// advance waking the pool: deterministic tests can fire a 1000-second
+    /// deadline in milliseconds of real time. A [`sbc_net::Session`]
+    /// endpoint's timers are waited for on it too: give both one clock.
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
@@ -420,7 +420,9 @@ impl<'a> Run<'a> {
         let id = self.submit_closed(&table);
         let cfg = self.engine_config(n_nodes);
         // a failing rank's error reaches the caller through the table
-        let _ = run_pooled(inproc_mesh(n_nodes), &table, cfg, self.recorder, threads);
+        let mesh = inproc_mesh(n_nodes);
+        let nets: Vec<&dyn Transport> = mesh.iter().map(|t| t as &dyn Transport).collect();
+        let _ = run_pooled(&nets, &table, cfg, self.recorder, threads);
         let out = table.wait(id)?;
         self.output(&out.tiles, out.stats)
     }
@@ -431,9 +433,11 @@ impl<'a> Run<'a> {
     /// `sbc_net::launch`).
     ///
     /// Every rank of the mesh must build an identical `Run` and call this
-    /// with its own endpoint. Worker ranks (`net.rank() != 0`) ship their
-    /// final tiles and a [`PeerStats`] report to rank 0 and return
-    /// `Ok(None)`; rank 0 waits for every report, gathers and returns
+    /// with its own endpoint. The rank is stepped on `min(workers, cores)`
+    /// pooled threads, the caller one of them. Worker ranks
+    /// (`net.rank() != 0`) then ship their final tiles and a [`PeerStats`]
+    /// report to rank 0 and return `Ok(None)`; rank 0 waits in its inbox
+    /// for every report, gathers and returns
     /// `Ok(Some(output))`. A failure on any rank poisons the whole mesh: the
     /// failing rank returns its own [`ExecError`], every other rank
     /// [`ExecError::Remote`].
@@ -443,7 +447,9 @@ impl<'a> Run<'a> {
         // a rank-local table: the job completes on this rank's one report
         let table = JobTable::with_clock(n, 1, 1, Arc::clone(&self.clock));
         let id = self.submit_closed(&table);
-        let early = run_threaded(net, &table, self.engine_config(n), self.recorder)?;
+        let cfg = self.engine_config(n);
+        let threads = pool_threads(1, cfg.workers);
+        let early = run_pooled(&[net], &table, cfg, self.recorder, threads)?;
         let out = table.wait(id)?;
         // `net` carried exactly this job, so its wire totals are the job's —
         // including copies a fault-injecting wrapper duplicated beneath the
@@ -472,6 +478,7 @@ impl<'a> Run<'a> {
         // rank 0: fold in the gather frames that arrived during the run,
         // then drain the inbox until every worker rank has reported
         let mut gather = Gather {
+            b: self.b,
             tiles: out.tiles,
             peer: vec![None; n],
             missing: n - 1,
@@ -480,29 +487,31 @@ impl<'a> Run<'a> {
         for msg in early {
             gather.absorb(msg, net)?;
         }
+        // the pool is gone: this thread waits in the inbox, for at most what
+        // is left of the deadline since the last report
         let mut last_report = self.clock.now();
         while gather.missing > 0 {
-            let msg = match self.engine.deadline {
-                None => net.recv(),
-                Some(deadline) => match net.recv_timeout(self.engine.heartbeat) {
-                    RecvTimeout::Msg(m) => Some(m),
-                    RecvTimeout::Closed => None,
-                    RecvTimeout::TimedOut => {
-                        if self.clock.now().saturating_duration_since(last_report) <= deadline {
-                            continue;
-                        }
-                        // the gather itself stalled: missing worker
-                        // reports will never arrive — abort the mesh
-                        poison_workers(net);
-                        let got = n - 1 - gather.missing;
-                        return Err(ExecError::Stalled {
-                            rank: 0,
-                            waiting_on: format!("gather: {got}/{} worker reports received", n - 1),
-                        });
-                    }
-                },
+            let waited = self.clock.now().saturating_duration_since(last_report);
+            let msg = match self.engine.deadline.map(|d| d.saturating_sub(waited)) {
+                None => net.recv().map_or(RecvTimeout::Closed, RecvTimeout::Msg),
+                Some(left) if !left.is_zero() => net.recv_timeout(left),
+                // the gather itself stalled: missing worker reports will
+                // never arrive — abort the mesh
+                Some(_) => {
+                    poison_workers(net);
+                    let got = n - 1 - gather.missing;
+                    return Err(ExecError::Stalled {
+                        rank: 0,
+                        waiting_on: format!("gather: {got}/{} worker reports received", n - 1),
+                    });
+                }
             };
-            if gather.absorb(msg.ok_or(ExecError::Remote)?, net)? {
+            let msg = match msg {
+                RecvTimeout::Msg(m) => m,
+                RecvTimeout::TimedOut => continue,
+                RecvTimeout::Closed => return Err(ExecError::Remote),
+            };
+            if gather.absorb(msg, net)? {
                 last_report = self.clock.now();
             }
         }
@@ -526,6 +535,8 @@ fn poison_workers(net: &dyn Transport) {
 
 /// Rank 0's side of the `Result`/`Done` gather protocol.
 struct Gather {
+    /// The job's tile size, which every `Result` tile must have.
+    b: usize,
     tiles: HashMap<TileRef, Tile>,
     peer: Vec<Option<PeerStats>>,
     /// Worker ranks that have not reported `Done` yet.
@@ -536,28 +547,29 @@ impl Gather {
     /// Folds one inbox message of rank 0's endpoint `net` in. `Ok(true)` for
     /// gather traffic, `Ok(false)` for anything harmless,
     /// [`ExecError::Remote`] for a poison — or for a report no worker of
-    /// this mesh can have sent, which poisons the workers first.
+    /// this mesh can have sent, which poisons the workers first and leaves
+    /// the gather as it was.
     fn absorb(&mut self, msg: Message, net: &dyn Transport) -> Result<bool, ExecError> {
         match msg {
-            Message::Result { tile_ref, tile } => {
+            Message::Result { tile_ref, tile } if tile.dim() == self.b => {
                 self.tiles.insert(tile_ref, tile);
             }
-            Message::Done { src, stats } => {
-                // `src` comes off the wire: rank 0's own slot holds its own
-                // counts, and there is no slot past the last rank
-                if src == 0 || src as usize >= self.peer.len() {
-                    poison_workers(net);
-                    return Err(ExecError::Remote);
-                }
+            // `src` comes off the wire: rank 0's own slot holds its own
+            // counts, and there is no slot past the last rank
+            Message::Done { src, stats } if src != 0 && (src as usize) < self.peer.len() => {
                 if self.peer[src as usize].replace(stats).is_none() {
                     self.missing -= 1;
                 }
             }
+            // and a result of mixed tile sizes is a panic, not a matrix
+            Message::Result { .. } | Message::Done { .. } => {
+                poison_workers(net);
+                return Err(ExecError::Remote);
+            }
             Message::Poison => return Err(ExecError::Remote),
-            // stray wakes from our own completion, a duplicate payload
-            // injected after our run finished, or leftover session
-            // traffic — all harmless
-            Message::Wake | Message::Payload { .. } | Message::Seq { .. } | Message::Ack { .. } => {
+            // a duplicate payload injected after our run finished, or
+            // leftover session traffic — harmless
+            Message::Payload { .. } | Message::Seq { .. } | Message::Ack { .. } => {
                 return Ok(false)
             }
         }
@@ -626,8 +638,10 @@ mod tests {
 
     /// The `src` of a `Done` is wire data. Naming rank 0 it used to
     /// overwrite rank 0's own counts, past the last rank it indexed out of
-    /// bounds; both are a mesh failure now — the workers are poisoned and
-    /// the gather ends in `Remote` with its state untouched.
+    /// bounds; a `Result` tile of another size than the job's used to panic
+    /// in the assembly of the result. Each is a mesh failure now — the
+    /// workers are poisoned and the gather ends in `Remote` with its state
+    /// untouched.
     #[test]
     fn gather_refuses_a_done_from_no_worker_of_the_mesh() {
         let stats = |sent| PeerStats {
@@ -635,29 +649,45 @@ mod tests {
             sent_bytes: 8 * sent,
             applied: 0,
         };
-        for src in [0, 3, 9] {
+        let done = |src, sent| Message::Done {
+            src,
+            stats: stats(sent),
+        };
+        let a_tile = TileRef::A {
+            phase: 0,
+            slice: 0,
+            i: 1,
+            j: 0,
+        };
+        let result = |dim| Message::Result {
+            tile_ref: a_tile,
+            tile: Tile::zeros(dim),
+        };
+        for bad in [done(0, 99), done(3, 99), done(9, 99), result(4)] {
             let mesh = inproc_mesh(3);
             let mut gather = Gather {
+                b: 8,
                 tiles: HashMap::new(),
                 peer: vec![Some(stats(7)), None, None],
                 missing: 2,
             };
-            let done = |src, sent| Message::Done {
-                src,
-                stats: stats(sent),
-            };
             assert_eq!(gather.absorb(done(1, 5), &mesh[0]), Ok(true));
+            let label = format!("{bad:?}");
             assert_eq!(
-                gather.absorb(done(src, 99), &mesh[0]),
+                gather.absorb(bad, &mesh[0]),
                 Err(ExecError::Remote),
-                "src {src}"
+                "{label}"
             );
             assert_eq!(gather.peer, [Some(stats(7)), Some(stats(5)), None]);
             assert_eq!(gather.missing, 1);
+            assert!(gather.tiles.is_empty(), "{label}");
             for worker in &mesh[1..] {
-                assert_eq!(worker.try_recv(), Some(Message::Poison), "src {src}");
+                assert_eq!(worker.try_recv(), Some(Message::Poison), "{label}");
             }
             assert_eq!(mesh[0].try_recv(), None);
+            // a tile of the job's size is gather traffic
+            assert_eq!(gather.absorb(result(8), &mesh[0]), Ok(true));
+            assert_eq!(gather.tiles.len(), 1);
         }
     }
 

@@ -7,7 +7,7 @@
 //! **warm**, on the same task engine a one-shot run uses:
 //!
 //! - [`Service`] owns a resident in-process mesh (its rank engines stepped
-//!   by [`sbc_runtime::jobs::run_jobs_inproc`] on a small shared pool of
+//!   by [`sbc_runtime::jobs::run_jobs`] on a small shared pool of
 //!   threads, told of each admission), a shared
 //!   [`sbc_planner::Planner`] whose concurrent plan cache makes the second
 //!   job of any shape skip the search, and a task-graph cache so

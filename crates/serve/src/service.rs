@@ -10,13 +10,13 @@
 //! the job path nothing measurable.
 
 use sbc_matrix::SymmetricTiledMatrix;
-use sbc_net::{BufferPool, PoolStats};
+use sbc_net::{inproc_mesh, BufferPool, PoolStats};
 use sbc_obs::{
     chrome_trace_from_spans, expo, Counter, EventLog, Gauge, Metrics, MetricsSnapshot, ObsEvent,
     SpanRing, TraceEvent,
 };
 use sbc_planner::{Op, Plan, Planner, PlannerConfig};
-use sbc_runtime::jobs::{run_jobs_inproc, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
+use sbc_runtime::jobs::{run_jobs, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
 use sbc_runtime::{gather, ExecError, KernelBackend, RunResult};
 use sbc_simgrid::Platform;
 use sbc_taskgraph::TaskGraph;
@@ -134,11 +134,10 @@ impl Service {
             workers: cfg.workers,
             deadline: cfg.deadline,
             kernels: KernelBackend::resolve(cfg.kernels),
-            ..JobEngineConfig::default()
         };
         let engines = {
             let table = Arc::clone(&table);
-            std::thread::spawn(move || run_jobs_inproc(&table, engine_cfg))
+            std::thread::spawn(move || run_jobs(&inproc_mesh(cfg.nodes), &table, engine_cfg))
         };
         Arc::new(Service {
             table,

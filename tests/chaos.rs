@@ -78,16 +78,6 @@ fn sequential_factor(nt: usize) -> SymmetricTiledMatrix {
     seq
 }
 
-/// Runs one rank per thread over a session-per-rank reliable mesh built on
-/// lossy endpoints, returning rank 0's gathered output plus each session's
-/// composed accounting and each lossy layer's injected-fault counts.
-///
-/// Each thread *owns* its session and drops it when its rank finishes —
-/// exactly like the one-process-per-rank deployment. The drop matters: the
-/// session is passive (retransmission is driven from inside its receive
-/// calls), so a rank that finished with a dropped tail payload still
-/// in flight recovers it in the session's drain-on-drop, while the peer
-/// that needs it is still pumping its own session inside `recv`.
 /// Everything one chaos run produced: rank 0's gathered output, each
 /// session's composed accounting, and the lossy layer's injected totals.
 struct ChaosRun {
@@ -97,6 +87,17 @@ struct ChaosRun {
     duplicated: u64,
 }
 
+/// Runs one rank per thread over a session-per-rank reliable mesh built on
+/// lossy endpoints, returning rank 0's gathered output plus each session's
+/// composed accounting and each lossy layer's injected-fault counts.
+///
+/// Each thread *owns* its session and drops it when its rank finishes —
+/// exactly like the one-process-per-rank deployment. The drop matters: the
+/// session is passive (retransmission runs inside its receive calls, which
+/// a finished rank no longer makes), so a rank that finished with a
+/// dropped tail payload still in flight recovers it in the session's
+/// drain-on-drop, while the peer that needs it is still stepped at each
+/// arrival.
 fn run_reliable<T: Transport, D: Distribution>(
     dist: &D,
     nt: usize,
@@ -296,7 +297,7 @@ fn compound_fault_schedule_over_uds_recovers() {
 /// job never leak into a job's counts.
 #[test]
 fn two_jobs_share_one_faulty_uds_mesh_bit_identically() {
-    use sbc::runtime::{gather, run_jobs_rank, JobEngineConfig, JobTable, RunResult};
+    use sbc::runtime::{gather, run_jobs, JobEngineConfig, JobTable, RunResult};
     use sbc::taskgraph::build_potrf;
     use std::sync::Arc;
 
@@ -328,17 +329,11 @@ fn two_jobs_share_one_faulty_uds_mesh_bit_identically() {
         .collect();
 
     let seed_b = SEED ^ 77;
-    let (outcomes, faults) = std::thread::scope(|scope| {
+    let outcomes = std::thread::scope(|scope| {
         let table = &table;
-        let engines: Vec<_> = mesh
-            .into_iter()
-            .map(|net| {
-                scope.spawn(move || {
-                    let res = run_jobs_rank(&net, table, cfg);
-                    (res, net.inner().dropped(), net.inner().duplicated())
-                })
-            })
-            .collect();
+        // the table tells one driver of its admissions: the mesh this
+        // process holds is one pool
+        let engines = scope.spawn(|| run_jobs(&mesh, table, cfg));
         let driver = scope.spawn(move || {
             let a = table
                 .submit(Arc::clone(&graph), B, SEED, SEED ^ 1, 0)
@@ -351,15 +346,12 @@ fn two_jobs_share_one_faulty_uds_mesh_bit_identically() {
             outs
         });
         let outcomes = driver.join().expect("driver panicked");
-        let mut dropped = 0;
-        let mut duplicated = 0;
-        for (rank, h) in engines.into_iter().enumerate() {
-            let (res, d, dup) = h.join().expect("engine thread panicked");
-            res.unwrap_or_else(|e| panic!("{label}: rank {rank} failed: {e}"));
-            dropped += d;
-            duplicated += dup;
-        }
-        (outcomes, (dropped, duplicated))
+        let engines = engines.join().expect("engine thread panicked");
+        engines.unwrap_or_else(|e| panic!("{label}: a rank failed: {e}"));
+        outcomes
+    });
+    let faults: (u64, u64) = mesh.iter().fold((0, 0), |(d, dup), net| {
+        (d + net.inner().dropped(), dup + net.inner().duplicated())
     });
     assert!(
         faults.0 > 0 && faults.1 > 0,
@@ -483,7 +475,8 @@ fn all_drop_transport_stalls_instead_of_hanging() {
 /// The watchdog is a pure function of the injected clock: on a
 /// [`VirtualClock`] ticked ~10000× faster than the wall, an all-drop run
 /// trips a *three-virtual-minute* deadline within real-time milliseconds —
-/// stall detection reads virtual time, only the heartbeat pacing is real.
+/// stall detection reads virtual time, and every advance wakes the pool
+/// that waits for the deadline.
 #[test]
 fn watchdog_reads_the_injected_clock_not_the_wall() {
     use sbc::net::VirtualClock;

@@ -2,7 +2,9 @@
 //! ranks on `min(ranks × workers, cores)` pooled threads, the caller one of
 //! them, and a resident `Service` keeps that many — not one per rank. A
 //! socket mesh runs one reader thread per connection and nothing else: a
-//! frame is written by the thread that sends it.
+//! frame is written by the thread that sends it. A rank of a socket mesh
+//! (`Run::execute_rank`) is stepped on `min(workers, cores)` pooled
+//! threads, its caller one of them.
 //!
 //! One `#[test]` only: the count is the process's (`/proc/self/task`), and
 //! tests of one binary run on parallel threads.
@@ -34,28 +36,33 @@ fn settled_at(want: usize) -> usize {
     threads_now()
 }
 
+const NT: usize = 8;
+const B: usize = 8;
+
+/// A factorization of 6 ranks at `workers` lanes whose tile provider — run
+/// on the engine threads, mid-run — records the most threads it saw.
+fn sampled<'a>(dist: &SbcExtended, workers: usize, peak: &'a AtomicUsize) -> Run<'a> {
+    Run::potrf(dist, NT)
+        .block(B)
+        .workers(workers)
+        .provider(move |r| {
+            peak.fetch_max(threads_now(), Ordering::Relaxed);
+            match r {
+                TileRef::A { i, j, .. } => generate::spd_tile(5, NT, B, i as usize, j as usize),
+                _ => Tile::zeros(B),
+            }
+        })
+}
+
 #[test]
 fn an_in_process_mesh_keeps_one_thread_per_core_at_most() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (nt, b, seed) = (8, 8, 5);
     let dist = SbcExtended::new(4); // 6 ranks
     let before = threads_now();
 
-    // a tile provider runs on the engine threads, mid-run
     for workers in [1, 2] {
         let peak = AtomicUsize::new(0);
-        let run = Run::potrf(&dist, nt)
-            .block(b)
-            .workers(workers)
-            .provider(|r| {
-                peak.fetch_max(threads_now(), Ordering::Relaxed);
-                match r {
-                    TileRef::A { i, j, .. } => {
-                        generate::spd_tile(seed, nt, b, i as usize, j as usize)
-                    }
-                    _ => Tile::zeros(b),
-                }
-            });
+        let run = sampled(&dist, workers, &peak);
         let out = run.execute().expect("the seeded matrix factors");
         drop(run);
         assert!(out.stats.messages > 0);
@@ -75,10 +82,10 @@ fn an_in_process_mesh_keeps_one_thread_per_core_at_most() {
 
     let service = Service::start(ServeConfig::default());
     let resident = ServeConfig::default().nodes.min(cores);
-    let job = service.submit(Op::Potrf, nt, b, seed, 0, 0).unwrap();
+    let job = service.submit(Op::Potrf, NT, B, 5, 0, 0).unwrap();
     let during = threads_now();
     let out = service.wait(job.id).unwrap();
-    assert!(service.gather_potrf(nt, b, &out).is_ok());
+    assert!(service.gather_potrf(NT, B, &out).is_ok());
     assert!(
         during - before <= resident,
         "{} threads serve a job",
@@ -100,6 +107,24 @@ fn an_in_process_mesh_keeps_one_thread_per_core_at_most() {
         settled_at(before + 30) - before,
         30,
         "threads of a UDS mesh"
+    );
+    // its ranks, one caller thread each, at two lanes: at most one more
+    // thread per rank, and only where there is a core for it
+    let (workers, callers, readers) = (2, 6, 30);
+    let peak = AtomicUsize::new(0);
+    let run = sampled(&dist, workers, &peak);
+    std::thread::scope(|scope| {
+        for net in &mesh {
+            let run = &run;
+            scope.spawn(move || run.execute_rank(net).expect("the seeded matrix factors"));
+        }
+    });
+    drop(run);
+    let engine = peak.into_inner() - before - readers - callers;
+    let most = callers * (workers.min(cores) - 1);
+    assert!(
+        engine <= most,
+        "{engine} engine threads beside the callers and the readers, {most} at most"
     );
     drop(mesh);
     assert_eq!(

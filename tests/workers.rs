@@ -156,62 +156,97 @@ fn multi_worker_runs_lose_no_wake_up() {
     runner.join().expect("a run failed; its assertion is above");
 }
 
-/// The same loop through the threaded driver, which `Run::execute` no longer
-/// reaches: every rank of an in-process mesh on `workers` threads of its own
-/// (`run_jobs_rank`), one receiver blocked in the inbox and the others parked
-/// on the driver's condvar. A wake-up lost there is a run that never ends.
+/// No lost wake-up on a socket mesh. Every rank of a 6-rank UDS mesh runs
+/// `execute_rank` on a thread of its own, on a pool of `workers` lanes,
+/// behind a reliability session. Nothing blocks in an inbox, so a rank runs
+/// only when a socket reader's push, the table or one of its timers marks
+/// it runnable. One payload of every run is dropped, so only the pool's
+/// timer — the session's `next_timer` — can fire its retransmission while
+/// the sender still runs: a mark or a timer lost is a run that never ends.
+/// Every run is held to the sequential factor and the analytic traffic,
+/// under a deadline.
 #[test]
-fn threaded_runs_lose_no_wake_up() {
-    use sbc::net::inproc_mesh;
-    use sbc::runtime::{gather, run_jobs_rank, JobEngineConfig, JobTable, RunResult};
+fn socket_runs_lose_no_wake_up() {
+    use sbc::net::{local_mesh, Backend, FaultConfig, Faulty, Session, SessionConfig};
+    use std::time::Duration;
 
-    let (nt, b, seed) = (24, 4, 11);
+    const REPS: usize = 200;
+    let (nt, b, seed) = (12, 4, 11);
     let (tx, rx) = std::sync::mpsc::channel();
     let runner = std::thread::spawn(move || {
-        let d = SbcExtended::new(4);
-        let graph = Arc::new(sbc::taskgraph::build_potrf(&d, nt));
-        let n = graph.num_nodes();
+        let d = SbcExtended::new(4); // 6 ranks
+        let g = sbc::taskgraph::build_potrf(&d, nt);
         let mut seq = sbc::matrix::random_spd(seed, nt, b);
         sbc::matrix::potrf_tiled(&mut seq).unwrap();
         let messages = comm::potrf_messages(&d, nt);
-        for workers in [3, 4] {
-            let cfg = JobEngineConfig {
-                workers,
-                ..Default::default()
-            };
-            for rep in 0..200 {
-                let table = JobTable::new(n, 1);
-                let id = table.submit(Arc::clone(&graph), b, seed, seed, 0).unwrap();
-                table.shutdown();
-                std::thread::scope(|scope| {
-                    for net in inproc_mesh(n) {
-                        let table = &table;
-                        scope.spawn(move || run_jobs_rank(&net, table, cfg).unwrap());
-                    }
-                });
-                let out = table.wait(id).unwrap();
-                let RunResult::Factor(factor) = gather(out.graph(), &out.tiles, b).unwrap() else {
-                    panic!("a POTRF gathered no factor");
+        let fast = SessionConfig {
+            rto: Duration::from_millis(2),
+            backoff_cap: Duration::from_millis(20),
+            tick: Duration::from_millis(1),
+            ..Default::default()
+        };
+        for workers in [1, 2] {
+            for rep in 0..REPS {
+                let context = format!("workers={workers} rep={rep}");
+                // one rank, a different one each run, loses one payload
+                let lossy = FaultConfig {
+                    drop_every: 3,
+                    max_drops: 1,
+                    phase: rep as u64,
+                    ..Default::default()
                 };
+                let mesh = local_mesh(Backend::Uds, 6).expect("uds mesh");
+                let mesh = mesh.into_iter().enumerate().map(|(r, t)| {
+                    let plan = if r == rep % 6 {
+                        lossy
+                    } else {
+                        FaultConfig::default()
+                    };
+                    Session::with_config(Faulty::new(t, plan), fast)
+                });
+                let run = Run::graph(&g).block(b).seed(seed).workers(workers);
+                let run = &run;
+                // each thread owns its session: a finished rank's drops it,
+                // and a tail payload still unacked is retransmitted there
+                let ranks: Vec<_> = std::thread::scope(|scope| {
+                    let ranks: Vec<_> = mesh
+                        .map(|net| {
+                            scope.spawn(move || (run.execute_rank(&net), net.inner().dropped()))
+                        })
+                        .collect();
+                    ranks
+                        .into_iter()
+                        .map(|h| h.join().expect("rank thread panicked"))
+                        .collect()
+                });
+                let mut gathered = None;
+                let mut dropped = 0;
+                for (rank, (out, lost)) in ranks.into_iter().enumerate() {
+                    dropped += lost;
+                    let out = out.unwrap_or_else(|e| panic!("{context}: rank {rank} failed: {e}"));
+                    gathered = gathered.or(out);
+                }
+                assert_eq!(dropped, 1, "{context}: one payload dropped");
+                let out = gathered.expect("rank 0 gathered the factor");
                 for (i, j) in seq.tile_coords() {
                     assert_eq!(
-                        factor.tile(i, j).max_abs_diff(seq.tile(i, j)),
+                        out.factor().tile(i, j).max_abs_diff(seq.tile(i, j)),
                         0.0,
-                        "workers={workers} rep={rep} tile ({i},{j})"
+                        "{context} tile ({i},{j})"
                     );
                 }
-                assert_eq!(out.stats.messages, messages, "workers={workers} rep={rep}");
+                assert_eq!(out.stats.messages, messages, "{context}");
                 assert_eq!(out.stats.bytes, comm::messages_to_bytes(messages, b));
                 assert_eq!(out.stats.recv_per_node.iter().sum::<u64>(), messages);
             }
         }
         tx.send(()).expect("the test is still waiting");
     });
-    let verdict = rx.recv_timeout(std::time::Duration::from_secs(60));
+    let verdict = rx.recv_timeout(Duration::from_secs(60));
     assert_ne!(
         verdict,
         Err(std::sync::mpsc::RecvTimeoutError::Timeout),
-        "400 threaded multi-worker runs neither finished nor failed: a worker sleeps on"
+        "socket runs neither finished nor failed: a rank was left idle with work"
     );
     runner.join().expect("a run failed; its assertion is above");
 }
