@@ -11,6 +11,9 @@
 //! tables; `--out <path>` sets where `obs` / `net` write their Chrome-trace
 //! JSON (for `topo`, the text report); `--workers <n>` sets the worker
 //! threads per virtual node for `obs` (default: the runtime's own default).
+//! Each target takes only its own flags (`TARGETS`): an unknown target or
+//! flag, a flag the target does not take, or a value that does not parse
+//! prints the usage and exits 2.
 //!
 //! `topo` sweeps {topology × scheduler × distribution} through the
 //! simulator and prints a deterministic Pareto report of (makespan,
@@ -47,145 +50,237 @@
 //! (`--interval <secs>`, `--iters <n>`, `--events <n>`, `--once` for a
 //! single frame, `--raw` to dump the exposition text verbatim).
 
-use sbc_bench::figures::{self, Scale};
-use sbc_bench::{append_bench_record, render_csv, render_figure};
+use sbc_bench::figures::{self as fig, Scale};
+use sbc_bench::{render_csv, render_figure, Figure};
+use std::str::FromStr;
+
+/// Every flag `paper` knows, with the placeholder of its value (`None` for
+/// a switch).
+const FLAGS: &[(&str, Option<&str>)] = &[
+    ("--full", None),
+    ("--csv", None),
+    ("--out", Some("<path>")),
+    ("--workers", Some("<n>")),
+    ("--depth", Some("<n>")),
+    ("--states", Some("<n>")),
+    ("--nodes", Some("<n>")),
+    ("--backend", Some("tcp|uds")),
+    ("--nt", Some("<tiles>")),
+    ("--block", Some("<b>")),
+    ("--faults", Some("drop:N,dup:N,delay:MS")),
+    ("--seed", Some("<s>")),
+    ("--deadline", Some("<secs>")),
+    ("--addr", Some("<path|host:port>")),
+    ("--max-inflight", Some("<n>")),
+    ("--batch", Some("<n>")),
+    ("--prio", Some("<n>")),
+    ("--shutdown", None),
+    ("--stats", None),
+    ("--interval", Some("<secs>")),
+    ("--iters", Some("<n>")),
+    ("--events", Some("<n>")),
+    ("--once", None),
+    ("--raw", None),
+];
+
+/// The flags of a figure target.
+const FIG: &str = "--full --csv";
+
+/// `(name, the flags it takes, run by all, what it does)`, in the order
+/// `all` runs them. `all`, the default target, takes its targets' flags.
+type Target = (&'static str, &'static str, bool, fn(&Args));
+
+const TARGETS: &[Target] = &[
+    ("table1", "", true, |_| table1()),
+    ("patterns", "", true, |_| patterns()),
+    ("fig7", FIG, true, |a| figure(a, "fig7", fig::fig7)),
+    ("fig8", FIG, true, |a| figure(a, "fig8", fig::fig8)),
+    ("fig9", FIG, true, |a| figure(a, "fig9", fig::fig9)),
+    ("fig10", FIG, true, |a| figure(a, "fig10", fig::fig10)),
+    ("fig11", FIG, true, |a| figure(a, "fig11", fig::fig11)),
+    ("fig12", FIG, true, |a| figure(a, "fig12", fig::fig12)),
+    ("fig13", FIG, true, |a| figure(a, "fig13", fig::fig13)),
+    ("fig14", FIG, true, |a| figure(a, "fig14", fig::fig14)),
+    ("ablations", FIG, true, |a| {
+        figure(a, "ablations", fig::ablations)
+    }),
+    ("trace", "", true, |_| trace_demo()),
+    ("planner", "--full", true, planner_report),
+    ("topo", "--full --nodes --nt --block --out", true, topo_run),
+    ("obs", "--full --out --workers", true, observed_run),
+    // a verification target, not a paper figure
+    ("mc", "--depth --states --out", false, mc_run),
+    // re-execs this binary once per rank
+    (
+        "net",
+        "--nodes --backend --nt --block --faults --seed --deadline --workers --out",
+        false,
+        net_run,
+    ),
+    // `serve` blocks until a client sends Shutdown; `submit` and `top`
+    // need a running server
+    (
+        "serve",
+        "--addr --nodes --max-inflight --deadline --workers --out",
+        false,
+        serve_run,
+    ),
+    (
+        "submit",
+        "--addr --nt --block --seed --batch --prio --shutdown --stats",
+        false,
+        submit_run,
+    ),
+    (
+        "top",
+        "--addr --interval --iters --events --once --raw",
+        false,
+        top_run,
+    ),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let csv = args.iter().any(|a| a == "--csv");
-    let scale = if full { Scale::Full } else { Scale::Quick };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "obs-trace.json".to_string());
-    let workers: Option<usize> = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .map(|w| w.parse().expect("--workers takes a positive integer"));
-    // Skip flags and the values consumed by value-taking options.
-    const VALUE_FLAGS: [&str; 18] = [
-        "--out",
-        "--workers",
-        "--depth",
-        "--states",
-        "--nodes",
-        "--backend",
-        "--nt",
-        "--block",
-        "--faults",
-        "--seed",
-        "--deadline",
-        "--addr",
-        "--max-inflight",
-        "--batch",
-        "--prio",
-        "--interval",
-        "--iters",
-        "--events",
-    ];
-    let mut skip_next = false;
-    let targets: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if VALUE_FLAGS.contains(&a.as_str()) {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
-    let target = targets.first().copied().unwrap_or("all");
-
-    let all = target == "all";
-    let mut ran = false;
-
-    if all || target == "table1" {
-        println!("== Table I: sizes of the considered distributions ==");
-        println!("{}", figures::table1_text());
-        ran = true;
-    }
-    if all || target == "patterns" {
-        patterns();
-        ran = true;
-    }
-    for (name, f) in [
-        ("fig7", figures::fig7 as fn(Scale) -> sbc_bench::Figure),
-        ("fig8", figures::fig8),
-        ("fig9", figures::fig9),
-        ("fig10", figures::fig10),
-        ("fig11", figures::fig11),
-        ("fig12", figures::fig12),
-        ("fig13", figures::fig13),
-        ("fig14", figures::fig14),
-        ("ablations", figures::ablations),
-    ] {
-        if all || target == name {
-            eprintln!("running {name} ({scale:?})...");
-            let fig = f(scale);
-            if csv {
-                println!("# {name}\n{}", render_csv(&fig));
-            } else {
-                println!("{}", render_figure(&fig));
-            }
-            ran = true;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (target, args) = Args::parse(argv).unwrap_or_else(|e| usage_error(&e));
+    for &(name, _, in_all, run) in TARGETS {
+        if name == target || (target == "all" && in_all) {
+            run(&args);
         }
     }
+}
 
-    if all || target == "trace" {
-        trace_demo();
-        ran = true;
-    }
-    if all || target == "planner" {
-        planner_report(full);
-        ran = true;
-    }
-    if all || target == "topo" {
-        topo_run(&args, full);
-        ran = true;
-    }
-    if all || target == "obs" {
-        observed_run(&out_path, full, workers);
-        ran = true;
-    }
-    // not part of `all`: a verification target, not a paper figure
-    if target == "mc" {
-        mc_run(&args, &out_path);
-        ran = true;
-    }
-    // not part of `all`: re-execs this binary once per rank
-    if target == "net" {
-        net_run(&args, &out_path, workers);
-        ran = true;
-    }
-    // not part of `all`: `serve` blocks until a client sends Shutdown,
-    // `submit` and `top` need a running server
-    if target == "serve" {
-        serve_run(&args, &out_path, workers);
-        ran = true;
-    }
-    if target == "submit" {
-        submit_run(&args);
-        ran = true;
-    }
-    if target == "top" {
-        top_run(&args);
-        ran = true;
+/// A parsed command line: the flags given, each with its value.
+struct Args {
+    /// The command line as given (`net` re-execs this binary with it).
+    argv: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Splits `argv` into a target (`all` when none is named) and its
+    /// flags. A second target, an unknown flag, a flag the target does not
+    /// take and a flag missing its value are errors.
+    fn parse(argv: Vec<String>) -> Result<(&'static str, Args), String> {
+        let mut target = None;
+        let mut flags = Vec::new();
+        let mut words = argv.iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with("--") {
+                if let Some(first) = target.replace(word) {
+                    return Err(format!("two targets: '{first}' and '{word}'"));
+                }
+                continue;
+            }
+            let &(flag, value) = FLAGS
+                .iter()
+                .find(|(f, _)| f == word)
+                .ok_or_else(|| format!("unknown flag '{word}'"))?;
+            let value = match value {
+                None => None,
+                Some(what) => Some(
+                    words
+                        .next()
+                        .ok_or_else(|| format!("{flag} takes {what}"))?
+                        .clone(),
+                ),
+            };
+            flags.push((flag, value));
+        }
+        let target = target.map_or("all", String::as_str);
+        let target = TARGETS
+            .iter()
+            .map(|t| t.0)
+            .chain(["all"])
+            .find(|&name| name == target)
+            .ok_or_else(|| format!("unknown target '{target}'"))?;
+        let takes = |flag: &str| {
+            TARGETS.iter().any(|&(name, takes, in_all, _)| {
+                (name == target || (target == "all" && in_all))
+                    && takes.split_whitespace().any(|f| f == flag)
+            })
+        };
+        if let Some((flag, _)) = flags.iter().find(|(flag, _)| !takes(flag)) {
+            return Err(format!("'{target}' does not take {flag}"));
+        }
+        Ok((target, Args { argv, flags }))
     }
 
-    if !ran {
-        eprintln!(
-            "unknown target '{target}'. Use one of: all, table1, patterns, fig7..fig14, ablations, planner, topo, trace, obs, net, mc, serve, submit, top [--full] [--depth <n>] [--states <n>] [--out <path>] [--workers <n>] [--nodes <n>] [--backend tcp|uds] [--nt <tiles>] [--block <b>] [--faults drop:N,dup:N,delay:MS] [--seed <s>] [--deadline <secs>] [--addr <path|host:port>] [--max-inflight <n>] [--batch <n>] [--prio <n>] [--shutdown] [--stats] [--interval <secs>] [--iters <n>] [--events <n>] [--once] [--raw]"
-        );
-        std::process::exit(2);
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
     }
+
+    fn raw(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().find(|(f, _)| *f == flag)?;
+        value.as_deref()
+    }
+
+    /// The value of `flag` read by `parse`; one it refuses is a usage
+    /// error.
+    fn parsed<T>(&self, flag: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let value = self.raw(flag)?;
+        Some(parse(value).unwrap_or_else(|| {
+            let what = placeholder(flag).unwrap_or("a value");
+            usage_error(&format!("{flag} takes {what}, not '{value}'"))
+        }))
+    }
+
+    fn opt<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.parsed(flag, |v| v.parse().ok())
+    }
+
+    fn get<T: FromStr>(&self, flag: &str, default: T) -> T {
+        self.opt(flag).unwrap_or(default)
+    }
+}
+
+/// The placeholder of `flag`'s value; `None` for a switch.
+fn placeholder(flag: &str) -> Option<&'static str> {
+    FLAGS.iter().find(|(f, _)| *f == flag).and_then(|f| f.1)
+}
+
+/// Prints `msg` and the usage, and exits 2.
+fn usage_error(msg: &str) -> ! {
+    let mut usage = String::from("usage: paper [target] [flags], target one of:\n");
+    for &(name, flags, in_all, _) in TARGETS {
+        let mut line = format!("  {name:<10}");
+        for flag in flags.split_whitespace() {
+            match placeholder(flag) {
+                Some(what) => line.push_str(&format!(" [{flag} {what}]")),
+                None => line.push_str(&format!(" [{flag}]")),
+            }
+        }
+        if !in_all {
+            line.push_str("  (not in all)");
+        }
+        usage.push_str(line.trim_end());
+        usage.push('\n');
+    }
+    usage.push_str("  all        (the default) every target above not marked otherwise\n");
+    eprint!("paper: {msg}\n{usage}");
+    std::process::exit(2);
+}
+
+/// A figure target: the sweep at `--full` or quick scale, as an aligned
+/// text table or, with `--csv`, as CSV.
+fn figure(args: &Args, name: &str, f: fn(Scale) -> Figure) {
+    let scale = if args.has("--full") {
+        Scale::Full
+    } else {
+        Scale::Quick
+    };
+    eprintln!("running {name} ({scale:?})...");
+    let fig = f(scale);
+    if args.has("--csv") {
+        println!("# {name}\n{}", render_csv(&fig));
+    } else {
+        println!("{}", render_figure(&fig));
+    }
+}
+
+/// Table I: the sizes of the considered distributions.
+fn table1() {
+    println!("== Table I: sizes of the considered distributions ==");
+    println!("{}", fig::table1_text());
 }
 
 /// `paper mc`: exhaustive model checking of the ARQ session protocol.
@@ -202,27 +297,14 @@ fn main() {
 ///    the phase-locking livelock and emit its minimal trace;
 /// 4. the shipped fair-loss gate on the same counters — no livelock, and
 ///    executions terminate fully delivered.
-fn mc_run(args: &[String], out_path: &str) {
+fn mc_run(args: &Args) {
     use sbc_mc::{check, LossModel, Scenario};
     use sbc_net::FaultConfig;
     use std::time::Instant;
 
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let depth: usize = value_of("--depth")
-        .map(|v| v.parse().expect("--depth takes a positive integer"))
-        .unwrap_or(12);
-    let states: usize = value_of("--states")
-        .map(|v| v.parse().expect("--states takes a positive integer"))
-        .unwrap_or(100_000);
-    let trace_out = if out_path == "obs-trace.json" {
-        "mc-counterexample.txt"
-    } else {
-        out_path
-    };
+    let depth: usize = args.get("--depth", 12);
+    let states: usize = args.get("--states", 100_000);
+    let trace_out = args.raw("--out").unwrap_or("mc-counterexample.txt");
 
     println!("== model checking the ARQ session protocol (depth {depth}, <= {states} states) ==");
     let mut failed = false;
@@ -335,7 +417,7 @@ fn mc_run(args: &[String], out_path: &str) {
 ///   schedule-invariant counts of `sbc_dist::comm`;
 /// * every rank's Chrome trace (written to `<out>.rank<r>`) merges into one
 ///   valid timeline at `<out>`, send/recv flow arrows included.
-fn net_run(args: &[String], out_path: &str, workers: Option<usize>) {
+fn net_run(args: &Args) {
     use sbc_dist::{comm, Distribution, SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{cholesky_residual, potrf_tiled, random_spd};
     use sbc_net::{
@@ -346,31 +428,18 @@ fn net_run(args: &[String], out_path: &str, workers: Option<usize>) {
     use sbc_runtime::Run;
     use std::time::Duration;
 
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let nodes: usize = value_of("--nodes")
-        .map(|v| v.parse().expect("--nodes takes a positive integer"))
-        .unwrap_or(4);
+    let nodes: usize = args.get("--nodes", 4);
     assert!(nodes >= 1, "--nodes must be at least 1");
-    let backend = value_of("--backend")
-        .map(|v| Backend::parse(v).expect("--backend takes tcp or uds"))
+    let backend = args
+        .parsed("--backend", Backend::parse)
         .unwrap_or(Backend::Tcp);
-    let nt: usize = value_of("--nt")
-        .map(|v| v.parse().expect("--nt takes a positive integer"))
-        .unwrap_or(12);
-    let b: usize = value_of("--block")
-        .map(|v| v.parse().expect("--block takes a positive integer"))
-        .unwrap_or(8);
-    let faults: Option<FaultConfig> = value_of("--faults")
-        .map(|v| FaultConfig::parse(v).expect("--faults takes drop:N,dup:N,delay:MS clauses"));
-    let fault_seed: u64 = value_of("--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let deadline: Option<f64> =
-        value_of("--deadline").map(|v| v.parse().expect("--deadline takes seconds (a float)"));
+    let nt: usize = args.get("--nt", 12);
+    let b: usize = args.get("--block", 8);
+    let faults = args.parsed("--faults", |v| FaultConfig::parse(v).ok());
+    let fault_seed: u64 = args.get("--seed", 42);
+    let deadline: Option<f64> = args.opt("--deadline");
+    let workers: Option<usize> = args.opt("--workers");
+    let out_path = args.raw("--out").unwrap_or("obs-trace.json");
     let seed = 2022u64;
 
     // The distribution is a pure function of the rank count, so every
@@ -386,7 +455,7 @@ fn net_run(args: &[String], out_path: &str, workers: Option<usize>) {
         }
     };
 
-    let role = launch(nodes, backend, args).expect("failed to form the process mesh");
+    let role = launch(nodes, backend, &args.argv).expect("failed to form the process mesh");
     let (raw, children) = match role {
         Role::Root { net, children } => (net, Some(children)),
         Role::Worker { net } => (net, None),
@@ -503,44 +572,34 @@ fn net_run(args: &[String], out_path: &str, workers: Option<usize>) {
 /// socket path or `host:port`), keeps `--nodes` rank engines and the plan
 /// cache warm, and streams jobs submitted by `paper submit` processes
 /// until one of them sends a shutdown. On exit prints the jobs/sec
-/// throughput and the metrics registry, writes the per-job Chrome trace
-/// to `--out`, and appends a jobs/sec record to `$SBC_BENCH_JSON` when
-/// that is set (the same file the criterion benches append to).
-fn serve_run(args: &[String], out_path: &str, workers: Option<usize>) {
+/// throughput and the metrics registry and writes the per-job Chrome trace
+/// to `--out`.
+fn serve_run(args: &Args) {
     use sbc_serve::{serve, ServeConfig, Service};
     use std::sync::Arc;
     use std::time::Duration;
 
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
+    let addr = args.raw("--addr").unwrap_or("/tmp/sbc-serve.sock");
+    let out_path = args.raw("--out").unwrap_or("obs-trace.json");
+    let defaults = ServeConfig::default();
+    let cfg = ServeConfig {
+        nodes: args.get("--nodes", defaults.nodes),
+        max_inflight: args.get("--max-inflight", defaults.max_inflight),
+        deadline: args
+            .opt("--deadline")
+            .map(Duration::from_secs_f64)
+            .or(defaults.deadline),
+        workers: args.get("--workers", defaults.workers),
+        ..defaults
     };
-    let addr = value_of("--addr")
-        .cloned()
-        .unwrap_or_else(|| "/tmp/sbc-serve.sock".to_string());
-    let mut cfg = ServeConfig::default();
-    if let Some(n) = value_of("--nodes") {
-        cfg.nodes = n.parse().expect("--nodes takes a positive integer");
-        assert!(cfg.nodes >= 1, "--nodes must be at least 1");
-    }
-    if let Some(m) = value_of("--max-inflight") {
-        cfg.max_inflight = m.parse().expect("--max-inflight takes a positive integer");
-    }
-    if let Some(d) = value_of("--deadline") {
-        let secs: f64 = d.parse().expect("--deadline takes seconds (a float)");
-        cfg.deadline = Some(Duration::from_secs_f64(secs));
-    }
-    if let Some(w) = workers {
-        cfg.workers = w;
-    }
+    assert!(cfg.nodes >= 1, "--nodes must be at least 1");
 
     let service = Service::start(cfg);
     println!(
         "== serve: resident factorization service on {addr} ({} nodes, {} workers/node, max {} jobs in flight) ==",
         cfg.nodes, cfg.workers, cfg.max_inflight
     );
-    serve(Arc::clone(&service), &addr).expect("service failed");
+    serve(Arc::clone(&service), addr).expect("service failed");
 
     let jobs = service.completed();
     let jps = service.jobs_per_sec();
@@ -549,13 +608,6 @@ fn serve_run(args: &[String], out_path: &str, workers: Option<usize>) {
     let trace = service.chrome_trace();
     std::fs::write(out_path, &trace).expect("failed to write the per-job trace");
     println!("per-job chrome trace: {out_path} ({} bytes)", trace.len());
-    if let Ok(path) = std::env::var("SBC_BENCH_JSON") {
-        let record = format!(
-            r#"{{"name":"serve.jobs_per_sec","rate":{jps:.3},"rate_unit":"jobs/s","jobs":{jobs}}}"#
-        );
-        append_bench_record(&path, &record);
-        println!("bench record appended to {path}");
-    }
 }
 
 /// `paper submit`: a client process of a running `paper serve`. Submits a
@@ -563,37 +615,20 @@ fn serve_run(args: &[String], out_path: &str, workers: Option<usize>) {
 /// against the sequential algorithm, prints per-job stats, and exits
 /// non-zero if anything was rejected, failed or mismatched. `--shutdown`
 /// asks the service to drain and exit afterwards.
-fn submit_run(args: &[String]) {
+fn submit_run(args: &Args) {
     use sbc_serve::{factor_matches, Client, JobReply, JobRequest};
 
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let addr = value_of("--addr")
-        .cloned()
-        .unwrap_or_else(|| "/tmp/sbc-serve.sock".to_string());
-    let nt: usize = value_of("--nt")
-        .map(|v| v.parse().expect("--nt takes a positive integer"))
-        .unwrap_or(10);
-    let b: usize = value_of("--block")
-        .map(|v| v.parse().expect("--block takes a positive integer"))
-        .unwrap_or(8);
-    let seed: u64 = value_of("--seed")
-        .map(|v| v.parse().expect("--seed takes an integer"))
-        .unwrap_or(2022);
-    let batch: u32 = value_of("--batch")
-        .map(|v| v.parse().expect("--batch takes a positive integer"))
-        .unwrap_or(1);
-    let prio: u8 = value_of("--prio")
-        .map(|v| v.parse().expect("--prio takes 0..=255"))
-        .unwrap_or(0);
-    let shutdown = args.iter().any(|a| a == "--shutdown");
-    let stats = args.iter().any(|a| a == "--stats");
+    let addr = args.raw("--addr").unwrap_or("/tmp/sbc-serve.sock");
+    let nt: usize = args.get("--nt", 10);
+    let b: usize = args.get("--block", 8);
+    let seed: u64 = args.get("--seed", 2022);
+    let batch: u32 = args.get("--batch", 1);
+    let prio: u8 = args.get("--prio", 0);
+    let shutdown = args.has("--shutdown");
+    let stats = args.has("--stats");
 
     let mut client =
-        Client::connect(&addr).expect("connect to the service (is `paper serve` running?)");
+        Client::connect(addr).expect("connect to the service (is `paper serve` running?)");
     let request = JobRequest {
         nt,
         b,
@@ -676,34 +711,21 @@ fn submit_run(args: &[String]) {
 /// prints a single frame without clearing the screen, `--raw` dumps the
 /// Prometheus-style exposition text verbatim and exits (the form CI
 /// archives and external scrapers ingest).
-fn top_run(args: &[String]) {
+fn top_run(args: &Args) {
     use sbc_obs::MetricsSnapshot;
     use sbc_serve::Client;
     use std::io::Write as _;
     use std::time::{Duration, Instant};
 
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let addr = value_of("--addr")
-        .cloned()
-        .unwrap_or_else(|| "/tmp/sbc-serve.sock".to_string());
-    let interval: f64 = value_of("--interval")
-        .map(|v| v.parse().expect("--interval takes seconds (a float)"))
-        .unwrap_or(1.0);
-    let iters: u64 = value_of("--iters")
-        .map(|v| v.parse().expect("--iters takes an integer"))
-        .unwrap_or(0);
-    let events_shown: u32 = value_of("--events")
-        .map(|v| v.parse().expect("--events takes an integer"))
-        .unwrap_or(8);
-    let once = args.iter().any(|a| a == "--once");
-    let raw = args.iter().any(|a| a == "--raw");
+    let addr = args.raw("--addr").unwrap_or("/tmp/sbc-serve.sock");
+    let interval: f64 = args.get("--interval", 1.0);
+    let iters: u64 = args.get("--iters", 0);
+    let events_shown: u32 = args.get("--events", 8);
+    let once = args.has("--once");
+    let raw = args.has("--raw");
 
     let mut client =
-        Client::connect(&addr).expect("connect to the service (is `paper serve` running?)");
+        Client::connect(addr).expect("connect to the service (is `paper serve` running?)");
     // a monitor whose reader went away (`paper top | head`) exits
     // quietly instead of panicking on the broken pipe
     let mut emit = {
@@ -730,7 +752,7 @@ fn top_run(args: &[String]) {
                 return;
             }
         }
-        if !emit(&render_top(&addr, frame, &snap, prev.as_ref(), &events)) {
+        if !emit(&render_top(addr, frame, &snap, prev.as_ref(), &events)) {
             return;
         }
         prev = Some((snap, now));
@@ -863,7 +885,7 @@ fn render_top(
 /// real threaded runtime with a recorder attached, then emit every export
 /// `sbc-obs` offers — Chrome trace (open in Perfetto / chrome://tracing),
 /// measured Gantt, metrics report, and the planner's drift report.
-fn observed_run(out_path: &str, full: bool, workers: Option<usize>) {
+fn observed_run(args: &Args) {
     use sbc_obs::{
         chrome_trace, json, metrics_from_recording, render_gantt, task_spans, ExecProfile, Recorder,
     };
@@ -871,7 +893,13 @@ fn observed_run(out_path: &str, full: bool, workers: Option<usize>) {
     use sbc_runtime::Run;
     use sbc_simgrid::Platform;
 
-    let (nt, b) = if full { (40, 64) } else { (20, 32) };
+    let out_path = args.raw("--out").unwrap_or("obs-trace.json");
+    let workers: Option<usize> = args.opt("--workers");
+    let (nt, b) = if args.has("--full") {
+        (40, 64)
+    } else {
+        (20, 32)
+    };
     let p = 10;
     println!("== Observed run: POTRF nt={nt} b={b} on {p} virtual nodes ==");
 
@@ -925,29 +953,18 @@ fn observed_run(out_path: &str, full: bool, workers: Option<usize>) {
 /// topology-aware planner comparison. `--nodes`, `--nt`, `--block` resize
 /// the sweep; `--out <path>` additionally writes the report to a file
 /// (the CI determinism check compares two such files byte-for-byte).
-fn topo_run(args: &[String], full: bool) {
+fn topo_run(args: &Args) {
     use sbc_dist::table1;
     use sbc_planner::{DistChoice, Op, Planner};
     use sbc_simgrid::{Platform, SimConfig, Simulator};
     use sbc_taskgraph::priority::critical_path_length;
     use sbc_topo::{render_report, zoo, SweepPoint, Topology};
 
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let nodes: usize = value_of("--nodes")
-        .map(|v| v.parse().expect("--nodes takes a positive integer"))
-        .unwrap_or(12);
+    let nodes: usize = args.get("--nodes", 12);
     assert!(nodes >= 2, "--nodes must be at least 2");
-    let nt: usize = value_of("--nt")
-        .map(|v| v.parse().expect("--nt takes a positive integer"))
-        .unwrap_or(if full { 40 } else { 24 });
-    let b: usize = value_of("--block")
-        .map(|v| v.parse().expect("--block takes a positive integer"))
-        .unwrap_or(500);
-    let out = value_of("--out");
+    let nt: usize = args.get("--nt", if args.has("--full") { 40 } else { 24 });
+    let b: usize = args.get("--block", 500);
+    let out = args.raw("--out");
 
     let platform = Platform::bora(nodes);
     let topologies: Vec<Topology> = vec![
@@ -1042,12 +1059,12 @@ fn topo_run(args: &[String], full: bool) {
 /// The `sbc-planner` subsystem vs. the paper: for each operation and node
 /// count, print the automatically chosen distribution next to the winner
 /// the paper reports in Figs 9-12 and Table I.
-fn planner_report(full: bool) {
+fn planner_report(args: &Args) {
     use sbc_planner::{DistChoice, Op, Planner};
     use sbc_simgrid::Platform;
 
     let b = 500;
-    let nt = if full { 200 } else { 100 };
+    let nt = if args.has("--full") { 200 } else { 100 };
     println!(
         "== Planner: automatic distribution choice, n = {} (b = {b}) ==",
         nt * b

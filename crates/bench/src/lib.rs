@@ -2,8 +2,8 @@
 //!
 //! One function per table/figure of the paper's evaluation section
 //! (Section V). Each returns a [`Figure`] — named series over a swept
-//! parameter — that the `paper` binary renders as aligned text. The same
-//! functions back the Criterion benchmarks at reduced sizes.
+//! parameter — that the `paper` binary renders as aligned text. Timing
+//! the code itself is `perf/`'s job, not this crate's.
 //!
 //! All performance numbers come from the `sbc-simgrid` model of the `bora`
 //! platform; all communication volumes are exact counts (verified elsewhere
@@ -18,22 +18,3 @@ pub mod render;
 
 pub use figures::Scale;
 pub use render::{render_csv, render_figure, Figure, Series};
-
-/// Appends one record to a JSON-array file, keeping it valid JSON after
-/// every append (same format the vendored criterion writes to
-/// `$SBC_BENCH_JSON`). Used by the `paper` binary and the hand-rolled
-/// bench mains to publish extra measurements next to criterion's.
-pub fn append_bench_record(path: &str, record: &str) {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let body = existing
-        .trim_end()
-        .strip_suffix(']')
-        .map(|s| s.trim_end().trim_end_matches(',').to_string())
-        .unwrap_or_default();
-    let merged = if body.trim() == "[" || body.trim().is_empty() {
-        format!("[\n{record}\n]\n")
-    } else {
-        format!("{body},\n{record}\n]\n")
-    };
-    std::fs::write(path, merged).expect("failed to append the bench record");
-}

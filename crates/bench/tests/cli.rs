@@ -1,0 +1,34 @@
+//! The `paper` command line refuses what it does not understand: a flag it
+//! does not know, or one the target does not take, exits 2 with the usage
+//! instead of running as if the flag were absent.
+
+use std::process::{Command, Output};
+
+fn paper(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(args)
+        .output()
+        .expect("run the paper binary")
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    let out = paper(&["table1", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: paper"));
+}
+
+#[test]
+fn a_flag_the_target_does_not_take_is_a_usage_error() {
+    let out = paper(&["table1", "--workers", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+#[test]
+fn a_known_target_runs() {
+    let out = paper(&["table1"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("== Table I"));
+}

@@ -145,9 +145,8 @@ impl<'a> JobSpec<'a> {
     /// Describes a job, its tasks ranked by `sched`. Task costs are flop
     /// counts at tile size `b` and the communication cost is one GEMM's
     /// flops (a dimensionless surrogate: only relative magnitudes matter for
-    /// ordering). Stealing schedulers run without stealing — placement is
-    /// fixed by the graph, so only the ranks apply. `provider: None` is the
-    /// seeded generators. The table assigns the id at admission.
+    /// ordering). `provider: None` is the seeded generators. The table
+    /// assigns the id at admission.
     pub(crate) fn new(
         graph: GraphRef<'a>,
         b: usize,

@@ -53,11 +53,6 @@ pub struct ServeConfig {
     /// Sliding window for [`Service::jobs_per_sec`]: the rate decays to
     /// zero this long after traffic stops.
     pub rate_window: Duration,
-    /// Kernel backend the rank engines' workers dispatch through
-    /// (default: `Blocked`). All backends are bit-identical, so this only
-    /// changes job latency; the `SBC_KERNELS` environment variable
-    /// overrides it at start time.
-    pub kernels: KernelBackend,
 }
 
 impl Default for ServeConfig {
@@ -71,7 +66,6 @@ impl Default for ServeConfig {
             trace_spans: 4096,
             events_capacity: 1024,
             rate_window: Duration::from_secs(30),
-            kernels: KernelBackend::default(),
         }
     }
 }
@@ -133,7 +127,9 @@ impl Service {
         let engine_cfg = JobEngineConfig {
             workers: cfg.workers,
             deadline: cfg.deadline,
-            kernels: KernelBackend::resolve(cfg.kernels),
+            // the default backend unless `SBC_KERNELS` names another; all
+            // backends are bit-identical, so this only changes job latency
+            kernels: KernelBackend::resolve(KernelBackend::default()),
         };
         let engines = {
             let table = Arc::clone(&table);

@@ -85,9 +85,6 @@ struct Msg {
     /// waiting on them, so tiles feeding the critical path overtake queued
     /// bulk broadcasts.
     prio: f32,
-    /// Set for work-stealing input transfers (victim → thief); releases the
-    /// thief's outstanding-steal slot on delivery.
-    steal: bool,
     consumers: Vec<TaskId>,
 }
 
@@ -152,9 +149,6 @@ struct NodeState {
     send_busy: bool,
     /// Time the receive port last finished delivering a message.
     recv_free: f64,
-    /// Steal transfers bound for this node that have not delivered yet —
-    /// bounds outstanding steals to the idle worker count.
-    inbound_steals: u32,
     busy_seconds: f64,
     send_port_seconds: f64,
     recv_port_seconds: f64,
@@ -194,7 +188,6 @@ struct Traffic {
     bytes: u64,
     cross_rack_messages: u64,
     cross_rack_bytes: u64,
-    steal_messages: u64,
 }
 
 /// Discrete-event simulator of a [`TaskGraph`] on a [`Platform`].
@@ -204,7 +197,6 @@ pub struct Simulator<'a> {
     config: SimConfig,
     priorities: Vec<f32>,
     topology: Option<&'a Topology>,
-    steal: bool,
 }
 
 impl<'a> Simulator<'a> {
@@ -227,7 +219,6 @@ impl<'a> Simulator<'a> {
             config,
             priorities: Vec::new(),
             topology: None,
-            steal: false,
         }
         .with_scheduler(&CriticalPath)
     }
@@ -259,10 +250,9 @@ impl<'a> Simulator<'a> {
         sim
     }
 
-    /// Replaces the ready-queue ranks with `scheduler`'s (and enables
-    /// simulated cross-node work stealing if the scheduler asks for it).
-    /// Task costs are the platform's modelled seconds; the communication
-    /// cost handed to rank computation is the port time of one tile.
+    /// Replaces the ready-queue ranks with `scheduler`'s. Task costs are the
+    /// platform's modelled seconds; the communication cost handed to rank
+    /// computation is the port time of one tile.
     /// `sbc_topo::SubmissionOrder` gives FIFO ready queues (the ablation of
     /// the StarPU priority heuristic).
     pub fn with_scheduler(mut self, scheduler: &dyn Scheduler) -> Self {
@@ -287,7 +277,6 @@ impl<'a> Simulator<'a> {
             self.graph.len()
         );
         self.priorities = ranks;
-        self.steal = scheduler.work_stealing();
         self
     }
 
@@ -320,9 +309,6 @@ impl<'a> Simulator<'a> {
         };
 
         let mut deps = g.initial_deps();
-        // node each task will execute on; differs from its home placement
-        // only after a steal
-        let mut exec: Vec<u32> = g.tasks().iter().map(|t| t.node).collect();
 
         let mut nodes: Vec<NodeState> = (0..n_nodes)
             .map(|_| NodeState {
@@ -331,7 +317,6 @@ impl<'a> Simulator<'a> {
                 send_queue: BinaryHeap::new(),
                 send_busy: false,
                 recv_free: 0.0,
-                inbound_steals: 0,
                 busy_seconds: 0.0,
                 send_port_seconds: 0.0,
                 recv_port_seconds: 0.0,
@@ -378,12 +363,9 @@ impl<'a> Simulator<'a> {
         // --- helpers as closures over local state are awkward in Rust;
         // use small fns taking explicit state instead.
 
-        // make a task ready (or park it under bulk-synchronous mode) on the
-        // node it will execute on
-        #[allow(clippy::too_many_arguments)]
+        // make a task ready (or park it under bulk-synchronous mode) on its node
         fn make_ready(
             t: TaskId,
-            exec: &[u32],
             prio: &[f32],
             g: &TaskGraph,
             nodes: &mut [NodeState],
@@ -398,7 +380,7 @@ impl<'a> Simulator<'a> {
                     return;
                 }
             }
-            nodes[exec[t as usize] as usize]
+            nodes[g.tasks()[t as usize].node as usize]
                 .ready
                 .push((OrdF64(prio[t as usize] as f64), std::cmp::Reverse(t)));
         }
@@ -432,81 +414,6 @@ impl<'a> Simulator<'a> {
                         task: t,
                     },
                 });
-            }
-        }
-
-        // cross-node work stealing: every node whose ready queue is drained
-        // but still has idle workers pulls the top ready task (and its
-        // inputs, as one transfer) from the most-backlogged peer. Only runs
-        // when a stealing scheduler is attached, so the default paths are
-        // untouched.
-        #[allow(clippy::too_many_arguments)]
-        fn steal_pass(
-            now: f64,
-            g: &TaskGraph,
-            net: &NetModel<'_>,
-            tile_bytes: u64,
-            nodes: &mut [NodeState],
-            deps: &mut [u32],
-            exec: &mut [u32],
-            link_free: &mut [[f64; 2]],
-            heap: &mut BinaryHeap<Event>,
-            seq: &mut u64,
-            traffic: &mut Traffic,
-        ) {
-            let n = nodes.len();
-            for thief in 0..n {
-                loop {
-                    let ts = &nodes[thief];
-                    if !ts.ready.is_empty() || ts.idle_workers <= ts.inbound_steals {
-                        break;
-                    }
-                    // victim: largest ready backlog (>= 2 so the victim
-                    // keeps work), lowest id on ties
-                    let mut victim: Option<(usize, usize)> = None;
-                    for (v, vs) in nodes.iter().enumerate() {
-                        if v == thief || vs.ready.len() < 2 {
-                            continue;
-                        }
-                        if victim.is_none_or(|(_, len)| vs.ready.len() > len) {
-                            victim = Some((v, vs.ready.len()));
-                        }
-                    }
-                    let Some((v, _)) = victim else {
-                        break;
-                    };
-                    let (OrdF64(p), std::cmp::Reverse(t)) =
-                        nodes[v].ready.pop().expect("victim has backlog");
-                    exec[t as usize] = thief as u32;
-                    // the stolen task re-arms on one pseudo-dependency: the
-                    // input transfer from the victim
-                    deps[t as usize] = 1;
-                    let inputs = g
-                        .preds(t)
-                        .filter(|&(_, k)| k == EdgeKind::Data)
-                        .count()
-                        .max(1) as u64;
-                    nodes[thief].inbound_steals += 1;
-                    traffic.steal_messages += 1;
-                    enqueue_send(
-                        v as u32,
-                        Msg {
-                            src: v as u32,
-                            dest: thief as u32,
-                            bytes: inputs * tile_bytes,
-                            prio: p as f32,
-                            steal: true,
-                            consumers: vec![t],
-                        },
-                        now,
-                        net,
-                        nodes,
-                        link_free,
-                        heap,
-                        seq,
-                        traffic,
-                    );
-                }
             }
         }
 
@@ -598,7 +505,6 @@ impl<'a> Simulator<'a> {
                     dest: f.dest,
                     bytes: tile_bytes,
                     prio: f32::INFINITY,
-                    steal: false,
                     consumers: f.consumers.clone(),
                 },
                 0.0,
@@ -614,7 +520,6 @@ impl<'a> Simulator<'a> {
             if deps[t as usize] == 0 {
                 make_ready(
                     t,
-                    &exec,
                     &self.priorities,
                     g,
                     &mut nodes,
@@ -626,21 +531,6 @@ impl<'a> Simulator<'a> {
         }
         for n in 0..n_nodes as u32 {
             try_start(n, 0.0, g, self.platform, b, &mut nodes, &mut heap, &mut seq);
-        }
-        if self.steal {
-            steal_pass(
-                0.0,
-                g,
-                &net,
-                tile_bytes,
-                &mut nodes,
-                &mut deps,
-                &mut exec,
-                &mut link_free,
-                &mut heap,
-                &mut seq,
-                &mut traffic,
-            );
         }
 
         let mut consumer_groups: Vec<(u32, Vec<TaskId>)> = Vec::new();
@@ -663,16 +553,14 @@ impl<'a> Simulator<'a> {
                     nodes[node as usize].idle_workers += 1;
 
                     // resolve local successors; group remote data consumers
-                    // (remote relative to where the producer ran)
                     consumer_groups.clear();
                     for (s, ekind) in g.succs(task) {
-                        let snode = exec[s as usize];
+                        let snode = g.tasks()[s as usize].node;
                         if snode == node {
                             deps[s as usize] -= 1;
                             if deps[s as usize] == 0 {
                                 make_ready(
                                     s,
-                                    &exec,
                                     &self.priorities,
                                     g,
                                     &mut nodes,
@@ -705,7 +593,6 @@ impl<'a> Simulator<'a> {
                                 dest,
                                 bytes: tile_bytes,
                                 prio,
-                                steal: false,
                                 consumers,
                             },
                             time,
@@ -726,7 +613,7 @@ impl<'a> Simulator<'a> {
                             current_iter += 1;
                             if current_iter <= max_iter {
                                 for t in std::mem::take(&mut parked[current_iter]) {
-                                    let tn = exec[t as usize] as usize;
+                                    let tn = g.tasks()[t as usize].node as usize;
                                     nodes[tn].ready.push((
                                         OrdF64(self.priorities[t as usize] as f64),
                                         std::cmp::Reverse(t),
@@ -759,21 +646,6 @@ impl<'a> Simulator<'a> {
                             &mut seq,
                         );
                     }
-                    if self.steal {
-                        steal_pass(
-                            time,
-                            g,
-                            &net,
-                            tile_bytes,
-                            &mut nodes,
-                            &mut deps,
-                            &mut exec,
-                            &mut link_free,
-                            &mut heap,
-                            &mut seq,
-                            &mut traffic,
-                        );
-                    }
                 }
                 EventKind::SendFree { node } => {
                     start_send(
@@ -798,15 +670,11 @@ impl<'a> Simulator<'a> {
                 }
                 EventKind::Deliver { msg } => {
                     let dest = msg.dest;
-                    if msg.steal {
-                        nodes[dest as usize].inbound_steals -= 1;
-                    }
                     for t in msg.consumers {
                         deps[t as usize] -= 1;
                         if deps[t as usize] == 0 {
                             make_ready(
                                 t,
-                                &exec,
                                 &self.priorities,
                                 g,
                                 &mut nodes,
@@ -826,21 +694,6 @@ impl<'a> Simulator<'a> {
                         &mut heap,
                         &mut seq,
                     );
-                    if self.steal {
-                        steal_pass(
-                            time,
-                            g,
-                            &net,
-                            tile_bytes,
-                            &mut nodes,
-                            &mut deps,
-                            &mut exec,
-                            &mut link_free,
-                            &mut heap,
-                            &mut seq,
-                            &mut traffic,
-                        );
-                    }
                 }
             }
         }
@@ -859,7 +712,6 @@ impl<'a> Simulator<'a> {
             bytes: traffic.bytes,
             cross_rack_messages: traffic.cross_rack_messages,
             cross_rack_bytes: traffic.cross_rack_bytes,
-            steal_messages: traffic.steal_messages,
             flops: flops_total,
             busy_per_node: nodes.iter().map(|n| n.busy_seconds).collect(),
             send_port_per_node: nodes.iter().map(|n| n.send_port_seconds).collect(),
@@ -876,7 +728,7 @@ mod tests {
     use crate::platform::Platform;
     use sbc_dist::{SbcBasic, SbcExtended, TwoDBlockCyclic, TwoPointFiveD};
     use sbc_taskgraph::{build_potrf, build_potrf_25d};
-    use sbc_topo::{zoo, CriticalPath, SubmissionOrder, WorkStealing};
+    use sbc_topo::{zoo, CriticalPath, SubmissionOrder};
 
     fn sim(graph: &TaskGraph, platform: &Platform, b: usize) -> SimReport {
         Simulator::new(graph, platform, SimConfig::chameleon(b)).run()
@@ -1070,24 +922,6 @@ mod tests {
             "racks {} vs flat {}",
             rr.makespan,
             rf.makespan
-        );
-    }
-
-    #[test]
-    fn work_stealing_executes_all_tasks_and_counts_steals() {
-        let d = SbcExtended::new(4);
-        let g = build_potrf(&d, 18);
-        let p = Platform::bora(6);
-        let r = Simulator::new(&g, &p, SimConfig::chameleon(300))
-            .with_scheduler(&WorkStealing)
-            .run();
-        assert_eq!(r.tasks_executed as usize, g.len());
-        // steal transfers ride the normal message counters too
-        assert!(r.messages >= g.count_messages());
-        assert_eq!(
-            r.messages - g.count_messages(),
-            r.steal_messages,
-            "every extra message is a steal transfer"
         );
     }
 

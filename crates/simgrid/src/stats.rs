@@ -19,8 +19,6 @@ pub struct SimReport {
     pub cross_rack_messages: u64,
     /// Bytes that crossed a rack boundary (0 without a topology).
     pub cross_rack_bytes: u64,
-    /// Work-stealing input transfers (0 unless a stealing scheduler ran).
-    pub steal_messages: u64,
     /// Total flops executed.
     pub flops: f64,
     /// Per-node busy time (seconds of core-occupancy, summed over cores).
@@ -96,7 +94,6 @@ mod tests {
             bytes: 0,
             cross_rack_messages: 0,
             cross_rack_bytes: 0,
-            steal_messages: 0,
             flops: 4e9,
             busy_per_node: vec![1.0, 1.0],
             send_port_per_node: vec![0.0, 0.0],

@@ -17,11 +17,11 @@
 //!   special case, not a casualty.
 //! * [`Scheduler`] — the list-scheduler contract shared by the simulator
 //!   and the threaded runtime — the one selector of ready order in both —
-//!   with five implementations: [`CriticalPath`] (every front end's
-//!   default), [`SubmissionOrder`] (no ranking: `TaskId` order),
-//!   [`Heft`] (communication-aware upward rank), [`Lookahead`]
-//!   (bounded-horizon rank) and [`WorkStealing`] (critical-path ranks plus
-//!   simulator-side cross-node stealing).
+//!   with three implementations: [`CriticalPath`] (every front end's
+//!   default), [`Heft`] (communication-aware upward rank) and
+//!   [`SubmissionOrder`] (no ranking: `TaskId` order, the ablation
+//!   baseline). [`zoo`] is the first two, the ones `paper topo` compares:
+//!   each is strictly faster than the other somewhere.
 //! * [`pareto`] — deterministic {topology × scheduler × distribution}
 //!   sweep reports: the Pareto front of (makespan, cross-rack bytes)
 //!   against the analytic lower bound, rendered byte-identically across
@@ -37,7 +37,5 @@ pub mod sched;
 pub mod topology;
 
 pub use pareto::{pareto_front, render_report, SweepPoint};
-pub use sched::{
-    zoo, CriticalPath, Heft, Lookahead, SchedCtx, Scheduler, SubmissionOrder, WorkStealing,
-};
+pub use sched::{zoo, CriticalPath, Heft, SchedCtx, Scheduler, SubmissionOrder};
 pub use topology::{Hop, HostId, Link, LinkId, Route, SwitchId, Topology, TopologyBuilder};

@@ -31,18 +31,11 @@ pub struct SchedCtx<'a> {
 
 /// A static list scheduler: ranks every task once, up front.
 pub trait Scheduler: Sync {
-    /// Stable kebab-case name for reports and bench records.
+    /// Stable kebab-case name for reports.
     fn name(&self) -> &'static str;
 
     /// Rank per task (larger = more urgent), `ctx.graph.len()` entries.
     fn ranks(&self, ctx: &SchedCtx<'_>) -> Vec<f32>;
-
-    /// Whether idle nodes may steal ready tasks from busy peers (only the
-    /// simulator models this; the threaded runtime keeps placement fixed
-    /// because tiles physically live on their home node).
-    fn work_stealing(&self) -> bool {
-        false
-    }
 }
 
 /// Upward-rank critical-path priorities — every front end's default, the
@@ -108,66 +101,10 @@ impl Scheduler for Heft {
     }
 }
 
-/// Bounded-lookahead rank: the upward rank truncated to paths of at most
-/// `depth` successor edges. `depth = 0` ranks by own cost only (greedy
-/// largest-task-first); large depths converge to [`CriticalPath`].
-#[derive(Debug, Clone, Copy)]
-pub struct Lookahead {
-    /// Horizon in edges.
-    pub depth: usize,
-}
-
-impl Scheduler for Lookahead {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
-    fn ranks(&self, ctx: &SchedCtx<'_>) -> Vec<f32> {
-        let g = ctx.graph;
-        let n = g.len();
-        let own: Vec<f32> = (0..n).map(|t| ctx.task_cost[t] as f32).collect();
-        let mut prio = own.clone();
-        // each pass reads the previous horizon, extending it by one edge
-        for _ in 0..self.depth {
-            let mut next = vec![0.0f32; n];
-            for t in 0..n {
-                let ahead = g.succs(t as u32).map(|(s, _)| prio[s as usize]);
-                next[t] = own[t] + ahead.fold(0.0f32, f32::max);
-            }
-            prio = next;
-        }
-        prio
-    }
-}
-
-/// Critical-path ranks plus cross-node work stealing: an idle node pulls a
-/// ready task (and its inputs) from the most-backlogged peer. Only the
-/// simulator honours the stealing flag.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkStealing;
-
-impl Scheduler for WorkStealing {
-    fn name(&self) -> &'static str {
-        "work-stealing"
-    }
-
-    fn ranks(&self, ctx: &SchedCtx<'_>) -> Vec<f32> {
-        CriticalPath.ranks(ctx)
-    }
-
-    fn work_stealing(&self) -> bool {
-        true
-    }
-}
-
-/// The whole family, in report-stable order.
+/// The schedulers `paper topo` compares, in report-stable order: each wins
+/// on some (topology, distribution) point the other loses.
 pub fn zoo() -> Vec<Box<dyn Scheduler + Send + Sync>> {
-    vec![
-        Box::new(CriticalPath),
-        Box::new(Heft),
-        Box::new(Lookahead { depth: 4 }),
-        Box::new(WorkStealing),
-    ]
+    vec![Box::new(CriticalPath), Box::new(Heft)]
 }
 
 #[cfg(test)]
@@ -224,32 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_converges_to_critical_path() {
-        let (g, costs) = ctx_parts(8);
-        let ctx = SchedCtx {
-            graph: &g,
-            task_cost: &costs,
-            comm_cost: 0.0,
-        };
-        let cp = CriticalPath.ranks(&ctx);
-        let shallow = Lookahead { depth: 1 }.ranks(&ctx);
-        let deep = Lookahead { depth: g.len() }.ranks(&ctx);
-        assert_eq!(deep, cp);
-        // a depth-1 horizon underestimates long chains
-        assert!(shallow.iter().zip(&cp).all(|(s, c)| s <= c && *s >= 0.0));
-        assert!(shallow.iter().zip(&cp).any(|(s, c)| s < c));
-    }
-
-    #[test]
-    fn zoo_names_are_unique_and_only_stealing_steals() {
-        let zoo = zoo();
-        let names: Vec<_> = zoo.iter().map(|s| s.name()).collect();
+    fn zoo_names_are_unique() {
+        let names: Vec<_> = zoo().iter().map(|s| s.name()).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "{names:?}");
-        for s in &zoo {
-            assert_eq!(s.work_stealing(), s.name() == "work-stealing");
-        }
     }
 }

@@ -4,14 +4,13 @@
 //! Runs distributed LU (full matrix) and distributed Cholesky (half matrix)
 //! with real kernels, counts every transferred tile, and compares the
 //! arithmetic intensities normalized by per-node memory `sqrt(M)` — the
-//! paper's measure. Also shows the sequential out-of-core ladder.
+//! paper's measure.
 //!
 //! Run with: `cargo run --release --example lu_vs_cholesky`
 
 use sbc::dist::{Distribution, SbcExtended, TwoDBlockCyclic};
 use sbc::kernels::{flops_cholesky_total, flops_lu_total};
 use sbc::matrix::{lu_residual, random_general};
-use sbc::outofcore::{simulate_cholesky_ooc, LoopOrder};
 use sbc::runtime::Run;
 
 fn main() {
@@ -72,20 +71,5 @@ fn main() {
         );
     }
     println!("\n  -> normalized by per-node memory, Cholesky-SBC matches LU-2DBC,");
-    println!("     while Cholesky-2DBC sits a factor ~sqrt(2) below (Section III-E).\n");
-
-    // --- sequential out-of-core ladder ---------------------------------
-    println!("sequential two-level-memory model (nt = 48 tiles of 4):");
-    for cap in [16usize, 32, 64, 128] {
-        let ll = simulate_cholesky_ooc(48, 4, cap, LoopOrder::LeftLooking);
-        let rl = simulate_cholesky_ooc(48, 4, cap, LoopOrder::RightLooking);
-        println!(
-            "  M = {:>4} tiles: left-looking intensity {:>6.1}, right-looking {:>6.1}",
-            cap,
-            ll.intensity(),
-            rl.intensity()
-        );
-    }
-    println!("  -> left-looking intensity grows ~sqrt(M) (Bereux's regime);");
-    println!("     right-looking streams the trailing matrix and stalls.");
+    println!("     while Cholesky-2DBC sits a factor ~sqrt(2) below (Section III-E).");
 }

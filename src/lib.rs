@@ -41,11 +41,10 @@
 //! | [`dist`] | **SBC** (basic/extended), 2D block-cyclic, row-cyclic, 2.5D; load balance; exact communication counting; Table I |
 //! | [`taskgraph`] | distributed task DAGs (POTRF/POSV/TRTRI/LAUUM/POTRI/LU, 2.5D, remap), each saying what its result is; upward-rank priorities |
 //! | [`simgrid`] | discrete-event cluster simulator (the paper's `bora` platform model) |
-//! | [`topo`] | network topology model (racks, switches, per-link bandwidth/latency, routing) and the `Scheduler` trait — the one selector of ready order in simulator and runtime (critical-path, submission-order, HEFT, lookahead, work-stealing) — with Pareto sweep reports |
+//! | [`topo`] | network topology model (racks, switches, per-link bandwidth/latency, routing) and the `Scheduler` trait — the one selector of ready order in simulator and runtime (critical-path, HEFT, submission-order) — with Pareto sweep reports |
 //! | [`net`] | pluggable transport layer: in-process channels, real TCP/UDS stream sockets with a CRC-checked wire protocol, fault injection, multi-process launcher |
 //! | [`mc`] | exhaustive model checker for the ARQ session protocol: bounded exploration of all deliver/drop/duplicate/reorder interleavings on a virtual clock, exactly-once + exact-accounting + liveness invariants, replayable counterexamples (`paper mc`) |
 //! | [`runtime`] | distributed runtime over [`net`]: one task engine (a job table plus a priority-scheduled worker pool per rank) and one builder, [`runtime::Run`] — an operation, your own graph ([`runtime::Run::graph`]) or a planner's [`runtime::Run::plan`], in-process ([`runtime::Run::execute`]) or one process per rank ([`runtime::Run::execute_rank`]); a resident mesh streams jobs through [`runtime::JobTable`] — with byte-exact per-job communication accounting |
-//! | [`outofcore`] | sequential two-level-memory model (Section III-E): LRU transfer simulation and I/O bounds |
 //! | [`planner`] | autotuning distribution planner: candidate search, analytic cost model, simulation refinement, concurrent plan cache, drift reports |
 //! | [`serve`] | resident factorization service: multi-job engine over a warm mesh, job wire protocol, admission control, `paper serve`/`paper submit` |
 //! | [`obs`] | observability: execution recorder, metrics registry, text Gantt and Chrome-trace/Perfetto export for measured and simulated runs |
@@ -71,7 +70,6 @@ pub use sbc_matrix as matrix;
 pub use sbc_mc as mc;
 pub use sbc_net as net;
 pub use sbc_obs as obs;
-pub use sbc_outofcore as outofcore;
 pub use sbc_planner as planner;
 pub use sbc_runtime as runtime;
 pub use sbc_serve as serve;

@@ -7,7 +7,8 @@
 //! topology-aware cost model picks a *different* distribution than the
 //! flat model, and the simulator confirms the pick is faster — the
 //! headline acceptance criterion; (3) overriding the runtime's scheduler
-//! changes priorities only, never results or traffic.
+//! changes priorities only, never results or traffic; (4) each member of
+//! the scheduler zoo is strictly faster than the other on some point.
 
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use sbc::planner::{Op, Planner};
 use sbc::runtime::Run;
 use sbc::simgrid::{Platform, SimConfig, Simulator};
 use sbc::taskgraph::{build_potrf, build_potri, TaskGraph};
-use sbc::topo::Heft;
+use sbc::topo::{zoo, CriticalPath, Heft, Scheduler};
 
 /// Flat model vs. the degenerate single-switch topology: every number in
 /// the report must be bit-identical, for SBC and 2DBC, POTRF and POTRI.
@@ -128,4 +129,29 @@ fn runtime_scheduler_override_is_result_and_traffic_invariant() {
             }
         }
     }
+}
+
+/// `zoo()` keeps a scheduler only while it wins somewhere: on one switch of
+/// twelve bora nodes, critical-path beats HEFT on SBC r=5 at nt = 32, and
+/// HEFT beats critical-path on SBC r=4 at the paper's b = 500, nt = 40
+/// (`paper topo --full`).
+#[test]
+fn each_zoo_scheduler_beats_the_other_somewhere() {
+    let p = Platform::bora(12);
+    let topo = p.single_switch_topology();
+    let makespan = |sched: &dyn Scheduler, r: usize, nt: usize, b: usize| {
+        let g = build_potrf(&SbcExtended::new(r), nt);
+        let report = Simulator::with_topology(&g, &p, SimConfig::chameleon(b), &topo)
+            .with_scheduler(sched)
+            .run();
+        format!("{:.6}", report.makespan)
+    };
+    let names: Vec<_> = zoo().iter().map(|s| s.name()).collect();
+    assert_eq!(names, ["critical-path", "heft"]);
+
+    assert_eq!(makespan(&CriticalPath, 5, 32, 256), "0.131295");
+    assert_eq!(makespan(&Heft, 5, 32, 256), "0.132679");
+
+    assert_eq!(makespan(&Heft, 4, 40, 500), "0.654646");
+    assert_eq!(makespan(&CriticalPath, 4, 40, 500), "0.671131");
 }
