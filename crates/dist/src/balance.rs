@@ -2,9 +2,8 @@
 //!
 //! The paper's premise (Section I) is that 2D block-cyclic is used because
 //! it balances load, including *over time* as the trailing matrix shrinks;
-//! SBC must match that. These metrics quantify it: total tiles per node,
-//! GEMM-task counts per node (the dominant work), and the per-iteration
-//! trailing-submatrix balance.
+//! SBC must match that. These metrics quantify it: total tiles per node
+//! and GEMM-task counts per node (the dominant work).
 
 use crate::Distribution;
 
@@ -74,26 +73,6 @@ pub fn gemm_balance<D: Distribution>(dist: &D, nt: usize) -> BalanceStats {
     BalanceStats::from_counts(counts)
 }
 
-/// Per-iteration balance: for iteration `i`, the number of *active* tiles
-/// (trailing submatrix tiles, rows/cols `> i`) owned per node; returns the
-/// worst `max/mean` imbalance over iterations `0..nt_check`.
-pub fn worst_trailing_imbalance<D: Distribution>(dist: &D, nt: usize, nt_check: usize) -> f64 {
-    let mut worst: f64 = 1.0;
-    for i in 0..nt_check.min(nt.saturating_sub(1)) {
-        let mut counts = vec![0u64; dist.num_nodes()];
-        for r in i + 1..nt {
-            for c in i + 1..=r {
-                counts[dist.owner(r, c)] += 1;
-            }
-        }
-        let s = BalanceStats::from_counts(counts);
-        if s.mean > 0.0 {
-            worst = worst.max(s.imbalance());
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,13 +127,6 @@ mod tests {
         let db = gemm_balance(&dbc, nt).imbalance();
         assert!(sb < 1.15, "sbc gemm imbalance {sb}");
         assert!(sb < db * 1.2, "sbc {sb} vs 2dbc {db}");
-    }
-
-    #[test]
-    fn trailing_balance_is_bounded() {
-        let sbc = SbcExtended::new(6);
-        let w = worst_trailing_imbalance(&sbc, 48, 12);
-        assert!(w < 1.6, "worst trailing imbalance {w}");
     }
 
     #[test]

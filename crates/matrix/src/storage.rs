@@ -62,13 +62,6 @@ impl SymmetricTiledMatrix {
         self.nt * self.b
     }
 
-    /// Number of stored tiles, `N (N + 1) / 2` — the paper's `S` when
-    /// multiplied by the tile payload.
-    #[inline]
-    pub fn stored_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
     #[inline]
     fn idx(&self, i: usize, j: usize) -> usize {
         assert!(
@@ -90,13 +83,6 @@ impl SymmetricTiledMatrix {
     pub fn tile_mut(&mut self, i: usize, j: usize) -> &mut Tile {
         let k = self.idx(i, j);
         &mut self.tiles[k]
-    }
-
-    /// Replaces tile `(i, j)`.
-    pub fn set_tile(&mut self, i: usize, j: usize, t: Tile) {
-        assert_eq!(t.dim(), self.b);
-        let k = self.idx(i, j);
-        self.tiles[k] = t;
     }
 
     /// Mutably borrows two distinct tiles at once (needed by kernels that
@@ -413,9 +399,7 @@ mod tests {
         let mut m = SymmetricTiledMatrix::zeros(nt, 2);
         for i in 0..nt {
             for j in 0..=i {
-                let mut t = Tile::zeros(2);
-                t.set(0, 0, (i * 10 + j) as f64);
-                m.set_tile(i, j, t);
+                m.tile_mut(i, j).set(0, 0, (i * 10 + j) as f64);
             }
         }
         for i in 0..nt {
@@ -423,7 +407,7 @@ mod tests {
                 assert_eq!(m.tile(i, j).get(0, 0), (i * 10 + j) as f64);
             }
         }
-        assert_eq!(m.stored_tiles(), 15);
+        assert_eq!(m.tile_coords().count(), 15);
     }
 
     #[test]

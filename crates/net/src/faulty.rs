@@ -67,14 +67,6 @@ impl FaultConfig {
         }
     }
 
-    /// Only a fixed delay per payload send.
-    pub fn delaying(d: Duration) -> Self {
-        FaultConfig {
-            delay: Some(d),
-            ..Default::default()
-        }
-    }
-
     /// The pure fault-gate decision for the `k`-th phased payload send
     /// (`k` already includes [`FaultConfig::phase`]), given how many drops
     /// the gate has committed so far. This is the *entire* randomness of

@@ -28,17 +28,6 @@ pub struct KindStats {
     pub max_seconds: f64,
 }
 
-impl KindStats {
-    /// Mean kernel time (0 when empty).
-    pub fn mean_seconds(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_seconds / self.count as f64
-        }
-    }
-}
-
 /// What the runtime *actually did*, summarized: the measured counterpart of
 /// the planner's predicted `CostBreakdown`, and the input to its drift
 /// report.
@@ -216,7 +205,7 @@ mod tests {
         assert!((p.total_busy_seconds() - 0.9).abs() < 1e-12);
         let potrf = p.per_kind["potrf"];
         assert_eq!(potrf.count, 1);
-        assert!((potrf.mean_seconds() - 0.5).abs() < 1e-12);
+        assert!((potrf.total_seconds - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!   `sbc_simgrid::Platform`;
 //! * [`planner`] runs the search, optionally *refines* the analytic top-k
 //!   by discrete-event simulation to break ties, and returns a [`Plan`];
-//! * [`cache`] amortizes planning across requests: a sharded,
-//!   capacity-bounded concurrent LRU keyed by
-//!   `(op, nt, b, P, platform fingerprint)` serves repeated requests with
-//!   two atomic ops and an `Arc` clone;
+//! * [`cache`] amortizes planning across requests: one capacity-bounded
+//!   LRU map keyed by `(op, nt, b)` holds each warm shape's plan and,
+//!   built once on first request, the task graph that executes it;
 //! * [`drift`] closes the loop: given the measured [`sbc_obs::ExecProfile`]
 //!   of an instrumented run, it reports how far the model's predictions
 //!   drifted from reality (communication must be exact; time yields a
@@ -48,7 +47,7 @@ pub mod drift;
 pub mod model;
 pub mod planner;
 
-pub use cache::{PlanCache, PlanKey};
+pub use cache::PlanCache;
 pub use candidates::{DistChoice, Op};
 pub use drift::{compare, DriftReport};
 pub use model::{CostBreakdown, CostModel};

@@ -70,7 +70,6 @@ impl CostBreakdown {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     platform: Platform,
-    workers_per_node: Option<usize>,
     topology: Option<Arc<Topology>>,
 }
 
@@ -80,7 +79,6 @@ impl CostModel {
     pub fn new(platform: Platform) -> Self {
         CostModel {
             platform,
-            workers_per_node: None,
             topology: None,
         }
     }
@@ -106,25 +104,9 @@ impl CostModel {
         self.topology.as_ref()
     }
 
-    /// Restricts the compute term to `workers` worker threads per node
-    /// (clamped to `1..=cores_per_node`) — matching a runtime configured
-    /// with the same worker count. Message counts and the communication
-    /// term are unaffected: traffic is placement-determined, not
-    /// schedule-determined.
-    pub fn with_workers_per_node(mut self, workers: usize) -> Self {
-        self.workers_per_node = Some(workers.clamp(1, self.platform.cores_per_node));
-        self
-    }
-
     /// The platform being modelled.
     pub fn platform(&self) -> &Platform {
         &self.platform
-    }
-
-    /// Worker threads per node the compute term assumes.
-    pub fn workers_per_node(&self) -> usize {
-        self.workers_per_node
-            .unwrap_or(self.platform.cores_per_node)
     }
 
     /// Scores `choice` executing `op` on an `nt x nt` tile matrix with
@@ -181,7 +163,7 @@ impl CostModel {
             .platform
             .efficiency
             .efficiency(&TaskKind::Gemm { i: 0, j: 1, k: 0 }, b);
-        let node_flops = self.workers_per_node() as f64 * self.platform.core_gflops * 1e9;
+        let node_flops = self.platform.cores_per_node as f64 * self.platform.core_gflops * 1e9;
         let compute_seconds = op.total_flops(nt, b) / (nodes * node_flops * eff) * imbalance;
 
         CostBreakdown {
@@ -219,25 +201,6 @@ mod tests {
         let bc = m.score(DistChoice::TwoDbc { p: 7, q: 4 }, Op::Potrf, 40, 500);
         assert!(sbc.messages < bc.messages);
         assert!(sbc.comm_seconds < bc.comm_seconds);
-    }
-
-    #[test]
-    fn fewer_workers_slow_compute_but_not_comm() {
-        let full = model(28);
-        let throttled = model(28).with_workers_per_node(4);
-        let choice = DistChoice::SbcExtended { r: 8 };
-        let a = full.score(choice, Op::Potrf, 40, 500);
-        let b = throttled.score(choice, Op::Potrf, 40, 500);
-        assert!(b.compute_seconds > a.compute_seconds);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.comm_seconds, b.comm_seconds);
-        // clamped to the platform's core count: no free speedup
-        let over = model(28).with_workers_per_node(10_000);
-        assert_eq!(over.workers_per_node(), full.workers_per_node());
-        assert_eq!(
-            over.score(choice, Op::Potrf, 40, 500).compute_seconds,
-            a.compute_seconds
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use sbc_simgrid::{Platform, SimConfig, SimReport, Simulator};
 use sbc_taskgraph::TaskGraph;
 use sbc_topo::Topology;
 
-use crate::cache::{PlanCache, PlanKey};
+use crate::cache::{Entry, PlanCache};
 use crate::candidates::{enumerate, DistChoice, Op};
 use crate::model::{CostBreakdown, CostModel};
 
@@ -95,14 +95,14 @@ impl Planner {
 
     /// Makes the planner topology-aware: candidates are priced over
     /// `topology`'s routes (rack-crossing traffic pays the oversubscribed
-    /// uplink), refinement simulates over it, and cached plans are keyed
-    /// by its fingerprint so flat and topology-aware plans never mix.
+    /// uplink) and refinement simulates over it. The cache starts empty,
+    /// so a plan priced over the flat model is never served.
     ///
     /// # Panics
     /// Panics if the topology has fewer hosts than the platform has nodes.
     pub fn with_topology(mut self, topology: Topology) -> Self {
-        let topology = Arc::new(topology);
-        self.model = self.model.clone().with_topology(topology);
+        self.model = self.model.with_topology(Arc::new(topology));
+        self.cache = PlanCache::new(self.config.cache_capacity);
         self
     }
 
@@ -143,20 +143,33 @@ impl Planner {
     /// Plans `op` on an `nt x nt` tile matrix with tile size `b`, serving
     /// a memoized plan when one exists (`plan.cached` tells which).
     pub fn plan(&self, op: Op, nt: usize, b: usize) -> Plan {
-        let mut key = PlanKey::new(op, nt, b, self.platform());
-        if let Some(topo) = self.model.topology() {
-            key.topology_fp = topo.fingerprint();
-        }
-        if let Some(hit) = self.cache.get(&key) {
+        self.warm(op, nt, b).0
+    }
+
+    /// [`Planner::plan`] plus the task graph executing the plan, built
+    /// once per cached shape and shared by every caller.
+    pub fn plan_with_graph(&self, op: Op, nt: usize, b: usize) -> (Plan, Arc<TaskGraph>) {
+        let (plan, entry) = self.warm(op, nt, b);
+        let graph = entry.graph.get_or_init(|| Arc::new(plan.build_graph()));
+        (plan, Arc::clone(graph))
+    }
+
+    /// The shape's cache entry and its plan: searched for by the first
+    /// caller (a miss), waited for or read by every later one (a hit).
+    fn warm(&self, op: Op, nt: usize, b: usize) -> (Plan, Arc<Entry>) {
+        let entry = self.cache.entry((op, nt, b));
+        let mut searched = false;
+        let mut plan = *entry.plan.get_or_init(|| {
+            searched = true;
+            self.plan_uncached(op, nt, b)
+        });
+        if searched {
+            self.cache_misses.inc();
+        } else {
             self.cache_hits.inc();
-            let mut plan = *hit;
             plan.cached = true;
-            return plan;
         }
-        self.cache_misses.inc();
-        let plan = self.plan_uncached(op, nt, b);
-        self.cache.insert(key, Arc::new(plan));
-        plan
+        (plan, entry)
     }
 
     /// The cold path: full candidate search (and refinement, if enabled),
@@ -272,8 +285,10 @@ mod tests {
     fn topology_aware_plans_cache_separately_from_flat() {
         let p = Platform::bora(10);
         let flat = Planner::new(p.clone());
-        let racks = Planner::new(p.clone()).with_topology(p.rack_topology(2, 16.0));
         let a = flat.plan(Op::Potrf, 20, 500);
+        // a flat plan does not survive the planner becoming rack-aware
+        let racks = flat.with_topology(p.rack_topology(2, 16.0));
+        assert!(racks.cache().is_empty());
         let b = racks.plan(Op::Potrf, 20, 500);
         assert!(!a.cached && !b.cached);
         // the rack-aware score carries the boundary term

@@ -174,6 +174,29 @@ fn cache_hit_at_least_100x_faster_than_cold_search() {
     );
 }
 
+/// 8 threads ask for the same cold shape and its graph at once: the shape
+/// is planned once and its graph built once, and every thread shares it.
+#[test]
+fn a_cold_shape_is_planned_and_built_once_under_8_threads() {
+    const THREADS: usize = 8;
+    let planner = Planner::new(Platform::bora(6));
+    let start = std::sync::Barrier::new(THREADS);
+    let graphs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    planner.plan_with_graph(Op::Potrf, 16, 8).1
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(planner.cache_misses(), 1);
+    assert_eq!(planner.cache_hits(), THREADS as u64 - 1);
+    assert!(graphs.iter().all(|g| std::sync::Arc::ptr_eq(g, &graphs[0])));
+}
+
 /// 8 threads hammer one planner over a working set larger than the cache:
 /// every thread must observe the identical plan for a given key, and the
 /// cache must never exceed its configured capacity.

@@ -159,11 +159,6 @@ impl RunOutput {
             other => panic!("the run produced {other:?}, not LU factors"),
         }
     }
-
-    /// Decomposes into the result and the statistics.
-    pub fn into_parts(self) -> (RunResult, CommStats) {
-        (self.result, self.stats)
-    }
 }
 
 /// A configured distributed operation, ready to execute.
@@ -699,9 +694,8 @@ mod tests {
             let _ = out.solution();
         }));
         assert!(res.is_err());
-        let (result, stats) = out.into_parts();
-        assert!(matches!(result, RunResult::Factor(_)));
-        assert_eq!(stats.messages, 0);
+        assert!(matches!(out.result, RunResult::Factor(_)));
+        assert_eq!(out.stats.messages, 0);
     }
 
     #[test]

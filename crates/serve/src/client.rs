@@ -134,8 +134,16 @@ impl Client {
 
     /// Submits one request and blocks until every job of the batch has a
     /// terminal answer, returned in seed order — or until the service
-    /// refuses the request as a whole, which is a single reply.
+    /// refuses the request as a whole, which is a single reply. A shape the
+    /// wire cannot carry (`nt` or `b` above `u32::MAX`) is an
+    /// [`std::io::ErrorKind::InvalidInput`] error, and nothing is sent.
     pub fn submit(&mut self, req: &JobRequest) -> Result<Vec<JobReply>, ClientError> {
+        let (Ok(nt), Ok(b)) = (u32::try_from(req.nt), u32::try_from(req.b)) else {
+            return Err(ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("shape nt={} b={} does not fit the wire", req.nt, req.b),
+            )));
+        };
         let id = self.next_req;
         self.next_req += 1;
         write_frame(
@@ -145,8 +153,8 @@ impl Client {
                 op: 0,
                 prio: req.prio,
                 batch: req.batch,
-                nt: req.nt as u32,
-                b: req.b as u32,
+                nt,
+                b,
                 seed: req.seed,
                 seed_rhs: req.seed_rhs,
             },

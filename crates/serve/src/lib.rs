@@ -9,9 +9,9 @@
 //! - [`Service`] owns a resident in-process mesh (its rank engines stepped
 //!   by [`sbc_runtime::jobs::run_jobs`] on a small shared pool of
 //!   threads, told of each admission), a shared
-//!   [`sbc_planner::Planner`] whose concurrent plan cache makes the second
-//!   job of any shape skip the search, and a task-graph cache so
-//!   same-shape jobs share one graph. Jobs stream through the mesh
+//!   [`sbc_planner::Planner`] whose cache makes the second job of any
+//!   shape skip the search and share the first one's task graph. Jobs
+//!   stream through the mesh
 //!   concurrently — tile traffic is namespaced by job id — with admission
 //!   control bounding the in-flight set and `(job priority, task
 //!   priority)` ordering the shared ready heap.

@@ -1,6 +1,6 @@
-//! The resident service core: a warm mesh of rank engines, a warm plan
-//! cache, a task-graph cache, admission-controlled job submission and
-//! first-class observability.
+//! The resident service core: a warm mesh of rank engines, a warm planner
+//! (whose cache holds each shape's plan and task graph),
+//! admission-controlled job submission and first-class observability.
 //!
 //! Telemetry is split in two planes. The *job path* (engines, job table)
 //! updates `Arc`'d atomics and a cold-path event ring; the *scrape path*
@@ -15,12 +15,10 @@ use sbc_obs::{
     chrome_trace_from_spans, expo, Counter, EventLog, Gauge, Metrics, MetricsSnapshot, ObsEvent,
     SpanRing, TraceEvent,
 };
-use sbc_planner::{Op, Plan, Planner, PlannerConfig};
+use sbc_planner::{Op, Planner, PlannerConfig};
 use sbc_runtime::jobs::{run_jobs, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
 use sbc_runtime::{gather, ExecError, KernelBackend, RunResult};
 use sbc_simgrid::Platform;
-use sbc_taskgraph::TaskGraph;
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -28,6 +26,17 @@ use std::time::{Duration, Instant};
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+/// Per-job trace spans retained (newest-first rotation); bounds the memory
+/// a week-long service spends on [`Service::chrome_trace`].
+const TRACE_SPANS: usize = 4096;
+
+/// Lifecycle events retained in the structured event ring.
+const EVENTS_CAPACITY: usize = 1024;
+
+/// Sliding window for [`Service::jobs_per_sec`]: the rate decays to zero
+/// this long after traffic stops.
+const RATE_WINDOW: Duration = Duration::from_secs(30);
 
 /// Shape of a resident service.
 #[derive(Debug, Clone, Copy)]
@@ -42,17 +51,10 @@ pub struct ServeConfig {
     pub max_inflight: usize,
     /// Per-job no-progress watchdog (never fires on an idle rank).
     pub deadline: Option<Duration>,
-    /// Planner tunables; the plan cache is the service's per-job tuning
-    /// layer, so its capacity bounds how many shapes stay warm.
+    /// Planner tunables; the planner's cache is the service's only
+    /// per-shape state, so its capacity bounds how many shapes keep their
+    /// plan and task graph warm.
     pub planner: PlannerConfig,
-    /// Per-job trace spans retained (newest-first rotation); bounds the
-    /// memory a week-long service spends on [`Service::chrome_trace`].
-    pub trace_spans: usize,
-    /// Lifecycle events retained in the structured event ring.
-    pub events_capacity: usize,
-    /// Sliding window for [`Service::jobs_per_sec`]: the rate decays to
-    /// zero this long after traffic stops.
-    pub rate_window: Duration,
 }
 
 impl Default for ServeConfig {
@@ -63,14 +65,9 @@ impl Default for ServeConfig {
             max_inflight: 16,
             deadline: None,
             planner: PlannerConfig::default(),
-            trace_spans: 4096,
-            events_capacity: 1024,
-            rate_window: Duration::from_secs(30),
         }
     }
 }
-
-type GraphKey = (Op, usize, usize);
 
 /// An admitted job's ticket.
 #[derive(Debug, Clone, Copy)]
@@ -88,17 +85,11 @@ pub struct Service {
     planner: Planner,
     metrics: Arc<Metrics>,
     events: Arc<EventLog>,
-    /// One shared graph per `(op, nt, b)`, oldest insertion first, at most
-    /// `graph_capacity` of them (the plan cache's own bound): a stream of
-    /// distinct shapes must not grow a resident service without limit.
-    graphs: Mutex<VecDeque<(GraphKey, Arc<TaskGraph>)>>,
-    graph_capacity: usize,
     /// The thread that drives the resident mesh (and spawned the rest of
     /// its pool); `None` once joined.
     engines: Mutex<Option<JoinHandle<Result<(), ExecError>>>>,
     spans: SpanRing,
     throughput: Arc<Gauge>,
-    rate_window: Duration,
     started: Instant,
     /// Send-buffer pool the wire front encodes its replies through.
     reply_pool: BufferPool,
@@ -117,7 +108,7 @@ impl Service {
     /// per-rank engine gauges all register eagerly here.
     pub fn start(cfg: ServeConfig) -> Arc<Service> {
         let metrics = Arc::new(Metrics::new());
-        let events = Arc::new(EventLog::with_capacity(cfg.events_capacity));
+        let events = Arc::new(EventLog::with_capacity(EVENTS_CAPACITY));
         let planner =
             Planner::with_config(Platform::bora(cfg.nodes), cfg.planner).with_metrics(&metrics);
         let table = Arc::new(JobTable::new(cfg.nodes, cfg.max_inflight));
@@ -148,19 +139,16 @@ impl Service {
             reply_pool: BufferPool::default(),
             metrics,
             events,
-            graphs: Mutex::new(VecDeque::new()),
-            graph_capacity: cfg.planner.cache_capacity.max(1),
             engines: Mutex::new(Some(engines)),
-            spans: SpanRing::with_capacity(cfg.trace_spans),
-            rate_window: cfg.rate_window,
+            spans: SpanRing::with_capacity(TRACE_SPANS),
             started: Instant::now(),
         })
     }
 
-    /// Plans (warm cache first), reuses the shape's shared task graph, and
-    /// submits one job, which every rank picks up at once. The ticket
-    /// reports whether the plan was cached. Admission counters and
-    /// lifecycle events are recorded by the job table itself.
+    /// Plans (warm cache first), takes the shape's shared task graph from
+    /// the planner, and submits one job, which every rank picks up at once.
+    /// The ticket reports whether the plan was cached. Admission counters
+    /// and lifecycle events are recorded by the job table itself.
     pub fn submit(
         &self,
         op: Op,
@@ -170,40 +158,12 @@ impl Service {
         seed_rhs: u64,
         prio: u8,
     ) -> Result<Submitted, Rejection> {
-        let plan = self.planner.plan(op, nt, b);
-        let graph = self.graph(&plan);
+        let (plan, graph) = self.planner.plan_with_graph(op, nt, b);
         let id = self.table.submit(graph, b, seed, seed_rhs, prio)?;
         Ok(Submitted {
             id,
             plan_cached: plan.cached,
         })
-    }
-
-    /// The shape's shared task graph: cached, or built — outside the lock,
-    /// so one cold shape never stalls submissions of warm ones — and cached
-    /// in place of the oldest entry. A plan is a pure function of its shape,
-    /// so a rebuilt graph equals the evicted one.
-    fn graph(&self, plan: &Plan) -> Arc<TaskGraph> {
-        let key = (plan.op, plan.nt, plan.b);
-        if let Some((_, g)) = lock(&self.graphs).iter().find(|(k, _)| *k == key) {
-            return Arc::clone(g);
-        }
-        let built = Arc::new(plan.build_graph());
-        let mut graphs = lock(&self.graphs);
-        // two first submissions of one shape may race to here; both graphs
-        // are equal, and one cached copy is enough
-        if !graphs.iter().any(|(k, _)| *k == key) {
-            if graphs.len() >= self.graph_capacity {
-                graphs.pop_front();
-            }
-            graphs.push_back((key, Arc::clone(&built)));
-        }
-        built
-    }
-
-    /// Graphs currently cached (never more than the plan cache's capacity).
-    pub fn cached_graphs(&self) -> usize {
-        lock(&self.graphs).len()
     }
 
     /// Blocks until `id` finishes. Completion counters, latency and drift
@@ -269,10 +229,10 @@ impl Service {
         self.table.inflight()
     }
 
-    /// Completed jobs per second over the configured sliding window — an
+    /// Completed jobs per second over the sliding window — an
     /// idle-overnight service reads `0`, not a forever-decaying average.
     pub fn jobs_per_sec(&self) -> f64 {
-        self.table.completion_rate(self.rate_window)
+        self.table.completion_rate(RATE_WINDOW)
     }
 
     /// The send-buffer pool the wire front ([`crate::serve`]) encodes its
@@ -316,8 +276,8 @@ impl Service {
         self.events.tail(max)
     }
 
-    /// One span per completed job (newest `trace_spans` of them), as a
-    /// Chrome trace JSON string.
+    /// One span per completed job (the newest 4096 of them), as a Chrome
+    /// trace JSON string.
     pub fn chrome_trace(&self) -> String {
         let spans = self.spans.snapshot();
         chrome_trace_from_spans(&spans, |e| format!("job {}", e.task))

@@ -134,7 +134,6 @@ fn wire_scrapes_parse_mid_run_and_show_zero_drift() {
     let addr = sock_path("scrape");
     let service = Service::start(ServeConfig {
         nodes: 4,
-        trace_spans: 2,
         ..ServeConfig::default()
     });
     let server = {
@@ -223,11 +222,6 @@ fn wire_scrapes_parse_mid_run_and_show_zero_drift() {
     assert_eq!(kinds.get(&EventKind::Admitted), Some(&4));
     assert_eq!(kinds.get(&EventKind::Done), Some(&4));
     assert_eq!(kinds.get(&EventKind::Failed), None);
-
-    // the span ring keeps only the newest trace_spans jobs
-    let trace = service.chrome_trace();
-    assert!(trace.contains("job 3"), "newest span survives rotation");
-    assert!(!trace.contains("job 0"), "oldest span rotated out");
 
     monitor.shutdown().unwrap();
     server.join().unwrap().unwrap();
@@ -362,9 +356,10 @@ fn serves_over_tcp() {
     server.join().unwrap().unwrap();
 }
 
-/// A long-lived service sees an open-ended stream of shapes; its graph
-/// cache is bounded by the plan cache's capacity, and a job whose graph was
-/// evicted while it ran — or whose shape comes back later — is still exact.
+/// A long-lived service sees an open-ended stream of shapes; the planner's
+/// cache, which holds each shape's plan and graph, stays within its
+/// capacity, and a job whose shape was evicted while it ran — or whose
+/// shape comes back later — is still exact.
 #[test]
 fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
     let capacity = 2;
@@ -400,15 +395,49 @@ fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
                 .id
         })
         .collect();
-    assert!(service.cached_graphs() <= capacity);
+    let cached = || service.planner().cache().len();
+    assert!(cached() <= capacity);
     for (&nt, id) in shapes.iter().zip(ids) {
         check(nt, nt as u64, id);
     }
-    assert!(service.cached_graphs() <= capacity);
+    assert!(cached() <= capacity);
     let again = service.submit(Op::Potrf, shapes[0], B, 99, 0, 0).unwrap();
+    assert!(!again.plan_cached, "an evicted shape is planned again");
     check(shapes[0], 99, again.id);
-    assert!(service.cached_graphs() <= capacity);
+    assert!(cached() <= capacity);
     service.shutdown().unwrap();
+}
+
+/// A shape the wire's `u32` fields cannot carry is refused by the client
+/// before anything is written, instead of being truncated into another job.
+#[test]
+fn client_refuses_a_shape_the_wire_cannot_carry() {
+    let addr = sock_path("wide");
+    let service = Service::start(ServeConfig {
+        nodes: 4,
+        ..ServeConfig::default()
+    });
+    let server = {
+        let service = Arc::clone(&service);
+        let addr = addr.clone();
+        std::thread::spawn(move || serve(service, &addr))
+    };
+    let mut client = Client::connect(&addr).unwrap();
+    for req in [
+        JobRequest::potrf((1 << 32) + 4, B, 1),
+        JobRequest::potrf(4, (1 << 32) + B, 1),
+    ] {
+        match client.submit(&req) {
+            Err(sbc_serve::ClientError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput)
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+    let scrape = client.stats().unwrap();
+    assert_eq!(scrape.counter("serve.jobs.submitted"), Some(0));
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
 }
 
 /// A job starts when it is admitted, not at some poll tick: admission marks

@@ -148,11 +148,6 @@ impl Platform {
         flops / (self.core_gflops * 1e9 * eff)
     }
 
-    /// Wire time of one tile message (excluding queueing), in seconds.
-    pub fn message_seconds(&self, bytes: u64) -> f64 {
-        self.nic_latency + bytes as f64 / self.nic_bandwidth
-    }
-
     /// Node peak in GFlop/s (all worker cores).
     pub fn node_peak_gflops(&self) -> f64 {
         self.cores_per_node as f64 * self.core_gflops
@@ -230,10 +225,8 @@ mod tests {
     #[test]
     fn tile_message_time_matches_hand_computation() {
         let p = Platform::bora(2);
-        // 2 MB tile (b=500 doubles) over 1.7 GB/s effective
-        let t = p.message_seconds(500 * 500 * 8);
-        assert!((t - (1.5e-6 + 2e6 / 1.7e9)).abs() < 1e-12);
-        // port occupancy adds the 200 us host overhead
+        // a 2 MB tile (b=500 doubles) over 1.7 GB/s effective, plus the
+        // 200 us host overhead
         let port = p.port_seconds(500 * 500 * 8);
         assert!((port - (200e-6 + 2e6 / 1.7e9)).abs() < 1e-12);
     }

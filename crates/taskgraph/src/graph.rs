@@ -193,15 +193,6 @@ impl TaskGraph {
         self.tasks.iter().map(|t| t.kind.flops(b)).sum()
     }
 
-    /// Per-node task counts (all kinds).
-    pub fn tasks_per_node(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.num_nodes];
-        for t in &self.tasks {
-            counts[t.node as usize] += 1;
-        }
-        counts
-    }
-
     /// Validates structural invariants: edges point to earlier tasks
     /// (acyclicity via topological submission order), symmetric pred/succ
     /// storage, and node ids within range.

@@ -96,8 +96,7 @@ impl Topology {
         &self.name
     }
 
-    /// Returns the same topology renamed — the name is display-only and
-    /// does not enter [`Topology::fingerprint`].
+    /// Returns the same topology renamed — the name is display-only.
     pub fn named(mut self, name: &str) -> Self {
         self.name = name.to_string();
         self
@@ -134,30 +133,6 @@ impl Topology {
         self.routes[src as usize * self.hosts + dst as usize]
             .as_ref()
             .expect("route table is total for src != dst")
-    }
-
-    /// FNV-1a fingerprint over every structural constant, so caches keyed
-    /// by topology never serve a plan computed for different wiring.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.hosts as u64);
-        for &r in &self.rack_of {
-            mix(r as u64);
-        }
-        for l in &self.links {
-            mix(l.a as u64);
-            mix(l.b as u64);
-            mix(l.bandwidth.to_bits());
-            mix(l.latency.to_bits());
-            mix(u64::from(l.backbone));
-        }
-        h
     }
 
     /// A single switch connecting `hosts` hosts at `bandwidth` bytes/s —
@@ -521,16 +496,6 @@ mod tests {
         let a = Topology::racks(3, 4, BW, LAT, BW / 16.0, 2.0 * LAT);
         let b = Topology::racks(3, 4, BW, LAT, BW / 16.0, 2.0 * LAT);
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_wiring() {
-        let a = Topology::racks(2, 4, BW, LAT, BW / 4.0, LAT);
-        let b = Topology::racks(2, 4, BW, LAT, BW / 8.0, LAT);
-        let c = Topology::single_switch(8, BW, LAT);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
