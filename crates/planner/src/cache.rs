@@ -1,27 +1,26 @@
 //! The planner's capacity-bounded cache of warm shapes.
 //!
 //! A planner's platform and topology are fixed for its lifetime, so a plan
-//! — and the task graph that executes it — depends only on `(op, nt, b)`.
-//! Planning is cheap next to a factorization but not free (the candidate
-//! search walks `O(nt^2)` ownership queries per candidate, and an optional
-//! simulation refinement walks the whole task graph), and neither is
-//! building the graph; a solver serving many requests sees the same shapes
-//! over and over, so each shape's plan and graph are memoized here.
+//! depends only on `(op, nt, b)`. Planning is cheap next to a factorization
+//! but not free (the candidate search walks `O(nt^2)` ownership queries per
+//! candidate, and an optional simulation refinement walks the whole task
+//! graph); a solver serving many requests sees the same shapes over and
+//! over, so each shape's plan is memoized here. The graph that executes a
+//! plan is not: it is a function of the placement alone, so it lives in the
+//! process-wide `sbc_taskgraph::memo`, one graph cache beside this one plan
+//! cache.
 //!
 //! Design:
 //! * one `Mutex<HashMap>` from shape to a shared entry; a lookup holds the
 //!   lock for one probe, one stamp store and one `Arc` clone;
-//! * an entry's plan and graph are each a `OnceLock`, filled outside the
-//!   map lock by the first caller that needs them, so a shape is planned
-//!   once and built once while it stays cached, and one cold shape never
-//!   blocks hits on warm ones;
+//! * an entry is a `OnceLock` filled outside the map lock by the first
+//!   caller that needs it, so a shape is planned once while it stays
+//!   cached, and one cold shape never blocks hits on warm ones;
 //! * capacity is **strict**: inserting a shape into a full cache first
 //!   evicts the least recently looked-up one — the only lookup that scans.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-use sbc_taskgraph::TaskGraph;
 
 use crate::candidates::Op;
 use crate::planner::Plan;
@@ -29,12 +28,8 @@ use crate::planner::Plan;
 /// Cache key: the operation, the matrix size in tiles and the tile size.
 type Shape = (Op, usize, usize);
 
-/// One warm shape: its plan and, once a caller asked for it, its graph.
-#[derive(Default)]
-pub(crate) struct Entry {
-    pub(crate) plan: OnceLock<Plan>,
-    pub(crate) graph: OnceLock<Arc<TaskGraph>>,
-}
+/// One warm shape: its plan, once the first caller has searched for it.
+pub(crate) type Entry = OnceLock<Plan>;
 
 #[derive(Default)]
 struct Slots {

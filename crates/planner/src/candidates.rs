@@ -13,8 +13,7 @@ use sbc_dist::{
     balance, table1, Distribution, RowCyclic, SbcBasic, SbcExtended, TwoDBlockCyclic, TwoPointFiveD,
 };
 use sbc_kernels::flops;
-use sbc_taskgraph::builders;
-use sbc_taskgraph::TaskGraph;
+use sbc_taskgraph::{builders, memo, TaskGraph};
 use std::sync::Arc;
 
 /// The dense linear-algebra operations the planner knows how to place.
@@ -243,8 +242,35 @@ impl DistChoice {
         balance::gemm_balance(&self.distribution(), nt).imbalance()
     }
 
-    /// Builds the task graph executing `op` under this choice, ready for
-    /// the simulator or the threaded runtime.
+    /// The shared task graph executing `op` under this choice, from the
+    /// process-wide [`sbc_taskgraph::memo`]: what the runtime executes.
+    ///
+    /// # Panics
+    /// Panics if `!self.supports(op)`.
+    pub fn graph(self, op: Op, nt: usize) -> Arc<TaskGraph> {
+        assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
+        let dist = self.distribution();
+        match self {
+            DistChoice::TwoFiveDSbc { c, .. } | DistChoice::TwoFiveDBc { c, .. } => {
+                memo::potrf_25d(&TwoPointFiveD::new(dist, c), nt)
+            }
+            DistChoice::PotriRemap { p, q, .. } => {
+                memo::potri_remap(&dist, &TwoDBlockCyclic::new(p, q), nt)
+            }
+            _ => match op {
+                Op::Potrf => memo::potrf(&dist, nt),
+                Op::Posv => memo::posv(&dist, &RowCyclic::new(dist.num_nodes()), nt),
+                Op::Trtri => memo::trtri(&dist, nt),
+                Op::Lauum => memo::lauum(&dist, nt),
+                Op::Potri => memo::potri(&dist, nt),
+                Op::Lu => memo::lu(&dist, nt),
+            },
+        }
+    }
+
+    /// Builds the task graph executing `op` under this choice afresh, for a
+    /// one-off analysis (the simulator's refinement, the per-pair message
+    /// matrix) that should not occupy the memo.
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.

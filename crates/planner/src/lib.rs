@@ -19,8 +19,8 @@
 //! * [`planner`] runs the search, optionally *refines* the analytic top-k
 //!   by discrete-event simulation to break ties, and returns a [`Plan`];
 //! * [`cache`] amortizes planning across requests: one capacity-bounded
-//!   LRU map keyed by `(op, nt, b)` holds each warm shape's plan and,
-//!   built once on first request, the task graph that executes it;
+//!   LRU map keyed by `(op, nt, b)` holds each warm shape's plan (the task
+//!   graph that executes it is shared through `sbc_taskgraph::memo`);
 //! * [`drift`] closes the loop: given the measured [`sbc_obs::ExecProfile`]
 //!   of an instrumented run, it reports how far the model's predictions
 //!   drifted from reality (communication must be exact; time yields a

@@ -8,7 +8,7 @@ use sbc_simgrid::{Platform, SimConfig, SimReport, Simulator};
 use sbc_taskgraph::TaskGraph;
 use sbc_topo::Topology;
 
-use crate::cache::{Entry, PlanCache};
+use crate::cache::PlanCache;
 use crate::candidates::{enumerate, DistChoice, Op};
 use crate::model::{CostBreakdown, CostModel};
 
@@ -59,6 +59,11 @@ impl Plan {
     /// Builds the task graph executing this plan.
     pub fn build_graph(&self) -> TaskGraph {
         self.choice.build_graph(self.op, self.nt)
+    }
+
+    /// The shared task graph executing this plan ([`DistChoice::graph`]).
+    pub fn graph(&self) -> Arc<TaskGraph> {
+        self.choice.graph(self.op, self.nt)
     }
 
     /// Simulator configuration for this plan's tile size.
@@ -143,23 +148,9 @@ impl Planner {
     /// Plans `op` on an `nt x nt` tile matrix with tile size `b`, serving
     /// a memoized plan when one exists (`plan.cached` tells which).
     pub fn plan(&self, op: Op, nt: usize, b: usize) -> Plan {
-        self.warm(op, nt, b).0
-    }
-
-    /// [`Planner::plan`] plus the task graph executing the plan, built
-    /// once per cached shape and shared by every caller.
-    pub fn plan_with_graph(&self, op: Op, nt: usize, b: usize) -> (Plan, Arc<TaskGraph>) {
-        let (plan, entry) = self.warm(op, nt, b);
-        let graph = entry.graph.get_or_init(|| Arc::new(plan.build_graph()));
-        (plan, Arc::clone(graph))
-    }
-
-    /// The shape's cache entry and its plan: searched for by the first
-    /// caller (a miss), waited for or read by every later one (a hit).
-    fn warm(&self, op: Op, nt: usize, b: usize) -> (Plan, Arc<Entry>) {
         let entry = self.cache.entry((op, nt, b));
         let mut searched = false;
-        let mut plan = *entry.plan.get_or_init(|| {
+        let mut plan = *entry.get_or_init(|| {
             searched = true;
             self.plan_uncached(op, nt, b)
         });
@@ -169,7 +160,15 @@ impl Planner {
             self.cache_hits.inc();
             plan.cached = true;
         }
-        (plan, entry)
+        plan
+    }
+
+    /// [`Planner::plan`] plus the task graph executing the plan, from the
+    /// process-wide graph memo: built once per placement and shared by
+    /// every caller.
+    pub fn plan_with_graph(&self, op: Op, nt: usize, b: usize) -> (Plan, Arc<TaskGraph>) {
+        let plan = self.plan(op, nt, b);
+        (plan, plan.graph())
     }
 
     /// The cold path: full candidate search (and refinement, if enabled),

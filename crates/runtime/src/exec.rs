@@ -100,6 +100,14 @@ pub enum ExecError {
         /// The panic's message.
         message: String,
     },
+    /// The graph places tasks on more nodes than the mesh has ranks; no
+    /// rank started.
+    MeshTooSmall {
+        /// Nodes the graph places tasks on.
+        needs: usize,
+        /// Ranks the mesh has.
+        ranks: usize,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -122,6 +130,9 @@ impl std::fmt::Display for ExecError {
             }
             ExecError::Panicked { rank, message } => {
                 write!(f, "a worker of rank {rank} panicked: {message}")
+            }
+            ExecError::MeshTooSmall { needs, ranks } => {
+                write!(f, "the graph needs {needs} ranks, the mesh has {ranks}")
             }
         }
     }

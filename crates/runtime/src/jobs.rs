@@ -40,11 +40,9 @@ use sbc_obs::{
     Counter, EventKind, EventLog, FaultKind, Gauge, GaugeKind, Histogram, Metrics, NodeRecorder,
     RateWindow, Recorder, Severity,
 };
-use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId, TaskKind, TileRef, TileSpace};
+use sbc_taskgraph::{Input, RankView, Source, TaskGraph, TaskId, TaskKind, TileRef, TileSpace};
 use sbc_topo::{CriticalPath, SchedCtx, Scheduler};
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
@@ -65,38 +63,6 @@ fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-
-/// Multiply–rotate hasher for the two maps keyed by [`WaitKey`], which are
-/// looked up per operand and per arrival. Their key sets are the graph's:
-/// `waits` is built from it and `cache` admits only keys `waits` holds, so
-/// nothing off the wire chooses a key and SipHash's flooding resistance buys
-/// nothing here. `pending`, keyed by what a peer sends, stays on the default
-/// hasher.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b as u64));
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type WaitMap<V> = HashMap<WaitKey, V, BuildHasherDefault<IdHasher>>;
 
 /// A job's task graph: shared between same-shape jobs of a resident
 /// service, borrowed from the caller by a one-shot run.
@@ -134,9 +100,6 @@ pub struct JobSpec<'a> {
     /// Ready-heap task priorities as raw f32 bits (non-negative floats
     /// order like their bit patterns).
     pub(crate) prio_bits: Vec<u32>,
-    /// Unmet dependencies of every task before anything has run; each rank
-    /// starts from a copy.
-    deps: Vec<u32>,
     /// Original-tile contents; `None` is the seeded generators.
     pub(crate) provider: Option<&'a TileProvider<'a>>,
 }
@@ -162,10 +125,8 @@ impl<'a> JobSpec<'a> {
             comm_cost: sbc_kernels::flops::flops_gemm(b),
         };
         let prio_bits = sched.ranks(&ctx).into_iter().map(f32::to_bits).collect();
-        let deps = graph.initial_deps();
         JobSpec {
             id: 0,
-            deps,
             graph,
             b,
             seed,
@@ -239,6 +200,13 @@ pub enum Rejection {
     ShuttingDown,
     /// The mesh died (a rank failed); the service must be restarted.
     Dead,
+    /// The job's graph places tasks on more ranks than the mesh has.
+    MeshTooSmall {
+        /// Nodes the graph places tasks on.
+        needs: usize,
+        /// Ranks the mesh has.
+        ranks: usize,
+    },
 }
 
 impl std::fmt::Display for Rejection {
@@ -249,6 +217,9 @@ impl std::fmt::Display for Rejection {
             }
             Rejection::ShuttingDown => write!(f, "service is shutting down"),
             Rejection::Dead => write!(f, "mesh failed; service needs a restart"),
+            Rejection::MeshTooSmall { needs, ranks } => {
+                write!(f, "the job needs {needs} ranks, the mesh has {ranks}")
+            }
         }
     }
 }
@@ -548,8 +519,14 @@ impl<'a> JobTable<'a> {
         mut spec: JobSpec<'a>,
         expected: (u64, u64),
     ) -> Result<JobId, Rejection> {
+        let needs = spec.graph.num_nodes();
         let mut st = lock(&self.state);
-        let verdict = if st.dead.is_some() {
+        let verdict = if needs > self.n_nodes {
+            Some(Rejection::MeshTooSmall {
+                needs,
+                ranks: self.n_nodes,
+            })
+        } else if st.dead.is_some() {
             Some(Rejection::Dead)
         } else if st.shutdown {
             Some(Rejection::ShuttingDown)
@@ -808,14 +785,6 @@ impl Default for JobEngineConfig {
     }
 }
 
-/// A remote arrival local tasks wait on: a producer's output or a fetched
-/// original.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum WaitKey {
-    Task(TaskId),
-    Orig(TileRef),
-}
-
 /// The tiles one rank holds for one job: a table indexed by
 /// [`TileSpace::slot`], as long as the job's graph says a table must be.
 struct TileStore {
@@ -863,16 +832,23 @@ impl TileStore {
 }
 
 /// What a worker needs to run a job's tasks outside the engine lock: the
-/// spec and the job-private tile stores — the namespace that lets
-/// concurrent jobs share one mesh. `local` holds tiles this rank owns for
-/// the job, `cache` holds remote arrivals.
+/// spec, this rank's view of its graph and the job-private tile stores —
+/// the namespace that lets concurrent jobs share one mesh. `local` holds
+/// tiles this rank owns for the job, `cache` holds remote arrivals, one
+/// slot per remote input of the view.
 struct JobCtx<'a> {
     spec: Arc<JobSpec<'a>>,
+    me: NodeId,
     local: RwLock<TileStore>,
-    cache: RwLock<WaitMap<Tile>>,
+    cache: RwLock<Vec<Option<Tile>>>,
 }
 
 impl JobCtx<'_> {
+    /// This rank's share of the job's graph.
+    fn view(&self) -> &RankView {
+        self.spec.graph.rank_view(self.me)
+    }
+
     /// The job-local tile `r`, generated from its original on first use.
     fn local_or_original(&self, r: TileRef) -> Result<Tile, KernelError> {
         let mut local = write(&self.local);
@@ -885,21 +861,16 @@ impl JobCtx<'_> {
     }
 }
 
-/// One rank's in-flight share of a job.
+/// One rank's in-flight share of a job. Tasks are numbered as in the rank's
+/// view of the graph.
 struct JobRun<'a> {
     ctx: Arc<JobCtx<'a>>,
-    /// Unmet dependencies per task, indexed by `TaskId` (entries of other
-    /// ranks' tasks are unused).
+    /// Unmet dependencies per own task.
     deps: Vec<u32>,
-    /// Which local tasks each remote arrival unblocks.
-    waits: WaitMap<Vec<TaskId>>,
-    /// Original tiles this rank must ship to remote consumers first, each
-    /// with the first task that waits for it.
-    fetch_sends: Vec<FetchSend>,
-    /// Tasks with no dependencies left, held until shipping completes: a
-    /// local task could overwrite a tile whose original value a remote
-    /// consumer still needs.
-    initial_ready: Vec<TaskId>,
+    /// Tasks with no dependencies left, held until this rank's originals
+    /// are shipped: a local task could overwrite a tile whose original
+    /// value a remote consumer still needs.
+    initial_ready: Vec<u32>,
     shipped: bool,
     remaining: u64,
     sent: u64,
@@ -910,22 +881,23 @@ struct JobRun<'a> {
 }
 
 /// Ready-heap key: job priority (descending), task priority (descending),
-/// then job id and task id (ascending) for determinism.
+/// then job id and task number (ascending) for determinism. `task` is the
+/// rank-local number, which orders a rank's tasks as their ids do.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct ReadyKey {
     jprio: u8,
     tprio: u32,
     job: std::cmp::Reverse<JobId>,
-    task: std::cmp::Reverse<TaskId>,
+    task: std::cmp::Reverse<u32>,
 }
 
 impl ReadyKey {
-    fn new(spec: &JobSpec<'_>, t: TaskId) -> Self {
+    fn new(spec: &JobSpec<'_>, view: &RankView, l: u32) -> Self {
         ReadyKey {
             jprio: spec.prio,
-            tprio: spec.task_prio(t),
+            tprio: spec.task_prio(view.task(l)),
             job: std::cmp::Reverse(spec.id),
-            task: std::cmp::Reverse(t),
+            task: std::cmp::Reverse(l),
         }
     }
 }
@@ -1034,14 +1006,12 @@ pub(crate) struct Engine<'e, 'a> {
     obs: Option<Arc<RankObs>>,
 }
 
-/// An original tile to ship: which, where to, and the first task there that
-/// reads it (the task a failure to produce the tile is reported against).
-type FetchSend = (TileRef, NodeId, TaskId);
-
 /// The next unit of work a step takes.
 enum Work<'a> {
-    Ship(Arc<JobCtx<'a>>, Vec<FetchSend>),
-    Run(Arc<JobCtx<'a>>, TaskId),
+    /// Ship the job's originals to their remote readers.
+    Ship(Arc<JobCtx<'a>>),
+    /// Run own task `l` of the job.
+    Run(Arc<JobCtx<'a>>, u32),
     /// Nothing is ready.
     Idle,
     Drained,
@@ -1220,8 +1190,8 @@ impl<'e, 'a> Engine<'e, 'a> {
         self.absorb(obs);
         for _ in 0..STEP_BUDGET {
             match self.take_work(obs) {
-                Work::Ship(ctx, sends) => self.busy(|| self.ship(&ctx, sends, obs)),
-                Work::Run(ctx, t) => self.busy(|| self.run_task(&ctx, t, obs)),
+                Work::Ship(ctx) => self.busy(|| self.ship(&ctx, obs)),
+                Work::Run(ctx, l) => self.busy(|| self.run_task(&ctx, l, obs)),
                 Work::Idle => return self.idle(obs),
                 Work::Drained => return Progress::Drained,
             }
@@ -1258,7 +1228,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         } else if let Some(id) = st.unshipped.pop_front() {
             st.active += 1;
             let run = find_job(&mut st.jobs, id).expect("unshipped job is registered");
-            Work::Ship(Arc::clone(&run.ctx), std::mem::take(&mut run.fetch_sends))
+            Work::Ship(Arc::clone(&run.ctx))
         } else if let Some(k) = st.ready.pop() {
             st.active += 1;
             if let Some(o) = obs.as_mut() {
@@ -1315,46 +1285,20 @@ impl<'e, 'a> Engine<'e, 'a> {
         }
     }
 
-    /// Builds this rank's share of `spec` and installs it, reporting it
+    /// Installs this rank's share of `spec` — per-job state sized by the
+    /// rank's view of the graph, which the graph builds once — reporting it
     /// finished at once when the job has nothing to do here (no local tasks
     /// and no fetches to ship).
     fn register(&self, spec: Arc<JobSpec<'a>>) {
-        let g: &TaskGraph = &spec.graph;
         let me = self.me;
-        let deps = spec.deps.clone();
-        let mut initial_ready: Vec<TaskId> = Vec::new();
-        let mut remaining = 0u64;
-        let mut waits: WaitMap<Vec<TaskId>> = WaitMap::default();
-        let mut fetch_sends: Vec<FetchSend> = Vec::new();
-        for t in 0..g.len() as TaskId {
-            if g.tasks()[t as usize].node != me {
-                continue;
-            }
-            remaining += 1;
-            if deps[t as usize] == 0 {
-                initial_ready.push(t);
-            }
-            for (p, kind) in g.preds(t) {
-                if g.tasks()[p as usize].node != me {
-                    debug_assert_eq!(kind, EdgeKind::Data);
-                    let w = waits.entry(WaitKey::Task(p)).or_default();
-                    if w.last() != Some(&t) {
-                        w.push(t);
-                    }
-                }
-            }
-        }
-        for f in g.initial_fetches() {
-            if f.home == me {
-                fetch_sends.push((f.tile, f.dest, f.consumers[0]));
-            }
-            if f.dest == me {
-                waits
-                    .entry(WaitKey::Orig(f.tile))
-                    .or_default()
-                    .extend(f.consumers.iter().copied());
-            }
-        }
+        let view = spec.graph.rank_view(me);
+        let deps = view.deps().to_vec();
+        let initial_ready = (0..deps.len() as u32)
+            .filter(|&l| deps[l as usize] == 0)
+            .collect();
+        let remaining = view.len() as u64;
+        let shipped = view.ships().is_empty();
+        let cache = RwLock::new(vec![None; view.inputs()]);
 
         // arm the per-job watchdog clock: a rank that was idle until now
         // must measure no-progress from this registration, not from the
@@ -1362,16 +1306,14 @@ impl<'e, 'a> Engine<'e, 'a> {
         self.touch_progress();
 
         let id = spec.id;
-        let shipped = fetch_sends.is_empty();
         let run = JobRun {
             ctx: Arc::new(JobCtx {
-                local: RwLock::new(TileStore::new(g)),
-                cache: RwLock::new(WaitMap::default()),
+                local: RwLock::new(TileStore::new(&spec.graph)),
+                cache,
+                me,
                 spec,
             }),
             deps,
-            waits,
-            fetch_sends,
             initial_ready,
             shipped,
             remaining,
@@ -1412,8 +1354,12 @@ impl<'e, 'a> Engine<'e, 'a> {
     fn release_initial(st: &mut EngineState<'a>, id: JobId) {
         let EngineState { jobs, ready, .. } = st;
         let run = find_job(jobs, id).expect("job registered");
-        let spec = &run.ctx.spec;
-        ready.extend(run.initial_ready.drain(..).map(|t| ReadyKey::new(spec, t)));
+        let (spec, view) = (&run.ctx.spec, run.ctx.view());
+        ready.extend(
+            run.initial_ready
+                .drain(..)
+                .map(|l| ReadyKey::new(spec, view, l)),
+        );
     }
 
     /// If `id` has shipped its fetches and run out of local tasks, remove
@@ -1462,10 +1408,10 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// releases the job's initial tasks. Runs outside the engine lock; the
     /// job's tasks cannot start (and thus cannot overwrite an original a
     /// remote consumer still needs) until the release below.
-    fn ship(&self, ctx: &JobCtx<'a>, sends: Vec<FetchSend>, obs: &mut Obs<'_>) {
+    fn ship(&self, ctx: &JobCtx<'a>, obs: &mut Obs<'_>) {
         let id = ctx.spec.id;
         let mut sent = (0, 0);
-        for (tile_ref, dest, task) in sends {
+        for &(tile_ref, dest, task) in ctx.view().ships() {
             let tile = match ctx.local_or_original(tile_ref) {
                 Ok(tile) => tile,
                 Err(error) => {
@@ -1497,14 +1443,16 @@ impl<'e, 'a> Engine<'e, 'a> {
         self.report(done);
     }
 
-    /// Executes one popped task of one job, publishes its output to remote
+    /// Executes own task `l` of one job, publishes its output to remote
     /// consumer ranks (tagged with the job id, one message per distinct
     /// consumer rank) and resolves successors.
-    fn run_task(&self, ctx: &JobCtx<'a>, t: TaskId, obs: &mut Obs<'_>) {
+    fn run_task(&self, ctx: &JobCtx<'a>, l: u32, obs: &mut Obs<'_>) {
         let spec = &ctx.spec;
         let g: &TaskGraph = &spec.graph;
+        let view = ctx.view();
+        let t = view.task(l);
         let span_start = obs.as_ref().map(|o| o.now());
-        if let Err(error) = execute_task(self.cfg.kernels, ctx, t) {
+        if let Err(error) = execute_task(self.cfg.kernels, ctx, l) {
             self.fail(ExecError::Kernel {
                 task: t,
                 node: self.me,
@@ -1523,15 +1471,14 @@ impl<'e, 'a> Engine<'e, 'a> {
             );
         }
 
-        let mut consumer_nodes: Vec<NodeId> = Vec::new();
-        g.remote_consumer_nodes(t, &mut consumer_nodes);
+        let consumer_nodes = view.dests(l);
         let mut sent = (0, 0);
         if !consumer_nodes.is_empty() {
             let tile = read(&ctx.local)
                 .get(g.tasks()[t as usize].output(g.slices))
                 .expect("task output in local store")
                 .clone();
-            for &dest in &consumer_nodes {
+            for &dest in consumer_nodes {
                 let payload = Payload::Data {
                     job: spec.id,
                     producer: t,
@@ -1553,13 +1500,11 @@ impl<'e, 'a> Engine<'e, 'a> {
                 run.sent += sent.0;
                 run.sent_bytes += sent.1;
                 run.remaining -= 1;
-                for (s, _) in g.succs(t) {
-                    if g.tasks()[s as usize].node == self.me {
-                        let d = &mut run.deps[s as usize];
-                        *d -= 1;
-                        if *d == 0 {
-                            ready.push(ReadyKey::new(spec, s));
-                        }
+                for &s in view.succs(l) {
+                    let d = &mut run.deps[s as usize];
+                    *d -= 1;
+                    if *d == 0 {
+                        ready.push(ReadyKey::new(spec, view, s));
                     }
                 }
                 run.remaining == 0
@@ -1663,18 +1608,28 @@ impl<'e, 'a> Engine<'e, 'a> {
             // else a late duplicate for a job this rank finished
             return Ok(false);
         };
-        let (key, tile) = match payload {
-            Payload::Data { producer, tile, .. } => (WaitKey::Task(producer), tile),
-            Payload::Orig { tile_ref, tile, .. } => (WaitKey::Orig(tile_ref), tile),
+        let (input, tile) = match payload {
+            Payload::Data { producer, tile, .. } => (Input::Task(producer), tile),
+            Payload::Orig { tile_ref, tile, .. } => (Input::Orig(tile_ref), tile),
         };
+        let JobRun {
+            ctx,
+            deps,
+            initial_ready,
+            shipped,
+            applied,
+            ..
+        } = run;
+        let view = ctx.view();
         // a tile no task of this rank waits for is not this job's traffic
-        let Some(waiting) = run.waits.get(&key) else {
+        let Some(i) = view.find(input) else {
             return Ok(false);
         };
-        let expected = run.ctx.spec.b;
+        let waiting = view.waiters(i);
+        let expected = ctx.spec.b;
         if tile.dim() != expected {
             return Err(ExecError::Kernel {
-                task: waiting[0],
+                task: view.task(waiting[0]),
                 node: me,
                 error: KernelError::DimensionMismatch {
                     expected,
@@ -1685,18 +1640,21 @@ impl<'e, 'a> Engine<'e, 'a> {
         // each producer output / original fetch arrives at most once per
         // rank by protocol; an occupied slot is a transport-injected
         // duplicate and must not touch counters or dependency counts
-        match write(&run.ctx.cache).entry(key) {
-            Entry::Occupied(_) => return Ok(false),
-            Entry::Vacant(slot) => slot.insert(tile),
-        };
-        run.applied += 1;
-        for &t in waiting {
-            let d = &mut run.deps[t as usize];
+        {
+            let mut cache = write(&ctx.cache);
+            if cache[i].is_some() {
+                return Ok(false);
+            }
+            cache[i] = Some(tile);
+        }
+        *applied += 1;
+        for &l in waiting {
+            let d = &mut deps[l as usize];
             *d -= 1;
-            if *d == 0 && run.shipped {
-                ready.push(ReadyKey::new(&run.ctx.spec, t));
+            if *d == 0 && *shipped {
+                ready.push(ReadyKey::new(&ctx.spec, view, l));
             } else if *d == 0 {
-                run.initial_ready.push(t);
+                initial_ready.push(l);
             }
         }
         Ok(true)
@@ -1708,11 +1666,10 @@ impl<'e, 'a> Engine<'e, 'a> {
         let st = lock(&self.state);
         let mut missing: Vec<String> = Vec::new();
         for run in &st.jobs {
-            let (id, cache) = (run.ctx.spec.id, read(&run.ctx.cache));
-            for k in run.waits.keys() {
-                if !cache.contains_key(k) {
-                    missing.push(format!("job {id} {k:?}"));
-                }
+            let (id, view) = (run.ctx.spec.id, run.ctx.view());
+            let cache = read(&run.ctx.cache);
+            for (i, _) in cache.iter().enumerate().filter(|(_, tile)| tile.is_none()) {
+                missing.push(format!("job {id} {:?}", view.input(i)));
             }
         }
         if missing.is_empty() {
@@ -1754,31 +1711,21 @@ struct Completion {
     applied: u64,
 }
 
-/// Resolves a read operand of task `t`: remote producer output or fetched
-/// original from the job's cache, else the job-local store (local producer,
-/// or local original generated on first use).
-fn resolve_read(ctx: &JobCtx<'_>, t: TaskId, r: TileRef) -> Result<Tile, KernelError> {
-    let g: &TaskGraph = &ctx.spec.graph;
-    let me = g.tasks()[t as usize].node;
-    for (p, kind) in g.preds(t) {
-        if kind == EdgeKind::Data && g.tasks()[p as usize].output(g.slices) == r {
-            return Ok(if g.tasks()[p as usize].node == me {
-                read(&ctx.local)
-                    .get(r)
-                    .expect("local producer wrote the tile")
-                    .clone()
-            } else {
-                read(&ctx.cache)
-                    .get(&WaitKey::Task(p))
-                    .expect("dependency ensured arrival")
-                    .clone()
-            });
-        }
-    }
-    if let Some(tile) = read(&ctx.cache).get(&WaitKey::Orig(r)) {
-        return Ok(tile.clone());
-    }
-    ctx.local_or_original(r)
+/// Resolves read operand `r` of an own task from where the rank's view
+/// says it is: a remote producer's output or a fetched original in the
+/// job's cache, a local producer's output in the job-local store, or a local
+/// original generated on first use.
+fn resolve_read(ctx: &JobCtx<'_>, source: Source, r: TileRef) -> Result<Tile, KernelError> {
+    Ok(match source {
+        Source::Input(i) => read(&ctx.cache)[i as usize]
+            .clone()
+            .expect("dependency ensured arrival"),
+        Source::Local => read(&ctx.local)
+            .get(r)
+            .expect("local producer wrote the tile")
+            .clone(),
+        Source::Original => ctx.local_or_original(r)?,
+    })
 }
 
 /// Executes one task's kernel against the job's private stores.
@@ -1787,15 +1734,17 @@ fn resolve_read(ctx: &JobCtx<'_>, t: TaskId, r: TileRef) -> Result<Tile, KernelE
 /// reinserted afterwards; this is safe because the graph's ordering edges
 /// guarantee no same-rank reader of the current version is running
 /// concurrently with its writer (remote readers use received copies).
-fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, t: TaskId) -> Result<(), KernelError> {
+fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, l: u32) -> Result<(), KernelError> {
     let spec = &ctx.spec;
     let c = spec.graph.slices;
-    let task = spec.graph.tasks()[t as usize];
+    let view = ctx.view();
+    let task = spec.graph.tasks()[view.task(l) as usize];
     let reads = task.reads(c);
     let read_tiles = reads
         .as_slice()
         .iter()
-        .map(|&r| resolve_read(ctx, t, r))
+        .zip(view.sources(l))
+        .map(|(&r, &source)| resolve_read(ctx, source, r))
         .collect::<Result<Vec<Tile>, _>>()?;
     let target_ref = task.output(c);
     let stored = write(&ctx.local).take(target_ref);
@@ -2024,12 +1973,13 @@ mod tests {
         let mut empty = potrf_spec(&graph, 31, &SubmissionOrder, None);
         assert_eq!(ranked.prio_bits, vec![0; graph.len()]);
         empty.prio_bits = Vec::new();
-        let tasks = 0..graph.len() as TaskId;
+        let view = graph.rank_view(0);
+        let tasks = 0..view.len() as u32;
         let pop_order = |spec: &JobSpec| {
             let mut heap: BinaryHeap<_> = tasks
                 .clone()
                 .rev()
-                .map(|t| ReadyKey::new(spec, t))
+                .map(|l| ReadyKey::new(spec, view, l))
                 .collect();
             std::iter::from_fn(|| heap.pop().map(|k| k.task.0)).collect::<Vec<_>>()
         };
@@ -2115,6 +2065,36 @@ mod tests {
         );
         assert!(err.to_string().contains("queue full"));
         let _ = first;
+    }
+
+    /// A graph placed on more nodes than the table's mesh has ranks is
+    /// refused at the door. It used to be admitted, fail every engine with
+    /// an index panic and leave the resident mesh dead for every later job;
+    /// now the next job that fits runs as if nothing happened.
+    #[test]
+    fn a_graph_wider_than_the_mesh_is_rejected_and_the_mesh_serves_on() {
+        let wide = Arc::new(build_potrf(&SbcExtended::new(4), 6));
+        let d = TwoDBlockCyclic::new(2, 2);
+        let fits = Arc::new(build_potrf(&d, 6));
+        let table = JobTable::new(4, 2);
+        let mut outcome = None;
+        run_mesh(&table, 4, JobEngineConfig::default(), || {
+            let rejected = table.submit(Arc::clone(&wide), B, 1, 2, 0);
+            assert_eq!(
+                rejected,
+                Err(Rejection::MeshTooSmall { needs: 6, ranks: 4 })
+            );
+            assert!(rejected.unwrap_err().to_string().contains("needs 6 ranks"));
+            let id = table.submit(Arc::clone(&fits), B, 7, 8, 0).unwrap();
+            outcome = Some(table.wait(id).expect("the mesh is alive"));
+        });
+        assert_sequential(&outcome.unwrap(), &d, 6, 7);
+        assert_eq!(table.inflight(), 0);
+    }
+
+    /// Remote arrivals `run` holds.
+    fn cached(run: &JobRun) -> usize {
+        read(&run.ctx.cache).iter().flatten().count()
     }
 
     /// Hand-driven engines: the test is the only stepper, so nobody needs
@@ -2207,9 +2187,9 @@ mod tests {
             .expect("rank 0 waits on some remote tile")
     }
 
-    /// `cache` admits only keys `waits` holds — the reason both may run on a
-    /// cheap hasher — so a payload for a tile no task of this rank waits for
-    /// is dropped: not cached, not counted as applied.
+    /// `cache` has a slot only for the remote inputs of the rank's view, so
+    /// a payload for a tile no task of this rank waits for is dropped: not
+    /// cached, not counted as applied.
     #[test]
     fn an_arrival_nobody_here_waits_for_is_dropped() {
         let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
@@ -2233,7 +2213,70 @@ mod tests {
         settle(&engine);
         let st = lock(&engine.state);
         assert_eq!(st.jobs[0].applied, 0);
-        assert!(read(&st.jobs[0].ctx.cache).is_empty());
+        assert_eq!(cached(&st.jobs[0]), 0);
+    }
+
+    /// Producer ids and tile names come off the wire. A `Data` payload naming
+    /// a task past the graph's end, and an `Orig` payload naming a tile
+    /// outside the graph's tile space, are foreign traffic: dropped without
+    /// an index panic, nothing cached or counted, and the job runs on.
+    #[test]
+    fn arrivals_naming_nothing_in_the_graph_are_dropped() {
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
+        let n = graph.num_nodes();
+        let table = JobTable::new(n, 1);
+        let id = table.submit(Arc::clone(&graph), B, 5, 6, 0).unwrap();
+        let mesh = inproc_mesh(n);
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None, &ByHand);
+        settle(&engine);
+        let a = |slice, i, j| TileRef::A {
+            phase: 0,
+            slice,
+            i,
+            j,
+        };
+        let len = graph.len() as TaskId;
+        let mut foreign: Vec<Payload> = [len, len + 7, TaskId::MAX]
+            .into_iter()
+            .map(|producer| Payload::Data {
+                job: id,
+                producer,
+                tile: Tile::zeros(B),
+            })
+            .collect();
+        for tile_ref in [
+            a(0, 6, 0),
+            a(0, 0, 6),
+            a(1, 1, 0),
+            a(0, u32::MAX, u32::MAX),
+            TileRef::A {
+                phase: 200,
+                slice: 0,
+                i: 1,
+                j: 0,
+            },
+            TileRef::Buf {
+                slice: 0,
+                i: 1,
+                j: 0,
+            },
+            TileRef::B { i: 6 },
+        ] {
+            foreign.push(Payload::Orig {
+                job: id,
+                tile_ref,
+                tile: Tile::zeros(B),
+            });
+        }
+        for payload in foreign {
+            mesh[1].send_payload(0, payload);
+        }
+        assert_eq!(settle(&engine), Progress::Idle { next_timer: None });
+        let st = lock(&engine.state);
+        assert_eq!(st.error, None);
+        assert_eq!(st.jobs.len(), 1, "the job is still in flight");
+        assert_eq!(st.jobs[0].applied, 0);
+        assert_eq!(cached(&st.jobs[0]), 0);
     }
 
     /// A payload's tile is checked against the job's `b` on arrival. One of
@@ -2273,7 +2316,7 @@ mod tests {
         let st = lock(&engine.state);
         assert_eq!(st.error, Some(expected.clone()));
         assert_eq!(st.jobs[0].applied, 0);
-        assert!(read(&st.jobs[0].ctx.cache).is_empty());
+        assert_eq!(cached(&st.jobs[0]), 0);
         drop(st);
         for peer in &mesh[1..] {
             let inbox: Vec<Message> = std::iter::from_fn(|| peer.try_recv()).collect();

@@ -40,10 +40,7 @@ use sbc_matrix::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
 use sbc_net::{inproc_mesh, Clock, Message, PeerStats, RealClock, RecvTimeout, Transport};
 use sbc_obs::Recorder;
 use sbc_planner::Plan;
-use sbc_taskgraph::{
-    build_lauum, build_lu, build_posv, build_potrf, build_potrf_25d, build_potri,
-    build_potri_remap, build_trtri, ResultKind, TaskGraph, TileRef,
-};
+use sbc_taskgraph::{memo, ResultKind, TaskGraph, TileRef};
 use sbc_topo::{CriticalPath, Scheduler};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -201,8 +198,8 @@ impl<'a> Run<'a> {
         }
     }
 
-    fn owning(graph: TaskGraph) -> Self {
-        Self::new(GraphRef::Shared(Arc::new(graph)))
+    fn shared(graph: Arc<TaskGraph>) -> Self {
+        Self::new(GraphRef::Shared(graph))
     }
 
     /// Executes a graph the caller built (and keeps). Inputs, ready order
@@ -216,51 +213,55 @@ impl<'a> Run<'a> {
     /// operation, at its tile size — from `(op, nt, b)` to a distributed
     /// execution without naming a distribution anywhere.
     pub fn plan(plan: &Plan) -> Self {
-        Self::owning(plan.build_graph()).block(plan.b)
+        Self::shared(plan.graph()).block(plan.b)
     }
 
     /// Cholesky factorization of the seeded SPD matrix under `dist`.
+    ///
+    /// This and the other operation constructors take the graph from
+    /// [`sbc_taskgraph::memo`], so every run of one placement shares one
+    /// graph, built once.
     pub fn potrf<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::owning(build_potrf(dist, nt))
+        Self::shared(memo::potrf(dist, nt))
     }
 
     /// 2.5D Cholesky factorization (paper Section IV). The final value of
     /// tile `(i, j)` lives on the slice that executed iteration `j`.
     pub fn potrf_25d<D: Distribution>(d25: &TwoPointFiveD<D>, nt: usize) -> Self {
-        Self::owning(build_potrf_25d(d25, nt))
+        Self::shared(memo::potrf_25d(d25, nt))
     }
 
     /// POSV: factorize the seeded SPD matrix and solve against the seeded
     /// right-hand side distributed by `rhs_dist`.
     pub fn posv<D: Distribution>(dist: &D, rhs_dist: &RowCyclic, nt: usize) -> Self {
-        Self::owning(build_posv(dist, rhs_dist, nt))
+        Self::shared(memo::posv(dist, rhs_dist, nt))
     }
 
     /// LU factorization (no pivoting) of the seeded diagonally dominant
     /// general matrix.
     pub fn lu<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::owning(build_lu(dist, nt))
+        Self::shared(memo::lu(dist, nt))
     }
 
     /// TRTRI of the lower triangle of the seeded matrix.
     pub fn trtri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::owning(build_trtri(dist, nt))
+        Self::shared(memo::trtri(dist, nt))
     }
 
     /// LAUUM of the lower triangle of the seeded matrix.
     pub fn lauum<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::owning(build_lauum(dist, nt))
+        Self::shared(memo::lauum(dist, nt))
     }
 
     /// POTRI (full SPD inverse) under one distribution.
     pub fn potri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::owning(build_potri(dist, nt))
+        Self::shared(memo::potri(dist, nt))
     }
 
     /// POTRI with the paper's "SBC remap 2DBC" strategy (Section V-F.2):
     /// factor under `sym`, remap to `bc` for the inversion, remap back.
     pub fn potri_remap<A: Distribution, B: Distribution>(sym: &A, bc: &B, nt: usize) -> Self {
-        Self::owning(build_potri_remap(sym, bc, nt))
+        Self::shared(memo::potri_remap(sym, bc, nt))
     }
 
     /// Tile dimension (default 32).
@@ -435,10 +436,15 @@ impl<'a> Run<'a> {
     /// for every report, gathers and returns
     /// `Ok(Some(output))`. A failure on any rank poisons the whole mesh: the
     /// failing rank returns its own [`ExecError`], every other rank
-    /// [`ExecError::Remote`].
+    /// [`ExecError::Remote`]. A graph placed on more nodes than the mesh has
+    /// ranks is [`ExecError::MeshTooSmall`] on every rank, before any runs.
     pub fn execute_rank(&self, net: &dyn Transport) -> Result<Option<RunOutput>, ExecError> {
         let n = net.num_nodes();
         let me = net.rank();
+        let needs = self.graph.num_nodes();
+        if needs > n {
+            return Err(ExecError::MeshTooSmall { needs, ranks: n });
+        }
         // a rank-local table: the job completes on this rank's one report
         let table = JobTable::with_clock(n, 1, 1, Arc::clone(&self.clock));
         let id = self.submit_closed(&table);
@@ -579,6 +585,7 @@ mod tests {
     use sbc_dist::{SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
     use sbc_net::{FaultConfig, Faulty};
+    use sbc_taskgraph::build_potrf;
 
     fn assert_same_factor(a: &RunOutput, b: &RunOutput, context: &str) {
         for (i, j) in a.factor().tile_coords() {
@@ -757,6 +764,121 @@ mod tests {
         let out = run_ranks(&run, &mesh);
         assert_eq!(out.stats, expected.stats);
         assert_same_factor(&expected, &out, "execute_rank");
+    }
+
+    /// Every rank's result of `execute_rank` over `mesh`, one thread each.
+    fn rank_results<T: Transport>(
+        run: &Run<'_>,
+        mesh: &[T],
+    ) -> Vec<Result<Option<RunOutput>, ExecError>> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = mesh
+                .iter()
+                .map(|net| scope.spawn(move || run.execute_rank(net)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// A 6-node graph on a 4-rank mesh used to start every rank and fail
+    /// each one with an index panic in its engine. Every rank refuses it
+    /// now, typed, before any of them runs.
+    #[test]
+    fn a_graph_wider_than_its_mesh_is_refused_on_every_rank() {
+        let run = Run::potrf(&SbcExtended::new(4), 6).block(8);
+        assert_eq!(run.task_graph().num_nodes(), 6);
+        let mesh = inproc_mesh(4);
+        for (rank, result) in rank_results(&run, &mesh).into_iter().enumerate() {
+            assert_eq!(
+                result.err(),
+                Some(ExecError::MeshTooSmall { needs: 6, ranks: 4 }),
+                "rank {rank}"
+            );
+        }
+        for net in &mesh {
+            assert_eq!(net.try_recv(), None, "a refused rank sent nothing");
+        }
+    }
+
+    /// Ranks that each build their own `Run` of one shape share one graph:
+    /// the memo builds it once, the racing callers wait for that build.
+    #[test]
+    fn six_ranks_of_one_shape_share_one_graph() {
+        let (dist, nt) = (SbcExtended::new(4), 11);
+        let mesh = inproc_mesh(dist.num_nodes());
+        let start = std::sync::Barrier::new(mesh.len());
+        let (graphs, outputs): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+            let handles: Vec<_> = mesh
+                .iter()
+                .map(|net| {
+                    let (dist, start) = (&dist, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let run = Run::potrf(dist, nt).block(8).seed(5).workers(1);
+                        let graph = run.task_graph() as *const TaskGraph as usize;
+                        (graph, run.execute_rank(net).unwrap())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).unzip()
+        });
+        assert!(graphs.iter().all(|&g| g == graphs[0]), "{graphs:?}");
+        let out = outputs
+            .into_iter()
+            .flatten()
+            .next()
+            .expect("rank 0 gathered");
+        let mut seq = random_spd(5, nt, 8);
+        potrf_tiled(&mut seq).unwrap();
+        for (i, j) in seq.tile_coords() {
+            assert_eq!(out.factor().tile(i, j).max_abs_diff(seq.tile(i, j)), 0.0);
+        }
+        assert_eq!(out.stats.messages, comm::potrf_messages(&dist, nt));
+    }
+
+    /// SBC r = 4 under its own name, every tile on the next node over.
+    struct Renumbered(SbcExtended);
+
+    impl Distribution for Renumbered {
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn owner(&self, i: usize, j: usize) -> usize {
+            (self.0.owner(i, j) + 1) % self.0.num_nodes()
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    /// The memo keys a graph by where tiles live, not by what the
+    /// distribution calls itself: a renamed placement runs its own graph,
+    /// bit-identical to the sequential factor, with its own analytic counts.
+    #[test]
+    fn a_placement_under_another_ones_name_runs_its_own_graph() {
+        let nt = 10;
+        let (sbc, renumbered) = (SbcExtended::new(4), Renumbered(SbcExtended::new(4)));
+        assert_eq!(renumbered.name(), sbc.name());
+        let plain = Run::potrf(&sbc, nt);
+        let run = Run::potrf(&renumbered, nt).block(8).seed(13);
+        assert!(!std::ptr::eq(plain.task_graph(), run.task_graph()));
+        for (t, u) in plain
+            .task_graph()
+            .tasks()
+            .iter()
+            .zip(run.task_graph().tasks())
+        {
+            assert_eq!((t.node + 1) % 6, u.node);
+        }
+        let out = run.execute().unwrap();
+        let mut seq = random_spd(13, nt, 8);
+        potrf_tiled(&mut seq).unwrap();
+        for (i, j) in seq.tile_coords() {
+            assert_eq!(out.factor().tile(i, j).max_abs_diff(seq.tile(i, j)), 0.0);
+        }
+        let messages = comm::potrf_messages(&renumbered, nt);
+        assert_eq!(out.stats.messages, messages);
+        assert_eq!(out.stats.bytes, comm::messages_to_bytes(messages, 8));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The resident service core: a warm mesh of rank engines, a warm planner
-//! (whose cache holds each shape's plan and task graph),
+//! (whose cache holds each shape's plan; the task graph comes from
+//! `sbc_taskgraph::memo`, built once per placement),
 //! admission-controlled job submission and first-class observability.
 //!
 //! Telemetry is split in two planes. The *job path* (engines, job table)
@@ -53,7 +54,8 @@ pub struct ServeConfig {
     pub deadline: Option<Duration>,
     /// Planner tunables; the planner's cache is the service's only
     /// per-shape state, so its capacity bounds how many shapes keep their
-    /// plan and task graph warm.
+    /// plan warm (graphs live in the process-wide `sbc_taskgraph::memo`,
+    /// bounded by its own task budget).
     pub planner: PlannerConfig,
 }
 

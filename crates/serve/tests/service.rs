@@ -357,9 +357,9 @@ fn serves_over_tcp() {
 }
 
 /// A long-lived service sees an open-ended stream of shapes; the planner's
-/// cache, which holds each shape's plan and graph, stays within its
-/// capacity, and a job whose shape was evicted while it ran — or whose
-/// shape comes back later — is still exact.
+/// cache, which holds each shape's plan, stays within its capacity, and a
+/// job whose shape was evicted while it ran — or whose shape comes back
+/// later — is still exact.
 #[test]
 fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
     let capacity = 2;
@@ -383,7 +383,7 @@ fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
             );
         }
     };
-    // all admitted before any is gathered: the first three graphs are
+    // all admitted before any is gathered: the first three plans are
     // evicted while their jobs are still in flight
     let shapes: Vec<usize> = (4..4 + capacity + 3).collect();
     let ids: Vec<_> = shapes

@@ -1,7 +1,9 @@
 //! Task graph storage and the superscalar dependency-inference builder.
 
 use crate::task::{Task, TaskId, TileRef, TileSpace};
+use crate::view::RankView;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A transfer of *original* (never written in this graph) tile data from its
 /// home node to a consumer node, needed before the consumers can run.
@@ -63,7 +65,14 @@ impl Csr {
         let t = t as usize;
         &self.edges[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
+
+    fn heap_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.edges.capacity()) * std::mem::size_of::<u32>()
+    }
 }
+
+/// The view of a rank past the graph's nodes: it owns nothing.
+static NO_TASKS: RankView = RankView::EMPTY;
 
 /// An immutable distributed task graph.
 ///
@@ -84,6 +93,12 @@ pub struct TaskGraph {
     pub result: ResultKind,
     /// One past the highest [`TileSpace`] slot any task or home names.
     tile_slots: usize,
+    /// [`TaskGraph::count_messages`], walked once.
+    messages: OnceLock<u64>,
+    /// Each task's number among its node's tasks, counted once.
+    local: OnceLock<Vec<u32>>,
+    /// Each node's [`RankView`], derived on first use.
+    views: Box<[OnceLock<RankView>]>,
 }
 
 impl TaskGraph {
@@ -119,6 +134,45 @@ impl TaskGraph {
     /// Number of platform nodes this graph is placed on.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
+    }
+
+    /// `rank`'s share of the graph under rank-local task numbers, derived
+    /// on the first call for that rank and kept with the graph. A rank the
+    /// graph places nothing on (one past its nodes included) gets an empty
+    /// view.
+    pub fn rank_view(&self, rank: u32) -> &RankView {
+        match self.views.get(rank as usize) {
+            Some(view) => view.get_or_init(|| RankView::build(self, rank)),
+            None => &NO_TASKS,
+        }
+    }
+
+    /// Each task's number among its node's tasks in submission order: the
+    /// rank-local numbering of every [`RankView`].
+    pub(crate) fn local_numbers(&self) -> &[u32] {
+        self.local.get_or_init(|| {
+            let mut next = vec![0u32; self.num_nodes];
+            let mut number = |node: u32| {
+                let n = &mut next[node as usize];
+                *n += 1;
+                *n - 1
+            };
+            self.tasks.iter().map(|t| number(t.node)).collect()
+        })
+    }
+
+    /// Bytes the graph's tasks, edges and fetches hold on the heap (the rank
+    /// views it keeps are not counted).
+    pub fn heap_bytes(&self) -> usize {
+        let fetches = self
+            .initial_fetches
+            .iter()
+            .map(|f| f.consumers.capacity() * 4);
+        self.tasks.capacity() * std::mem::size_of::<Task>()
+            + self.preds.heap_bytes()
+            + self.succs.heap_bytes()
+            + self.initial_fetches.capacity() * std::mem::size_of::<InitialFetch>()
+            + fetches.sum::<usize>()
     }
 
     /// Predecessors of `t` with edge kinds.
@@ -164,15 +218,17 @@ impl TaskGraph {
     /// per initial fetch of original data.
     ///
     /// This is the quantity `sbc_dist::comm` computes analytically; the two
-    /// must agree exactly (tested).
+    /// must agree exactly (tested). Walked once per graph.
     pub fn count_messages(&self) -> u64 {
-        let mut total = self.initial_fetches.len() as u64;
-        let mut buf = Vec::new();
-        for t in 0..self.len() as TaskId {
-            self.remote_consumer_nodes(t, &mut buf);
-            total += buf.len() as u64;
-        }
-        total
+        *self.messages.get_or_init(|| {
+            let mut total = self.initial_fetches.len() as u64;
+            let mut buf = Vec::new();
+            for t in 0..self.len() as TaskId {
+                self.remote_consumer_nodes(t, &mut buf);
+                total += buf.len() as u64;
+            }
+            total
+        })
     }
 
     /// What every task waits for before anything has run: its in-degree plus
@@ -447,6 +503,9 @@ impl GraphBuilder {
             slices: self.space.slices,
             result: self.result,
             tile_slots: self.data.len(),
+            messages: OnceLock::new(),
+            local: OnceLock::new(),
+            views: (0..self.num_nodes).map(|_| OnceLock::new()).collect(),
         }
     }
 }

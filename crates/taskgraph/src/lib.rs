@@ -28,8 +28,10 @@
 
 pub mod builders;
 pub mod graph;
+pub mod memo;
 pub mod priority;
 pub mod task;
+pub mod view;
 
 pub use builders::{
     build_lauum, build_lu, build_posv, build_potrf, build_potrf_25d, build_potri,
@@ -40,3 +42,4 @@ pub use priority::{
     critical_path_length, critical_path_priorities, flops_priorities, upward_ranks,
 };
 pub use task::{Task, TaskId, TaskKind, TileRef, TileSpace};
+pub use view::{Input, RankView, Source};

@@ -67,6 +67,18 @@ impl TileSpace {
         self.nt + buffers * self.nt * self.nt
     }
 
+    /// Whether `r` is a tile of this space — what [`TileSpace::slot`]
+    /// asserts, as a question for names that come off the wire.
+    pub fn contains(&self, r: TileRef) -> bool {
+        let (nt, c) = (self.nt, self.slices);
+        let cell = |i: u32, j: u32| (i as usize) < nt && (j as usize) < nt;
+        match r {
+            TileRef::B { i } => (i as usize) < nt,
+            TileRef::Buf { slice, i, j } => c > 1 && (slice as usize) < c && cell(i, j),
+            TileRef::A { slice, i, j, .. } => (slice as usize) < c && cell(i, j),
+        }
+    }
+
     /// The slot of tile `r`.
     ///
     /// # Panics
