@@ -8,25 +8,35 @@
 //!
 //! # Cost model
 //!
-//! A tile's values live in one reference-counted allocation, so a tile is
+//! A tile's values live in one reference-counted buffer, so a tile is
 //! allocated once and every later copy of it is a handle:
 //!
 //! * [`Clone`] is O(1) — it bumps a count. Reading an operand, sending a
 //!   tile to a rank of the same process, retaining it for retransmission
 //!   and gathering a result all clone.
 //! * The first write to a tile whose buffer is still shared copies the
-//!   buffer (`b² · 8` bytes, one allocation) and un-shares it; a write to an
-//!   unshared tile writes in place. Handles never observe each other's
-//!   writes: a clone is logically a private copy.
+//!   buffer (`b² · 8` bytes) and un-shares it; a write to an unshared tile
+//!   writes in place. Handles never observe each other's writes: a clone is
+//!   logically a private copy.
 //! * Every `&mut` accessor ([`Tile::set`], [`Tile::as_mut_slice`],
 //!   [`Tile::col_mut`], …) checks uniqueness first — an atomic
 //!   read-modify-write, a few dozen cycles. A loop therefore takes
 //!   [`Tile::as_mut_slice`] (or a column) *once* and indexes the slice;
 //!   calling `set` per element pays the check per element.
 //!
+//! A buffer of at least one page (4 KiB, so `b >= 23`) is allocated once
+//! per process high-water mark, not once per tile: when the last handle on
+//! it drops, it goes onto one process-wide LIFO free list, keyed by length
+//! and bounded by a byte budget (64 MiB; a buffer freed into a full list
+//! goes back to the allocator). [`Tile::zeros`], [`Tile::from_column_major`]
+//! (so the seeded generators and the wire decoder) and the copy-on-write
+//! take from the list before they allocate, and write every element before
+//! the tile is visible. A recycled buffer is neither page-faulted back in
+//! nor zeroed twice. Smaller tiles never touch the list or its lock.
+//!
 //! Equality stays by value.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A square `b × b` tile of `f64` values in column-major order.
 ///
@@ -56,13 +66,104 @@ impl std::fmt::Debug for Tile {
     }
 }
 
+/// Buffers shorter than one page never enter the free list.
+const PAGE_WORDS: usize = 4096 / std::mem::size_of::<f64>();
+
+/// Bytes the process-wide free list holds at most.
+const BUDGET: usize = 64 << 20;
+
+/// Unshared tile buffers waiting for reuse: one LIFO shelf per length, at
+/// most `budget` bytes in all.
+struct FreeList {
+    budget: usize,
+    bytes: usize,
+    shelves: Vec<(usize, Vec<Arc<[f64]>>)>,
+}
+
+impl FreeList {
+    const fn new(budget: usize) -> Self {
+        FreeList {
+            budget,
+            bytes: 0,
+            shelves: Vec::new(),
+        }
+    }
+
+    /// The buffer of `len` words shelved last, if any.
+    fn take(&mut self, len: usize) -> Option<Arc<[f64]>> {
+        let (_, shelf) = self.shelves.iter_mut().find(|(l, _)| *l == len)?;
+        let buf = shelf.pop()?;
+        self.bytes -= std::mem::size_of_val(&*buf);
+        Some(buf)
+    }
+
+    /// Shelves `buf`, or hands it back when it would overrun the budget.
+    fn put(&mut self, buf: Arc<[f64]>) -> Option<Arc<[f64]>> {
+        let bytes = std::mem::size_of_val(&*buf);
+        if self.bytes + bytes > self.budget {
+            return Some(buf);
+        }
+        self.bytes += bytes;
+        match self.shelves.iter_mut().find(|(l, _)| *l == buf.len()) {
+            Some((_, shelf)) => shelf.push(buf),
+            None => self.shelves.push((buf.len(), vec![buf])),
+        }
+        None
+    }
+}
+
+/// The one free list: socket readers take from it and rank threads give
+/// back, so it is shared, not per thread.
+static FREE: Mutex<FreeList> = Mutex::new(FreeList::new(BUDGET));
+
+fn free_list() -> std::sync::MutexGuard<'static, FreeList> {
+    FREE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A shelved buffer of `len` words, when `len` is page-sized and the list
+/// has one.
+fn recycled(len: usize) -> Option<Arc<[f64]>> {
+    if len < PAGE_WORDS {
+        return None;
+    }
+    free_list().take(len)
+}
+
+/// The values of a buffer no other handle shares.
+fn unique(buf: &mut Arc<[f64]>) -> &mut [f64] {
+    Arc::get_mut(buf).expect("a tile buffer is never weakly referenced")
+}
+
+/// The empty buffer a dropped tile leaves behind when its own is shelved:
+/// one for the process, so `drop` never allocates one.
+fn empty() -> Arc<[f64]> {
+    static EMPTY: OnceLock<Arc<[f64]>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::from(Vec::new())))
+}
+
+impl Drop for Tile {
+    /// The last handle on a page-sized buffer shelves it.
+    fn drop(&mut self) {
+        if self.data.len() >= PAGE_WORDS && Arc::get_mut(&mut self.data).is_some() {
+            let buf = std::mem::replace(&mut self.data, empty());
+            // a buffer the budget refuses is freed after the lock is released
+            let refused = free_list().put(buf);
+            drop(refused);
+        }
+    }
+}
+
 impl Tile {
     /// Creates a zero-filled tile of dimension `b`.
     pub fn zeros(b: usize) -> Self {
-        Tile {
-            b,
-            data: std::iter::repeat_n(0.0, b * b).collect(),
-        }
+        let data = match recycled(b * b) {
+            Some(mut buf) => {
+                unique(&mut buf).fill(0.0);
+                buf
+            }
+            None => std::iter::repeat_n(0.0, b * b).collect(),
+        };
+        Tile { b, data }
     }
 
     /// Creates an identity tile of dimension `b`.
@@ -71,15 +172,35 @@ impl Tile {
     }
 
     /// Creates a tile from `b * b` values in column-major order — a
-    /// `Vec`, or an iterator: one of exact size (a slice or range adapter,
-    /// as in the wire decoder) is written straight into the tile's
-    /// allocation, with no staging `Vec`.
+    /// `Vec`, or an exact-size iterator (a slice or range adapter, as in
+    /// the wire decoder and the seeded generators), written straight into
+    /// the tile's buffer with no staging `Vec`.
     ///
     /// # Panics
     /// Panics if `data` does not yield exactly `b * b` values.
-    pub fn from_column_major(b: usize, data: impl IntoIterator<Item = f64>) -> Self {
-        let data: Arc<[f64]> = data.into_iter().collect();
+    pub fn from_column_major<I>(b: usize, data: I) -> Self
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let data = data.into_iter();
         assert_eq!(data.len(), b * b, "tile data length must be b*b");
+        let data = match recycled(b * b) {
+            Some(mut buf) => {
+                let mut written = 0;
+                for (slot, v) in unique(&mut buf).iter_mut().zip(data) {
+                    *slot = v;
+                    written += 1;
+                }
+                assert_eq!(written, b * b, "tile data length must be b*b");
+                buf
+            }
+            None => {
+                let buf: Arc<[f64]> = data.collect();
+                assert_eq!(buf.len(), b * b, "tile data length must be b*b");
+                buf
+            }
+        };
         Tile { b, data }
     }
 
@@ -139,7 +260,18 @@ impl Tile {
     /// here.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        Arc::make_mut(&mut self.data)
+        // a count of one is final: a clone needs a handle, and we hold the
+        // only one
+        if Arc::strong_count(&self.data) > 1 {
+            self.data = match recycled(self.data.len()) {
+                Some(mut buf) => {
+                    unique(&mut buf).copy_from_slice(&self.data);
+                    buf
+                }
+                None => Arc::from(&self.data[..]),
+            };
+        }
+        unique(&mut self.data)
     }
 
     /// Borrows column `j` as a slice of `b` contiguous rows.
@@ -200,17 +332,6 @@ impl Tile {
         assert_eq!(self.b, other.b, "tile dimension mismatch in add_assign");
         for (a, b) in self.as_mut_slice().iter_mut().zip(other.data.iter()) {
             *a += b;
-        }
-    }
-
-    /// `self -= other`, element-wise.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn sub_assign(&mut self, other: &Tile) {
-        assert_eq!(self.b, other.b, "tile dimension mismatch in sub_assign");
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.data.iter()) {
-            *a -= b;
         }
     }
 
@@ -275,13 +396,16 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_assign_roundtrip() {
+    fn add_assign_sums_element_wise() {
         let a = Tile::from_fn(4, |i, j| (i + j) as f64);
-        let b = Tile::from_fn(4, |i, j| (i * j) as f64);
+        let b = Tile::from_fn(4, |i, j| (i * j) as f64 - 0.5);
         let mut c = a.clone();
         c.add_assign(&b);
-        c.sub_assign(&b);
-        assert!(c.max_abs_diff(&a) == 0.0);
+        for i in 0..4 {
+            for j in 0..4 {
+                assert_eq!(c.get(i, j), a.get(i, j) + b.get(i, j));
+            }
+        }
     }
 
     #[test]
@@ -310,13 +434,12 @@ mod tests {
 
     /// Every `&mut` accessor, as a write that changes at least one value of
     /// the tile the sharing test builds.
-    fn writes() -> [(&'static str, Write); 7] {
+    fn writes() -> [(&'static str, Write); 6] {
         [
             ("set", |t| t.set(2, 1, -7.0)),
             ("as_mut_slice", |t| t.as_mut_slice()[5] = -7.0),
             ("col_mut", |t| t.col_mut(3)[0] = -7.0),
             ("add_assign", |t| t.add_assign(&Tile::identity(4))),
-            ("sub_assign", |t| t.sub_assign(&Tile::identity(4))),
             ("zero_strict_upper", Tile::zero_strict_upper),
             ("symmetrize_from_lower", Tile::symmetrize_from_lower),
         ]
@@ -424,6 +547,149 @@ mod tests {
             });
             assert!(mine.as_slice().iter().all(|&v| v == -1.0));
         }
+    }
+
+    /// A seeded stream of small numbers, one generator per test.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Whether the process-wide list holds the buffer at `at`.
+    fn shelved(at: *const f64) -> bool {
+        let list = free_list();
+        let mut bufs = list.shelves.iter().flat_map(|(_, shelf)| shelf);
+        bufs.any(|buf| buf.as_ptr() == at)
+    }
+
+    #[test]
+    fn recycled_buffers_never_alias_a_live_handle() {
+        // page-sized, so every buffer goes through the list; other tests
+        // of this binary share the list and only add traffic
+        const B: usize = 24;
+        for seed in 1..=8u64 {
+            let mut rng = Seeded(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            // every live tile beside the bits it must still hold
+            let mut live: Vec<(Tile, Vec<u64>)> = Vec::new();
+            for step in 0..400 {
+                let op = if live.is_empty() { 0 } else { rng.below(5) };
+                let touched = match op {
+                    0 => {
+                        let fill = rng.below(1000) as f64;
+                        let t = match rng.below(3) {
+                            0 => Tile::zeros(B),
+                            1 => Tile::from_fn(B, |i, j| fill + (i * B + j) as f64),
+                            _ => Tile::from_column_major(B, vec![fill; B * B]),
+                        };
+                        let want = bits(&t);
+                        live.push((t, want));
+                        Some(live.len() - 1)
+                    }
+                    1 => {
+                        let (t, want) = &live[rng.below(live.len())];
+                        let copy = (t.clone(), want.clone());
+                        live.push(copy);
+                        None
+                    }
+                    2 | 3 => {
+                        live.swap_remove(rng.below(live.len()));
+                        None
+                    }
+                    _ => {
+                        let k = rng.below(live.len());
+                        let (at, v) = (rng.below(B * B), -(step as f64));
+                        let (t, want) = &mut live[k];
+                        t.as_mut_slice()[at] = v;
+                        want[at] = v.to_bits();
+                        Some(k)
+                    }
+                };
+                if let Some(k) = touched {
+                    let at = ptr(&live[k].0);
+                    for (other, (t, _)) in live.iter().enumerate() {
+                        assert!(
+                            other == k || ptr(t) != at,
+                            "seed {seed} step {step}: aliased"
+                        );
+                    }
+                }
+                for (t, want) in &live {
+                    assert_eq!(&bits(t), want, "seed {seed} step {step}: a live tile moved");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zeros_on_a_recycled_buffer_reads_all_zeros() {
+        // a dimension no other test of this binary uses
+        const B: usize = 41;
+        let dirty = Tile::from_fn(B, |i, j| (i + j) as f64 + 0.5);
+        let at = ptr(&dirty);
+        let copy = dirty.clone();
+        drop(dirty);
+        assert!(!shelved(at), "a buffer with a live handle is not shelved");
+        drop(copy);
+        assert!(shelved(at), "the last handle shelves its buffer");
+        let zeros = Tile::zeros(B);
+        assert_eq!(ptr(&zeros), at, "zeros takes the shelved buffer");
+        assert!(zeros.as_slice().iter().all(|&v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn a_copy_on_write_takes_a_recycled_buffer() {
+        const B: usize = 43;
+        let original = Tile::from_fn(B, |i, j| (i * B + j) as f64);
+        let spare = Tile::zeros(B);
+        let at = ptr(&spare);
+        drop(spare);
+        let mut copy = original.clone();
+        copy.set(0, 0, -1.0);
+        assert_eq!(ptr(&copy), at, "the copy lands in the shelved buffer");
+        assert_eq!(&bits(&copy)[1..], &bits(&original)[1..]);
+        assert_eq!(copy.get(0, 0), -1.0);
+    }
+
+    #[test]
+    fn sub_page_buffers_bypass_the_list() {
+        assert_eq!((22 * 22 < PAGE_WORDS, 23 * 23 < PAGE_WORDS), (true, false));
+        let small = Tile::from_fn(22, |i, j| (i + j) as f64);
+        let at = ptr(&small);
+        drop(small);
+        assert!(!shelved(at));
+        assert!(
+            recycled(22 * 22).is_none(),
+            "sub-page sizes are never looked up"
+        );
+        let list = free_list();
+        assert!(list.shelves.iter().all(|&(len, _)| len >= PAGE_WORDS));
+        assert!(list.bytes <= BUDGET);
+    }
+
+    #[test]
+    fn the_budget_holds_and_the_list_is_last_in_first_out() {
+        let buf = |fill: f64| -> Arc<[f64]> { vec![fill; PAGE_WORDS].into() };
+        let bytes = PAGE_WORDS * 8;
+        let mut list = FreeList::new(3 * bytes);
+        let kept: Vec<_> = (0..3).map(|k| buf(k as f64)).collect();
+        let ats: Vec<_> = kept.iter().map(|b| b.as_ptr()).collect();
+        for b in kept {
+            assert!(list.put(b).is_none());
+        }
+        let refused = list.put(buf(9.0)).expect("a full list refuses");
+        assert_eq!(refused[0], 9.0);
+        assert_eq!(list.bytes, 3 * bytes);
+        assert!(list.take(PAGE_WORDS + 1).is_none(), "keyed by length");
+        for &at in ats.iter().rev() {
+            assert_eq!(list.take(PAGE_WORDS).map(|b| b.as_ptr()), Some(at));
+        }
+        assert_eq!((list.bytes, list.take(PAGE_WORDS)), (0, None));
     }
 
     #[test]

@@ -21,7 +21,8 @@ use std::time::Instant;
 /// A periodically sampled quantity (as opposed to a span or a point event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GaugeKind {
-    /// Number of tiles resident in a node's local tile store.
+    /// Number of tiles resident on a node: its owned tiles plus the
+    /// replicas it still holds for a local reader.
     TileStore,
     /// Number of dependency-free tasks queued on a node's scheduler.
     ReadyQueue,

@@ -835,7 +835,8 @@ impl TileStore {
 /// spec, this rank's view of its graph and the job-private tile stores —
 /// the namespace that lets concurrent jobs share one mesh. `local` holds
 /// tiles this rank owns for the job, `cache` holds remote arrivals, one
-/// slot per remote input of the view.
+/// slot per remote input of the view, from arrival until the input's last
+/// local reader ran.
 struct JobCtx<'a> {
     spec: Arc<JobSpec<'a>>,
     me: NodeId,
@@ -878,6 +879,37 @@ struct JobRun<'a> {
     /// Payloads received *and applied* (transport-injected duplicates are
     /// received but never applied).
     applied: u64,
+    /// Per remote input: whether it arrived. A slot is emptied after its
+    /// last reader, so this, not the slot, tells a duplicate.
+    arrived: Vec<bool>,
+    /// Per remote input: own tasks that read it and have not run yet.
+    readers: Vec<u32>,
+    /// Full slots of `ctx.cache`.
+    held: usize,
+}
+
+impl JobRun<'_> {
+    /// Counts own task `l`'s reads of remote inputs down, once per input,
+    /// moving the tile of each input whose last reader `l` was from its
+    /// cache slot into `released`, for the caller to drop after the engine
+    /// lock.
+    fn count_down_reads(&mut self, view: &RankView, l: u32, released: &mut Vec<Tile>) {
+        let read = view.sources(l);
+        for (k, &source) in read.iter().enumerate() {
+            let Source::Input(i) = source else { continue };
+            if read[..k].contains(&source) {
+                continue;
+            }
+            let left = &mut self.readers[i as usize];
+            *left -= 1;
+            if *left == 0 {
+                if let Some(tile) = write(&self.ctx.cache)[i as usize].take() {
+                    self.held -= 1;
+                    released.push(tile);
+                }
+            }
+        }
+    }
 }
 
 /// Ready-heap key: job priority (descending), task priority (descending),
@@ -939,6 +971,13 @@ struct EngineState<'a> {
 impl EngineState<'_> {
     fn drained(&self) -> bool {
         self.poisoned || (self.closed && self.registering.is_empty() && self.jobs.is_empty())
+    }
+
+    /// Tiles this rank holds across its jobs: owned tiles in the stores
+    /// plus replicas in the caches.
+    fn resident_tiles(&self) -> usize {
+        let job = |run: &JobRun| read(&run.ctx.local).occupied + run.held;
+        self.jobs.iter().map(job).sum()
     }
 }
 
@@ -1299,6 +1338,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         let remaining = view.len() as u64;
         let shipped = view.ships().is_empty();
         let cache = RwLock::new(vec![None; view.inputs()]);
+        let (arrived, readers) = (vec![false; view.inputs()], view.readers().to_vec());
 
         // arm the per-job watchdog clock: a rank that was idle until now
         // must measure no-progress from this registration, not from the
@@ -1320,6 +1360,9 @@ impl<'e, 'a> Engine<'e, 'a> {
             sent: 0,
             sent_bytes: 0,
             applied: 0,
+            arrived,
+            readers,
+            held: 0,
         };
 
         let mut st = lock(&self.state);
@@ -1494,6 +1537,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
         }
         let EngineState { jobs, ready, .. } = &mut *st;
+        let mut released = Vec::new();
         let last = match find_job(jobs, spec.id) {
             None => false, // engine poisoned concurrently
             Some(run) => {
@@ -1507,15 +1551,22 @@ impl<'e, 'a> Engine<'e, 'a> {
                         ready.push(ReadyKey::new(spec, view, s));
                     }
                 }
+                run.count_down_reads(view, l, &mut released);
                 run.remaining == 0
             }
         };
+        if let Some(o) = obs.as_mut().filter(|_| !released.is_empty()) {
+            o.gauge(GaugeKind::TileStore, st.resident_tiles() as f64);
+        }
         let done = if last {
             Self::try_finish(&mut st, spec.id)
         } else {
             None
         };
         self.unlock_and_nudge(st);
+        // a replica's last handle goes back to the tile free list here,
+        // outside the engine lock
+        drop(released);
         self.report(done);
     }
 
@@ -1533,7 +1584,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         for msg in batch {
             match msg {
                 // a bare Seq means no session wraps this endpoint; the
-                // cache occupancy check deduplicates it regardless
+                // per-input arrived bit deduplicates it regardless
                 Message::Payload { src, payload } | Message::Seq { src, payload, .. } => {
                     let (bytes, orig) = (payload.payload_bytes(), payload.is_orig());
                     match Self::apply_payload(&mut st, self.me, payload) {
@@ -1561,12 +1612,7 @@ impl<'e, 'a> Engine<'e, 'a> {
                 o.dep_wait(start, o.now());
             }
             // sample scheduler state once per absorbed batch, not per task
-            let store: usize = st
-                .jobs
-                .iter()
-                .map(|run| read(&run.ctx.local).occupied)
-                .sum();
-            o.gauge(GaugeKind::TileStore, store as f64);
+            o.gauge(GaugeKind::TileStore, st.resident_tiles() as f64);
             o.gauge(GaugeKind::ReadyQueue, st.ready.len() as f64);
             o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
         }
@@ -1618,6 +1664,8 @@ impl<'e, 'a> Engine<'e, 'a> {
             initial_ready,
             shipped,
             applied,
+            arrived,
+            held,
             ..
         } = run;
         let view = ctx.view();
@@ -1638,15 +1686,15 @@ impl<'e, 'a> Engine<'e, 'a> {
             });
         }
         // each producer output / original fetch arrives at most once per
-        // rank by protocol; an occupied slot is a transport-injected
-        // duplicate and must not touch counters or dependency counts
-        {
-            let mut cache = write(&ctx.cache);
-            if cache[i].is_some() {
-                return Ok(false);
-            }
-            cache[i] = Some(tile);
+        // rank by protocol; a second one is a transport-injected duplicate
+        // and must not touch counters or dependency counts — even once its
+        // slot was emptied after the last reader
+        if arrived[i] {
+            return Ok(false);
         }
+        arrived[i] = true;
+        write(&ctx.cache)[i] = Some(tile);
+        *held += 1;
         *applied += 1;
         for &l in waiting {
             let d = &mut deps[l as usize];
@@ -1667,8 +1715,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         let mut missing: Vec<String> = Vec::new();
         for run in &st.jobs {
             let (id, view) = (run.ctx.spec.id, run.ctx.view());
-            let cache = read(&run.ctx.cache);
-            for (i, _) in cache.iter().enumerate().filter(|(_, tile)| tile.is_none()) {
+            for (i, _) in run.arrived.iter().enumerate().filter(|(_, &got)| !got) {
                 missing.push(format!("job {id} {:?}", view.input(i)));
             }
         }
@@ -2277,6 +2324,122 @@ mod tests {
         assert_eq!(st.jobs.len(), 1, "the job is still in flight");
         assert_eq!(st.jobs[0].applied, 0);
         assert_eq!(cached(&st.jobs[0]), 0);
+    }
+
+    /// A replica leaves its cache slot once its last local reader ran, so
+    /// duplicates are told by the per-input `arrived` bit, not by the slot.
+    /// The script: all four ranks of a 2x2 mesh stepped by hand until some
+    /// input `i` of rank 0 has arrived and every task reading it has run,
+    /// then `i` delivered again. Told by slot occupancy, the duplicate is
+    /// taken as fresh: applied a second time, with every waiter's `deps`,
+    /// already 0, decremented past it (a panic in a debug build, a count
+    /// wrapped to `u32::MAX` in release). It must be dropped —
+    /// `applied`, every `deps` count and the ready heap unchanged, the slot
+    /// still empty — and a `Stalled` account lists only inputs that never
+    /// arrived. The job then ends bit-identical with every slot empty.
+    #[test]
+    fn a_duplicate_after_its_replica_was_released_is_dropped() {
+        let d = TwoDBlockCyclic::new(2, 2);
+        let (nt, seed) = (6, 5);
+        let graph = Arc::new(build_potrf(&d, nt));
+        let n = graph.num_nodes();
+        let table = JobTable::new(n, 1);
+        let id = table
+            .submit(Arc::clone(&graph), B, seed, seed + 1, 0)
+            .unwrap();
+        let mesh = inproc_mesh(n);
+        let cfg = JobEngineConfig::default();
+        let engines: Vec<Engine> = (0..n)
+            .map(|r| Engine::new(&mesh[r], &table, cfg, None, &ByHand))
+            .collect();
+        let ctxs: Vec<Arc<JobCtx>> = engines
+            .iter()
+            .map(|engine| {
+                settle(engine);
+                Arc::clone(&lock(&engine.state).jobs[0].ctx)
+            })
+            .collect();
+        let released =
+            |run: &JobRun| (0..run.readers.len()).find(|&i| run.arrived[i] && run.readers[i] == 0);
+
+        let mut rounds = 0;
+        let i = loop {
+            for engine in &engines[1..] {
+                settle(engine);
+            }
+            settle(&engines[0]);
+            if let Some(i) = released(&lock(&engines[0].state).jobs[0]) {
+                break i;
+            }
+            rounds += 1;
+            assert!(rounds < 100, "no input of rank 0 was ever released");
+        };
+
+        let view = graph.rank_view(0);
+        let ready = |st: &EngineState| {
+            let mut keys: Vec<(JobId, u32)> =
+                st.ready.iter().map(|k| (k.job.0, k.task.0)).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let (applied, deps, heap) = {
+            let st = lock(&engines[0].state);
+            assert_eq!(st.jobs.len(), 1, "the job is still in flight on rank 0");
+            let run = &st.jobs[0];
+            assert!(
+                read(&run.ctx.cache)[i].is_none(),
+                "the replica left its slot"
+            );
+            (run.applied, run.deps.clone(), ready(&st))
+        };
+        let duplicate = match view.input(i) {
+            Input::Task(producer) => Payload::Data {
+                job: id,
+                producer,
+                tile: Tile::zeros(B),
+            },
+            Input::Orig(tile_ref) => Payload::Orig {
+                job: id,
+                tile_ref,
+                tile: Tile::zeros(B),
+            },
+        };
+        mesh[1].send_payload(0, duplicate);
+        engines[0].absorb(&mut None);
+        {
+            let st = lock(&engines[0].state);
+            let run = &st.jobs[0];
+            assert_eq!(st.error, None);
+            assert_eq!(run.applied, applied, "the duplicate was applied");
+            assert_eq!(run.deps, deps, "the duplicate moved a dependency count");
+            assert_eq!(ready(&st), heap, "the duplicate readied a task");
+            assert!(
+                read(&run.ctx.cache)[i].is_none(),
+                "the duplicate was cached"
+            );
+            let missing = run.arrived.iter().filter(|&&got| !got).count();
+            drop(st);
+            let account = engines[0].describe_waiting();
+            let listed = if missing == 0 {
+                "no undelivered remote dependencies".to_string()
+            } else {
+                format!("{missing} undelivered remote arrivals")
+            };
+            assert!(account.starts_with(&listed), "{account}");
+        }
+
+        while table.completed() == 0 {
+            for engine in &engines {
+                settle(engine);
+            }
+            rounds += 1;
+            assert!(rounds < 200, "the job never finished");
+        }
+        assert_sequential(&table.wait(id).expect("the job finishes"), &d, nt, seed);
+        for (rank, ctx) in ctxs.iter().enumerate() {
+            let held = read(&ctx.cache).iter().flatten().count();
+            assert_eq!(held, 0, "rank {rank} kept replicas past their readers");
+        }
     }
 
     /// A payload's tile is checked against the job's `b` on arrival. One of

@@ -109,6 +109,8 @@ pub struct RankView {
     inputs: Vec<u64>,
     /// Per remote input: the own tasks it unblocks (local numbers).
     waiters: Lists<u32>,
+    /// Per remote input: how many own tasks read it.
+    readers: Vec<u32>,
     /// Originals this rank ships: the tile, its destination, and the first
     /// task there that reads it.
     ships: Vec<(TileRef, u32, TaskId)>,
@@ -125,6 +127,7 @@ impl RankView {
         sources: Lists::EMPTY,
         inputs: Vec::new(),
         waiters: Lists::EMPTY,
+        readers: Vec::new(),
         ships: Vec::new(),
     };
 
@@ -149,6 +152,7 @@ impl RankView {
         let input = |key: u64| inputs.binary_search(&key).expect("a remote input") as u32;
 
         let mut deps: Vec<u32> = Vec::with_capacity(tasks.len());
+        let mut readers = vec![0; inputs.len()];
         // (input, waiting task) in task order, then in fetch order
         let mut waiting: Vec<(u32, u32)> = Vec::new();
         let (mut succs, mut dests, mut sources) = (Lists::new(), Lists::new(), Lists::new());
@@ -190,6 +194,13 @@ impl RankView {
                     },
                 });
             }
+            let read = sources.open();
+            for (k, &source) in read.iter().enumerate() {
+                match source {
+                    Source::Input(i) if !read[..k].contains(&source) => readers[i as usize] += 1,
+                    _ => {}
+                }
+            }
             succs.end();
             dests.end();
             sources.end();
@@ -224,6 +235,7 @@ impl RankView {
             sources: sources.done(),
             inputs,
             waiters: waiters.done(),
+            readers,
             ships,
         }
     }
@@ -297,6 +309,14 @@ impl RankView {
         self.waiters.get(i)
     }
 
+    /// Per remote input: how many own tasks read it, each counted once —
+    /// after the last of them ran, nothing on this rank reads the input
+    /// again. Not every waiter need be a reader. An engine counts down a
+    /// copy.
+    pub fn readers(&self) -> &[u32] {
+        &self.readers
+    }
+
     /// The originals this rank ships before its tasks start: tile,
     /// destination rank, and the first task there that reads it.
     pub fn ships(&self) -> &[(TileRef, u32, TaskId)] {
@@ -312,14 +332,17 @@ impl RankView {
             + self.sources.heap_bytes()
             + vec_bytes(&self.inputs)
             + self.waiters.heap_bytes()
+            + vec_bytes(&self.readers)
             + vec_bytes(&self.ships)
     }
 
     /// Bytes of the view that describe its boundary: the remote inputs
-    /// with their waiter lists, the remote destinations and the ships.
+    /// with their waiter lists and reader counts, the remote destinations
+    /// and the ships.
     pub fn boundary_bytes(&self) -> usize {
         vec_bytes(&self.inputs)
             + self.waiters.heap_bytes()
+            + vec_bytes(&self.readers)
             + vec_bytes(&self.dests.items)
             + vec_bytes(&self.ships)
     }
@@ -364,6 +387,13 @@ mod tests {
             for i in 0..v.inputs() {
                 assert_eq!(v.find(v.input(i)), Some(i));
                 assert!(!v.waiters(i).is_empty());
+                let reads = |l: u32| v.sources(l).contains(&Source::Input(i as u32));
+                let readers = (0..v.len() as u32).filter(|&l| reads(l)).count();
+                assert_eq!(
+                    v.readers()[i] as usize,
+                    readers,
+                    "input {i}: one count per reader"
+                );
             }
             let ships = g
                 .initial_fetches()

@@ -1,7 +1,10 @@
 //! A tile is allocated once: `Tile` shares its buffer, so reading an operand,
 //! sending a tile inside the process, retaining it for retransmission and
-//! gathering it are reference counts, not copies. This binary has its own
-//! counting allocator and pins the counts:
+//! gathering it are reference counts, not copies. And a tile buffer outlives
+//! its tile: the last handle on a page-sized buffer puts it on the process's
+//! free list, where the next tile of that size takes it. This binary has its
+//! own counting allocator and pins the counts, cold (an empty free list)
+//! and warm:
 //!
 //! * a POTRF of `nt (nt + 1) / 2` tiles makes exactly that many tile-sized
 //!   allocations — one per input tile, generated in place. Any copy-on-write
@@ -9,10 +12,13 @@
 //!   staging copy would add to it;
 //! * decoding a payload frame makes one: the tile's own buffer;
 //! * a payload through `Session<InProc>` — encode-free, but retained by the
-//!   sender until acked — makes none.
+//!   sender until acked — makes none;
+//! * once the first factor is dropped, a second POTRF of the same shape makes
+//!   none, and once the decoded frame is dropped, a second decode makes none:
+//!   every tile takes a recycled buffer.
 //!
-//! One `#[test]` only: the counter is process-wide, and tests of one binary
-//! run on parallel threads.
+//! One `#[test]` only: the counter and the free list are process-wide, and
+//! tests of one binary run on parallel threads.
 
 use sbc::dist::SbcExtended;
 use sbc::kernels::Tile;
@@ -86,6 +92,7 @@ fn a_tile_is_allocated_once() {
     let (count, out) = large_allocations(TILE_BYTES, || run.execute());
     let out = out.expect("the seeded matrix factors");
     assert!(out.stats.messages > 0, "tiles crossed ranks");
+    let first_stats = out.stats.clone();
     assert_eq!(
         count,
         nt * (nt + 1) / 2,
@@ -106,7 +113,17 @@ fn a_tile_is_allocated_once() {
     assert_eq!(count, 1, "a decoded tile is built in its own buffer");
     let (frame, _) = frame.expect("own frame decodes");
     assert!(matches!(
-        frame,
+        &frame,
+        Frame::Payload { payload: Payload::Data { tile: got, .. }, .. } if *got == tile
+    ));
+
+    let (count, again) = large_allocations(TILE_BYTES, || {
+        drop(frame);
+        decode(&bytes)
+    });
+    assert_eq!(count, 0, "a warm decode fills a recycled buffer");
+    assert!(matches!(
+        again.expect("own frame decodes").0,
         Frame::Payload { payload: Payload::Data { tile: got, .. }, .. } if got == tile
     ));
 
@@ -124,4 +141,10 @@ fn a_tile_is_allocated_once() {
         }) => assert_eq!(got.as_slice().as_ptr(), tile.as_slice().as_ptr()),
         other => panic!("expected the payload, got {other:?}"),
     }
+
+    drop(out);
+    let (count, again) = large_allocations(TILE_BYTES, || run.execute());
+    let again = again.expect("the seeded matrix factors");
+    assert_eq!(again.stats, first_stats, "the warm run is the same run");
+    assert_eq!(count, 0, "a warm POTRF takes every tile from the free list");
 }

@@ -2,14 +2,16 @@
 //! across many virtual nodes, recorded, exported, and cross-checked against
 //! the planner's predictions — the acceptance pipeline behind `paper obs`.
 
-use sbc::dist::SbcExtended;
+use sbc::dist::{Distribution, SbcExtended};
 use sbc::obs::{
     chrome_trace, json, metrics_from_recording, render_gantt, task_spans, Event, ExecProfile,
-    Recorder,
+    GaugeKind, Recorder,
 };
 use sbc::planner::{compare, Op, Planner};
 use sbc::runtime::Run;
 use sbc::simgrid::Platform;
+use sbc::topo::zoo;
+use std::sync::Arc;
 
 #[test]
 fn recorded_distributed_cholesky_exports_everything() {
@@ -141,4 +143,50 @@ fn a_pooled_run_records_task_and_dep_wait_spans_per_rank() {
     let profile = ExecProfile::from_recording(&recording);
     assert!(profile.dep_wait_seconds > 0.0);
     assert_eq!(profile.messages, outcome.stats.messages);
+}
+
+/// A replica leaves its rank once its last local reader ran. So under
+/// either zoo scheduler, each rank's peak of resident tiles (the
+/// `TileStore` gauge: owned tiles in the store plus replicas in the cache)
+/// stays below what the rank would hold at the end of the job if nothing
+/// were freed: its owned tiles plus one replica per remote input.
+#[test]
+fn replicas_leave_their_rank_before_the_job_ends() {
+    let (d, nt) = (SbcExtended::new(4), 12);
+    for sched in zoo() {
+        let name = sched.name();
+        let recorder = Recorder::new();
+        let run = Run::potrf(&d, nt)
+            .block(8)
+            .scheduler(Arc::from(sched))
+            .recorder(&recorder);
+        run.execute().expect("distributed execution failed");
+        let recording = recorder.drain();
+        let graph = run.task_graph();
+        for rank in 0..graph.num_nodes() as u32 {
+            let owned = (0..nt)
+                .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                .filter(|&(i, j)| d.owner(i, j) == rank as usize)
+                .count();
+            let at_end = owned + graph.rank_view(rank).inputs();
+            let peak = recording
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::Gauge {
+                        node,
+                        gauge: GaugeKind::TileStore,
+                        value,
+                        ..
+                    } if node == rank => Some(value),
+                    _ => None,
+                })
+                .fold(0.0, f64::max);
+            assert!(peak > 0.0, "{name} rank {rank}: no tile-store sample");
+            assert!(
+                peak < at_end as f64,
+                "{name} rank {rank}: peak {peak} tiles, {at_end} at the end of the job"
+            );
+        }
+    }
 }

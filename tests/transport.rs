@@ -105,6 +105,61 @@ fn every_backend_matches_sequential_and_analytic_counts() {
     }
 }
 
+/// Page-sized tiles (b >= 23) over real sockets: every replica is a buffer
+/// a socket reader decoded, handed back to the tile free list by a rank
+/// thread once its last local reader ran, and refilled by a later decode.
+/// With every third payload duplicated and delayed, some duplicates land
+/// after their replica was released. The factor stays bit-identical and
+/// only first arrivals are applied.
+#[test]
+fn page_sized_replicas_recycle_under_duplicates_over_uds() {
+    const PAGE_B: usize = 32;
+    let dist = SbcExtended::new(4);
+    let nt = 8;
+    let cfg = FaultConfig {
+        dup_every: 3,
+        delay: Some(std::time::Duration::from_micros(20)),
+        ..Default::default()
+    };
+    let mesh: Vec<_> = local_mesh(Backend::Uds, dist.num_nodes())
+        .expect("uds mesh")
+        .into_iter()
+        .map(|t| Faulty::new(t, cfg))
+        .collect();
+    let dist = &dist;
+    let out = std::thread::scope(|scope| {
+        let handles: Vec<_> = mesh
+            .iter()
+            .map(|net| {
+                scope.spawn(move || {
+                    Run::potrf(dist, nt)
+                        .block(PAGE_B)
+                        .seed(SEED)
+                        .workers(2)
+                        .execute_rank(net)
+                        .expect("rank execution failed")
+                })
+            })
+            .collect();
+        let outs = handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread panicked"));
+        outs.flatten().next().expect("rank 0 gathered an output")
+    });
+
+    let injected: u64 = mesh.iter().map(|t| t.duplicated()).sum();
+    assert!(injected > 0, "the fault plan injected nothing");
+    let applied: u64 = out.stats.recv_per_node.iter().sum();
+    assert_eq!(
+        applied,
+        comm::potrf_messages(dist, nt),
+        "duplicates were applied"
+    );
+    let mut seq = random_spd(SEED, nt, PAGE_B);
+    potrf_tiled(&mut seq).expect("sequential factorization failed");
+    assert_bitwise(&out, &seq, "SBC r=4, b=32, over a duplicating uds mesh");
+}
+
 /// The tentpole's headline check: a 6-node SBC POTRF over loopback TCP
 /// where the frame bytes that really crossed the sockets bound the payload
 /// bytes, and the payload bytes equal `sbc::dist::comm`'s analytic count
