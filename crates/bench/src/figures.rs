@@ -22,7 +22,7 @@ pub enum Scale {
 }
 
 /// The paper's tile size (Section V-A).
-pub const TILE_B: usize = 500;
+pub(crate) const TILE_B: usize = 500;
 
 fn nts(scale: Scale) -> Vec<usize> {
     match scale {

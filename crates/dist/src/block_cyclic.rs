@@ -24,16 +24,6 @@ impl TwoDBlockCyclic {
         assert!(p > 0 && q > 0, "grid dimensions must be positive");
         TwoDBlockCyclic { p, q }
     }
-
-    /// Grid rows `p`.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Grid columns `q`.
-    pub fn q(&self) -> usize {
-        self.q
-    }
 }
 
 impl Distribution for TwoDBlockCyclic {

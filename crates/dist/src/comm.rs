@@ -234,17 +234,6 @@ pub fn lu_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
     total
 }
 
-/// LU 2DBC leading term: each of the `nt (nt - 1) / 2` column-panel tiles
-/// is broadcast to the `q - 1` other nodes of its pattern row and each of
-/// the `nt (nt - 1) / 2` row-panel tiles to the `p - 1` other nodes of its
-/// pattern column, `D = nt (nt - 1) / 2 * (p + q - 2)`. The broadcasts of
-/// the diagonal (GETRF) tiles are left out, so [`lu_messages`] sits a
-/// little above this form.
-pub fn lu_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
-    let panels = (nt * (nt - 1) / 2) as u64;
-    panels * (q as u64 - 1) + panels * (p as u64 - 1)
-}
-
 /// Breakdown of POSV solve-phase messages (the two TRSM sweeps, excluding
 /// the factorization itself).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -437,41 +426,6 @@ pub fn theorem1_extended(nt: usize, r: usize) -> u64 {
     matrix_tiles(nt) * (r as u64 - 2)
 }
 
-/// 2DBC POTRF leading term: `D = S (p + q - 2)` tile sends.
-pub fn potrf_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
-    matrix_tiles(nt) * (p + q - 2) as u64
-}
-
-/// 2.5D SBC POTRF leading term (Section IV-A): `D = S (r + c - 2)`.
-pub fn potrf_25d_sbc_closed_form(nt: usize, r: usize, c: usize) -> u64 {
-    matrix_tiles(nt) * (r + c - 2) as u64
-}
-
-/// 2.5D 2DBC POTRF leading term: `D = S (p + q + c - 3)`.
-pub fn potrf_25d_bc_closed_form(nt: usize, p: usize, q: usize, c: usize) -> u64 {
-    matrix_tiles(nt) * (p + q + c - 3) as u64
-}
-
-/// TRTRI leading terms (Section V-F.2): `S (p + q - 2)` for 2DBC.
-pub fn trtri_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
-    matrix_tiles(nt) * (p + q - 2) as u64
-}
-
-/// TRTRI leading terms (Section V-F.2): `S (2r - 2)` for extended SBC.
-pub fn trtri_sbc_closed_form(nt: usize, r: usize) -> u64 {
-    matrix_tiles(nt) * (2 * r - 2) as u64
-}
-
-/// POTRI all-2DBC leading term: `3 S (p + q - 2)`.
-pub fn potri_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
-    3 * matrix_tiles(nt) * (p + q - 2) as u64
-}
-
-/// POTRI "SBC remap 2DBC" leading term: `S (2r + p + q - 4)`.
-pub fn potri_remap_closed_form(nt: usize, r: usize, p: usize, q: usize) -> u64 {
-    matrix_tiles(nt) * (2 * r + p + q - 4) as u64
-}
-
 /// Optimal slice count for 2.5D SBC with ample memory (Section IV-B):
 /// `r = 2c`, `c = (P/2)^{1/3}` — returned as the best integer `c >= 1` for
 /// `P` nodes given that `r^2 c = 2 P` must hold with even `r`.
@@ -502,6 +456,54 @@ pub fn intensity_cholesky_sbc(m_tiles: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::{SbcBasic, SbcExtended, TwoDBlockCyclic};
+
+    // The paper's leading terms, pinned below against the exact counters.
+
+    /// LU 2DBC leading term: each of the `nt (nt - 1) / 2` column-panel tiles
+    /// is broadcast to the `q - 1` other nodes of its pattern row and each of
+    /// the `nt (nt - 1) / 2` row-panel tiles to the `p - 1` other nodes of its
+    /// pattern column, `D = nt (nt - 1) / 2 * (p + q - 2)`. The broadcasts of
+    /// the diagonal (GETRF) tiles are left out, so [`lu_messages`] sits a
+    /// little above this form.
+    fn lu_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
+        let panels = (nt * (nt - 1) / 2) as u64;
+        panels * (q as u64 - 1) + panels * (p as u64 - 1)
+    }
+
+    /// 2DBC POTRF leading term: `D = S (p + q - 2)` tile sends.
+    fn potrf_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
+        matrix_tiles(nt) * (p + q - 2) as u64
+    }
+
+    /// 2.5D SBC POTRF leading term (Section IV-A): `D = S (r + c - 2)`.
+    fn potrf_25d_sbc_closed_form(nt: usize, r: usize, c: usize) -> u64 {
+        matrix_tiles(nt) * (r + c - 2) as u64
+    }
+
+    /// 2.5D 2DBC POTRF leading term: `D = S (p + q + c - 3)`.
+    fn potrf_25d_bc_closed_form(nt: usize, p: usize, q: usize, c: usize) -> u64 {
+        matrix_tiles(nt) * (p + q + c - 3) as u64
+    }
+
+    /// TRTRI leading terms (Section V-F.2): `S (p + q - 2)` for 2DBC.
+    fn trtri_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
+        matrix_tiles(nt) * (p + q - 2) as u64
+    }
+
+    /// TRTRI leading terms (Section V-F.2): `S (2r - 2)` for extended SBC.
+    fn trtri_sbc_closed_form(nt: usize, r: usize) -> u64 {
+        matrix_tiles(nt) * (2 * r - 2) as u64
+    }
+
+    /// POTRI all-2DBC leading term: `3 S (p + q - 2)`.
+    fn potri_2dbc_closed_form(nt: usize, p: usize, q: usize) -> u64 {
+        3 * matrix_tiles(nt) * (p + q - 2) as u64
+    }
+
+    /// POTRI "SBC remap 2DBC" leading term: `S (2r + p + q - 4)`.
+    fn potri_remap_closed_form(nt: usize, r: usize, p: usize, q: usize) -> u64 {
+        matrix_tiles(nt) * (2 * r + p + q - 4) as u64
+    }
 
     #[test]
     fn nodeset_dedup_and_producer_exclusion() {

@@ -82,13 +82,8 @@ impl SbcBasic {
         SbcBasic { r }
     }
 
-    /// Pattern parameter `r`.
-    pub fn r(&self) -> usize {
-        self.r
-    }
-
     /// Number of pair (off-diagonal) nodes, `r (r - 1) / 2`.
-    pub fn pair_nodes(&self) -> usize {
+    pub(crate) fn pair_nodes(&self) -> usize {
         self.r * (self.r - 1) / 2
     }
 }
@@ -170,11 +165,6 @@ impl SbcExtended {
         s
     }
 
-    /// Pattern parameter `r`.
-    pub fn r(&self) -> usize {
-        self.r
-    }
-
     /// The diagonal patterns (each of length `r`); exposed for the pattern
     /// gallery example and for tests.
     pub fn diagonal_patterns(&self) -> &[DiagPattern] {
@@ -252,7 +242,7 @@ impl SbcExtended {
     /// 2. every node appears on the diagonal the same number of times across
     ///    the whole family (once for odd `r`, twice for even `r`),
     /// 3. the expected number of patterns.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let r = self.r;
         let expected_pats = if r % 2 == 1 { (r - 1) / 2 } else { r - 1 };
         if self.patterns.len() != expected_pats {

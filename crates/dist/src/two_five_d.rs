@@ -36,18 +36,13 @@ impl<D: Distribution> TwoPointFiveD<D> {
     }
 
     /// The inner per-slice distribution.
-    pub fn inner(&self) -> &D {
+    pub(crate) fn inner(&self) -> &D {
         &self.inner
-    }
-
-    /// Nodes per slice.
-    pub fn nodes_per_slice(&self) -> usize {
-        self.inner.num_nodes()
     }
 
     /// The slice executing iteration `k`.
     #[inline]
-    pub fn slice_of_iteration(&self, k: usize) -> usize {
+    pub(crate) fn slice_of_iteration(&self, k: usize) -> usize {
         k % self.c
     }
 
@@ -60,7 +55,7 @@ impl<D: Distribution> TwoPointFiveD<D> {
 
     /// Owner of the *final* value of tile `(i, j)`: the copy on the slice
     /// executing iteration `j` (column `j`'s panel tasks finalize the tile).
-    pub fn final_owner(&self, i: usize, j: usize) -> NodeId {
+    pub(crate) fn final_owner(&self, i: usize, j: usize) -> NodeId {
         self.owner_in_slice(self.slice_of_iteration(j), i, j)
     }
 }
@@ -89,7 +84,6 @@ mod tests {
     fn node_count_multiplies() {
         let d = TwoPointFiveD::new(SbcBasic::new(4), 3);
         assert_eq!(d.num_nodes(), 24);
-        assert_eq!(d.nodes_per_slice(), 8);
         assert_eq!(d.slices(), 3);
     }
 

@@ -52,7 +52,7 @@ pub const KERNELS_ENV: &str = "SBC_KERNELS";
 
 impl KernelBackend {
     /// Parses a CLI/env-style backend name.
-    pub fn parse(s: &str) -> Option<KernelBackend> {
+    pub(crate) fn parse(s: &str) -> Option<KernelBackend> {
         match s.to_ascii_lowercase().as_str() {
             "naive" => Some(KernelBackend::Naive),
             "blocked" => Some(KernelBackend::Blocked),
@@ -61,7 +61,7 @@ impl KernelBackend {
     }
 
     /// The canonical lowercase name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             KernelBackend::Naive => "naive",
             KernelBackend::Blocked => "blocked",
@@ -72,7 +72,7 @@ impl KernelBackend {
     /// if set to a recognized name. Any other value is reported on stderr —
     /// once per process: every `Run` resolves its backend — and ignored, so
     /// a stale or mistyped name cannot silently select the other tier.
-    pub fn from_env() -> Option<KernelBackend> {
+    pub(crate) fn from_env() -> Option<KernelBackend> {
         let value = std::env::var_os(KERNELS_ENV)?;
         let value = value.to_string_lossy();
         let parsed = Self::parse(&value);

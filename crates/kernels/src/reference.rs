@@ -72,7 +72,7 @@ pub fn ref_gemm(
 }
 
 /// Dense random tile with entries in [-1, 1).
-pub fn random_tile(b: usize, seed: u64) -> Tile {
+pub(crate) fn random_tile(b: usize, seed: u64) -> Tile {
     let mut rng = SplitMix64::new(seed ^ 0xABCD_EF01_2345_6789);
     Tile::from_fn(b, |_, _| rng.next_signed())
 }

@@ -19,7 +19,7 @@
 //!   writes in place. Handles never observe each other's writes: a clone is
 //!   logically a private copy.
 //! * Every `&mut` accessor ([`Tile::set`], [`Tile::as_mut_slice`],
-//!   [`Tile::col_mut`], …) checks uniqueness first — an atomic
+//!   `Tile::col_mut`, …) checks uniqueness first — an atomic
 //!   read-modify-write, a few dozen cycles. A loop therefore takes
 //!   [`Tile::as_mut_slice`] (or a column) *once* and indexes the slice;
 //!   calling `set` per element pays the check per element.
@@ -276,20 +276,15 @@ impl Tile {
 
     /// Borrows column `j` as a slice of `b` contiguous rows.
     #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
+    pub(crate) fn col(&self, j: usize) -> &[f64] {
         &self.data[j * self.b..(j + 1) * self.b]
     }
 
     /// Mutably borrows column `j`.
     #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
         let b = self.b;
         &mut self.as_mut_slice()[j * b..(j + 1) * b]
-    }
-
-    /// Returns the transposed tile.
-    pub fn transposed(&self) -> Tile {
-        Tile::from_fn(self.b, |i, j| self.get(j, i))
     }
 
     /// Zeroes the strictly upper triangle, keeping the lower triangle and
@@ -348,6 +343,14 @@ impl Tile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tile {
+        /// Returns the transposed tile (the reference the TRSM variants
+        /// are checked against).
+        pub(crate) fn transposed(&self) -> Tile {
+            Tile::from_fn(self.b, |i, j| self.get(j, i))
+        }
+    }
 
     #[test]
     fn zeros_and_identity() {

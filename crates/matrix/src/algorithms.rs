@@ -59,7 +59,7 @@ pub fn potrf_tiled(a: &mut SymmetricTiledMatrix) -> Result<(), KernelError> {
 
 /// Forward sweep: `B := L^{-1} B` where `L` is the (already factorized)
 /// lower-tile content of `a`.
-pub fn solve_lower(a: &SymmetricTiledMatrix, b: &mut TiledPanel) {
+pub(crate) fn solve_lower(a: &SymmetricTiledMatrix, b: &mut TiledPanel) {
     let nt = a.tile_count();
     let krn = kernels();
     assert_eq!(b.tile_count(), nt);
@@ -73,7 +73,7 @@ pub fn solve_lower(a: &SymmetricTiledMatrix, b: &mut TiledPanel) {
 }
 
 /// Backward sweep: `B := L^{-T} B`.
-pub fn solve_lower_trans(a: &SymmetricTiledMatrix, b: &mut TiledPanel) {
+pub(crate) fn solve_lower_trans(a: &SymmetricTiledMatrix, b: &mut TiledPanel) {
     let nt = a.tile_count();
     let krn = kernels();
     assert_eq!(b.tile_count(), nt);

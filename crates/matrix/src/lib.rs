@@ -23,10 +23,7 @@ pub mod generate;
 pub mod storage;
 pub mod verify;
 
-pub use algorithms::{
-    lauum_tiled, lu_tiled, posv_tiled, potrf_tiled, potri_tiled, solve_lower, solve_lower_trans,
-    trtri_tiled,
-};
+pub use algorithms::{lauum_tiled, lu_tiled, posv_tiled, potrf_tiled, potri_tiled, trtri_tiled};
 pub use generate::{random_general, random_panel, random_spd};
 pub use storage::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
 pub use verify::{cholesky_residual, inverse_residual, lu_residual, solve_residual};

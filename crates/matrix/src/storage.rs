@@ -20,16 +20,6 @@ pub struct SymmetricTiledMatrix {
 }
 
 impl SymmetricTiledMatrix {
-    /// Creates a zero matrix with `nt x nt` tiles of dimension `b`.
-    pub fn zeros(nt: usize, b: usize) -> Self {
-        let count = nt * (nt + 1) / 2;
-        SymmetricTiledMatrix {
-            nt,
-            b,
-            tiles: vec![Tile::zeros(b); count],
-        }
-    }
-
     /// Builds a matrix by evaluating `f(i, j)` for every stored tile
     /// (`j <= i`).
     pub fn from_tile_fn(nt: usize, b: usize, mut f: impl FnMut(usize, usize) -> Tile) -> Self {
@@ -58,7 +48,7 @@ impl SymmetricTiledMatrix {
 
     /// Matrix order `n = N * b`.
     #[inline]
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.nt * self.b
     }
 
@@ -87,7 +77,7 @@ impl SymmetricTiledMatrix {
 
     /// Mutably borrows two distinct tiles at once (needed by kernels that
     /// read one tile while updating another).
-    pub fn two_tiles_mut(
+    pub(crate) fn two_tiles_mut(
         &mut self,
         a: (usize, usize),
         b: (usize, usize),
@@ -108,7 +98,7 @@ impl SymmetricTiledMatrix {
     /// Borrows two tiles immutably and a third mutably, all distinct. Needed
     /// by the GEMM update of the tiled algorithms, which reads two tiles and
     /// writes a third.
-    pub fn tiles_rrw(
+    pub(crate) fn tiles_rrw(
         &mut self,
         r1: (usize, usize),
         r2: (usize, usize),
@@ -183,15 +173,6 @@ pub struct FullTiledMatrix {
 }
 
 impl FullTiledMatrix {
-    /// Creates a zero matrix of `nt x nt` tiles of dimension `b`.
-    pub fn zeros(nt: usize, b: usize) -> Self {
-        FullTiledMatrix {
-            nt,
-            b,
-            tiles: vec![Tile::zeros(b); nt * nt],
-        }
-    }
-
     /// Builds a matrix by evaluating `f(i, j)` for every tile.
     pub fn from_tile_fn(nt: usize, b: usize, mut f: impl FnMut(usize, usize) -> Tile) -> Self {
         let mut tiles = Vec::with_capacity(nt * nt);
@@ -207,19 +188,13 @@ impl FullTiledMatrix {
 
     /// Number of tile rows/columns.
     #[inline]
-    pub fn tile_count(&self) -> usize {
+    pub(crate) fn tile_count(&self) -> usize {
         self.nt
-    }
-
-    /// Tile dimension.
-    #[inline]
-    pub fn tile_dim(&self) -> usize {
-        self.b
     }
 
     /// Matrix order `n = N * b`.
     #[inline]
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.nt * self.b
     }
 
@@ -240,13 +215,13 @@ impl FullTiledMatrix {
 
     /// Mutably borrows tile `(i, j)`.
     #[inline]
-    pub fn tile_mut(&mut self, i: usize, j: usize) -> &mut Tile {
+    pub(crate) fn tile_mut(&mut self, i: usize, j: usize) -> &mut Tile {
         let k = self.idx(i, j);
         &mut self.tiles[k]
     }
 
     /// Mutably borrows two distinct tiles.
-    pub fn two_tiles_mut(
+    pub(crate) fn two_tiles_mut(
         &mut self,
         a: (usize, usize),
         b: (usize, usize),
@@ -265,7 +240,7 @@ impl FullTiledMatrix {
     }
 
     /// Borrows two tiles immutably and a third (distinct) tile mutably.
-    pub fn tiles_rrw(
+    pub(crate) fn tiles_rrw(
         &mut self,
         r1: (usize, usize),
         r2: (usize, usize),
@@ -286,13 +261,13 @@ impl FullTiledMatrix {
     }
 
     /// Scalar element `(r, c)` in `0..n`.
-    pub fn element(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn element(&self, r: usize, c: usize) -> f64 {
         self.tile(r / self.b, c / self.b)
             .get(r % self.b, c % self.b)
     }
 
     /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
+    pub(crate) fn norm_fro(&self) -> f64 {
         self.tiles
             .iter()
             .map(|t| {
@@ -313,14 +288,6 @@ pub struct TiledPanel {
 }
 
 impl TiledPanel {
-    /// Creates a zero panel of `nt` tiles of dimension `b`.
-    pub fn zeros(nt: usize, b: usize) -> Self {
-        TiledPanel {
-            b,
-            tiles: vec![Tile::zeros(b); nt],
-        }
-    }
-
     /// Builds a panel by evaluating `f(i)` for each tile row.
     pub fn from_tile_fn(nt: usize, b: usize, f: impl FnMut(usize) -> Tile) -> Self {
         let tiles: Vec<Tile> = (0..nt).map(f).collect();
@@ -332,30 +299,30 @@ impl TiledPanel {
 
     /// Number of tile rows.
     #[inline]
-    pub fn tile_count(&self) -> usize {
+    pub(crate) fn tile_count(&self) -> usize {
         self.tiles.len()
     }
 
     /// Tile dimension.
     #[inline]
-    pub fn tile_dim(&self) -> usize {
+    pub(crate) fn tile_dim(&self) -> usize {
         self.b
     }
 
     /// Borrows tile row `i`.
     #[inline]
-    pub fn tile(&self, i: usize) -> &Tile {
+    pub(crate) fn tile(&self, i: usize) -> &Tile {
         &self.tiles[i]
     }
 
     /// Mutably borrows tile row `i`.
     #[inline]
-    pub fn tile_mut(&mut self, i: usize) -> &mut Tile {
+    pub(crate) fn tile_mut(&mut self, i: usize) -> &mut Tile {
         &mut self.tiles[i]
     }
 
     /// Mutably borrows two distinct tile rows at once.
-    pub fn two_tiles_mut(&mut self, a: usize, b: usize) -> (&mut Tile, &mut Tile) {
+    pub(crate) fn two_tiles_mut(&mut self, a: usize, b: usize) -> (&mut Tile, &mut Tile) {
         assert_ne!(a, b);
         if a < b {
             let (lo, hi) = self.tiles.split_at_mut(b);
@@ -377,7 +344,7 @@ impl TiledPanel {
     }
 
     /// Frobenius norm of the panel.
-    pub fn norm_fro(&self) -> f64 {
+    pub(crate) fn norm_fro(&self) -> f64 {
         self.tiles
             .iter()
             .map(|t| {
@@ -392,6 +359,28 @@ impl TiledPanel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SymmetricTiledMatrix {
+        /// Creates a zero matrix with `nt x nt` tiles of dimension `b`.
+        fn zeros(nt: usize, b: usize) -> Self {
+            let count = nt * (nt + 1) / 2;
+            SymmetricTiledMatrix {
+                nt,
+                b,
+                tiles: vec![Tile::zeros(b); count],
+            }
+        }
+    }
+
+    impl TiledPanel {
+        /// Creates a zero panel of `nt` tiles of dimension `b`.
+        fn zeros(nt: usize, b: usize) -> Self {
+            TiledPanel {
+                b,
+                tiles: vec![Tile::zeros(b); nt],
+            }
+        }
+    }
 
     #[test]
     fn packed_indexing_roundtrip() {

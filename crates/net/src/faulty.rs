@@ -51,14 +51,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// Only duplicates, every `n`-th payload.
-    pub fn duplicating(n: u64) -> Self {
-        FaultConfig {
-            dup_every: n,
-            ..Default::default()
-        }
-    }
-
     /// Only drops, 1-in-`n` payloads (seeded fair loss).
     pub fn dropping(n: u64) -> Self {
         FaultConfig {
@@ -143,11 +135,6 @@ impl<T: Transport> Faulty<T> {
     /// Extra payload copies injected so far.
     pub fn duplicated(&self) -> u64 {
         self.duplicated.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
     }
 
     /// The fault gate: one decision per payload-carrying send, so a session
@@ -256,6 +243,23 @@ mod tests {
     use crate::inproc::inproc_mesh;
     use crate::msg::{Payload, PeerStats};
     use sbc_kernels::Tile;
+
+    impl FaultConfig {
+        /// Only duplicates, every `n`-th payload.
+        pub(crate) fn duplicating(n: u64) -> Self {
+            FaultConfig {
+                dup_every: n,
+                ..Default::default()
+            }
+        }
+    }
+
+    impl<T: Transport> Faulty<T> {
+        /// The wrapped transport.
+        pub(crate) fn inner(&self) -> &T {
+            &self.inner
+        }
+    }
 
     fn payload(k: u32) -> Payload {
         Payload::Data {

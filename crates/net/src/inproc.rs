@@ -38,7 +38,7 @@ pub(crate) struct Inlet {
 impl Inlet {
     /// Delivers `msg`, then wakes the mailbox's waker, so whoever it wakes
     /// finds the message in; `false` when the mailbox is gone.
-    pub fn push(&self, msg: Message) -> bool {
+    pub(crate) fn push(&self, msg: Message) -> bool {
         if self.tx.send(msg).is_err() {
             return false;
         }
@@ -50,7 +50,7 @@ impl Inlet {
 }
 
 impl Mailbox {
-    pub fn new() -> Mailbox {
+    pub(crate) fn new() -> Mailbox {
         let (tx, rx) = unbounded();
         Mailbox {
             inlet: Inlet {
@@ -62,23 +62,23 @@ impl Mailbox {
     }
 
     /// A handle that delivers into this inbox.
-    pub fn inlet(&self) -> Inlet {
+    pub(crate) fn inlet(&self) -> Inlet {
         self.inlet.clone()
     }
 
-    pub fn set_waker(&self, waker: Option<Waker>) {
+    pub(crate) fn set_waker(&self, waker: Option<Waker>) {
         *lock(&self.inlet.waker) = waker;
     }
 
-    pub fn recv(&self) -> Option<Message> {
+    pub(crate) fn recv(&self) -> Option<Message> {
         lock(&self.rx).recv().ok()
     }
 
-    pub fn try_recv(&self) -> Option<Message> {
+    pub(crate) fn try_recv(&self) -> Option<Message> {
         lock(&self.rx).try_recv().ok()
     }
 
-    pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
         match lock(&self.rx).recv_timeout(timeout) {
             Ok(msg) => RecvTimeout::Msg(msg),
             Err(RecvTimeoutError::Timeout) => RecvTimeout::TimedOut,

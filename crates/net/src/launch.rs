@@ -21,13 +21,13 @@ use std::io;
 use std::process::{Child, Command};
 
 /// Environment variable carrying a worker's rank (its absence marks root).
-pub const ENV_RANK: &str = "SBC_NET_RANK";
+pub(crate) const ENV_RANK: &str = "SBC_NET_RANK";
 /// Environment variable carrying the mesh size.
-pub const ENV_NODES: &str = "SBC_NET_NODES";
+pub(crate) const ENV_NODES: &str = "SBC_NET_NODES";
 /// Environment variable carrying the backend name (`tcp` / `uds`).
-pub const ENV_BACKEND: &str = "SBC_NET_BACKEND";
+pub(crate) const ENV_BACKEND: &str = "SBC_NET_BACKEND";
 /// Environment variable carrying the root's rendezvous address.
-pub const ENV_ROOT: &str = "SBC_NET_ROOT";
+pub(crate) const ENV_ROOT: &str = "SBC_NET_ROOT";
 
 /// What this process became after [`launch`].
 pub enum Role {

@@ -7,8 +7,8 @@
 //! each: which messages exist ([`Message`]), which of them are traffic
 //! ([`Message::payload`] — every backend's accounting, the fault gate and
 //! the model checker's ledgers read that one accessor), and what a message
-//! looks like on a socket ([`wire::Frame::from_message`] /
-//! [`wire::Frame::into_message`]). A backend only moves what it is handed.
+//! looks like on a socket (`wire::Frame::from_message` /
+//! `wire::Frame::into_message`). A backend only moves what it is handed.
 //!
 //! * [`InProc`] — the historical configuration: every node is a thread in
 //!   one address space and messages travel over unbounded in-process
@@ -67,15 +67,13 @@ pub mod wire;
 pub use clock::{Clock, RealClock, VirtualClock};
 pub use faulty::{FaultConfig, FaultDecision, Faulty};
 pub use inproc::{inproc_mesh, InProc};
-pub use launch::{launch, wait_children, Role, ENV_BACKEND, ENV_NODES, ENV_RANK, ENV_ROOT};
+pub use launch::{launch, wait_children, Role};
 pub use msg::{Message, NodeId, Payload, PeerStats};
-pub use pool::{BufferPool, PoolStats, PooledBuf, DEFAULT_RETAIN};
+pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use session::{
     PeerRecvProbe, PeerSendProbe, Session, SessionConfig, SessionEvent, SessionEventKind,
     SessionProbe, UnackedProbe,
 };
 pub use sock::{connect_retry, Backend, Conn, ConnectTimeout, Listener, StreamIo};
-pub use stream::{
-    local_mesh, MeshBuilder, StreamTransport, DEFAULT_CONNECT_TIMEOUT, ENV_CONNECT_TIMEOUT_MS,
-};
+pub use stream::{local_mesh, StreamTransport};
 pub use transport::{RecvTimeout, Transport, TransportStats};

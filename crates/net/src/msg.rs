@@ -55,7 +55,7 @@ impl Payload {
     }
 
     /// The tile being carried.
-    pub fn tile(&self) -> &Tile {
+    pub(crate) fn tile(&self) -> &Tile {
         match self {
             Payload::Data { tile, .. } | Payload::Orig { tile, .. } => tile,
         }

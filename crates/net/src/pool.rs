@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 /// Free buffers retained by default; returns beyond this are dropped so a
 /// burst cannot pin its high-water memory forever.
-pub const DEFAULT_RETAIN: usize = 256;
+pub(crate) const DEFAULT_RETAIN: usize = 256;
 
 /// A snapshot of a pool's checkout accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,7 +60,7 @@ impl Default for BufferPool {
 
 impl BufferPool {
     /// A pool retaining at most `retain` free buffers.
-    pub fn new(retain: usize) -> BufferPool {
+    pub(crate) fn new(retain: usize) -> BufferPool {
         BufferPool {
             inner: Arc::new(PoolInner {
                 free: Mutex::new(Vec::new()),

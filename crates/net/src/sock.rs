@@ -42,7 +42,7 @@ impl Backend {
 
     /// The family an address belongs to: `host:port` is TCP, anything else
     /// is a socket path.
-    pub fn of(addr: &str) -> Backend {
+    pub(crate) fn of(addr: &str) -> Backend {
         if addr.contains(':') {
             Backend::Tcp
         } else {
@@ -98,7 +98,7 @@ impl Listener {
 
     /// Binds an address nobody else has: a localhost port the kernel picks,
     /// or a fresh socket path in the temp directory.
-    pub fn bind_ephemeral(backend: Backend) -> io::Result<Listener> {
+    pub(crate) fn bind_ephemeral(backend: Backend) -> io::Result<Listener> {
         match backend {
             Backend::Tcp => Listener::bind("127.0.0.1:0"),
             Backend::Uds => {
@@ -194,7 +194,7 @@ impl std::fmt::Display for ConnectTimeout {
             self.backend.name(),
             self.addr,
             self.timeout,
-            crate::ENV_CONNECT_TIMEOUT_MS,
+            crate::stream::ENV_CONNECT_TIMEOUT_MS,
         )
     }
 }
@@ -266,7 +266,7 @@ mod tests {
         assert_eq!(typed.timeout, Duration::from_millis(50));
         let msg = err.to_string();
         assert!(
-            msg.contains(crate::ENV_CONNECT_TIMEOUT_MS),
+            msg.contains(crate::stream::ENV_CONNECT_TIMEOUT_MS),
             "error should name the override knob: {msg}"
         );
     }

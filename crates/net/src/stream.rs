@@ -40,15 +40,14 @@ use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// How long a mesh dial retries an unreachable peer before giving up,
-/// unless overridden by [`MeshBuilder::connect_timeout`] or
-/// [`ENV_CONNECT_TIMEOUT_MS`].
-pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
+/// unless overridden by [`ENV_CONNECT_TIMEOUT_MS`].
+pub(crate) const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Environment override for the mesh connect deadline, in milliseconds
 /// (e.g. `SBC_NET_CONNECT_TIMEOUT_MS=500`). Useful for CI jobs that want a
 /// fast, typed failure instead of a 20-second hang when a rank never comes
 /// up. Malformed or zero values fall back to [`DEFAULT_CONNECT_TIMEOUT`].
-pub const ENV_CONNECT_TIMEOUT_MS: &str = "SBC_NET_CONNECT_TIMEOUT_MS";
+pub(crate) const ENV_CONNECT_TIMEOUT_MS: &str = "SBC_NET_CONNECT_TIMEOUT_MS";
 
 /// Resolves the effective connect deadline: the env override when set and
 /// sane, the default otherwise. Factored over the raw env string so the
@@ -65,7 +64,7 @@ pub(crate) fn default_connect_timeout() -> Duration {
 }
 
 /// Half-built mesh endpoint: bound, address known, not yet connected.
-pub struct MeshBuilder {
+pub(crate) struct MeshBuilder {
     rank: NodeId,
     n: usize,
     listener: Listener,
@@ -74,7 +73,7 @@ pub struct MeshBuilder {
 
 impl MeshBuilder {
     /// Binds rank `rank` of an `n`-rank mesh to an ephemeral address.
-    pub fn bind(backend: Backend, rank: NodeId, n: usize) -> io::Result<MeshBuilder> {
+    pub(crate) fn bind(backend: Backend, rank: NodeId, n: usize) -> io::Result<MeshBuilder> {
         assert!(
             (rank as usize) < n,
             "rank {rank} out of range for {n} nodes"
@@ -88,23 +87,14 @@ impl MeshBuilder {
     }
 
     /// The address peers should dial to reach this rank.
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         self.listener.addr()
-    }
-
-    /// Overrides how long [`connect`](MeshBuilder::connect) retries each
-    /// unreachable peer before failing with a typed [`crate::ConnectTimeout`].
-    /// Defaults to [`ENV_CONNECT_TIMEOUT_MS`] when set, else
-    /// [`DEFAULT_CONNECT_TIMEOUT`].
-    pub fn connect_timeout(mut self, timeout: Duration) -> MeshBuilder {
-        self.connect_timeout = timeout;
-        self
     }
 
     /// Connects the full mesh: dials every peer (with `Hello`), then
     /// accepts `n − 1` inbound connections. `addrs[rank]` must be each
     /// rank's listener address; every rank must call this concurrently.
-    pub fn connect(self, addrs: &[String]) -> io::Result<StreamTransport> {
+    pub(crate) fn connect(self, addrs: &[String]) -> io::Result<StreamTransport> {
         assert_eq!(addrs.len(), self.n, "address table size mismatch");
         let inbox = Mailbox::new();
         let stats = Arc::new(StatsCell::default());
@@ -177,7 +167,7 @@ fn reader_loop(mut stream: Conn, inbox: &Inlet, stats: &StatsCell) {
 }
 
 /// One rank's endpoint of a socket mesh ([`Backend::Tcp`] or
-/// [`Backend::Uds`]). Built by [`MeshBuilder::connect`] or [`local_mesh`].
+/// [`Backend::Uds`]). Built by `MeshBuilder::connect` or [`local_mesh`].
 /// Dropping it closes its outbound streams, which ends the peers' reader
 /// threads for those connections.
 pub struct StreamTransport {
@@ -466,9 +456,8 @@ mod tests {
     fn mesh_builder_connect_surfaces_the_typed_timeout() {
         // bind-then-drop: nothing listens on a port that was just ours
         let vacant = Listener::bind("127.0.0.1:0").unwrap().addr().to_owned();
-        let b = MeshBuilder::bind(Backend::Tcp, 0, 2)
-            .unwrap()
-            .connect_timeout(Duration::from_millis(50));
+        let mut b = MeshBuilder::bind(Backend::Tcp, 0, 2).unwrap();
+        b.connect_timeout = Duration::from_millis(50);
         let addrs = vec![b.addr().to_string(), vacant];
         let err = match b.connect(&addrs) {
             Ok(_) => panic!("peer 1 never comes up: connect must fail"),

@@ -150,7 +150,7 @@ pub(crate) enum Traffic {
 }
 
 impl Traffic {
-    pub fn of(msg: &Message) -> Traffic {
+    pub(crate) fn of(msg: &Message) -> Traffic {
         match msg.payload() {
             Some(p) => Traffic::Payload(p.payload_bytes()),
             None if matches!(msg, Message::Ack { .. }) => Traffic::Ack,
@@ -161,7 +161,7 @@ impl Traffic {
 
 impl StatsCell {
     /// Counts one send the backend accepted; returns its payload bytes.
-    pub fn count_sent(&self, traffic: Traffic, frame_bytes: u64) -> u64 {
+    pub(crate) fn count_sent(&self, traffic: Traffic, frame_bytes: u64) -> u64 {
         self.sent_frame_bytes
             .fetch_add(frame_bytes, Ordering::Relaxed);
         match traffic {
@@ -180,7 +180,7 @@ impl StatsCell {
     }
 
     /// Counts one message (or ignored frame) that arrived.
-    pub fn count_received(&self, traffic: Traffic, frame_bytes: u64) {
+    pub(crate) fn count_received(&self, traffic: Traffic, frame_bytes: u64) {
         self.recv_frame_bytes
             .fetch_add(frame_bytes, Ordering::Relaxed);
         if let Traffic::Payload(bytes) = traffic {
@@ -189,13 +189,13 @@ impl StatsCell {
         }
     }
 
-    pub fn count_retrans(&self, payload_bytes: u64) {
+    pub(crate) fn count_retrans(&self, payload_bytes: u64) {
         self.retrans_messages.fetch_add(1, Ordering::Relaxed);
         self.retrans_bytes
             .fetch_add(payload_bytes, Ordering::Relaxed);
     }
 
-    pub fn snapshot(&self) -> TransportStats {
+    pub(crate) fn snapshot(&self) -> TransportStats {
         TransportStats {
             sent_messages: self.sent_messages.load(Ordering::Relaxed),
             sent_payload_bytes: self.sent_payload_bytes.load(Ordering::Relaxed),

@@ -237,7 +237,7 @@ pub enum Frame {
 impl Frame {
     /// The wire form of a mesh message — with [`Frame::into_message`], the
     /// only place the two vocabularies meet.
-    pub fn from_message(msg: Message) -> Frame {
+    pub(crate) fn from_message(msg: Message) -> Frame {
         match msg {
             Message::Payload { src, payload } => Frame::Payload { src, payload },
             Message::Seq { src, seq, payload } => Frame::Seq { src, seq, payload },
@@ -263,7 +263,7 @@ impl Frame {
     /// mesh traffic: the setup handshake (`Hello`, `Addr`, `Table`) and the
     /// client↔service protocol (tags 12–19), which is spoken on dedicated
     /// connections.
-    pub fn into_message(self) -> Option<Message> {
+    pub(crate) fn into_message(self) -> Option<Message> {
         Some(match self {
             Frame::Payload { src, payload } => Message::Payload { src, payload },
             Frame::Seq { src, seq, payload } => Message::Seq { src, seq, payload },
@@ -914,7 +914,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameError>
 
 /// Encodes `f` into `scratch` and writes it to a stream, returning the
 /// bytes written. The scratch buffer's capacity is reused across calls.
-pub fn write_frame_with(
+pub(crate) fn write_frame_with(
     w: &mut impl std::io::Write,
     f: &Frame,
     scratch: &mut Vec<u8>,

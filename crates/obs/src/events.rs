@@ -3,14 +3,11 @@
 //! A resident service emits a small, fixed vocabulary of events — a job was
 //! admitted, rejected, started, finished, failed, or a rank stalled — and a
 //! week-long service must not grow memory with them. [`EventLog`] keeps the
-//! newest `capacity` events, stamps each with a monotone sequence number
-//! (so a consumer can tell how many it missed after a wrap) and a timestamp
-//! relative to the log's creation. Pushes take one short mutex on a cold
-//! path (job lifecycle, not task dispatch), so the log is safe to share
-//! with the engine mesh without showing up in its profile.
+//! newest `capacity` events in a [`Ring`], stamps each with a monotone
+//! sequence number (so a consumer can tell how many it missed after a wrap)
+//! and a timestamp relative to the log's creation.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use crate::ring::Ring;
 use std::time::Instant;
 
 /// How loud an event is.
@@ -127,29 +124,21 @@ pub struct ObsEvent {
     pub detail: String,
 }
 
-struct LogState {
-    next_seq: u64,
-    ring: VecDeque<ObsEvent>,
-}
-
-/// A bounded, shareable event ring. Capacity `0` records nothing (but still
-/// counts sequence numbers); the newest `capacity` events are retained.
+/// A bounded, shareable event log: a [`Ring`] of [`ObsEvent`]s whose
+/// lifetime index is the event's `seq`. Capacity `0` records nothing (but
+/// still counts sequence numbers); the newest `capacity` events are
+/// retained.
 pub struct EventLog {
-    capacity: usize,
     started: Instant,
-    state: Mutex<LogState>,
+    ring: Ring<ObsEvent>,
 }
 
 impl EventLog {
     /// A log retaining the newest `capacity` events.
     pub fn with_capacity(capacity: usize) -> EventLog {
         EventLog {
-            capacity,
             started: Instant::now(),
-            state: Mutex::new(LogState {
-                next_seq: 0,
-                ring: VecDeque::with_capacity(capacity.min(1024)),
-            }),
+            ring: Ring::with_capacity(capacity),
         }
     }
 
@@ -163,68 +152,24 @@ impl EventLog {
         detail: impl Into<String>,
     ) -> u64 {
         let t = self.started.elapsed().as_secs_f64();
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        if self.capacity > 0 {
-            if st.ring.len() == self.capacity {
-                st.ring.pop_front();
-            }
-            st.ring.push_back(ObsEvent {
-                seq,
-                t,
-                severity,
-                kind,
-                job,
-                detail: detail.into(),
-            });
-        }
-        seq
+        self.ring.push_with(|seq| ObsEvent {
+            seq,
+            t,
+            severity,
+            kind,
+            job,
+            detail: detail.into(),
+        })
     }
 
     /// The newest `max` retained events, oldest first.
     pub fn tail(&self, max: usize) -> Vec<ObsEvent> {
-        let st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let skip = st.ring.len().saturating_sub(max);
-        st.ring.iter().skip(skip).cloned().collect()
+        self.ring.tail(max)
     }
 
     /// Every retained event, oldest first (at most `capacity`).
     pub fn snapshot(&self) -> Vec<ObsEvent> {
-        self.tail(usize::MAX)
-    }
-
-    /// Events pushed over the log's lifetime (including evicted ones).
-    pub fn total(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .next_seq
-    }
-
-    /// Retained events right now.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .ring
-            .len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The retention bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.snapshot()
     }
 }
 
@@ -243,8 +188,8 @@ mod tests {
         let log = EventLog::with_capacity(3);
         push_n(&log, 5);
         let tail = log.snapshot();
-        assert_eq!(log.total(), 5);
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.ring.total(), 5);
+        assert_eq!(log.ring.len(), 3);
         let seqs: Vec<u64> = tail.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "newest three, oldest first");
         assert_eq!(tail[0].job, Some(2));
@@ -271,8 +216,8 @@ mod tests {
             0
         );
         assert_eq!(log.push(Severity::Info, EventKind::Done, Some(1), "ok"), 1);
-        assert_eq!(log.total(), 2);
-        assert!(log.is_empty());
+        assert_eq!(log.ring.total(), 2);
+        assert_eq!(log.ring.len(), 0);
         assert!(log.snapshot().is_empty());
     }
 
@@ -283,7 +228,7 @@ mod tests {
         let tail = log.snapshot();
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].seq, 3);
-        assert_eq!(log.capacity(), 1);
+        assert_eq!(log.ring.capacity(), 1);
     }
 
     #[test]
@@ -315,8 +260,8 @@ mod tests {
                 s.spawn(|| push_n(&log, 100));
             }
         });
-        assert_eq!(log.total(), 400);
-        assert_eq!(log.len(), 64);
+        assert_eq!(log.ring.total(), 400);
+        assert_eq!(log.ring.len(), 64);
         let snap = log.snapshot();
         // strictly increasing sequence numbers survive interleaving
         assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));

@@ -32,7 +32,8 @@
 //! * [`RateWindow`] — a lock-free sliding-window event rate (jobs/sec that
 //!   decays when traffic stops);
 //! * [`SpanRing`] — rotating retention for trace spans, so a resident
-//!   service holds bounded trace memory.
+//!   service holds bounded trace memory; it and [`EventLog`] are both a
+//!   [`Ring`], one bounded mutex-guarded deque with a lifetime count.
 //!
 //! Zero external dependencies (the offline build rule): everything here is
 //! `std` plus the in-tree `parking_lot` stand-in.
@@ -65,12 +66,14 @@ pub mod metrics;
 pub mod profile;
 pub mod rate;
 pub mod recorder;
+pub mod ring;
 pub mod trace;
 
 pub use chrome::{chrome_trace, chrome_trace_from_spans, merge_chrome_traces};
 pub use events::{EventKind, EventLog, ObsEvent, Severity};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
-pub use profile::{metrics_from_recording, ExecProfile, KindStats, BYTES_BOUNDS, LATENCY_BOUNDS};
+pub use profile::{metrics_from_recording, ExecProfile, KindStats};
 pub use rate::RateWindow;
 pub use recorder::{Event, FaultKind, GaugeKind, NodeRecorder, Recorder, Recording};
+pub use ring::Ring;
 pub use trace::{render_gantt, task_spans, SpanRing, TraceEvent};

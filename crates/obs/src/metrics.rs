@@ -67,11 +67,11 @@ impl Gauge {
         self.max.update(|m| m.max(v));
     }
     /// Last set value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         self.value.get()
     }
     /// Largest value ever set.
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max.get()
     }
 }
@@ -120,12 +120,12 @@ impl Histogram {
     }
 
     /// Number of observations so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Plain-data copy of the current state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count();
         HistogramSnapshot {
             bounds: self.bounds.clone(),

@@ -8,10 +8,10 @@ use crate::recorder::{Event, Recording};
 
 /// Latency bucket bounds (seconds) for kernel and wait histograms:
 /// exponential from 1 µs to 10 s.
-pub const LATENCY_BOUNDS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
+pub(crate) const LATENCY_BOUNDS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 
 /// Message-size bucket bounds (bytes): powers of four from 1 KiB to 16 MiB.
-pub const BYTES_BOUNDS: [f64; 8] = [
+pub(crate) const BYTES_BOUNDS: [f64; 8] = [
     1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0, 4194304.0, 16777216.0,
 ];
 

@@ -51,12 +51,6 @@ impl RateWindow {
         self.ring[idx].store(t, Ordering::Relaxed);
     }
 
-    /// Events recorded within the trailing `window` (saturating at the
-    /// ring size).
-    pub fn count(&self, window: Duration) -> u64 {
-        self.count_at(self.now_nanos(), window.as_nanos() as u64)
-    }
-
     fn count_at(&self, now: u64, window: u64) -> u64 {
         let cutoff = now.saturating_sub(window);
         self.ring
@@ -80,11 +74,6 @@ impl RateWindow {
         }
         self.count_at(now, window) as f64 / (span as f64 / 1e9)
     }
-
-    /// Events ever recorded (not bounded by the ring).
-    pub fn total(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +94,7 @@ mod tests {
         assert!((r - 2.0 / 3.0).abs() < 1e-12, "{r}");
         // a window after the last event the rate is zero
         assert_eq!(w.rate_at(30 * SEC, 3 * SEC), 0.0);
-        assert_eq!(w.total(), 5);
+        assert_eq!(w.head.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -127,7 +116,7 @@ mod tests {
             w.record_at(t);
         }
         assert_eq!(w.count_at(10, SEC), 4, "only the newest 4 survive");
-        assert_eq!(w.total(), 10);
+        assert_eq!(w.head.load(Ordering::Relaxed), 10);
     }
 
     #[test]
@@ -136,7 +125,7 @@ mod tests {
         for _ in 0..5 {
             w.record();
         }
-        assert_eq!(w.count(Duration::from_secs(3600)), 5);
+        assert_eq!(w.count_at(w.now_nanos(), 3600 * SEC), 5);
         assert!(w.rate(Duration::from_secs(3600)) > 0.0);
     }
 
@@ -152,7 +141,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(w.total(), 400);
-        assert_eq!(w.count(Duration::from_secs(3600)), 400);
+        assert_eq!(w.head.load(Ordering::Relaxed), 400);
+        assert_eq!(w.count_at(w.now_nanos(), 3600 * SEC), 400);
     }
 }

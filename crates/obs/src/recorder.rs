@@ -5,12 +5,12 @@
 //! [`NodeRecorder`] handle and appends events to it. A handle owns a plain
 //! `Vec` — recording an event is a timestamp read plus a push, no locks, no
 //! atomics — and flushes that buffer into the recorder exactly once, when
-//! the handle is dropped (or [`NodeRecorder::flush`] is called early). The
+//! the handle is dropped (or `NodeRecorder::flush` is called early). The
 //! only synchronized operation is that single per-thread flush, so the
 //! recorder's cost is O(events) memory and effectively zero contention.
 //!
 //! Timestamps are `f64` seconds relative to the recorder's creation
-//! ([`Recorder::now`]), the same unit the simulator's virtual clock uses —
+//! (`Recorder::now`), the same unit the simulator's virtual clock uses —
 //! which is what lets measured and simulated timelines share one trace
 //! type, one Gantt renderer and one Chrome-trace exporter.
 
@@ -47,7 +47,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable display name (also the Chrome-trace span name).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultKind::Retransmit => "retransmit",
             FaultKind::AckRtt => "ack_rtt",
@@ -58,7 +58,7 @@ impl FaultKind {
 
 impl GaugeKind {
     /// Stable display name (also the Chrome-trace counter name).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             GaugeKind::TileStore => "tile_store_tiles",
             GaugeKind::ReadyQueue => "ready_queue_depth",
@@ -154,7 +154,7 @@ pub enum Event {
 
 impl Event {
     /// The time this event is ordered by (span start for spans).
-    pub fn at(&self) -> f64 {
+    pub(crate) fn at(&self) -> f64 {
         match *self {
             Event::Task { start, .. }
             | Event::DepWait { start, .. }
@@ -164,7 +164,7 @@ impl Event {
     }
 
     /// The node the event belongs to.
-    pub fn node(&self) -> u32 {
+    pub(crate) fn node(&self) -> u32 {
         match *self {
             Event::Task { node, .. }
             | Event::Send { node, .. }
@@ -179,7 +179,7 @@ impl Event {
 /// The merged, time-ordered result of one recorded execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recording {
-    /// All events, sorted by [`Event::at`].
+    /// All events, sorted by `Event::at`.
     pub events: Vec<Event>,
 }
 
@@ -225,7 +225,7 @@ impl Recorder {
     }
 
     /// Seconds elapsed since the recorder was created.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
     }
 
@@ -354,7 +354,7 @@ impl NodeRecorder<'_> {
 
     /// Pushes the buffered events into the recorder early (drop does the
     /// same once).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if !self.buf.is_empty() {
             self.rec.sink.lock().push(std::mem::take(&mut self.buf));
         }

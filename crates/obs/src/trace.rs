@@ -6,8 +6,7 @@
 //! exporter do not care whether time was simulated or real.
 
 use crate::recorder::{Event, Recording};
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use crate::ring::Ring;
 
 /// One executed task in a recorded trace (simulated or measured).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,91 +97,8 @@ pub fn render_gantt(events: &[TraceEvent], nodes: usize, cores: usize, width: us
 ///
 /// A resident service accumulates one span per task per job forever; this
 /// ring keeps only the newest `capacity` spans (dropping the oldest) so a
-/// week-long service holds a fixed amount of trace memory. [`SpanRing::total`]
-/// reports how many spans were ever pushed, so an exporter can say how much
-/// history rotated away.
-pub struct SpanRing {
-    capacity: usize,
-    state: Mutex<SpanState>,
-}
-
-struct SpanState {
-    total: u64,
-    ring: VecDeque<TraceEvent>,
-}
-
-impl SpanRing {
-    /// A ring retaining the newest `capacity` spans. Capacity `0` retains
-    /// nothing (but still counts).
-    pub fn with_capacity(capacity: usize) -> SpanRing {
-        SpanRing {
-            capacity,
-            state: Mutex::new(SpanState {
-                total: 0,
-                ring: VecDeque::with_capacity(capacity.min(4096)),
-            }),
-        }
-    }
-
-    /// Appends spans, evicting the oldest past capacity.
-    pub fn extend(&self, spans: impl IntoIterator<Item = TraceEvent>) {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for span in spans {
-            st.total += 1;
-            if self.capacity == 0 {
-                continue;
-            }
-            if st.ring.len() == self.capacity {
-                st.ring.pop_front();
-            }
-            st.ring.push_back(span);
-        }
-    }
-
-    /// Appends one span.
-    pub fn push(&self, span: TraceEvent) {
-        self.extend([span]);
-    }
-
-    /// The retained spans, oldest first (at most `capacity` of them).
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        st.ring.iter().copied().collect()
-    }
-
-    /// Spans ever pushed (including rotated-away ones).
-    pub fn total(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .total
-    }
-
-    /// Retained spans right now.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .ring
-            .len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The retention bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
+/// week-long service holds a fixed amount of trace memory.
+pub type SpanRing = Ring<TraceEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -238,7 +154,9 @@ mod tests {
     #[test]
     fn span_ring_rotates_keeping_the_newest() {
         let ring = SpanRing::with_capacity(3);
-        ring.extend((0..5).map(|i| ev(i, 0, i as f64, i as f64 + 1.0)));
+        for i in 0..5 {
+            ring.push(ev(i, 0, i as f64, i as f64 + 1.0));
+        }
         assert_eq!(ring.total(), 5);
         assert_eq!(ring.len(), 3);
         let tasks: Vec<u32> = ring.snapshot().iter().map(|e| e.task).collect();
@@ -253,7 +171,7 @@ mod tests {
         let ring = SpanRing::with_capacity(0);
         ring.push(ev(0, 0, 0.0, 1.0));
         assert_eq!(ring.total(), 1);
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
         assert!(ring.snapshot().is_empty());
     }
 

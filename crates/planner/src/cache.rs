@@ -47,7 +47,7 @@ pub struct PlanCache {
 impl PlanCache {
     /// Creates a cache holding at most `capacity` shapes (`capacity` is
     /// rounded up to at least one entry).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         PlanCache {
             slots: Mutex::default(),
             capacity: capacity.max(1),

@@ -3,7 +3,7 @@
 //! A "candidate" is a fully specified distribution choice — 2DBC `p x q`,
 //! basic/extended SBC `r`, a 2.5D `c`-slice replication, or the POTRI
 //! "SBC remap 2DBC" strategy — that fits within a node budget `P` and
-//! supports the requested operation. [`enumerate`] produces the list the
+//! supports the requested operation. `enumerate` produces the list the
 //! cost model ranks; [`DistChoice`] knows how to count its exact messages
 //! and build its task graph, so the planner, the simulator and the runtime
 //! all consume the same object.
@@ -42,7 +42,7 @@ impl Op {
     ///
     /// POSV is counted with one tile column (`b` right-hand sides),
     /// matching [`builders::build_posv`].
-    pub fn total_flops(self, nt: usize, b: usize) -> f64 {
+    pub(crate) fn total_flops(self, nt: usize, b: usize) -> f64 {
         let n = nt * b;
         match self {
             Op::Potrf => flops::flops_cholesky_total(n),
@@ -71,7 +71,7 @@ impl Op {
 ///
 /// All variants carry only their defining integers, so a choice is `Copy`
 /// and trivially hashable; the concrete `sbc_dist` object is rebuilt on
-/// demand by [`DistChoice::distribution`] (construction is cheap relative to
+/// demand by `DistChoice::distribution` (construction is cheap relative to
 /// scoring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistChoice {
@@ -156,7 +156,7 @@ impl DistChoice {
     /// Whether this choice can execute `op` at all. 2.5D replication is
     /// only implemented for POTRF, and the remap strategy only makes sense
     /// for POTRI.
-    pub fn supports(self, op: Op) -> bool {
+    pub(crate) fn supports(self, op: Op) -> bool {
         match self {
             DistChoice::TwoFiveDSbc { .. } | DistChoice::TwoFiveDBc { .. } => op == Op::Potrf,
             DistChoice::PotriRemap { .. } => op == Op::Potri,
@@ -167,7 +167,7 @@ impl DistChoice {
     /// The 2D distribution this choice places tiles by: the choice itself
     /// for the flat families, one slice's for a 2.5D choice, the symmetric
     /// phases' for the remap strategy.
-    pub fn distribution(self) -> Arc<dyn Distribution> {
+    pub(crate) fn distribution(self) -> Arc<dyn Distribution> {
         match self {
             DistChoice::TwoDbc { p, q } | DistChoice::TwoFiveDBc { p, q, .. } => {
                 Arc::new(TwoDBlockCyclic::new(p, q))
@@ -216,7 +216,7 @@ impl DistChoice {
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.
-    pub fn message_matrix(self, op: Op, nt: usize) -> Vec<u64> {
+    pub(crate) fn message_matrix(self, op: Op, nt: usize) -> Vec<u64> {
         let g = self.build_graph(op, nt);
         let n = self.nodes_used();
         let mut m = vec![0u64; n * n];
@@ -238,7 +238,7 @@ impl DistChoice {
     /// compute term: max over nodes of per-node GEMM count divided by the
     /// mean. For 2.5D choices the per-slice distribution is measured (the
     /// iteration round-robin splits work evenly across slices).
-    pub fn gemm_imbalance(self, nt: usize) -> f64 {
+    pub(crate) fn gemm_imbalance(self, nt: usize) -> f64 {
         balance::gemm_balance(&self.distribution(), nt).imbalance()
     }
 
@@ -247,7 +247,7 @@ impl DistChoice {
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.
-    pub fn graph(self, op: Op, nt: usize) -> Arc<TaskGraph> {
+    pub(crate) fn graph(self, op: Op, nt: usize) -> Arc<TaskGraph> {
         assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
         let dist = self.distribution();
         match self {
@@ -312,7 +312,7 @@ const MAX_IDLE_NODES: usize = 3;
 ///   of the squarest fitting grid,
 /// * for POTRI: the "SBC remap 2DBC" strategy for each fitting extended
 ///   SBC, paired with the squarest grid on the same node count.
-pub fn enumerate(op: Op, p_nodes: usize) -> Vec<DistChoice> {
+pub(crate) fn enumerate(op: Op, p_nodes: usize) -> Vec<DistChoice> {
     let mut out = Vec::new();
     if p_nodes == 0 {
         return out;

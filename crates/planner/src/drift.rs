@@ -66,7 +66,7 @@ impl DriftReport {
 
     /// measured / predicted compute seconds — the kernel-speed calibration
     /// factor between the model's platform and the host machine.
-    pub fn compute_ratio(&self) -> f64 {
+    pub(crate) fn compute_ratio(&self) -> f64 {
         ratio(
             self.measured_compute_seconds,
             self.predicted_compute_seconds,
@@ -74,7 +74,7 @@ impl DriftReport {
     }
 
     /// measured / predicted end-to-end seconds.
-    pub fn wall_ratio(&self) -> f64 {
+    pub(crate) fn wall_ratio(&self) -> f64 {
         ratio(self.measured_wall_seconds, self.predicted_total_seconds)
     }
 

@@ -59,7 +59,7 @@ pub struct CostBreakdown {
 impl CostBreakdown {
     /// Lexicographic ranking: smaller model makespan first, fewer messages
     /// as tie-break.
-    pub fn rank(&self, other: &CostBreakdown) -> Ordering {
+    pub(crate) fn rank(&self, other: &CostBreakdown) -> Ordering {
         self.total_seconds
             .total_cmp(&other.total_seconds)
             .then(self.messages.cmp(&other.messages))
@@ -88,7 +88,7 @@ impl CostModel {
     /// its route's bottleneck bandwidth, and the busiest backbone link
     /// direction adds a serialization term. With a flat topology the score
     /// matches the flat model's ordering.
-    pub fn with_topology(mut self, topology: Arc<Topology>) -> Self {
+    pub(crate) fn with_topology(mut self, topology: Arc<Topology>) -> Self {
         assert!(
             topology.hosts() >= self.platform.nodes,
             "topology has {} hosts but the platform has {} nodes",
@@ -100,12 +100,12 @@ impl CostModel {
     }
 
     /// The topology communication is priced over, if any.
-    pub fn topology(&self) -> Option<&Arc<Topology>> {
+    pub(crate) fn topology(&self) -> Option<&Arc<Topology>> {
         self.topology.as_ref()
     }
 
     /// The platform being modelled.
-    pub fn platform(&self) -> &Platform {
+    pub(crate) fn platform(&self) -> &Platform {
         &self.platform
     }
 

@@ -61,7 +61,7 @@ impl Plan {
         self.choice.build_graph(self.op, self.nt)
     }
 
-    /// The shared task graph executing this plan ([`DistChoice::graph`]).
+    /// The shared task graph executing this plan (`DistChoice::graph`).
     pub fn graph(&self) -> Arc<TaskGraph> {
         self.choice.graph(self.op, self.nt)
     }
@@ -111,11 +111,6 @@ impl Planner {
         self
     }
 
-    /// The topology this planner prices communication over, if any.
-    pub fn topology(&self) -> Option<&Arc<Topology>> {
-        self.model.topology()
-    }
-
     /// Publishes this planner's cache traffic as `planner.cache.hit` /
     /// `planner.cache.miss` counters in `metrics`. A resident service calls
     /// this once at startup so every job's planning cost is observable.
@@ -136,7 +131,7 @@ impl Planner {
     }
 
     /// The platform being planned for.
-    pub fn platform(&self) -> &Platform {
+    pub(crate) fn platform(&self) -> &Platform {
         self.model.platform()
     }
 
@@ -292,7 +287,7 @@ mod tests {
         assert!(!a.cached && !b.cached);
         // the rack-aware score carries the boundary term
         assert!(b.cost.cross_boundary_seconds >= 0.0);
-        assert_eq!(racks.topology().unwrap().hosts(), 10);
+        assert_eq!(racks.model.topology().unwrap().hosts(), 10);
         // refinement simulates over the topology without panicking
         let refined = Planner::with_config(
             p.clone(),

@@ -388,7 +388,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let runner = std::thread::spawn(move || {
             let d = SbcExtended::new(4);
-            let g = build_potrf(&d, nt);
+            let g = Arc::new(build_potrf(&d, nt));
             let mut seq = sbc_matrix::random_spd(seed, nt, b);
             sbc_matrix::potrf_tiled(&mut seq).unwrap();
             let messages = comm::potrf_messages(&d, nt);
@@ -396,7 +396,10 @@ mod tests {
                 for workers in [1, 2] {
                     let context = format!("threads={threads} workers={workers}");
                     for rep in 0..200 {
-                        let run = Run::graph(&g).block(b).seed(seed).workers(workers);
+                        let run = Run::graph(Arc::clone(&g))
+                            .block(b)
+                            .seed(seed)
+                            .workers(workers);
                         let out = run.execute_pooled(threads).unwrap();
                         for (i, j) in seq.tile_coords() {
                             assert_eq!(

@@ -1,6 +1,6 @@
 //! The vocabulary every execution shares: what was communicated
 //! ([`CommStats`]), how a run fails ([`ExecError`]), where input tiles come
-//! from ([`TileProvider`] and the seeded defaults) and which kernel a task
+//! from (`TileProvider` and the seeded defaults) and which kernel a task
 //! kind dispatches to.
 //!
 //! Communication is *schedule-invariant*: which tiles cross node boundaries
@@ -41,7 +41,7 @@ pub struct CommStats {
 
 impl CommStats {
     /// Assembles the totals from the three per-node vectors.
-    pub fn from_per_node(
+    pub(crate) fn from_per_node(
         sent_per_node: Vec<u64>,
         recv_per_node: Vec<u64>,
         bytes_per_node: Vec<u64>,
@@ -148,7 +148,7 @@ impl std::error::Error for ExecError {}
 /// pure functions of the [`TileRef`]: with several workers per node a tile
 /// may be generated concurrently on overlapping paths, and every
 /// generation must agree.
-pub type TileProvider<'a> = dyn Fn(TileRef) -> Tile + Sync + 'a;
+pub(crate) type TileProvider<'a> = dyn Fn(TileRef) -> Tile + Sync + 'a;
 
 /// Default original-tile contents: the seeded SPD matrix — or, for a graph
 /// whose result is a full matrix (LU), the seeded diagonally dominant general

@@ -2,11 +2,11 @@
 //!
 //! Every execution — a one-shot [`crate::Run`] or a resident `sbc-serve`
 //! mesh streaming jobs for days — is a [`JobTable`] plus one rank engine per
-//! rank. What a job *is* lives in [`JobSpec`], how engines run it in
+//! rank. What a job *is* lives in `JobSpec`, how engines run it in
 //! [`JobEngineConfig`]; every front end writes into those two:
 //!
 //! - A [`JobTable`] is the in-process control plane: clients submit
-//!   [`JobSpec`]s (admission-controlled), rank engines pick them up, and
+//!   `JobSpec`s (admission-controlled), rank engines pick them up, and
 //!   finished [`JobOutcome`]s are published back with exact per-job
 //!   [`CommStats`]. Only tile payloads ever cross the transport; control
 //!   stays in shared memory because every deployment shape (in-process
@@ -64,31 +64,13 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A job's task graph: shared between same-shape jobs of a resident
-/// service, borrowed from the caller by a one-shot run.
-#[derive(Clone)]
-pub(crate) enum GraphRef<'a> {
-    Shared(Arc<TaskGraph>),
-    Borrowed(&'a TaskGraph),
-}
-
-impl std::ops::Deref for GraphRef<'_> {
-    type Target = TaskGraph;
-    fn deref(&self) -> &TaskGraph {
-        match self {
-            GraphRef::Shared(g) => g,
-            GraphRef::Borrowed(g) => g,
-        }
-    }
-}
-
 /// What a job is, shared between the table and every rank engine: the one
 /// description [`crate::Run`] and [`JobTable::submit`] both fill.
-pub struct JobSpec<'a> {
+pub(crate) struct JobSpec<'a> {
     /// Table-assigned id; also the namespace tag on every payload.
     pub id: JobId,
-    /// The task graph to execute.
-    pub(crate) graph: GraphRef<'a>,
+    /// The task graph to execute, shared between same-shape jobs.
+    pub(crate) graph: Arc<TaskGraph>,
     /// Tile dimension.
     pub b: usize,
     /// SPD input seed.
@@ -111,7 +93,7 @@ impl<'a> JobSpec<'a> {
     /// ordering). `provider: None` is the seeded generators. The table
     /// assigns the id at admission.
     pub(crate) fn new(
-        graph: GraphRef<'a>,
+        graph: Arc<TaskGraph>,
         b: usize,
         (seed, seed_rhs): (u64, u64),
         prio: u8,
@@ -166,10 +148,10 @@ impl<'a> JobSpec<'a> {
 
 /// One finished job: the merged tile stores of every rank plus the job's
 /// own communication statistics.
-pub struct JobOutcome<'a> {
+pub struct JobOutcome {
     /// The job.
     pub id: JobId,
-    graph: GraphRef<'a>,
+    graph: Arc<TaskGraph>,
     /// Final tile values, merged across ranks.
     pub tiles: HashMap<TileRef, Tile>,
     /// This job's communication (payloads carrying its job id only).
@@ -178,7 +160,7 @@ pub struct JobOutcome<'a> {
     pub elapsed: Duration,
 }
 
-impl JobOutcome<'_> {
+impl JobOutcome {
     /// The graph the job executed — what [`crate::gather`] reads the shape
     /// of the result from.
     pub fn graph(&self) -> &TaskGraph {
@@ -225,7 +207,7 @@ impl std::fmt::Display for Rejection {
 }
 
 /// Admission→completion latency buckets (seconds) for `serve.job.latency`.
-pub const JOB_LATENCY_BOUNDS: [f64; 10] =
+pub(crate) const JOB_LATENCY_BOUNDS: [f64; 10] =
     [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0];
 
 /// Per-rank live engine gauges, published from the engine loop as plain
@@ -296,8 +278,8 @@ impl TableObs {
 }
 
 /// Per-job accumulator while ranks report in.
-struct JobAccum<'a> {
-    graph: GraphRef<'a>,
+struct JobAccum {
+    graph: Arc<TaskGraph>,
     /// Each reporting rank's tile store, handed over whole.
     stores: Vec<HashMap<TileRef, Tile>>,
     sent_per_node: Vec<u64>,
@@ -312,8 +294,8 @@ struct JobAccum<'a> {
 
 /// A finished job as the last rank left it: the per-rank tile stores still
 /// unmerged, the job's statistics and its admission-to-completion time.
-struct Finished<'a> {
-    graph: GraphRef<'a>,
+struct Finished {
+    graph: Arc<TaskGraph>,
     stores: Vec<HashMap<TileRef, Tile>>,
     stats: CommStats,
     elapsed: Duration,
@@ -323,9 +305,9 @@ struct TableState<'a> {
     next_id: JobId,
     /// Admitted specs each rank engine has not yet picked up.
     incoming: Vec<VecDeque<Arc<JobSpec<'a>>>>,
-    accum: HashMap<JobId, JobAccum<'a>>,
+    accum: HashMap<JobId, JobAccum>,
     /// Finished jobs nobody has waited for yet.
-    done: HashMap<JobId, Finished<'a>>,
+    done: HashMap<JobId, Finished>,
     inflight: usize,
     completed: u64,
     shutdown: bool,
@@ -398,11 +380,6 @@ impl<'a> JobTable<'a> {
             completed_ever: AtomicU64::new(0),
             obs: OnceLock::new(),
         }
-    }
-
-    /// Mesh size this table was built for.
-    pub fn num_nodes(&self) -> usize {
-        self.n_nodes
     }
 
     /// The admission bound: most jobs admitted and not yet finished.
@@ -497,7 +474,7 @@ impl<'a> JobTable<'a> {
     /// monitor compares the job's measured [`CommStats`] against this at
     /// completion, so planting a wrong prediction here is how tests prove
     /// the `obs.drift.*` alarms fire.
-    pub fn submit_expecting(
+    pub(crate) fn submit_expecting(
         &self,
         graph: Arc<TaskGraph>,
         b: usize,
@@ -506,7 +483,6 @@ impl<'a> JobTable<'a> {
         prio: u8,
         expected: (u64, u64),
     ) -> Result<JobId, Rejection> {
-        let graph = GraphRef::Shared(graph);
         let spec = JobSpec::new(graph, b, (seed, seed_rhs), prio, &CriticalPath, None);
         self.submit_spec(spec, expected)
     }
@@ -592,7 +568,7 @@ impl<'a> JobTable<'a> {
     /// failure that killed the mesh while it was in flight. The ranks' tile
     /// stores are merged here, on the waiter's thread, so no rank engine
     /// holds the table lock per tile.
-    pub fn wait(&self, id: JobId) -> Result<JobOutcome<'a>, ExecError> {
+    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
         let mut st = lock(&self.state);
         let Finished {
             graph,
@@ -1839,8 +1815,7 @@ mod tests {
         sched: &dyn Scheduler,
         provider: Option<&'a TileProvider<'a>>,
     ) -> JobSpec<'a> {
-        let graph = GraphRef::Shared(Arc::clone(graph));
-        JobSpec::new(graph, B, (seed, seed ^ 1), 0, sched, provider)
+        JobSpec::new(Arc::clone(graph), B, (seed, seed ^ 1), 0, sched, provider)
     }
 
     fn factor_of(out: &JobOutcome) -> sbc_matrix::SymmetricTiledMatrix {
@@ -1945,7 +1920,7 @@ mod tests {
     fn single_job_table_agrees_with_a_one_shot_run() {
         let d = TwoDBlockCyclic::new(3, 2);
         let graph = Arc::new(build_potrf(&d, 9));
-        let one_shot = Run::graph(&graph)
+        let one_shot = Run::graph(Arc::clone(&graph))
             .block(B)
             .seed(5)
             .seed_rhs(6)

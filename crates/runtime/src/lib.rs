@@ -28,7 +28,7 @@
 //!
 //! | decision | owner |
 //! |---|---|
-//! | what a job is — graph, tile size, seeds, tile provider, priority vector | [`JobSpec`], built in one place ([`Run`] fills it for a one-shot run, [`JobTable::submit`] for a resident mesh) |
+//! | what a job is — graph, tile size, seeds, tile provider, priority vector | `JobSpec`, built in one place ([`Run`] fills it for a one-shot run, [`JobTable::submit`] for a resident mesh) |
 //! | how engines run it — workers, watchdog deadline, kernel backend | [`JobEngineConfig`] |
 //! | what the result is — which tiles, which container | the graph's `sbc_taskgraph::ResultKind`, read by [`gather`] alone |
 //! | ready order | one `&dyn sbc_topo::Scheduler` (default `CriticalPath`, the StarPU list scheduler the paper runs; `SubmissionOrder` for none) |
@@ -57,10 +57,8 @@ pub mod exec;
 pub mod jobs;
 pub mod run;
 
-pub use exec::{CommStats, ExecError, TileProvider};
-pub use jobs::{
-    run_jobs, JobEngineConfig, JobId, JobOutcome, JobSpec, JobTable, Rejection, JOB_LATENCY_BOUNDS,
-};
+pub use exec::{CommStats, ExecError};
+pub use jobs::{run_jobs, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
 pub use run::{gather, Run, RunOutput, RunResult};
 // the kernel-backend selector is part of the run configuration surface
 pub use sbc_kernels::{KernelBackend, Kernels, KERNELS_ENV};

@@ -19,7 +19,7 @@
 //!
 //! A `Run` is a builder over the two structs the engine reads. *What the job
 //! is* — graph, tile size, seeds, tile provider, ready order — becomes the
-//! one [`JobSpec`] of a fresh [`JobTable`]; *how engines run it* — workers,
+//! one `JobSpec` of a fresh [`JobTable`]; *how engines run it* — workers,
 //! watchdog deadline, kernel backend — is a [`JobEngineConfig`], with the
 //! clock and the recorder beside it. [`Run::execute`] meshes the graph's
 //! nodes up in-process over [`sbc_net::InProc`] channels, all ranks
@@ -33,7 +33,7 @@
 
 use crate::drive::{pool_threads, run_pooled};
 use crate::exec::{CommStats, ExecError, TileProvider};
-use crate::jobs::{GraphRef, JobEngineConfig, JobId, JobSpec, JobTable};
+use crate::jobs::{JobEngineConfig, JobId, JobSpec, JobTable};
 use sbc_dist::{Distribution, RowCyclic, TwoPointFiveD};
 use sbc_kernels::{KernelBackend, Tile};
 use sbc_matrix::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
@@ -168,7 +168,7 @@ impl RunOutput {
 /// node count as workers, no watchdog, `Blocked` kernels, real time.
 pub struct Run<'a> {
     // what the job is: one `JobSpec`
-    graph: GraphRef<'a>,
+    graph: Arc<TaskGraph>,
     b: usize,
     seed: u64,
     seed_rhs: Option<u64>,
@@ -181,7 +181,10 @@ pub struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new(graph: GraphRef<'a>) -> Self {
+    /// Executes a task graph — one the caller built, or one shared from
+    /// [`sbc_taskgraph::memo`]. Inputs, ready order and the gathered result
+    /// follow the graph exactly as they do for the operation constructors.
+    pub fn graph(graph: Arc<TaskGraph>) -> Self {
         Run {
             graph,
             b: 32,
@@ -198,22 +201,11 @@ impl<'a> Run<'a> {
         }
     }
 
-    fn shared(graph: Arc<TaskGraph>) -> Self {
-        Self::new(GraphRef::Shared(graph))
-    }
-
-    /// Executes a graph the caller built (and keeps). Inputs, ready order
-    /// and the gathered result follow the graph exactly as they do for the
-    /// operation constructors.
-    pub fn graph(graph: &'a TaskGraph) -> Self {
-        Self::new(GraphRef::Borrowed(graph))
-    }
-
     /// Executes a planner's [`Plan`]: its distribution's graph for its
     /// operation, at its tile size — from `(op, nt, b)` to a distributed
     /// execution without naming a distribution anywhere.
     pub fn plan(plan: &Plan) -> Self {
-        Self::shared(plan.graph()).block(plan.b)
+        Self::graph(plan.graph()).block(plan.b)
     }
 
     /// Cholesky factorization of the seeded SPD matrix under `dist`.
@@ -222,46 +214,46 @@ impl<'a> Run<'a> {
     /// [`sbc_taskgraph::memo`], so every run of one placement shares one
     /// graph, built once.
     pub fn potrf<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::shared(memo::potrf(dist, nt))
+        Self::graph(memo::potrf(dist, nt))
     }
 
     /// 2.5D Cholesky factorization (paper Section IV). The final value of
     /// tile `(i, j)` lives on the slice that executed iteration `j`.
     pub fn potrf_25d<D: Distribution>(d25: &TwoPointFiveD<D>, nt: usize) -> Self {
-        Self::shared(memo::potrf_25d(d25, nt))
+        Self::graph(memo::potrf_25d(d25, nt))
     }
 
     /// POSV: factorize the seeded SPD matrix and solve against the seeded
     /// right-hand side distributed by `rhs_dist`.
     pub fn posv<D: Distribution>(dist: &D, rhs_dist: &RowCyclic, nt: usize) -> Self {
-        Self::shared(memo::posv(dist, rhs_dist, nt))
+        Self::graph(memo::posv(dist, rhs_dist, nt))
     }
 
     /// LU factorization (no pivoting) of the seeded diagonally dominant
     /// general matrix.
     pub fn lu<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::shared(memo::lu(dist, nt))
+        Self::graph(memo::lu(dist, nt))
     }
 
     /// TRTRI of the lower triangle of the seeded matrix.
     pub fn trtri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::shared(memo::trtri(dist, nt))
+        Self::graph(memo::trtri(dist, nt))
     }
 
     /// LAUUM of the lower triangle of the seeded matrix.
     pub fn lauum<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::shared(memo::lauum(dist, nt))
+        Self::graph(memo::lauum(dist, nt))
     }
 
     /// POTRI (full SPD inverse) under one distribution.
     pub fn potri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::shared(memo::potri(dist, nt))
+        Self::graph(memo::potri(dist, nt))
     }
 
     /// POTRI with the paper's "SBC remap 2DBC" strategy (Section V-F.2):
     /// factor under `sym`, remap to `bc` for the inversion, remap back.
     pub fn potri_remap<A: Distribution, B: Distribution>(sym: &A, bc: &B, nt: usize) -> Self {
-        Self::shared(memo::potri_remap(sym, bc, nt))
+        Self::graph(memo::potri_remap(sym, bc, nt))
     }
 
     /// Tile dimension (default 32).
@@ -360,7 +352,7 @@ impl<'a> Run<'a> {
     /// iteration and exits on drain. Returns the job's id.
     fn submit_closed<'s>(&'s self, table: &JobTable<'s>) -> JobId {
         let spec = JobSpec::new(
-            GraphRef::Borrowed(&self.graph),
+            Arc::clone(&self.graph),
             self.b,
             (self.seed, self.seed_rhs.unwrap_or(self.seed ^ 0x05EE_D0FB)),
             0,
@@ -708,9 +700,12 @@ mod tests {
     #[test]
     fn worker_counts_do_not_change_results_or_traffic() {
         let d = SbcExtended::new(5); // 10 nodes
-        let g = build_potrf(&d, 12);
+        let g = Arc::new(build_potrf(&d, 12));
         let run = |workers| {
-            let run = Run::graph(&g).block(8).seed(2022).workers(workers);
+            let run = Run::graph(Arc::clone(&g))
+                .block(8)
+                .seed(2022)
+                .workers(workers);
             run.execute().unwrap()
         };
         let base = run(1);
@@ -757,8 +752,8 @@ mod tests {
     #[test]
     fn execute_rank_gather_matches_execute() {
         let d = SbcExtended::new(4); // 6 nodes
-        let g = build_potrf(&d, 10);
-        let run = Run::graph(&g).block(8).seed(2022).workers(1);
+        let g = Arc::new(build_potrf(&d, 10));
+        let run = Run::graph(Arc::clone(&g)).block(8).seed(2022).workers(1);
         let expected = run.execute().unwrap();
         let mesh = inproc_mesh(g.num_nodes());
         let out = run_ranks(&run, &mesh);
@@ -884,8 +879,8 @@ mod tests {
     #[test]
     fn duplicating_and_delaying_transport_does_not_change_the_result() {
         let d = TwoDBlockCyclic::new(2, 2);
-        let g = build_potrf(&d, 8);
-        let run = Run::graph(&g).block(8).seed(3).workers(2);
+        let g = Arc::new(build_potrf(&d, 8));
+        let run = Run::graph(Arc::clone(&g)).block(8).seed(3).workers(2);
         let clean = run.execute().unwrap();
         let cfg = FaultConfig {
             dup_every: 2,

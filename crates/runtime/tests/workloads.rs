@@ -10,6 +10,7 @@ use sbc_matrix::{
     potri_tiled, random_general, random_panel, random_spd, solve_residual, trtri_tiled,
 };
 use sbc_runtime::Run;
+use std::sync::Arc;
 
 const B: usize = 8;
 const SEED: u64 = 2022;
@@ -213,9 +214,9 @@ fn recorded_run_observes_every_task_and_message() {
 
     let dist = SbcExtended::new(5); // 10 nodes
     let nt = 10;
-    let g = build_potrf(&dist, nt);
+    let g = Arc::new(build_potrf(&dist, nt));
     let rec = Recorder::new();
-    let out = Run::graph(&g)
+    let out = Run::graph(Arc::clone(&g))
         .block(B)
         .seed(SEED)
         .recorder(&rec)

@@ -124,7 +124,7 @@ impl Client {
     }
 
     /// [`Client::connect`] with an explicit retry budget.
-    pub fn connect_with_budget(addr: &str, budget: Duration) -> std::io::Result<Client> {
+    pub(crate) fn connect_with_budget(addr: &str, budget: Duration) -> std::io::Result<Client> {
         Ok(Client {
             conn: sbc_net::connect_retry(addr, budget)?,
             next_req: 0,

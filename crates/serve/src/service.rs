@@ -172,7 +172,7 @@ impl Service {
     /// are recorded by the job table the moment the last rank reports; this
     /// method only adds the per-job trace span and refreshes the
     /// throughput gauge.
-    pub fn wait(&self, id: JobId) -> Result<JobOutcome<'static>, ExecError> {
+    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
         let out = self.table.wait(id)?;
         self.throughput.set(self.jobs_per_sec());
         let end = self.started.elapsed().as_secs_f64();
@@ -211,11 +211,6 @@ impl Service {
         &self.metrics
     }
 
-    /// The structured lifecycle event ring.
-    pub fn events(&self) -> &Arc<EventLog> {
-        &self.events
-    }
-
     /// The shared planner (its cache statistics are also in the metrics).
     pub fn planner(&self) -> &Planner {
         &self.planner
@@ -224,11 +219,6 @@ impl Service {
     /// Jobs completed since start (lock-free).
     pub fn completed(&self) -> u64 {
         self.table.completed()
-    }
-
-    /// Jobs admitted and not yet finished (lock-free).
-    pub fn inflight(&self) -> usize {
-        self.table.inflight()
     }
 
     /// Completed jobs per second over the sliding window — an
@@ -240,7 +230,7 @@ impl Service {
     /// The send-buffer pool the wire front ([`crate::serve`]) encodes its
     /// replies through. Its checkout accounting surfaces as the
     /// `net.pool.{hit,miss,outstanding}` metrics.
-    pub fn reply_pool(&self) -> &BufferPool {
+    pub(crate) fn reply_pool(&self) -> &BufferPool {
         &self.reply_pool
     }
 
@@ -261,7 +251,7 @@ impl Service {
     /// (so a scrape sees the current sliding-window rate and pool state,
     /// not the last `wait`'s). Touches no lock shared with the engine hot
     /// loop.
-    pub fn stats(&self) -> MetricsSnapshot {
+    pub(crate) fn stats(&self) -> MetricsSnapshot {
         self.throughput.set(self.jobs_per_sec());
         self.refresh_pool_metrics();
         self.metrics.snapshot()
@@ -269,12 +259,12 @@ impl Service {
 
     /// [`Service::stats`] rendered as Prometheus-style exposition text —
     /// what a [`sbc_net::wire::Frame::StatsReply`] carries.
-    pub fn stats_text(&self) -> String {
+    pub(crate) fn stats_text(&self) -> String {
         expo::render(&self.stats())
     }
 
     /// The newest `max` lifecycle events, oldest first.
-    pub fn events_tail(&self, max: usize) -> Vec<ObsEvent> {
+    pub(crate) fn events_tail(&self, max: usize) -> Vec<ObsEvent> {
         self.events.tail(max)
     }
 

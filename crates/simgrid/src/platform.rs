@@ -122,16 +122,6 @@ impl Platform {
         }
     }
 
-    /// Same compute as [`Platform::bora`] but with a network slowed by
-    /// `factor` (bandwidth divided, overhead multiplied). Used by tests and
-    /// ablations to reach the communication-bound regime at small scales.
-    pub fn bora_slow_network(nodes: usize, factor: f64) -> Self {
-        let mut p = Self::bora(nodes);
-        p.nic_bandwidth /= factor;
-        p.per_message_overhead *= factor;
-        p
-    }
-
     /// Time a message occupies a NIC port (one direction): host overhead
     /// plus serialization.
     pub fn port_seconds(&self, bytes: u64) -> f64 {
@@ -190,6 +180,18 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Platform {
+        /// Same compute as [`Platform::bora`] but with a network slowed by
+        /// `factor` (bandwidth divided, overhead multiplied). Reaches the
+        /// communication-bound regime at small scales.
+        pub(crate) fn bora_slow_network(nodes: usize, factor: f64) -> Self {
+            let mut p = Self::bora(nodes);
+            p.nic_bandwidth /= factor;
+            p.per_message_overhead *= factor;
+            p
+        }
+    }
 
     #[test]
     fn bora_matches_paper_constants() {

@@ -187,7 +187,7 @@ impl TaskGraph {
 
     /// In-degree (all edge kinds) of every task — the initial dependency
     /// counters for schedulers.
-    pub fn in_degrees(&self) -> Vec<u32> {
+    pub(crate) fn in_degrees(&self) -> Vec<u32> {
         (0..self.len())
             .map(|t| self.preds.offsets[t + 1] - self.preds.offsets[t])
             .collect()
@@ -313,7 +313,7 @@ fn state(data: &mut Vec<DataState>, slot: usize) -> &mut DataState {
 ///   writers of a tile share its owner node, so these are local) and on all
 ///   same-node readers since then (write-after-read ordering edges —
 ///   remote readers received a copy and impose nothing).
-pub struct GraphBuilder {
+pub(crate) struct GraphBuilder {
     tasks: Vec<Task>,
     // flat (consumer, encoded pred) pairs, turned into CSR at finish
     edge_list: Vec<(u32, u32)>,
@@ -333,7 +333,7 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder for a platform of `num_nodes` nodes and a matrix of
     /// `nt x nt` tiles, with `slices` 2.5D slices (1 for 2D).
-    pub fn new(num_nodes: usize, nt: usize, slices: usize) -> Self {
+    pub(crate) fn new(num_nodes: usize, nt: usize, slices: usize) -> Self {
         GraphBuilder {
             tasks: Vec::new(),
             edge_list: Vec::new(),
@@ -349,7 +349,7 @@ impl GraphBuilder {
     /// Declares the home node of an original input tile. A read of a tile
     /// with no writer yet, by a task on a different node, then records an
     /// [`InitialFetch`] instead of being silently treated as local.
-    pub fn set_home(&mut self, tile: TileRef, node: u32) {
+    pub(crate) fn set_home(&mut self, tile: TileRef, node: u32) {
         state(&mut self.data, self.space.slot(tile)).home = Some(node);
     }
 
@@ -366,7 +366,7 @@ impl GraphBuilder {
 
     /// Submits a task reading `reads` and read-modify-writing `target`.
     /// Returns the new task's id.
-    pub fn submit(&mut self, task: Task, reads: &[TileRef], target: TileRef) -> TaskId {
+    pub(crate) fn submit(&mut self, task: Task, reads: &[TileRef], target: TileRef) -> TaskId {
         let tid = self.tasks.len() as TaskId;
         assert!(
             (task.node as usize) < self.num_nodes,
@@ -419,24 +419,14 @@ impl GraphBuilder {
     /// Submits a task, deriving its read set and target from
     /// [`Task::reads`] / [`Task::output`] with this builder's slice count —
     /// the normal entry point for the operation builders.
-    pub fn submit_task(&mut self, task: Task) -> TaskId {
+    pub(crate) fn submit_task(&mut self, task: Task) -> TaskId {
         let reads = task.reads(self.space.slices);
         let target = task.output(self.space.slices);
         self.submit(task, reads.as_slice(), target)
     }
 
-    /// Number of tasks submitted so far.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no tasks have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
     /// Finalizes the graph: packs predecessor and successor CSR structures.
-    pub fn finish(mut self) -> TaskGraph {
+    pub(crate) fn finish(mut self) -> TaskGraph {
         let n = self.tasks.len();
         // predecessor CSR (edge_list is grouped by consumer already since
         // submissions append in order, but sort defensively)

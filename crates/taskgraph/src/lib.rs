@@ -7,7 +7,7 @@
 //! * tasks are placed by the **owner-computes** rule — every task that
 //!   *modifies* a tile runs on the node owning that tile (Section III-A);
 //! * dependencies are inferred *superscalar-style* from the access modes of
-//!   each submitted task ([`GraphBuilder`]): read-after-write edges carry
+//!   each submitted task (`GraphBuilder`): read-after-write edges carry
 //!   data, write-after-read edges only order local storage reuse — the same
 //!   inference StarPU performs from `(tile, access-mode)` declarations;
 //! * an inter-node **message** exists for every distinct
@@ -37,7 +37,7 @@ pub use builders::{
     build_lauum, build_lu, build_posv, build_potrf, build_potrf_25d, build_potri,
     build_potri_remap, build_trtri,
 };
-pub use graph::{EdgeKind, GraphBuilder, InitialFetch, ResultKind, TaskGraph};
+pub use graph::{EdgeKind, InitialFetch, ResultKind, TaskGraph};
 pub use priority::{
     critical_path_length, critical_path_priorities, flops_priorities, upward_ranks,
 };

@@ -11,7 +11,7 @@
 //! Each function below returns the shared graph of its builder's arguments:
 //! the first caller builds it, callers racing it wait for that build (single
 //! flight), and later callers get the same [`Arc`]. Graphs are kept least
-//! recently used first out under a fixed budget of [`BUDGET_TASKS`] tasks
+//! recently used first out under a fixed budget of `BUDGET_TASKS` tasks
 //! over all graphs; a graph larger than the whole budget is handed out but
 //! not kept. The `build_*` functions stay pure and uncached.
 
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// Tasks the memo keeps across all its graphs: the paper's largest
 /// factorization (nt = 200, 1 353 400 tasks) beside a working set of small
 /// ones.
-pub const BUDGET_TASKS: usize = 1 << 21;
+pub(crate) const BUDGET_TASKS: usize = 1 << 21;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Builder {

@@ -45,7 +45,7 @@ pub enum TileRef {
 /// tiles and `slices` 2.5D slices can name has a slot, so per-tile state
 /// lives in a table indexed by [`TileSpace::slot`] instead of a hash map
 /// keyed by `TileRef`. Its two users are the dependency-inferring
-/// [`crate::GraphBuilder`] and the runtime's per-rank tile store.
+/// `GraphBuilder` and the runtime's per-rank tile store.
 ///
 /// Layout, in slot order: the `nt` right-hand-side tiles `B`; then, only when
 /// `slices > 1`, one `nt²` plane of accumulation buffers `Buf` per slice;
@@ -69,7 +69,7 @@ impl TileSpace {
 
     /// Whether `r` is a tile of this space — what [`TileSpace::slot`]
     /// asserts, as a question for names that come off the wire.
-    pub fn contains(&self, r: TileRef) -> bool {
+    pub(crate) fn contains(&self, r: TileRef) -> bool {
         let (nt, c) = (self.nt, self.slices);
         let cell = |i: u32, j: u32| (i as usize) < nt && (j as usize) < nt;
         match r {

@@ -36,6 +36,6 @@ pub mod pareto;
 pub mod sched;
 pub mod topology;
 
-pub use pareto::{pareto_front, render_report, SweepPoint};
+pub use pareto::{render_report, SweepPoint};
 pub use sched::{zoo, CriticalPath, Heft, SchedCtx, Scheduler, SubmissionOrder};
-pub use topology::{Hop, HostId, Link, LinkId, Route, SwitchId, Topology, TopologyBuilder};
+pub use topology::{Hop, HostId, Link, LinkId, Route, SwitchId, Topology};

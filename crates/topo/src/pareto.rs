@@ -35,7 +35,7 @@ pub struct SweepPoint {
 /// Marks the Pareto-optimal points of the (makespan, cross-rack bytes)
 /// minimization: `out[i]` is `true` iff no other point is at least as good
 /// on both objectives and strictly better on one.
-pub fn pareto_front(points: &[SweepPoint]) -> Vec<bool> {
+pub(crate) fn pareto_front(points: &[SweepPoint]) -> Vec<bool> {
     points
         .iter()
         .map(|p| {

@@ -107,11 +107,6 @@ impl Topology {
         &self.links
     }
 
-    /// Rack id of a host.
-    pub fn rack_of(&self, host: HostId) -> u32 {
-        self.rack_of[host as usize]
-    }
-
     /// Whether messages between the two hosts cross a rack boundary.
     pub fn cross_rack(&self, src: HostId, dst: HostId) -> bool {
         self.rack_of[src as usize] != self.rack_of[dst as usize]
@@ -179,7 +174,7 @@ impl Topology {
 }
 
 /// Incremental [`Topology`] construction.
-pub struct TopologyBuilder {
+struct TopologyBuilder {
     name: String,
     rack_of: Vec<u32>,
     switches: usize,
@@ -189,13 +184,13 @@ pub struct TopologyBuilder {
     switch_links: Vec<(u32, u32, f64, f64)>,
 }
 
-/// Opaque switch handle returned by [`TopologyBuilder::add_switch`].
+/// Opaque switch handle returned by `TopologyBuilder::add_switch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchId(u32);
 
 impl TopologyBuilder {
     /// An empty topology named `name`.
-    pub fn new(name: &str) -> Self {
+    fn new(name: &str) -> Self {
         TopologyBuilder {
             name: name.to_string(),
             rack_of: Vec::new(),
@@ -206,24 +201,24 @@ impl TopologyBuilder {
     }
 
     /// Adds a host in `rack`, returning its dense id.
-    pub fn add_host(&mut self, rack: u32) -> HostId {
+    fn add_host(&mut self, rack: u32) -> HostId {
         self.rack_of.push(rack);
         (self.rack_of.len() - 1) as HostId
     }
 
     /// Adds a switch.
-    pub fn add_switch(&mut self) -> SwitchId {
+    fn add_switch(&mut self) -> SwitchId {
         self.switches += 1;
         SwitchId((self.switches - 1) as u32)
     }
 
     /// Connects a host to a switch (an access link).
-    pub fn connect_host(&mut self, host: HostId, switch: SwitchId, bandwidth: f64, latency: f64) {
+    fn connect_host(&mut self, host: HostId, switch: SwitchId, bandwidth: f64, latency: f64) {
         self.host_links.push((host, switch.0, bandwidth, latency));
     }
 
     /// Connects two switches (a backbone link).
-    pub fn connect_switches(&mut self, a: SwitchId, b: SwitchId, bandwidth: f64, latency: f64) {
+    fn connect_switches(&mut self, a: SwitchId, b: SwitchId, bandwidth: f64, latency: f64) {
         self.switch_links.push((a.0, b.0, bandwidth, latency));
     }
 
@@ -231,7 +226,7 @@ impl TopologyBuilder {
     ///
     /// Errors on: no hosts, a host with no link, non-positive bandwidth, a
     /// negative latency, an endpoint out of range, or a disconnected graph.
-    pub fn build(self) -> Result<Topology, String> {
+    fn build(self) -> Result<Topology, String> {
         let hosts = self.rack_of.len();
         if hosts == 0 {
             return Err("topology has no hosts".into());
@@ -466,9 +461,6 @@ mod tests {
         assert_eq!(cross.bottleneck, BW / 8.0);
         assert_eq!(cross.backbone.len(), 2);
         assert!((cross.latency - 2.0 * LAT).abs() < 1e-18);
-        // rack labels are rack-major
-        assert_eq!(t.rack_of(0), 0);
-        assert_eq!(t.rack_of(3), 1);
         assert!(t.cross_rack(2, 3) && !t.cross_rack(0, 2));
     }
 

@@ -7,6 +7,7 @@ use sbc::kernels::{KernelError, Tile};
 use sbc::matrix::generate;
 use sbc::runtime::{ExecError, Run};
 use sbc::taskgraph::{build_potrf, build_trtri, TileRef};
+use std::sync::Arc;
 use std::time::Duration;
 
 const B: usize = 6;
@@ -30,10 +31,10 @@ fn poisoned_spd(nt: usize, bad: (u32, u32)) -> impl Fn(TileRef) -> Tile + Sync {
 fn non_spd_input_is_reported_not_deadlocked() {
     let dist = SbcExtended::new(5); // 10 nodes
     let nt = 9;
-    let g = build_potrf(&dist, nt);
+    let g = Arc::new(build_potrf(&dist, nt));
     for workers in [1, 4] {
         // poison a later diagonal tile so plenty of tasks run first
-        let exec = Run::graph(&g)
+        let exec = Run::graph(Arc::clone(&g))
             .block(B)
             .provider(poisoned_spd(nt, (4, 4)))
             .workers(workers);
@@ -62,8 +63,10 @@ fn dist_nodes<D: sbc::dist::Distribution>(d: &D) -> usize {
 fn failure_on_first_tile() {
     let dist = TwoDBlockCyclic::new(2, 2);
     let nt = 6;
-    let g = build_potrf(&dist, nt);
-    let exec = Run::graph(&g).block(B).provider(poisoned_spd(nt, (0, 0)));
+    let g = Arc::new(build_potrf(&dist, nt));
+    let exec = Run::graph(Arc::clone(&g))
+        .block(B)
+        .provider(poisoned_spd(nt, (0, 0)));
     let err = exec.execute().expect_err("must fail immediately");
     assert!(
         matches!(err, ExecError::Kernel { task: 0, .. }),
@@ -75,13 +78,17 @@ fn failure_on_first_tile() {
 fn singular_triangle_in_trtri() {
     let dist = TwoDBlockCyclic::new(2, 2);
     let nt = 5;
-    let g = build_trtri(&dist, nt);
+    let g = Arc::new(build_trtri(&dist, nt));
     // provider with an exactly singular diagonal tile
-    let exec = Run::graph(&g).block(B).provider(move |r| match r {
-        TileRef::A { phase: 0, i, j, .. } if i == j && i == 2 => Tile::zeros(B),
-        TileRef::A { phase: 0, i, j, .. } => generate::spd_tile(9, nt, B, i as usize, j as usize),
-        _ => Tile::zeros(B),
-    });
+    let exec = Run::graph(Arc::clone(&g))
+        .block(B)
+        .provider(move |r| match r {
+            TileRef::A { phase: 0, i, j, .. } if i == j && i == 2 => Tile::zeros(B),
+            TileRef::A { phase: 0, i, j, .. } => {
+                generate::spd_tile(9, nt, B, i as usize, j as usize)
+            }
+            _ => Tile::zeros(B),
+        });
     let err = exec.execute().expect_err("singular triangle must fail");
     assert!(
         matches!(
@@ -99,8 +106,8 @@ fn singular_triangle_in_trtri() {
 fn healthy_inputs_still_succeed_via_execute() {
     let dist = SbcExtended::new(4);
     let nt = 8;
-    let g = build_potrf(&dist, nt);
-    let exec = Run::graph(&g).block(B).seed(42).seed_rhs(43);
+    let g = Arc::new(build_potrf(&dist, nt));
+    let exec = Run::graph(Arc::clone(&g)).block(B).seed(42).seed_rhs(43);
     let out = exec.execute().expect("healthy run succeeds");
     assert_eq!(out.stats.messages, g.count_messages());
 }
@@ -187,7 +194,7 @@ fn a_wrong_dimension_payload_is_a_typed_error() {
     use sbc::net::{inproc_mesh, Message, Payload, Transport};
 
     let (outcome, poisoned, first) = within_deadline(|| {
-        let g = build_potrf(&TwoDBlockCyclic::new(2, 1), 4);
+        let g = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 1), 4));
         let tasks = g.tasks();
         // rank 0's first POTRF, and the first task of rank 1 that reads it
         let producer = 0;
@@ -205,7 +212,7 @@ fn a_wrong_dimension_payload_is_a_typed_error() {
                 tile,
             },
         );
-        let outcome = Run::graph(&g)
+        let outcome = Run::graph(Arc::clone(&g))
             .block(8)
             .execute_rank(&rank1)
             .map(|out| out.is_some());

@@ -9,6 +9,7 @@ use sbc::matrix::{potrf_tiled, random_spd, SymmetricTiledMatrix};
 use sbc::net::{inproc_mesh, local_mesh, Backend, FaultConfig, Faulty, Transport, TransportStats};
 use sbc::runtime::{CommStats, Run, RunOutput};
 use sbc::taskgraph::build_potrf;
+use std::sync::Arc;
 
 const B: usize = 8;
 const SEED: u64 = 2022;
@@ -195,8 +196,12 @@ fn tcp_wire_bytes_equal_analytic_bytes_for_sbc_potrf() {
 fn faulty_transport_is_deduplicated_by_the_runtime() {
     let dist = TwoDBlockCyclic::new(2, 2);
     let nt = 9;
-    let g = build_potrf(&dist, nt);
-    let exec = Run::graph(&g).block(B).seed(SEED).seed_rhs(7).workers(2);
+    let g = Arc::new(build_potrf(&dist, nt));
+    let exec = Run::graph(Arc::clone(&g))
+        .block(B)
+        .seed(SEED)
+        .seed_rhs(7)
+        .workers(2);
     let clean = exec.execute().expect("clean run failed");
 
     let cfg = FaultConfig {

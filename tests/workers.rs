@@ -175,7 +175,7 @@ fn socket_runs_lose_no_wake_up() {
     let (tx, rx) = std::sync::mpsc::channel();
     let runner = std::thread::spawn(move || {
         let d = SbcExtended::new(4); // 6 ranks
-        let g = sbc::taskgraph::build_potrf(&d, nt);
+        let g = Arc::new(sbc::taskgraph::build_potrf(&d, nt));
         let mut seq = sbc::matrix::random_spd(seed, nt, b);
         sbc::matrix::potrf_tiled(&mut seq).unwrap();
         let messages = comm::potrf_messages(&d, nt);
@@ -204,7 +204,10 @@ fn socket_runs_lose_no_wake_up() {
                     };
                     Session::with_config(Faulty::new(t, plan), fast)
                 });
-                let run = Run::graph(&g).block(b).seed(seed).workers(workers);
+                let run = Run::graph(Arc::clone(&g))
+                    .block(b)
+                    .seed(seed)
+                    .workers(workers);
                 let run = &run;
                 // each thread owns its session: a finished rank's drops it,
                 // and a tail payload still unacked is retransmitted there
