@@ -177,84 +177,50 @@ pub(crate) fn default_original(
     }
 }
 
-/// Dispatches one task kind to its kernel on the given backend.
+/// Dispatches one task kind to its kernel on the given backend. `operands`
+/// holds the task's reads in order: a `ReadSet` has at most two.
 pub(crate) fn run_kernel(
     kernels: KernelBackend,
     kind: TaskKind,
-    read_tiles: &[Tile],
+    operands: &[Option<Tile>; 2],
     target: &mut Tile,
 ) -> Result<(), KernelError> {
+    let op = |k: usize| operands[k].as_ref().expect("the task reads this operand");
     match kind {
         TaskKind::Potrf { .. } => kernels.potrf(target)?,
-        TaskKind::Trsm { .. } => kernels.trsm_right_lower_trans(1.0, &read_tiles[0], target),
-        TaskKind::Syrk { .. } => kernels.syrk(Trans::No, -1.0, &read_tiles[0], 1.0, target),
-        TaskKind::Gemm { .. } => kernels.gemm(
-            Trans::No,
-            Trans::Yes,
-            -1.0,
-            &read_tiles[0],
-            &read_tiles[1],
-            1.0,
-            target,
-        ),
-        TaskKind::Reduce { .. } => target.add_assign(&read_tiles[0]),
-        TaskKind::TrsmFwd { .. } => kernels.trsm_left_lower(1.0, &read_tiles[0], target),
-        TaskKind::GemmFwd { .. } => kernels.gemm(
-            Trans::No,
-            Trans::No,
-            -1.0,
-            &read_tiles[0],
-            &read_tiles[1],
-            1.0,
-            target,
-        ),
-        TaskKind::TrsmBwd { .. } => kernels.trsm_left_lower_trans(1.0, &read_tiles[0], target),
-        TaskKind::GemmBwd { .. } => kernels.gemm(
-            Trans::Yes,
-            Trans::No,
-            -1.0,
-            &read_tiles[0],
-            &read_tiles[1],
-            1.0,
-            target,
-        ),
-        TaskKind::TrsmRInv { .. } => kernels.trsm_right_lower(-1.0, &read_tiles[0], target),
-        TaskKind::GemmInv { .. } => kernels.gemm(
-            Trans::No,
-            Trans::No,
-            1.0,
-            &read_tiles[0],
-            &read_tiles[1],
-            1.0,
-            target,
-        ),
-        TaskKind::TrsmLInv { .. } => kernels.trsm_left_lower(1.0, &read_tiles[0], target),
+        TaskKind::Trsm { .. } => kernels.trsm_right_lower_trans(1.0, op(0), target),
+        TaskKind::Syrk { .. } => kernels.syrk(Trans::No, -1.0, op(0), 1.0, target),
+        TaskKind::Gemm { .. } => {
+            kernels.gemm(Trans::No, Trans::Yes, -1.0, op(0), op(1), 1.0, target)
+        }
+        TaskKind::Reduce { .. } => target.add_assign(op(0)),
+        TaskKind::TrsmFwd { .. } => kernels.trsm_left_lower(1.0, op(0), target),
+        TaskKind::GemmFwd { .. } => {
+            kernels.gemm(Trans::No, Trans::No, -1.0, op(0), op(1), 1.0, target)
+        }
+        TaskKind::TrsmBwd { .. } => kernels.trsm_left_lower_trans(1.0, op(0), target),
+        TaskKind::GemmBwd { .. } => {
+            kernels.gemm(Trans::Yes, Trans::No, -1.0, op(0), op(1), 1.0, target)
+        }
+        TaskKind::TrsmRInv { .. } => kernels.trsm_right_lower(-1.0, op(0), target),
+        TaskKind::GemmInv { .. } => {
+            kernels.gemm(Trans::No, Trans::No, 1.0, op(0), op(1), 1.0, target)
+        }
+        TaskKind::TrsmLInv { .. } => kernels.trsm_left_lower(1.0, op(0), target),
         TaskKind::TrtriDiag { .. } => kernels.trtri(target)?,
-        TaskKind::SyrkLu { .. } => kernels.syrk(Trans::Yes, 1.0, &read_tiles[0], 1.0, target),
-        TaskKind::GemmLu { .. } => kernels.gemm(
-            Trans::Yes,
-            Trans::No,
-            1.0,
-            &read_tiles[0],
-            &read_tiles[1],
-            1.0,
-            target,
-        ),
-        TaskKind::TrmmLu { .. } => kernels.trmm_left_lower_trans(&read_tiles[0], target),
+        TaskKind::SyrkLu { .. } => kernels.syrk(Trans::Yes, 1.0, op(0), 1.0, target),
+        TaskKind::GemmLu { .. } => {
+            kernels.gemm(Trans::Yes, Trans::No, 1.0, op(0), op(1), 1.0, target)
+        }
+        TaskKind::TrmmLu { .. } => kernels.trmm_left_lower_trans(op(0), target),
         TaskKind::LauumDiag { .. } => kernels.lauum(target),
         TaskKind::Getrf { .. } => kernels.getrf(target)?,
-        TaskKind::TrsmRow { .. } => kernels.trsm_left_unit_lower(&read_tiles[0], target),
-        TaskKind::TrsmCol { .. } => kernels.trsm_right_upper(&read_tiles[0], target),
-        TaskKind::GemmTrail { .. } => kernels.gemm(
-            Trans::No,
-            Trans::No,
-            -1.0,
-            &read_tiles[0],
-            &read_tiles[1],
-            1.0,
-            target,
-        ),
-        TaskKind::Move { .. } => *target = read_tiles[0].clone(),
+        TaskKind::TrsmRow { .. } => kernels.trsm_left_unit_lower(op(0), target),
+        TaskKind::TrsmCol { .. } => kernels.trsm_right_upper(op(0), target),
+        TaskKind::GemmTrail { .. } => {
+            kernels.gemm(Trans::No, Trans::No, -1.0, op(0), op(1), 1.0, target)
+        }
+        TaskKind::Move { .. } => *target = op(0).clone(),
     }
     Ok(())
 }

@@ -22,6 +22,16 @@
 //!   Threads are the driver's business (`crate::drive`): [`run_jobs`] steps
 //!   the ranks of the endpoints it is given on one shared pool.
 //!
+//! Lock order: the engine lock (`Engine::state`) before a job's replica
+//! cache (`JobCtx::cache`), the cache before its tile store
+//! (`JobCtx::local`); the table's lock nests inside the engine lock only
+//! in `Engine::admit`. `apply_payload` and `count_down_reads` write the
+//! cache under the engine lock. A task's own bookkeeping is one engine
+//! lock: its completion counts successors down and picks the rank's next
+//! step under it. Its operands are resolved and its target taken under one
+//! store write guard, after one cache read guard when an operand is remote,
+//! and never while the engine lock is held.
+//!
 //! A one-shot run is the degenerate table: the front end submits its single
 //! job, closes admission, then starts the engines, which register the job
 //! on their first step and drain once it is done.
@@ -79,9 +89,9 @@ pub(crate) struct JobSpec<'a> {
     pub seed_rhs: u64,
     /// Job priority: higher jumps the shared ready heap.
     pub prio: u8,
-    /// Ready-heap task priorities as raw f32 bits (non-negative floats
-    /// order like their bit patterns).
-    pub(crate) prio_bits: Vec<u32>,
+    /// Ready-heap task priorities as raw f32 bits, one per task of the
+    /// graph, shared by every job of one (graph, scheduler, `b`).
+    pub(crate) prio_bits: Arc<[u32]>,
     /// Original-tile contents; `None` is the seeded generators.
     pub(crate) provider: Option<&'a TileProvider<'a>>,
 }
@@ -90,8 +100,9 @@ impl<'a> JobSpec<'a> {
     /// Describes a job, its tasks ranked by `sched`. Task costs are flop
     /// counts at tile size `b` and the communication cost is one GEMM's
     /// flops (a dimensionless surrogate: only relative magnitudes matter for
-    /// ordering). `provider: None` is the seeded generators. The table
-    /// assigns the id at admission.
+    /// ordering); the graph ranks itself once per scheduler name and `b`.
+    /// `provider: None` is the seeded generators. The table assigns the id
+    /// at admission.
     pub(crate) fn new(
         graph: Arc<TaskGraph>,
         b: usize,
@@ -100,13 +111,14 @@ impl<'a> JobSpec<'a> {
         sched: &dyn Scheduler,
         provider: Option<&'a TileProvider<'a>>,
     ) -> Self {
-        let costs: Vec<f64> = graph.tasks().iter().map(|t| t.kind.flops(b)).collect();
-        let ctx = SchedCtx {
-            graph: &graph,
-            task_cost: &costs,
-            comm_cost: sbc_kernels::flops::flops_gemm(b),
-        };
-        let prio_bits = sched.ranks(&ctx).into_iter().map(f32::to_bits).collect();
+        let prio_bits = graph.priorities(sched.name(), b, |graph| {
+            let costs: Vec<f64> = graph.tasks().iter().map(|t| t.kind.flops(b)).collect();
+            sched.ranks(&SchedCtx {
+                graph,
+                task_cost: &costs,
+                comm_cost: sbc_kernels::flops::flops_gemm(b),
+            })
+        });
         JobSpec {
             id: 0,
             graph,
@@ -120,7 +132,7 @@ impl<'a> JobSpec<'a> {
     }
 
     fn task_prio(&self, t: TaskId) -> u32 {
-        self.prio_bits.get(t as usize).copied().unwrap_or(0)
+        self.prio_bits[t as usize]
     }
 
     /// The original (input) content of tile `r`; a provider's tile of the
@@ -337,7 +349,8 @@ pub struct JobTable<'a> {
     /// Time source of admission stamps and of every engine's watchdog.
     pub(crate) clock: Arc<dyn Clock>,
     /// Lock-free mirrors of `TableState::{inflight, completed}` so a
-    /// telemetry scrape never touches the state mutex the engines use.
+    /// telemetry scrape never touches the state mutex the engines use;
+    /// `inflight_now` is written under that mutex, in its order.
     inflight_now: AtomicU64,
     completed_ever: AtomicU64,
     obs: OnceLock<TableObs>,
@@ -547,9 +560,11 @@ impl<'a> JobTable<'a> {
             q.push_back(Arc::clone(&spec));
         }
         self.generation.fetch_add(1, Ordering::Release);
+        // the mirror is written under the lock: stored after it, a job that
+        // finished first would leave it at this count for good
+        self.inflight_now.store(inflight as u64, Ordering::Relaxed);
         drop(st);
         self.admitted();
-        self.inflight_now.store(inflight as u64, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.submitted.inc();
             obs.inflight.set(inflight as f64);
@@ -685,8 +700,8 @@ impl<'a> JobTable<'a> {
             st.inflight -= 1;
             st.completed += 1;
             let inflight = st.inflight;
-            drop(st);
             self.inflight_now.store(inflight as u64, Ordering::Relaxed);
+            drop(st);
             self.completed_ever.fetch_add(1, Ordering::Relaxed);
             if let Some(obs) = self.obs.get() {
                 obs.inflight.set(inflight as f64);
@@ -712,8 +727,8 @@ impl<'a> JobTable<'a> {
         for q in &mut st.incoming {
             q.clear();
         }
-        drop(st);
         self.inflight_now.store(0, Ordering::Relaxed);
+        drop(st);
         if let Some(obs) = self.obs.get() {
             obs.inflight.set(0.0);
             if first {
@@ -826,9 +841,9 @@ impl JobCtx<'_> {
         self.spec.graph.rank_view(self.me)
     }
 
-    /// The job-local tile `r`, generated from its original on first use.
-    fn local_or_original(&self, r: TileRef) -> Result<Tile, KernelError> {
-        let mut local = write(&self.local);
+    /// The job-local tile `r` of `local` (this job's store, under its write
+    /// guard), generated from its original on first use.
+    fn local_or_original(&self, local: &mut TileStore, r: TileRef) -> Result<Tile, KernelError> {
         if let Some(tile) = local.get(r) {
             return Ok(tile.clone());
         }
@@ -866,10 +881,10 @@ struct JobRun<'a> {
 
 impl JobRun<'_> {
     /// Counts own task `l`'s reads of remote inputs down, once per input,
-    /// moving the tile of each input whose last reader `l` was from its
-    /// cache slot into `released`, for the caller to drop after the engine
-    /// lock.
-    fn count_down_reads(&mut self, view: &RankView, l: u32, released: &mut Vec<Tile>) {
+    /// returning the tile of each input whose last reader `l` was, taken
+    /// from its cache slot, for the caller to drop after the engine lock.
+    fn count_down_reads(&mut self, view: &RankView, l: u32) -> [Option<Tile>; 2] {
+        let mut released = [None, None];
         let read = view.sources(l);
         for (k, &source) in read.iter().enumerate() {
             let Source::Input(i) = source else { continue };
@@ -881,10 +896,11 @@ impl JobRun<'_> {
             if *left == 0 {
                 if let Some(tile) = write(&self.ctx.cache)[i as usize].take() {
                     self.held -= 1;
-                    released.push(tile);
+                    released[k] = Some(tile);
                 }
             }
         }
+        released
     }
 }
 
@@ -947,6 +963,11 @@ struct EngineState<'a> {
 impl EngineState<'_> {
     fn drained(&self) -> bool {
         self.poisoned || (self.closed && self.registering.is_empty() && self.jobs.is_empty())
+    }
+
+    /// Ready-heap depth, early-payload stash size and jobs in flight.
+    fn depths(&self) -> (usize, usize, usize) {
+        (self.ready.len(), self.pending.len(), self.jobs.len())
     }
 
     /// Tiles this rank holds across its jobs: owned tiles in the stores
@@ -1133,9 +1154,12 @@ impl<'e, 'a> Engine<'e, 'a> {
         ))
     }
 
-    /// Publishes this rank's live gauges: ready-heap depth, early-payload
-    /// stash size, jobs in flight here, and the lanes' busy fraction.
-    fn publish_gauges(&self, obs: &RankObs, (ready, pending, jobs): (usize, usize, usize)) {
+    /// Publishes this rank's live gauges, when the table is obs-bound: the
+    /// [`EngineState::depths`] captured under the engine lock, as plain
+    /// atomic stores after its release so scrapers never take that lock,
+    /// and the lanes' busy fraction.
+    fn publish_gauges(&self, (ready, pending, jobs): (usize, usize, usize)) {
+        let Some(obs) = &self.obs else { return };
         obs.ready.set(ready as f64);
         obs.pending.set(pending as f64);
         obs.inflight.set(jobs as f64);
@@ -1161,7 +1185,8 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     /// Releases the engine lock after a change a stepper may act on and
-    /// tells the driver, with whether ship or run steps are waiting.
+    /// tells the driver, with whether ship or run steps are waiting — after
+    /// a completion's own pick, so only what another lane could take.
     fn unlock_and_nudge(&self, st: MutexGuard<'_, EngineState<'a>>) {
         let work = !st.ready.is_empty() || !st.unshipped.is_empty();
         drop(st);
@@ -1203,10 +1228,14 @@ impl<'e, 'a> Engine<'e, 'a> {
     fn step_on(&self, obs: &mut Obs<'e>) -> Progress {
         self.admit();
         self.absorb(obs);
-        for _ in 0..STEP_BUDGET {
-            match self.take_work(obs) {
+        // a task's completion picks the next step under the engine lock it
+        // holds anyway, except the budget's last: a step never ends holding
+        // a task it popped
+        let mut next = None;
+        for left in (0..STEP_BUDGET).rev() {
+            match next.take().unwrap_or_else(|| self.take_work(obs)) {
                 Work::Ship(ctx) => self.busy(|| self.ship(&ctx, obs)),
-                Work::Run(ctx, l) => self.busy(|| self.run_task(&ctx, l, obs)),
+                Work::Run(ctx, l) => self.busy(|| next = self.run_task(&ctx, l, left > 0, obs)),
                 Work::Idle => return self.idle(obs),
                 Work::Drained => return Progress::Drained,
             }
@@ -1238,7 +1267,19 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// The next ship or run step, if any, and whether the rank is drained.
     fn take_work(&self, obs: &mut Obs<'_>) -> Work<'a> {
         let mut st = lock(&self.state);
-        let work = if st.drained() {
+        let work = Self::pick(&mut st, obs);
+        let depths = st.depths();
+        drop(st);
+        self.publish_gauges(depths);
+        work
+    }
+
+    /// Takes the next step under the engine lock: drained first, then the
+    /// jobs whose originals are unshipped, then the ready heap. The one
+    /// choice of what a rank does next, made by [`Engine::take_work`] and by
+    /// a task's completion.
+    fn pick(st: &mut EngineState<'a>, obs: &mut Obs<'_>) -> Work<'a> {
+        if st.drained() {
             Work::Drained
         } else if let Some(id) = st.unshipped.pop_front() {
             st.active += 1;
@@ -1253,16 +1294,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             Work::Run(Arc::clone(&run.ctx), k.task.0)
         } else {
             Work::Idle
-        };
-        // depths are captured under the lock the engine already holds and
-        // published as plain atomic stores after release, so scrapers never
-        // take this lock
-        let depths = (st.ready.len(), st.pending.len(), st.jobs.len());
-        drop(st);
-        if let Some(rank_obs) = &self.obs {
-            self.publish_gauges(rank_obs, depths);
         }
-        work
     }
 
     /// Nothing to run: start a dep-wait span if a job is in flight, and
@@ -1431,7 +1463,7 @@ impl<'e, 'a> Engine<'e, 'a> {
         let id = ctx.spec.id;
         let mut sent = (0, 0);
         for &(tile_ref, dest, task) in ctx.view().ships() {
-            let tile = match ctx.local_or_original(tile_ref) {
+            let tile = match ctx.local_or_original(&mut write(&ctx.local), tile_ref) {
                 Ok(tile) => tile,
                 Err(error) => {
                     let node = self.me;
@@ -1464,21 +1496,33 @@ impl<'e, 'a> Engine<'e, 'a> {
 
     /// Executes own task `l` of one job, publishes its output to remote
     /// consumer ranks (tagged with the job id, one message per distinct
-    /// consumer rank) and resolves successors.
-    fn run_task(&self, ctx: &JobCtx<'a>, l: u32, obs: &mut Obs<'_>) {
+    /// consumer rank) and resolves successors. With `pick`, the rank's next
+    /// step is picked under the same engine lock and returned; `None` when
+    /// not asked or when the task failed.
+    fn run_task(
+        &self,
+        ctx: &JobCtx<'a>,
+        l: u32,
+        pick: bool,
+        obs: &mut Obs<'_>,
+    ) -> Option<Work<'a>> {
         let spec = &ctx.spec;
         let g: &TaskGraph = &spec.graph;
         let view = ctx.view();
         let t = view.task(l);
+        let consumer_nodes = view.dests(l);
         let span_start = obs.as_ref().map(|o| o.now());
-        if let Err(error) = execute_task(self.cfg.kernels, ctx, l) {
-            self.fail(ExecError::Kernel {
-                task: t,
-                node: self.me,
-                error,
-            });
-            return;
-        }
+        let output = match execute_task(self.cfg.kernels, ctx, l, !consumer_nodes.is_empty()) {
+            Ok(output) => output,
+            Err(error) => {
+                self.fail(ExecError::Kernel {
+                    task: t,
+                    node: self.me,
+                    error,
+                });
+                return None;
+            }
+        };
         self.touch_progress();
         if let Some(o) = obs.as_mut() {
             let end = o.now();
@@ -1490,13 +1534,8 @@ impl<'e, 'a> Engine<'e, 'a> {
             );
         }
 
-        let consumer_nodes = view.dests(l);
         let mut sent = (0, 0);
-        if !consumer_nodes.is_empty() {
-            let tile = read(&ctx.local)
-                .get(g.tasks()[t as usize].output(g.slices))
-                .expect("task output in local store")
-                .clone();
+        if let Some(tile) = output {
             for &dest in consumer_nodes {
                 let payload = Payload::Data {
                     job: spec.id,
@@ -1513,7 +1552,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
         }
         let EngineState { jobs, ready, .. } = &mut *st;
-        let mut released = Vec::new();
+        let mut released = [None, None];
         let last = match find_job(jobs, spec.id) {
             None => false, // engine poisoned concurrently
             Some(run) => {
@@ -1527,11 +1566,14 @@ impl<'e, 'a> Engine<'e, 'a> {
                         ready.push(ReadyKey::new(spec, view, s));
                     }
                 }
-                run.count_down_reads(view, l, &mut released);
+                released = run.count_down_reads(view, l);
                 run.remaining == 0
             }
         };
-        if let Some(o) = obs.as_mut().filter(|_| !released.is_empty()) {
+        if let Some(o) = obs
+            .as_mut()
+            .filter(|_| released.iter().any(Option::is_some))
+        {
             o.gauge(GaugeKind::TileStore, st.resident_tiles() as f64);
         }
         let done = if last {
@@ -1539,11 +1581,17 @@ impl<'e, 'a> Engine<'e, 'a> {
         } else {
             None
         };
+        let next = pick.then(|| Self::pick(&mut st, obs));
+        let depths = st.depths();
         self.unlock_and_nudge(st);
+        if next.is_some() {
+            self.publish_gauges(depths);
+        }
         // a replica's last handle goes back to the tile free list here,
         // outside the engine lock
         drop(released);
         self.report(done);
+        next
     }
 
     /// Takes everything the inbox holds and applies it under one engine
@@ -1734,43 +1782,48 @@ struct Completion {
     applied: u64,
 }
 
-/// Resolves read operand `r` of an own task from where the rank's view
-/// says it is: a remote producer's output or a fetched original in the
-/// job's cache, a local producer's output in the job-local store, or a local
-/// original generated on first use.
-fn resolve_read(ctx: &JobCtx<'_>, source: Source, r: TileRef) -> Result<Tile, KernelError> {
-    Ok(match source {
-        Source::Input(i) => read(&ctx.cache)[i as usize]
-            .clone()
-            .expect("dependency ensured arrival"),
-        Source::Local => read(&ctx.local)
-            .get(r)
-            .expect("local producer wrote the tile")
-            .clone(),
-        Source::Original => ctx.local_or_original(r)?,
-    })
-}
-
-/// Executes one task's kernel against the job's private stores.
+/// Executes one task's kernel against the job's private stores, returning
+/// a handle on its output when `publish` asks for one to send.
 ///
-/// The target tile is *removed* from the store for the kernel call and
-/// reinserted afterwards; this is safe because the graph's ordering edges
-/// guarantee no same-rank reader of the current version is running
-/// concurrently with its writer (remote readers use received copies).
-fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, l: u32) -> Result<(), KernelError> {
+/// Each operand is resolved from where the rank's view says it is: a remote
+/// producer's output or a fetched original in the job's cache, a local
+/// producer's output in the job-local store, or a local original generated
+/// on first use. The operands are resolved and the target tile *removed*
+/// from the store under one store guard (and one cache guard when an operand
+/// is remote), and the target is reinserted after the kernel call; this is
+/// safe because the graph's ordering edges guarantee no same-rank reader of
+/// the current version is running concurrently with its writer (remote
+/// readers use received copies).
+fn execute_task(
+    kernels: KernelBackend,
+    ctx: &JobCtx<'_>,
+    l: u32,
+    publish: bool,
+) -> Result<Option<Tile>, KernelError> {
     let spec = &ctx.spec;
     let c = spec.graph.slices;
     let view = ctx.view();
     let task = spec.graph.tasks()[view.task(l) as usize];
-    let reads = task.reads(c);
-    let read_tiles = reads
-        .as_slice()
-        .iter()
-        .zip(view.sources(l))
-        .map(|(&r, &source)| resolve_read(ctx, source, r))
-        .collect::<Result<Vec<Tile>, _>>()?;
+    let (reads, sources) = (task.reads(c), view.sources(l));
     let target_ref = task.output(c);
-    let stored = write(&ctx.local).take(target_ref);
+    let mut operands: [Option<Tile>; 2] = [None, None];
+    let stored = {
+        // the module's lock order: cache, then local
+        let remote = sources.iter().any(|s| matches!(s, Source::Input(_)));
+        let cache = remote.then(|| read(&ctx.cache));
+        let mut local = write(&ctx.local);
+        for ((operand, &r), &source) in operands.iter_mut().zip(reads.as_slice()).zip(sources) {
+            *operand = Some(match source {
+                Source::Input(i) => cache
+                    .as_deref()
+                    .and_then(|cache| cache[i as usize].clone())
+                    .expect("dependency ensured arrival"),
+                Source::Local => local.get(r).expect("local producer wrote the tile").clone(),
+                Source::Original => ctx.local_or_original(&mut local, r)?,
+            });
+        }
+        local.take(target_ref)
+    };
     let mut target = match stored {
         Some(tile) => tile,
         // a Move replaces its target with a handle on its source: an empty
@@ -1778,9 +1831,10 @@ fn execute_task(kernels: KernelBackend, ctx: &JobCtx<'_>, l: u32) -> Result<(), 
         None if matches!(task.kind, TaskKind::Move { .. }) => Tile::zeros(0),
         None => spec.original(target_ref)?,
     };
-    let result = run_kernel(kernels, task.kind, &read_tiles, &mut target);
+    let result = run_kernel(kernels, task.kind, &operands, &mut target);
+    let output = publish.then(|| target.clone());
     write(&ctx.local).put(target_ref, target);
-    result
+    result.map(|()| output)
 }
 
 #[cfg(test)]
@@ -1984,8 +2038,8 @@ mod tests {
 
     /// `SubmissionOrder` is the scheduler form of what used to be "no
     /// priority vector": it ranks every task zero, which a [`ReadyKey`]
-    /// cannot tell from the empty vector — same pop order (`TaskId` order),
-    /// same factor, same `CommStats`.
+    /// cannot tell from a hand-made all-zero vector — same pop order
+    /// (`TaskId` order), same factor, same `CommStats`.
     #[test]
     fn submission_order_scheduler_matches_the_empty_priority_vector() {
         let d = SbcExtended::new(4); // 6 nodes
@@ -1993,8 +2047,8 @@ mod tests {
         let graph = Arc::new(build_potrf(&d, nt));
         let ranked = potrf_spec(&graph, 31, &SubmissionOrder, None);
         let mut empty = potrf_spec(&graph, 31, &SubmissionOrder, None);
-        assert_eq!(ranked.prio_bits, vec![0; graph.len()]);
-        empty.prio_bits = Vec::new();
+        assert_eq!(*ranked.prio_bits, *vec![0; graph.len()]);
+        empty.prio_bits = vec![0; graph.len()].into();
         let view = graph.rank_view(0);
         let tasks = 0..view.len() as u32;
         let pop_order = |spec: &JobSpec| {
@@ -2135,6 +2189,127 @@ mod tests {
                 progress => return progress,
             }
         }
+    }
+
+    /// A job whose 120 tasks all run on the one rank of a one-rank mesh,
+    /// admitted to `table`: every task is runnable without an arrival.
+    fn one_rank_job(table: &JobTable) -> (JobId, usize) {
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(1, 1), 8));
+        let tasks = graph.len();
+        (table.submit(graph, B, 5, 6, 0).unwrap(), tasks)
+    }
+
+    /// A completion picks the rank's next step under its own engine lock,
+    /// except the budget's last. So a step runs exactly `min(STEP_BUDGET,
+    /// runnable)` tasks, and one that ends on its budget holds nothing: no
+    /// lane is active, and every task whose dependencies are met has either
+    /// run or is in the heap — none was popped and dropped.
+    #[test]
+    fn a_step_runs_its_budget_and_ends_holding_no_task() {
+        let table = JobTable::new(1, 1);
+        let (id, tasks) = one_rank_job(&table);
+        assert!(tasks > STEP_BUDGET && tasks < 2 * STEP_BUDGET);
+        let mesh = inproc_mesh(1);
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None, &ByHand);
+
+        assert_eq!(engine.step(), Progress::Ran);
+        {
+            let st = lock(&engine.state);
+            assert_eq!(st.active, 0, "the step ended holding a task");
+            let run = &st.jobs[0];
+            let ran = tasks - run.remaining as usize;
+            assert_eq!(ran, STEP_BUDGET);
+            let met = run.deps.iter().filter(|&&d| d == 0).count();
+            assert_eq!(met, ran + st.ready.len(), "a popped task never ran");
+        }
+
+        // the rest is fewer than a budget: the job ends inside the step
+        assert_eq!(engine.step(), Progress::Idle { next_timer: None });
+        assert_eq!(lock(&engine.state).active, 0);
+        let out = table.wait(id).expect("the job finishes");
+        assert_sequential(&out, &TwoDBlockCyclic::new(1, 1), 8, 5);
+    }
+
+    /// Records the `work` of every nudge.
+    #[derive(Default)]
+    struct Nudges(Mutex<Vec<bool>>);
+
+    impl Driver for Nudges {
+        fn nudge(&self, work: bool) {
+            lock(&self.0).push(work);
+        }
+    }
+
+    /// A completion nudges once, after its pick: with `work` when the heap
+    /// still holds a step after the one the lane took for itself, so a
+    /// two-lane rank recruits its second lane for it, and without when the
+    /// lane took the last one.
+    #[test]
+    fn a_completion_nudges_with_the_work_its_pick_left() {
+        let table = JobTable::new(1, 1);
+        let (id, _) = one_rank_job(&table);
+        let mesh = inproc_mesh(1);
+        let nudges = Nudges::default();
+        let cfg = JobEngineConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let engine = Engine::new(&mesh[0], &table, cfg, None, &nudges);
+        engine.admit();
+        let mut next = engine.take_work(&mut None);
+        let (mut recruited, mut alone) = (0, 0);
+        while let Work::Run(ctx, l) = next {
+            lock(&nudges.0).clear();
+            next = engine
+                .run_task(&ctx, l, true, &mut None)
+                .expect("asked to pick");
+            let left = !lock(&engine.state).ready.is_empty();
+            assert_eq!(*lock(&nudges.0), [left]);
+            if !matches!(next, Work::Run(..)) {
+                break;
+            }
+            *if left { &mut recruited } else { &mut alone } += 1;
+        }
+        assert!(matches!(next, Work::Idle), "the finished job left work");
+        assert!(recruited > 0 && alone > 0, "{recruited} / {alone}");
+        let out = table.wait(id).expect("the job finishes");
+        assert_sequential(&out, &TwoDBlockCyclic::new(1, 1), 8, 5);
+    }
+
+    /// A graph ranks its tasks once per scheduler name and `b`: the kept
+    /// bits are what the scheduler returns, a second job of the same key
+    /// shares them, another `b` or scheduler has its own, and they go with
+    /// the graph.
+    #[test]
+    fn a_graph_ranks_its_tasks_once_per_scheduler_and_b() {
+        let graph = Arc::new(build_potrf(&SbcExtended::new(4), 10));
+        let scheds: [&dyn Scheduler; 3] = [&CriticalPath, &Heft, &SubmissionOrder];
+        let mut kept: Vec<Arc<[u32]>> = Vec::new();
+        for sched in scheds {
+            for b in [4, 128] {
+                let spec = JobSpec::new(Arc::clone(&graph), b, (1, 2), 0, sched, None);
+                let costs: Vec<f64> = graph.tasks().iter().map(|t| t.kind.flops(b)).collect();
+                let fresh = sched.ranks(&SchedCtx {
+                    graph: &graph,
+                    task_cost: &costs,
+                    comm_cost: sbc_kernels::flops::flops_gemm(b),
+                });
+                let fresh: Vec<u32> = fresh.into_iter().map(f32::to_bits).collect();
+                let key = format!("{} at b = {b}", sched.name());
+                assert_eq!(*spec.prio_bits, *fresh, "{key}");
+                let again = JobSpec::new(Arc::clone(&graph), b, (3, 4), 1, sched, None);
+                assert!(Arc::ptr_eq(&spec.prio_bits, &again.prio_bits), "{key}");
+                for other in &kept {
+                    assert!(!Arc::ptr_eq(other, &spec.prio_bits), "{key} shared");
+                }
+                kept.push(Arc::clone(&spec.prio_bits));
+            }
+        }
+        let freed: Vec<std::sync::Weak<[u32]>> = kept.iter().map(Arc::downgrade).collect();
+        drop(kept);
+        assert!(freed.iter().all(|bits| bits.upgrade().is_some()));
+        drop(graph);
+        assert!(freed.iter().all(|bits| bits.upgrade().is_none()));
     }
 
     /// One rank of a 2x2 mesh stepped by hand on a virtual clock. Its peers

@@ -3,7 +3,7 @@
 use crate::task::{Task, TaskId, TileRef, TileSpace};
 use crate::view::RankView;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A transfer of *original* (never written in this graph) tile data from its
 /// home node to a consumer node, needed before the consumers can run.
@@ -74,6 +74,10 @@ impl Csr {
 /// The view of a rank past the graph's nodes: it owns nothing.
 static NO_TASKS: RankView = RankView::EMPTY;
 
+/// Task priorities as raw `f32` bits, under the ranking's name and the tile
+/// size they were ranked at.
+type Ranked = (&'static str, usize, Arc<[u32]>);
+
 /// An immutable distributed task graph.
 ///
 /// Tasks are stored in submission order, which is a valid topological order
@@ -99,6 +103,8 @@ pub struct TaskGraph {
     local: OnceLock<Vec<u32>>,
     /// Each node's [`RankView`], derived on first use.
     views: Box<[OnceLock<RankView>]>,
+    /// [`TaskGraph::priorities`], one entry per (ranking, tile size) asked.
+    priorities: Mutex<Vec<Ranked>>,
 }
 
 impl TaskGraph {
@@ -147,6 +153,43 @@ impl TaskGraph {
         }
     }
 
+    /// Every task's priority under the ranking `name` at tile size `b`, as
+    /// raw `f32` bits (non-negative floats order like their bit patterns).
+    /// `rank` computes the ranks on the first call for a key; the result is
+    /// kept with the graph, as its views are, so every job of one shape
+    /// shares it and it is freed with the graph. One name must therefore
+    /// rank a graph alike at one `b`.
+    ///
+    /// # Panics
+    ///
+    /// When `rank` returns other than one rank per task, naming `name`: a
+    /// short vector would leave tasks unranked.
+    pub fn priorities(
+        &self,
+        name: &'static str,
+        b: usize,
+        rank: impl FnOnce(&TaskGraph) -> Vec<f32>,
+    ) -> Arc<[u32]> {
+        let mut memo = self
+            .priorities
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some((.., bits)) = memo.iter().find(|&&(n, nb, _)| n == name && nb == b) {
+            return Arc::clone(bits);
+        }
+        let ranks = rank(self);
+        assert_eq!(
+            ranks.len(),
+            self.len(),
+            "the {name} scheduler ranked {} tasks of a {}-task graph",
+            ranks.len(),
+            self.len()
+        );
+        let bits: Arc<[u32]> = ranks.into_iter().map(f32::to_bits).collect();
+        memo.push((name, b, Arc::clone(&bits)));
+        bits
+    }
+
     /// Each task's number among its node's tasks in submission order: the
     /// rank-local numbering of every [`RankView`].
     pub(crate) fn local_numbers(&self) -> &[u32] {
@@ -162,7 +205,7 @@ impl TaskGraph {
     }
 
     /// Bytes the graph's tasks, edges and fetches hold on the heap (the rank
-    /// views it keeps are not counted).
+    /// views and priorities it keeps are not counted).
     pub fn heap_bytes(&self) -> usize {
         let fetches = self
             .initial_fetches
@@ -496,6 +539,7 @@ impl GraphBuilder {
             messages: OnceLock::new(),
             local: OnceLock::new(),
             views: (0..self.num_nodes).map(|_| OnceLock::new()).collect(),
+            priorities: Mutex::new(Vec::new()),
         }
     }
 }
@@ -622,5 +666,38 @@ mod tests {
         b.submit(mk(TaskKind::Syrk { i: 0, k: 1 }, 0), &[a(1, 0)], a(1, 1));
         let g = b.finish();
         assert_eq!(g.in_degrees(), vec![0, 1, 1]);
+    }
+
+    fn chain() -> TaskGraph {
+        let mut b = GraphBuilder::new(1, 3, 1);
+        b.submit(mk(TaskKind::Potrf { k: 0 }, 0), &[], a(0, 0));
+        b.submit(mk(TaskKind::Trsm { k: 0, i: 1 }, 0), &[a(0, 0)], a(1, 0));
+        b.finish()
+    }
+
+    /// A ranking runs once per (name, b); another name or `b` runs its own.
+    #[test]
+    fn priorities_are_ranked_once_per_name_and_tile_size() {
+        let g = chain();
+        let calls = &std::cell::Cell::new(0);
+        let rank = |b: usize| {
+            move |g: &TaskGraph| {
+                calls.set(calls.get() + 1);
+                vec![b as f32; g.len()]
+            }
+        };
+        let first = g.priorities("up", 4, rank(4));
+        assert_eq!(*first, [4f32.to_bits(); 2]);
+        assert!(Arc::ptr_eq(&first, &g.priorities("up", 4, rank(4))));
+        assert_eq!(calls.get(), 1);
+        assert!(!Arc::ptr_eq(&first, &g.priorities("up", 8, rank(8))));
+        assert!(!Arc::ptr_eq(&first, &g.priorities("down", 4, rank(4))));
+        assert_eq!(calls.get(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "the short scheduler ranked 1 tasks of a 2-task graph")]
+    fn a_short_ranking_panics_naming_its_scheduler() {
+        chain().priorities("short", 4, |_| vec![1.0]);
     }
 }

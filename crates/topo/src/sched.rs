@@ -31,7 +31,9 @@ pub struct SchedCtx<'a> {
 
 /// A static list scheduler: ranks every task once, up front.
 pub trait Scheduler: Sync {
-    /// Stable kebab-case name for reports.
+    /// Stable kebab-case name for reports. Two schedulers with one name must
+    /// rank every context alike: the runtime keeps a graph's ranks under
+    /// this name ([`TaskGraph::priorities`]) and reuses them for every job.
     fn name(&self) -> &'static str;
 
     /// Rank per task (larger = more urgent), `ctx.graph.len()` entries.

@@ -15,7 +15,12 @@
 //!   sender until acked — makes none;
 //! * once the first factor is dropped, a second POTRF of the same shape makes
 //!   none, and once the decoded frame is dropped, a second decode makes none:
-//!   every tile takes a recycled buffer.
+//!   every tile takes a recycled buffer;
+//! * the engine allocates nothing per task: a warm POTRF makes fewer
+//!   allocations of any size than half its task count. A task's operands, and
+//!   the replicas its completion frees, sit in fixed pairs, its priority comes
+//!   from the ranks its graph keeps, and what is left is per message and per
+//!   job.
 //!
 //! One `#[test]` only: the counter and the free list are process-wide, and
 //! tests of one binary run on parallel threads.
@@ -147,4 +152,16 @@ fn a_tile_is_allocated_once() {
     let again = again.expect("the seeded matrix factors");
     assert_eq!(again.stats, first_stats, "the warm run is the same run");
     assert_eq!(count, 0, "a warm POTRF takes every tile from the free list");
+
+    // 2 600 tasks, at a b whose tiles recycle
+    let run = Run::potrf(&SbcExtended::new(4), 24).block(24).workers(1);
+    let tasks = run.task_graph().len();
+    assert_eq!(tasks, 2600);
+    drop(run.execute().expect("the seeded matrix factors"));
+    let (count, out) = large_allocations(0, || run.execute());
+    out.expect("the seeded matrix factors");
+    assert!(
+        count < tasks / 2,
+        "{count} allocations for {tasks} tasks: the engine allocates per task"
+    );
 }
