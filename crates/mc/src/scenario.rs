@@ -94,7 +94,6 @@ impl Scenario {
             session: SessionConfig {
                 rto: Duration::from_millis(10),
                 backoff_cap: Duration::from_millis(40),
-                tick: Duration::from_millis(1),
                 linger: Duration::ZERO,
                 window: 4,
             },

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 
 use sbc_kernels::Tile;
 use sbc_net::{
-    Clock, Message, NodeId, Payload, RecvTimeout, Session, SessionConfig, Transport,
-    TransportStats, VirtualClock,
+    Clock, Message, NodeId, Payload, Session, SessionConfig, Transport, TransportStats,
+    VirtualClock,
 };
 
 use crate::scenario::{LossModel, Scenario};
@@ -280,16 +280,8 @@ impl Transport for McNet {
         None
     }
 
-    fn recv(&self) -> Option<Message> {
-        None
-    }
-
     fn try_recv(&self) -> Option<Message> {
         None
-    }
-
-    fn recv_timeout(&self, _timeout: Duration) -> RecvTimeout {
-        RecvTimeout::TimedOut
     }
 
     fn stats(&self) -> TransportStats {
@@ -529,7 +521,7 @@ impl World {
                 let due = self
                     .sessions
                     .iter()
-                    .filter_map(|s| s.next_retransmit_due())
+                    .filter_map(|s| s.next_timer())
                     .min()
                     .expect("Tick is only enabled with an armed timer");
                 let step = due.saturating_duration_since(self.clock.now());

@@ -24,7 +24,7 @@
 //! message count measures the injected excess.
 
 use crate::msg::{Message, NodeId};
-use crate::transport::{RecvTimeout, Transport, TransportStats};
+use crate::transport::{Transport, TransportStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::task::Waker;
 use std::time::{Duration, Instant};
@@ -220,16 +220,8 @@ impl<T: Transport> Transport for Faulty<T> {
         self.inner.next_timer()
     }
 
-    fn recv(&self) -> Option<Message> {
-        self.inner.recv()
-    }
-
     fn try_recv(&self) -> Option<Message> {
         self.inner.try_recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        self.inner.recv_timeout(timeout)
     }
 
     fn stats(&self) -> TransportStats {
@@ -339,14 +331,14 @@ mod tests {
     /// accounting still counts each payload exactly once.
     #[test]
     fn dropping_every_payload_recovers_under_a_session() {
+        use crate::clock::RealClock;
         use crate::session::{Session, SessionConfig};
-        use crate::transport::RecvTimeout;
+        use crate::transport::wait_for;
         use std::time::{Duration, Instant};
 
         let cfg = SessionConfig {
             rto: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(20),
-            tick: Duration::from_millis(1),
             ..Default::default()
         };
         let mut mesh = inproc_mesh(2).into_iter();
@@ -369,22 +361,25 @@ mod tests {
         assert_eq!(a.inner().dropped(), 10, "every original was swallowed");
         let (a, b) = (&a, &b);
         std::thread::scope(|s| {
-            let pump = s.spawn(move || {
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while a.unacked() > 0 && Instant::now() < deadline {
-                    a.recv_timeout(Duration::from_millis(1));
-                }
+            // a's receives fire the retransmissions and take the acks
+            let acked = s.spawn(move || {
+                let until = Some(Instant::now() + Duration::from_secs(10));
+                wait_for(a, &RealClock, until, || {
+                    while a.try_recv().is_some() {}
+                    (a.unacked() == 0).then_some(())
+                })
             });
             for k in 0..n {
-                match b.recv_timeout(Duration::from_secs(10)) {
-                    RecvTimeout::Msg(Message::Payload {
+                let until = Some(Instant::now() + Duration::from_secs(10));
+                match wait_for(b, &RealClock, until, || b.try_recv()) {
+                    Some(Message::Payload {
                         payload: Payload::Data { producer, .. },
                         ..
                     }) => assert_eq!(producer, k, "recovered in order"),
                     other => panic!("payload {k} never recovered: {other:?}"),
                 }
             }
-            pump.join().unwrap();
+            acked.join().unwrap();
         });
         assert_eq!(a.unacked(), 0, "recovery completed");
         let s = a.stats();

@@ -7,11 +7,11 @@
 //! byte counts stay zero and payload accounting is the only traffic measure.
 
 use crate::msg::{Message, NodeId};
-use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::transport::{StatsCell, Traffic, Transport, TransportStats};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -70,20 +70,8 @@ impl Mailbox {
         *lock(&self.inlet.waker) = waker;
     }
 
-    pub(crate) fn recv(&self) -> Option<Message> {
-        lock(&self.rx).recv().ok()
-    }
-
     pub(crate) fn try_recv(&self) -> Option<Message> {
         lock(&self.rx).try_recv().ok()
-    }
-
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        match lock(&self.rx).recv_timeout(timeout) {
-            Ok(msg) => RecvTimeout::Msg(msg),
-            Err(RecvTimeoutError::Timeout) => RecvTimeout::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => RecvTimeout::Closed,
-        }
     }
 }
 
@@ -146,19 +134,8 @@ impl Transport for InProc {
         None
     }
 
-    fn recv(&self) -> Option<Message> {
-        self.inbox.recv().map(|m| self.counted(m))
-    }
-
     fn try_recv(&self) -> Option<Message> {
         self.inbox.try_recv().map(|m| self.counted(m))
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        match self.inbox.recv_timeout(timeout) {
-            RecvTimeout::Msg(m) => RecvTimeout::Msg(self.counted(m)),
-            other => other,
-        }
     }
 
     fn stats(&self) -> TransportStats {

@@ -76,4 +76,4 @@ pub use session::{
 };
 pub use sock::{connect_retry, Backend, Conn, ConnectTimeout, Listener, StreamIo};
 pub use stream::{local_mesh, StreamTransport};
-pub use transport::{RecvTimeout, Transport, TransportStats};
+pub use transport::{wait_for, Transport, TransportStats};

@@ -45,17 +45,16 @@
 //! ## Deadlock freedom
 //!
 //! The session has no background threads. Retransmission and ack
-//! processing run *inside* its receives: [`Transport::try_recv`] handles
+//! processing run *inside* its one receive: [`Transport::try_recv`] handles
 //! whatever the inner transport holds and fires the timers that are due,
-//! and [`Transport::next_timer`] tells the driver stepping the rank when
-//! the next one is, so a rank that waits for a message is stepped at its
-//! retransmission time as well as at every arrival. The blocking
-//! [`Transport::recv`] / [`Transport::recv_timeout`] do the same by pumping
-//! the inner transport in [`SessionConfig::tick`]-sized slices. A rank that
-//! stops receiving has either finished (nothing left to deliver to it) or
-//! dropped its endpoint, and [`Drop`] drains outstanding traffic for up to
-//! [`SessionConfig::linger`] while still acking inbound payloads so peers'
-//! own drains complete.
+//! and [`Transport::next_timer`] tells whoever waits when the next one is —
+//! the driver stepping the rank, or [`crate::wait_for`] — so a rank that
+//! waits for a message tries again at its retransmission time as well as
+//! at every arrival. A rank that stops receiving has either finished
+//! (nothing left to deliver to it) or dropped its endpoint, and [`Drop`]
+//! waits through [`crate::wait_for`] until its last payload is acked, for
+//! at most [`SessionConfig::linger`], receiving all the while so that
+//! inbound payloads are still acked and peers' own drains complete.
 //!
 //! The timers read the session's [`Clock`], and a driver waits for them on
 //! its own clock; a session and the job table whose engine steps it must
@@ -63,7 +62,7 @@
 
 use crate::clock::{Clock, RealClock};
 use crate::msg::{Message, NodeId, Payload};
-use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
+use crate::transport::{wait_for, StatsCell, Traffic, Transport, TransportStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,12 +78,6 @@ pub struct SessionConfig {
     /// Upper bound of the exponential backoff (`rto` doubles per resend of
     /// the same payload up to this cap).
     pub backoff_cap: Duration,
-    /// Granularity at which a blocking receive (`recv`, `recv_timeout`, the
-    /// teardown drain) pumps the inner transport to drive retransmissions;
-    /// there the effective retransmit latency is `rto` rounded up to the
-    /// next tick. A driver that steps the rank at
-    /// [`Transport::next_timer`] fires them on time.
-    pub tick: Duration,
     /// How long [`Drop`] keeps retransmitting unacked payloads before
     /// giving up. Zero disables the teardown drain entirely (and a
     /// poisoned session always skips it) — checker-driven sessions on a
@@ -102,7 +95,6 @@ impl Default for SessionConfig {
         SessionConfig {
             rto: Duration::from_millis(25),
             backoff_cap: Duration::from_millis(500),
-            tick: Duration::from_millis(5),
             linger: Duration::from_secs(2),
             window: 1024,
         }
@@ -267,9 +259,9 @@ impl<T: Transport> Session<T> {
 
     /// Fires every retransmission due at the current clock time: resends
     /// each in-flight payload whose timer expired, doubling its timeout up
-    /// to the backoff cap. Public stepping primitive — the blocking pump
-    /// calls it once per tick, the model checker calls it after advancing
-    /// its virtual clock.
+    /// to the backoff cap. Public stepping primitive — [`Transport::try_recv`]
+    /// calls it after each batch, the model checker after advancing its
+    /// virtual clock to [`Transport::next_timer`].
     pub fn drive_timers(&self) {
         let now = self.clock.now();
         let mut due: Vec<(NodeId, u64, Payload)> = Vec::new();
@@ -302,8 +294,8 @@ impl<T: Transport> Session<T> {
     /// machine, in order, then sends one cumulative ack to each source that
     /// sent a `Seq` in the batch — covering everything the batch delivered,
     /// and re-acking a batch of duplicates once. Public stepping primitive:
-    /// the blocking pump hands it everything the inner transport holds, the
-    /// model checker one in-flight frame or a destination's whole queue, one
+    /// [`Transport::try_recv`] hands it everything the inner transport holds,
+    /// the model checker one in-flight frame or a destination's whole queue, one
     /// interleaving at a time; deliveries surface via
     /// [`pop_ready`](Session::pop_ready).
     pub fn handle_wire(&self, batch: impl IntoIterator<Item = Message>) {
@@ -320,11 +312,6 @@ impl<T: Transport> Session<T> {
         for (dest, upto) in acks {
             self.inner.send(dest, Message::Ack { src, upto });
         }
-    }
-
-    /// Everything the inner transport holds right now, without waiting.
-    fn inbound(&self) -> impl Iterator<Item = Message> + '_ {
-        std::iter::from_fn(|| self.inner.try_recv())
     }
 
     /// Feeds one inner message through the session state machine; the ack
@@ -385,24 +372,10 @@ impl<T: Transport> Session<T> {
     }
 
     /// Pops the next ready message — a delivered payload (in per-peer
-    /// order) or a pass-through control message — without pumping the
+    /// order) or a pass-through control message — without receiving from the
     /// inner transport. Public stepping primitive.
     pub fn pop_ready(&self) -> Option<Message> {
         self.lock().pending.pop_front()
-    }
-
-    /// The earliest instant at which an in-flight payload's retransmission
-    /// timer fires, or `None` when nothing is unacked. The model checker
-    /// advances its virtual clock exactly here before calling
-    /// [`drive_timers`](Session::drive_timers), so timer firings are
-    /// discrete events rather than races.
-    pub fn next_retransmit_due(&self) -> Option<Instant> {
-        self.lock()
-            .send
-            .iter()
-            .flat_map(|ps| ps.unacked.iter())
-            .map(|u| u.last_sent + u.rto)
-            .min()
     }
 
     /// A hashable snapshot of the logical protocol state, with all times
@@ -446,40 +419,6 @@ impl<T: Transport> Session<T> {
                 .collect(),
             pending: st.pending.len(),
             poisoned: self.poisoned.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Core receive pump: drains pending deliveries, drives retransmits,
-    /// and feeds inner traffic through the state machine — each arrival
-    /// together with everything queued behind it, as one batch — until a
-    /// message is deliverable, the deadline passes, or the inner endpoint
-    /// closes.
-    /// A thin real-time loop over the same stepping primitives the model
-    /// checker drives explicitly.
-    fn pump(&self, deadline: Option<Instant>) -> RecvTimeout {
-        loop {
-            if let Some(m) = self.pop_ready() {
-                return RecvTimeout::Msg(m);
-            }
-            self.drive_timers();
-            let mut wait = self.cfg.tick;
-            if let Some(d) = deadline {
-                let now = self.clock.now();
-                if now >= d {
-                    return RecvTimeout::TimedOut;
-                }
-                wait = wait.min(d - now);
-            }
-            match self.inner.recv_timeout(wait) {
-                RecvTimeout::Msg(m) => self.handle_wire(std::iter::once(m).chain(self.inbound())),
-                RecvTimeout::TimedOut => {}
-                RecvTimeout::Closed => {
-                    return match self.pop_ready() {
-                        Some(m) => RecvTimeout::Msg(m),
-                        None => RecvTimeout::Closed,
-                    };
-                }
-            }
         }
     }
 }
@@ -579,25 +518,25 @@ impl<T: Transport> Transport for Session<T> {
         self.inner.set_waker(waker);
     }
 
+    /// The earliest instant at which an in-flight payload's retransmission
+    /// timer fires, or `None` when nothing is unacked. The model checker
+    /// advances its virtual clock exactly here before calling
+    /// [`Session::drive_timers`], so timer firings are discrete events
+    /// rather than races.
     fn next_timer(&self) -> Option<Instant> {
-        self.next_retransmit_due()
-    }
-
-    fn recv(&self) -> Option<Message> {
-        match self.pump(None) {
-            RecvTimeout::Msg(m) => Some(m),
-            _ => None,
-        }
+        self.lock()
+            .send
+            .iter()
+            .flat_map(|ps| ps.unacked.iter())
+            .map(|u| u.last_sent + u.rto)
+            .min()
     }
 
     fn try_recv(&self) -> Option<Message> {
-        self.handle_wire(self.inbound());
+        // everything the inner transport holds right now, as one batch
+        self.handle_wire(std::iter::from_fn(|| self.inner.try_recv()));
         self.drive_timers();
         self.pop_ready()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        self.pump(Some(self.clock.now() + timeout))
     }
 
     fn stats(&self) -> TransportStats {
@@ -629,18 +568,14 @@ impl<T: Transport> Drop for Session<T> {
         if self.poisoned.load(Ordering::Relaxed) || self.cfg.linger.is_zero() {
             return;
         }
-        let deadline = self.clock.now() + self.cfg.linger;
-        while self.unacked() > 0 && self.clock.now() < deadline {
-            self.drive_timers();
-            match self.inner.recv_timeout(self.cfg.tick) {
-                RecvTimeout::Msg(m) => {
-                    // keep acking inbound payloads so peers' drains finish
-                    self.handle_wire(std::iter::once(m).chain(self.inbound()));
-                }
-                RecvTimeout::TimedOut => {}
-                RecvTimeout::Closed => break,
-            }
-        }
+        let until = self.clock.now() + self.cfg.linger;
+        // the drain ends on a condition, not on a message: the last ack is
+        // consumed inside `try_recv` and never surfaces. Receiving keeps
+        // acking inbound payloads so peers' drains finish too
+        wait_for(&*self, &*self.clock, Some(until), || {
+            while self.try_recv().is_some() {}
+            (self.unacked() == 0).then_some(())
+        });
     }
 }
 
@@ -651,6 +586,24 @@ mod tests {
     use crate::faulty::{FaultConfig, Faulty};
     use crate::inproc::inproc_mesh;
     use sbc_kernels::Tile;
+
+    /// The next message `t` delivers within `patience` of real time.
+    fn recv_within<T: Transport>(t: &T, patience: Duration) -> Option<Message> {
+        wait_for(t, &RealClock, Some(Instant::now() + patience), || {
+            t.try_recv()
+        })
+    }
+
+    /// Receives on `t` until nothing it sent is unacked, for at most
+    /// `patience` of real time; whether it got there.
+    fn drain_acks<T: Transport>(t: &Session<T>, patience: Duration) -> bool {
+        let until = Some(Instant::now() + patience);
+        let acked = wait_for(t, &RealClock, until, || {
+            while t.try_recv().is_some() {}
+            (t.unacked() == 0).then_some(())
+        });
+        acked.is_some()
+    }
 
     fn payload(k: u32) -> Payload {
         Payload::Data {
@@ -664,7 +617,6 @@ mod tests {
         SessionConfig {
             rto: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(20),
-            tick: Duration::from_millis(1),
             linger: Duration::from_secs(5),
             window: 64,
         }
@@ -689,18 +641,14 @@ mod tests {
             assert_eq!(a.send_payload(1, payload(k)), Some(32));
         }
         for k in 0..5 {
-            let m = b.recv_timeout(Duration::from_secs(5));
-            let RecvTimeout::Msg(m) = m else {
-                panic!("expected a message, got {m:?}")
-            };
+            let m = recv_within(&b, Duration::from_secs(5)).expect("a message");
             assert_eq!(producer_of(&m), k);
         }
-        // pump a until the acks land
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while a.unacked() > 0 && Instant::now() < deadline {
-            a.recv_timeout(Duration::from_millis(1));
-        }
-        assert_eq!(a.unacked(), 0, "acks cover everything");
+        // receive on a until the acks land
+        assert!(
+            drain_acks(&a, Duration::from_secs(5)),
+            "acks cover everything"
+        );
         let s = a.stats();
         assert_eq!((s.sent_messages, s.sent_payload_bytes), (5, 160));
         assert_eq!(s.retrans_messages, 0, "no loss, no retransmits");
@@ -724,7 +672,7 @@ mod tests {
             assert_eq!(producer_of(&b.try_recv().unwrap()), k);
         }
         assert_eq!(b.stats().control_messages, 1, "delivered, not re-acked");
-        a.recv_timeout(Duration::from_millis(20));
+        assert_eq!(recv_within(&a, Duration::from_millis(20)), None);
         assert_eq!(a.unacked(), 0, "the one ack said upto 8");
 
         // a retransmitted duplicate is re-acked once and not delivered again
@@ -736,10 +684,7 @@ mod tests {
                 payload: payload(3),
             },
         );
-        assert_eq!(
-            b.recv_timeout(Duration::from_millis(20)),
-            RecvTimeout::TimedOut
-        );
+        assert_eq!(recv_within(&b, Duration::from_millis(20)), None);
         assert_eq!(b.stats().control_messages, 2);
         assert_eq!(b.stats().recv_messages, 8);
         assert_eq!(a.inner().try_recv(), Some(Message::Ack { src: 1, upto: 8 }));
@@ -765,21 +710,14 @@ mod tests {
         }
         let (a, b) = (&a, &b);
         std::thread::scope(|s| {
-            // a's pump drives the retransmissions b's receipt depends on
-            let pump = s.spawn(move || {
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while a.unacked() > 0 && Instant::now() < deadline {
-                    a.recv_timeout(Duration::from_millis(1));
-                }
-            });
+            // a's receives drive the retransmissions b's receipt depends on
+            let acked = s.spawn(move || drain_acks(a, Duration::from_secs(10)));
             for k in 0..8 {
-                let m = b.recv_timeout(Duration::from_secs(10));
-                let RecvTimeout::Msg(m) = m else {
-                    panic!("payload {k} never recovered: {m:?}")
-                };
+                let m = recv_within(b, Duration::from_secs(10));
+                let m = m.unwrap_or_else(|| panic!("payload {k} never recovered"));
                 assert_eq!(producer_of(&m), k, "in order despite drops");
             }
-            pump.join().unwrap();
+            acked.join().unwrap();
         });
         assert_eq!(a.unacked(), 0);
         let dropped = a.inner().dropped();
@@ -815,17 +753,13 @@ mod tests {
             a.send_payload(1, payload(k));
         }
         for k in 0..6 {
-            let m = b.recv_timeout(Duration::from_secs(5));
-            let RecvTimeout::Msg(m) = m else {
-                panic!("missing payload {k}")
-            };
+            let m = recv_within(&b, Duration::from_secs(5));
+            let m = m.unwrap_or_else(|| panic!("missing payload {k}"));
             assert_eq!(producer_of(&m), k);
         }
-        assert!(
-            matches!(
-                b.recv_timeout(Duration::from_millis(20)),
-                RecvTimeout::TimedOut
-            ),
+        assert_eq!(
+            recv_within(&b, Duration::from_millis(20)),
+            None,
             "duplicates must not surface twice"
         );
         assert_eq!(b.stats().recv_messages, 6);
@@ -844,13 +778,13 @@ mod tests {
         assert_eq!(a.send(1, done), Some(0));
         a.send_poison(1);
         assert!(matches!(
-            b.recv_timeout(Duration::from_secs(5)),
-            RecvTimeout::Msg(Message::Done { .. })
+            recv_within(&b, Duration::from_secs(5)),
+            Some(Message::Done { .. })
         ));
-        assert!(matches!(
-            b.recv_timeout(Duration::from_secs(5)),
-            RecvTimeout::Msg(Message::Poison)
-        ));
+        assert_eq!(
+            recv_within(&b, Duration::from_secs(5)),
+            Some(Message::Poison)
+        );
         assert_eq!(a.stats().sent_messages, 0, "control is not payload");
     }
 
@@ -876,7 +810,7 @@ mod tests {
         let b = Session::with_clock(mesh.next().unwrap(), fast(), clock.clone());
         a.send_payload(1, payload(7));
         assert_eq!(a.inner().dropped(), 1, "the original was swallowed");
-        let due = a.next_retransmit_due().expect("one payload in flight");
+        let due = a.next_timer().expect("one payload in flight");
         assert_eq!(
             due.saturating_duration_since(clock.now()),
             fast().rto,
@@ -971,15 +905,25 @@ mod tests {
         assert_eq!(a.inner().dropped(), 2, "both originals were swallowed");
         let (a, b) = (a, &b);
         std::thread::scope(|s| {
-            let h = s.spawn(move || drop(a)); // Drop drains the retransmits
+            // Drop drains the retransmits
+            let h = s.spawn(move || {
+                drop(a);
+                Instant::now()
+            });
             for k in 0..2 {
-                let m = b.recv_timeout(Duration::from_secs(10));
-                let RecvTimeout::Msg(m) = m else {
-                    panic!("payload {k} lost at teardown: {m:?}")
-                };
+                let m = recv_within(b, Duration::from_secs(10));
+                let m = m.unwrap_or_else(|| panic!("payload {k} lost at teardown"));
                 assert_eq!(producer_of(&m), k);
             }
-            h.join().unwrap();
+            // b acked both as it received them: the drain ends at that
+            // ack, not at the end of its linger
+            let held = Instant::now();
+            let dropped = h.join().unwrap();
+            assert!(
+                dropped.saturating_duration_since(held) < Duration::from_secs(1),
+                "the drain outlived its last ack by {:?}",
+                dropped.saturating_duration_since(held)
+            );
         });
         assert_eq!(b.stats().recv_messages, 2);
     }

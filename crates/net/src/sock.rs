@@ -117,24 +117,11 @@ impl Listener {
         &self.addr
     }
 
-    /// Makes [`accept`](Listener::accept) return `WouldBlock` instead of
-    /// waiting, so an accept loop can poll a stop flag.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match &self.socket {
-            Socket::Tcp(l) => l.set_nonblocking(nonblocking),
-            Socket::Uds(l) => l.set_nonblocking(nonblocking),
-        }
-    }
-
-    /// Takes one inbound connection (always a blocking stream).
+    /// Waits for one inbound connection and takes it.
     pub fn accept(&self) -> io::Result<Conn> {
         match &self.socket {
             Socket::Tcp(l) => Ok(Box::new(accept_tcp(l)?)),
-            Socket::Uds(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Box::new(s))
-            }
+            Socket::Uds(l) => Ok(Box::new(l.accept()?.0)),
         }
     }
 }
@@ -149,7 +136,6 @@ impl Drop for Listener {
 
 fn accept_tcp(l: &TcpListener) -> io::Result<TcpStream> {
     let (s, _) = l.accept()?;
-    s.set_nonblocking(false)?;
     s.set_nodelay(true)?;
     Ok(s)
 }
@@ -297,26 +283,14 @@ mod tests {
     #[test]
     fn both_ends_of_a_tcp_connection_are_nodelay() {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.set_nonblocking(true).unwrap();
         let near = dial_tcp(&l.local_addr().unwrap().to_string()).unwrap();
-        let far = loop {
-            match accept_tcp(&l) {
-                Ok(s) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
-                Err(e) => panic!("accept failed: {e}"),
-            }
-        };
+        let far = accept_tcp(&l).unwrap();
         assert!(near.nodelay().unwrap() && far.nodelay().unwrap());
     }
 
     #[test]
-    fn a_nonblocking_listener_reports_would_block_and_hands_out_blocking_streams() {
+    fn a_dropped_uds_listener_removes_its_socket_file() {
         let l = Listener::bind_ephemeral(Backend::Uds).unwrap();
-        l.set_nonblocking(true).unwrap();
-        assert_eq!(
-            l.accept().err().map(|e| e.kind()),
-            Some(io::ErrorKind::WouldBlock)
-        );
         let path = l.addr().to_owned();
         drop(l);
         assert!(

@@ -32,7 +32,7 @@ use crate::inproc::{Inlet, Mailbox};
 use crate::msg::{Message, NodeId};
 use crate::pool::{BufferPool, PoolStats};
 use crate::sock::{connect_retry, Backend, Conn, Listener};
-use crate::transport::{RecvTimeout, StatsCell, Traffic, Transport, TransportStats};
+use crate::transport::{StatsCell, Traffic, Transport, TransportStats};
 use crate::wire::{self, Frame};
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -228,16 +228,8 @@ impl Transport for StreamTransport {
         None
     }
 
-    fn recv(&self) -> Option<Message> {
-        self.inbox.recv()
-    }
-
     fn try_recv(&self) -> Option<Message> {
         self.inbox.try_recv()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-        self.inbox.recv_timeout(timeout)
     }
 
     fn stats(&self) -> TransportStats {

@@ -6,11 +6,21 @@
 //! classifies a message (through [`Message::payload`]) and `StatsCell`'s
 //! `count_sent` / `count_received` apply it, for the in-process mesh, the
 //! socket mesh and the session's logical counters alike.
+//!
+//! The trait has one receive, too, and it never waits: [`Transport::try_recv`].
+//! Waiting is an endpoint's waker ([`Transport::set_waker`]), its next timer
+//! ([`Transport::next_timer`]) and a [`Clock`]. A driver stepping ranks waits
+//! on those in its pool; everything that waits outside one — the provided
+//! [`Transport::recv`], rank 0's gather, a session's teardown drain — waits
+//! through [`wait_for`].
 
+use crate::clock::{Clock, RealClock};
 use crate::msg::{Message, NodeId, Payload};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::task::Waker;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::task::{Wake, Waker};
+use std::thread::Thread;
+use std::time::Instant;
 
 /// Wire-level accounting of one rank's endpoint.
 ///
@@ -50,11 +60,11 @@ pub struct TransportStats {
 ///
 /// Implementations are shared by every worker thread of a rank (`&self`
 /// methods, `Send + Sync`). Sends may block on backpressure but must not
-/// deadlock against the receive path; `recv` blocks until a message arrives
-/// or the endpoint is closed. A driver that steps a rank only when it has
-/// something to do never blocks in the inbox: it registers a waker
-/// ([`Transport::set_waker`]), receives with [`Transport::try_recv`], and
-/// steps the rank again at [`Transport::next_timer`].
+/// deadlock against the receive path; receiving never blocks. Whoever
+/// waits for a message registers a waker ([`Transport::set_waker`]),
+/// receives with [`Transport::try_recv`], and tries again at
+/// [`Transport::next_timer`] — a driver stepping ranks in its pool, anyone
+/// else through [`wait_for`].
 ///
 /// There is one sender. Which messages exist is [`Message`]'s business,
 /// which of them count as traffic is [`Message::payload`]'s, and how they
@@ -96,30 +106,72 @@ pub trait Transport: Send + Sync {
     /// it was built with; `None` while no timer is armed.
     fn next_timer(&self) -> Option<Instant>;
 
-    /// Blocks for the next message; `None` means the endpoint closed.
-    fn recv(&self) -> Option<Message>;
-
-    /// Returns the next message if one is already queued.
+    /// Returns the next message if one is already queued — and, for an
+    /// endpoint with timers, fires those that are due.
     fn try_recv(&self) -> Option<Message>;
-
-    /// Blocks for the next message for at most `timeout`, so a caller that
-    /// waits outside any driver — a gather, a session draining at teardown —
-    /// can give up or fire its own timers.
-    fn recv_timeout(&self, timeout: Duration) -> RecvTimeout;
 
     /// A snapshot of this endpoint's wire-level accounting.
     fn stats(&self) -> TransportStats;
+
+    /// Waits for the next message, on real time: [`wait_for`] with no
+    /// deadline, so it always returns `Some`. It takes the endpoint's waker,
+    /// so it must never run on an endpoint a driver is stepping; an endpoint
+    /// on a virtual clock is waited on with [`wait_for`] and that clock.
+    fn recv(&self) -> Option<Message> {
+        wait_for(self, &RealClock, None, || self.try_recv())
+    }
 }
 
-/// Outcome of a bounded wait on a rank's inbox.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecvTimeout {
-    /// A message arrived within the timeout.
-    Msg(Message),
-    /// Nothing arrived before the timeout elapsed.
-    TimedOut,
-    /// The endpoint closed; no further messages will arrive.
-    Closed,
+/// Waits on `net` outside any driver until `poll` returns `Some`, or until
+/// `clock` reaches `until` (then `None`; never, for `None`).
+///
+/// `poll` runs first, then again after every wake-up: a delivery to `net`
+/// (through its waker), an advance of `clock` by hand (through
+/// [`Clock::wake_on_advance`]), or the earlier of `until` and `net`'s next
+/// timer coming due — so a session's retransmission fires on time when
+/// `poll` calls [`Transport::try_recv`]. A wake-up cannot be lost: the
+/// waker is registered before the first `poll`, and the clock's before
+/// each read of [`Clock::now`]; a spurious one only costs a `poll`.
+///
+/// It takes `net`'s waker for its duration and clears it on return, so it
+/// must never run on an endpoint a driver is stepping.
+pub fn wait_for<T: Transport + ?Sized, R>(
+    net: &T,
+    clock: &dyn Clock,
+    until: Option<Instant>,
+    mut poll: impl FnMut() -> Option<R>,
+) -> Option<R> {
+    let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+    net.set_waker(Some(waker.clone()));
+    let out = loop {
+        if let Some(r) = poll() {
+            break Some(r);
+        }
+        clock.wake_on_advance(&waker);
+        let now = clock.now();
+        if until.is_some_and(|until| until <= now) {
+            break None;
+        }
+        match until.into_iter().chain(net.next_timer()).min() {
+            Some(due) => std::thread::park_timeout(due.saturating_duration_since(now)),
+            None => std::thread::park(),
+        }
+    };
+    net.set_waker(None);
+    out
+}
+
+/// Wakes the thread parked in [`wait_for`].
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
 }
 
 /// Shared atomic backing for [`TransportStats`].

@@ -6,8 +6,8 @@
 
 use sbc_kernels::Tile;
 use sbc_net::{
-    inproc_mesh, local_mesh, Backend, FaultConfig, Faulty, Message, NodeId, Payload, PeerStats,
-    RecvTimeout, Session, Transport, TransportStats,
+    inproc_mesh, local_mesh, wait_for, Backend, FaultConfig, Faulty, Message, NodeId, Payload,
+    PeerStats, RealClock, Session, Transport, TransportStats,
 };
 use sbc_taskgraph::TileRef;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,6 +23,13 @@ impl Wake for Wakes {
     fn wake(self: Arc<Self>) {
         self.0.fetch_add(1, Ordering::SeqCst);
     }
+}
+
+/// The next message `t` delivers within `patience` of real time.
+fn recv_within<T: Transport>(t: &T, patience: Duration) -> Option<Message> {
+    wait_for(t, &RealClock, Some(Instant::now() + patience), || {
+        t.try_recv()
+    })
 }
 
 fn tile(dim: usize) -> Tile {
@@ -149,15 +156,17 @@ fn conformance<T: Transport>(mesh: Vec<T>, session: bool) {
             m => Some(m),
         })
         .collect();
+    // received by polling: a wait would register a waker of its own in
+    // place of the one this counts
     let (mut got_zero, mut got_one) = (Vec::new(), Vec::new());
+    let patience = Instant::now();
     while got_zero.len() + got_one.len() < expect_zero.len() + from_one.len() {
-        match mesh[2].recv_timeout(Duration::from_secs(10)) {
-            RecvTimeout::Msg(m) => match m {
-                Message::Payload { src: 1, .. } => got_one.push(m),
-                m => got_zero.push(m),
-            },
-            other => panic!(
-                "rank 2 stopped at {other:?} after {} + {} messages",
+        match mesh[2].try_recv() {
+            Some(m @ Message::Payload { src: 1, .. }) => got_one.push(m),
+            Some(m) => got_zero.push(m),
+            None if patience.elapsed() < Duration::from_secs(10) => std::thread::yield_now(),
+            None => panic!(
+                "rank 2 stopped after {} + {} messages",
                 got_zero.len(),
                 got_one.len()
             ),
@@ -262,17 +271,14 @@ fn session_drops_frames_from_outside_the_mesh<T: Transport>(mut mesh: Vec<T>) {
     let (src, real) = (1, payload(6));
     raw.send(0, seq(src, real.clone()));
     assert_eq!(
-        session.recv_timeout(Duration::from_secs(10)),
-        RecvTimeout::Msg(Message::Payload { src, payload: real })
+        recv_within(&session, Duration::from_secs(10)),
+        Some(Message::Payload { src, payload: real })
     );
-    assert_eq!(
-        session.recv_timeout(Duration::from_millis(50)),
-        RecvTimeout::TimedOut
-    );
+    assert_eq!(recv_within(&session, Duration::from_millis(50)), None);
     // one ack, for the one real payload, to the one real peer
     assert_eq!(
-        raw.recv_timeout(Duration::from_secs(10)),
-        RecvTimeout::Msg(Message::Ack { src: 0, upto: 1 })
+        recv_within(&raw, Duration::from_secs(10)),
+        Some(Message::Ack { src: 0, upto: 1 })
     );
     assert_eq!(raw.try_recv(), None);
     assert_eq!(session.stats().control_messages, 1);

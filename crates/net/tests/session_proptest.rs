@@ -16,7 +16,6 @@ fn cfg(rto_ms: u64, cap_ms: u64, window: u64) -> SessionConfig {
     SessionConfig {
         rto: Duration::from_millis(rto_ms),
         backoff_cap: Duration::from_millis(cap_ms),
-        tick: Duration::from_millis(1),
         linger: Duration::ZERO,
         window,
     }
@@ -146,7 +145,7 @@ proptest! {
                 round
             );
             prop_assert!(u.rto_ns <= cap.as_nanos() as u64);
-            let due = session.next_retransmit_due().expect("timer armed");
+            let due = session.next_timer().expect("timer armed");
             clock.advance_to(due);
             session.drive_timers();
             expected = (expected * 2).min(cap);

@@ -1844,7 +1844,7 @@ mod tests {
     use sbc_dist::comm::potrf_messages;
     use sbc_dist::{Distribution, SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
-    use sbc_net::{inproc_mesh, InProc, RecvTimeout, TransportStats, VirtualClock};
+    use sbc_net::{inproc_mesh, InProc, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
     use sbc_topo::{Heft, SubmissionOrder};
     use std::task::Waker;
@@ -2902,14 +2902,8 @@ mod tests {
         fn next_timer(&self) -> Option<Instant> {
             self.inner.next_timer()
         }
-        fn recv(&self) -> Option<Message> {
-            self.inner.recv()
-        }
         fn try_recv(&self) -> Option<Message> {
             self.inner.try_recv()
-        }
-        fn recv_timeout(&self, timeout: Duration) -> RecvTimeout {
-            self.inner.recv_timeout(timeout)
         }
         fn stats(&self) -> TransportStats {
             self.inner.stats()

@@ -37,7 +37,7 @@ use crate::jobs::{JobEngineConfig, JobId, JobSpec, JobTable};
 use sbc_dist::{Distribution, RowCyclic, TwoPointFiveD};
 use sbc_kernels::{KernelBackend, Tile};
 use sbc_matrix::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
-use sbc_net::{inproc_mesh, Clock, Message, PeerStats, RealClock, RecvTimeout, Transport};
+use sbc_net::{inproc_mesh, wait_for, Clock, Message, PeerStats, RealClock, Transport};
 use sbc_obs::Recorder;
 use sbc_planner::Plan;
 use sbc_taskgraph::{memo, ResultKind, TaskGraph, TileRef};
@@ -305,8 +305,9 @@ impl<'a> Run<'a> {
 
     /// Arms the liveness watchdog: the maximum time a rank may sit without
     /// progress (applying a message or completing a task) before the run
-    /// fails with [`ExecError::Stalled`] instead of hanging. Default: no
-    /// deadline — blocking receives never time out.
+    /// fails with [`ExecError::Stalled`] instead of hanging; rank 0's
+    /// gather under [`Run::execute_rank`] waits at most this long after the
+    /// last report. Default: no deadline — nothing times out.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.engine.deadline = Some(deadline);
         self
@@ -326,8 +327,8 @@ impl<'a> Run<'a> {
     /// The time source the watchdog (progress epochs, stall deadlines) reads
     /// — default [`RealClock`]. Injecting an [`sbc_net::VirtualClock`] makes
     /// stall detection a pure function of explicitly advanced time, each
-    /// advance waking the pool: deterministic tests can fire a 1000-second
-    /// deadline in milliseconds of real time. A [`sbc_net::Session`]
+    /// advance waking the pool or the gather: deterministic tests can fire a
+    /// 1000-second deadline in milliseconds of real time. A [`sbc_net::Session`]
     /// endpoint's timers are waited for on it too: give both one clock.
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
@@ -424,8 +425,8 @@ impl<'a> Run<'a> {
     /// with its own endpoint. The rank is stepped on `min(workers, cores)`
     /// pooled threads, the caller one of them. Worker ranks
     /// (`net.rank() != 0`) then ship their final tiles and a [`PeerStats`]
-    /// report to rank 0 and return `Ok(None)`; rank 0 waits in its inbox
-    /// for every report, gathers and returns
+    /// report to rank 0 and return `Ok(None)`; rank 0 waits on its endpoint,
+    /// on the run's clock, for every report, gathers and returns
     /// `Ok(Some(output))`. A failure on any rank poisons the whole mesh: the
     /// failing rank returns its own [`ExecError`], every other rank
     /// [`ExecError::Remote`]. A graph placed on more nodes than the mesh has
@@ -480,29 +481,20 @@ impl<'a> Run<'a> {
         for msg in early {
             gather.absorb(msg, net)?;
         }
-        // the pool is gone: this thread waits in the inbox, for at most what
-        // is left of the deadline since the last report
+        // the pool is gone: this thread waits on the endpoint, on the run's
+        // clock, until at most a deadline after the last report
         let mut last_report = self.clock.now();
         while gather.missing > 0 {
-            let waited = self.clock.now().saturating_duration_since(last_report);
-            let msg = match self.engine.deadline.map(|d| d.saturating_sub(waited)) {
-                None => net.recv().map_or(RecvTimeout::Closed, RecvTimeout::Msg),
-                Some(left) if !left.is_zero() => net.recv_timeout(left),
+            let until = self.engine.deadline.map(|d| last_report + d);
+            let Some(msg) = wait_for(net, &*self.clock, until, || net.try_recv()) else {
                 // the gather itself stalled: missing worker reports will
                 // never arrive — abort the mesh
-                Some(_) => {
-                    poison_workers(net);
-                    let got = n - 1 - gather.missing;
-                    return Err(ExecError::Stalled {
-                        rank: 0,
-                        waiting_on: format!("gather: {got}/{} worker reports received", n - 1),
-                    });
-                }
-            };
-            let msg = match msg {
-                RecvTimeout::Msg(m) => m,
-                RecvTimeout::TimedOut => continue,
-                RecvTimeout::Closed => return Err(ExecError::Remote),
+                poison_workers(net);
+                let got = n - 1 - gather.missing;
+                return Err(ExecError::Stalled {
+                    rank: 0,
+                    waiting_on: format!("gather: {got}/{} worker reports received", n - 1),
+                });
             };
             if gather.absorb(msg, net)? {
                 last_report = self.clock.now();
@@ -576,8 +568,10 @@ mod tests {
     use sbc_dist::comm;
     use sbc_dist::{SbcExtended, TwoDBlockCyclic};
     use sbc_matrix::{potrf_tiled, random_spd};
-    use sbc_net::{FaultConfig, Faulty};
+    use sbc_net::{FaultConfig, Faulty, NodeId, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
+    use std::task::Waker;
+    use std::time::Instant;
 
     fn assert_same_factor(a: &RunOutput, b: &RunOutput, context: &str) {
         for (i, j) in a.factor().tile_coords() {
@@ -874,6 +868,79 @@ mod tests {
         let messages = comm::potrf_messages(&renumbered, nt);
         assert_eq!(out.stats.messages, messages);
         assert_eq!(out.stats.bytes, comm::messages_to_bytes(messages, 8));
+    }
+
+    /// Rank 1's endpoint with its `Done` report lost on the way.
+    struct NoReport(sbc_net::InProc);
+
+    impl Transport for NoReport {
+        fn rank(&self) -> NodeId {
+            self.0.rank()
+        }
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
+            match msg {
+                Message::Done { .. } => Some(0),
+                msg => self.0.send(dest, msg),
+            }
+        }
+        fn set_waker(&self, waker: Option<Waker>) {
+            self.0.set_waker(waker);
+        }
+        fn next_timer(&self) -> Option<Instant> {
+            self.0.next_timer()
+        }
+        fn try_recv(&self) -> Option<Message> {
+            self.0.try_recv()
+        }
+        fn stats(&self) -> TransportStats {
+            self.0.stats()
+        }
+    }
+
+    /// Rank 0's gather waits on the run's clock: a worker report that never
+    /// comes ends it at that clock's deadline. With virtual time running
+    /// 10 s per real millisecond, a 1000 s deadline is a tenth of a real
+    /// second, not 1000 of them.
+    #[test]
+    fn the_gather_follows_the_injected_clock() {
+        let (verdict, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let clock = Arc::new(VirtualClock::new());
+            let dist = TwoDBlockCyclic::new(2, 1);
+            let run = Run::potrf(&dist, 4)
+                .block(4)
+                .deadline(Duration::from_secs(1000))
+                .clock(Arc::clone(&clock) as Arc<dyn Clock>);
+            let mut mesh = inproc_mesh(2).into_iter();
+            let (zero, one) = (mesh.next().unwrap(), NoReport(mesh.next().unwrap()));
+            let _ = verdict.send(std::thread::scope(|s| {
+                let worker = s.spawn(|| run.execute_rank(&one));
+                let gather = s.spawn(|| run.execute_rank(&zero));
+                let worker = worker.join().unwrap();
+                // time runs only now, so no engine's watchdog fires first
+                while !gather.is_finished() {
+                    clock.advance(Duration::from_secs(10));
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                (gather.join().unwrap(), worker)
+            }));
+        });
+        let (gathered, worker) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the gather waited out a virtual deadline in real time");
+        assert!(matches!(worker, Ok(None)), "{worker:?}");
+        match gathered {
+            Err(ExecError::Stalled {
+                rank: 0,
+                waiting_on,
+            }) => {
+                assert_eq!(waiting_on, "gather: 0/1 worker reports received");
+            }
+            other => panic!("expected the gather to stall, got {other:?}"),
+        }
     }
 
     #[test]

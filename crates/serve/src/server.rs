@@ -4,7 +4,7 @@
 
 use crate::service::Service;
 use sbc_net::wire::{encode_into, read_frame_into, EventRecord, Frame, MAX_BODY};
-use sbc_net::{Conn, Listener};
+use sbc_net::{connect_retry, Conn, Listener};
 use sbc_planner::Op;
 use sbc_taskgraph::TileRef;
 use std::io::Write;
@@ -22,22 +22,23 @@ pub fn serve(service: Arc<Service>, addr: &str) -> std::io::Result<()> {
 /// a client sends [`Frame::Shutdown`], then drains in-flight jobs, stops the
 /// resident mesh and returns. Engine failures surface as an error after the
 /// drain.
+///
+/// The loop waits in [`Listener::accept`], so nothing polls: the handler
+/// that receives the shutdown sets the stop flag and then dials the
+/// listener once, and the accept that connection ends sees the flag.
 pub fn serve_on(service: Arc<Service>, listener: Listener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
+    let addr: Arc<str> = listener.addr().into();
     let mut handlers = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                let service = Arc::clone(&service);
-                let stop = Arc::clone(&stop);
-                handlers.push(std::thread::spawn(move || handle(conn, &service, &stop)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
+    loop {
+        let conn = listener.accept()?;
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
+        let (service, stop, addr) = (Arc::clone(&service), Arc::clone(&stop), Arc::clone(&addr));
+        handlers.push(std::thread::spawn(move || {
+            handle(conn, &service, &stop, &addr)
+        }));
     }
     for h in handlers {
         let _ = h.join();
@@ -59,8 +60,9 @@ fn write_reply(conn: &mut Conn, service: &Service, f: &Frame) -> std::io::Result
 }
 
 /// One client connection: submissions stream in, per-job answers stream
-/// out in submission order.
-fn handle(mut conn: Conn, service: &Service, stop: &AtomicBool) {
+/// out in submission order. `addr` is the listener's own address, dialed
+/// once to wake the accept loop after a shutdown.
+fn handle(mut conn: Conn, service: &Service, stop: &AtomicBool, addr: &str) {
     // one scratch per connection, as in the mesh reader loop
     let mut scratch = Vec::new();
     loop {
@@ -119,6 +121,10 @@ fn handle(mut conn: Conn, service: &Service, stop: &AtomicBool) {
             }
             Frame::Shutdown => {
                 stop.store(true, Ordering::SeqCst);
+                // the accept loop is waiting for a connection: this one
+                // wakes it to see the flag (a failed dial means it is
+                // already gone)
+                let _ = connect_retry(addr, Duration::from_secs(1));
                 return;
             }
             // anything else on a job connection is a protocol error;

@@ -182,7 +182,6 @@ fn socket_runs_lose_no_wake_up() {
         let fast = SessionConfig {
             rto: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(20),
-            tick: Duration::from_millis(1),
             ..Default::default()
         };
         for workers in [1, 2] {
