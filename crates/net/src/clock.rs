@@ -2,7 +2,7 @@
 //! under the model checker.
 //!
 //! Everything time-dependent in the protocol stack — the session's
-//! retransmission timers ([`crate::Session`]) and the executor's stall
+//! retransmission timers ([`crate::Session`]) and the rank engine's stall
 //! watchdog — reads time through the [`Clock`] trait instead of calling
 //! [`Instant::now`] directly. Production code injects [`RealClock`] (the
 //! default, zero-overhead); the model checker in `sbc-mc` injects a

@@ -19,7 +19,7 @@
 //!
 //! Stats discipline: a dropped payload is *not* counted as sent (the wire
 //! never saw it); a duplicated payload is counted twice, because two copies
-//! really crossed the wire. The executor deduplicates on the receive side,
+//! really crossed the wire. The rank engine deduplicates on the receive side,
 //! so its `applied` count stays at the analytic value while the transport's
 //! message count measures the injected excess.
 
@@ -138,7 +138,7 @@ impl<T: Transport> Faulty<T> {
     }
 
     /// The fault gate: one decision per payload-carrying send, so a session
-    /// under test sees the same schedule the raw executor would. The
+    /// under test sees the same schedule the raw rank engine would. The
     /// decision itself is the pure [`FaultConfig::decide`]; this wrapper
     /// owns the live counters and the delay side effect.
     fn gate(&self) -> FaultDecision {

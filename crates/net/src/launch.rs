@@ -15,7 +15,7 @@
 
 use crate::msg::NodeId;
 use crate::sock::{connect_retry, Backend, Listener};
-use crate::stream::{default_connect_timeout, MeshBuilder, StreamTransport};
+use crate::stream::{MeshBuilder, StreamTransport, CONNECT_TIMEOUT};
 use crate::wire::{self, Frame};
 use std::io;
 use std::process::{Child, Command};
@@ -57,7 +57,7 @@ fn worker(nodes: usize, backend: Backend, rank: NodeId) -> io::Result<StreamTran
     let root_addr: String = env_parse(ENV_ROOT)?;
     let builder = MeshBuilder::bind(backend, rank, nodes)?;
 
-    let mut rendezvous = connect_retry(&root_addr, default_connect_timeout())?;
+    let mut rendezvous = connect_retry(&root_addr, CONNECT_TIMEOUT)?;
     wire::write_frame(
         &mut rendezvous,
         &Frame::Addr {

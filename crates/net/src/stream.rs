@@ -39,29 +39,8 @@ use std::sync::{Arc, Mutex};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-/// How long a mesh dial retries an unreachable peer before giving up,
-/// unless overridden by [`ENV_CONNECT_TIMEOUT_MS`].
-pub(crate) const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
-
-/// Environment override for the mesh connect deadline, in milliseconds
-/// (e.g. `SBC_NET_CONNECT_TIMEOUT_MS=500`). Useful for CI jobs that want a
-/// fast, typed failure instead of a 20-second hang when a rank never comes
-/// up. Malformed or zero values fall back to [`DEFAULT_CONNECT_TIMEOUT`].
-pub(crate) const ENV_CONNECT_TIMEOUT_MS: &str = "SBC_NET_CONNECT_TIMEOUT_MS";
-
-/// Resolves the effective connect deadline: the env override when set and
-/// sane, the default otherwise. Factored over the raw env string so the
-/// parsing rules are unit-testable without mutating process environment.
-fn connect_timeout_from(env: Option<&str>) -> Duration {
-    env.and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_CONNECT_TIMEOUT)
-}
-
-pub(crate) fn default_connect_timeout() -> Duration {
-    connect_timeout_from(std::env::var(ENV_CONNECT_TIMEOUT_MS).ok().as_deref())
-}
+/// How long a mesh dial retries an unreachable peer before giving up.
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Half-built mesh endpoint: bound, address known, not yet connected.
 pub(crate) struct MeshBuilder {
@@ -82,7 +61,7 @@ impl MeshBuilder {
             rank,
             n,
             listener: Listener::bind_ephemeral(backend)?,
-            connect_timeout: default_connect_timeout(),
+            connect_timeout: CONNECT_TIMEOUT,
         })
     }
 
@@ -460,26 +439,5 @@ mod tests {
             err.get_ref().is_some_and(|e| e.is::<ConnectTimeout>()),
             "expected a ConnectTimeout source, got {err:?}"
         );
-    }
-
-    #[test]
-    fn connect_timeout_env_parsing_rules() {
-        assert_eq!(connect_timeout_from(None), DEFAULT_CONNECT_TIMEOUT);
-        assert_eq!(
-            connect_timeout_from(Some("250")),
-            Duration::from_millis(250)
-        );
-        assert_eq!(
-            connect_timeout_from(Some(" 250 ")),
-            Duration::from_millis(250),
-            "whitespace is tolerated"
-        );
-        for bad in ["0", "-5", "1.5s", "fast", ""] {
-            assert_eq!(
-                connect_timeout_from(Some(bad)),
-                DEFAULT_CONNECT_TIMEOUT,
-                "malformed override {bad:?} falls back to the default"
-            );
-        }
     }
 }

@@ -140,7 +140,7 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Provides original (input) tile contents to the executor.
+/// Provides original (input) tile contents to the rank engine.
 ///
 /// The default provider generates the seeded random SPD matrix and RHS of
 /// `sbc_matrix::generate`; custom providers let callers factor real data

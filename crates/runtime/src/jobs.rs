@@ -13,7 +13,7 @@
 //!   mesh, a socket mesh held in one process, one process per rank with a
 //!   rank-local table) keeps a rank and its table in one process.
 //! - A rank engine is a state machine over a ready heap keyed by **(job
-//!   priority, task priority)**, with per-job tile stores namespaced by the
+//!   priority, task priority)**, with per-job tile tables namespaced by the
 //!   job id that [`sbc_net::Payload`] carries, so concurrent jobs share the
 //!   mesh without clobbering each other. Its one entry point, `Engine::step`,
 //!   picks up admissions, absorbs arrivals and runs a bounded number of
@@ -22,15 +22,14 @@
 //!   Threads are the driver's business (`crate::drive`): [`run_jobs`] steps
 //!   the ranks of the endpoints it is given on one shared pool.
 //!
-//! Lock order: the engine lock (`Engine::state`) before a job's replica
-//! cache (`JobCtx::cache`), the cache before its tile store
-//! (`JobCtx::local`); the table's lock nests inside the engine lock only
-//! in `Engine::admit`. `apply_payload` and `count_down_reads` write the
-//! cache under the engine lock. A task's own bookkeeping is one engine
-//! lock: its completion counts successors down and picks the rank's next
-//! step under it. Its operands are resolved and its target taken under one
-//! store write guard, after one cache read guard when an operand is remote,
-//! and never while the engine lock is held.
+//! Lock order: the engine lock (`Engine::state`) before a job's tiles
+//! (`JobCtx::tiles`); the table's lock nests inside the engine lock only in
+//! `Engine::admit`, which registers the jobs it takes under that lock.
+//! `apply_payload` and `count_down_reads` write the tiles under the engine
+//! lock. A task's own bookkeeping is one engine lock: its completion counts
+//! successors down and picks the rank's next step under it. Its operands
+//! are resolved and its target taken under one lock of the tiles, never
+//! while the engine lock is held.
 //!
 //! A one-shot run is the degenerate table: the front end submits its single
 //! job, closes admission, then starts the engines, which register the job
@@ -50,13 +49,11 @@ use sbc_obs::{
     Counter, EventKind, EventLog, FaultKind, Gauge, GaugeKind, Histogram, Metrics, NodeRecorder,
     RateWindow, Recorder, Severity,
 };
-use sbc_taskgraph::{Input, RankView, Source, TaskGraph, TaskId, TaskKind, TileRef, TileSpace};
+use sbc_taskgraph::{Input, RankView, Source, TaskGraph, TaskId, TaskKind, TileRef};
 use sbc_topo::{CriticalPath, SchedCtx, Scheduler};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifies one job across the table, the engines and the wire.
@@ -64,14 +61,6 @@ pub type JobId = u32;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// What a job is, shared between the table and every rank engine: the one
@@ -158,7 +147,7 @@ impl<'a> JobSpec<'a> {
     }
 }
 
-/// One finished job: the merged tile stores of every rank plus the job's
+/// One finished job: the merged owned tiles of every rank plus the job's
 /// own communication statistics.
 pub struct JobOutcome {
     /// The job.
@@ -292,7 +281,7 @@ impl TableObs {
 /// Per-job accumulator while ranks report in.
 struct JobAccum {
     graph: Arc<TaskGraph>,
-    /// Each reporting rank's tile store, handed over whole.
+    /// Each reporting rank's owned tiles, handed over whole.
     stores: Vec<HashMap<TileRef, Tile>>,
     sent_per_node: Vec<u64>,
     recv_per_node: Vec<u64>,
@@ -304,7 +293,7 @@ struct JobAccum {
     started_emitted: bool,
 }
 
-/// A finished job as the last rank left it: the per-rank tile stores still
+/// A finished job as the last rank left it: the per-rank owned tiles still
 /// unmerged, the job's statistics and its admission-to-completion time.
 struct Finished {
     graph: Arc<TaskGraph>,
@@ -580,8 +569,8 @@ impl<'a> JobTable<'a> {
     }
 
     /// Blocks until `id` finishes, returning its outcome — or the engine
-    /// failure that killed the mesh while it was in flight. The ranks' tile
-    /// stores are merged here, on the waiter's thread, so no rank engine
+    /// failure that killed the mesh while it was in flight. The ranks' owned
+    /// tiles are merged here, on the waiter's thread, so no rank engine
     /// holds the table lock per tile.
     pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
         let mut st = lock(&self.state);
@@ -776,63 +765,18 @@ impl Default for JobEngineConfig {
     }
 }
 
-/// The tiles one rank holds for one job: a table indexed by
-/// [`TileSpace::slot`], as long as the job's graph says a table must be.
-struct TileStore {
-    space: TileSpace,
-    slots: Vec<Option<Tile>>,
-    occupied: usize,
-}
-
-impl TileStore {
-    fn new(graph: &TaskGraph) -> Self {
-        TileStore {
-            space: graph.tile_space(),
-            slots: vec![None; graph.tile_slots()],
-            occupied: 0,
-        }
-    }
-
-    fn get(&self, r: TileRef) -> Option<&Tile> {
-        self.slots[self.space.slot(r)].as_ref()
-    }
-
-    fn take(&mut self, r: TileRef) -> Option<Tile> {
-        let tile = self.slots[self.space.slot(r)].take();
-        self.occupied -= tile.is_some() as usize;
-        tile
-    }
-
-    fn put(&mut self, r: TileRef, tile: Tile) {
-        let prev = self.slots[self.space.slot(r)].replace(tile);
-        self.occupied += prev.is_none() as usize;
-    }
-
-    /// Empties the store into a map under the names the rest of the system
-    /// uses — once per rank per job, when the rank reports.
-    fn drain(&mut self) -> HashMap<TileRef, Tile> {
-        let mut tiles = HashMap::with_capacity(self.occupied);
-        for (slot, tile) in std::mem::take(&mut self.slots).into_iter().enumerate() {
-            if let Some(tile) = tile {
-                tiles.insert(self.space.tile(slot), tile);
-            }
-        }
-        self.occupied = 0;
-        tiles
-    }
-}
-
 /// What a worker needs to run a job's tasks outside the engine lock: the
-/// spec, this rank's view of its graph and the job-private tile stores —
-/// the namespace that lets concurrent jobs share one mesh. `local` holds
-/// tiles this rank owns for the job, `cache` holds remote arrivals, one
-/// slot per remote input of the view, from arrival until the input's last
+/// spec, this rank's view of its graph and the job-private tile table — the
+/// namespace that lets concurrent jobs share one mesh. `tiles` is numbered
+/// by the view: the tiles this rank owns for the job at `0..owned()`, then
+/// remote input `i` at `owned() + i`, held from its arrival until its last
 /// local reader ran.
 struct JobCtx<'a> {
     spec: Arc<JobSpec<'a>>,
     me: NodeId,
-    local: RwLock<TileStore>,
-    cache: RwLock<Vec<Option<Tile>>>,
+    tiles: Mutex<Vec<Option<Tile>>>,
+    /// Full slots of `tiles`; a task's target counts while the task runs.
+    occupied: AtomicUsize,
 }
 
 impl JobCtx<'_> {
@@ -841,14 +785,15 @@ impl JobCtx<'_> {
         self.spec.graph.rank_view(self.me)
     }
 
-    /// The job-local tile `r` of `local` (this job's store, under its write
-    /// guard), generated from its original on first use.
-    fn local_or_original(&self, local: &mut TileStore, r: TileRef) -> Result<Tile, KernelError> {
-        if let Some(tile) = local.get(r) {
+    /// The tile in owned slot `s` of `tiles` (this job's table, locked),
+    /// generated from its original on first use.
+    fn local_or_original(&self, tiles: &mut [Option<Tile>], s: u32) -> Result<Tile, KernelError> {
+        if let Some(tile) = &tiles[s as usize] {
             return Ok(tile.clone());
         }
-        let tile = self.spec.original(r)?;
-        local.put(r, tile.clone());
+        let tile = self.spec.original(self.view().owned_tile(s))?;
+        tiles[s as usize] = Some(tile.clone());
+        self.occupied.fetch_add(1, Ordering::Relaxed);
         Ok(tile)
     }
 }
@@ -875,14 +820,12 @@ struct JobRun<'a> {
     arrived: Vec<bool>,
     /// Per remote input: own tasks that read it and have not run yet.
     readers: Vec<u32>,
-    /// Full slots of `ctx.cache`.
-    held: usize,
 }
 
 impl JobRun<'_> {
     /// Counts own task `l`'s reads of remote inputs down, once per input,
     /// returning the tile of each input whose last reader `l` was, taken
-    /// from its cache slot, for the caller to drop after the engine lock.
+    /// from its slot, for the caller to drop after the engine lock.
     fn count_down_reads(&mut self, view: &RankView, l: u32) -> [Option<Tile>; 2] {
         let mut released = [None, None];
         let read = view.sources(l);
@@ -894,10 +837,11 @@ impl JobRun<'_> {
             let left = &mut self.readers[i as usize];
             *left -= 1;
             if *left == 0 {
-                if let Some(tile) = write(&self.ctx.cache)[i as usize].take() {
-                    self.held -= 1;
-                    released[k] = Some(tile);
-                }
+                let tile = lock(&self.ctx.tiles)[view.owned() + i as usize].take();
+                self.ctx
+                    .occupied
+                    .fetch_sub(tile.is_some() as usize, Ordering::Relaxed);
+                released[k] = tile;
             }
         }
         released
@@ -938,14 +882,11 @@ struct EngineState<'a> {
     /// (registration races remote ships).
     pending: HashMap<JobId, Vec<Payload>>,
     /// One past the last job id this rank took from the table. The table
-    /// admits ids in order and a rank's queue is FIFO, so an id below it that
-    /// is neither in `jobs` nor in `registering` has finished here: what
-    /// arrives for it is a late duplicate. Per-job state stays O(jobs in
-    /// flight) for the life of a resident rank.
+    /// admits ids in order, a rank's queue is FIFO and a taken job is
+    /// registered under the lock that took it, so an id below it that is not
+    /// in `jobs` has finished here: what arrives for it is a late duplicate.
+    /// Per-job state stays O(jobs in flight) for the life of a resident rank.
     taken: JobId,
-    /// Jobs taken from the table whose share is still being built outside
-    /// the lock; a payload for one of them is stashed, not dropped.
-    registering: Vec<JobId>,
     /// `Result`/`Done` frames that reached this rank while it was still
     /// executing — only rank 0 of a multi-process gather sees these; they
     /// are handed back to the caller.
@@ -962,7 +903,7 @@ struct EngineState<'a> {
 
 impl EngineState<'_> {
     fn drained(&self) -> bool {
-        self.poisoned || (self.closed && self.registering.is_empty() && self.jobs.is_empty())
+        self.poisoned || (self.closed && self.jobs.is_empty())
     }
 
     /// Ready-heap depth, early-payload stash size and jobs in flight.
@@ -970,10 +911,9 @@ impl EngineState<'_> {
         (self.ready.len(), self.pending.len(), self.jobs.len())
     }
 
-    /// Tiles this rank holds across its jobs: owned tiles in the stores
-    /// plus replicas in the caches.
+    /// Tiles this rank holds across its jobs: owned tiles plus replicas.
     fn resident_tiles(&self) -> usize {
-        let job = |run: &JobRun| read(&run.ctx.local).occupied + run.held;
+        let job = |run: &JobRun| run.ctx.occupied.load(Ordering::Relaxed);
         self.jobs.iter().map(job).sum()
     }
 }
@@ -1102,7 +1042,6 @@ impl<'e, 'a> Engine<'e, 'a> {
                 unshipped: VecDeque::new(),
                 pending: HashMap::new(),
                 taken: 0,
-                registering: Vec::new(),
                 gather: Vec::new(),
                 closed: false,
                 active: 0,
@@ -1243,9 +1182,10 @@ impl<'e, 'a> Engine<'e, 'a> {
         Progress::Ran
     }
 
-    /// Picks up new registrations when the table's generation moved. The
-    /// table lock nests inside the engine lock here, so the taken ids are
-    /// `registering` before any arrival for them can be judged.
+    /// Picks up new admissions when the table's generation moved and
+    /// registers them under the engine lock that took them, so no arrival
+    /// can be judged between the two. The table lock nests inside the engine
+    /// lock here.
     fn admit(&self) {
         let generation = self.table.generation.load(Ordering::Acquire);
         if self.generation.fetch_max(generation, Ordering::AcqRel) >= generation {
@@ -1256,11 +1196,20 @@ impl<'e, 'a> Engine<'e, 'a> {
         st.closed |= closed;
         if let Some(last) = specs.last() {
             st.taken = last.id + 1;
+            // arm the per-job watchdog clock: a rank that was idle until now
+            // must measure no-progress from this registration, not from the
+            // end of the previous job
+            self.touch_progress();
         }
-        st.registering.extend(specs.iter().map(|spec| spec.id));
+        let me = self.me;
+        let registered: Result<Vec<_>, ExecError> = specs
+            .into_iter()
+            .map(|spec| Self::register(&mut st, me, spec))
+            .collect();
         self.unlock_and_nudge(st);
-        for spec in specs {
-            self.register(spec);
+        match registered {
+            Ok(done) => done.into_iter().for_each(|run| self.report(run)),
+            Err(e) => self.fail(e),
         }
     }
 
@@ -1333,11 +1282,16 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     /// Installs this rank's share of `spec` — per-job state sized by the
-    /// rank's view of the graph, which the graph builds once — reporting it
-    /// finished at once when the job has nothing to do here (no local tasks
-    /// and no fetches to ship).
-    fn register(&self, spec: Arc<JobSpec<'a>>) {
-        let me = self.me;
+    /// rank's view of the graph, which the graph builds once — and applies
+    /// the payloads that beat it. Returns the share when the job has nothing
+    /// left to do here (no local tasks and no fetches to ship), for
+    /// [`Engine::report`] after the engine lock; a refused early payload is
+    /// the rank's failure.
+    fn register(
+        st: &mut EngineState<'a>,
+        me: NodeId,
+        spec: Arc<JobSpec<'a>>,
+    ) -> Result<Option<JobRun<'a>>, ExecError> {
         let view = spec.graph.rank_view(me);
         let deps = view.deps().to_vec();
         let initial_ready = (0..deps.len() as u32)
@@ -1345,21 +1299,15 @@ impl<'e, 'a> Engine<'e, 'a> {
             .collect();
         let remaining = view.len() as u64;
         let shipped = view.ships().is_empty();
-        let cache = RwLock::new(vec![None; view.inputs()]);
+        let tiles = Mutex::new(vec![None; view.owned() + view.inputs()]);
         let (arrived, readers) = (vec![false; view.inputs()], view.readers().to_vec());
-
-        // arm the per-job watchdog clock: a rank that was idle until now
-        // must measure no-progress from this registration, not from the
-        // end of the previous job
-        self.touch_progress();
-
         let id = spec.id;
-        let run = JobRun {
+        st.jobs.push(JobRun {
             ctx: Arc::new(JobCtx {
-                local: RwLock::new(TileStore::new(&spec.graph)),
-                cache,
-                me,
                 spec,
+                me,
+                tiles,
+                occupied: AtomicUsize::new(0),
             }),
             deps,
             initial_ready,
@@ -1370,34 +1318,16 @@ impl<'e, 'a> Engine<'e, 'a> {
             applied: 0,
             arrived,
             readers,
-            held: 0,
-        };
-
-        let mut st = lock(&self.state);
-        st.registering.retain(|&r| r != id);
-        if st.poisoned {
-            return;
-        }
-        st.jobs.push(run);
+        });
         if shipped {
-            Self::release_initial(&mut st, id);
+            Self::release_initial(st, id);
         } else {
             st.unshipped.push_back(id);
         }
-        // payloads that beat the registration
-        let mut refused = None;
         for payload in st.pending.remove(&id).unwrap_or_default() {
-            if let Err(e) = Self::apply_payload(&mut st, me, payload) {
-                refused = Some(e);
-                break;
-            }
+            Self::apply_payload(st, me, payload)?;
         }
-        let done = Self::try_finish(&mut st, id);
-        self.unlock_and_nudge(st);
-        if let Some(e) = refused {
-            return self.fail(e);
-        }
-        self.report(done);
+        Ok(Self::try_finish(st, id))
     }
 
     /// Pushes a registered job's dependency-free tasks onto the shared heap
@@ -1416,7 +1346,7 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// If `id` has shipped its fetches and run out of local tasks, remove
     /// it and return it for [`Engine::report`], which the caller invokes
     /// after releasing the engine lock. From here on the id is below
-    /// `taken` and in neither `jobs` nor `registering`: finished.
+    /// `taken` and not in `jobs`: finished.
     fn try_finish(st: &mut EngineState<'a>, id: JobId) -> Option<JobRun<'a>> {
         let at = st.jobs.iter().position(|run| run.ctx.spec.id == id)?;
         let run = &st.jobs[at];
@@ -1427,11 +1357,17 @@ impl<'e, 'a> Engine<'e, 'a> {
         Some(st.jobs.swap_remove(at))
     }
 
-    /// Tells the table this rank's share of a job is finished.
+    /// Tells the table this rank's share of a job is finished, handing over
+    /// its owned tiles under the names the rest of the system uses.
     fn report(&self, done: Option<JobRun<'a>>) {
         let Some(run) = done else { return };
-        // no stepper is inside a finished job any more: the store is ours
-        let tiles = write(&run.ctx.local).drain();
+        let view = run.ctx.view();
+        // no stepper is inside a finished job any more: the tiles are ours
+        let tiles = lock(&run.ctx.tiles)[..view.owned()]
+            .iter_mut()
+            .zip(0..)
+            .filter_map(|(tile, s)| Some((view.owned_tile(s), tile.take()?)))
+            .collect();
         let completion = Completion {
             id: run.ctx.spec.id,
             tiles,
@@ -1462,8 +1398,9 @@ impl<'e, 'a> Engine<'e, 'a> {
     fn ship(&self, ctx: &JobCtx<'a>, obs: &mut Obs<'_>) {
         let id = ctx.spec.id;
         let mut sent = (0, 0);
-        for &(tile_ref, dest, task) in ctx.view().ships() {
-            let tile = match ctx.local_or_original(&mut write(&ctx.local), tile_ref) {
+        let view = ctx.view();
+        for &(slot, dest, task) in view.ships() {
+            let tile = match ctx.local_or_original(&mut lock(&ctx.tiles), slot) {
                 Ok(tile) => tile,
                 Err(error) => {
                     let node = self.me;
@@ -1472,7 +1409,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             };
             let payload = Payload::Orig {
                 job: id,
-                tile_ref,
+                tile_ref: view.owned_tile(slot),
                 tile,
             };
             self.send(dest, payload, &mut sent, obs);
@@ -1667,11 +1604,10 @@ impl<'e, 'a> Engine<'e, 'a> {
             ready,
             pending,
             taken,
-            registering,
             ..
         } = st;
         let Some(run) = find_job(jobs, id) else {
-            if id >= *taken || registering.contains(&id) {
+            if id >= *taken {
                 // registration has not happened here yet; stash for it
                 pending.entry(id).or_default().push(payload);
             }
@@ -1689,7 +1625,6 @@ impl<'e, 'a> Engine<'e, 'a> {
             shipped,
             applied,
             arrived,
-            held,
             ..
         } = run;
         let view = ctx.view();
@@ -1717,8 +1652,8 @@ impl<'e, 'a> Engine<'e, 'a> {
             return Ok(false);
         }
         arrived[i] = true;
-        write(&ctx.cache)[i] = Some(tile);
-        *held += 1;
+        lock(&ctx.tiles)[view.owned() + i] = Some(tile);
+        ctx.occupied.fetch_add(1, Ordering::Relaxed);
         *applied += 1;
         for &l in waiting {
             let d = &mut deps[l as usize];
@@ -1782,18 +1717,17 @@ struct Completion {
     applied: u64,
 }
 
-/// Executes one task's kernel against the job's private stores, returning
-/// a handle on its output when `publish` asks for one to send.
+/// Executes one task's kernel against the job's private tiles, returning a
+/// handle on its output when `publish` asks for one to send.
 ///
-/// Each operand is resolved from where the rank's view says it is: a remote
-/// producer's output or a fetched original in the job's cache, a local
-/// producer's output in the job-local store, or a local original generated
+/// Each operand is read from the slot the rank's view names: a remote
+/// producer's output or a fetched original in its input slot, a local
+/// producer's output in its owned slot, or a local original generated there
 /// on first use. The operands are resolved and the target tile *removed*
-/// from the store under one store guard (and one cache guard when an operand
-/// is remote), and the target is reinserted after the kernel call; this is
-/// safe because the graph's ordering edges guarantee no same-rank reader of
-/// the current version is running concurrently with its writer (remote
-/// readers use received copies).
+/// from its slot under one lock, and the target is reinserted after
+/// the kernel call; this is safe because the graph's ordering edges
+/// guarantee no same-rank reader of the current version is running
+/// concurrently with its writer (remote readers use received copies).
 fn execute_task(
     kernels: KernelBackend,
     ctx: &JobCtx<'_>,
@@ -1801,39 +1735,41 @@ fn execute_task(
     publish: bool,
 ) -> Result<Option<Tile>, KernelError> {
     let spec = &ctx.spec;
-    let c = spec.graph.slices;
     let view = ctx.view();
     let task = spec.graph.tasks()[view.task(l) as usize];
-    let (reads, sources) = (task.reads(c), view.sources(l));
-    let target_ref = task.output(c);
+    let out = view.output(l) as usize;
     let mut operands: [Option<Tile>; 2] = [None, None];
     let stored = {
-        // the module's lock order: cache, then local
-        let remote = sources.iter().any(|s| matches!(s, Source::Input(_)));
-        let cache = remote.then(|| read(&ctx.cache));
-        let mut local = write(&ctx.local);
-        for ((operand, &r), &source) in operands.iter_mut().zip(reads.as_slice()).zip(sources) {
+        let mut tiles = lock(&ctx.tiles);
+        for (operand, &source) in operands.iter_mut().zip(view.sources(l)) {
             *operand = Some(match source {
-                Source::Input(i) => cache
-                    .as_deref()
-                    .and_then(|cache| cache[i as usize].clone())
+                Source::Input(i) => tiles[view.owned() + i as usize]
+                    .clone()
                     .expect("dependency ensured arrival"),
-                Source::Local => local.get(r).expect("local producer wrote the tile").clone(),
-                Source::Original => ctx.local_or_original(&mut local, r)?,
+                Source::Local(s) => tiles[s as usize]
+                    .clone()
+                    .expect("local producer wrote the tile"),
+                Source::Original(s) => ctx.local_or_original(&mut tiles, s)?,
             });
         }
-        local.take(target_ref)
+        tiles[out].take()
     };
+    // the target counts as held while the kernel runs: only a first write
+    // fills its slot
+    let fresh = stored.is_none();
     let mut target = match stored {
         Some(tile) => tile,
         // a Move replaces its target with a handle on its source: an empty
         // placeholder, never generated data for a later-phase tile
         None if matches!(task.kind, TaskKind::Move { .. }) => Tile::zeros(0),
-        None => spec.original(target_ref)?,
+        None => spec.original(task.output(spec.graph.slices))?,
     };
     let result = run_kernel(kernels, task.kind, &operands, &mut target);
     let output = publish.then(|| target.clone());
-    write(&ctx.local).put(target_ref, target);
+    lock(&ctx.tiles)[out] = Some(target);
+    if fresh {
+        ctx.occupied.fetch_add(1, Ordering::Relaxed);
+    }
     result.map(|()| output)
 }
 
@@ -1847,6 +1783,7 @@ mod tests {
     use sbc_net::{inproc_mesh, InProc, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
     use sbc_topo::{Heft, SubmissionOrder};
+    use std::collections::HashSet;
     use std::task::Waker;
 
     const B: usize = 8;
@@ -2168,9 +2105,12 @@ mod tests {
         assert_eq!(table.inflight(), 0);
     }
 
-    /// Remote arrivals `run` holds.
-    fn cached(run: &JobRun) -> usize {
-        read(&run.ctx.cache).iter().flatten().count()
+    /// Remote arrivals `ctx` holds: its full input slots.
+    fn cached(ctx: &JobCtx) -> usize {
+        lock(&ctx.tiles)[ctx.view().owned()..]
+            .iter()
+            .flatten()
+            .count()
     }
 
     /// Hand-driven engines: the test is the only stepper, so nobody needs
@@ -2384,9 +2324,9 @@ mod tests {
             .expect("rank 0 waits on some remote tile")
     }
 
-    /// `cache` has a slot only for the remote inputs of the rank's view, so
-    /// a payload for a tile no task of this rank waits for is dropped: not
-    /// cached, not counted as applied.
+    /// A job's tiles have a slot only for the remote inputs of the rank's
+    /// view, so a payload for a tile no task of this rank waits for is
+    /// dropped: not held, not counted as applied.
     #[test]
     fn an_arrival_nobody_here_waits_for_is_dropped() {
         let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
@@ -2410,13 +2350,13 @@ mod tests {
         settle(&engine);
         let st = lock(&engine.state);
         assert_eq!(st.jobs[0].applied, 0);
-        assert_eq!(cached(&st.jobs[0]), 0);
+        assert_eq!(cached(&st.jobs[0].ctx), 0);
     }
 
     /// Producer ids and tile names come off the wire. A `Data` payload naming
     /// a task past the graph's end, and an `Orig` payload naming a tile
     /// outside the graph's tile space, are foreign traffic: dropped without
-    /// an index panic, nothing cached or counted, and the job runs on.
+    /// an index panic, nothing held or counted, and the job runs on.
     #[test]
     fn arrivals_naming_nothing_in_the_graph_are_dropped() {
         let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(2, 2), 6));
@@ -2473,10 +2413,10 @@ mod tests {
         assert_eq!(st.error, None);
         assert_eq!(st.jobs.len(), 1, "the job is still in flight");
         assert_eq!(st.jobs[0].applied, 0);
-        assert_eq!(cached(&st.jobs[0]), 0);
+        assert_eq!(cached(&st.jobs[0].ctx), 0);
     }
 
-    /// A replica leaves its cache slot once its last local reader ran, so
+    /// A replica leaves its slot once its last local reader ran, so
     /// duplicates are told by the per-input `arrived` bit, not by the slot.
     /// The script: all four ranks of a 2x2 mesh stepped by hand until some
     /// input `i` of rank 0 has arrived and every task reading it has run,
@@ -2536,8 +2476,9 @@ mod tests {
             let st = lock(&engines[0].state);
             assert_eq!(st.jobs.len(), 1, "the job is still in flight on rank 0");
             let run = &st.jobs[0];
+            let slot = view.owned() + i;
             assert!(
-                read(&run.ctx.cache)[i].is_none(),
+                lock(&run.ctx.tiles)[slot].is_none(),
                 "the replica left its slot"
             );
             (run.applied, run.deps.clone(), ready(&st))
@@ -2563,9 +2504,10 @@ mod tests {
             assert_eq!(run.applied, applied, "the duplicate was applied");
             assert_eq!(run.deps, deps, "the duplicate moved a dependency count");
             assert_eq!(ready(&st), heap, "the duplicate readied a task");
+            let slot = view.owned() + i;
             assert!(
-                read(&run.ctx.cache)[i].is_none(),
-                "the duplicate was cached"
+                lock(&run.ctx.tiles)[slot].is_none(),
+                "the duplicate was held"
             );
             let missing = run.arrived.iter().filter(|&&got| !got).count();
             drop(st);
@@ -2587,9 +2529,78 @@ mod tests {
         }
         assert_sequential(&table.wait(id).expect("the job finishes"), &d, nt, seed);
         for (rank, ctx) in ctxs.iter().enumerate() {
-            let held = read(&ctx.cache).iter().flatten().count();
-            assert_eq!(held, 0, "rank {rank} kept replicas past their readers");
+            assert_eq!(
+                cached(ctx),
+                0,
+                "rank {rank} kept replicas past their readers"
+            );
         }
+    }
+
+    /// The tile names in the per-rank reports `table` holds for job `id`,
+    /// in report order.
+    fn reported(table: &JobTable, id: JobId) -> Vec<HashSet<TileRef>> {
+        let st = lock(&table.state);
+        let stores = match st.accum.get(&id) {
+            Some(acc) => &acc.stores,
+            None => &st.done[&id].stores,
+        };
+        stores.iter().map(|s| s.keys().copied().collect()).collect()
+    }
+
+    /// Each rank of a POTRF on `d` at nt = 4, stepped by hand, reports
+    /// exactly the tiles its view owns, and holds no replica at report: no
+    /// received tile leaks into the result, and none outlives the job.
+    fn reports_its_owned_tiles<D: Distribution>(d: &D) {
+        let (nt, seed) = (4, 5);
+        let graph = Arc::new(build_potrf(d, nt));
+        let n = graph.num_nodes();
+        let table = JobTable::new(n, 1);
+        let id = table
+            .submit(Arc::clone(&graph), B, seed, seed + 1, 0)
+            .unwrap();
+        let mesh = inproc_mesh(n);
+        let cfg = JobEngineConfig::default();
+        let engines: Vec<Engine> = (0..n)
+            .map(|r| Engine::new(&mesh[r], &table, cfg, None, &ByHand))
+            .collect();
+        let ctxs: Vec<Arc<JobCtx>> = engines
+            .iter()
+            .map(|engine| {
+                engine.admit();
+                Arc::clone(&lock(&engine.state).jobs[0].ctx)
+            })
+            .collect();
+        let mut rounds = 0;
+        let mut seen = 0;
+        while seen < n {
+            for (rank, engine) in engines.iter().enumerate() {
+                settle(engine);
+                let reports = reported(&table, id);
+                if reports.len() == seen {
+                    continue;
+                }
+                assert_eq!(reports.len(), seen + 1, "one report per step");
+                seen += 1;
+                let view = graph.rank_view(rank as u32);
+                let owned: HashSet<TileRef> = (0..view.owned() as u32)
+                    .map(|s| view.owned_tile(s))
+                    .collect();
+                assert_eq!(reports[seen - 1], owned, "rank {rank} reported other tiles");
+                let held = lock(&ctxs[rank].tiles);
+                assert_eq!(held.len(), view.owned() + view.inputs());
+                assert!(held.iter().all(Option::is_none), "rank {rank} kept a tile");
+            }
+            rounds += 1;
+            assert!(rounds < 100, "the job never finished");
+        }
+        assert_sequential(&table.wait(id).expect("the job finishes"), d, nt, seed);
+    }
+
+    #[test]
+    fn a_rank_reports_its_owned_tiles_and_no_replica() {
+        reports_its_owned_tiles(&TwoDBlockCyclic::new(2, 1));
+        reports_its_owned_tiles(&SbcExtended::new(3));
     }
 
     /// A payload's tile is checked against the job's `b` on arrival. One of
@@ -2629,7 +2640,7 @@ mod tests {
         let st = lock(&engine.state);
         assert_eq!(st.error, Some(expected.clone()));
         assert_eq!(st.jobs[0].applied, 0);
-        assert_eq!(cached(&st.jobs[0]), 0);
+        assert_eq!(cached(&st.jobs[0].ctx), 0);
         drop(st);
         for peer in &mesh[1..] {
             let inbox: Vec<Message> = std::iter::from_fn(|| peer.try_recv()).collect();
@@ -2661,7 +2672,7 @@ mod tests {
         }
         {
             let st = lock(&engine.state);
-            assert!(st.jobs.is_empty() && st.registering.is_empty() && st.pending.is_empty());
+            assert!(st.jobs.is_empty() && st.pending.is_empty());
             assert_eq!(st.taken, 1000);
         }
 

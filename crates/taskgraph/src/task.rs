@@ -45,7 +45,8 @@ pub enum TileRef {
 /// tiles and `slices` 2.5D slices can name has a slot, so per-tile state
 /// lives in a table indexed by [`TileSpace::slot`] instead of a hash map
 /// keyed by `TileRef`. Its two users are the dependency-inferring
-/// `GraphBuilder` and the runtime's per-rank tile store.
+/// `GraphBuilder` and [`crate::RankView`], which keys its fetched originals
+/// and orders its owned tiles by slot.
 ///
 /// Layout, in slot order: the `nt` right-hand-side tiles `B`; then, only when
 /// `slices > 1`, one `nt²` plane of accumulation buffers `Buf` per slice;

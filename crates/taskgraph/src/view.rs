@@ -7,6 +7,12 @@
 //! ([`crate::TaskGraph::rank_view`]), so a job's per-rank state is sized by
 //! the rank's tasks and not by the graph's, and nothing scans the graph's
 //! edges per task or per job.
+//!
+//! A view also numbers every tile the rank holds for a job, so an engine
+//! keeps them in one table of [`RankView::owned`] + [`RankView::inputs`]
+//! slots: the rank's own tiles (its tasks' outputs, the originals it reads
+//! or ships) at `0..owned()`, ascending by [`TileSpace::slot`], then remote
+//! input `i` at `owned() + i`.
 
 use crate::graph::{EdgeKind, TaskGraph};
 use crate::task::{TaskId, TileRef, TileSpace};
@@ -78,10 +84,10 @@ pub enum Input {
 /// Where one read operand of a task comes from on the task's own rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
-    /// A local task's output, in the rank's tile store.
-    Local,
-    /// The tile's original, generated on first use.
-    Original,
+    /// A local task's output, in owned slot `s`.
+    Local(u32),
+    /// The tile's original, generated on first use into owned slot `s`.
+    Original(u32),
     /// Remote input `i` of the view ([`RankView::input`]).
     Input(u32),
 }
@@ -105,15 +111,19 @@ pub struct RankView {
     dests: Lists<u32>,
     /// Per own task: one source per [`crate::Task::reads`] entry, in order.
     sources: Lists<Source>,
+    /// Per own task: the owned slot of its output.
+    outputs: Vec<u32>,
+    /// The [`TileSpace::slot`] of each owned tile, ascending.
+    owned: Vec<u32>,
     /// Remote inputs, ascending: a task id, or [`ORIG`] plus a tile's slot.
     inputs: Vec<u64>,
     /// Per remote input: the own tasks it unblocks (local numbers).
     waiters: Lists<u32>,
     /// Per remote input: how many own tasks read it.
     readers: Vec<u32>,
-    /// Originals this rank ships: the tile, its destination, and the first
-    /// task there that reads it.
-    ships: Vec<(TileRef, u32, TaskId)>,
+    /// Originals this rank ships: the tile's owned slot, its destination,
+    /// and the first task there that reads it.
+    ships: Vec<(u32, u32, TaskId)>,
 }
 
 impl RankView {
@@ -125,14 +135,17 @@ impl RankView {
         succs: Lists::EMPTY,
         dests: Lists::EMPTY,
         sources: Lists::EMPTY,
+        outputs: Vec::new(),
+        owned: Vec::new(),
         inputs: Vec::new(),
         waiters: Lists::EMPTY,
         readers: Vec::new(),
         ships: Vec::new(),
     };
 
-    /// Derives `rank`'s view of `g`: one pass over the tasks' nodes, then
-    /// one over the rank's own tasks and their edges.
+    /// Derives `rank`'s view of `g`: one pass over the tasks' nodes, one
+    /// over the rank's own tasks and their edges, then one that renumbers
+    /// the owned tiles they name.
     pub(crate) fn build(g: &TaskGraph, rank: u32) -> RankView {
         let (space, all, local) = (g.tile_space(), g.tasks(), g.local_numbers());
         let node = |t: TaskId| all[t as usize].node;
@@ -156,6 +169,10 @@ impl RankView {
         // (input, waiting task) in task order, then in fetch order
         let mut waiting: Vec<(u32, u32)> = Vec::new();
         let (mut succs, mut dests, mut sources) = (Lists::new(), Lists::new(), Lists::new());
+        // owned tiles under their `TileSpace` slots until renumbered below
+        let mut outputs = Vec::with_capacity(tasks.len());
+        let mut owned: Vec<u32> = Vec::new();
+        let slot = |r: TileRef| space.slot(r) as u32;
         // this task's data producers: their output and where it is here
         let mut produced: Vec<(TileRef, Source)> = Vec::new();
         for (l, &t) in tasks.iter().enumerate() {
@@ -163,8 +180,9 @@ impl RankView {
             produced.clear();
             for (p, kind) in g.preds(t) {
                 in_degree += 1;
+                let out = all[p as usize].output(g.slices);
                 let source = if node(p) == rank {
-                    Source::Local
+                    Source::Local(slot(out))
                 } else {
                     debug_assert_eq!(kind, EdgeKind::Data, "remote edges carry data");
                     let i = input(p as u64);
@@ -172,7 +190,7 @@ impl RankView {
                     Source::Input(i)
                 };
                 if kind == EdgeKind::Data {
-                    produced.push((all[p as usize].output(g.slices), source));
+                    produced.push((out, source));
                 }
             }
             deps.push(in_degree);
@@ -190,7 +208,7 @@ impl RankView {
                     Some(&(_, source)) => source,
                     None => match inputs.binary_search(&orig(r)) {
                         Ok(i) => Source::Input(i as u32),
-                        Err(_) => Source::Original,
+                        Err(_) => Source::Original(slot(r)),
                     },
                 });
             }
@@ -198,9 +216,12 @@ impl RankView {
             for (k, &source) in read.iter().enumerate() {
                 match source {
                     Source::Input(i) if !read[..k].contains(&source) => readers[i as usize] += 1,
-                    _ => {}
+                    Source::Original(s) => owned.push(s),
+                    // a local producer's output is one of `outputs`
+                    Source::Input(_) | Source::Local(_) => {}
                 }
             }
+            outputs.push(slot(all[t as usize].output(g.slices)));
             succs.end();
             dests.end();
             sources.end();
@@ -224,7 +245,24 @@ impl RankView {
             waiters.end();
         }
         let ships = g.initial_fetches().iter().filter(|f| f.home == rank);
-        let ships = ships.map(|f| (f.tile, f.dest, f.consumers[0])).collect();
+        let mut ships: Vec<(u32, u32, TaskId)> = ships
+            .map(|f| (slot(f.tile), f.dest, f.consumers[0]))
+            .collect();
+
+        owned.extend(&outputs);
+        owned.extend(ships.iter().map(|&(s, ..)| s));
+        owned.sort_unstable();
+        owned.dedup();
+        owned.shrink_to_fit();
+        let renumber = |s: &mut u32| *s = owned.binary_search(s).expect("an owned tile") as u32;
+        let mut sources = sources.done();
+        for source in &mut sources.items {
+            if let Source::Local(s) | Source::Original(s) = source {
+                renumber(s);
+            }
+        }
+        outputs.iter_mut().for_each(renumber);
+        ships.iter_mut().for_each(|(s, ..)| renumber(s));
 
         RankView {
             space,
@@ -232,7 +270,9 @@ impl RankView {
             deps,
             succs: succs.done(),
             dests: dests.done(),
-            sources: sources.done(),
+            sources,
+            outputs,
+            owned,
             inputs,
             waiters: waiters.done(),
             readers,
@@ -279,7 +319,23 @@ impl RankView {
         self.sources.get(l as usize)
     }
 
-    /// Number of remote inputs.
+    /// The owned slot own task `l` writes.
+    pub fn output(&self, l: u32) -> u32 {
+        self.outputs[l as usize]
+    }
+
+    /// Number of tiles the rank owns for a job: its tasks' outputs and the
+    /// originals it reads or ships, at slots `0..owned()`.
+    pub fn owned(&self) -> usize {
+        self.owned.len()
+    }
+
+    /// The tile in owned slot `s`.
+    pub fn owned_tile(&self, s: u32) -> TileRef {
+        self.space.tile(self.owned[s as usize] as usize)
+    }
+
+    /// Number of remote inputs; input `i` is held at slot `owned() + i`.
     pub fn inputs(&self) -> usize {
         self.inputs.len()
     }
@@ -317,9 +373,10 @@ impl RankView {
         &self.readers
     }
 
-    /// The originals this rank ships before its tasks start: tile,
-    /// destination rank, and the first task there that reads it.
-    pub fn ships(&self) -> &[(TileRef, u32, TaskId)] {
+    /// The originals this rank ships before its tasks start: the tile's
+    /// owned slot, the destination rank, and the first task there that
+    /// reads it.
+    pub fn ships(&self) -> &[(u32, u32, TaskId)] {
         &self.ships
     }
 
@@ -330,6 +387,8 @@ impl RankView {
             + self.succs.heap_bytes()
             + self.dests.heap_bytes()
             + self.sources.heap_bytes()
+            + vec_bytes(&self.outputs)
+            + vec_bytes(&self.owned)
             + vec_bytes(&self.inputs)
             + self.waiters.heap_bytes()
             + vec_bytes(&self.readers)
@@ -352,18 +411,46 @@ impl RankView {
 mod tests {
     use super::*;
     use crate::builders::{build_posv, build_potrf, build_potrf_25d, build_trtri};
+    use sbc_dist::comm::potrf_messages;
     use sbc_dist::{RowCyclic, SbcBasic, SbcExtended, TwoDBlockCyclic, TwoPointFiveD};
 
-    /// Every fact a view states agrees with the whole graph it came from.
+    /// Every fact a view states agrees with the whole graph it came from,
+    /// and every slot it names is inside its table of `owned() + inputs()`.
     fn assert_view_agrees(g: &TaskGraph) {
         let mut own = 0;
         for rank in 0..g.num_nodes() as u32 {
             let v = g.rank_view(rank);
             own += v.len();
             let deps = g.initial_deps();
+            let owned = (0..v.owned() as u32).map(|s| g.tile_space().slot(v.owned_tile(s)));
+            let owned: Vec<usize> = owned.collect();
+            assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned tiles ascend");
+            let mut named = vec![false; v.owned()];
+            let mut readers = vec![0; v.inputs()];
             for l in 0..v.len() as u32 {
                 let t = v.task(l);
-                assert_eq!(g.tasks()[t as usize].node, rank);
+                let task = &g.tasks()[t as usize];
+                assert_eq!(task.node, rank);
+                let out = v.output(l);
+                assert_eq!(v.owned_tile(out), task.output(g.slices), "task {t}");
+                named[out as usize] = true;
+                let reads = task.reads(g.slices);
+                for (&r, &source) in reads.as_slice().iter().zip(v.sources(l)) {
+                    match source {
+                        Source::Local(s) | Source::Original(s) => {
+                            assert_eq!(v.owned_tile(s), r, "task {t}");
+                            named[s as usize] = true;
+                        }
+                        Source::Input(i) => assert!((i as usize) < v.inputs()),
+                    }
+                }
+                let mut read: Vec<&Source> = v.sources(l).iter().collect();
+                read.dedup();
+                for &source in read {
+                    if let Source::Input(i) = source {
+                        readers[i as usize] += 1;
+                    }
+                }
                 assert_eq!(v.deps()[l as usize], deps[t as usize], "task {t}");
                 let mut dests = Vec::new();
                 g.remote_consumer_nodes(t, &mut dests);
@@ -387,20 +474,24 @@ mod tests {
             for i in 0..v.inputs() {
                 assert_eq!(v.find(v.input(i)), Some(i));
                 assert!(!v.waiters(i).is_empty());
-                let reads = |l: u32| v.sources(l).contains(&Source::Input(i as u32));
-                let readers = (0..v.len() as u32).filter(|&l| reads(l)).count();
-                assert_eq!(
-                    v.readers()[i] as usize,
-                    readers,
-                    "input {i}: one count per reader"
-                );
             }
-            let ships = g
-                .initial_fetches()
+            assert_eq!(v.readers(), readers, "one count per reader");
+            let ships = g.initial_fetches().iter().filter(|f| f.home == rank);
+            let ships: Vec<(TileRef, u32, TaskId)> =
+                ships.map(|f| (f.tile, f.dest, f.consumers[0])).collect();
+            let shipped: Vec<(TileRef, u32, TaskId)> = v
+                .ships()
                 .iter()
-                .filter(|f| f.home == rank)
-                .count();
-            assert_eq!(v.ships().len(), ships);
+                .map(|&(s, dest, task)| (v.owned_tile(s), dest, task))
+                .collect();
+            assert_eq!(shipped, ships);
+            for &(s, ..) in v.ships() {
+                named[s as usize] = true;
+            }
+            assert!(
+                named.iter().all(|&n| n),
+                "rank {rank} owns a tile nothing names"
+            );
         }
         assert_eq!(own, g.len());
     }
@@ -417,12 +508,46 @@ mod tests {
         ));
     }
 
+    /// Over the ranks of a POTRF graph on `d`: the owned tiles, the remote
+    /// inputs and the widest rank's table, checked as
+    /// [`assert_view_agrees`] checks a view.
+    fn table_sizes<D: sbc_dist::Distribution>(d: &D, nt: usize) -> (usize, u64, usize) {
+        let g = build_potrf(d, nt);
+        assert_view_agrees(&g);
+        let views = (0..g.num_nodes() as u32).map(|r| g.rank_view(r));
+        let owned = views.clone().map(RankView::owned).sum();
+        let inputs = views.clone().map(|v| v.inputs() as u64).sum();
+        let widest = views.map(|v| v.owned() + v.inputs()).max().unwrap();
+        (owned, inputs, widest)
+    }
+
+    /// A rank's table for a POTRF job holds its share of the lower triangle
+    /// plus one slot per replica it receives: over the ranks, exactly the
+    /// `nt(nt+1)/2` tiles of the matrix plus the analytic message count.
+    #[test]
+    fn a_ranks_table_is_its_share_of_the_triangle_plus_its_replicas() {
+        let (sbc, dbc) = (SbcExtended::new(4), TwoDBlockCyclic::new(3, 2));
+        for (nt, replicas) in [(12, 150), (20, 413), (64, 4_153)] {
+            let triangle = nt * (nt + 1) / 2;
+            let (owned, inputs, widest) = table_sizes(&sbc, nt);
+            assert_eq!((owned, inputs), (triangle, replicas), "SBC nt={nt}");
+            assert_eq!(inputs, potrf_messages(&sbc, nt));
+            if nt == 64 {
+                // the whole tile space alone is nt + nt² = 4 160 slots
+                assert!(widest <= 1_071, "SBC: {widest} slots");
+            }
+            let (owned, inputs, _) = table_sizes(&dbc, nt);
+            assert_eq!(owned, triangle, "2DBC nt={nt}");
+            assert_eq!(inputs, potrf_messages(&dbc, nt), "2DBC nt={nt}");
+        }
+    }
+
     #[test]
     fn a_rank_past_the_graph_owns_nothing() {
         let g = build_potrf(&TwoDBlockCyclic::new(2, 2), 6);
         let v = g.rank_view(7);
         assert!(v.is_empty());
-        assert_eq!((v.inputs(), v.ships().len()), (0, 0));
+        assert_eq!((v.owned(), v.inputs(), v.ships().len()), (0, 0, 0));
         assert_eq!(v.find(Input::Task(0)), None);
     }
 

@@ -147,9 +147,10 @@ fn a_pooled_run_records_task_and_dep_wait_spans_per_rank() {
 
 /// A replica leaves its rank once its last local reader ran. So under
 /// either zoo scheduler, each rank's peak of resident tiles (the
-/// `TileStore` gauge: owned tiles in the store plus replicas in the cache)
-/// stays below what the rank would hold at the end of the job if nothing
-/// were freed: its owned tiles plus one replica per remote input.
+/// `TileStore` gauge: the full slots of the job's one tile table, owned
+/// tiles and replicas alike) stays below what the rank would hold at the
+/// end of the job if nothing were freed: its owned tiles plus one replica
+/// per remote input.
 #[test]
 fn replicas_leave_their_rank_before_the_job_ends() {
     let (d, nt) = (SbcExtended::new(4), 12);

@@ -35,8 +35,13 @@ fn sbc_r8_at_nt_200_is_sequential_bit_for_bit_with_analytic_counts() {
     assert_eq!(out.stats.messages, messages);
     assert_eq!(out.stats.bytes, comm::messages_to_bytes(messages, b));
 
-    // every rank held its own share of the graph, not the graph
+    // every rank held its own share of the graph, not the graph, and one
+    // tile slot per tile it owns or receives: the 20 100 tiles of the
+    // triangle plus the 120 523 replicas, not nt + nt² slots per rank
     let p = graph.num_nodes();
+    let views = (0..p as u32).map(|rank| graph.rank_view(rank));
+    let slots: usize = views.map(|view| view.owned() + view.inputs()).sum();
+    assert_eq!(slots, 20_100 + 120_523);
     for rank in 0..p as u32 {
         let view = graph.rank_view(rank);
         let bound = 2 * graph.heap_bytes() / p + view.boundary_bytes();
