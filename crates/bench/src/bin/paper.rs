@@ -849,9 +849,8 @@ fn render_top(
         };
         let _ = writeln!(
             ranks,
-            "  rank {r}: ready {:>4}  pending {:>4}  inflight {:>3}  busy {:>5.1}%",
+            "  rank {r}: ready {:>4}  inflight {:>3}  busy {:>5.1}%",
             ready as u64,
-            g(&format!("jobs.rank{r}.pending")).unwrap_or(0.0) as u64,
             g(&format!("jobs.rank{r}.inflight")).unwrap_or(0.0) as u64,
             100.0 * g(&format!("jobs.rank{r}.busy")).unwrap_or(0.0),
         );

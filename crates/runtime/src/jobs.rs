@@ -17,14 +17,30 @@
 //!   job id that [`sbc_net::Payload`] carries, so concurrent jobs share the
 //!   mesh without clobbering each other. Its one entry point, `Engine::step`,
 //!   picks up admissions, absorbs arrivals and runs a bounded number of
-//!   ready steps, then returns; it never blocks, and the engine lock is held
-//!   only for heap and counter updates, never during kernels or sends.
-//!   Threads are the driver's business (`crate::drive`): [`run_jobs`] steps
-//!   the ranks of the endpoints it is given on one shared pool.
+//!   ready tasks, then returns; it never blocks, and the engine lock is held
+//!   only for heap and counter updates, never during kernels or sends — with
+//!   one exception, below. Threads are the driver's business
+//!   (`crate::drive`): [`run_jobs`] steps the ranks of the endpoints it is
+//!   given on one shared pool.
+//!
+//! A rank registers a job when it first needs it: when the table's
+//! generation moved (`Engine::admit`) or when a payload names a job that is
+//! not in flight here (`Engine::absorb`). Both take the rank's queue from
+//! the table under the engine lock, and the table queues a job for every
+//! rank before any peer can take it and send for it, so a payload whose job
+//! is still absent after that has finished here or was never admitted: it
+//! is dropped.
+//!
+//! Registration ships the job's originals to their remote readers, then
+//! pushes its dependency-free tasks onto the heap, all under the engine
+//! lock, so no local task can overwrite an original before it was sent.
+//! That is the one send made under the engine lock, and it is safe: only
+//! TRTRI and LAUUM graphs ship, their tasks waited for the ship anyway, and
+//! no socket reader or waker takes an engine lock.
 //!
 //! Lock order: the engine lock (`Engine::state`) before a job's tiles
-//! (`JobCtx::tiles`); the table's lock nests inside the engine lock only in
-//! `Engine::admit`, which registers the jobs it takes under that lock.
+//! (`JobCtx::tiles`); the table's lock nests inside the engine lock only
+//! where a rank takes its queue, which it registers under that lock.
 //! `apply_payload` and `count_down_reads` write the tiles under the engine
 //! lock. A task's own bookkeeping is one engine lock: its completion counts
 //! successors down and picks the rank's next step under it. Its operands
@@ -215,7 +231,6 @@ pub(crate) const JOB_LATENCY_BOUNDS: [f64; 10] =
 /// atomic stores (the scrape side reads them without any engine lock).
 struct RankObs {
     ready: Arc<Gauge>,
-    pending: Arc<Gauge>,
     inflight: Arc<Gauge>,
     busy: Arc<Gauge>,
 }
@@ -309,8 +324,6 @@ struct TableState<'a> {
     accum: HashMap<JobId, JobAccum>,
     /// Finished jobs nobody has waited for yet.
     done: HashMap<JobId, Finished>,
-    inflight: usize,
-    completed: u64,
     shutdown: bool,
     /// The failure that killed the mesh; everything in flight fails with
     /// it. A causal error replaces an [`ExecError::Remote`] echo of it.
@@ -337,10 +350,11 @@ pub struct JobTable<'a> {
     on_admit: OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Time source of admission stamps and of every engine's watchdog.
     pub(crate) clock: Arc<dyn Clock>,
-    /// Lock-free mirrors of `TableState::{inflight, completed}` so a
-    /// telemetry scrape never touches the state mutex the engines use;
-    /// `inflight_now` is written under that mutex, in its order.
+    /// A lock-free mirror of the jobs in flight (`TableState::accum`'s
+    /// length), so a telemetry scrape never touches the state mutex the
+    /// engines use; it is written under that mutex, in its order.
     inflight_now: AtomicU64,
+    /// Jobs completed since the table was built.
     completed_ever: AtomicU64,
     obs: OnceLock<TableObs>,
 }
@@ -369,8 +383,6 @@ impl<'a> JobTable<'a> {
                 incoming: (0..n_nodes).map(|_| VecDeque::new()).collect(),
                 accum: HashMap::new(),
                 done: HashMap::new(),
-                inflight: 0,
-                completed: 0,
                 shutdown: false,
                 dead: None,
             }),
@@ -395,7 +407,7 @@ impl<'a> JobTable<'a> {
     /// eagerly — `serve.jobs.{submitted,rejected,done,failed}`,
     /// `serve.jobs.inflight`, the `serve.job.latency` histogram, the
     /// `obs.drift.{ok,messages,bytes}` alarm counters and per-rank
-    /// `jobs.rank<r>.{ready,pending,inflight,busy}` gauges — so a scrape
+    /// `jobs.rank<r>.{ready,inflight,busy}` gauges — so a scrape
     /// before any traffic shows them all at zero. `rate_slots` bounds the
     /// sliding-window throughput ring (events remembered for
     /// [`JobTable::completion_rate`]).
@@ -404,7 +416,6 @@ impl<'a> JobTable<'a> {
             .map(|r| {
                 Arc::new(RankObs {
                     ready: metrics.gauge(&format!("jobs.rank{r}.ready")),
-                    pending: metrics.gauge(&format!("jobs.rank{r}.pending")),
                     inflight: metrics.gauge(&format!("jobs.rank{r}.inflight")),
                     busy: metrics.gauge(&format!("jobs.rank{r}.busy")),
                 })
@@ -508,9 +519,9 @@ impl<'a> JobTable<'a> {
             Some(Rejection::Dead)
         } else if st.shutdown {
             Some(Rejection::ShuttingDown)
-        } else if st.inflight >= self.max_inflight {
+        } else if st.accum.len() >= self.max_inflight {
             Some(Rejection::QueueFull {
-                inflight: st.inflight,
+                inflight: st.accum.len(),
                 max: self.max_inflight,
             })
         } else {
@@ -527,8 +538,6 @@ impl<'a> JobTable<'a> {
         }
         let id = st.next_id;
         st.next_id += 1;
-        st.inflight += 1;
-        let inflight = st.inflight;
         spec.id = id;
         let (nt, b, prio) = (spec.graph.nt, spec.b, spec.prio);
         let spec = Arc::new(spec);
@@ -548,6 +557,7 @@ impl<'a> JobTable<'a> {
         for q in &mut st.incoming {
             q.push_back(Arc::clone(&spec));
         }
+        let inflight = st.accum.len();
         self.generation.fetch_add(1, Ordering::Release);
         // the mirror is written under the lock: stored after it, a job that
         // finished first would leave it at this count for good
@@ -686,9 +696,7 @@ impl<'a> JobTable<'a> {
                     elapsed,
                 },
             );
-            st.inflight -= 1;
-            st.completed += 1;
-            let inflight = st.inflight;
+            let inflight = st.accum.len();
             self.inflight_now.store(inflight as u64, Ordering::Relaxed);
             drop(st);
             self.completed_ever.fetch_add(1, Ordering::Relaxed);
@@ -711,7 +719,6 @@ impl<'a> JobTable<'a> {
         }
         let mut failed: Vec<JobId> = st.accum.keys().copied().collect();
         failed.sort_unstable();
-        st.inflight = 0;
         st.accum.clear();
         for q in &mut st.incoming {
             q.clear();
@@ -804,11 +811,6 @@ struct JobRun<'a> {
     ctx: Arc<JobCtx<'a>>,
     /// Unmet dependencies per own task.
     deps: Vec<u32>,
-    /// Tasks with no dependencies left, held until this rank's originals
-    /// are shipped: a local task could overwrite a tile whose original
-    /// value a remote consumer still needs.
-    initial_ready: Vec<u32>,
-    shipped: bool,
     remaining: u64,
     sent: u64,
     sent_bytes: u64,
@@ -875,18 +877,6 @@ struct EngineState<'a> {
     /// In-flight jobs, found by scanning for the id: there are at most the
     /// table's `max_inflight` of them, one in a one-shot run.
     jobs: Vec<JobRun<'a>>,
-    /// Jobs whose original-tile fetches have not been shipped yet; drained
-    /// before the heap so no task of a job outruns its fetch sends.
-    unshipped: VecDeque<JobId>,
-    /// Payloads that arrived before their job was registered on this rank
-    /// (registration races remote ships).
-    pending: HashMap<JobId, Vec<Payload>>,
-    /// One past the last job id this rank took from the table. The table
-    /// admits ids in order, a rank's queue is FIFO and a taken job is
-    /// registered under the lock that took it, so an id below it that is not
-    /// in `jobs` has finished here: what arrives for it is a late duplicate.
-    /// Per-job state stays O(jobs in flight) for the life of a resident rank.
-    taken: JobId,
     /// `Result`/`Done` frames that reached this rank while it was still
     /// executing — only rank 0 of a multi-process gather sees these; they
     /// are handed back to the caller.
@@ -906,9 +896,9 @@ impl EngineState<'_> {
         self.poisoned || (self.closed && self.jobs.is_empty())
     }
 
-    /// Ready-heap depth, early-payload stash size and jobs in flight.
-    fn depths(&self) -> (usize, usize, usize) {
-        (self.ready.len(), self.pending.len(), self.jobs.len())
+    /// Ready-heap depth and jobs in flight.
+    fn depths(&self) -> (usize, usize) {
+        (self.ready.len(), self.jobs.len())
     }
 
     /// Tiles this rank holds across its jobs: owned tiles plus replicas.
@@ -924,7 +914,7 @@ fn find_job<'j, 'a>(jobs: &'j mut [JobRun<'a>], id: JobId) -> Option<&'j mut Job
     jobs.iter_mut().find(|run| run.ctx.spec.id == id)
 }
 
-/// Ship or run steps one [`Engine::step`] takes at most before it hands its
+/// Tasks one [`Engine::step`] runs at most before it hands its
 /// thread back to the driver, so the ranks sharing a pooled thread take
 /// turns. Each hand-back may move the rank's working set to another core:
 /// at b = 4 a budget of 8 cost a fifth more time per factorization than 64,
@@ -950,8 +940,8 @@ pub(crate) enum Progress {
 /// The one call an engine makes into whoever steps it.
 pub(crate) trait Driver: Sync {
     /// The rank's state changed — a task readied, a job finished, the rank
-    /// failed or drained, admission closed. `work` says whether ship or run
-    /// steps are waiting for a stepper.
+    /// failed or drained, admission closed. `work` says whether ready tasks
+    /// are waiting for a stepper.
     fn nudge(&self, work: bool);
 }
 
@@ -974,7 +964,7 @@ pub(crate) struct Engine<'e, 'a> {
     /// Nanoseconds after `started` at which progress (a task completed, a
     /// message applied, a job registered) last happened.
     progress_ns: AtomicU64,
-    /// Nanoseconds this rank's steppers spent shipping or running tasks,
+    /// Nanoseconds this rank's steppers spent running tasks,
     /// summed across lanes; `busy / (workers * elapsed)` is the engine's
     /// busy fraction. Only measured when `obs` consumes it.
     busy_ns: AtomicU64,
@@ -984,8 +974,6 @@ pub(crate) struct Engine<'e, 'a> {
 
 /// The next unit of work a step takes.
 enum Work<'a> {
-    /// Ship the job's originals to their remote readers.
-    Ship(Arc<JobCtx<'a>>),
     /// Run own task `l` of the job.
     Run(Arc<JobCtx<'a>>, u32),
     /// Nothing is ready.
@@ -1039,9 +1027,6 @@ impl<'e, 'a> Engine<'e, 'a> {
             state: Mutex::new(EngineState {
                 ready: BinaryHeap::new(),
                 jobs: Vec::new(),
-                unshipped: VecDeque::new(),
-                pending: HashMap::new(),
-                taken: 0,
                 gather: Vec::new(),
                 closed: false,
                 active: 0,
@@ -1097,10 +1082,9 @@ impl<'e, 'a> Engine<'e, 'a> {
     /// [`EngineState::depths`] captured under the engine lock, as plain
     /// atomic stores after its release so scrapers never take that lock,
     /// and the lanes' busy fraction.
-    fn publish_gauges(&self, (ready, pending, jobs): (usize, usize, usize)) {
+    fn publish_gauges(&self, (ready, jobs): (usize, usize)) {
         let Some(obs) = &self.obs else { return };
         obs.ready.set(ready as f64);
-        obs.pending.set(pending as f64);
         obs.inflight.set(jobs as f64);
         let elapsed = self.elapsed().as_nanos() as u64;
         if elapsed > 0 {
@@ -1124,18 +1108,18 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     /// Releases the engine lock after a change a stepper may act on and
-    /// tells the driver, with whether ship or run steps are waiting — after
-    /// a completion's own pick, so only what another lane could take.
+    /// tells the driver, with whether ready tasks are waiting — after a
+    /// completion's own pick, so only what another lane could take.
     fn unlock_and_nudge(&self, st: MutexGuard<'_, EngineState<'a>>) {
-        let work = !st.ready.is_empty() || !st.unshipped.is_empty();
+        let work = !st.ready.is_empty();
         drop(st);
         self.driver.nudge(work);
     }
 
     /// One bounded, non-blocking unit of this rank's work — the only code
     /// that decides what the rank does next: pick up admitted jobs, absorb
-    /// what the inbox holds, then take up to [`STEP_BUDGET`] ship or run
-    /// steps. A panic below it — a task, a tile provider — is caught and
+    /// what the inbox holds, then run up to [`STEP_BUDGET`] ready tasks. A
+    /// panic below it — a task, a tile provider — is caught and
     /// turned into [`Engine::fail`]: a rank that died silently would send
     /// no poison and every peer would wait on it for good.
     pub(crate) fn step(&self) -> Progress {
@@ -1165,7 +1149,7 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     fn step_on(&self, obs: &mut Obs<'e>) -> Progress {
-        self.admit();
+        self.admit(obs);
         self.absorb(obs);
         // a task's completion picks the next step under the engine lock it
         // holds anyway, except the budget's last: a step never ends holding
@@ -1173,7 +1157,6 @@ impl<'e, 'a> Engine<'e, 'a> {
         let mut next = None;
         for left in (0..STEP_BUDGET).rev() {
             match next.take().unwrap_or_else(|| self.take_work(obs)) {
-                Work::Ship(ctx) => self.busy(|| self.ship(&ctx, obs)),
                 Work::Run(ctx, l) => self.busy(|| next = self.run_task(&ctx, l, left > 0, obs)),
                 Work::Idle => return self.idle(obs),
                 Work::Drained => return Progress::Drained,
@@ -1182,30 +1165,14 @@ impl<'e, 'a> Engine<'e, 'a> {
         Progress::Ran
     }
 
-    /// Picks up new admissions when the table's generation moved and
-    /// registers them under the engine lock that took them, so no arrival
-    /// can be judged between the two. The table lock nests inside the engine
-    /// lock here.
-    fn admit(&self) {
+    /// Picks up new admissions when the table's generation moved.
+    fn admit(&self, obs: &mut Obs<'_>) {
         let generation = self.table.generation.load(Ordering::Acquire);
         if self.generation.fetch_max(generation, Ordering::AcqRel) >= generation {
             return;
         }
         let mut st = lock(&self.state);
-        let (specs, closed) = self.table.take_incoming(self.me);
-        st.closed |= closed;
-        if let Some(last) = specs.last() {
-            st.taken = last.id + 1;
-            // arm the per-job watchdog clock: a rank that was idle until now
-            // must measure no-progress from this registration, not from the
-            // end of the previous job
-            self.touch_progress();
-        }
-        let me = self.me;
-        let registered: Result<Vec<_>, ExecError> = specs
-            .into_iter()
-            .map(|spec| Self::register(&mut st, me, spec))
-            .collect();
+        let registered = self.register_incoming(&mut st, obs);
         self.unlock_and_nudge(st);
         match registered {
             Ok(done) => done.into_iter().for_each(|run| self.report(run)),
@@ -1213,7 +1180,32 @@ impl<'e, 'a> Engine<'e, 'a> {
         }
     }
 
-    /// The next ship or run step, if any, and whether the rank is drained.
+    /// Takes this rank's queue from the table and registers every job in
+    /// it under the engine lock the caller holds, so no arrival can be
+    /// judged between the two; the table lock nests inside it here. Returns
+    /// the jobs that finished at registration, for [`Engine::report`] after
+    /// the engine lock; a provider's failure is the rank's.
+    fn register_incoming(
+        &self,
+        st: &mut EngineState<'a>,
+        obs: &mut Obs<'_>,
+    ) -> Result<Vec<JobRun<'a>>, ExecError> {
+        let (specs, closed) = self.table.take_incoming(self.me);
+        st.closed |= closed;
+        if !specs.is_empty() {
+            // arm the per-job watchdog clock: a rank that was idle until now
+            // must measure no-progress from this registration, not from the
+            // end of the previous job
+            self.touch_progress();
+        }
+        let mut done = Vec::new();
+        for spec in specs {
+            done.extend(self.register(st, spec, obs)?);
+        }
+        Ok(done)
+    }
+
+    /// The next task to run, if any, and whether the rank is drained.
     fn take_work(&self, obs: &mut Obs<'_>) -> Work<'a> {
         let mut st = lock(&self.state);
         let work = Self::pick(&mut st, obs);
@@ -1224,16 +1216,11 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     /// Takes the next step under the engine lock: drained first, then the
-    /// jobs whose originals are unshipped, then the ready heap. The one
-    /// choice of what a rank does next, made by [`Engine::take_work`] and by
-    /// a task's completion.
+    /// ready heap. The one choice of what a rank does next, made by
+    /// [`Engine::take_work`] and by a task's completion.
     fn pick(st: &mut EngineState<'a>, obs: &mut Obs<'_>) -> Work<'a> {
         if st.drained() {
             Work::Drained
-        } else if let Some(id) = st.unshipped.pop_front() {
-            st.active += 1;
-            let run = find_job(&mut st.jobs, id).expect("unshipped job is registered");
-            Work::Ship(Arc::clone(&run.ctx))
         } else if let Some(k) = st.ready.pop() {
             st.active += 1;
             if let Some(o) = obs.as_mut() {
@@ -1282,85 +1269,74 @@ impl<'e, 'a> Engine<'e, 'a> {
     }
 
     /// Installs this rank's share of `spec` — per-job state sized by the
-    /// rank's view of the graph, which the graph builds once — and applies
-    /// the payloads that beat it. Returns the share when the job has nothing
-    /// left to do here (no local tasks and no fetches to ship), for
-    /// [`Engine::report`] after the engine lock; a refused early payload is
-    /// the rank's failure.
+    /// rank's view of the graph, which the graph builds once — ships the
+    /// job's originals to their remote readers and only then pushes its
+    /// dependency-free tasks onto the heap: under the engine lock, no local
+    /// task can overwrite an original before it was sent. Returns the share
+    /// when the job has nothing left to do here (no local tasks), for
+    /// [`Engine::report`] after the engine lock; a provider's failure is
+    /// the error of the task the original was shipped for.
     fn register(
+        &self,
         st: &mut EngineState<'a>,
-        me: NodeId,
         spec: Arc<JobSpec<'a>>,
+        obs: &mut Obs<'_>,
     ) -> Result<Option<JobRun<'a>>, ExecError> {
-        let view = spec.graph.rank_view(me);
-        let deps = view.deps().to_vec();
-        let initial_ready = (0..deps.len() as u32)
-            .filter(|&l| deps[l as usize] == 0)
-            .collect();
-        let remaining = view.len() as u64;
-        let shipped = view.ships().is_empty();
-        let tiles = Mutex::new(vec![None; view.owned() + view.inputs()]);
-        let (arrived, readers) = (vec![false; view.inputs()], view.readers().to_vec());
-        let id = spec.id;
-        st.jobs.push(JobRun {
-            ctx: Arc::new(JobCtx {
-                spec,
-                me,
-                tiles,
-                occupied: AtomicUsize::new(0),
-            }),
-            deps,
-            initial_ready,
-            shipped,
-            remaining,
-            sent: 0,
-            sent_bytes: 0,
-            applied: 0,
-            arrived,
-            readers,
+        let (id, graph) = (spec.id, Arc::clone(&spec.graph));
+        let view = graph.rank_view(self.me);
+        let ctx = Arc::new(JobCtx {
+            spec,
+            me: self.me,
+            tiles: Mutex::new(vec![None; view.owned() + view.inputs()]),
+            occupied: AtomicUsize::new(0),
         });
-        if shipped {
-            Self::release_initial(st, id);
-        } else {
-            st.unshipped.push_back(id);
+        let mut sent = (0, 0);
+        for &(slot, dest, task) in view.ships() {
+            let tile = ctx
+                .local_or_original(&mut lock(&ctx.tiles), slot)
+                .map_err(|error| ExecError::Kernel {
+                    task,
+                    node: self.me,
+                    error,
+                })?;
+            let payload = Payload::Orig {
+                job: id,
+                tile_ref: view.owned_tile(slot),
+                tile,
+            };
+            self.send(dest, payload, &mut sent, obs);
         }
-        for payload in st.pending.remove(&id).unwrap_or_default() {
-            Self::apply_payload(st, me, payload)?;
-        }
+        let deps = view.deps().to_vec();
+        let free = (0..deps.len() as u32).filter(|&l| deps[l as usize] == 0);
+        st.ready
+            .extend(free.map(|l| ReadyKey::new(&ctx.spec, view, l)));
+        st.jobs.push(JobRun {
+            deps,
+            remaining: view.len() as u64,
+            sent: sent.0,
+            sent_bytes: sent.1,
+            applied: 0,
+            arrived: vec![false; view.inputs()],
+            readers: view.readers().to_vec(),
+            ctx,
+        });
         Ok(Self::try_finish(st, id))
     }
 
-    /// Pushes a registered job's dependency-free tasks onto the shared heap
-    /// (call with `shipped` already true).
-    fn release_initial(st: &mut EngineState<'a>, id: JobId) {
-        let EngineState { jobs, ready, .. } = st;
-        let run = find_job(jobs, id).expect("job registered");
-        let (spec, view) = (&run.ctx.spec, run.ctx.view());
-        ready.extend(
-            run.initial_ready
-                .drain(..)
-                .map(|l| ReadyKey::new(spec, view, l)),
-        );
-    }
-
-    /// If `id` has shipped its fetches and run out of local tasks, remove
-    /// it and return it for [`Engine::report`], which the caller invokes
-    /// after releasing the engine lock. From here on the id is below
-    /// `taken` and not in `jobs`: finished.
+    /// If `id` has run out of local tasks, remove it and return it for
+    /// [`Engine::report`], which the caller invokes after releasing the
+    /// engine lock.
     fn try_finish(st: &mut EngineState<'a>, id: JobId) -> Option<JobRun<'a>> {
         let at = st.jobs.iter().position(|run| run.ctx.spec.id == id)?;
-        let run = &st.jobs[at];
-        if !(run.shipped && run.remaining == 0) {
+        if st.jobs[at].remaining != 0 {
             return None;
         }
-        st.pending.remove(&id);
         Some(st.jobs.swap_remove(at))
     }
 
     /// Tells the table this rank's share of a job is finished, handing over
     /// its owned tiles under the names the rest of the system uses.
-    fn report(&self, done: Option<JobRun<'a>>) {
-        let Some(run) = done else { return };
+    fn report(&self, run: JobRun<'a>) {
         let view = run.ctx.view();
         // no stepper is inside a finished job any more: the tiles are ours
         let tiles = lock(&run.ctx.tiles)[..view.owned()]
@@ -1389,46 +1365,6 @@ impl<'e, 'a> Engine<'e, 'a> {
                 o.send(dest, bytes, orig);
             }
         }
-    }
-
-    /// Ships a job's original tiles to their remote consumers, then
-    /// releases the job's initial tasks. Runs outside the engine lock; the
-    /// job's tasks cannot start (and thus cannot overwrite an original a
-    /// remote consumer still needs) until the release below.
-    fn ship(&self, ctx: &JobCtx<'a>, obs: &mut Obs<'_>) {
-        let id = ctx.spec.id;
-        let mut sent = (0, 0);
-        let view = ctx.view();
-        for &(slot, dest, task) in view.ships() {
-            let tile = match ctx.local_or_original(&mut lock(&ctx.tiles), slot) {
-                Ok(tile) => tile,
-                Err(error) => {
-                    let node = self.me;
-                    return self.fail(ExecError::Kernel { task, node, error });
-                }
-            };
-            let payload = Payload::Orig {
-                job: id,
-                tile_ref: view.owned_tile(slot),
-                tile,
-            };
-            self.send(dest, payload, &mut sent, obs);
-        }
-        self.touch_progress();
-        let mut st = lock(&self.state);
-        st.active -= 1;
-        let done = match find_job(&mut st.jobs, id) {
-            None => None, // engine poisoned concurrently
-            Some(run) => {
-                run.sent += sent.0;
-                run.sent_bytes += sent.1;
-                run.shipped = true;
-                Self::release_initial(&mut st, id);
-                Self::try_finish(&mut st, id)
-            }
-        };
-        self.unlock_and_nudge(st);
-        self.report(done);
     }
 
     /// Executes own task `l` of one job, publishes its output to remote
@@ -1527,20 +1463,24 @@ impl<'e, 'a> Engine<'e, 'a> {
         // a replica's last handle goes back to the tile free list here,
         // outside the engine lock
         drop(released);
-        self.report(done);
+        if let Some(run) = done {
+            self.report(run);
+        }
         next
     }
 
     /// Takes everything the inbox holds and applies it under one engine
-    /// lock. A fresh payload ends the rank's dep-wait span and counts as
-    /// progress; a poison or a refused payload fails the rank after the lock
-    /// is released.
+    /// lock, registering first the jobs a payload names that are not in
+    /// flight here. A fresh payload ends the rank's dep-wait span and counts
+    /// as progress; a poison, a refused payload or a failed registration
+    /// fails the rank after the lock is released.
     fn absorb(&self, obs: &mut Obs<'_>) {
         let batch: Vec<Message> = std::iter::from_fn(|| self.net.try_recv()).collect();
         if batch.is_empty() {
             return;
         }
         let (mut fresh, mut poisoned, mut refused) = (false, false, None);
+        let mut done = Vec::new();
         let mut st = lock(&self.state);
         for msg in batch {
             match msg {
@@ -1548,6 +1488,15 @@ impl<'e, 'a> Engine<'e, 'a> {
                 // per-input arrived bit deduplicates it regardless
                 Message::Payload { src, payload } | Message::Seq { src, payload, .. } => {
                     let (bytes, orig) = (payload.payload_bytes(), payload.is_orig());
+                    if find_job(&mut st.jobs, payload.job()).is_none() {
+                        match self.register_incoming(&mut st, obs) {
+                            Ok(registered) => done.extend(registered),
+                            Err(e) => {
+                                refused = Some(e);
+                                break;
+                            }
+                        }
+                    }
                     match Self::apply_payload(&mut st, self.me, payload) {
                         Ok(false) => {}
                         Ok(true) => {
@@ -1578,6 +1527,7 @@ impl<'e, 'a> Engine<'e, 'a> {
             o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
         }
         self.unlock_and_nudge(st);
+        done.into_iter().for_each(|run| self.report(run));
         if fresh {
             self.touch_progress();
         }
@@ -1588,30 +1538,20 @@ impl<'e, 'a> Engine<'e, 'a> {
         }
     }
 
-    /// Applies one payload to its job under the engine lock: stashes the
+    /// Applies one payload to its job under the engine lock: holds the
     /// tile, then releases the tasks it unblocks. `Ok` says whether the
-    /// payload was fresh (not a duplicate, not early, not late); a tile of
-    /// the wrong dimension is refused before anything is applied or
-    /// counted, as the error of the first local task that waits for it.
+    /// payload was fresh: not a duplicate, and for a job in flight here — a
+    /// registered job that is absent finished here, and an id the table
+    /// never admitted names nothing. A tile of the wrong dimension is
+    /// refused before anything is applied or counted, as the error of the
+    /// first local task that waits for it.
     fn apply_payload(
         st: &mut EngineState<'a>,
         me: NodeId,
         payload: Payload,
     ) -> Result<bool, ExecError> {
-        let id = payload.job();
-        let EngineState {
-            jobs,
-            ready,
-            pending,
-            taken,
-            ..
-        } = st;
-        let Some(run) = find_job(jobs, id) else {
-            if id >= *taken {
-                // registration has not happened here yet; stash for it
-                pending.entry(id).or_default().push(payload);
-            }
-            // else a late duplicate for a job this rank finished
+        let EngineState { jobs, ready, .. } = st;
+        let Some(run) = find_job(jobs, payload.job()) else {
             return Ok(false);
         };
         let (input, tile) = match payload {
@@ -1621,8 +1561,6 @@ impl<'e, 'a> Engine<'e, 'a> {
         let JobRun {
             ctx,
             deps,
-            initial_ready,
-            shipped,
             applied,
             arrived,
             ..
@@ -1658,10 +1596,8 @@ impl<'e, 'a> Engine<'e, 'a> {
         for &l in waiting {
             let d = &mut deps[l as usize];
             *d -= 1;
-            if *d == 0 && *shipped {
+            if *d == 0 {
                 ready.push(ReadyKey::new(&ctx.spec, view, l));
-            } else if *d == 0 {
-                initial_ready.push(l);
             }
         }
         Ok(true)
@@ -1777,9 +1713,9 @@ fn execute_task(
 mod tests {
     use super::*;
     use crate::{gather, Run, RunResult};
-    use sbc_dist::comm::potrf_messages;
+    use sbc_dist::comm::{lauum_messages, potrf_messages, trtri_messages};
     use sbc_dist::{Distribution, SbcExtended, TwoDBlockCyclic};
-    use sbc_matrix::{potrf_tiled, random_spd};
+    use sbc_matrix::{lauum_tiled, potrf_tiled, random_spd, trtri_tiled};
     use sbc_net::{inproc_mesh, InProc, TransportStats, VirtualClock};
     use sbc_taskgraph::build_potrf;
     use sbc_topo::{Heft, SubmissionOrder};
@@ -2195,7 +2131,7 @@ mod tests {
             ..Default::default()
         };
         let engine = Engine::new(&mesh[0], &table, cfg, None, &nudges);
-        engine.admit();
+        engine.admit(&mut None);
         let mut next = engine.take_work(&mut None);
         let (mut recruited, mut alone) = (0, 0);
         while let Work::Run(ctx, l) = next {
@@ -2567,7 +2503,7 @@ mod tests {
         let ctxs: Vec<Arc<JobCtx>> = engines
             .iter()
             .map(|engine| {
-                engine.admit();
+                engine.admit(&mut None);
                 Arc::clone(&lock(&engine.state).jobs[0].ctx)
             })
             .collect();
@@ -2649,11 +2585,12 @@ mod tests {
         assert_eq!(table.wait(id).err(), Some(expected));
     }
 
-    /// A resident rank keeps nothing of the jobs it finished: "finished" is
-    /// "below the ids this rank took, and not in flight". A thousand jobs
-    /// leave no per-job entry behind; then a late duplicate for an early job
-    /// is dropped — not stashed, applied or counted — while an early payload
-    /// for the next job is stashed and applied when that job registers.
+    /// A resident rank keeps nothing of the jobs it finished, and registers
+    /// a job when it first needs it. A thousand jobs leave no per-job entry
+    /// behind; a late duplicate for an early job and a payload for an id the
+    /// table never admitted are dropped — nothing registered, held or
+    /// counted; and a payload for an admitted job that reaches the rank
+    /// before any admission step registers that job and is applied to it.
     #[test]
     fn a_resident_rank_keeps_no_state_for_finished_jobs() {
         // rank 0 of a 2-rank mesh, completing jobs on its own report: the
@@ -2670,11 +2607,7 @@ mod tests {
                 .wait(id)
                 .expect("a one-rank job finishes in its first steps");
         }
-        {
-            let st = lock(&engine.state);
-            assert!(st.jobs.is_empty() && st.pending.is_empty());
-            assert_eq!(st.taken, 1000);
-        }
+        assert!(lock(&engine.state).jobs.is_empty());
 
         let (producer, _) = remote_producer(&shared);
         let data = |job| Payload::Data {
@@ -2683,28 +2616,72 @@ mod tests {
             tile: Tile::zeros(B),
         };
         mesh[1].send_payload(0, data(3)); // long finished
-        mesh[1].send_payload(0, data(1000)); // not admitted yet
-        settle(&engine);
+        mesh[1].send_payload(0, data(5000)); // never admitted
+        assert_eq!(settle(&engine), Progress::Idle { next_timer: None });
         {
             let st = lock(&engine.state);
-            let stashed: Vec<JobId> = st.pending.keys().copied().collect();
-            assert_eq!(
-                stashed,
-                [1000],
-                "the late payload dropped, the early one stashed"
-            );
-            assert_eq!(st.pending[&1000].len(), 1);
+            assert_eq!(st.error, None);
+            assert!(st.jobs.is_empty(), "a dropped payload registered a job");
         }
+
+        // the payload beats the admission step: absorbing it registers the
+        // job it names
         let id = table.submit(shared, B, 7, 7, 0).unwrap();
-        assert_eq!(id, 1000);
-        settle(&engine);
+        mesh[1].send_payload(0, data(id));
+        engine.absorb(&mut None);
         let st = lock(&engine.state);
-        assert!(st.pending.is_empty());
+        assert_eq!(st.error, None);
         assert_eq!(st.jobs.len(), 1);
-        assert_eq!(
-            st.jobs[0].applied, 1,
-            "the stashed payload applies at registration"
-        );
+        assert_eq!(st.jobs[0].ctx.spec.id, id);
+        assert_eq!(st.jobs[0].applied, 1, "the payload was not applied");
+    }
+
+    /// TRTRI and LAUUM on `dist` at nt = 8, four lanes per rank, under
+    /// critical-path and submission order: each result is the sequential
+    /// one bit for bit, with exactly the analytic message count.
+    fn ships_precede_overwrites<D: Distribution>(dist: &D) {
+        let (nt, seed) = (8, 11);
+        let mut trtri = random_spd(seed, nt, B);
+        trtri_tiled(&mut trtri).expect("sequential inversion failed");
+        let mut lauum = random_spd(seed, nt, B);
+        lauum_tiled(&mut lauum);
+        let expected = [
+            (trtri, trtri_messages(dist, nt)),
+            (lauum, lauum_messages(dist, nt)),
+        ];
+        let scheds: [Arc<dyn Scheduler + Send + Sync>; 2] =
+            [Arc::new(CriticalPath), Arc::new(SubmissionOrder)];
+        for sched in scheds {
+            let ops = [
+                ("TRTRI", Run::trtri(dist, nt)),
+                ("LAUUM", Run::lauum(dist, nt)),
+            ];
+            for ((op, run), (seq, messages)) in ops.into_iter().zip(&expected) {
+                let context = format!("{op} on {} under {}", dist.name(), sched.name());
+                let out = run
+                    .block(B)
+                    .seed(seed)
+                    .workers(4)
+                    .scheduler(Arc::clone(&sched))
+                    .execute()
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                for (i, j) in seq.tile_coords() {
+                    let diff = out.factor().tile(i, j).max_abs_diff(seq.tile(i, j));
+                    assert_eq!(diff, 0.0, "{context}: tile ({i},{j})");
+                }
+                assert_eq!(out.stats.messages, *messages, "{context}: messages");
+            }
+        }
+    }
+
+    /// Registration ships a job's originals before it pushes the job's
+    /// tasks, under one engine lock. Were a task pushed first, another lane
+    /// of the rank could overwrite an original before its ship sent it, and
+    /// a peer would compute on the overwritten tile.
+    #[test]
+    fn ships_precede_overwrites_on_more_than_one_lane() {
+        ships_precede_overwrites(&SbcExtended::new(4));
+        ships_precede_overwrites(&TwoDBlockCyclic::new(3, 2));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! [`sbc_obs::Metrics`] registry carries `serve.jobs.*` counters, the
 //! `serve.job.latency` histogram, `obs.drift.*` comm-drift alarms,
 //! `planner.cache.{hit,miss}` from the planner, per-rank engine gauges
-//! (`jobs.rank<r>.{ready,pending,inflight,busy}`) and a sliding-window
+//! (`jobs.rank<r>.{ready,inflight,busy}`) and a sliding-window
 //! [`Service::jobs_per_sec`] throughput figure. Any client can scrape it
 //! live over the same socket — [`Client::stats`] /
 //! [`Client::stats_text`] return a Prometheus-style exposition

@@ -203,48 +203,47 @@ fn handle_submit(
     let (nt, b) = (nt as usize, b as usize);
 
     // admit the whole batch first (same shape → one graph, one plan),
-    // then answer in seed order
+    // then answer in seed order. The first failed write stops admitting
+    // and writing, but every job already admitted is still waited for: the
+    // table keeps a finished job's tiles until somebody does.
     let mut admitted = Vec::new();
+    let mut written = Ok(());
     for k in 0..u64::from(batch.max(1)) {
         let (seed, seed_rhs) = (seed.wrapping_add(k), seed_rhs.wrapping_add(k));
-        match service.submit(Op::Potrf, nt, b, seed, seed_rhs, prio) {
+        let status = match service.submit(Op::Potrf, nt, b, seed, seed_rhs, prio) {
             Ok(sub) => {
-                write_reply(
-                    conn,
-                    service,
-                    &Frame::JobStatus {
-                        req,
-                        state: 0,
-                        info: format!(
-                            "job {} queued ({})",
-                            sub.id,
-                            if sub.plan_cached {
-                                "plan cached"
-                            } else {
-                                "planned"
-                            }
-                        ),
-                    },
-                )?;
+                let cached = if sub.plan_cached {
+                    "plan cached"
+                } else {
+                    "planned"
+                };
+                let info = format!("job {} queued ({cached})", sub.id);
                 admitted.push(sub);
+                Frame::JobStatus {
+                    req,
+                    state: 0,
+                    info,
+                }
             }
-            Err(rej) => {
-                write_reply(
-                    conn,
-                    service,
-                    &Frame::JobStatus {
-                        req,
-                        state: 3,
-                        info: rej.to_string(),
-                    },
-                )?;
-            }
+            Err(rej) => Frame::JobStatus {
+                req,
+                state: 3,
+                info: rej.to_string(),
+            },
+        };
+        written = write_reply(conn, service, &status);
+        if written.is_err() {
+            break;
         }
     }
-    conn.flush()?;
+    written = written.and_then(|()| conn.flush());
 
     for sub in admitted {
-        let answer = match service.wait(sub.id) {
+        let outcome = service.wait(sub.id);
+        if written.is_err() {
+            continue;
+        }
+        let answer = match outcome {
             Ok(out) => match service.gather_potrf(nt, b, &out) {
                 Ok(factor) => {
                     let mut tiles = Vec::with_capacity(nt * (nt + 1) / 2);
@@ -282,8 +281,7 @@ fn handle_submit(
                 info: e.to_string(),
             },
         };
-        write_reply(conn, service, &answer)?;
-        conn.flush()?;
+        written = write_reply(conn, service, &answer).and_then(|()| conn.flush());
     }
-    Ok(())
+    written
 }

@@ -468,3 +468,54 @@ fn a_submission_does_not_wait_for_the_poll_tick() {
         .recv_timeout(Duration::from_secs(60))
         .expect("a served job or the shutdown waited for the poll tick");
 }
+
+/// A client that hangs up in the middle of a batch strands none of its
+/// jobs: the handler stops writing at the first failed write, but it still
+/// waits for every job it admitted, so none keeps its finished tiles in the
+/// table for good. (It used to return at that write.)
+#[test]
+fn a_client_that_hangs_up_mid_batch_strands_no_job() {
+    let addr = sock_path("hangup");
+    let service = Service::start(ServeConfig::default());
+    let server = {
+        let service = Arc::clone(&service);
+        let addr = addr.clone();
+        std::thread::spawn(move || serve(service, &addr))
+    };
+    let connect = || loop {
+        match UnixStream::connect(&addr) {
+            Ok(s) => break s,
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    let mut conn = connect();
+    let submit = Frame::JobSubmit {
+        req: 1,
+        op: 0,
+        prio: 0,
+        batch: 3,
+        nt: 6,
+        b: B as u32,
+        seed: 1,
+        seed_rhs: 2,
+    };
+    write_frame(&mut conn, &submit).unwrap();
+    conn.flush().unwrap();
+    drop(conn);
+
+    // `Service::wait` records the job's span
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while !service.chrome_trace().contains("job 0") {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "nobody waited for the hung-up client's first job"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let mut conn = connect();
+    write_frame(&mut conn, &Frame::Shutdown).unwrap();
+    conn.flush().unwrap();
+    drop(conn);
+    server.join().unwrap().unwrap();
+}

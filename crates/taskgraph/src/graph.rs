@@ -95,8 +95,6 @@ pub struct TaskGraph {
     pub slices: usize,
     /// What the executed graph's result is.
     pub result: ResultKind,
-    /// One past the highest [`TileSpace`] slot any task or home names.
-    tile_slots: usize,
     /// [`TaskGraph::count_messages`], walked once.
     messages: OnceLock<u64>,
     /// Each task's number among its node's tasks, counted once.
@@ -114,12 +112,6 @@ impl TaskGraph {
             nt: self.nt,
             slices: self.slices,
         }
-    }
-
-    /// How long a table indexed by [`TileSpace::slot`] must be to hold every
-    /// tile this graph touches.
-    pub fn tile_slots(&self) -> usize {
-        self.tile_slots
     }
 
     /// The tasks in submission (= topological) order.
@@ -535,7 +527,6 @@ impl GraphBuilder {
             nt: self.space.nt,
             slices: self.space.slices,
             result: self.result,
-            tile_slots: self.data.len(),
             messages: OnceLock::new(),
             local: OnceLock::new(),
             views: (0..self.num_nodes).map(|_| OnceLock::new()).collect(),

@@ -51,8 +51,7 @@ pub enum TileRef {
 /// Layout, in slot order: the `nt` right-hand-side tiles `B`; then, only when
 /// `slices > 1`, one `nt²` plane of accumulation buffers `Buf` per slice;
 /// then one `nt²` plane of `A` tiles per `(phase, slice)`, phases outermost —
-/// so a table needs to reach only as far as the last phase a graph names
-/// ([`crate::TaskGraph::tile_slots`]).
+/// so a table needs to reach only as far as the last phase a graph names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileSpace {
     /// Tile count `N` of the matrix.

@@ -157,18 +157,10 @@ fn tile_space_numbers_every_named_tile_once_and_back() {
                     slots.insert(slot),
                     "{name} nt={nt}: slot {slot} named twice"
                 );
-                assert!(
-                    slot < g.tile_slots(),
-                    "{name} nt={nt}: {r:?} has slot {slot}, the graph counts {}",
-                    g.tile_slots()
-                );
                 if g.slices == 1 {
                     assert!(!matches!(r, TileRef::Buf { .. }), "{name}: {r:?}");
                 }
             }
-            // the count is tight: it ends in the last plane the graph names
-            let top = slots.iter().max().expect("a graph names tiles");
-            assert!(g.tile_slots() - top <= nt * nt, "{name} nt={nt}");
         }
     }
 }
