@@ -17,11 +17,19 @@
 //!
 //! * **Column panels** — [`NR`] destination columns are updated together
 //!   per sweep over the source columns, cutting source traffic by `NR`.
-//!   The panel's scale stream `s(k, j0..j0+NR)` is staged [`KB`] values of
-//!   `k` at a time; the same pass finds exact zeros.
+//!   The scales are `s(k, j) = alpha · M[·]` for one column-major slice
+//!   `M` ([`Scales`]): row `j` of `M` (*rows* layout — GEMM No/Yes reads
+//!   `B`, SYRK `A`, TRSM `L`, POTRF its finished columns) or column `j`
+//!   (*columns* layout — GEMM No/No). A panel's stream `s(k, j0..j0+NR)`
+//!   is staged [`KB`] values of `k` at a time by a straight copy times
+//!   `alpha` — in rows layout the four scales of a step are adjacent, one
+//!   vector — and a branch-free OR over the staged block finds exact zeros.
 //! * **Register microtiles** — within a panel, `R` rows of the four
 //!   columns accumulate in four `[f64; R]`, which the compiler keeps in
-//!   vector registers (portable autovectorization; no intrinsics).
+//!   vector registers (portable autovectorization; no intrinsics). The
+//!   block's source rows are sliced once and the `k` loop is unrolled by
+//!   two, an odd last `k` on its own: two slice checks per pair of steps
+//!   instead of two per step.
 //! * **A ladder on every edge** — `R` is [`MR`], [`MR2`] or [`MR4`],
 //!   one body instantiated three times. A row range is covered from its
 //!   end by full microtiles and the remainder by the narrowest rung that
@@ -39,7 +47,8 @@
 //!
 //! The `s != 0.0` sparsity skips of the naive kernels are respected: a
 //! staged block of scales that contains an exact zero is applied with the
-//! branchy naive-order column loop instead of the branch-free microtiles,
+//! branchy naive-order column loop (which forms each scale again from the
+//! same slice, the same product) instead of the branch-free microtiles,
 //! so the skip semantics stay bit-identical (the distinction matters for
 //! `-0.0` and non-finite inputs, where `x + 0.0` or `0.0 * inf` would
 //! change the result).
@@ -159,9 +168,69 @@ macro_rules! multiversion {
 
 // ------------------------------------------------- the shared axpy update
 
-/// The scale stream of one column panel over one block of `k`:
-/// `s[kk][t]` multiplies source column `k0 + kk` into panel column `t`.
-type Scales = [[f64; NR]; KB];
+/// Where the scale `s(k, j)` of source column `k` into destination column
+/// `j` sits in its column-major `n × n` source matrix `M`.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// `s(k, j) = alpha · M[j, k]`: a panel's [`NR`] scales at step `k`
+    /// are adjacent, `m[k·n + j0..][..NR]`.
+    Rows,
+    /// `s(k, j) = alpha · M[k, j]`: one column's scales are adjacent,
+    /// `m[j·n + k]` for ascending `k`.
+    Columns,
+}
+
+/// The scale stream of an update: `alpha` times the entries of `m` in
+/// `layout`, exactly the product the naive kernels form per `k`.
+#[derive(Clone, Copy)]
+struct Scales<'a> {
+    m: &'a [f64],
+    alpha: f64,
+    layout: Layout,
+}
+
+impl Scales<'_> {
+    /// `s(k, j)`.
+    #[inline(always)]
+    fn at(&self, n: usize, k: usize, j: usize) -> f64 {
+        self.alpha
+            * match self.layout {
+                Layout::Rows => self.m[k * n + j],
+                Layout::Columns => self.m[j * n + k],
+            }
+    }
+
+    /// Copies `s(k0 + kk, j0 + t)` into `block[kk][t]` for the whole block
+    /// and reports whether any of them is an exact zero.
+    #[inline(always)]
+    fn stage(&self, n: usize, k0: usize, j0: usize, block: &mut [[f64; NR]]) -> bool {
+        match self.layout {
+            Layout::Rows => {
+                let rows = self.m[k0 * n + j0..][..(block.len() - 1) * n + NR].chunks(n);
+                for (sk, row) in block.iter_mut().zip(rows) {
+                    let row: &[f64; NR] = row[..NR].try_into().unwrap();
+                    *sk = row.map(|x| self.alpha * x);
+                }
+            }
+            Layout::Columns => {
+                let kb = block.len();
+                let col = |t: usize| &self.m[(j0 + t) * n + k0..][..kb];
+                let (c0, c1, c2, c3) = (col(0), col(1), col(2), col(3));
+                for (kk, sk) in block.iter_mut().enumerate() {
+                    *sk = [c0[kk], c1[kk], c2[kk], c3[kk]].map(|x| self.alpha * x);
+                }
+            }
+        }
+        // `|`, not `||`: a reduction the compiler vectorizes
+        block
+            .as_flattened()
+            .iter()
+            .fold(false, |zero, &s| zero | (s == 0.0))
+    }
+}
+
+/// One block of a panel's staged scales: `block[kk][t] = s(k0 + kk, j0 + t)`.
+type Block = [[f64; NR]; KB];
 
 /// `acc[m] ±= s * x[m]`: a separately rounded product and sum per lane.
 #[inline(always)]
@@ -175,14 +244,24 @@ fn lanes<const R: usize, const SUB: bool>(acc: &mut [f64; R], s: f64, x: &[f64; 
     }
 }
 
+/// One `k` step of a microtile: `acc[t] ±= s[t] * x[..R]`.
+#[inline(always)]
+fn step<const R: usize, const SUB: bool>(acc: &mut [&mut [f64; R]; NR], s: &[f64; NR], x: &[f64]) {
+    let x: &[f64; R] = x[..R].try_into().unwrap();
+    for (a, &st) in acc.iter_mut().zip(s) {
+        lanes::<R, SUB>(a, st, x);
+    }
+}
+
 /// One register microtile: rows `i0..i0 + R` of the four columns of
 /// `panel`, `acc[t][m] ±= s[kk][t] * X[i0 + m, k0 + kk]` for ascending
-/// `kk`. Branch-free — the caller has verified that no scale is zero, so
-/// per output element the operation sequence is the naive one. Column `t`
-/// is written back for rows `from[t]..to` only; the other lanes were
-/// computed from whatever those rows hold and are dropped.
+/// `kk`, two `kk` per iteration. Branch-free — the caller has verified
+/// that no scale is zero, so per output element the operation sequence is
+/// the naive one. Column `t` is written back for rows `from[t]..to` only;
+/// the other lanes were computed from whatever those rows hold and are
+/// dropped.
 #[inline(always)]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[allow(clippy::too_many_arguments)]
 fn microtile<const R: usize, const SUB: bool>(
     src: &[f64],
     n: usize,
@@ -202,12 +281,18 @@ fn microtile<const R: usize, const SUB: bool>(
     let mut acc1: [f64; R] = c1[i0..i0 + R].try_into().unwrap();
     let mut acc2: [f64; R] = c2[i0..i0 + R].try_into().unwrap();
     let mut acc3: [f64; R] = c3[i0..i0 + R].try_into().unwrap();
-    for (kk, sk) in s.iter().enumerate() {
-        let x: &[f64; R] = src[(k0 + kk) * n + i0..][..R].try_into().unwrap();
-        lanes::<R, SUB>(&mut acc0, sk[0], x);
-        lanes::<R, SUB>(&mut acc1, sk[1], x);
-        lanes::<R, SUB>(&mut acc2, sk[2], x);
-        lanes::<R, SUB>(&mut acc3, sk[3], x);
+    let mut acc = [&mut acc0, &mut acc1, &mut acc2, &mut acc3];
+    // the block's rows of its source columns, taken once: column `kk`
+    // starts at `kk * n`
+    let x = &src[k0 * n + i0..][..(s.len() - 1) * n + R];
+    let (pairs, odd) = s.split_at(s.len() & !1);
+    for (sk, xk) in pairs.chunks_exact(2).zip(x.chunks(2 * n)) {
+        let (x0, x1) = xk.split_at(n);
+        step::<R, SUB>(&mut acc, &sk[0], x0);
+        step::<R, SUB>(&mut acc, &sk[1], x1);
+    }
+    if let [sk] = odd {
+        step::<R, SUB>(&mut acc, sk, &x[pairs.len() * n..]);
     }
     for (t, (col, acc)) in [(c0, &acc0), (c1, &acc1), (c2, &acc2), (c3, &acc3)]
         .into_iter()
@@ -255,21 +340,23 @@ fn ladder<const SUB: bool>(
     }
 }
 
-/// One destination column in the exact naive order, including the
-/// `s != 0.0` skips: `col[i] ±= scale(k) * X[i,k]` for rows `from..n`,
+/// Destination column `j` in the exact naive order, including the
+/// `s != 0.0` skips: `col[i] ±= s(k, j) * X[i,k]` for rows `from..n`,
 /// ascending `k`. What a block of scales containing a zero falls back to,
 /// and what the up to three columns past the last full panel run.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn column_update<const SUB: bool>(
     src: &[f64],
     n: usize,
     ks: Range<usize>,
-    scale: impl Fn(usize) -> f64,
+    scales: Scales,
+    j: usize,
     col: &mut [f64],
     from: usize,
 ) {
     for k in ks {
-        let s = scale(k);
+        let s = scales.at(n, k, j);
         if s != 0.0 {
             let x = &src[k * n..(k + 1) * n];
             for i in from..n {
@@ -283,43 +370,39 @@ fn column_update<const SUB: bool>(
     }
 }
 
-/// `panel[i, t] ±= Σ_{k in ks} scale(k, t) · X[i, k]` for rows
+/// `panel[i, t] ±= Σ_{k in ks} s(k, j0 + t) · X[i, k]` for rows
 /// `from[t]..n` of the columns of `panel`, ascending `k` per element.
-/// `X` is `src`, `n` rows per column; `buf` is scratch. A panel narrower
+/// `X` is `src`, `n` rows per column; `block` is scratch. A panel narrower
 /// than [`NR`] — the up to three columns past the last full one — runs
 /// column by column.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn panel_update<const SUB: bool>(
     src: &[f64],
     n: usize,
     ks: Range<usize>,
-    scale: impl Fn(usize, usize) -> f64,
+    scales: Scales,
+    j0: usize,
     panel: &mut [f64],
     from: [usize; NR],
-    buf: &mut Scales,
+    block: &mut Block,
 ) {
     if panel.len() < NR * n {
         for (t, col) in panel.chunks_exact_mut(n).enumerate() {
-            column_update::<SUB>(src, n, ks.clone(), |k| scale(k, t), col, from[t]);
+            column_update::<SUB>(src, n, ks.clone(), scales, j0 + t, col, from[t]);
         }
         return;
     }
     let mut k0 = ks.start;
     while k0 < ks.end {
-        let s = &mut buf[..(ks.end - k0).min(KB)];
-        let mut nonzero = true;
-        for (kk, sk) in s.iter_mut().enumerate() {
-            for (t, v) in sk.iter_mut().enumerate() {
-                *v = scale(k0 + kk, t);
-                nonzero &= *v != 0.0;
-            }
-        }
-        if nonzero {
+        let s = &mut block[..(ks.end - k0).min(KB)];
+        if !scales.stage(n, k0, j0, s) {
             ladder::<SUB>(src, n, k0, s, panel, from);
         } else {
             // a zero in the scale stream: naive-order skip semantics
+            let k1 = k0 + s.len();
             for (t, col) in panel.chunks_exact_mut(n).enumerate() {
-                column_update::<SUB>(src, n, k0..k0 + s.len(), |k| s[k - k0][t], col, from[t]);
+                column_update::<SUB>(src, n, k0..k1, scales, j0 + t, col, from[t]);
             }
         }
         k0 += s.len();
@@ -327,31 +410,23 @@ fn panel_update<const SUB: bool>(
 }
 
 /// [`panel_update`] over every column of `dst`, which holds columns
-/// `jstart..n` of the destination: `C[i,j] ±= Σ_{k in ks} scale(k, j) ·
+/// `jstart..n` of the destination: `C[i,j] ±= Σ_{k in ks} s(k, j) ·
 /// X[i,k]`. `lower` restricts column `j` to rows `j..n`.
 #[inline(always)]
 fn sweep<const SUB: bool>(
     src: &[f64],
     n: usize,
     ks: Range<usize>,
-    scale: impl Fn(usize, usize) -> f64,
+    scales: Scales,
     dst: &mut [f64],
     jstart: usize,
     lower: bool,
 ) {
-    let mut buf = [[0.0; NR]; KB];
+    let mut block = [[0.0; NR]; KB];
     for (p, panel) in dst.chunks_mut(NR * n).enumerate() {
         let j0 = jstart + p * NR;
         let from = std::array::from_fn(|t| if lower { j0 + t } else { 0 });
-        panel_update::<SUB>(
-            src,
-            n,
-            ks.clone(),
-            |k, t| scale(k, j0 + t),
-            panel,
-            from,
-            &mut buf,
-        );
+        panel_update::<SUB>(src, n, ks.clone(), scales, j0, panel, from, &mut block);
     }
 }
 
@@ -411,12 +486,12 @@ multiversion! {
     fn gemm_axpy_blocked / gemm_axpy_blocked_impl(
         transb: Trans, alpha: f64, a: &Tile, b: &Tile, c: &mut Tile
     ) {
-        let n = c.dim();
-        let scale = |k: usize, j: usize| match transb {
-            Trans::No => alpha * b.get(k, j),
-            Trans::Yes => alpha * b.get(j, k),
+        let layout = match transb {
+            Trans::No => Layout::Columns,
+            Trans::Yes => Layout::Rows,
         };
-        sweep::<false>(a.as_slice(), n, 0..n, scale, c.as_mut_slice(), 0, false);
+        let scales = Scales { m: b.as_slice(), alpha, layout };
+        sweep::<false>(a.as_slice(), c.dim(), 0..c.dim(), scales, c.as_mut_slice(), 0, false);
     }
 }
 
@@ -551,9 +626,8 @@ multiversion! {
     /// `trans = No`: the GEMM sweep restricted to the lower trapezoid. The
     /// scale stream is row `j` of `A` itself, `s(k,j) = alpha * A[j,k]`.
     fn syrk_axpy_blocked / syrk_axpy_blocked_impl(alpha: f64, a: &Tile, c: &mut Tile) {
-        let n = c.dim();
-        let scale = |k: usize, j: usize| alpha * a.get(j, k);
-        sweep::<false>(a.as_slice(), n, 0..n, scale, c.as_mut_slice(), 0, true);
+        let scales = Scales { m: a.as_slice(), alpha, layout: Layout::Rows };
+        sweep::<false>(a.as_slice(), c.dim(), 0..c.dim(), scales, c.as_mut_slice(), 0, true);
     }
 }
 
@@ -618,14 +692,18 @@ multiversion! {
                 *x *= alpha;
             }
         }
-        let mut buf = [[0.0; NR]; KB];
+        let scales = Scales { m: l.as_slice(), alpha: 1.0, layout: Layout::Rows };
+        let mut block = [[0.0; NR]; KB];
         for j0 in (0..n).step_by(NR) {
             let (done, rest) = b.as_mut_slice().split_at_mut(j0 * n);
             let panel = &mut rest[..NR.min(n - j0) * n];
-            panel_update::<true>(done, n, 0..j0, |k, t| l.get(j0 + t, k), panel, [0; NR], &mut buf);
+            panel_update::<true>(done, n, 0..j0, scales, j0, panel, [0; NR], &mut block);
+            // the in-panel triangle: `L`'s columns from `j0` on are the
+            // scales of the panel's own columns
+            let inner = Scales { m: &l.as_slice()[j0 * n..], ..scales };
             for t in 0..panel.len() / n {
                 let (prev, xj) = panel[..(t + 1) * n].split_at_mut(t * n);
-                column_update::<true>(prev, n, 0..t, |k| l.get(j0 + t, j0 + k), xj, 0);
+                column_update::<true>(prev, n, 0..t, inner, j0 + t, xj, 0);
                 let d = l.get(j0 + t, j0 + t);
                 for x in xj {
                     *x /= d;
@@ -659,19 +737,21 @@ multiversion! {
     /// date before the error is returned — the identical partial state.
     fn potrf_blocked / potrf_blocked_impl(a: &mut Tile) -> Result<(), KernelError> {
         let n = a.dim();
-        let mut buf = [[0.0; NR]; KB];
+        let mut block = [[0.0; NR]; KB];
         for j0 in (0..n).step_by(NR) {
             let (done, rest) = a.as_mut_slice().split_at_mut(j0 * n);
             let panel = &mut rest[..NR.min(n - j0) * n];
             let from = std::array::from_fn(|t| j0 + t);
-            panel_update::<true>(done, n, 0..j0, |k, t| done[k * n + j0 + t], panel, from, &mut buf);
+            let finished = Scales { m: done, alpha: 1.0, layout: Layout::Rows };
+            panel_update::<true>(done, n, 0..j0, finished, j0, panel, from, &mut block);
             for t in 0..panel.len() / n {
                 let k = j0 + t;
                 let (ck, later) = panel[t * n..].split_at_mut(n);
                 let akk = ck[k];
                 if akk <= 0.0 || !akk.is_finite() {
                     let (done, rest) = a.as_mut_slice().split_at_mut((j0 + NR).min(n) * n);
-                    sweep::<true>(done, n, 0..k, |k, j| done[k * n + j], rest, j0 + NR, true);
+                    let finished = Scales { m: done, alpha: 1.0, layout: Layout::Rows };
+                    sweep::<true>(done, n, 0..k, finished, rest, j0 + NR, true);
                     return Err(KernelError::NotPositiveDefinite(k));
                 }
                 let pivot = akk.sqrt();
@@ -703,9 +783,11 @@ mod tests {
     // version the CPU supports, each against the naive kernel
 
     /// Dimensions from [`SMALL`] up that put every rung of the ladder, a
-    /// rung clamped to row 0, ragged trailing columns and a second
-    /// [`KB`] block into play.
-    const DIMS: [usize; 12] = [16, 17, 19, 23, 24, 31, 32, 33, 40, 47, 65, 70];
+    /// rung clamped to row 0, ragged trailing columns, a second [`KB`]
+    /// block and odd block lengths (the microtile's unpaired last `k`)
+    /// into play — and the ledger's tile sizes 64 and 128; at 128 a panel
+    /// sees two full [`KB`] blocks and four full [`MR`] microtiles.
+    const DIMS: [usize; 14] = [16, 17, 19, 23, 24, 31, 32, 33, 40, 47, 64, 65, 70, 128];
 
     fn assert_bits_eq(expect: &Tile, got: &Tile, what: &str) {
         assert!(bits_eq(expect, got), "{what} differs from the naive kernel");

@@ -165,11 +165,15 @@ fn sweep_dims() -> impl Iterator<Item = usize> {
 }
 
 const COEFFS: [f64; 3] = [0.0, 1.0, -1.0];
+/// The runtime's coefficients and two outside them. Staging multiplies
+/// `alpha` into every scale as it copies it, so with `alpha = ±1` alone a
+/// staging that kept `alpha`'s sign and dropped its magnitude would pass.
+const ALPHAS: [f64; 5] = [0.0, 1.0, -1.0, 0.5, -3.0];
 const TRANS: [Trans; 2] = [Trans::No, Trans::Yes];
 
-/// Every `(alpha, beta)` from the set the runtime uses.
+/// Every `(alpha, beta)` from [`ALPHAS`] × [`COEFFS`].
 fn coeff_pairs() -> impl Iterator<Item = (f64, f64)> {
-    COEFFS
+    ALPHAS
         .into_iter()
         .flat_map(|alpha| COEFFS.map(|beta| (alpha, beta)))
 }
@@ -277,7 +281,7 @@ fn sweep_trsm_is_bit_identical() {
         }
         poison_strict_upper(&mut l);
         let rhs = planted_tile(b, 7, b + 1);
-        for alpha in COEFFS {
+        for alpha in ALPHAS {
             let mut expect = rhs.clone();
             KernelBackend::Naive.trsm_right_lower_trans(alpha, &l, &mut expect);
             let mut x = rhs.clone();
