@@ -231,6 +231,16 @@ impl Args {
     fn get<T: FromStr>(&self, flag: &str, default: T) -> T {
         self.opt(flag).unwrap_or(default)
     }
+
+    /// The count given by `flag` (`default` without it); one below `min`
+    /// is a usage error.
+    fn at_least(&self, flag: &str, default: usize, min: usize) -> usize {
+        let n = self.get(flag, default);
+        if n < min {
+            usage_error(&format!("{flag} must be at least {min}, not {n}"));
+        }
+        n
+    }
 }
 
 /// The placeholder of `flag`'s value; `None` for a switch.
@@ -428,8 +438,7 @@ fn net_run(args: &Args) {
     use sbc_runtime::Run;
     use std::time::Duration;
 
-    let nodes: usize = args.get("--nodes", 4);
-    assert!(nodes >= 1, "--nodes must be at least 1");
+    let nodes = args.at_least("--nodes", 4, 1);
     let backend = args
         .parsed("--backend", Backend::parse)
         .unwrap_or(Backend::Tcp);
@@ -583,7 +592,7 @@ fn serve_run(args: &Args) {
     let out_path = args.raw("--out").unwrap_or("obs-trace.json");
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
-        nodes: args.get("--nodes", defaults.nodes),
+        nodes: args.at_least("--nodes", defaults.nodes, 1),
         max_inflight: args.get("--max-inflight", defaults.max_inflight),
         deadline: args
             .opt("--deadline")
@@ -592,8 +601,6 @@ fn serve_run(args: &Args) {
         workers: args.get("--workers", defaults.workers),
         ..defaults
     };
-    assert!(cfg.nodes >= 1, "--nodes must be at least 1");
-
     let service = Service::start(cfg);
     println!(
         "== serve: resident factorization service on {addr} ({} nodes, {} workers/node, max {} jobs in flight) ==",
@@ -959,8 +966,7 @@ fn topo_run(args: &Args) {
     use sbc_taskgraph::priority::critical_path_length;
     use sbc_topo::{render_report, zoo, SweepPoint, Topology};
 
-    let nodes: usize = args.get("--nodes", 12);
-    assert!(nodes >= 2, "--nodes must be at least 2");
+    let nodes = args.at_least("--nodes", 12, 2);
     let nt: usize = args.get("--nt", if args.has("--full") { 40 } else { 24 });
     let b: usize = args.get("--block", 500);
     let out = args.raw("--out");

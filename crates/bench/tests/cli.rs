@@ -1,6 +1,7 @@
 //! The `paper` command line refuses what it does not understand: a flag it
-//! does not know, or one the target does not take, exits 2 with the usage
-//! instead of running as if the flag were absent.
+//! does not know, one the target does not take, or a value out of range
+//! exits 2 with the usage instead of running as if the flag were absent or
+//! panicking.
 
 use std::process::{Command, Output};
 
@@ -24,6 +25,19 @@ fn a_flag_the_target_does_not_take_is_a_usage_error() {
     let out = paper(&["table1", "--workers", "2"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+#[test]
+fn a_node_count_out_of_range_is_a_usage_error() {
+    let out = paper(&["topo", "--nodes", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--nodes must be at least 2, not 1"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage: paper"), "{stderr}");
 }
 
 #[test]

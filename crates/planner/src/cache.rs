@@ -3,8 +3,7 @@
 //! A planner's platform and topology are fixed for its lifetime, so a plan
 //! depends only on `(op, nt, b)`. Planning is cheap next to a factorization
 //! but not free (the candidate search walks `O(nt^2)` ownership queries per
-//! candidate, and an optional simulation refinement walks the whole task
-//! graph); a solver serving many requests sees the same shapes over and
+//! candidate); a solver serving many requests sees the same shapes over and
 //! over, so each shape's plan is memoized here. The graph that executes a
 //! plan is not: it is a function of the placement alone, so it lives in the
 //! process-wide `sbc_taskgraph::memo`, one graph cache beside this one plan

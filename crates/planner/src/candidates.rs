@@ -211,8 +211,10 @@ impl DistChoice {
     /// `nodes_used() x nodes_used()` matrix where entry `[src * n + dst]`
     /// counts the tile messages src sends dst (initial fetches plus one
     /// message per remote consumer node of each task). The matrix sums to
-    /// the graph's total message count, so the topology-aware cost model
-    /// prices exactly the traffic the flat model counts — just per route.
+    /// the graph's total message count (`TaskGraph::count_messages`). That
+    /// equals [`DistChoice::messages`] for POTRF, TRTRI, LAUUM and LU, but
+    /// not for most POSV and POTRI candidates, so the topology-aware cost
+    /// model prices a different count there (ROADMAP 13(d)).
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.
@@ -269,8 +271,8 @@ impl DistChoice {
     }
 
     /// Builds the task graph executing `op` under this choice afresh, for a
-    /// one-off analysis (the simulator's refinement, the per-pair message
-    /// matrix) that should not occupy the memo.
+    /// one-off analysis (`Planner::simulate`, the per-pair message matrix)
+    /// that should not occupy the memo.
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.

@@ -16,8 +16,9 @@
 //!   combines the exact communication counters of `sbc_dist::comm`, the
 //!   LAPACK flop counts of `sbc_kernels`, and the hardware constants of an
 //!   `sbc_simgrid::Platform`;
-//! * [`planner`] runs the search, optionally *refines* the analytic top-k
-//!   by discrete-event simulation to break ties, and returns a [`Plan`];
+//! * [`planner`] runs the search and returns a [`Plan`], the analytic
+//!   winner; `Planner::simulate` runs any candidate through the
+//!   discrete-event simulator as a referee;
 //! * [`cache`] amortizes planning across requests: one capacity-bounded
 //!   LRU map keyed by `(op, nt, b)` holds each warm shape's plan (the task
 //!   graph that executes it is shared through `sbc_taskgraph::memo`);

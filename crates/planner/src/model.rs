@@ -20,8 +20,8 @@
 //! still win at compute-bound sizes, because every message costs host
 //! overhead on the communication core and imperfect overlap leaks into
 //! the critical path (Sections V-C/V-E). The sum is a serialization bound
-//! that preserves the paper's ordering; the planner's optional simulation
-//! refinement supplies the overlap-aware makespan.
+//! that preserves the paper's ordering; [`crate::Planner::simulate`]
+//! gives the overlap-aware makespan of any one candidate.
 //!
 //! Ranking is lexicographic `(total_seconds, messages)`: on a time tie the
 //! candidate that communicates less wins — the paper's whole point.
@@ -86,8 +86,14 @@ impl CostModel {
     /// Prices communication over an explicit network topology (graph node
     /// `i` on host `i`): each candidate's per-pair traffic is charged at
     /// its route's bottleneck bandwidth, and the busiest backbone link
-    /// direction adds a serialization term. With a flat topology the score
-    /// matches the flat model's ordering.
+    /// direction adds a serialization term.
+    ///
+    /// The two forks do not price the same count: the flat model charges
+    /// the closed-form `DistChoice::messages`, a topology the per-pair
+    /// `DistChoice::message_matrix`, which sums to the task graph's count.
+    /// The two agree for POTRF, TRTRI, LAUUM and LU, but not for most POSV
+    /// and POTRI candidates, so even a single-switch topology can rank
+    /// those differently from the flat model (ROADMAP 13(d)).
     pub(crate) fn with_topology(mut self, topology: Arc<Topology>) -> Self {
         assert!(
             topology.hosts() >= self.platform.nodes,
@@ -100,8 +106,8 @@ impl CostModel {
     }
 
     /// The topology communication is priced over, if any.
-    pub(crate) fn topology(&self) -> Option<&Arc<Topology>> {
-        self.topology.as_ref()
+    pub(crate) fn topology(&self) -> Option<&Topology> {
+        self.topology.as_deref()
     }
 
     /// The platform being modelled.

@@ -1,5 +1,5 @@
-//! The planner: search, optional simulation refinement, and the [`Plan`]
-//! handed to the simulator or the threaded runtime.
+//! The planner: the analytic search and the [`Plan`] handed to the
+//! simulator or the threaded runtime.
 
 use std::sync::Arc;
 
@@ -12,15 +12,9 @@ use crate::cache::PlanCache;
 use crate::candidates::{enumerate, DistChoice, Op};
 use crate::model::{CostBreakdown, CostModel};
 
-/// Tunables of the search.
+/// Tunables of the planner.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
-    /// Simulate this many of the analytically best candidates and pick the
-    /// one with the smallest simulated makespan. `0` or `1` keeps the
-    /// purely analytic winner (fast; the default). Refinement walks the
-    /// whole task graph per candidate, so reserve it for shapes that will
-    /// be executed many times.
-    pub refine_top_k: usize,
     /// Maximum number of memoized plans (strict bound).
     pub cache_capacity: usize,
 }
@@ -28,7 +22,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            refine_top_k: 0,
             cache_capacity: 256,
         }
     }
@@ -49,8 +42,6 @@ pub struct Plan {
     pub choice: DistChoice,
     /// The analytic score that won the search.
     pub cost: CostBreakdown,
-    /// Simulated makespan in seconds, when refinement ran.
-    pub refined_makespan: Option<f64>,
     /// `true` when this plan came from the cache rather than a search.
     pub cached: bool,
 }
@@ -72,7 +63,7 @@ impl Plan {
     }
 }
 
-/// Distribution autotuner: enumerate, score, optionally simulate, memoize.
+/// Distribution autotuner: enumerate, score, memoize.
 pub struct Planner {
     model: CostModel,
     config: PlannerConfig,
@@ -100,7 +91,7 @@ impl Planner {
 
     /// Makes the planner topology-aware: candidates are priced over
     /// `topology`'s routes (rack-crossing traffic pays the oversubscribed
-    /// uplink) and refinement simulates over it. The cache starts empty,
+    /// uplink) and [`Planner::simulate`] runs over it. The cache starts empty,
     /// so a plan priced over the flat model is never served.
     ///
     /// # Panics
@@ -166,39 +157,20 @@ impl Planner {
         (plan, plan.graph())
     }
 
-    /// The cold path: full candidate search (and refinement, if enabled),
-    /// bypassing the cache entirely.
+    /// The cold path: the full candidate search, bypassing the cache.
     pub fn plan_uncached(&self, op: Op, nt: usize, b: usize) -> Plan {
-        let mut scored = self.scored_candidates(op, nt, b);
-        assert!(
-            !scored.is_empty(),
-            "no feasible distribution for {} nodes",
-            self.platform().nodes
-        );
-
-        let (choice, cost, refined) = if self.config.refine_top_k > 1 {
-            let k = self.config.refine_top_k.min(scored.len());
-            let mut best: Option<(DistChoice, CostBreakdown, f64)> = None;
-            for &(choice, cost) in &scored[..k] {
-                let makespan = self.simulate(choice, op, nt, b).makespan;
-                if best.is_none_or(|(_, _, m)| makespan < m) {
-                    best = Some((choice, cost, makespan));
-                }
-            }
-            let (choice, cost, makespan) = best.unwrap();
-            (choice, cost, Some(makespan))
-        } else {
-            let (choice, cost) = scored.remove(0);
-            (choice, cost, None)
+        let Some(&(choice, cost)) = self.scored_candidates(op, nt, b).first() else {
+            panic!(
+                "no feasible distribution for {} nodes",
+                self.platform().nodes
+            );
         };
-
         Plan {
             op,
             nt,
             b,
             choice,
             cost,
-            refined_makespan: refined,
             cached: false,
         }
     }
@@ -218,17 +190,16 @@ impl Planner {
         scored
     }
 
-    /// Discrete-event simulation of one candidate under this planner's
-    /// schedule settings, on a platform shrunk to the nodes it uses.
+    /// Discrete-event simulation of one candidate in the paper's Chameleon
+    /// configuration, on a platform shrunk to the nodes it uses and over
+    /// this planner's topology (the platform's single switch without one).
     pub fn simulate(&self, choice: DistChoice, op: Op, nt: usize, b: usize) -> SimReport {
         let graph = choice.build_graph(op, nt);
         let mut platform = self.platform().clone();
         platform.nodes = choice.nodes_used();
-        let config = SimConfig::chameleon(b);
-        match self.model.topology() {
-            Some(topo) => Simulator::with_topology(&graph, &platform, config, topo).run(),
-            None => Simulator::new(&graph, &platform, config).run(),
-        }
+        let single_switch = platform.single_switch_topology();
+        let topology = self.model.topology().unwrap_or(&single_switch);
+        Simulator::with_topology(&graph, &platform, SimConfig::chameleon(b), topology).run()
     }
 }
 
@@ -262,20 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn refinement_reports_a_makespan() {
-        let planner = Planner::with_config(
-            Platform::bora(10),
-            PlannerConfig {
-                refine_top_k: 2,
-                ..PlannerConfig::default()
-            },
-        );
-        let plan = planner.plan(Op::Potrf, 12, 500);
-        let makespan = plan.refined_makespan.expect("refined");
-        assert!(makespan > 0.0);
-    }
-
-    #[test]
     fn topology_aware_plans_cache_separately_from_flat() {
         let p = Platform::bora(10);
         let flat = Planner::new(p.clone());
@@ -288,16 +245,34 @@ mod tests {
         // the rack-aware score carries the boundary term
         assert!(b.cost.cross_boundary_seconds >= 0.0);
         assert_eq!(racks.model.topology().unwrap().hosts(), 10);
-        // refinement simulates over the topology without panicking
-        let refined = Planner::with_config(
-            p.clone(),
-            PlannerConfig {
-                refine_top_k: 2,
-                ..PlannerConfig::default()
-            },
-        )
-        .with_topology(p.rack_topology(2, 16.0));
-        assert!(refined.plan(Op::Potrf, 12, 500).refined_makespan.is_some());
+        // the rack-aware planner simulates over its racks
+        let sim = racks.simulate(b.choice, Op::Potrf, 20, 500);
+        assert_eq!(sim.tasks_executed as usize, b.build_graph().len());
+    }
+
+    /// The flat model prices `DistChoice::messages`, a topology the
+    /// per-pair message matrix. For the operations where the two counts
+    /// agree, a single-switch planner picks what the flat one picks.
+    #[test]
+    fn single_switch_counts_and_plans_like_the_flat_model() {
+        for p in [4, 6, 8, 10] {
+            let platform = Platform::bora(p);
+            let flat = Planner::new(platform.clone());
+            let single =
+                Planner::new(platform.clone()).with_topology(platform.single_switch_topology());
+            for nt in [8, 12] {
+                for op in [Op::Potrf, Op::Trtri, Op::Lauum, Op::Lu] {
+                    for c in enumerate(op, p) {
+                        let sum: u64 = c.message_matrix(op, nt).iter().sum();
+                        assert_eq!(sum, c.messages(op, nt), "{} {op:?}", c.describe());
+                    }
+                }
+                for b in [128, 500] {
+                    let (a, z) = (flat.plan(Op::Potrf, nt, b), single.plan(Op::Potrf, nt, b));
+                    assert_eq!(a.choice, z.choice, "P={p} nt={nt} b={b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -367,7 +367,6 @@ fn graph_cache_is_bounded_and_evicted_shapes_stay_exact() {
         nodes: 4,
         planner: PlannerConfig {
             cache_capacity: capacity,
-            ..PlannerConfig::default()
         },
         ..ServeConfig::default()
     });

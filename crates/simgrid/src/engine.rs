@@ -3,8 +3,9 @@
 use crate::platform::Platform;
 use crate::stats::{SimReport, TraceEvent};
 use sbc_taskgraph::{EdgeKind, TaskGraph, TaskId};
-use sbc_topo::{CriticalPath, SchedCtx, Scheduler, Topology};
-use std::cmp::Ordering;
+use sbc_topo::{CriticalPath, Route, SchedCtx, Scheduler, Topology};
+use std::borrow::Cow;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// How ready tasks are released for execution.
@@ -141,43 +142,31 @@ impl Ord for Event {
     }
 }
 
-/// Per-node mutable state.
+/// Per-node compute state.
 struct NodeState {
-    ready: BinaryHeap<(OrdF64, std::cmp::Reverse<TaskId>)>,
+    ready: BinaryHeap<(OrdF64, Reverse<TaskId>)>,
     idle_workers: u32,
-    send_queue: BinaryHeap<QueuedMsg>,
-    send_busy: bool,
-    /// Time the receive port last finished delivering a message.
-    recv_free: f64,
     busy_seconds: f64,
-    send_port_seconds: f64,
-    recv_port_seconds: f64,
 }
 
-/// The network model: the flat per-node NIC when `topo` is `None`,
-/// per-route bandwidth/latency plus per-direction backbone serialization
-/// when a [`Topology`] is attached.
-struct NetModel<'a> {
-    platform: &'a Platform,
-    topo: Option<&'a Topology>,
+/// The event queue and the one counter that numbers events and queued
+/// messages alike: events run in `(time, seq)` order, and a message's
+/// `seq` keeps equal priorities FIFO.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Event>,
+    seq: u64,
 }
 
-impl NetModel<'_> {
-    /// Port occupancy of one message (host overhead + serialization at the
-    /// route's bottleneck bandwidth). With the degenerate single-switch
-    /// topology the bottleneck *is* the NIC bandwidth, so this reproduces
-    /// the flat model's `f64` arithmetic exactly.
-    fn port_seconds(&self, src: u32, dest: u32, bytes: u64) -> f64 {
-        match self.topo {
-            None => self.platform.port_seconds(bytes),
-            Some(t) => {
-                self.platform.per_message_overhead + bytes as f64 / t.route(src, dest).bottleneck
-            }
-        }
+impl Events {
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
     }
 
-    fn cross_rack(&self, src: u32, dest: u32) -> bool {
-        self.topo.is_some_and(|t| t.cross_rack(src, dest))
+    fn push(&mut self, time: f64, kind: EventKind) {
+        let seq = self.next_seq();
+        self.heap.push(Event { time, seq, kind });
     }
 }
 
@@ -190,45 +179,133 @@ struct Traffic {
     cross_rack_bytes: u64,
 }
 
-/// Discrete-event simulator of a [`TaskGraph`] on a [`Platform`].
+/// One node's full-duplex NIC.
+#[derive(Default)]
+struct Port {
+    /// Messages waiting to be sent, most urgent first.
+    queue: BinaryHeap<QueuedMsg>,
+    /// Whether a message is being serialized out of this port.
+    sending: bool,
+    /// Time the receive side last finished delivering a message.
+    recv_free: f64,
+    send_seconds: f64,
+    recv_seconds: f64,
+}
+
+/// The network half of a run, priced over one [`Topology`]. A message
+/// occupies its sender's port for the host overhead plus serialization at
+/// its route's bottleneck bandwidth, then queues on each backbone link
+/// direction of the route in send-initiation order, crosses the route's
+/// latency, and contends for the receiver's port.
+struct Network<'s> {
+    topo: &'s Topology,
+    /// Per-message host overhead, paid on both ports.
+    overhead: f64,
+    ports: Vec<Port>,
+    /// Per-direction completion time of each backbone link.
+    link_free: Vec<[f64; 2]>,
+    traffic: Traffic,
+}
+
+impl<'s> Network<'s> {
+    fn new(topo: &'s Topology, overhead: f64, nodes: usize) -> Self {
+        Network {
+            topo,
+            overhead,
+            ports: (0..nodes).map(|_| Port::default()).collect(),
+            link_free: vec![[0.0; 2]; topo.links().len()],
+            traffic: Traffic::default(),
+        }
+    }
+
+    /// Port occupancy of `bytes` over `route`, on either end of it.
+    fn port_seconds(&self, route: &Route, bytes: u64) -> f64 {
+        self.overhead + bytes as f64 / route.bottleneck
+    }
+
+    /// Counts `msg` and queues it on its sender's port, starting the send
+    /// if the port is idle.
+    fn enqueue(&mut self, msg: Msg, now: f64, events: &mut Events) {
+        self.traffic.messages += 1;
+        self.traffic.bytes += msg.bytes;
+        if self.topo.cross_rack(msg.src, msg.dest) {
+            self.traffic.cross_rack_messages += 1;
+            self.traffic.cross_rack_bytes += msg.bytes;
+        }
+        let node = msg.src;
+        let port = &mut self.ports[node as usize];
+        port.queue.push(QueuedMsg {
+            msg,
+            seq: events.next_seq(),
+        });
+        if !port.sending {
+            self.start_send(node, now, events);
+        }
+    }
+
+    /// Starts sending `node`'s most urgent queued message, or marks its
+    /// port idle.
+    fn start_send(&mut self, node: u32, now: f64, events: &mut Events) {
+        let Some(QueuedMsg { msg, .. }) = self.ports[node as usize].queue.pop() else {
+            self.ports[node as usize].sending = false;
+            return;
+        };
+        let topo = self.topo;
+        let route = topo.route(msg.src, msg.dest);
+        let seconds = self.port_seconds(route, msg.bytes);
+        let port = &mut self.ports[node as usize];
+        port.sending = true;
+        port.send_seconds += seconds;
+        let send_end = now + seconds;
+        events.push(send_end, EventKind::SendFree { node });
+        let mut tail = send_end;
+        for hop in &route.backbone {
+            let free = &mut self.link_free[hop.link as usize][hop.dir()];
+            tail = tail.max(*free) + msg.bytes as f64 / topo.links()[hop.link as usize].bandwidth;
+            *free = tail;
+        }
+        events.push(tail + route.latency, EventKind::Arrive { msg });
+    }
+
+    /// `msg` has crossed the wire at `now`: its receiver's port delivers it
+    /// at least one port time after the previous delivery. Returns when.
+    fn receive(&mut self, msg: &Msg, now: f64) -> f64 {
+        let seconds = self.port_seconds(self.topo.route(msg.src, msg.dest), msg.bytes);
+        let port = &mut self.ports[msg.dest as usize];
+        port.recv_seconds += seconds;
+        port.recv_free = now.max(port.recv_free + seconds);
+        port.recv_free
+    }
+}
+
+/// Discrete-event simulator of a [`TaskGraph`] on a [`Platform`], its
+/// messages priced over a [`Topology`].
 pub struct Simulator<'a> {
     graph: &'a TaskGraph,
     platform: &'a Platform,
     config: SimConfig,
     priorities: Vec<f32>,
-    topology: Option<&'a Topology>,
+    topology: Cow<'a, Topology>,
 }
 
 impl<'a> Simulator<'a> {
-    /// Prepares a simulation whose ready queues are ranked by
-    /// [`CriticalPath`] over the platform's task-time model; see
+    /// Prepares a simulation on the platform's own network, its
+    /// [`Platform::single_switch_topology`], whose ready queues are ranked
+    /// by [`CriticalPath`] over the platform's task-time model; see
     /// [`Self::with_scheduler`] for any other order.
     ///
     /// # Panics
     /// Panics if the graph targets more nodes than the platform has.
     pub fn new(graph: &'a TaskGraph, platform: &'a Platform, config: SimConfig) -> Self {
-        assert!(
-            graph.num_nodes() <= platform.nodes,
-            "graph placed on {} nodes but platform has {}",
-            graph.num_nodes(),
-            platform.nodes
-        );
-        Simulator {
-            graph,
-            platform,
-            config,
-            priorities: Vec::new(),
-            topology: None,
-        }
-        .with_scheduler(&CriticalPath)
+        let topology = Cow::Owned(platform.single_switch_topology());
+        Self::over(graph, platform, config, topology)
     }
 
     /// Prepares a simulation over an explicit network [`Topology`]: graph
     /// node `i` runs on topology host `i`. Message port times use each
     /// route's bottleneck bandwidth, arrival times its summed latency, and
-    /// backbone (switch↔switch) links serialize per direction. With
-    /// [`Topology::single_switch`] built from the platform's NIC constants
-    /// this is **bit-identical** to [`Simulator::new`] (regression-tested).
+    /// backbone (switch↔switch) links serialize per direction.
+    /// [`Simulator::new`] is this over [`Platform::single_switch_topology`].
     ///
     /// # Panics
     /// Panics if the graph targets more nodes than the topology has hosts,
@@ -239,15 +316,35 @@ impl<'a> Simulator<'a> {
         config: SimConfig,
         topology: &'a Topology,
     ) -> Self {
+        Self::over(graph, platform, config, Cow::Borrowed(topology))
+    }
+
+    fn over(
+        graph: &'a TaskGraph,
+        platform: &'a Platform,
+        config: SimConfig,
+        topology: Cow<'a, Topology>,
+    ) -> Self {
+        assert!(
+            graph.num_nodes() <= platform.nodes,
+            "graph placed on {} nodes but platform has {}",
+            graph.num_nodes(),
+            platform.nodes
+        );
         assert!(
             graph.num_nodes() <= topology.hosts(),
             "graph placed on {} nodes but topology has {} hosts",
             graph.num_nodes(),
             topology.hosts()
         );
-        let mut sim = Self::new(graph, platform, config);
-        sim.topology = Some(topology);
-        sim
+        Simulator {
+            graph,
+            platform,
+            config,
+            priorities: Vec::new(),
+            topology,
+        }
+        .with_scheduler(&CriticalPath)
     }
 
     /// Replaces the ready-queue ranks with `scheduler`'s. Task costs are the
@@ -286,49 +383,46 @@ impl<'a> Simulator<'a> {
     /// Panics if the simulation deadlocks (which would indicate a malformed
     /// graph — `TaskGraph::validate` should have caught it).
     pub fn run(&self) -> SimReport {
-        self.run_impl(None)
+        State::new(self, false).run().0
     }
 
     /// Runs the simulation and records a per-task execution trace (for the
     /// Gantt renderer in [`crate::stats::render_gantt`]). Costs O(#tasks)
     /// extra memory — intended for small/medium graphs.
     pub fn run_traced(&self) -> (SimReport, Vec<TraceEvent>) {
-        let mut trace = Vec::new();
-        let report = self.run_impl(Some(&mut trace));
-        (report, trace)
+        State::new(self, true).run()
     }
+}
 
-    fn run_impl(&self, mut trace: Option<&mut Vec<TraceEvent>>) -> SimReport {
-        let g = self.graph;
-        let b = self.config.tile_b;
-        let tile_bytes = (b * b * 8) as u64;
+/// Everything one run of a [`Simulator`] mutates.
+struct State<'s> {
+    sim: &'s Simulator<'s>,
+    tile_bytes: u64,
+    /// Unmet dependencies of each task.
+    deps: Vec<u32>,
+    nodes: Vec<NodeState>,
+    net: Network<'s>,
+    events: Events,
+    /// Bulk-synchronous mode: the iteration whose tasks may start, the
+    /// last iteration, the tasks of each iteration not yet done, and the
+    /// ready tasks parked until their iteration opens.
+    current_iter: usize,
+    max_iter: usize,
+    remaining_per_iter: Vec<u64>,
+    parked: Vec<Vec<TaskId>>,
+    /// A finished task's remote consumers, grouped by node (reused).
+    groups: Vec<(u32, Vec<TaskId>)>,
+    trace: Option<Vec<TraceEvent>>,
+    tasks_executed: u64,
+    flops: f64,
+    makespan: f64,
+}
+
+impl<'s> State<'s> {
+    fn new(sim: &'s Simulator<'s>, traced: bool) -> Self {
+        let g = sim.graph;
+        let b = sim.config.tile_b;
         let n_nodes = g.num_nodes();
-        let net = NetModel {
-            platform: self.platform,
-            topo: self.topology,
-        };
-
-        let mut deps = g.initial_deps();
-
-        let mut nodes: Vec<NodeState> = (0..n_nodes)
-            .map(|_| NodeState {
-                ready: BinaryHeap::new(),
-                idle_workers: self.platform.cores_per_node as u32,
-                send_queue: BinaryHeap::new(),
-                send_busy: false,
-                recv_free: 0.0,
-                busy_seconds: 0.0,
-                send_port_seconds: 0.0,
-                recv_port_seconds: 0.0,
-            })
-            .collect();
-        // per-direction completion time of each backbone link
-        let mut link_free: Vec<[f64; 2]> = self
-            .topology
-            .map(|t| vec![[0.0; 2]; t.links().len()])
-            .unwrap_or_default();
-
-        // bulk-synchronous bookkeeping
         let max_iter = g
             .tasks()
             .iter()
@@ -336,388 +430,215 @@ impl<'a> Simulator<'a> {
             .max()
             .unwrap_or(0);
         let mut remaining_per_iter = vec![0u64; max_iter + 2];
-        if self.config.mode == ScheduleMode::BulkSynchronous {
+        if sim.config.mode == ScheduleMode::BulkSynchronous {
             for t in g.tasks() {
                 remaining_per_iter[t.kind.iteration() as usize] += 1;
             }
         }
-        let mut current_iter = 0usize;
-        let mut parked: Vec<Vec<TaskId>> = vec![Vec::new(); max_iter + 2];
-
-        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, kind: EventKind| {
-            *seq += 1;
-            heap.push(Event {
-                time,
-                seq: *seq,
-                kind,
-            });
-        };
-
-        let mut traffic = Traffic::default();
-        let mut tasks_executed = 0u64;
-        let mut flops_total = 0.0f64;
-        let mut makespan = 0.0f64;
-
-        // --- helpers as closures over local state are awkward in Rust;
-        // use small fns taking explicit state instead.
-
-        // make a task ready (or park it under bulk-synchronous mode) on its node
-        fn make_ready(
-            t: TaskId,
-            prio: &[f32],
-            g: &TaskGraph,
-            nodes: &mut [NodeState],
-            mode: ScheduleMode,
-            current_iter: usize,
-            parked: &mut [Vec<TaskId>],
-        ) {
-            if mode == ScheduleMode::BulkSynchronous {
-                let it = g.tasks()[t as usize].kind.iteration() as usize;
-                if it > current_iter {
-                    parked[it].push(t);
-                    return;
-                }
-            }
-            nodes[g.tasks()[t as usize].node as usize]
-                .ready
-                .push((OrdF64(prio[t as usize] as f64), std::cmp::Reverse(t)));
+        State {
+            sim,
+            tile_bytes: (b * b * 8) as u64,
+            deps: g.initial_deps(),
+            nodes: (0..n_nodes)
+                .map(|_| NodeState {
+                    ready: BinaryHeap::new(),
+                    idle_workers: sim.platform.cores_per_node as u32,
+                    busy_seconds: 0.0,
+                })
+                .collect(),
+            net: Network::new(&sim.topology, sim.platform.per_message_overhead, n_nodes),
+            events: Events::default(),
+            current_iter: 0,
+            max_iter,
+            remaining_per_iter,
+            parked: vec![Vec::new(); max_iter + 2],
+            groups: Vec::new(),
+            trace: traced.then(Vec::new),
+            tasks_executed: 0,
+            flops: 0.0,
+            makespan: 0.0,
         }
+    }
 
-        // start as many tasks as possible on a node
-        #[allow(clippy::too_many_arguments)]
-        fn try_start(
-            node_id: u32,
-            now: f64,
-            g: &TaskGraph,
-            platform: &Platform,
-            b: usize,
-            nodes: &mut [NodeState],
-            heap: &mut BinaryHeap<Event>,
-            seq: &mut u64,
-        ) {
-            let ns = &mut nodes[node_id as usize];
-            while ns.idle_workers > 0 {
-                let Some((_, std::cmp::Reverse(t))) = ns.ready.pop() else {
-                    break;
-                };
-                ns.idle_workers -= 1;
-                let dur = platform.task_seconds(&g.tasks()[t as usize].kind, b);
-                ns.busy_seconds += dur;
-                *seq += 1;
-                heap.push(Event {
-                    time: now + dur,
-                    seq: *seq,
-                    kind: EventKind::TaskDone {
-                        node: node_id,
-                        task: t,
-                    },
-                });
-            }
-        }
-
-        // count a message and queue it on the sender's NIC; start sending
-        // if the port is idle
-        #[allow(clippy::too_many_arguments)]
-        fn enqueue_send(
-            from: u32,
-            msg: Msg,
-            now: f64,
-            net: &NetModel<'_>,
-            nodes: &mut [NodeState],
-            link_free: &mut [[f64; 2]],
-            heap: &mut BinaryHeap<Event>,
-            seq: &mut u64,
-            traffic: &mut Traffic,
-        ) {
-            traffic.messages += 1;
-            traffic.bytes += msg.bytes;
-            if net.cross_rack(msg.src, msg.dest) {
-                traffic.cross_rack_messages += 1;
-                traffic.cross_rack_bytes += msg.bytes;
-            }
-            let ns = &mut nodes[from as usize];
-            *seq += 1;
-            let entry = QueuedMsg { msg, seq: *seq };
-            ns.send_queue.push(entry);
-            if !ns.send_busy {
-                start_send(from, now, net, nodes, link_free, heap, seq);
-            }
-        }
-
-        fn start_send(
-            from: u32,
-            now: f64,
-            net: &NetModel<'_>,
-            nodes: &mut [NodeState],
-            link_free: &mut [[f64; 2]],
-            heap: &mut BinaryHeap<Event>,
-            seq: &mut u64,
-        ) {
-            let ns = &mut nodes[from as usize];
-            let Some(QueuedMsg { msg, .. }) = ns.send_queue.pop() else {
-                ns.send_busy = false;
-                return;
-            };
-            ns.send_busy = true;
-            let port = net.port_seconds(msg.src, msg.dest, msg.bytes);
-            ns.send_port_seconds += port;
-            let send_end = now + port;
-            *seq += 1;
-            heap.push(Event {
-                time: send_end,
-                seq: *seq,
-                kind: EventKind::SendFree { node: from },
-            });
-            // arrival: flat latency, or the route's latency after queueing
-            // on each backbone link direction in send-initiation order
-            let arrive = match net.topo {
-                None => send_end + net.platform.nic_latency,
-                Some(t) => {
-                    let route = t.route(msg.src, msg.dest);
-                    let mut tail = send_end;
-                    for hop in &route.backbone {
-                        let free = &mut link_free[hop.link as usize][hop.dir()];
-                        let start = tail.max(*free);
-                        let done =
-                            start + msg.bytes as f64 / t.links()[hop.link as usize].bandwidth;
-                        *free = done;
-                        tail = done;
-                    }
-                    tail + route.latency
-                }
-            };
-            *seq += 1;
-            heap.push(Event {
-                time: arrive,
-                seq: *seq,
-                kind: EventKind::Arrive { msg },
-            });
-        }
-
+    fn run(mut self) -> (SimReport, Vec<TraceEvent>) {
+        let g = self.sim.graph;
         // seed: initial fetches then dependency-free tasks
         for f in g.initial_fetches() {
-            enqueue_send(
-                f.home,
-                Msg {
-                    src: f.home,
-                    dest: f.dest,
-                    bytes: tile_bytes,
-                    prio: f32::INFINITY,
-                    consumers: f.consumers.clone(),
-                },
-                0.0,
-                &net,
-                &mut nodes,
-                &mut link_free,
-                &mut heap,
-                &mut seq,
-                &mut traffic,
-            );
+            let msg = Msg {
+                src: f.home,
+                dest: f.dest,
+                bytes: self.tile_bytes,
+                prio: f32::INFINITY,
+                consumers: f.consumers.clone(),
+            };
+            self.net.enqueue(msg, 0.0, &mut self.events);
         }
         for t in 0..g.len() as TaskId {
-            if deps[t as usize] == 0 {
-                make_ready(
-                    t,
-                    &self.priorities,
-                    g,
-                    &mut nodes,
-                    self.config.mode,
-                    current_iter,
-                    &mut parked,
-                );
+            if self.deps[t as usize] == 0 {
+                self.make_ready(t);
             }
         }
-        for n in 0..n_nodes as u32 {
-            try_start(n, 0.0, g, self.platform, b, &mut nodes, &mut heap, &mut seq);
+        for n in 0..g.num_nodes() as u32 {
+            self.try_start(n, 0.0);
         }
 
-        let mut consumer_groups: Vec<(u32, Vec<TaskId>)> = Vec::new();
-        while let Some(Event { time, kind, .. }) = heap.pop() {
-            makespan = makespan.max(time);
+        while let Some(Event { time, kind, .. }) = self.events.heap.pop() {
+            self.makespan = self.makespan.max(time);
             match kind {
-                EventKind::TaskDone { node, task } => {
-                    tasks_executed += 1;
-                    let tk = &g.tasks()[task as usize];
-                    flops_total += tk.kind.flops(b);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        let dur = self.platform.task_seconds(&tk.kind, b);
-                        tr.push(TraceEvent {
-                            task,
-                            node,
-                            start: time - dur,
-                            end: time,
-                        });
-                    }
-                    nodes[node as usize].idle_workers += 1;
-
-                    // resolve local successors; group remote data consumers
-                    consumer_groups.clear();
-                    for (s, ekind) in g.succs(task) {
-                        let snode = g.tasks()[s as usize].node;
-                        if snode == node {
-                            deps[s as usize] -= 1;
-                            if deps[s as usize] == 0 {
-                                make_ready(
-                                    s,
-                                    &self.priorities,
-                                    g,
-                                    &mut nodes,
-                                    self.config.mode,
-                                    current_iter,
-                                    &mut parked,
-                                );
-                            }
-                        } else {
-                            debug_assert_eq!(ekind, EdgeKind::Data);
-                            match consumer_groups.iter_mut().find(|(n, _)| *n == snode) {
-                                Some((_, v)) => v.push(s),
-                                None => consumer_groups.push((snode, vec![s])),
-                            }
-                        }
-                    }
-                    for (dest, consumers) in consumer_groups.drain(..) {
-                        let prio = if self.config.priority_comms {
-                            consumers
-                                .iter()
-                                .map(|&s| self.priorities[s as usize])
-                                .fold(f32::MIN, f32::max)
-                        } else {
-                            0.0 // FIFO via the sequence tiebreak
-                        };
-                        enqueue_send(
-                            node,
-                            Msg {
-                                src: node,
-                                dest,
-                                bytes: tile_bytes,
-                                prio,
-                                consumers,
-                            },
-                            time,
-                            &net,
-                            &mut nodes,
-                            &mut link_free,
-                            &mut heap,
-                            &mut seq,
-                            &mut traffic,
-                        );
-                    }
-
-                    // bulk-synchronous iteration barrier
-                    if self.config.mode == ScheduleMode::BulkSynchronous {
-                        let it = tk.kind.iteration() as usize;
-                        remaining_per_iter[it] -= 1;
-                        while current_iter <= max_iter && remaining_per_iter[current_iter] == 0 {
-                            current_iter += 1;
-                            if current_iter <= max_iter {
-                                for t in std::mem::take(&mut parked[current_iter]) {
-                                    let tn = g.tasks()[t as usize].node as usize;
-                                    nodes[tn].ready.push((
-                                        OrdF64(self.priorities[t as usize] as f64),
-                                        std::cmp::Reverse(t),
-                                    ));
-                                }
-                            }
-                        }
-                        // release may have fed every node
-                        for n in 0..n_nodes as u32 {
-                            try_start(
-                                n,
-                                time,
-                                g,
-                                self.platform,
-                                b,
-                                &mut nodes,
-                                &mut heap,
-                                &mut seq,
-                            );
-                        }
-                    } else {
-                        try_start(
-                            node,
-                            time,
-                            g,
-                            self.platform,
-                            b,
-                            &mut nodes,
-                            &mut heap,
-                            &mut seq,
-                        );
-                    }
-                }
-                EventKind::SendFree { node } => {
-                    start_send(
-                        node,
-                        time,
-                        &net,
-                        &mut nodes,
-                        &mut link_free,
-                        &mut heap,
-                        &mut seq,
-                    );
-                }
+                EventKind::TaskDone { node, task } => self.task_done(node, task, time),
+                EventKind::SendFree { node } => self.net.start_send(node, time, &mut self.events),
                 EventKind::Arrive { msg } => {
-                    // contend for the receive port: deliveries are spaced by
-                    // at least one port time (overhead + serialization)
-                    let wire = net.port_seconds(msg.src, msg.dest, msg.bytes);
-                    let ns = &mut nodes[msg.dest as usize];
-                    ns.recv_port_seconds += wire;
-                    let delivery = time.max(ns.recv_free + wire);
-                    ns.recv_free = delivery;
-                    push(&mut heap, &mut seq, delivery, EventKind::Deliver { msg });
+                    let delivery = self.net.receive(&msg, time);
+                    self.events.push(delivery, EventKind::Deliver { msg });
                 }
                 EventKind::Deliver { msg } => {
-                    let dest = msg.dest;
                     for t in msg.consumers {
-                        deps[t as usize] -= 1;
-                        if deps[t as usize] == 0 {
-                            make_ready(
-                                t,
-                                &self.priorities,
-                                g,
-                                &mut nodes,
-                                self.config.mode,
-                                current_iter,
-                                &mut parked,
-                            );
-                        }
+                        self.satisfy(t);
                     }
-                    try_start(
-                        dest,
-                        time,
-                        g,
-                        self.platform,
-                        b,
-                        &mut nodes,
-                        &mut heap,
-                        &mut seq,
-                    );
+                    self.try_start(msg.dest, time);
                 }
             }
         }
 
         assert_eq!(
-            tasks_executed,
+            self.tasks_executed,
             g.len() as u64,
             "simulation deadlocked: {} of {} tasks executed",
-            tasks_executed,
+            self.tasks_executed,
             g.len()
         );
-
-        SimReport {
-            makespan,
+        let traffic = &self.net.traffic;
+        let report = SimReport {
+            makespan: self.makespan,
             messages: traffic.messages,
             bytes: traffic.bytes,
             cross_rack_messages: traffic.cross_rack_messages,
             cross_rack_bytes: traffic.cross_rack_bytes,
-            flops: flops_total,
-            busy_per_node: nodes.iter().map(|n| n.busy_seconds).collect(),
-            send_port_per_node: nodes.iter().map(|n| n.send_port_seconds).collect(),
-            recv_port_per_node: nodes.iter().map(|n| n.recv_port_seconds).collect(),
-            tasks_executed,
-            cores_per_node: self.platform.cores_per_node,
+            flops: self.flops,
+            busy_per_node: self.nodes.iter().map(|n| n.busy_seconds).collect(),
+            send_port_per_node: self.net.ports.iter().map(|p| p.send_seconds).collect(),
+            recv_port_per_node: self.net.ports.iter().map(|p| p.recv_seconds).collect(),
+            tasks_executed: self.tasks_executed,
+            cores_per_node: self.sim.platform.cores_per_node,
+        };
+        (report, self.trace.unwrap_or_default())
+    }
+
+    /// Makes `t` ready on its node, or parks it until its iteration opens
+    /// under bulk-synchronous mode.
+    fn make_ready(&mut self, t: TaskId) {
+        let task = &self.sim.graph.tasks()[t as usize];
+        if self.sim.config.mode == ScheduleMode::BulkSynchronous {
+            let it = task.kind.iteration() as usize;
+            if it > self.current_iter {
+                self.parked[it].push(t);
+                return;
+            }
+        }
+        let prio = OrdF64(self.sim.priorities[t as usize] as f64);
+        self.nodes[task.node as usize]
+            .ready
+            .push((prio, Reverse(t)));
+    }
+
+    /// Meets one dependency of `t`; the last one makes it ready.
+    fn satisfy(&mut self, t: TaskId) {
+        self.deps[t as usize] -= 1;
+        if self.deps[t as usize] == 0 {
+            self.make_ready(t);
+        }
+    }
+
+    /// Starts as many ready tasks on `node` as it has idle workers.
+    fn try_start(&mut self, node: u32, now: f64) {
+        let sim = self.sim;
+        let ns = &mut self.nodes[node as usize];
+        while ns.idle_workers > 0 {
+            let Some((_, Reverse(t))) = ns.ready.pop() else {
+                break;
+            };
+            ns.idle_workers -= 1;
+            let kind = &sim.graph.tasks()[t as usize].kind;
+            let dur = sim.platform.task_seconds(kind, sim.config.tile_b);
+            ns.busy_seconds += dur;
+            self.events
+                .push(now + dur, EventKind::TaskDone { node, task: t });
+        }
+    }
+
+    /// A worker on `node` finished `task` at `now`: release its local
+    /// successors, send its tile once to each node with remote consumers,
+    /// and start what became ready.
+    fn task_done(&mut self, node: u32, task: TaskId, now: f64) {
+        let sim = self.sim;
+        let g = sim.graph;
+        let b = sim.config.tile_b;
+        let kind = &g.tasks()[task as usize].kind;
+        self.tasks_executed += 1;
+        self.flops += kind.flops(b);
+        if let Some(trace) = &mut self.trace {
+            let dur = sim.platform.task_seconds(kind, b);
+            trace.push(TraceEvent {
+                task,
+                node,
+                start: now - dur,
+                end: now,
+            });
+        }
+        self.nodes[node as usize].idle_workers += 1;
+
+        let mut groups = std::mem::take(&mut self.groups);
+        for (s, ekind) in g.succs(task) {
+            let snode = g.tasks()[s as usize].node;
+            if snode == node {
+                self.satisfy(s);
+            } else {
+                debug_assert_eq!(ekind, EdgeKind::Data);
+                match groups.iter_mut().find(|(n, _)| *n == snode) {
+                    Some((_, v)) => v.push(s),
+                    None => groups.push((snode, vec![s])),
+                }
+            }
+        }
+        for (dest, consumers) in groups.drain(..) {
+            let prio = if sim.config.priority_comms {
+                consumers
+                    .iter()
+                    .map(|&s| sim.priorities[s as usize])
+                    .fold(f32::MIN, f32::max)
+            } else {
+                0.0 // FIFO via the sequence tiebreak
+            };
+            let msg = Msg {
+                src: node,
+                dest,
+                bytes: self.tile_bytes,
+                prio,
+                consumers,
+            };
+            self.net.enqueue(msg, now, &mut self.events);
+        }
+        self.groups = groups;
+
+        if sim.config.mode == ScheduleMode::BulkSynchronous {
+            // the iteration barrier: a finished iteration opens the next
+            self.remaining_per_iter[kind.iteration() as usize] -= 1;
+            while self.current_iter <= self.max_iter
+                && self.remaining_per_iter[self.current_iter] == 0
+            {
+                self.current_iter += 1;
+                if self.current_iter <= self.max_iter {
+                    for t in std::mem::take(&mut self.parked[self.current_iter]) {
+                        self.make_ready(t);
+                    }
+                }
+            }
+            // release may have fed every node
+            for n in 0..g.num_nodes() as u32 {
+                self.try_start(n, now);
+            }
+        } else {
+            self.try_start(node, now);
         }
     }
 }

@@ -10,7 +10,8 @@
 //! * [`Platform`] — node/core counts, per-core peak, a per-kernel
 //!   efficiency-vs-tile-size model (calibrated so POTRF throughput
 //!   saturates near `b = 500`, reproducing Fig 7), and a full-duplex NIC
-//!   with bandwidth and latency, serialized per direction;
+//!   with bandwidth and latency, serialized per direction — the hosts of
+//!   its [`Platform::single_switch_topology`];
 //! * [`Simulator`] — an event-driven executor of `sbc-taskgraph` graphs:
 //!   per-node priority ready queues (critical-path priorities, the StarPU
 //!   analogue), worker pools, eager per-tile messages grouped per
@@ -19,11 +20,11 @@
 //!   iterations) or `BulkSynchronous` (a static, iteration-barrier schedule
 //!   modelling the COnfCHOX comparator of Section V-E).
 //!
-//! The flat single-NIC network is the default; attach an `sbc-topo`
-//! [`Topology`] via [`Simulator::with_topology`] to route messages through
-//! racks and oversubscribed uplinks (the single-switch topology reproduces
-//! the flat model bit-exactly), and a [`Scheduler`] from the zoo via
-//! [`Simulator::with_scheduler`] to swap the ready-queue ranking policy.
+//! Every message is priced over an `sbc-topo` [`Topology`]: the platform's
+//! single switch by default, or any other passed to
+//! [`Simulator::with_topology`] to route messages through racks and
+//! oversubscribed uplinks. A [`Scheduler`] from the zoo, passed to
+//! [`Simulator::with_scheduler`], swaps the ready-queue ranking policy.
 //!
 //! The simulator's measured communication volume is *exactly* the graph's
 //! message count (tested), so Fig 8 and the performance figures are

@@ -143,9 +143,11 @@ impl Platform {
         self.cores_per_node as f64 * self.core_gflops
     }
 
-    /// The degenerate [`Topology`] equivalent to this platform's flat
-    /// network: every node on one switch at the NIC's bandwidth and
-    /// latency. Simulating over it is bit-identical to the flat model.
+    /// This platform's own network as a [`Topology`]: every node on one
+    /// switch at the NIC's bandwidth and latency, the network
+    /// [`crate::Simulator::new`] prices over. A route's port time equals
+    /// [`Platform::port_seconds`] and its latency `nic_latency`, bit for
+    /// bit.
     pub fn single_switch_topology(&self) -> Topology {
         Topology::single_switch(self.nodes, self.nic_bandwidth, self.nic_latency)
     }

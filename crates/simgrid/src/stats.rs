@@ -15,17 +15,20 @@ pub struct SimReport {
     pub messages: u64,
     /// Bytes transferred between nodes.
     pub bytes: u64,
-    /// Messages whose route crossed a rack boundary (0 without a topology).
+    /// Messages whose route crossed a rack boundary (0 on a single switch,
+    /// the network [`crate::Simulator::new`] prices over).
     pub cross_rack_messages: u64,
-    /// Bytes that crossed a rack boundary (0 without a topology).
+    /// Bytes that crossed a rack boundary (0 on a single switch).
     pub cross_rack_bytes: u64,
     /// Total flops executed.
     pub flops: f64,
     /// Per-node busy time (seconds of core-occupancy, summed over cores).
     pub busy_per_node: Vec<f64>,
-    /// Per-node send-port occupancy (seconds).
+    /// Per-node send-port occupancy (seconds): per message, the host
+    /// overhead plus serialization at its route's bottleneck bandwidth.
     pub send_port_per_node: Vec<f64>,
-    /// Per-node receive-port occupancy (seconds).
+    /// Per-node receive-port occupancy (seconds), priced like the send
+    /// side.
     pub recv_port_per_node: Vec<f64>,
     /// Number of tasks executed (equals the graph size on success).
     pub tasks_executed: u64,

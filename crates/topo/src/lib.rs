@@ -12,9 +12,9 @@
 //! * [`Topology`] — a host/switch/link graph with per-link bandwidth and
 //!   latency, deterministic shortest-path routing, per-direction backbone
 //!   contention, and rack labels. The degenerate
-//!   [`Topology::single_switch`] reproduces the flat model **bit-exactly**
-//!   (regression-tested), so the simulator's existing results are the
-//!   special case, not a casualty.
+//!   [`Topology::single_switch`] reproduces the flat model **bit-exactly**,
+//!   so the simulator prices every run over a topology and the paper's
+//!   flat network is the single switch.
 //! * [`Scheduler`] — the list-scheduler contract shared by the simulator
 //!   and the threaded runtime — the one selector of ready order in both —
 //!   with three implementations: [`CriticalPath`] (every front end's

@@ -45,7 +45,7 @@
 //! | [`net`] | pluggable transport layer: in-process channels, real TCP/UDS stream sockets with a CRC-checked wire protocol, fault injection, multi-process launcher |
 //! | [`mc`] | exhaustive model checker for the ARQ session protocol: bounded exploration of all deliver/drop/duplicate/reorder interleavings on a virtual clock, exactly-once + exact-accounting + liveness invariants, replayable counterexamples (`paper mc`) |
 //! | [`runtime`] | distributed runtime over [`net`]: one task engine (a job table plus a priority-scheduled worker pool per rank) and one builder, [`runtime::Run`] — an operation, your own graph ([`runtime::Run::graph`]) or a planner's [`runtime::Run::plan`], in-process ([`runtime::Run::execute`]) or one process per rank ([`runtime::Run::execute_rank`]); a resident mesh streams jobs through [`runtime::JobTable`] — with byte-exact per-job communication accounting |
-//! | [`planner`] | autotuning distribution planner: candidate search, analytic cost model, simulation refinement, concurrent plan cache, drift reports |
+//! | [`planner`] | autotuning distribution planner: candidate search, analytic cost model, simulation referee, concurrent plan cache, drift reports |
 //! | [`serve`] | resident factorization service: multi-job engine over a warm mesh, job wire protocol, admission control, `paper serve`/`paper submit` |
 //! | [`obs`] | observability: execution recorder, metrics registry, text Gantt and Chrome-trace/Perfetto export for measured and simulated runs |
 //!
