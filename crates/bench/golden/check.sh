@@ -31,6 +31,7 @@ runs=(
   "trace.txt     trace"
   "planner.txt   planner"
   "topo.txt      topo --nodes 12 --nt 16 --block 128"
+  "topo28.txt    topo --nodes 28 --nt 24 --block 500"
 )
 
 failed=0
