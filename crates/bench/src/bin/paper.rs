@@ -52,6 +52,7 @@
 
 use sbc_bench::figures::{self as fig, Scale};
 use sbc_bench::{render_csv, render_figure, Figure};
+use std::fmt::Display;
 use std::str::FromStr;
 
 /// Every flag `paper` knows, with the placeholder of its value (`None` for
@@ -232,14 +233,20 @@ impl Args {
         self.opt(flag).unwrap_or(default)
     }
 
-    /// The count given by `flag` (`default` without it); one below `min`
-    /// is a usage error.
-    fn at_least(&self, flag: &str, default: usize, min: usize) -> usize {
-        let n = self.get(flag, default);
+    /// The count given by `flag`, if any; one below `min` is a usage
+    /// error.
+    fn opt_at_least<T: FromStr + PartialOrd + Display>(&self, flag: &str, min: T) -> Option<T> {
+        let n = self.opt(flag)?;
         if n < min {
             usage_error(&format!("{flag} must be at least {min}, not {n}"));
         }
-        n
+        Some(n)
+    }
+
+    /// The count given by `flag` (`default` without it); one below `min`
+    /// is a usage error.
+    fn at_least<T: FromStr + PartialOrd + Display>(&self, flag: &str, default: T, min: T) -> T {
+        self.opt_at_least(flag, min).unwrap_or(default)
     }
 }
 
@@ -442,12 +449,12 @@ fn net_run(args: &Args) {
     let backend = args
         .parsed("--backend", Backend::parse)
         .unwrap_or(Backend::Tcp);
-    let nt: usize = args.get("--nt", 12);
-    let b: usize = args.get("--block", 8);
+    let nt = args.at_least("--nt", 12, 1);
+    let b = args.at_least("--block", 8, 1);
     let faults = args.parsed("--faults", |v| FaultConfig::parse(v).ok());
     let fault_seed: u64 = args.get("--seed", 42);
     let deadline: Option<f64> = args.opt("--deadline");
-    let workers: Option<usize> = args.opt("--workers");
+    let workers = args.opt_at_least("--workers", 1);
     let out_path = args.raw("--out").unwrap_or("obs-trace.json");
     let seed = 2022u64;
 
@@ -598,7 +605,7 @@ fn serve_run(args: &Args) {
             .opt("--deadline")
             .map(Duration::from_secs_f64)
             .or(defaults.deadline),
-        workers: args.get("--workers", defaults.workers),
+        workers: args.at_least("--workers", defaults.workers, 1),
         ..defaults
     };
     let service = Service::start(cfg);
@@ -626,10 +633,10 @@ fn submit_run(args: &Args) {
     use sbc_serve::{factor_matches, Client, JobReply, JobRequest};
 
     let addr = args.raw("--addr").unwrap_or("/tmp/sbc-serve.sock");
-    let nt: usize = args.get("--nt", 10);
-    let b: usize = args.get("--block", 8);
+    let nt = args.at_least("--nt", 10, 1);
+    let b = args.at_least("--block", 8, 1);
     let seed: u64 = args.get("--seed", 2022);
-    let batch: u32 = args.get("--batch", 1);
+    let batch: u32 = args.at_least("--batch", 1, 1);
     let prio: u8 = args.get("--prio", 0);
     let shutdown = args.has("--shutdown");
     let stats = args.has("--stats");
@@ -900,7 +907,7 @@ fn observed_run(args: &Args) {
     use sbc_simgrid::Platform;
 
     let out_path = args.raw("--out").unwrap_or("obs-trace.json");
-    let workers: Option<usize> = args.opt("--workers");
+    let workers = args.opt_at_least("--workers", 1);
     let (nt, b) = if args.has("--full") {
         (40, 64)
     } else {
@@ -967,8 +974,8 @@ fn topo_run(args: &Args) {
     use sbc_topo::{render_report, zoo, SweepPoint, Topology};
 
     let nodes = args.at_least("--nodes", 12, 2);
-    let nt: usize = args.get("--nt", if args.has("--full") { 40 } else { 24 });
-    let b: usize = args.get("--block", 500);
+    let nt = args.at_least("--nt", if args.has("--full") { 40 } else { 24 }, 1);
+    let b = args.at_least("--block", 500, 1);
     let out = args.raw("--out");
 
     let platform = Platform::bora(nodes);
@@ -1003,7 +1010,7 @@ fn topo_run(args: &Args) {
     let mut points = Vec::new();
     for topo in &topologies {
         for dist in &dists {
-            let graph = dist.build_graph(Op::Potrf, nt);
+            let graph = dist.graph(Op::Potrf, nt);
             let used = dist.nodes_used();
             let flop_bound =
                 graph.total_flops(b) / (used as f64 * platform.node_peak_gflops() * 1e9);

@@ -40,6 +40,34 @@ fn a_node_count_out_of_range_is_a_usage_error() {
     assert!(stderr.contains("usage: paper"), "{stderr}");
 }
 
+/// A zero size or count starts nothing: every target that reads one
+/// refuses it before it runs, connects or spawns.
+#[test]
+fn a_zero_size_or_count_is_a_usage_error() {
+    for (args, flag) in [
+        (
+            &["topo", "--nodes", "4", "--nt", "4", "--block", "0"][..],
+            "--block",
+        ),
+        (&["topo", "--nodes", "4", "--nt", "0"], "--nt"),
+        (&["net", "--nt", "0"], "--nt"),
+        (&["net", "--block", "0"], "--block"),
+        (&["net", "--workers", "0"], "--workers"),
+        (&["serve", "--workers", "0"], "--workers"),
+        (&["submit", "--nt", "0"], "--nt"),
+        (&["submit", "--block", "0"], "--block"),
+        (&["submit", "--batch", "0"], "--batch"),
+        (&["obs", "--workers", "0"], "--workers"),
+    ] {
+        let out = paper(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("{flag} must be at least 1, not 0");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn a_known_target_runs() {
     let out = paper(&["table1"]);

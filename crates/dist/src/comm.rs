@@ -6,9 +6,17 @@
 //! to each consumer node (StarPU caches received data until it changes).
 //! Hence the exact communication volume of an operation is the number of
 //! distinct `(tile version, consumer node)` pairs where the consumer is not
-//! the producer's node. The functions below enumerate those pairs for the
-//! tiled POTRF, TRTRI, LAUUM and POSV loops; the distributed runtime and the
-//! simulator are tested to measure *exactly* these counts.
+//! the producer's node. The `record_*` functions below enumerate those pairs
+//! for the tiled POTRF, TRTRI, LAUUM, LU, POSV and POTRI loops and record
+//! each message under its `(producer node, consumer node)` pair in a
+//! [`Traffic`]; each `*_messages` function is the total of one. The
+//! distributed runtime and the simulator are tested to measure *exactly*
+//! these counts.
+//!
+//! The composed operations (POSV, POTRI, the remap strategy) record the sum
+//! of their parts, each counted as if it ran alone. The merged task graph
+//! reuses a tile version across parts, so it sends fewer messages than this
+//! sum for most placements.
 //!
 //! **Closed forms.** The paper's analytic results (Theorem 1, the 2DBC
 //! comparison of Section III-D, the 2.5D results of Section IV, and the
@@ -17,6 +25,55 @@
 
 use crate::two_five_d::TwoPointFiveD;
 use crate::{Distribution, NodeId, RowCyclic};
+
+/// Tile messages per ordered node pair: the form of an operation's
+/// communication volume that a network topology can price (each pair's
+/// messages follow one route). Every counter below records into one, and
+/// its [`Traffic::total`] is the operation's message count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Traffic {
+    nodes: usize,
+    counts: Vec<u64>,
+}
+
+impl Traffic {
+    /// No messages yet among `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        Traffic {
+            nodes,
+            counts: vec![0; nodes * nodes],
+        }
+    }
+
+    /// Every message recorded.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// The pairs that exchange messages, as `(src, dst, count)` in
+    /// row-major order of `(src, dst)`.
+    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+        let n = self.nodes;
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(move |(i, &count)| (i / n, i % n, count))
+    }
+
+    /// Records one message from `src` to `dst`.
+    fn send(&mut self, src: NodeId, dst: NodeId) {
+        debug_assert!(src < self.nodes && dst < self.nodes && src != dst);
+        self.counts[src * self.nodes + dst] += 1;
+    }
+}
+
+/// The total of the messages `record` records among `nodes` nodes.
+fn total(nodes: usize, record: impl FnOnce(&mut Traffic)) -> u64 {
+    let mut traffic = Traffic::new(nodes);
+    record(&mut traffic);
+    traffic.total()
+}
 
 /// A small, reusable set of node ids.
 struct NodeSet {
@@ -47,27 +104,20 @@ impl NodeSet {
         }
     }
 
-    fn contains(&self, n: NodeId) -> bool {
-        self.words[n / 64] & (1 << (n % 64)) != 0
-    }
-
-    fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Number of members excluding `producer` (the messages needed to feed
-    /// this consumer set).
-    fn messages_from(&self, producer: NodeId) -> u64 {
-        (self.len() - usize::from(self.contains(producer))) as u64
+    /// Records the messages that feed this consumer set from `producer`:
+    /// one to every member but the producer itself.
+    fn send_from(&self, producer: NodeId, traffic: &mut Traffic) {
+        for &m in &self.members {
+            if m != producer {
+                traffic.send(producer, m);
+            }
+        }
     }
 }
 
 /// Exact number of tile messages of the tiled Cholesky factorization
-/// (Algorithm 1) under `dist`, for an `nt x nt`-tile matrix.
-///
-/// Two message classes exist (Section III-D): POTRF results broadcast down
-/// their column, and TRSM results broadcast to the owners of the row/column
-/// tiles they update.
+/// (Algorithm 1) under `dist`, for an `nt x nt`-tile matrix: the total of
+/// [`record_potrf`].
 ///
 /// ```
 /// use sbc_dist::comm::potrf_messages;
@@ -81,34 +131,61 @@ impl NodeSet {
 /// assert!((dbc as f64 / sbc as f64) > 1.3); // ...by roughly sqrt(2)
 /// ```
 pub fn potrf_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
-    let mut set = NodeSet::new(dist.num_nodes());
-    let mut total = 0u64;
+    total(dist.num_nodes(), |t| record_potrf(dist, nt, t))
+}
+
+/// Records the tile messages of the tiled Cholesky factorization
+/// (Algorithm 1) under `dist` into `traffic`.
+///
+/// Two message classes exist (Section III-D): POTRF results broadcast down
+/// their column, and TRSM results broadcast to the owners of the row/column
+/// tiles they update.
+pub fn record_potrf<D: Distribution>(dist: &D, nt: usize, traffic: &mut Traffic) {
+    let owner = |_, r, c| dist.owner(r, c);
+    record_potrf_broadcasts(dist.num_nodes(), nt, owner, traffic);
+}
+
+/// [`record_potrf`]'s two broadcast classes, where iteration `i` finds tile
+/// `(r, c)` on node `owner(i, r, c)`.
+fn record_potrf_broadcasts(
+    nodes: usize,
+    nt: usize,
+    owner: impl Fn(usize, usize, usize) -> NodeId,
+    traffic: &mut Traffic,
+) {
+    let mut set = NodeSet::new(nodes);
     for i in 0..nt {
+        let owner = |r, c| owner(i, r, c);
         // POTRF(i,i) -> TRSM tasks of column i
         set.clear();
         for j in i + 1..nt {
-            set.insert(dist.owner(j, i));
+            set.insert(owner(j, i));
         }
-        total += set.messages_from(dist.owner(i, i));
+        set.send_from(owner(i, i), traffic);
         // TRSM(j,i) -> SYRK(j,j), GEMMs on row j (first operand) and
         // column j (second operand)
         for j in i + 1..nt {
             set.clear();
-            set.insert(dist.owner(j, j));
+            set.insert(owner(j, j));
             for k in i + 1..j {
-                set.insert(dist.owner(j, k));
+                set.insert(owner(j, k));
             }
             for j2 in j + 1..nt {
-                set.insert(dist.owner(j2, j));
+                set.insert(owner(j2, j));
             }
-            total += set.messages_from(dist.owner(j, i));
+            set.send_from(owner(j, i), traffic);
         }
     }
-    total
 }
 
 /// Exact number of tile messages of the tiled lower-triangular inversion
-/// (TRTRI) under `dist`.
+/// (TRTRI) under `dist`: the total of [`record_trtri`].
+pub fn trtri_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
+    total(dist.num_nodes(), |t| record_trtri(dist, nt, t))
+}
+
+/// Records the tile messages of the tiled lower-triangular inversion
+/// (TRTRI) under `dist` into `traffic`.
 ///
 /// Per iteration `k` the diagonal tile is broadcast to the TRSM targets of
 /// column `k` and row `k`; each column tile `(m, k)` (post right-TRSM) feeds
@@ -117,9 +194,8 @@ pub fn potrf_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
 /// The sub-diagonal tiles `(n+1, n)` have no updates between their two roles
 /// so both consumer sets share one version (deduplicated here, exactly as a
 /// caching runtime would).
-pub fn trtri_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
+pub fn record_trtri<D: Distribution>(dist: &D, nt: usize, traffic: &mut Traffic) {
     let mut set = NodeSet::new(dist.num_nodes());
-    let mut total = 0u64;
     for k in 0..nt {
         // diagonal tile (k,k), original value -> right-TRSM targets (m,k)
         // and left-TRSM targets (k,n)
@@ -130,7 +206,7 @@ pub fn trtri_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
         for n in 0..k {
             set.insert(dist.owner(k, n));
         }
-        total += set.messages_from(dist.owner(k, k));
+        set.send_from(dist.owner(k, k), traffic);
     }
     // off-diagonal tiles: two versions, v1 after the right-TRSM of
     // iteration n, v2 (accumulated) read at iteration m.
@@ -146,40 +222,45 @@ pub fn trtri_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
                 for m2 in m + 1..nt {
                     set.insert(dist.owner(m2, n));
                 }
-                total += set.messages_from(producer);
+                set.send_from(producer, traffic);
             } else {
                 set.clear();
                 for n2 in 0..n {
                     set.insert(dist.owner(m, n2));
                 }
-                total += set.messages_from(producer);
+                set.send_from(producer, traffic);
                 set.clear();
                 for m2 in m + 1..nt {
                     set.insert(dist.owner(m2, n));
                 }
-                total += set.messages_from(producer);
+                set.send_from(producer, traffic);
             }
         }
     }
-    total
 }
 
-/// Exact number of tile messages of the tiled LAUUM sweep under `dist`.
+/// Exact number of tile messages of the tiled LAUUM sweep under `dist`: the
+/// total of [`record_lauum`].
+pub fn lauum_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
+    total(dist.num_nodes(), |t| record_lauum(dist, nt, t))
+}
+
+/// Records the tile messages of the tiled LAUUM sweep under `dist` into
+/// `traffic`.
 ///
 /// Tile `(k, n)` (its value before the iteration-`k` TRMM) feeds the SYRK at
 /// `(n, n)`, the GEMM targets `(m, n)` for `n < m < k`, and the GEMM targets
 /// `(n, n2)` for `n2 < n` — a row-plus-column set around index `n`, the same
 /// symmetric shape as POTRF (which is why SBC keeps its advantage here).
-pub fn lauum_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
+pub fn record_lauum<D: Distribution>(dist: &D, nt: usize, traffic: &mut Traffic) {
     let mut set = NodeSet::new(dist.num_nodes());
-    let mut total = 0u64;
     for k in 0..nt {
         // diagonal tile (k,k) original -> TRMM targets on row k
         set.clear();
         for n in 0..k {
             set.insert(dist.owner(k, n));
         }
-        total += set.messages_from(dist.owner(k, k));
+        set.send_from(dist.owner(k, k), traffic);
         // row tiles (k,n)
         for n in 0..k {
             set.clear();
@@ -190,22 +271,27 @@ pub fn lauum_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
             for n2 in 0..n {
                 set.insert(dist.owner(n, n2));
             }
-            total += set.messages_from(dist.owner(k, n));
+            set.send_from(dist.owner(k, n), traffic);
         }
     }
-    total
 }
 
 /// Exact number of tile messages of the tiled LU factorization without
-/// pivoting under `dist` (full `nt x nt` matrix; Section III-E's comparison
-/// case). Per iteration `k`: the GETRF result feeds both panels; each
-/// column-panel tile `(i, k)` feeds the trailing GEMMs of row `i`; each
-/// row-panel tile `(k, j)` feeds the trailing GEMMs of column `j`. Unlike
-/// Cholesky, the row and column consumer sets involve *different* tiles, so
-/// no symmetric reuse exists — 2DBC is the right distribution here.
+/// pivoting under `dist`: the total of [`record_lu`].
 pub fn lu_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
+    total(dist.num_nodes(), |t| record_lu(dist, nt, t))
+}
+
+/// Records the tile messages of the tiled LU factorization without
+/// pivoting under `dist` into `traffic` (full `nt x nt` matrix; Section
+/// III-E's comparison case). Per iteration `k`: the GETRF result feeds both
+/// panels; each column-panel tile `(i, k)` feeds the trailing GEMMs of row
+/// `i`; each row-panel tile `(k, j)` feeds the trailing GEMMs of column `j`.
+/// Unlike Cholesky, the row and column consumer sets involve *different*
+/// tiles, so no symmetric reuse exists — 2DBC is the right distribution
+/// here.
+pub fn record_lu<D: Distribution>(dist: &D, nt: usize, traffic: &mut Traffic) {
     let mut set = NodeSet::new(dist.num_nodes());
-    let mut total = 0u64;
     for k in 0..nt {
         // GETRF(k,k) -> both panels
         set.clear();
@@ -213,14 +299,14 @@ pub fn lu_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
             set.insert(dist.owner(k, j));
             set.insert(dist.owner(j, k));
         }
-        total += set.messages_from(dist.owner(k, k));
+        set.send_from(dist.owner(k, k), traffic);
         // column panel (i,k) -> row i trailing targets
         for i in k + 1..nt {
             set.clear();
             for j in k + 1..nt {
                 set.insert(dist.owner(i, j));
             }
-            total += set.messages_from(dist.owner(i, k));
+            set.send_from(dist.owner(i, k), traffic);
         }
         // row panel (k,j) -> column j trailing targets
         for j in k + 1..nt {
@@ -228,10 +314,9 @@ pub fn lu_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
             for i in k + 1..nt {
                 set.insert(dist.owner(i, j));
             }
-            total += set.messages_from(dist.owner(k, j));
+            set.send_from(dist.owner(k, j), traffic);
         }
     }
-    total
 }
 
 /// Breakdown of POSV solve-phase messages (the two TRSM sweeps, excluding
@@ -254,32 +339,46 @@ impl SolveMessages {
 /// Exact messages of the two POSV triangular-solve sweeps with `A`
 /// distributed by `dist` and the one-tile-wide `B` panel distributed by
 /// `rhs` (Section V-F.1).
-///
+pub fn solve_messages<D: Distribution>(dist: &D, rhs: &RowCyclic, nt: usize) -> SolveMessages {
+    let nodes = dist.num_nodes().max(rhs.num_nodes());
+    SolveMessages {
+        a_tiles: total(nodes, |t| record_solve_a_tiles(dist, rhs, nt, t)),
+        b_tiles: total(nodes, |t| record_solve_b_tiles(rhs, nt, t)),
+    }
+}
+
 /// Tile `A(x, y)` (`x > y`, unchanged between the sweeps) goes to
 /// `owner_B(x)` (forward) and `owner_B(y)` (backward) — deduplicated when
-/// they coincide. `B[i]` is broadcast to the owners of the later rows in
-/// each sweep; its value differs between sweeps so the two broadcasts are
-/// distinct versions.
-pub fn solve_messages<D: Distribution>(dist: &D, rhs: &RowCyclic, nt: usize) -> SolveMessages {
-    let mut a_tiles = 0u64;
+/// they coincide.
+fn record_solve_a_tiles<D: Distribution>(
+    dist: &D,
+    rhs: &RowCyclic,
+    nt: usize,
+    traffic: &mut Traffic,
+) {
     for x in 0..nt {
         for y in 0..x {
             let producer = dist.owner(x, y);
             let fwd = rhs.owner_row(x);
             let bwd = rhs.owner_row(y);
             if fwd != producer {
-                a_tiles += 1;
+                traffic.send(producer, fwd);
             }
             if bwd != producer && bwd != fwd {
-                a_tiles += 1;
+                traffic.send(producer, bwd);
             }
         }
         // diagonal tile used by both sweeps' TRSM on B[x]
         if rhs.owner_row(x) != dist.owner(x, x) {
-            a_tiles += 1;
+            traffic.send(dist.owner(x, x), rhs.owner_row(x));
         }
     }
-    let mut b_tiles = 0u64;
+}
+
+/// `B[i]` is broadcast to the owners of the later rows in each sweep; its
+/// value differs between sweeps so the two broadcasts are distinct
+/// versions.
+fn record_solve_b_tiles(rhs: &RowCyclic, nt: usize, traffic: &mut Traffic) {
     let mut set = NodeSet::new(rhs.num_nodes());
     for i in 0..nt {
         // forward broadcast of B[i] to owners of rows below
@@ -287,20 +386,30 @@ pub fn solve_messages<D: Distribution>(dist: &D, rhs: &RowCyclic, nt: usize) -> 
         for j in i + 1..nt {
             set.insert(rhs.owner_row(j));
         }
-        b_tiles += set.messages_from(rhs.owner_row(i));
+        set.send_from(rhs.owner_row(i), traffic);
         // backward broadcast of B[i] to owners of rows above
         set.clear();
         for j in 0..i {
             set.insert(rhs.owner_row(j));
         }
-        b_tiles += set.messages_from(rhs.owner_row(i));
+        set.send_from(rhs.owner_row(i), traffic);
     }
-    SolveMessages { a_tiles, b_tiles }
 }
 
-/// Exact messages of the full POSV (factorization + solve sweeps).
+/// Exact messages of the full POSV (factorization + solve sweeps): the
+/// total of [`record_posv`].
 pub fn posv_messages<D: Distribution>(dist: &D, rhs: &RowCyclic, nt: usize) -> u64 {
-    potrf_messages(dist, nt) + solve_messages(dist, rhs, nt).total()
+    total(dist.num_nodes().max(rhs.num_nodes()), |t| {
+        record_posv(dist, rhs, nt, t)
+    })
+}
+
+/// Records the messages of the full POSV into `traffic`: the factorization
+/// and both solve sweeps, each counted as if it ran alone.
+pub fn record_posv<D: Distribution>(dist: &D, rhs: &RowCyclic, nt: usize, traffic: &mut Traffic) {
+    record_potrf(dist, nt, traffic);
+    record_solve_a_tiles(dist, rhs, nt, traffic);
+    record_solve_b_tiles(rhs, nt, traffic);
 }
 
 /// Exact messages to redistribute all lower tiles from `from` to `to` (one
@@ -310,33 +419,63 @@ pub fn redistribution_messages<A: Distribution, B: Distribution>(
     to: &B,
     nt: usize,
 ) -> u64 {
-    let mut total = 0u64;
+    total(from.num_nodes().max(to.num_nodes()), |t| {
+        record_redistribution(from, to, nt, t)
+    })
+}
+
+fn record_redistribution<A: Distribution, B: Distribution>(
+    from: &A,
+    to: &B,
+    nt: usize,
+    traffic: &mut Traffic,
+) {
     for i in 0..nt {
         for j in 0..=i {
             if from.owner(i, j) != to.owner(i, j) {
-                total += 1;
+                traffic.send(from.owner(i, j), to.owner(i, j));
             }
         }
     }
-    total
 }
 
-/// Exact messages of POTRI run entirely under one distribution:
-/// POTRF + TRTRI + LAUUM.
+/// Exact messages of POTRI run entirely under one distribution: the total
+/// of [`record_potri`].
 pub fn potri_messages<D: Distribution>(dist: &D, nt: usize) -> u64 {
-    potrf_messages(dist, nt) + trtri_messages(dist, nt) + lauum_messages(dist, nt)
+    total(dist.num_nodes(), |t| record_potri(dist, nt, t))
 }
 
-/// Exact messages of the paper's "SBC remap 2DBC" POTRI strategy
-/// (Section V-F.2): POTRF and LAUUM under `sym` (an SBC distribution),
-/// TRTRI under `bc` (a 2DBC distribution), with full redistributions
-/// before and after the TRTRI step.
+/// Records the messages of POTRI run entirely under one distribution into
+/// `traffic`: POTRF + TRTRI + LAUUM, each counted as if it ran alone.
+pub fn record_potri<D: Distribution>(dist: &D, nt: usize, traffic: &mut Traffic) {
+    record_potrf(dist, nt, traffic);
+    record_trtri(dist, nt, traffic);
+    record_lauum(dist, nt, traffic);
+}
+
+/// Exact messages of the paper's "SBC remap 2DBC" POTRI strategy: the total
+/// of [`record_potri_remap`].
 pub fn potri_remap_messages<A: Distribution, B: Distribution>(sym: &A, bc: &B, nt: usize) -> u64 {
-    potrf_messages(sym, nt)
-        + redistribution_messages(sym, bc, nt)
-        + trtri_messages(bc, nt)
-        + redistribution_messages(bc, sym, nt)
-        + lauum_messages(sym, nt)
+    total(sym.num_nodes().max(bc.num_nodes()), |t| {
+        record_potri_remap(sym, bc, nt, t)
+    })
+}
+
+/// Records the messages of the paper's "SBC remap 2DBC" POTRI strategy
+/// (Section V-F.2) into `traffic`: POTRF and LAUUM under `sym` (an SBC
+/// distribution), TRTRI under `bc` (a 2DBC distribution), with full
+/// redistributions before and after the TRTRI step.
+pub fn record_potri_remap<A: Distribution, B: Distribution>(
+    sym: &A,
+    bc: &B,
+    nt: usize,
+    traffic: &mut Traffic,
+) {
+    record_potrf(sym, nt, traffic);
+    record_redistribution(sym, bc, nt, traffic);
+    record_trtri(bc, nt, traffic);
+    record_redistribution(bc, sym, nt, traffic);
+    record_lauum(sym, nt, traffic);
 }
 
 /// Per-class breakdown of 2.5D POTRF messages.
@@ -355,50 +494,56 @@ impl TwoFiveDMessages {
     }
 }
 
-/// Exact messages of the 2.5D tiled Cholesky (Section IV): iteration `i`
-/// runs on slice `i mod c`; panel results are broadcast within that slice
-/// only; before the panel tasks of iteration `k`, the partial updates of
-/// the column-`k` tiles are reduced from every *contributing* slice onto
-/// slice `k mod c` (a slice contributes if some earlier iteration was
-/// assigned to it). All slices hold a copy of the input, so the reduction
-/// needs no extra message for the original values.
+/// Exact messages of the 2.5D tiled Cholesky (Section IV), split into
+/// [`record_potrf_25d`]'s two classes.
 pub fn potrf_25d_messages<D: Distribution>(d25: &TwoPointFiveD<D>, nt: usize) -> TwoFiveDMessages {
-    let c = d25.slices();
-    let inner = d25.inner();
-    let mut set = NodeSet::new(inner.num_nodes());
-    let mut broadcasts = 0u64;
-    for i in 0..nt {
-        // panel broadcasts within slice sigma(i); intra-slice consumer sets
-        // are identical to the 2D case, just offset by the slice id.
-        set.clear();
-        for j in i + 1..nt {
-            set.insert(inner.owner(j, i));
-        }
-        broadcasts += set.messages_from(inner.owner(i, i));
-        for j in i + 1..nt {
-            set.clear();
-            set.insert(inner.owner(j, j));
-            for k in i + 1..j {
-                set.insert(inner.owner(j, k));
-            }
-            for j2 in j + 1..nt {
-                set.insert(inner.owner(j2, j));
-            }
-            broadcasts += set.messages_from(inner.owner(j, i));
-        }
-    }
-    // reductions: tile (j,k) for j >= k, contributing slices are
-    // {i mod c : i < k}; each one except sigma(k) sends one message.
-    let mut reductions = 0u64;
-    for k in 0..nt {
-        // sigma(k) itself contributed iff k >= c (its earlier iteration k - c)
-        let senders = if k >= c { c as u64 - 1 } else { k as u64 };
-        let tiles_in_column = (nt - k) as u64;
-        reductions += senders * tiles_in_column;
-    }
     TwoFiveDMessages {
-        broadcasts,
-        reductions,
+        broadcasts: total(d25.num_nodes(), |t| record_25d_broadcasts(d25, nt, t)),
+        reductions: total(d25.num_nodes(), |t| record_25d_reductions(d25, nt, t)),
+    }
+}
+
+/// Records the messages of the 2.5D tiled Cholesky (Section IV) into
+/// `traffic`: iteration `i` runs on slice `i mod c`; panel results are
+/// broadcast within that slice only; before the panel tasks of iteration
+/// `k`, the partial updates of the column-`k` tiles are reduced from every
+/// *contributing* slice onto slice `k mod c` (a slice contributes if some
+/// earlier iteration was assigned to it). All slices hold a copy of the
+/// input, so the reduction needs no extra message for the original values.
+pub fn record_potrf_25d<D: Distribution>(d25: &TwoPointFiveD<D>, nt: usize, traffic: &mut Traffic) {
+    record_25d_broadcasts(d25, nt, traffic);
+    record_25d_reductions(d25, nt, traffic);
+}
+
+/// Panel broadcasts within slice `sigma(i)`: the 2D consumer sets, offset
+/// by the slice.
+fn record_25d_broadcasts<D: Distribution>(
+    d25: &TwoPointFiveD<D>,
+    nt: usize,
+    traffic: &mut Traffic,
+) {
+    let owner = |i, r, c| d25.owner_in_slice(d25.slice_of_iteration(i), r, c);
+    record_potrf_broadcasts(d25.num_nodes(), nt, owner, traffic);
+}
+
+/// Reductions: tile `(j, k)` for `j >= k` is sent from its copy on every
+/// contributing slice `{i mod c : i < k}` but `sigma(k)` to its copy on
+/// `sigma(k)`.
+fn record_25d_reductions<D: Distribution>(
+    d25: &TwoPointFiveD<D>,
+    nt: usize,
+    traffic: &mut Traffic,
+) {
+    for k in 0..nt {
+        let home = d25.slice_of_iteration(k);
+        for from in (0..d25.slices().min(k)).filter(|&s| s != home) {
+            for j in k..nt {
+                traffic.send(
+                    d25.owner_in_slice(from, j, k),
+                    d25.owner_in_slice(home, j, k),
+                );
+            }
+        }
     }
 }
 
@@ -511,12 +656,19 @@ mod tests {
         s.insert(3);
         s.insert(3);
         s.insert(7);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.messages_from(3), 1);
-        assert_eq!(s.messages_from(0), 2);
+        assert_eq!(s.members, [3, 7]);
+        let mut t = Traffic::new(10);
+        s.send_from(3, &mut t);
+        assert_eq!(t.pairs().collect::<Vec<_>>(), [(3, 7, 1)]);
+        s.send_from(0, &mut t);
+        assert_eq!(
+            t.pairs().collect::<Vec<_>>(),
+            [(0, 3, 1), (0, 7, 1), (3, 7, 1)]
+        );
+        assert_eq!(t.total(), 3);
         s.clear();
-        assert_eq!(s.len(), 0);
-        assert!(!s.contains(3));
+        assert!(s.members.is_empty());
+        assert!(s.words.iter().all(|&w| w == 0));
     }
 
     #[test]

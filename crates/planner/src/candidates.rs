@@ -5,15 +5,15 @@
 //! "SBC remap 2DBC" strategy — that fits within a node budget `P` and
 //! supports the requested operation. `enumerate` produces the list the
 //! cost model ranks; [`DistChoice`] knows how to count its exact messages
-//! and build its task graph, so the planner, the simulator and the runtime
-//! all consume the same object.
+//! per node pair and where its task graph lives, so the planner, the
+//! simulator and the runtime all consume the same object.
 
-use sbc_dist::comm;
+use sbc_dist::comm::{self, Traffic};
 use sbc_dist::{
     balance, table1, Distribution, RowCyclic, SbcBasic, SbcExtended, TwoDBlockCyclic, TwoPointFiveD,
 };
 use sbc_kernels::flops;
-use sbc_taskgraph::{builders, memo, TaskGraph};
+use sbc_taskgraph::{memo, TaskGraph};
 use std::sync::Arc;
 
 /// The dense linear-algebra operations the planner knows how to place.
@@ -181,59 +181,45 @@ impl DistChoice {
         }
     }
 
+    /// Per-pair tile messages of `op` on an `nt x nt` tile matrix under
+    /// this choice, from the `sbc_dist::comm` counters: what the cost model
+    /// prices. A composed operation (POSV, POTRI, the remap strategy) counts
+    /// the sum of its parts, which for most placements is more than the
+    /// merged task graph sends (ROADMAP 13(d)).
+    ///
+    /// # Panics
+    /// Panics if `!self.supports(op)`.
+    pub(crate) fn traffic(self, op: Op, nt: usize) -> Traffic {
+        assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
+        let dist = self.distribution();
+        let mut traffic = Traffic::new(self.nodes_used());
+        let t = &mut traffic;
+        match self {
+            DistChoice::TwoFiveDSbc { c, .. } | DistChoice::TwoFiveDBc { c, .. } => {
+                comm::record_potrf_25d(&TwoPointFiveD::new(dist, c), nt, t)
+            }
+            DistChoice::PotriRemap { p, q, .. } => {
+                comm::record_potri_remap(&dist, &TwoDBlockCyclic::new(p, q), nt, t)
+            }
+            _ => match op {
+                Op::Potrf => comm::record_potrf(&dist, nt, t),
+                Op::Posv => comm::record_posv(&dist, &RowCyclic::new(dist.num_nodes()), nt, t),
+                Op::Trtri => comm::record_trtri(&dist, nt, t),
+                Op::Lauum => comm::record_lauum(&dist, nt, t),
+                Op::Potri => comm::record_potri(&dist, nt, t),
+                Op::Lu => comm::record_lu(&dist, nt, t),
+            },
+        }
+        traffic
+    }
+
     /// Exact message count of `op` on an `nt x nt` tile matrix under this
-    /// choice, from the `sbc_dist::comm` counters.
+    /// choice: the total of `DistChoice::traffic`.
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.
     pub fn messages(self, op: Op, nt: usize) -> u64 {
-        assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
-        let dist = self.distribution();
-        match self {
-            DistChoice::TwoFiveDSbc { c, .. } | DistChoice::TwoFiveDBc { c, .. } => {
-                comm::potrf_25d_messages(&TwoPointFiveD::new(dist, c), nt).total()
-            }
-            DistChoice::PotriRemap { p, q, .. } => {
-                comm::potri_remap_messages(&dist, &TwoDBlockCyclic::new(p, q), nt)
-            }
-            _ => match op {
-                Op::Potrf => comm::potrf_messages(&dist, nt),
-                Op::Posv => comm::posv_messages(&dist, &RowCyclic::new(dist.num_nodes()), nt),
-                Op::Trtri => comm::trtri_messages(&dist, nt),
-                Op::Lauum => comm::lauum_messages(&dist, nt),
-                Op::Potri => comm::potri_messages(&dist, nt),
-                Op::Lu => comm::lu_messages(&dist, nt),
-            },
-        }
-    }
-
-    /// Per-pair message counts of `op` under this choice: a row-major
-    /// `nodes_used() x nodes_used()` matrix where entry `[src * n + dst]`
-    /// counts the tile messages src sends dst (initial fetches plus one
-    /// message per remote consumer node of each task). The matrix sums to
-    /// the graph's total message count (`TaskGraph::count_messages`). That
-    /// equals [`DistChoice::messages`] for POTRF, TRTRI, LAUUM and LU, but
-    /// not for most POSV and POTRI candidates, so the topology-aware cost
-    /// model prices a different count there (ROADMAP 13(d)).
-    ///
-    /// # Panics
-    /// Panics if `!self.supports(op)`.
-    pub(crate) fn message_matrix(self, op: Op, nt: usize) -> Vec<u64> {
-        let g = self.build_graph(op, nt);
-        let n = self.nodes_used();
-        let mut m = vec![0u64; n * n];
-        for f in g.initial_fetches() {
-            m[f.home as usize * n + f.dest as usize] += 1;
-        }
-        let mut consumers = Vec::new();
-        for t in 0..g.len() as u32 {
-            let src = g.tasks()[t as usize].node as usize;
-            g.remote_consumer_nodes(t, &mut consumers);
-            for &dst in &consumers {
-                m[src * n + dst as usize] += 1;
-            }
-        }
-        m
+        self.traffic(op, nt).total()
     }
 
     /// Load imbalance of the trailing-update (GEMM) work, the dominant
@@ -245,11 +231,12 @@ impl DistChoice {
     }
 
     /// The shared task graph executing `op` under this choice, from the
-    /// process-wide [`sbc_taskgraph::memo`]: what the runtime executes.
+    /// process-wide [`sbc_taskgraph::memo`]: what the runtime executes and
+    /// the simulator replays, built once per placement.
     ///
     /// # Panics
     /// Panics if `!self.supports(op)`.
-    pub(crate) fn graph(self, op: Op, nt: usize) -> Arc<TaskGraph> {
+    pub fn graph(self, op: Op, nt: usize) -> Arc<TaskGraph> {
         assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
         let dist = self.distribution();
         match self {
@@ -266,33 +253,6 @@ impl DistChoice {
                 Op::Lauum => memo::lauum(&dist, nt),
                 Op::Potri => memo::potri(&dist, nt),
                 Op::Lu => memo::lu(&dist, nt),
-            },
-        }
-    }
-
-    /// Builds the task graph executing `op` under this choice afresh, for a
-    /// one-off analysis (`Planner::simulate`, the per-pair message matrix)
-    /// that should not occupy the memo.
-    ///
-    /// # Panics
-    /// Panics if `!self.supports(op)`.
-    pub fn build_graph(self, op: Op, nt: usize) -> TaskGraph {
-        assert!(self.supports(op), "{} cannot run {op:?}", self.describe());
-        let dist = self.distribution();
-        match self {
-            DistChoice::TwoFiveDSbc { c, .. } | DistChoice::TwoFiveDBc { c, .. } => {
-                builders::build_potrf_25d(&TwoPointFiveD::new(dist, c), nt)
-            }
-            DistChoice::PotriRemap { p, q, .. } => {
-                builders::build_potri_remap(&dist, &TwoDBlockCyclic::new(p, q), nt)
-            }
-            _ => match op {
-                Op::Potrf => builders::build_potrf(&dist, nt),
-                Op::Posv => builders::build_posv(&dist, &RowCyclic::new(dist.num_nodes()), nt),
-                Op::Trtri => builders::build_trtri(&dist, nt),
-                Op::Lauum => builders::build_lauum(&dist, nt),
-                Op::Potri => builders::build_potri(&dist, nt),
-                Op::Lu => builders::build_lu(&dist, nt),
             },
         }
     }
@@ -431,22 +391,62 @@ mod tests {
         );
     }
 
+    /// The graph's messages per ordered node pair, row-major: one per
+    /// initial fetch and one per remote consumer node of each task.
+    fn graph_pairs(g: &TaskGraph) -> Vec<(usize, usize, u64)> {
+        let n = g.num_nodes();
+        let mut m = vec![0u64; n * n];
+        for f in g.initial_fetches() {
+            m[f.home as usize * n + f.dest as usize] += 1;
+        }
+        let mut consumers = Vec::new();
+        for t in 0..g.len() as u32 {
+            let src = g.tasks()[t as usize].node as usize;
+            g.remote_consumer_nodes(t, &mut consumers);
+            for &dst in &consumers {
+                m[src * n + dst as usize] += 1;
+            }
+        }
+        let pairs = m.iter().enumerate().filter(|&(_, &c)| c > 0);
+        pairs.map(|(i, &c)| (i / n, i % n, c)).collect()
+    }
+
+    /// `traffic` is the graph's traffic pair by pair wherever the counter
+    /// and the graph describe one sweep, and the sum of the parts for the
+    /// composed operations, which the merged graph can only undercut.
     #[test]
-    fn message_matrix_sums_to_graph_message_count() {
-        let nt = 16;
-        for choice in [
-            DistChoice::SbcExtended { r: 5 },
-            DistChoice::TwoDbc { p: 3, q: 3 },
-        ] {
-            for op in [Op::Potrf, Op::Potri] {
-                let m = choice.message_matrix(op, nt);
-                let n = choice.nodes_used();
-                assert_eq!(m.len(), n * n);
-                let total: u64 = m.iter().sum();
-                assert_eq!(total, choice.build_graph(op, nt).count_messages());
-                // nothing on the diagonal: a node never messages itself
-                for i in 0..n {
-                    assert_eq!(m[i * n + i], 0, "{} self-message", choice.describe());
+    fn traffic_matches_the_graph_pair_by_pair() {
+        for p in 2..=36 {
+            for nt in [1, 2, 4, 7, 9] {
+                for op in Op::ALL {
+                    for c in enumerate(op, p) {
+                        let traffic = c.traffic(op, nt);
+                        let graph = c.graph(op, nt);
+                        let what = format!("{} {op:?} nt={nt}", c.describe());
+                        match op {
+                            Op::Potrf | Op::Trtri | Op::Lauum | Op::Lu => assert_eq!(
+                                traffic.pairs().collect::<Vec<_>>(),
+                                graph_pairs(&graph),
+                                "{what}"
+                            ),
+                            Op::Posv | Op::Potri => {
+                                let dist = c.distribution();
+                                let parts = match c {
+                                    DistChoice::PotriRemap { p, q, .. } => {
+                                        let bc = TwoDBlockCyclic::new(p, q);
+                                        comm::potri_remap_messages(&dist, &bc, nt)
+                                    }
+                                    _ if op == Op::Posv => {
+                                        let rhs = RowCyclic::new(dist.num_nodes());
+                                        comm::posv_messages(&dist, &rhs, nt)
+                                    }
+                                    _ => comm::potri_messages(&dist, nt),
+                                };
+                                assert_eq!(traffic.total(), parts, "{what}");
+                                assert!(traffic.total() >= graph.count_messages(), "{what}");
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -457,7 +457,7 @@ mod tests {
         let nt = 10;
         for op in Op::ALL {
             for c in enumerate(op, 16) {
-                let g = c.build_graph(op, nt);
+                let g = c.graph(op, nt);
                 assert!(
                     g.count_messages() > 0 || c.nodes_used() == 1,
                     "{}",

@@ -39,7 +39,7 @@ pub struct DriftReport {
     /// Busiest-node kernel seconds actually measured.
     pub measured_compute_seconds: f64,
     /// Busiest backbone-link serialization seconds the model predicted
-    /// (0 under the flat model; see
+    /// (0 on the platform's single switch, which has no backbone; see
     /// [`CostBreakdown`](crate::CostBreakdown)).
     pub predicted_cross_boundary_seconds: f64,
     /// Model makespan (compute + communication serialization bound).

@@ -13,7 +13,9 @@
 //!   SBC basic/extended `r`, 2.5D slicings, and (for POTRI) the paper's
 //!   "SBC remap 2DBC" strategy;
 //! * [`model`] scores each candidate with a closed-form cost model that
-//!   combines the exact communication counters of `sbc_dist::comm`, the
+//!   combines the exact per-pair communication counters of
+//!   `sbc_dist::comm`, priced over one network topology (the platform's
+//!   single switch unless `Planner::with_topology` gives another), the
 //!   LAPACK flop counts of `sbc_kernels`, and the hardware constants of an
 //!   `sbc_simgrid::Platform`;
 //! * [`planner`] runs the search and returns a [`Plan`], the analytic

@@ -9,9 +9,14 @@
 //!   trailing-update load imbalance. This is what separates a 28-node SBC
 //!   from a 20-node grid at the same budget.
 //! * **Communication**: the exact per-op message count from
-//!   [`sbc_dist::comm`], times the NIC port time of one `b x b` tile,
-//!   spread over the candidate's NICs. This is the Theorem 1 term: fewer
-//!   sends, faster factorization.
+//!   [`sbc_dist::comm`], counted per node pair (`DistChoice::traffic`) and
+//!   priced over one network [`Topology`]: each pair's messages pay the
+//!   port time of one `b x b` tile at their route's bottleneck, spread over
+//!   the candidate's NICs, and the busiest backbone link direction adds a
+//!   serialization term. This is the Theorem 1 term: fewer sends, faster
+//!   factorization. [`CostModel::new`] prices over the platform's single
+//!   switch, where the term is `messages x port time / nodes` bit for bit,
+//!   the flat one-NIC-per-node model.
 //!
 //! The two are **summed**, not maxed. A max would assume perfect
 //! compute/communication overlap, under which the comm term vanishes in
@@ -48,8 +53,9 @@ pub struct CostBreakdown {
     /// `compute_seconds`.
     pub imbalance: f64,
     /// Seconds the busiest backbone link direction spends serializing this
-    /// candidate's traffic (0 under the flat model or a flat topology) —
-    /// the rack-boundary term that makes ranking topology-aware.
+    /// candidate's traffic (0 on a topology without backbone links, such as
+    /// the single switch [`CostModel::new`] prices over) — the
+    /// rack-boundary term that makes ranking topology-aware.
     pub cross_boundary_seconds: f64,
     /// Model makespan: `compute_seconds + comm_seconds +
     /// cross_boundary_seconds` (serialization bound, see module docs).
@@ -66,34 +72,28 @@ impl CostBreakdown {
     }
 }
 
-/// The analytic scorer: a [`Platform`] plus the arithmetic above.
+/// The analytic scorer: a [`Platform`], the [`Topology`] its messages
+/// cross, and the arithmetic above.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     platform: Platform,
-    topology: Option<Arc<Topology>>,
+    topology: Arc<Topology>,
 }
 
 impl CostModel {
     /// Builds a model over `platform`'s constants, assuming every core of
-    /// a node works (the platform's `cores_per_node`).
+    /// a node works (the platform's `cores_per_node`), with communication
+    /// priced over the platform's own single switch.
     pub fn new(platform: Platform) -> Self {
-        CostModel {
-            platform,
-            topology: None,
-        }
+        let topology = Arc::new(platform.single_switch_topology());
+        CostModel { platform, topology }
     }
 
-    /// Prices communication over an explicit network topology (graph node
-    /// `i` on host `i`): each candidate's per-pair traffic is charged at
-    /// its route's bottleneck bandwidth, and the busiest backbone link
-    /// direction adds a serialization term.
-    ///
-    /// The two forks do not price the same count: the flat model charges
-    /// the closed-form `DistChoice::messages`, a topology the per-pair
-    /// `DistChoice::message_matrix`, which sums to the task graph's count.
-    /// The two agree for POTRF, TRTRI, LAUUM and LU, but not for most POSV
-    /// and POTRI candidates, so even a single-switch topology can rank
-    /// those differently from the flat model (ROADMAP 13(d)).
+    /// Prices communication over `topology` instead (graph node `i` on host
+    /// `i`): each candidate's per-pair traffic is charged at its route's
+    /// bottleneck bandwidth, and the busiest backbone link direction adds a
+    /// serialization term. The count is the same [`DistChoice::traffic`]
+    /// whatever the topology.
     pub(crate) fn with_topology(mut self, topology: Arc<Topology>) -> Self {
         assert!(
             topology.hosts() >= self.platform.nodes,
@@ -101,13 +101,13 @@ impl CostModel {
             topology.hosts(),
             self.platform.nodes
         );
-        self.topology = Some(topology);
+        self.topology = topology;
         self
     }
 
-    /// The topology communication is priced over, if any.
-    pub(crate) fn topology(&self) -> Option<&Topology> {
-        self.topology.as_deref()
+    /// The topology communication is priced over.
+    pub(crate) fn topology(&self) -> &Topology {
+        &self.topology
     }
 
     /// The platform being modelled.
@@ -118,51 +118,47 @@ impl CostModel {
     /// Scores `choice` executing `op` on an `nt x nt` tile matrix with
     /// tile size `b`.
     pub fn score(&self, choice: DistChoice, op: Op, nt: usize, b: usize) -> CostBreakdown {
+        let topo = &*self.topology;
+        assert!(
+            choice.nodes_used() <= topo.hosts(),
+            "candidate uses {} nodes but the topology has {} hosts",
+            choice.nodes_used(),
+            topo.hosts()
+        );
         let nodes = choice.nodes_used() as f64;
-        let messages = choice.messages(op, nt);
-        let tile_bytes = (b * b * 8) as u64;
-        // Each message occupies a sender NIC and a receiver NIC for
-        // port_seconds; with P nodes the aggregate port work spreads over P
-        // full-duplex ports. With a topology, each pair's traffic is priced
-        // at its route's bottleneck instead of the uniform NIC rate, and
-        // the busiest backbone link direction adds a serialization term.
-        let mut cross_boundary_seconds = 0.0;
-        let comm_seconds = match &self.topology {
-            None => messages as f64 * self.platform.port_seconds(tile_bytes) / nodes,
-            Some(topo) => {
-                let n = choice.nodes_used();
-                assert!(
-                    n <= topo.hosts(),
-                    "candidate uses {n} nodes but the topology has {} hosts",
-                    topo.hosts()
-                );
-                let matrix = choice.message_matrix(op, nt);
-                let mut port = 0.0;
-                let mut occupancy = vec![[0.0f64; 2]; topo.links().len()];
-                for src in 0..n {
-                    for dst in 0..n {
-                        let count = matrix[src * n + dst];
-                        if count == 0 {
-                            continue;
-                        }
-                        let route = topo.route(src as u32, dst as u32);
-                        port += count as f64
-                            * (self.platform.per_message_overhead
-                                + tile_bytes as f64 / route.bottleneck);
-                        for hop in &route.backbone {
-                            occupancy[hop.link as usize][hop.dir()] += count as f64
-                                * tile_bytes as f64
-                                / topo.links()[hop.link as usize].bandwidth;
-                        }
-                    }
-                }
-                cross_boundary_seconds = occupancy
-                    .iter()
-                    .flatten()
-                    .fold(0.0f64, |acc, &v| acc.max(v));
-                port / nodes
+        let traffic = choice.traffic(op, nt);
+        // Count in integers first: messages per distinct route bottleneck
+        // and per backbone link direction.
+        let mut per_bottleneck: Vec<(f64, u64)> = Vec::new();
+        let mut per_link = vec![[0u64; 2]; topo.links().len()];
+        for (src, dst, count) in traffic.pairs() {
+            let route = topo.route(src as u32, dst as u32);
+            match per_bottleneck
+                .iter_mut()
+                .find(|(bw, _)| *bw == route.bottleneck)
+            {
+                Some((_, sum)) => *sum += count,
+                None => per_bottleneck.push((route.bottleneck, count)),
             }
-        };
+            for hop in &route.backbone {
+                per_link[hop.link as usize][hop.dir()] += count;
+            }
+        }
+        // Price last, once per group. Each message occupies a sender NIC and
+        // a receiver NIC for its port time; with P nodes the aggregate port
+        // work spreads over P full-duplex ports. On one switch there is one
+        // group, so this is `messages * port_seconds / nodes` exactly.
+        let tile_bytes = (b * b * 8) as f64;
+        let overhead = self.platform.per_message_overhead;
+        let port = per_bottleneck.iter().fold(0.0, |acc, &(bw, count)| {
+            acc + count as f64 * (overhead + tile_bytes / bw)
+        });
+        let comm_seconds = port / nodes;
+        let cross_boundary_seconds = per_link
+            .iter()
+            .zip(topo.links())
+            .flat_map(|(dirs, link)| dirs.map(|count| count as f64 * tile_bytes / link.bandwidth))
+            .fold(0.0, f64::max);
 
         let imbalance = choice.gemm_imbalance(nt);
         let eff = self
@@ -173,7 +169,7 @@ impl CostModel {
         let compute_seconds = op.total_flops(nt, b) / (nodes * node_flops * eff) * imbalance;
 
         CostBreakdown {
-            messages,
+            messages: traffic.total(),
             comm_seconds,
             compute_seconds,
             imbalance,
@@ -209,18 +205,37 @@ mod tests {
         assert!(sbc.comm_seconds < bc.comm_seconds);
     }
 
+    /// The default model prices over the platform's single switch, and
+    /// there a score is the flat one-NIC-per-node formula bit for bit.
     #[test]
     fn flat_topology_adds_no_cross_boundary_term() {
         let p = Platform::bora(10);
         let flat = model(10);
-        let topo = model(10).with_topology(Arc::new(p.single_switch_topology()));
-        let choice = DistChoice::SbcExtended { r: 5 };
-        let a = flat.score(choice, Op::Potrf, 20, 500);
-        let b = topo.score(choice, Op::Potrf, 20, 500);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(b.cross_boundary_seconds, 0.0);
-        // same arithmetic per message: overhead + bytes / nic_bandwidth
-        assert!((a.comm_seconds - b.comm_seconds).abs() < 1e-12 * a.comm_seconds.max(1.0));
+        let single = model(10).with_topology(Arc::new(p.single_switch_topology()));
+        for (choice, op) in [
+            (DistChoice::SbcExtended { r: 5 }, Op::Potrf),
+            (DistChoice::TwoDbc { p: 2, q: 5 }, Op::Posv),
+            (DistChoice::TwoFiveDBc { p: 2, q: 2, c: 2 }, Op::Potrf),
+            (DistChoice::PotriRemap { r: 5, p: 5, q: 2 }, Op::Potri),
+            (DistChoice::TwoDbc { p: 1, q: 1 }, Op::Lu),
+        ] {
+            let a = flat.score(choice, op, 20, 500);
+            let b = single.score(choice, op, 20, 500);
+            assert_eq!(a.messages, b.messages);
+            assert_eq!(b.cross_boundary_seconds.to_bits(), 0.0f64.to_bits());
+            for (x, y) in [
+                (a.comm_seconds, b.comm_seconds),
+                (a.compute_seconds, b.compute_seconds),
+                (a.cross_boundary_seconds, b.cross_boundary_seconds),
+                (a.total_seconds, b.total_seconds),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{}", choice.describe());
+            }
+            let nodes = choice.nodes_used() as f64;
+            let port = p.port_seconds(500 * 500 * 8);
+            let formula = a.messages as f64 * port / nodes;
+            assert_eq!(a.comm_seconds.to_bits(), formula.to_bits());
+        }
     }
 
     #[test]

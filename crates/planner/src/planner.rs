@@ -47,11 +47,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Builds the task graph executing this plan.
-    pub fn build_graph(&self) -> TaskGraph {
-        self.choice.build_graph(self.op, self.nt)
-    }
-
     /// The shared task graph executing this plan (`DistChoice::graph`).
     pub fn graph(&self) -> Arc<TaskGraph> {
         self.choice.graph(self.op, self.nt)
@@ -92,7 +87,7 @@ impl Planner {
     /// Makes the planner topology-aware: candidates are priced over
     /// `topology`'s routes (rack-crossing traffic pays the oversubscribed
     /// uplink) and [`Planner::simulate`] runs over it. The cache starts empty,
-    /// so a plan priced over the flat model is never served.
+    /// so a plan priced over the platform's single switch is never served.
     ///
     /// # Panics
     /// Panics if the topology has fewer hosts than the platform has nodes.
@@ -192,13 +187,13 @@ impl Planner {
 
     /// Discrete-event simulation of one candidate in the paper's Chameleon
     /// configuration, on a platform shrunk to the nodes it uses and over
-    /// this planner's topology (the platform's single switch without one).
+    /// the topology this planner prices (the platform's single switch unless
+    /// [`Planner::with_topology`] set one). The graph is the memo's.
     pub fn simulate(&self, choice: DistChoice, op: Op, nt: usize, b: usize) -> SimReport {
-        let graph = choice.build_graph(op, nt);
+        let graph = choice.graph(op, nt);
         let mut platform = self.platform().clone();
         platform.nodes = choice.nodes_used();
-        let single_switch = platform.single_switch_topology();
-        let topology = self.model.topology().unwrap_or(&single_switch);
+        let topology = self.model.topology();
         Simulator::with_topology(&graph, &platform, SimConfig::chameleon(b), topology).run()
     }
 }
@@ -244,32 +239,29 @@ mod tests {
         assert!(!a.cached && !b.cached);
         // the rack-aware score carries the boundary term
         assert!(b.cost.cross_boundary_seconds >= 0.0);
-        assert_eq!(racks.model.topology().unwrap().hosts(), 10);
+        assert_eq!(racks.model.topology().hosts(), 10);
         // the rack-aware planner simulates over its racks
         let sim = racks.simulate(b.choice, Op::Potrf, 20, 500);
-        assert_eq!(sim.tasks_executed as usize, b.build_graph().len());
+        assert_eq!(sim.tasks_executed as usize, b.graph().len());
     }
 
-    /// The flat model prices `DistChoice::messages`, a topology the
-    /// per-pair message matrix. For the operations where the two counts
-    /// agree, a single-switch planner picks what the flat one picks.
+    /// A planner over an explicit single switch plans every operation
+    /// exactly as the default one, which prices over the same switch.
     #[test]
-    fn single_switch_counts_and_plans_like_the_flat_model() {
+    fn single_switch_plans_like_the_flat_model() {
         for p in [4, 6, 8, 10] {
             let platform = Platform::bora(p);
             let flat = Planner::new(platform.clone());
             let single =
                 Planner::new(platform.clone()).with_topology(platform.single_switch_topology());
             for nt in [8, 12] {
-                for op in [Op::Potrf, Op::Trtri, Op::Lauum, Op::Lu] {
-                    for c in enumerate(op, p) {
-                        let sum: u64 = c.message_matrix(op, nt).iter().sum();
-                        assert_eq!(sum, c.messages(op, nt), "{} {op:?}", c.describe());
+                for op in Op::ALL {
+                    for b in [128, 500] {
+                        let (a, z) = (flat.plan(op, nt, b), single.plan(op, nt, b));
+                        assert_eq!(a, z, "P={p} {op:?} nt={nt} b={b}");
+                        let (x, y) = (a.cost.total_seconds, z.cost.total_seconds);
+                        assert_eq!(x.to_bits(), y.to_bits());
                     }
-                }
-                for b in [128, 500] {
-                    let (a, z) = (flat.plan(Op::Potrf, nt, b), single.plan(Op::Potrf, nt, b));
-                    assert_eq!(a.choice, z.choice, "P={p} nt={nt} b={b}");
                 }
             }
         }
@@ -279,7 +271,7 @@ mod tests {
     fn plan_graph_matches_choice() {
         let planner = Planner::new(Platform::bora(6));
         let plan = planner.plan(Op::Potrf, 8, 320);
-        let g = plan.build_graph();
+        let g = plan.graph();
         assert_eq!(g.count_messages(), plan.cost.messages);
         assert_eq!(plan.sim_config().tile_b, 320);
     }

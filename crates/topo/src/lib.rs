@@ -13,8 +13,8 @@
 //!   latency, deterministic shortest-path routing, per-direction backbone
 //!   contention, and rack labels. The degenerate
 //!   [`Topology::single_switch`] reproduces the flat model **bit-exactly**,
-//!   so the simulator prices every run over a topology and the paper's
-//!   flat network is the single switch.
+//!   so the simulator prices every run, and the planner every candidate,
+//!   over a topology, and the paper's flat network is the single switch.
 //! * [`Scheduler`] — the list-scheduler contract shared by the simulator
 //!   and the threaded runtime — the one selector of ready order in both —
 //!   with three implementations: [`CriticalPath`] (every front end's

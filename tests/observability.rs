@@ -84,7 +84,7 @@ fn simulated_and_measured_traces_share_the_gantt() {
     // type now — one renderer serves both.
     let planner = Planner::new(Platform::bora(10));
     let plan = planner.plan(Op::Potrf, 10, 8);
-    let graph = plan.build_graph();
+    let graph = plan.graph();
 
     let platform = Platform::bora(10);
     let (_, sim_trace) = Simulator::new(&graph, &platform, plan.sim_config()).run_traced();
