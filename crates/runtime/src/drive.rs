@@ -44,7 +44,12 @@ pub(crate) fn run_pooled(
     recorder: Option<&Recorder>,
     threads: usize,
 ) -> Result<Vec<Message>, ExecError> {
-    let pool = Arc::new(Pool::new(nets.len(), cfg.workers, Arc::clone(&table.clock)));
+    let pool = Arc::new(Pool::new(
+        nets.len(),
+        cfg.workers,
+        threads,
+        Arc::clone(&table.clock),
+    ));
     let hook = Arc::clone(&pool);
     table.on_admit(Box::new(move || hook.notify_all()));
     let runnable: Vec<Arc<Runnable>> = (0..nets.len())
@@ -59,11 +64,13 @@ pub(crate) fn run_pooled(
         })
         .collect();
     let moved = Waker::from(Arc::clone(&pool));
+    let step = |rank: usize| engines[rank].step();
     std::thread::scope(|scope| {
-        for _ in 1..threads.max(1) {
-            scope.spawn(|| pool.run(&engines, &moved));
+        for home in 1..threads {
+            let (pool, step, moved) = (&pool, &step, &moved);
+            scope.spawn(move || pool.run(home, step, moved));
         }
-        pool.run(&engines, &moved);
+        pool.run(0, &step, &moved);
     });
     for net in nets {
         net.set_waker(None);
@@ -76,12 +83,15 @@ pub(crate) fn run_pooled(
 /// taken), `Queued`, `Running`, or `Notified` — running while something
 /// arrived, so it is queued again when its step ends instead of the
 /// arrival being lost. With `workers > 1` a rank may hold up to that many
-/// queued or running steps at once.
+/// queued or running steps at once. Rank `r`'s home is pool thread
+/// `r % threads`, which takes its own ranks first, so a rank keeps its
+/// working set on one core while its home thread is free for it.
 struct Pool {
     state: Mutex<PoolState>,
     /// Idle pool threads wait here.
     cv: Condvar,
     workers: u32,
+    threads: usize,
     /// The table's clock, which rank timers are read on.
     clock: Arc<dyn Clock>,
 }
@@ -109,8 +119,9 @@ struct Slot {
 
 impl Pool {
     /// A pool over `ranks` ranks, every one of them queued for its first
-    /// step (which picks up what the table admitted and the inbox holds).
-    fn new(ranks: usize, workers: usize, clock: Arc<dyn Clock>) -> Self {
+    /// step (which picks up what the table admitted and the inbox holds),
+    /// stepped by `threads` pool threads.
+    fn new(ranks: usize, workers: usize, threads: usize, clock: Arc<dyn Clock>) -> Self {
         let slot = || Slot {
             queued: 1,
             ..Slot::default()
@@ -125,6 +136,7 @@ impl Pool {
             }),
             cv: Condvar::new(),
             workers: workers.max(1) as u32,
+            threads: threads.max(1),
             clock,
         }
     }
@@ -167,14 +179,23 @@ impl Pool {
         }
     }
 
-    /// One pool thread: step queued ranks until every rank drained. `moved`
-    /// is the pool's own waker, which a clock advanced by hand wakes.
-    fn run(&self, engines: &[Engine], moved: &Waker) {
+    /// The rank pool thread `home` steps next: the first queued rank homed
+    /// on it, else the queue's front — so it finds one whenever one is
+    /// queued.
+    fn pick(&self, st: &mut PoolState, home: usize) -> Option<usize> {
+        let queue = &mut st.queue;
+        let homed = queue.iter().position(|&rank| rank % self.threads == home);
+        queue.remove(homed.unwrap_or(0))
+    }
+
+    /// Pool thread `home`: `step` queued ranks until every rank drained.
+    /// `moved` is the pool's own waker, which a clock advanced by hand wakes.
+    fn run(&self, home: usize, step: &impl Fn(usize) -> Progress, moved: &Waker) {
         let mut st = lock(&self.state);
         while st.live > 0 {
             // a due timer is served even while other ranks keep the queue full
             let next = (st.armed > 0).then(|| self.fire_due(&mut st)).flatten();
-            let Some(rank) = st.queue.pop_front() else {
+            let Some(rank) = self.pick(&mut st, home) else {
                 let wait = next.map(|due| {
                     self.clock.wake_on_advance(moved);
                     due.saturating_duration_since(self.clock.now())
@@ -196,7 +217,7 @@ impl Pool {
             // what arrived so far, this step absorbs
             slot.notified = false;
             drop(st);
-            let progress = engines[rank].step();
+            let progress = step(rank);
             st = lock(&self.state);
             let slot = &mut st.ranks[rank];
             slot.running -= 1;
@@ -379,8 +400,8 @@ mod tests {
     /// No lost wake-up in the pool. A send that races its destination's
     /// running step, a rank recruiting a second lane, a pool thread parking
     /// as the last rank is queued: each, lost, is a run that never ends
-    /// rather than a wrong answer. Many short runs at one, two and three
-    /// pool threads and one and two lanes per rank, every one held to the
+    /// rather than a wrong answer. Many short runs at one to four pool
+    /// threads and one and two lanes per rank, every one held to the
     /// sequential factor and the analytic traffic, under a deadline.
     #[test]
     fn pooled_runs_lose_no_wake_up() {
@@ -392,7 +413,7 @@ mod tests {
             let mut seq = sbc_matrix::random_spd(seed, nt, b);
             sbc_matrix::potrf_tiled(&mut seq).unwrap();
             let messages = comm::potrf_messages(&d, nt);
-            for threads in [1, 2, 3] {
+            for threads in [1, 2, 3, 4] {
                 for workers in [1, 2] {
                     let context = format!("threads={threads} workers={workers}");
                     for rep in 0..200 {
@@ -420,9 +441,53 @@ mod tests {
         assert_ne!(
             verdict,
             Err(RecvTimeoutError::Timeout),
-            "1200 pooled runs neither finished nor failed: a rank was left idle with work"
+            "1600 pooled runs neither finished nor failed: a rank was left idle with work"
         );
         runner.join().expect("a run failed; its assertion is above");
+    }
+
+    /// The home pick gives way. Pool thread 0 sits in rank 0's step until
+    /// ranks 2 and 4, homed on it too, have been stepped; thread 1, started
+    /// once thread 0 is inside, steps its own ranks 1 and 3 and then must
+    /// take 2 and 4 from the queue's front rather than park beside them.
+    #[test]
+    fn a_thread_steps_ranks_homed_elsewhere_rather_than_park() {
+        let (steppers, other) = within_a_minute(|| {
+            let pool = Pool::new(5, 1, 2, Arc::new(sbc_net::RealClock));
+            let moved = Waker::noop();
+            let (inside, entered) = std::sync::mpsc::channel();
+            let (done, homed) = std::sync::mpsc::channel();
+            let homed = Mutex::new(homed);
+            let steppers = Mutex::new(vec![None; 5]);
+            let step = |rank: usize| {
+                lock(&steppers)[rank] = Some(std::thread::current().id());
+                match rank {
+                    0 => {
+                        inside.send(()).unwrap();
+                        // until thread 1 stepped ranks 2 and 4, or parked
+                        let homed = lock(&homed);
+                        let patience = Duration::from_secs(10);
+                        let _ = (homed.recv_timeout(patience), homed.recv_timeout(patience));
+                    }
+                    2 | 4 => done.send(()).unwrap(),
+                    _ => {}
+                }
+                Progress::Drained
+            };
+            let other = std::thread::scope(|scope| {
+                let (pool, step) = (&pool, &step);
+                scope.spawn(move || pool.run(0, step, moved));
+                entered.recv().unwrap();
+                let other = scope.spawn(move || pool.run(1, step, moved));
+                other.thread().id()
+            });
+            (steppers.into_inner().unwrap(), other)
+        })
+        .expect("the pool never drained");
+        assert_ne!(steppers[0], Some(other));
+        for (rank, &by) in steppers.iter().enumerate().skip(1) {
+            assert_eq!(by, Some(other), "thread 1 left rank {rank}");
+        }
     }
 
     /// Steps `engine` by hand, as a pool thread would, until a step leaves
@@ -446,7 +511,7 @@ mod tests {
 
     impl ByHand {
         fn new(net: &dyn Transport, table: &JobTable<'_>) -> Self {
-            let pool = Arc::new(Pool::new(1, 1, Arc::clone(&table.clock)));
+            let pool = Arc::new(Pool::new(1, 1, 1, Arc::clone(&table.clock)));
             let hook = Arc::clone(&pool);
             table.on_admit(Box::new(move || hook.notify_all()));
             let rank = Arc::new(Runnable(Arc::clone(&pool), 0));

@@ -851,24 +851,31 @@ impl JobRun<'_> {
 }
 
 /// Ready-heap key: job priority (descending), task priority (descending),
-/// then job id and task number (ascending) for determinism. `task` is the
-/// rank-local number, which orders a rank's tasks as their ids do.
+/// then job id and task number (ascending) for determinism, packed as
+/// `jprio << 96 | tprio << 64 | !job << 32 | !task` — the order of those
+/// four fields compared in turn, so one heap sift step is one integer
+/// compare. `tprio` is raw `f32` bits, which order like the floats only
+/// when non-negative ([`TaskGraph::priorities`] refuses the rest). `task`
+/// is the rank-local number, which orders a rank's tasks as their ids do.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct ReadyKey {
-    jprio: u8,
-    tprio: u32,
-    job: std::cmp::Reverse<JobId>,
-    task: std::cmp::Reverse<u32>,
-}
+struct ReadyKey(u128);
 
 impl ReadyKey {
     fn new(spec: &JobSpec<'_>, view: &RankView, l: u32) -> Self {
-        ReadyKey {
-            jprio: spec.prio,
-            tprio: spec.task_prio(view.task(l)),
-            job: std::cmp::Reverse(spec.id),
-            task: std::cmp::Reverse(l),
-        }
+        Self::pack(spec.prio, spec.task_prio(view.task(l)), spec.id, l)
+    }
+
+    fn pack(jprio: u8, tprio: u32, job: JobId, task: u32) -> Self {
+        let high = u128::from(jprio) << 96 | u128::from(tprio) << 64;
+        ReadyKey(high | u128::from(!job) << 32 | u128::from(!task))
+    }
+
+    fn job(&self) -> JobId {
+        !((self.0 >> 32) as u32)
+    }
+
+    fn task(&self) -> u32 {
+        !(self.0 as u32)
     }
 }
 
@@ -916,9 +923,10 @@ fn find_job<'j, 'a>(jobs: &'j mut [JobRun<'a>], id: JobId) -> Option<&'j mut Job
 
 /// Tasks one [`Engine::step`] runs at most before it hands its
 /// thread back to the driver, so the ranks sharing a pooled thread take
-/// turns. Each hand-back may move the rank's working set to another core:
-/// at b = 4 a budget of 8 cost a fifth more time per factorization than 64,
-/// while served jobs could not tell the two apart.
+/// turns. Each hand-back may move the rank's working set to another core
+/// (the pool prefers the rank's home thread, but never idles for it): with
+/// a FIFO pick, at b = 4 a budget of 8 cost a fifth more time per
+/// factorization than 64, while served jobs could not tell the two apart.
 const STEP_BUDGET: usize = 64;
 
 /// What one [`Engine::step`] left behind, for its driver.
@@ -1226,8 +1234,8 @@ impl<'e, 'a> Engine<'e, 'a> {
             if let Some(o) = obs.as_mut() {
                 o.gauge(GaugeKind::ActiveWorkers, st.active as f64);
             }
-            let run = find_job(&mut st.jobs, k.job.0).expect("a ready task's job runs");
-            Work::Run(Arc::clone(&run.ctx), k.task.0)
+            let run = find_job(&mut st.jobs, k.job()).expect("a ready task's job runs");
+            Work::Run(Arc::clone(&run.ctx), k.task())
         } else {
             Work::Idle
         }
@@ -1783,15 +1791,10 @@ mod tests {
             (3, 0.0, 7, 0),
             (1, 9.0, 2, 4),
         ] {
-            heap.push(ReadyKey {
-                jprio,
-                tprio: tprio.to_bits(),
-                job: std::cmp::Reverse(job),
-                task: std::cmp::Reverse(task),
-            });
+            heap.push(ReadyKey::pack(jprio, tprio.to_bits(), job, task));
         }
         let order: Vec<(JobId, TaskId)> =
-            std::iter::from_fn(|| heap.pop().map(|k| (k.job.0, k.task.0))).collect();
+            std::iter::from_fn(|| heap.pop().map(|k| (k.job(), k.task()))).collect();
         // highest job priority first; within a job priority, highest task
         // priority; ties broken by ascending job then task id
         assert_eq!(order, vec![(7, 0), (2, 4), (1, 3), (2, 9)]);
@@ -1799,15 +1802,117 @@ mod tests {
         // within one job (a one-shot run): high priority first, then low
         // task id
         for (tprio, task) in [(1.0f32, 5u32), (3.0, 9), (3.0, 2), (0.0, 0)] {
-            heap.push(ReadyKey {
-                jprio: 0,
-                tprio: tprio.to_bits(),
-                job: std::cmp::Reverse(0),
-                task: std::cmp::Reverse(task),
-            });
+            heap.push(ReadyKey::pack(0, tprio.to_bits(), 0, task));
         }
-        let order: Vec<TaskId> = std::iter::from_fn(|| heap.pop().map(|k| k.task.0)).collect();
+        let order: Vec<TaskId> = std::iter::from_fn(|| heap.pop().map(|k| k.task())).collect();
         assert_eq!(order, vec![2, 9, 5, 0]);
+    }
+
+    /// The ready key as four fields compared in turn: the order the packed
+    /// [`ReadyKey`] must keep.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Fields {
+        jprio: u8,
+        tprio: u32,
+        job: std::cmp::Reverse<JobId>,
+        task: std::cmp::Reverse<u32>,
+    }
+
+    impl Fields {
+        fn new(jprio: u8, tprio: u32, job: JobId, task: u32) -> Self {
+            let (job, task) = (std::cmp::Reverse(job), std::cmp::Reverse(task));
+            Fields {
+                jprio,
+                tprio,
+                job,
+                task,
+            }
+        }
+
+        fn packed(self) -> ReadyKey {
+            ReadyKey::pack(self.jprio, self.tprio, self.job.0, self.task.0)
+        }
+    }
+
+    /// The packed key orders as the four fields do, and gives its job and
+    /// task back: on every pair of the edge values of each field (the
+    /// extremes of every width, equal task priorities) and on seeded random
+    /// keys.
+    #[test]
+    fn the_packed_ready_key_orders_as_its_four_fields() {
+        let agree = |a: Fields, b: Fields| {
+            assert_eq!(a.packed().cmp(&b.packed()), a.cmp(&b), "{a:?} vs {b:?}");
+        };
+        let prios = [0, 1, u8::MAX - 1, u8::MAX];
+        let ranks = [0.0, f32::MIN_POSITIVE, 1.0, 1.5, f32::MAX, f32::INFINITY].map(f32::to_bits);
+        let ids = [0, 1, u32::MAX - 1, u32::MAX];
+        let mut edges = Vec::new();
+        for jprio in prios {
+            for tprio in ranks {
+                for job in ids {
+                    for task in ids {
+                        edges.push(Fields::new(jprio, tprio, job, task));
+                    }
+                }
+            }
+        }
+        for &a in &edges {
+            let key = a.packed();
+            assert_eq!((key.job(), key.task()), (a.job.0, a.task.0));
+            for &b in &edges {
+                agree(a, b);
+            }
+        }
+        // splitmix64; narrow fields make ties in the leading ones common
+        let mut state = 42u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut random = || {
+            let narrow = next() & 1 == 0;
+            let mut field = |bits: u32| match next() {
+                v if narrow => v % 4,
+                v => v >> (64 - bits),
+            };
+            let (jprio, tprio) = (field(8) as u8, field(32) as u32);
+            Fields::new(jprio, tprio, field(32) as u32, field(32) as u32)
+        };
+        for _ in 0..100_000 {
+            agree(random(), random());
+        }
+    }
+
+    /// A scheduler that gives every task one rank.
+    struct Flat(&'static str, f32);
+
+    impl Scheduler for Flat {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+
+        fn ranks(&self, ctx: &SchedCtx<'_>) -> Vec<f32> {
+            vec![self.1; ctx.graph.len()]
+        }
+    }
+
+    /// Rank bits compare as integers, where `-0.0` (`0x8000_0000`) would
+    /// outrank every positive rank: a scheduler's `-0.0` is ranked as zero,
+    /// so its tasks pop in task order as `SubmissionOrder`'s do.
+    #[test]
+    fn a_negative_zero_rank_ranks_as_zero() {
+        let graph = Arc::new(build_potrf(&SbcExtended::new(4), 6));
+        let spec = potrf_spec(&graph, 1, &Flat("minus-zero", -0.0), None);
+        assert_eq!(*spec.prio_bits, *vec![0; graph.len()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the below-zero scheduler ranked task 0 at -0.5")]
+    fn a_negative_rank_is_refused_naming_its_scheduler() {
+        let graph = Arc::new(build_potrf(&SbcExtended::new(4), 6));
+        potrf_spec(&graph, 1, &Flat("below-zero", -0.5), None);
     }
 
     #[test]
@@ -1930,7 +2035,7 @@ mod tests {
                 .rev()
                 .map(|l| ReadyKey::new(spec, view, l))
                 .collect();
-            std::iter::from_fn(|| heap.pop().map(|k| k.task.0)).collect::<Vec<_>>()
+            std::iter::from_fn(|| heap.pop().map(|k| k.task())).collect::<Vec<_>>()
         };
         assert_eq!(pop_order(&ranked), pop_order(&empty));
         assert_eq!(pop_order(&ranked), tasks.clone().collect::<Vec<_>>());
@@ -2404,7 +2509,7 @@ mod tests {
         let view = graph.rank_view(0);
         let ready = |st: &EngineState| {
             let mut keys: Vec<(JobId, u32)> =
-                st.ready.iter().map(|k| (k.job.0, k.task.0)).collect();
+                st.ready.iter().map(|k| (k.job(), k.task())).collect();
             keys.sort_unstable();
             keys
         };

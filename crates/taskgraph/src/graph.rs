@@ -146,16 +146,17 @@ impl TaskGraph {
     }
 
     /// Every task's priority under the ranking `name` at tile size `b`, as
-    /// raw `f32` bits (non-negative floats order like their bit patterns).
-    /// `rank` computes the ranks on the first call for a key; the result is
-    /// kept with the graph, as its views are, so every job of one shape
-    /// shares it and it is freed with the graph. One name must therefore
-    /// rank a graph alike at one `b`.
+    /// raw `f32` bits (non-negative floats order like their bit patterns,
+    /// so `-0.0` is kept as `+0.0`). `rank` computes the ranks on the first
+    /// call for a key; the result is kept with the graph, as its views are,
+    /// so every job of one shape shares it and it is freed with the graph.
+    /// One name must therefore rank a graph alike at one `b`.
     ///
     /// # Panics
     ///
-    /// When `rank` returns other than one rank per task, naming `name`: a
-    /// short vector would leave tasks unranked.
+    /// Naming `name`, when `rank` returns other than one rank per task (a
+    /// short vector would leave tasks unranked) or a negative or NaN rank
+    /// (whose bits would order it above every positive one).
     pub fn priorities(
         &self,
         name: &'static str,
@@ -177,7 +178,18 @@ impl TaskGraph {
             ranks.len(),
             self.len()
         );
-        let bits: Arc<[u32]> = ranks.into_iter().map(f32::to_bits).collect();
+        let bits = ranks.into_iter().enumerate().map(|(t, rank)| {
+            assert!(
+                rank >= 0.0,
+                "the {name} scheduler ranked task {t} at {rank}: ranks are non-negative numbers"
+            );
+            if rank == 0.0 {
+                0
+            } else {
+                rank.to_bits()
+            }
+        });
+        let bits: Arc<[u32]> = bits.collect();
         memo.push((name, b, Arc::clone(&bits)));
         bits
     }
@@ -690,5 +702,17 @@ mod tests {
     #[should_panic(expected = "the short scheduler ranked 1 tasks of a 2-task graph")]
     fn a_short_ranking_panics_naming_its_scheduler() {
         chain().priorities("short", 4, |_| vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the down scheduler ranked task 1 at -1: ranks are non-negative")]
+    fn a_negative_rank_panics_naming_its_scheduler() {
+        chain().priorities("down", 4, |_| vec![1.0, -1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the void scheduler ranked task 0 at NaN")]
+    fn a_nan_rank_panics_naming_its_scheduler() {
+        chain().priorities("void", 4, |_| vec![f32::NAN, 1.0]);
     }
 }

@@ -13,7 +13,9 @@
 //! flight), and later callers get the same [`Arc`]. Graphs are kept least
 //! recently used first out under a fixed budget of `BUDGET_TASKS` tasks
 //! over all graphs; a graph larger than the whole budget is handed out but
-//! not kept. The `build_*` functions stay pure and uncached.
+//! not kept. A build whose size is known up front (POTRF's) makes room
+//! before it runs, so the graphs it replaces need not outlive it. The
+//! `build_*` functions stay pure and uncached.
 
 use crate::builders::{
     build_lauum, build_lu, build_posv, build_potrf, build_potrf_25d, build_potri,
@@ -87,8 +89,12 @@ struct Memo {
 }
 
 impl Memo {
-    /// The cell of `key`, created empty for a key not kept.
-    fn cell(&mut self, key: Key) -> Cell {
+    /// The cell of `key`, created empty for a key not kept. `tasks` is the
+    /// size of that graph when the caller knows it up front (0 when not):
+    /// before handing out a cell still to be built, the memo evicts down to
+    /// `budget` less that size, so what it lets go can be freed before the
+    /// new graph is built beside it.
+    fn cell(&mut self, key: Key, tasks: usize, budget: usize) -> Cell {
         self.clock += 1;
         let used = self.clock;
         let slot = self.slots.entry(key).or_insert_with(|| Slot {
@@ -97,16 +103,25 @@ impl Memo {
             tasks: 0,
         });
         slot.used = used;
-        Arc::clone(&slot.cell)
+        let cell = Arc::clone(&slot.cell);
+        if cell.get().is_none() {
+            self.evict(budget.saturating_sub(tasks));
+        }
+        cell
     }
 
     /// Records the size of the graph just built into `cell`, then evicts
-    /// the least recently used built graphs until at most `budget` tasks
-    /// are kept.
+    /// down to `budget` tasks.
     fn keep(&mut self, cell: &Cell, tasks: usize, budget: usize) {
         if let Some(slot) = self.slots.values_mut().find(|s| Arc::ptr_eq(&s.cell, cell)) {
             slot.tasks = tasks;
         }
+        self.evict(budget);
+    }
+
+    /// Evicts the least recently used built graphs until at most `budget`
+    /// tasks are kept.
+    fn evict(&mut self, budget: usize) {
         while self.slots.values().map(|s| s.tasks).sum::<usize>() > budget {
             let built = self.slots.values().filter(|s| s.tasks > 0);
             let Some(oldest) = built.map(|s| s.used).min() else {
@@ -124,8 +139,9 @@ fn memo() -> MutexGuard<'static, Memo> {
 }
 
 /// The graph `key` names: the memo's, or `build`'s, which is then kept.
-fn shared(key: Key, build: impl FnOnce() -> TaskGraph) -> Arc<TaskGraph> {
-    let cell = memo().cell(key);
+/// `tasks` is its size when known up front, 0 when not ([`Memo::cell`]).
+fn shared(key: Key, tasks: usize, build: impl FnOnce() -> TaskGraph) -> Arc<TaskGraph> {
+    let cell = memo().cell(key, tasks, BUDGET_TASKS);
     let mut built = false;
     // a racing caller of the same key blocks here until the build is done
     let graph = cell.get_or_init(|| {
@@ -141,7 +157,7 @@ fn shared(key: Key, build: impl FnOnce() -> TaskGraph) -> Arc<TaskGraph> {
 /// The shared [`build_potrf`] graph of `dist`.
 pub fn potrf<D: Distribution>(dist: &D, nt: usize) -> Arc<TaskGraph> {
     let key = Key::new(Builder::Potrf, nt, dist.num_nodes()).lower(|i, j| dist.owner(i, j));
-    shared(key, || build_potrf(dist, nt))
+    shared(key, nt * (nt + 1) * (nt + 2) / 6, || build_potrf(dist, nt))
 }
 
 /// The shared [`build_potrf_25d`] graph of `d25`.
@@ -150,7 +166,7 @@ pub fn potrf_25d<D: Distribution>(d25: &TwoPointFiveD<D>, nt: usize) -> Arc<Task
     for s in 0..d25.slices() {
         key = key.lower(|i, j| d25.owner_in_slice(s, i, j));
     }
-    shared(key, || build_potrf_25d(d25, nt))
+    shared(key, 0, || build_potrf_25d(d25, nt))
 }
 
 /// The shared [`build_posv`] graph of `dist` and `rhs_dist`.
@@ -158,7 +174,7 @@ pub fn posv<D: Distribution>(dist: &D, rhs_dist: &RowCyclic, nt: usize) -> Arc<T
     let mut key = Key::new(Builder::Posv, nt, dist.num_nodes()).lower(|i, j| dist.owner(i, j));
     key.owners
         .extend((0..nt).map(|i| rhs_dist.owner_row(i) as u32));
-    shared(key, || build_posv(dist, rhs_dist, nt))
+    shared(key, 0, || build_posv(dist, rhs_dist, nt))
 }
 
 /// The shared [`build_lu`] graph of `dist` (whose every tile it places).
@@ -167,25 +183,25 @@ pub fn lu<D: Distribution>(dist: &D, nt: usize) -> Arc<TaskGraph> {
     let cells = (0..nt).flat_map(|i| (0..nt).map(move |j| (i, j)));
     key.owners
         .extend(cells.map(|(i, j)| dist.owner(i, j) as u32));
-    shared(key, || build_lu(dist, nt))
+    shared(key, 0, || build_lu(dist, nt))
 }
 
 /// The shared [`build_trtri`] graph of `dist`.
 pub fn trtri<D: Distribution>(dist: &D, nt: usize) -> Arc<TaskGraph> {
     let key = Key::new(Builder::Trtri, nt, dist.num_nodes()).lower(|i, j| dist.owner(i, j));
-    shared(key, || build_trtri(dist, nt))
+    shared(key, 0, || build_trtri(dist, nt))
 }
 
 /// The shared [`build_lauum`] graph of `dist`.
 pub fn lauum<D: Distribution>(dist: &D, nt: usize) -> Arc<TaskGraph> {
     let key = Key::new(Builder::Lauum, nt, dist.num_nodes()).lower(|i, j| dist.owner(i, j));
-    shared(key, || build_lauum(dist, nt))
+    shared(key, 0, || build_lauum(dist, nt))
 }
 
 /// The shared [`build_potri`] graph of `dist`.
 pub fn potri<D: Distribution>(dist: &D, nt: usize) -> Arc<TaskGraph> {
     let key = Key::new(Builder::Potri, nt, dist.num_nodes()).lower(|i, j| dist.owner(i, j));
-    shared(key, || build_potri(dist, nt))
+    shared(key, 0, || build_potri(dist, nt))
 }
 
 /// The shared [`build_potri_remap`] graph of `sym` and `bc`.
@@ -194,7 +210,7 @@ pub fn potri_remap<A: Distribution, B: Distribution>(sym: &A, bc: &B, nt: usize)
     let key = key
         .lower(|i, j| sym.owner(i, j))
         .lower(|i, j| bc.owner(i, j));
-    shared(key, || build_potri_remap(sym, bc, nt))
+    shared(key, 0, || build_potri_remap(sym, bc, nt))
 }
 
 #[cfg(test)]
@@ -228,7 +244,7 @@ mod tests {
         let d = TwoDBlockCyclic::new(2, 1);
         let mut memo = Memo::default();
         let key = |nt| Key::new(Builder::Potrf, nt, 2).lower(|i, j| d.owner(i, j));
-        let cells: Vec<Cell> = (1..=3).map(|nt| memo.cell(key(nt))).collect();
+        let cells: Vec<Cell> = (1..=3).map(|nt| memo.cell(key(nt), 0, 14)).collect();
         for (nt, cell) in (1..=3).zip(&cells) {
             let graph = Arc::new(build_potrf(&d, nt));
             let tasks = graph.len();
@@ -239,16 +255,41 @@ mod tests {
         assert_eq!(memo.slots.len(), 2);
         assert!(!memo.slots.contains_key(&key(1)));
         // a lookup makes nt = 2 the recent one, so nt = 3 goes next
-        assert!(Arc::ptr_eq(&memo.cell(key(2)), &cells[1]));
-        let cell = memo.cell(key(4));
+        assert!(Arc::ptr_eq(&memo.cell(key(2), 0, 5), &cells[1]));
+        let cell = memo.cell(key(4), 0, 15);
         assert!(cell.set(Arc::new(build_potrf(&d, 1))).is_ok());
         memo.keep(&cell, 1, 5);
         assert!(memo.slots.contains_key(&key(2)) && memo.slots.contains_key(&key(4)));
         assert!(!memo.slots.contains_key(&key(3)));
         // a graph larger than the whole budget is not kept at all
-        let cell = memo.cell(key(5));
+        let cell = memo.cell(key(5), 0, 30);
         assert!(cell.set(Arc::new(build_potrf(&d, 5))).is_ok());
         memo.keep(&cell, 35, 30);
         assert!(memo.slots.is_empty());
+    }
+
+    /// A build whose size is known up front makes room before it runs, so
+    /// the graphs it replaces are not kept beside it; a hit evicts nothing.
+    #[test]
+    fn a_build_of_known_size_evicts_before_it_runs() {
+        let d = TwoDBlockCyclic::new(2, 1);
+        let mut memo = Memo::default();
+        let key = |nt| Key::new(Builder::Potrf, nt, 2).lower(|i, j| d.owner(i, j));
+        for nt in 1..=3 {
+            let cell = memo.cell(key(nt), 0, 15);
+            let graph = Arc::new(build_potrf(&d, nt));
+            let tasks = graph.len();
+            assert_eq!(tasks, nt * (nt + 1) * (nt + 2) / 6);
+            assert!(cell.set(graph).is_ok());
+            memo.keep(&cell, tasks, 15);
+        }
+        // 1 + 4 + 10 = 15 kept; a hit on nt = 1 of a full memo evicts nothing
+        assert!(memo.cell(key(1), 1, 15).get().is_some());
+        assert_eq!(memo.slots.len(), 3);
+        // a 10-task build makes room first: nt = 2 and nt = 3 are the oldest
+        let cell = memo.cell(key(4), 10, 15);
+        assert!(cell.get().is_none());
+        assert!(memo.slots.contains_key(&key(1)) && memo.slots.contains_key(&key(4)));
+        assert_eq!(memo.slots.len(), 2);
     }
 }

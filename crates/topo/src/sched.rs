@@ -6,7 +6,9 @@
 //! vector from a [`SchedCtx`] — the task graph, a per-task cost estimate
 //! and a flat per-hop communication cost — so one implementation drives
 //! both executors. Larger rank = more urgent; ranks are non-negative `f32`
-//! (the runtime stores them as raw bits, which order like the floats).
+//! (the runtime stores them as raw bits, which order like the floats:
+//! [`TaskGraph::priorities`] keeps `-0.0` as zero and refuses a negative or
+//! NaN rank, naming the scheduler).
 //!
 //! [`CriticalPath`] is `sbc_taskgraph::upward_ranks` over the context's
 //! costs — the same pass `critical_path_priorities` runs — and
