@@ -42,15 +42,20 @@
 //! | 17 | `StatsReply` | `text string` (rendered metrics exposition) |
 //! | 18 | `EventsRequest` | `max u32` (newest `max` lifecycle events) |
 //! | 19 | `EventsReply` | `count u32, (seq u64, t u64 f64-bits, severity u8, kind u8, job u32, detail string)*` |
+//! | 20 | `JobTiles` | `req u32, count u32, (tile_ref, tile)*` |
 //!
 //! A `tile_ref` is `kind u8, phase u8, slice u8, i u32, j u32` (kind 0 =
 //! matrix tile `A`, 1 = 2.5D buffer, 2 = RHS row). Strings are
-//! `len u32 + UTF-8 bytes`. Tags 12–19 form the client↔service protocol
+//! `len u32 + UTF-8 bytes`. Tags 12–20 form the client↔service protocol
 //! spoken on `paper serve` connections; they share the framing and CRC
 //! trailer with the mesh tags, so a corrupt submission is caught exactly
 //! like a corrupt tile. Tags 16–19 are the telemetry plane: the service
 //! answers them from atomically-taken snapshots, never touching the locks
-//! its engines use. In an [`EventRecord`] a `job` of `u32::MAX` means "no
+//! its engines use. A served job answers with zero or more `JobTiles`
+//! (factor tiles final while it still ran) and then one `JobResult` (the
+//! rest and the stats) or one `JobStatus`; the `JobStatus` states are 3 =
+//! rejected at admission, 4 = failed, 5 = the whole request refused.
+//! In an [`EventRecord`] a `job` of `u32::MAX` means "no
 //! job" and severity/kind codes are the stable `sbc-obs` codes (this crate
 //! deliberately does not depend on `sbc-obs`; the codes are the contract).
 
@@ -83,6 +88,7 @@ const TAG_STATS_REQUEST: u8 = 16;
 const TAG_STATS_REPLY: u8 = 17;
 const TAG_EVENTS_REQUEST: u8 = 18;
 const TAG_EVENTS_REPLY: u8 = 19;
+const TAG_JOB_TILES: u8 = 20;
 
 /// One structured lifecycle event as it travels in an
 /// [`Frame::EventsReply`]. The wire-level twin of `sbc-obs`'s `ObsEvent`
@@ -189,9 +195,10 @@ pub enum Frame {
     JobStatus {
         /// Echo of the submission's request id.
         req: u32,
-        /// Lifecycle state (`0` queued, `1` running, `2` done, `3` rejected
-        /// at admission, `4` failed, `5` the whole request refused — its one
-        /// answer, whatever its batch).
+        /// Terminal state: `3` rejected at admission, `4` failed (admitted,
+        /// but the mesh failed it; tiles already streamed for it are void),
+        /// `5` the whole request refused — its one answer, whatever its
+        /// batch. No other state is sent.
         state: u8,
         /// Human-readable detail; rejection and failure reasons live here.
         info: String,
@@ -209,7 +216,17 @@ pub enum Frame {
         elapsed_ns: u64,
         /// `1` when the plan came from the warm plan cache.
         plan_cached: u8,
-        /// Gathered factor tiles (lower triangle, bit-exact).
+        /// Factor tiles (lower triangle, bit-exact) not already sent in a
+        /// [`Frame::JobTiles`] for this job.
+        tiles: Vec<(TileRef, Tile)>,
+    },
+    /// Service → client: factor tiles of the job the next terminal answer
+    /// of request `req` concerns, sent as soon as they are final, while the
+    /// job still runs; the `JobResult` carries only the rest.
+    JobTiles {
+        /// Echo of the submission's request id.
+        req: u32,
+        /// Final factor tiles, named as in `JobResult`.
         tiles: Vec<(TileRef, Tile)>,
     },
     /// Client → service: drain in-flight jobs and exit the accept loop.
@@ -261,7 +278,7 @@ impl Frame {
 
     /// The mesh message a frame carries. `None` for frames that are not
     /// mesh traffic: the setup handshake (`Hello`, `Addr`, `Table`) and the
-    /// client↔service protocol (tags 12–19), which is spoken on dedicated
+    /// client↔service protocol (tags 12–20), which is spoken on dedicated
     /// connections.
     pub(crate) fn into_message(self) -> Option<Message> {
         Some(match self {
@@ -277,6 +294,7 @@ impl Frame {
             | Frame::JobSubmit { .. }
             | Frame::JobStatus { .. }
             | Frame::JobResult { .. }
+            | Frame::JobTiles { .. }
             | Frame::Shutdown
             | Frame::StatsRequest
             | Frame::StatsReply { .. }
@@ -366,6 +384,14 @@ impl FrameWriter<'_> {
             .extend(t.as_slice().iter().flat_map(|v| v.to_le_bytes()));
     }
 
+    fn tiles(&mut self, tiles: &[(TileRef, Tile)]) {
+        self.u32(tiles.len() as u32);
+        for (r, t) in tiles {
+            self.tile_ref(*r);
+            self.tile(t);
+        }
+    }
+
     fn tile_ref(&mut self, r: TileRef) {
         let (kind, phase, slice, i, j) = match r {
             TileRef::A { phase, slice, i, j } => (0u8, phase, slice, i, j),
@@ -431,6 +457,22 @@ impl<'a> Body<'a> {
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
         Ok(Tile::from_column_major(dim, words))
+    }
+
+    /// A `count u32, (tile_ref, tile)*` list, its count checked against
+    /// the body before anything is reserved for it.
+    fn tiles(&mut self) -> Result<Vec<(TileRef, Tile)>, FrameError> {
+        let count = self.u32()? as usize;
+        if count > MAX_BODY as usize / 16 {
+            return Err(FrameError::BadBody("result tile count overflows its body"));
+        }
+        let mut tiles = Vec::with_capacity(count);
+        for _ in 0..count {
+            let r = self.tile_ref()?;
+            let t = self.tile()?;
+            tiles.push((r, t));
+        }
+        Ok(tiles)
     }
 
     fn tile_ref(&mut self) -> Result<TileRef, FrameError> {
@@ -606,12 +648,13 @@ pub fn encode_into(f: &Frame, out: &mut Vec<u8>) -> usize {
             w.u64(*bytes);
             w.u64(*elapsed_ns);
             w.u8(*plan_cached);
-            w.u32(tiles.len() as u32);
-            for (r, t) in tiles {
-                w.tile_ref(*r);
-                w.tile(t);
-            }
+            w.tiles(tiles);
             TAG_JOB_RESULT
+        }
+        Frame::JobTiles { req, tiles } => {
+            w.u32(*req);
+            w.tiles(tiles);
+            TAG_JOB_TILES
         }
         Frame::Shutdown => TAG_SHUTDOWN,
         Frame::StatsRequest => TAG_STATS_REQUEST,
@@ -787,16 +830,7 @@ fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
             let bytes = b.u64()?;
             let elapsed_ns = b.u64()?;
             let plan_cached = b.u8()?;
-            let count = b.u32()? as usize;
-            if count > MAX_BODY as usize / 16 {
-                return Err(FrameError::BadBody("result tile count overflows its body"));
-            }
-            let mut tiles = Vec::with_capacity(count);
-            for _ in 0..count {
-                let r = b.tile_ref()?;
-                let t = b.tile()?;
-                tiles.push((r, t));
-            }
+            let tiles = b.tiles()?;
             Frame::JobResult {
                 req,
                 messages,
@@ -805,6 +839,11 @@ fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
                 plan_cached,
                 tiles,
             }
+        }
+        TAG_JOB_TILES => {
+            let req = b.u32()?;
+            let tiles = b.tiles()?;
+            Frame::JobTiles { req, tiles }
         }
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_STATS_REQUEST => Frame::StatsRequest,
@@ -954,7 +993,7 @@ mod tests {
         buf
     }
 
-    /// One frame per wire tag 1–19, its variable parts drawn from `seed`.
+    /// One frame per wire tag 1–20, its variable parts drawn from `seed`.
     fn frame_of_tag(tag: u8, seed: u64) -> Frame {
         let small = (seed % 5) as usize;
         let word = seed as u32;
@@ -1036,6 +1075,12 @@ mod tests {
                 plan_cached: 1,
                 tiles: (0..small)
                     .map(|k| (TileRef::B { i: k as u32 }, tile_of(k, seed)))
+                    .collect(),
+            },
+            TAG_JOB_TILES => Frame::JobTiles {
+                req: word,
+                tiles: (0..small)
+                    .map(|k| (tile_ref, tile_of(k, seed ^ k as u64)))
                     .collect(),
             },
             TAG_SHUTDOWN => Frame::Shutdown,
@@ -1177,7 +1222,7 @@ mod tests {
             roundtrip(&frame);
             assert_eq!(frame.into_message(), Some(m));
         }
-        for tag in 1..=19u8 {
+        for tag in 1..=20u8 {
             let mesh = matches!(tag, 1..=5 | 9..=11);
             assert_eq!(
                 frame_of_tag(tag, 7).into_message().is_some(),
@@ -1334,6 +1379,70 @@ mod tests {
         let crc = crc32(&bad[..n - 4]);
         bad[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(decode(&bad), Err(FrameError::BadBody(_))));
+    }
+
+    #[test]
+    fn job_tiles_tile_count_is_bounded() {
+        let buf = encode(&Frame::JobTiles {
+            req: 1,
+            tiles: vec![],
+        });
+        // as for `JobResult`: an absurd count under a valid CRC is refused
+        // before anything is reserved for it
+        let mut bad = buf.clone();
+        let count_at = 5 + 4;
+        bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let n = bad.len();
+        let crc = crc32(&bad[..n - 4]);
+        bad[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(decode(&bad), Err(FrameError::BadBody(_))));
+        // one past the largest count the body could hold is refused too
+        let over = MAX_BODY / 16 + 1;
+        bad[count_at..count_at + 4].copy_from_slice(&over.to_le_bytes());
+        let crc = crc32(&bad[..n - 4]);
+        bad[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(decode(&bad), Err(FrameError::BadBody(_))));
+    }
+
+    /// The bytes of a `JobTiles` frame, written out by hand from the layout
+    /// in the module table — `req`, the count, then per tile its 11-byte
+    /// name, its dimension and its words — with the trailer zlib's `crc32`
+    /// gives for them.
+    #[test]
+    fn job_tiles_bytes_are_pinned() {
+        const GOLDEN: &str = "\
+            142e000000\
+            04030201\
+            02000000\
+            0000000200000001000000\
+            01000000\
+            0000000000000080\
+            0200000700000000000000\
+            00000000\
+            2680549e";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|k| u8::from_str_radix(&GOLDEN[k..k + 2], 16).unwrap())
+            .collect();
+        let frame = Frame::JobTiles {
+            req: 0x0102_0304,
+            tiles: vec![
+                (
+                    TileRef::A {
+                        phase: 0,
+                        slice: 0,
+                        i: 2,
+                        j: 1,
+                    },
+                    Tile::from_column_major(1, [-0.0]),
+                ),
+                (TileRef::B { i: 7 }, Tile::zeros(0)),
+            ],
+        };
+        assert_eq!(encode(&frame), golden);
+        let (back, used) = decode(&golden).expect("golden frame decodes");
+        assert_eq!(used, golden.len());
+        assert_eq!(encode(&back), golden);
     }
 
     #[test]
@@ -1691,7 +1800,7 @@ mod tests {
 
         #[test]
         fn truncation_never_decodes(
-            tag in 1u8..=19,
+            tag in 1u8..=20,
             seed in any::<u64>(),
             cut_frac in 0.0f64..1.0,
         ) {
@@ -1703,7 +1812,7 @@ mod tests {
 
         #[test]
         fn a_single_bit_flip_never_decodes(
-            tag in 1u8..=19,
+            tag in 1u8..=20,
             seed in any::<u64>(),
             bit_frac in 0.0f64..1.0,
         ) {

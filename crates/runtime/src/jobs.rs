@@ -8,7 +8,11 @@
 //! - A [`JobTable`] is the in-process control plane: clients submit
 //!   `JobSpec`s (admission-controlled), rank engines pick them up, and
 //!   finished [`JobOutcome`]s are published back with exact per-job
-//!   [`CommStats`]. Only tile payloads ever cross the transport; control
+//!   [`CommStats`]. A job admitted through [`JobTable::submit`] also
+//!   streams: a rank hands each result tile (a handle, not a copy) to the
+//!   table as soon as the tile's last writer ran
+//!   ([`TaskGraph::writes_result`]), and [`JobTable::wait_next`] yields
+//!   those tiles before the outcome. Only tile payloads ever cross the transport; control
 //!   stays in shared memory because every deployment shape (in-process
 //!   mesh, a socket mesh held in one process, one process per rank with a
 //!   rank-local table) keeps a rank and its table in one process.
@@ -99,6 +103,10 @@ pub(crate) struct JobSpec<'a> {
     pub(crate) prio_bits: Arc<[u32]>,
     /// Original-tile contents; `None` is the seeded generators.
     pub(crate) provider: Option<&'a TileProvider<'a>>,
+    /// Whether each result tile goes to the table as soon as its last
+    /// writer ran ([`JobTable::wait_next`]): set by [`JobTable::submit`],
+    /// never by a one-shot [`crate::Run`], which gathers at the end.
+    pub(crate) stream: bool,
 }
 
 impl<'a> JobSpec<'a> {
@@ -133,6 +141,7 @@ impl<'a> JobSpec<'a> {
             prio,
             prio_bits,
             provider,
+            stream: false,
         }
     }
 
@@ -183,6 +192,17 @@ impl JobOutcome {
     pub fn graph(&self) -> &TaskGraph {
         &self.graph
     }
+}
+
+/// What [`JobTable::wait_next`] hands its caller: a job's result tiles as
+/// they become final, then its end.
+pub enum JobUpdate {
+    /// Result tiles whose last writer ran since the previous update, under
+    /// the job graph's names ([`TaskGraph::result_tiles`]). Each tile comes
+    /// once; the [`JobOutcome`] still holds it too.
+    Tiles(Vec<(TileRef, Tile)>),
+    /// The job ended: its outcome, or the failure that killed the mesh.
+    Done(Result<JobOutcome, ExecError>),
 }
 
 /// Why a submission was refused at the door.
@@ -306,6 +326,23 @@ struct JobAccum {
     expected: (u64, u64),
     /// Whether the `Started` lifecycle event has fired (first rank pickup).
     started_emitted: bool,
+    /// Final result tiles the job's waiter has not taken yet (streaming
+    /// jobs only).
+    streamed: Vec<(TileRef, Tile)>,
+    /// Whether the job's waiter sleeps on `wake`: only then does a push or
+    /// the job's end signal it.
+    waiting: bool,
+    /// What the job's waiter sleeps on, its own, so a push wakes nobody
+    /// else.
+    wake: Arc<Condvar>,
+}
+
+impl JobAccum {
+    /// What wakes the job's waiter, if it sleeps, for the caller to signal
+    /// after the table lock; from here on the waiter counts as woken.
+    fn take_waiter(&mut self) -> Option<Arc<Condvar>> {
+        std::mem::take(&mut self.waiting).then(|| Arc::clone(&self.wake))
+    }
 }
 
 /// A finished job as the last rank left it: the per-rank owned tiles still
@@ -341,7 +378,6 @@ pub struct JobTable<'a> {
     reports: usize,
     max_inflight: usize,
     state: Mutex<TableState<'a>>,
-    cv: Condvar,
     /// Bumped by every `submit` and `shutdown`, so a rank engine takes the
     /// state mutex only when there is something new to pick up.
     generation: AtomicU64,
@@ -386,7 +422,6 @@ impl<'a> JobTable<'a> {
                 shutdown: false,
                 dead: None,
             }),
-            cv: Condvar::new(),
             generation: AtomicU64::new(0),
             on_admit: OnceLock::new(),
             clock,
@@ -496,7 +531,8 @@ impl<'a> JobTable<'a> {
         prio: u8,
         expected: (u64, u64),
     ) -> Result<JobId, Rejection> {
-        let spec = JobSpec::new(graph, b, (seed, seed_rhs), prio, &CriticalPath, None);
+        let mut spec = JobSpec::new(graph, b, (seed, seed_rhs), prio, &CriticalPath, None);
+        spec.stream = true;
         self.submit_spec(spec, expected)
     }
 
@@ -552,6 +588,9 @@ impl<'a> JobTable<'a> {
                 admitted: self.clock.now(),
                 expected,
                 started_emitted: false,
+                streamed: Vec::new(),
+                waiting: false,
+                wake: Arc::new(Condvar::new()),
             },
         );
         for q in &mut st.incoming {
@@ -574,15 +613,22 @@ impl<'a> JobTable<'a> {
                 format!("nt={nt} b={b} prio={prio}"),
             );
         }
-        self.cv.notify_all();
         Ok(id)
     }
 
-    /// Blocks until `id` finishes, returning its outcome — or the engine
-    /// failure that killed the mesh while it was in flight. The ranks' owned
-    /// tiles are merged here, on the waiter's thread, so no rank engine
-    /// holds the table lock per tile.
-    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
+    /// Blocks until `id` has news: the result tiles that became final since
+    /// the last call, when there are any, else the job's end — its outcome,
+    /// or the engine failure that killed the mesh while it was in flight.
+    /// Only a job admitted through [`JobTable::submit`] streams its tiles;
+    /// any other answers only at its end. The waiter sleeps on a signal of
+    /// its own job, which a push or the job's end sends only while it
+    /// sleeps. At the end the ranks' owned tiles are merged here, on the
+    /// waiter's thread, so no rank engine holds the table lock per tile.
+    ///
+    /// # Panics
+    /// Panics if `id` is neither in flight nor finished and unclaimed: it
+    /// was never admitted, or its end was already handed out.
+    pub fn wait_next(&self, id: JobId) -> JobUpdate {
         let mut st = lock(&self.state);
         let Finished {
             graph,
@@ -594,10 +640,17 @@ impl<'a> JobTable<'a> {
                 break finished;
             }
             if let Some(e) = &st.dead {
-                return Err(e.clone());
+                return JobUpdate::Done(Err(e.clone()));
             }
-            st = self
-                .cv
+            let Some(acc) = st.accum.get_mut(&id) else {
+                panic!("job {id} is not in flight and has no outcome left to claim");
+            };
+            if !acc.streamed.is_empty() {
+                return JobUpdate::Tiles(std::mem::take(&mut acc.streamed));
+            }
+            acc.waiting = true;
+            let wake = Arc::clone(&acc.wake);
+            st = wake
                 .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         };
@@ -607,13 +660,27 @@ impl<'a> JobTable<'a> {
             let prev = tiles.insert(r, t);
             debug_assert!(prev.is_none(), "tile {r:?} reported by two ranks");
         }
-        Ok(JobOutcome {
+        JobUpdate::Done(Ok(JobOutcome {
             id,
             graph,
             tiles,
             stats,
             elapsed,
-        })
+        }))
+    }
+
+    /// Blocks until `id` finishes, returning its outcome — or the engine
+    /// failure that killed the mesh while it was in flight: the updates of
+    /// [`JobTable::wait_next`], tiles dropped, up to the job's end.
+    ///
+    /// # Panics
+    /// As [`JobTable::wait_next`].
+    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
+        loop {
+            if let JobUpdate::Done(outcome) = self.wait_next(id) {
+                return outcome;
+            }
+        }
     }
 
     /// Stops admitting jobs; engines exit once everything already admitted
@@ -622,7 +689,6 @@ impl<'a> JobTable<'a> {
         lock(&self.state).shutdown = true;
         self.generation.fetch_add(1, Ordering::Release);
         self.admitted();
-        self.cv.notify_all();
     }
 
     /// Jobs admitted and not yet finished. Lock-free (reads an atomic
@@ -667,8 +733,25 @@ impl<'a> JobTable<'a> {
         (specs, shutdown)
     }
 
+    /// Engine side: result tile `r` of job `id` holds its final value. It
+    /// waits in the job's entry for [`JobTable::wait_next`]; the waiter is
+    /// signalled, after the lock, only if it sleeps. A job no longer in
+    /// flight (failed) drops it.
+    fn push_final(&self, id: JobId, r: TileRef, tile: Tile) {
+        let mut st = lock(&self.state);
+        let Some(acc) = st.accum.get_mut(&id) else {
+            return;
+        };
+        acc.streamed.push((r, tile));
+        let waiter = acc.take_waiter();
+        drop(st);
+        if let Some(wake) = waiter {
+            wake.notify_one();
+        }
+    }
+
     /// Engine side: `rank`'s share of a job is finished. The final rank to
-    /// report completes the job and wakes the waiters.
+    /// report completes the job and wakes its waiter, if one sleeps.
     fn rank_done(&self, rank: NodeId, c: Completion) {
         let id = c.id;
         let mut st = lock(&self.state);
@@ -680,7 +763,8 @@ impl<'a> JobTable<'a> {
         acc.recv_per_node[rank as usize] = c.applied;
         acc.stores.push(c.tiles);
         if acc.stores.len() == self.reports {
-            let acc = st.accum.remove(&id).expect("accumulator present");
+            let mut acc = st.accum.remove(&id).expect("accumulator present");
+            let waiter = acc.take_waiter();
             let stats =
                 CommStats::from_per_node(acc.sent_per_node, acc.recv_per_node, acc.bytes_per_node);
             let measured = (stats.messages, stats.bytes);
@@ -704,7 +788,9 @@ impl<'a> JobTable<'a> {
                 obs.inflight.set(inflight as f64);
                 obs.job_done(id, elapsed, measured, expected);
             }
-            self.cv.notify_all();
+            if let Some(wake) = waiter {
+                wake.notify_one();
+            }
         }
     }
 
@@ -719,6 +805,11 @@ impl<'a> JobTable<'a> {
         }
         let mut failed: Vec<JobId> = st.accum.keys().copied().collect();
         failed.sort_unstable();
+        let waiters: Vec<Arc<Condvar>> = st
+            .accum
+            .values_mut()
+            .filter_map(JobAccum::take_waiter)
+            .collect();
         st.accum.clear();
         for q in &mut st.incoming {
             q.clear();
@@ -743,7 +834,7 @@ impl<'a> JobTable<'a> {
                 }
             }
         }
-        self.cv.notify_all();
+        waiters.iter().for_each(|wake| wake.notify_one());
     }
 }
 
@@ -1392,8 +1483,11 @@ impl<'e, 'a> Engine<'e, 'a> {
         let view = ctx.view();
         let t = view.task(l);
         let consumer_nodes = view.dests(l);
+        // the one branch a one-shot run pays: its jobs never stream
+        let is_final = spec.stream && g.writes_result(t);
         let span_start = obs.as_ref().map(|o| o.now());
-        let output = match execute_task(self.cfg.kernels, ctx, l, !consumer_nodes.is_empty()) {
+        let publish = is_final || !consumer_nodes.is_empty();
+        let output = match execute_task(self.cfg.kernels, ctx, l, publish) {
             Ok(output) => output,
             Err(error) => {
                 self.fail(ExecError::Kernel {
@@ -1424,6 +1518,10 @@ impl<'e, 'a> Engine<'e, 'a> {
                     tile: tile.clone(),
                 };
                 self.send(dest, payload, &mut sent, obs);
+            }
+            if is_final {
+                let name = view.owned_tile(view.output(l));
+                self.table.push_final(spec.id, name, tile);
             }
         }
 
@@ -2209,6 +2307,124 @@ mod tests {
         assert_eq!(lock(&engine.state).active, 0);
         let out = table.wait(id).expect("the job finishes");
         assert_sequential(&out, &TwoDBlockCyclic::new(1, 1), 8, 5);
+    }
+
+    /// A job admitted through `JobTable::submit` hands each result tile to
+    /// its waiter as soon as the tile's last writer ran: after one step of
+    /// the one-rank job, whose first task finishes tile (0, 0), the waiter
+    /// gets that tile while tasks are still left; a job submitted as a
+    /// one-shot run streams nothing. What was streamed is gathered too, each
+    /// tile as its own buffer.
+    #[test]
+    fn a_served_job_streams_a_tile_before_its_last_task_runs() {
+        let table = JobTable::new(1, 2);
+        let (id, tasks) = one_rank_job(&table);
+        let graph = Arc::new(build_potrf(&TwoDBlockCyclic::new(1, 1), 8));
+        let quiet = potrf_spec(&graph, 5, &CriticalPath, None);
+        let quiet = table.submit_spec(quiet, (0, 0)).unwrap();
+        let mesh = inproc_mesh(1);
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None, &ByHand);
+
+        assert_eq!(engine.step(), Progress::Ran);
+        let left = |job| {
+            let st = lock(&engine.state);
+            st.jobs
+                .iter()
+                .find(|run| run.ctx.spec.id == job)
+                .map(|run| run.remaining)
+        };
+        let first = match table.wait_next(id) {
+            JobUpdate::Tiles(tiles) => tiles,
+            JobUpdate::Done(_) => panic!("the job ended within one step"),
+        };
+        let corner = TileRef::A {
+            phase: 0,
+            slice: 0,
+            i: 0,
+            j: 0,
+        };
+        assert!(
+            first.iter().any(|(r, _)| *r == corner),
+            "(0, 0) was not streamed"
+        );
+        let remaining = left(id).expect("the job is still in flight");
+        assert!(remaining > 0 && (remaining as usize) < tasks);
+        assert!(left(quiet).is_some_and(|n| n > 0));
+        assert!(lock(&table.state).accum[&quiet].streamed.is_empty());
+
+        assert_eq!(settle(&engine), Progress::Idle { next_timer: None });
+        let mut streamed = first;
+        let out = loop {
+            match table.wait_next(id) {
+                JobUpdate::Tiles(tiles) => streamed.extend(tiles),
+                JobUpdate::Done(out) => break out.expect("the job finishes"),
+            }
+        };
+        assert_streamed_gathered(&streamed, &out);
+        assert_sequential(&out, &TwoDBlockCyclic::new(1, 1), 8, 5);
+        assert!(matches!(table.wait_next(quiet), JobUpdate::Done(Ok(_))));
+    }
+
+    /// `streamed` names result tiles of `out`'s graph, none twice, and each
+    /// is the gathered tile bit for bit — its very buffer, since the engine
+    /// hands on a handle, not a copy. (Tiles still waiting when the job
+    /// ended are not streamed: the outcome holds them.)
+    fn assert_streamed_gathered(streamed: &[(TileRef, Tile)], out: &JobOutcome) {
+        let names: HashSet<TileRef> = streamed.iter().map(|(r, _)| *r).collect();
+        assert_eq!(
+            names.len(),
+            streamed.len(),
+            "job {}: a tile came twice",
+            out.id
+        );
+        let wanted: HashSet<TileRef> = out.graph().result_tiles().collect();
+        assert!(
+            names.is_subset(&wanted),
+            "job {}: streamed a non-result tile",
+            out.id
+        );
+        for (r, tile) in streamed {
+            let gathered = &out.tiles[r];
+            let bits = |t: &Tile| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(tile), bits(gathered), "job {} {r:?}", out.id);
+            assert_eq!(tile.as_slice().as_ptr(), gathered.as_slice().as_ptr());
+        }
+    }
+
+    /// Over a six-rank mesh with two jobs in flight, each waited for on a
+    /// thread of its own, every tile a job streams is a tile of its result,
+    /// none twice, each equal to the gathered one bit for bit.
+    #[test]
+    fn streamed_tiles_are_the_gathered_ones_bit_for_bit() {
+        let d = SbcExtended::new(4); // 6 nodes
+        let graph = Arc::new(build_potrf(&d, 10));
+        let table = JobTable::new(6, 4);
+        let cfg = JobEngineConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let mut results = Vec::new();
+        run_mesh(&table, 6, cfg, || {
+            let ids = [11, 12].map(|seed| table.submit(Arc::clone(&graph), B, seed, 0, 0).unwrap());
+            // each job has a waiter of its own, as each client connection does
+            let stream = |id| {
+                let mut streamed = Vec::new();
+                loop {
+                    match table.wait_next(id) {
+                        JobUpdate::Tiles(tiles) => streamed.extend(tiles),
+                        JobUpdate::Done(out) => return (streamed, out.expect("the mesh is alive")),
+                    }
+                }
+            };
+            results = std::thread::scope(|scope| {
+                let waiters = ids.map(|id| scope.spawn(move || stream(id)));
+                Vec::from(waiters.map(|w| w.join().expect("a waiter panicked")))
+            });
+        });
+        for ((streamed, out), seed) in results.iter().zip([11, 12]) {
+            assert_streamed_gathered(streamed, out);
+            assert_sequential(out, &d, 10, seed);
+        }
     }
 
     /// Records the `work` of every nudge.

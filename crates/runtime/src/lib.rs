@@ -58,7 +58,7 @@ pub mod jobs;
 pub mod run;
 
 pub use exec::{CommStats, ExecError};
-pub use jobs::{run_jobs, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
+pub use jobs::{run_jobs, JobEngineConfig, JobId, JobOutcome, JobTable, JobUpdate, Rejection};
 pub use run::{gather, Run, RunOutput, RunResult};
 // the kernel-backend selector is part of the run configuration surface
 pub use sbc_kernels::{KernelBackend, Kernels, KERNELS_ENV};

@@ -77,34 +77,23 @@ pub fn gather(
     tiles: &HashMap<TileRef, Tile>,
     b: usize,
 ) -> Result<RunResult, ExecError> {
-    let nt = graph.nt;
-    // the final value of tile (i, j) lives on the 2.5D slice that ran
-    // iteration j (slice 0 of a 2D graph)
-    let a = |phase: u8, i: usize, j: usize| TileRef::A {
-        phase,
-        slice: (j % graph.slices) as u8,
-        i: i as u32,
-        j: j as u32,
-    };
+    let (nt, slices) = (graph.nt, graph.slices);
     let mut missing = None;
-    let mut fetch = |r: TileRef| {
+    // the final value of tile (i, j) lives on the 2.5D slice that ran
+    // iteration j (slice 0 of a 2D graph): `ResultKind::tile` names it
+    let mut fetch = |i: usize, j: usize| {
+        let r = graph.result.tile(slices, i, j);
         tiles.get(&r).cloned().unwrap_or_else(|| {
             missing.get_or_insert(r);
             Tile::zeros(b)
         })
     };
     let result = match graph.result {
-        ResultKind::Symmetric { phase } => {
-            RunResult::Factor(SymmetricTiledMatrix::from_tile_fn(nt, b, |i, j| {
-                fetch(a(phase, i, j))
-            }))
+        ResultKind::Symmetric { .. } => {
+            RunResult::Factor(SymmetricTiledMatrix::from_tile_fn(nt, b, fetch))
         }
-        ResultKind::Panel => RunResult::Solution(TiledPanel::from_tile_fn(nt, b, |i| {
-            fetch(TileRef::B { i: i as u32 })
-        })),
-        ResultKind::Full => RunResult::Full(FullTiledMatrix::from_tile_fn(nt, b, |i, j| {
-            fetch(a(0, i, j))
-        })),
+        ResultKind::Panel => RunResult::Solution(TiledPanel::from_tile_fn(nt, b, |i| fetch(i, 0))),
+        ResultKind::Full => RunResult::Full(FullTiledMatrix::from_tile_fn(nt, b, fetch)),
     };
     match missing {
         Some(tile) => Err(ExecError::MissingTile { tile }),
@@ -580,6 +569,48 @@ mod tests {
                 b.factor().tile(i, j),
                 "{context}: tile ({i},{j}) differs"
             );
+        }
+    }
+
+    /// Every operation's graph marks, for each tile its gather collects,
+    /// exactly one final writer — the task a served job's stream hands the
+    /// tile on from — and marks no task that writes anything else.
+    #[test]
+    fn each_result_tile_has_exactly_one_final_writer() {
+        let (sym, bc) = (SbcExtended::new(4), TwoDBlockCyclic::new(3, 2));
+        let d25 = TwoPointFiveD::new(sbc_dist::SbcBasic::new(4), 2);
+        let nt = 7;
+        let runs = [
+            ("potrf", Run::potrf(&sym, nt)),
+            ("potrf_25d", Run::potrf_25d(&d25, nt)),
+            ("posv", Run::posv(&sym, &RowCyclic::new(6), nt)),
+            ("lu", Run::lu(&bc, nt)),
+            ("trtri", Run::trtri(&sym, nt)),
+            ("lauum", Run::lauum(&sym, nt)),
+            ("potri", Run::potri(&sym, nt)),
+            ("potri_remap", Run::potri_remap(&sym, &bc, nt)),
+            ("graph", Run::graph(Arc::new(build_potrf(&bc, nt)))),
+        ];
+        for (name, run) in runs {
+            let graph = run.task_graph();
+            let mut finals: Vec<TileRef> = (0..graph.len() as u32)
+                .filter(|&t| graph.writes_result(t))
+                .map(|t| graph.tasks()[t as usize].output(graph.slices))
+                .collect();
+            let mut wanted: Vec<TileRef> = graph.result_tiles().collect();
+            assert!(!wanted.is_empty(), "{name}: no result tiles");
+            finals.sort_unstable_by_key(|&r| graph.tile_space().slot(r));
+            wanted.sort_unstable_by_key(|&r| graph.tile_space().slot(r));
+            assert_eq!(finals, wanted, "{name}: final writers against result tiles");
+            // and the mark is the last writer: no later task writes the tile
+            for t in (0..graph.len() as u32).filter(|&t| graph.writes_result(t)) {
+                let tile = graph.tasks()[t as usize].output(graph.slices);
+                let later = &graph.tasks()[t as usize + 1..];
+                assert!(
+                    later.iter().all(|u| u.output(graph.slices) != tile),
+                    "{name}: task {t} is not the last writer of {tile:?}"
+                );
+            }
         }
     }
 

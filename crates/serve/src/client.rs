@@ -60,7 +60,8 @@ pub enum JobReply {
         /// Whether the plan came from the warm cache.
         plan_cached: bool,
         /// Factor tiles, `TileRef::A { phase: 0, slice: 0, i, j }` with
-        /// `j <= i`.
+        /// `j <= i`, each once, in the order they arrived: those streamed
+        /// while the job ran, then the rest.
         tiles: Vec<(TileRef, Tile)>,
     },
     /// Admission control refused the job — or the service refused the whole
@@ -134,7 +135,9 @@ impl Client {
 
     /// Submits one request and blocks until every job of the batch has a
     /// terminal answer, returned in seed order — or until the service
-    /// refuses the request as a whole, which is a single reply. A shape the
+    /// refuses the request as a whole, which is a single reply. A finished
+    /// job's tiles are those its `JobTiles` frames streamed while it ran
+    /// followed by those of its `JobResult`. A shape the
     /// wire cannot carry (`nt` or `b` above `u32::MAX`) is an
     /// [`std::io::ErrorKind::InvalidInput`] error, and nothing is sent.
     pub fn submit(&mut self, req: &JobRequest) -> Result<Vec<JobReply>, ClientError> {
@@ -144,8 +147,9 @@ impl Client {
                 format!("shape nt={} b={} does not fit the wire", req.nt, req.b),
             )));
         };
+        // the server only echoes ids, so a long-lived client wraps around
         let id = self.next_req;
-        self.next_req += 1;
+        self.next_req = id.wrapping_add(1);
         write_frame(
             &mut self.conn,
             &Frame::JobSubmit {
@@ -163,6 +167,8 @@ impl Client {
 
         let expect = req.batch.max(1) as usize;
         let mut replies = Vec::with_capacity(expect);
+        // tiles streamed for the job the next terminal answer concerns
+        let mut streamed: Vec<(TileRef, Tile)> = Vec::new();
         while replies.len() < expect {
             let frame = match read_frame_into(&mut self.conn, &mut self.scratch)? {
                 Some((f, _)) => f,
@@ -174,21 +180,36 @@ impl Client {
                 }
             };
             match frame {
+                Frame::JobTiles { req: r, tiles } => {
+                    if r != id {
+                        return Err(ClientError::Protocol(format!(
+                            "tiles for request {r}, expected {id}"
+                        )));
+                    }
+                    streamed.extend(tiles);
+                }
                 Frame::JobStatus { req: r, .. } if r != id => {
                     return Err(ClientError::Protocol(format!(
                         "status for request {r}, expected {id}"
                     )))
                 }
-                Frame::JobStatus { state: 0, .. } | Frame::JobStatus { state: 1, .. } => {
-                    // queued/running updates are informational
-                }
-                Frame::JobStatus { state: 3, info, .. } => replies.push(JobReply::Rejected(info)),
                 Frame::JobStatus {
                     state: REFUSED,
                     info,
                     ..
                 } => return Ok(vec![JobReply::Rejected(info)]),
-                Frame::JobStatus { state: 4, info, .. } => replies.push(JobReply::Failed(info)),
+                Frame::JobStatus {
+                    state: state @ (3 | 4),
+                    info,
+                    ..
+                } => {
+                    // what was streamed for a job that did not finish is void
+                    streamed.clear();
+                    replies.push(match state {
+                        3 => JobReply::Rejected(info),
+                        _ => JobReply::Failed(info),
+                    });
+                }
                 Frame::JobStatus { state, .. } => {
                     return Err(ClientError::Protocol(format!("unknown job state {state}")))
                 }
@@ -205,12 +226,14 @@ impl Client {
                             "result for request {r}, expected {id}"
                         )));
                     }
+                    let mut all = std::mem::take(&mut streamed);
+                    all.extend(tiles);
                     replies.push(JobReply::Done {
                         messages,
                         bytes,
                         elapsed: Duration::from_nanos(elapsed_ns),
                         plan_cached: plan_cached != 0,
-                        tiles,
+                        tiles: all,
                     });
                 }
                 other => {
@@ -313,6 +336,174 @@ mod tests {
     use super::*;
     use sbc_net::wire::read_frame;
     use std::os::unix::net::UnixStream;
+
+    /// A client over one end of a socket pair, its next request `next_req`;
+    /// `serve` plays the server on the other end.
+    fn faked(
+        next_req: u32,
+        serve: impl FnOnce(&mut UnixStream) + Send + 'static,
+    ) -> (Client, std::thread::JoinHandle<()>) {
+        let (near, mut far) = UnixStream::pair().unwrap();
+        let client = Client {
+            conn: Box::new(near),
+            next_req,
+            scratch: Vec::new(),
+        };
+        (client, std::thread::spawn(move || serve(&mut far)))
+    }
+
+    /// Reads one submission, returning its request id and batch.
+    fn submission(far: &mut UnixStream) -> (u32, u32) {
+        match read_frame(far) {
+            Ok(Some((Frame::JobSubmit { req, batch, .. }, _))) => (req, batch),
+            other => panic!("expected a submission, got {other:?}"),
+        }
+    }
+
+    /// Factor tile `(i, 0)` of dimension 2 holding `i` everywhere.
+    fn tile(i: u32) -> (TileRef, Tile) {
+        let name = TileRef::A {
+            phase: 0,
+            slice: 0,
+            i,
+            j: 0,
+        };
+        (name, Tile::from_fn(2, |_, _| f64::from(i)))
+    }
+
+    fn result(req: u32, tiles: Vec<(TileRef, Tile)>) -> Frame {
+        Frame::JobResult {
+            req,
+            messages: 0,
+            bytes: 0,
+            elapsed_ns: 0,
+            plan_cached: 0,
+            tiles,
+        }
+    }
+
+    fn names(reply: &JobReply) -> Vec<u32> {
+        match reply {
+            JobReply::Done { tiles, .. } => tiles
+                .iter()
+                .map(|(r, t)| match *r {
+                    TileRef::A { i, .. } if t.get(1, 1) == f64::from(i) => i,
+                    other => panic!("tile {other:?} is not the one sent"),
+                })
+                .collect(),
+            other => panic!("expected a finished job, got {other:?}"),
+        }
+    }
+
+    /// The server only echoes request ids, so the one after `u32::MAX` is 0.
+    #[test]
+    fn the_request_id_wraps_around() {
+        let (mut client, server) = faked(u32::MAX, |far| {
+            for want in [u32::MAX, 0] {
+                let (req, _) = submission(far);
+                assert_eq!(req, want);
+                write_frame(far, &result(req, vec![tile(1)])).unwrap();
+            }
+        });
+        for _ in 0..2 {
+            let replies = client.submit(&JobRequest::potrf(2, 2, 0)).unwrap();
+            assert_eq!(names(&replies[0]), [1]);
+        }
+        assert_eq!(client.next_req, 1);
+        server.join().unwrap();
+    }
+
+    /// Tiles streamed under another request's id break the protocol.
+    #[test]
+    fn tiles_for_another_request_are_a_protocol_error() {
+        let (mut client, server) = faked(7, |far| {
+            let (req, _) = submission(far);
+            let tiles = vec![tile(0)];
+            write_frame(
+                far,
+                &Frame::JobTiles {
+                    req: req + 1,
+                    tiles,
+                },
+            )
+            .unwrap();
+        });
+        match client.submit(&JobRequest::potrf(2, 2, 0)) {
+            Err(ClientError::Protocol(why)) => {
+                assert!(why.contains("tiles for request 8"), "{why}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        server.join().unwrap();
+    }
+
+    /// A batch's answers split the stream: each `JobResult` takes the tiles
+    /// streamed since the previous answer, and a failure voids them.
+    #[test]
+    fn a_batch_splits_its_tiles_at_each_answer() {
+        let (mut client, server) = faked(0, |far| {
+            let (req, batch) = submission(far);
+            assert_eq!(batch, 3);
+            let tiles = |ids: &[u32]| Frame::JobTiles {
+                req,
+                tiles: ids.iter().map(|&i| tile(i)).collect(),
+            };
+            for frame in [
+                tiles(&[0, 1]),
+                result(req, vec![tile(2)]),
+                tiles(&[3]),
+                Frame::JobStatus {
+                    req,
+                    state: 4,
+                    info: "mesh failed".into(),
+                },
+                tiles(&[4]),
+                tiles(&[5, 6]),
+                result(req, vec![tile(7)]),
+            ] {
+                write_frame(far, &frame).unwrap();
+            }
+        });
+        let batch = JobRequest {
+            batch: 3,
+            ..JobRequest::potrf(2, 2, 0)
+        };
+        match client.submit(&batch).unwrap().as_slice() {
+            [first, JobReply::Failed(why), last] => {
+                assert_eq!(names(first), [0, 1, 2]);
+                assert_eq!(why, "mesh failed");
+                assert_eq!(names(last), [4, 5, 6, 7], "the failed job's tile leaked");
+            }
+            other => panic!("expected done, failed, done; got {other:?}"),
+        }
+        server.join().unwrap();
+    }
+
+    /// The states a server sends are 3, 4 and 5; the queued (0) and running
+    /// (1) updates are gone from the protocol, so they are no longer skipped.
+    #[test]
+    fn a_status_of_no_known_state_is_a_protocol_error() {
+        let (mut client, server) = faked(0, |far| {
+            let (req, _) = submission(far);
+            let info = "job 0 queued".to_string();
+            write_frame(
+                far,
+                &Frame::JobStatus {
+                    req,
+                    state: 0,
+                    info,
+                },
+            )
+            .unwrap();
+        });
+        match client.submit(&JobRequest::potrf(2, 2, 0)) {
+            Err(ClientError::Protocol(why)) => {
+                assert!(why.contains("unknown job state 0"), "{why}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        server.join().unwrap();
+    }
 
     #[test]
     fn replies_decode_through_one_scratch_without_reallocating() {

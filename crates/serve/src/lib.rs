@@ -17,15 +17,20 @@
 //!   priority)` ordering the shared ready heap.
 //! - [`serve`] exposes a service over the existing CRC-checked wire
 //!   protocol (UDS or TCP): clients speak
-//!   [`sbc_net::wire::Frame::JobSubmit`] / `JobStatus` / `JobResult` /
-//!   `Shutdown` from separate OS processes.
+//!   [`sbc_net::wire::Frame::JobSubmit`] / `JobTiles` / `JobResult` /
+//!   `JobStatus` / `Shutdown` from separate OS processes. A job's factor
+//!   streams back while the job runs: each tile leaves in a `JobTiles`
+//!   frame once its last writer ran, and the closing `JobResult` carries
+//!   the rest.
 //! - [`Client`] is the matching blocking client, plus bit-exact
 //!   validation helpers ([`potrf_reference`], [`factor_matches`]) so
 //!   every caller can check the returned factor against the sequential
 //!   algorithm.
 //!
 //! Observability is first-class and **wire-scrapeable**: the service's
-//! [`sbc_obs::Metrics`] registry carries `serve.jobs.*` counters, the
+//! [`sbc_obs::Metrics`] registry carries `serve.jobs.*` counters,
+//! `serve.reply.{streamed,tail}` (factor tiles sent during and after their
+//! jobs), the
 //! `serve.job.latency` histogram, `obs.drift.*` comm-drift alarms,
 //! `planner.cache.{hit,miss}` from the planner, per-rank engine gauges
 //! (`jobs.rank<r>.{ready,inflight,busy}`) and a sliding-window

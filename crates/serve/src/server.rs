@@ -1,11 +1,13 @@
 //! The wire front of a [`Service`]: an accept loop speaking the job
-//! protocol (`JobSubmit` / `JobStatus` / `JobResult` / `Shutdown`) over
-//! UDS or TCP, one handler thread per client connection.
+//! protocol (`JobSubmit` / `JobTiles` / `JobResult` / `JobStatus` /
+//! `Shutdown`) over UDS or TCP, one handler thread per client connection.
 
-use crate::service::Service;
+use crate::service::{Service, Submitted};
+use sbc_kernels::Tile;
 use sbc_net::wire::{encode_into, read_frame_into, EventRecord, Frame, MAX_BODY};
 use sbc_net::{connect_retry, Conn, Listener};
 use sbc_planner::Op;
+use sbc_runtime::JobUpdate;
 use sbc_taskgraph::TileRef;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -203,85 +205,121 @@ fn handle_submit(
     let (nt, b) = (nt as usize, b as usize);
 
     // admit the whole batch first (same shape → one graph, one plan),
-    // then answer in seed order. The first failed write stops admitting
-    // and writing, but every job already admitted is still waited for: the
-    // table keeps a finished job's tiles until somebody does.
+    // answering a rejection at once, then answer the admitted jobs in seed
+    // order. The first failed write stops admitting and writing, but every
+    // job already admitted is still waited for: the table keeps a finished
+    // job's tiles until somebody does.
     let mut admitted = Vec::new();
     let mut written = Ok(());
     for k in 0..u64::from(batch.max(1)) {
         let (seed, seed_rhs) = (seed.wrapping_add(k), seed_rhs.wrapping_add(k));
-        let status = match service.submit(Op::Potrf, nt, b, seed, seed_rhs, prio) {
-            Ok(sub) => {
-                let cached = if sub.plan_cached {
-                    "plan cached"
-                } else {
-                    "planned"
-                };
-                let info = format!("job {} queued ({cached})", sub.id);
-                admitted.push(sub);
-                Frame::JobStatus {
+        match service.submit(Op::Potrf, nt, b, seed, seed_rhs, prio) {
+            Ok(sub) => admitted.push(sub),
+            Err(rej) => {
+                let info = rej.to_string();
+                let rejected = Frame::JobStatus {
                     req,
-                    state: 0,
+                    state: 3,
                     info,
+                };
+                written = write_reply(conn, service, &rejected);
+                if written.is_err() {
+                    break;
                 }
             }
-            Err(rej) => Frame::JobStatus {
-                req,
-                state: 3,
-                info: rej.to_string(),
-            },
-        };
-        written = write_reply(conn, service, &status);
-        if written.is_err() {
-            break;
         }
     }
     written = written.and_then(|()| conn.flush());
 
     for sub in admitted {
-        let outcome = service.wait(sub.id);
+        if written.is_err() {
+            let _ = service.wait(sub.id);
+            continue;
+        }
+        written = answer(conn, service, req, nt, b, sub);
+    }
+    written
+}
+
+/// The name a factor tile travels under, whatever slice computed it.
+fn wire_name(i: u32, j: u32) -> TileRef {
+    TileRef::A {
+        phase: 0,
+        slice: 0,
+        i,
+        j,
+    }
+}
+
+/// Answers one admitted job: at each wake a `JobTiles` frame of the factor
+/// tiles that became final since the last, while the job runs, then a
+/// `JobResult` with the tiles not yet sent and the stats — or a `JobStatus`
+/// of state 4, which voids what was streamed. Waits for the job's end even
+/// after a failed write.
+fn answer(
+    conn: &mut Conn,
+    service: &Service,
+    req: u32,
+    nt: usize,
+    b: usize,
+    sub: Submitted,
+) -> std::io::Result<()> {
+    // sent[i (i + 1) / 2 + j]: tile (i, j) went out in a `JobTiles`
+    let mut sent = vec![false; nt * (nt + 1) / 2];
+    let mut written = Ok(());
+    let outcome = loop {
+        let tiles = match service.wait_next(sub.id) {
+            JobUpdate::Tiles(tiles) => tiles,
+            JobUpdate::Done(outcome) => break outcome,
+        };
         if written.is_err() {
             continue;
         }
-        let answer = match outcome {
-            Ok(out) => match service.gather_potrf(nt, b, &out) {
-                Ok(factor) => {
-                    let mut tiles = Vec::with_capacity(nt * (nt + 1) / 2);
-                    for i in 0..nt {
-                        for j in 0..=i {
-                            tiles.push((
-                                TileRef::A {
-                                    phase: 0,
-                                    slice: 0,
-                                    i: i as u32,
-                                    j: j as u32,
-                                },
-                                factor.tile(i, j).clone(),
-                            ));
-                        }
-                    }
-                    Frame::JobResult {
-                        req,
-                        messages: out.stats.messages,
-                        bytes: out.stats.bytes,
-                        elapsed_ns: out.elapsed.as_nanos() as u64,
-                        plan_cached: u8::from(sub.plan_cached),
-                        tiles,
-                    }
-                }
-                Err(e) => Frame::JobStatus {
+        let tiles: Vec<(TileRef, Tile)> = tiles
+            .into_iter()
+            .map(|(r, tile)| {
+                let TileRef::A { i, j, .. } = r else {
+                    unreachable!("a POTRF result tile is a matrix tile, not {r:?}");
+                };
+                sent[(i as usize) * (i as usize + 1) / 2 + j as usize] = true;
+                (wire_name(i, j), tile)
+            })
+            .collect();
+        service.reply_streamed.add(tiles.len() as u64);
+        written =
+            write_reply(conn, service, &Frame::JobTiles { req, tiles }).and_then(|()| conn.flush());
+    };
+    written?;
+    let answer = match outcome {
+        Ok(out) => match service.gather_potrf(nt, b, &out) {
+            Ok(factor) => {
+                let tiles: Vec<(TileRef, Tile)> = factor
+                    .tile_coords()
+                    .zip(&sent)
+                    .filter(|&(_, &sent)| !sent)
+                    .map(|((i, j), _)| (wire_name(i as u32, j as u32), factor.tile(i, j).clone()))
+                    .collect();
+                service.reply_tail.add(tiles.len() as u64);
+                Frame::JobResult {
                     req,
-                    state: 4,
-                    info: format!("gather failed: {e}"),
-                },
-            },
+                    messages: out.stats.messages,
+                    bytes: out.stats.bytes,
+                    elapsed_ns: out.elapsed.as_nanos() as u64,
+                    plan_cached: u8::from(sub.plan_cached),
+                    tiles,
+                }
+            }
             Err(e) => Frame::JobStatus {
                 req,
                 state: 4,
-                info: e.to_string(),
+                info: format!("gather failed: {e}"),
             },
-        };
-        written = write_reply(conn, service, &answer).and_then(|()| conn.flush());
-    }
-    written
+        },
+        Err(e) => Frame::JobStatus {
+            req,
+            state: 4,
+            info: e.to_string(),
+        },
+    };
+    write_reply(conn, service, &answer).and_then(|()| conn.flush())
 }

@@ -17,7 +17,9 @@ use sbc_obs::{
     SpanRing, TraceEvent,
 };
 use sbc_planner::{Op, Planner, PlannerConfig};
-use sbc_runtime::jobs::{run_jobs, JobEngineConfig, JobId, JobOutcome, JobTable, Rejection};
+use sbc_runtime::jobs::{
+    run_jobs, JobEngineConfig, JobId, JobOutcome, JobTable, JobUpdate, Rejection,
+};
 use sbc_runtime::{gather, ExecError, KernelBackend, RunResult};
 use sbc_simgrid::Platform;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -100,6 +102,12 @@ pub struct Service {
     pool_outstanding: Arc<Gauge>,
     /// Pool totals already folded into the counters (scrape-path only).
     pool_seen: Mutex<PoolStats>,
+    /// Factor tiles the wire front sent in `JobTiles` frames, while their
+    /// jobs ran (`serve.reply.streamed`).
+    pub(crate) reply_streamed: Arc<Counter>,
+    /// Factor tiles the wire front sent in `JobResult` frames, after their
+    /// jobs ended (`serve.reply.tail`).
+    pub(crate) reply_tail: Arc<Counter>,
 }
 
 impl Service {
@@ -139,6 +147,8 @@ impl Service {
             pool_outstanding: metrics.gauge("net.pool.outstanding"),
             pool_seen: Mutex::new(PoolStats::default()),
             reply_pool: BufferPool::default(),
+            reply_streamed: metrics.counter("serve.reply.streamed"),
+            reply_tail: metrics.counter("serve.reply.tail"),
             metrics,
             events,
             engines: Mutex::new(Some(engines)),
@@ -168,21 +178,34 @@ impl Service {
         })
     }
 
-    /// Blocks until `id` finishes. Completion counters, latency and drift
-    /// are recorded by the job table the moment the last rank reports; this
-    /// method only adds the per-job trace span and refreshes the
-    /// throughput gauge.
+    /// Blocks until job `id` has news ([`JobTable::wait_next`]): the factor
+    /// tiles that became final since the last call, then the job's end.
+    /// Completion counters, latency and drift are recorded by the job table
+    /// the moment the last rank reports; a successful end here only adds the
+    /// per-job trace span and refreshes the throughput gauge.
+    pub fn wait_next(&self, id: JobId) -> JobUpdate {
+        let update = self.table.wait_next(id);
+        if let JobUpdate::Done(Ok(out)) = &update {
+            self.throughput.set(self.jobs_per_sec());
+            let end = self.started.elapsed().as_secs_f64();
+            self.spans.push(TraceEvent {
+                task: id,
+                node: 0,
+                start: (end - out.elapsed.as_secs_f64()).max(0.0),
+                end,
+            });
+        }
+        update
+    }
+
+    /// Blocks until `id` finishes: [`Service::wait_next`] up to the job's
+    /// end, its streamed tiles dropped (the outcome holds them all).
     pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
-        let out = self.table.wait(id)?;
-        self.throughput.set(self.jobs_per_sec());
-        let end = self.started.elapsed().as_secs_f64();
-        self.spans.push(TraceEvent {
-            task: id,
-            node: 0,
-            start: (end - out.elapsed.as_secs_f64()).max(0.0),
-            end,
-        });
-        Ok(out)
+        loop {
+            if let JobUpdate::Done(outcome) = self.wait_next(id) {
+                return outcome;
+            }
+        }
     }
 
     /// Assembles a POTRF job's lower-triangular factor from its outcome; the
@@ -206,7 +229,7 @@ impl Service {
 
     /// The service's metrics registry (`serve.jobs.*`, `serve.job.latency`,
     /// `obs.drift.*`, `planner.cache.{hit,miss}`, `jobs.rank<r>.*`,
-    /// `serve.jobs_per_sec`).
+    /// `serve.jobs_per_sec`, `serve.reply.{streamed,tail}`).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }

@@ -518,3 +518,68 @@ fn a_client_that_hangs_up_mid_batch_strands_no_job() {
     drop(conn);
     server.join().unwrap().unwrap();
 }
+
+/// Each factor tile reaches the client once: streamed in a `JobTiles`
+/// frame while its job ran, or in the job's `JobResult` — never both, never
+/// neither — and `serve.reply.{streamed,tail}` count exactly what was sent.
+#[test]
+fn every_factor_tile_is_sent_once_streamed_or_in_the_tail() {
+    let addr = sock_path("stream");
+    let service = Service::start(ServeConfig::default());
+    let server = {
+        let service = Arc::clone(&service);
+        let addr = addr.clone();
+        std::thread::spawn(move || serve(service, &addr))
+    };
+    let mut conn = loop {
+        match UnixStream::connect(&addr) {
+            Ok(s) => break s,
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    let (nt, batch, seed) = (12usize, 3u32, 40u64);
+    let submit = Frame::JobSubmit {
+        req: 3,
+        op: 0,
+        prio: 0,
+        batch,
+        nt: nt as u32,
+        b: B as u32,
+        seed,
+        seed_rhs: seed ^ 0x5EED,
+    };
+    write_frame(&mut conn, &submit).unwrap();
+    conn.flush().unwrap();
+    let (mut streamed, mut tail) = (0u64, 0u64);
+    let mut job = Vec::new();
+    for k in 0..u64::from(batch) {
+        let tiles = loop {
+            match read_frame(&mut conn).unwrap().expect("an answer").0 {
+                Frame::JobTiles { req: 3, tiles } => {
+                    streamed += tiles.len() as u64;
+                    job.extend(tiles);
+                }
+                Frame::JobResult { req: 3, tiles, .. } => {
+                    tail += tiles.len() as u64;
+                    break tiles;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        };
+        job.extend(tiles);
+        assert!(factor_matches(&job, nt, B, seed + k), "job {k}");
+        job.clear();
+    }
+    assert_eq!(
+        streamed + tail,
+        u64::from(batch) * (nt * (nt + 1) / 2) as u64
+    );
+    let snap = service.metrics().snapshot();
+    assert_eq!(snap.counter("serve.reply.streamed"), Some(streamed));
+    assert_eq!(snap.counter("serve.reply.tail"), Some(tail));
+
+    write_frame(&mut conn, &Frame::Shutdown).unwrap();
+    conn.flush().unwrap();
+    drop(conn);
+    server.join().unwrap().unwrap();
+}

@@ -2,7 +2,7 @@
 
 use crate::task::{Task, TaskId, TileRef, TileSpace};
 use crate::view::RankView;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A transfer of *original* (never written in this graph) tile data from its
@@ -49,6 +49,24 @@ pub enum ResultKind {
     Panel,
     /// Every tile of a full matrix with general, non-symmetric input (LU).
     Full,
+}
+
+impl ResultKind {
+    /// The name of result tile `(i, j)` in a graph of `slices` 2.5D slices:
+    /// the tile a gather collects there (`j` is ignored for a panel).
+    pub fn tile(self, slices: usize, i: usize, j: usize) -> TileRef {
+        let a = |phase: u8| TileRef::A {
+            phase,
+            slice: (j % slices) as u8,
+            i: i as u32,
+            j: j as u32,
+        };
+        match self {
+            ResultKind::Symmetric { phase } => a(phase),
+            ResultKind::Panel => TileRef::B { i: i as u32 },
+            ResultKind::Full => a(0),
+        }
+    }
 }
 
 const WAR_BIT: u32 = 1 << 31;
@@ -103,6 +121,9 @@ pub struct TaskGraph {
     views: Box<[OnceLock<RankView>]>,
     /// [`TaskGraph::priorities`], one entry per (ranking, tile size) asked.
     priorities: Mutex<Vec<Ranked>>,
+    /// Per task: whether it is the last writer of a result tile, marked on
+    /// first use.
+    finals: OnceLock<Box<[bool]>>,
 }
 
 impl TaskGraph {
@@ -192,6 +213,35 @@ impl TaskGraph {
         let bits: Arc<[u32]> = bits.collect();
         memo.push((name, b, Arc::clone(&bits)));
         bits
+    }
+
+    /// The tiles a gather collects, in its order: row by row, the lower
+    /// triangle of a symmetric result, the panel's tiles, or every tile of a
+    /// full one, each named by [`ResultKind::tile`].
+    pub fn result_tiles(&self) -> impl Iterator<Item = TileRef> + '_ {
+        let (nt, kind) = (self.nt, self.result);
+        let cols = move |i: usize| match kind {
+            ResultKind::Symmetric { .. } => 0..=i,
+            ResultKind::Panel => 0..=0,
+            ResultKind::Full => 0..=nt - 1,
+        };
+        (0..nt).flat_map(move |i| cols(i).map(move |j| kind.tile(self.slices, i, j)))
+    }
+
+    /// Whether task `t` is the last writer of a result tile: once it ran,
+    /// that tile holds its final value and no task writes it again (all
+    /// writers of a tile run on its owner, chained in submission order).
+    /// The marks are made on the first call, from [`TaskGraph::result_tiles`].
+    pub fn writes_result(&self, t: TaskId) -> bool {
+        let finals = self.finals.get_or_init(|| {
+            let mut open: HashSet<TileRef> = self.result_tiles().collect();
+            let mut finals = vec![false; self.len()].into_boxed_slice();
+            for (t, task) in self.tasks.iter().enumerate().rev() {
+                finals[t] = open.remove(&task.output(self.slices));
+            }
+            finals
+        });
+        finals[t as usize]
     }
 
     /// Each task's number among its node's tasks in submission order: the
@@ -543,6 +593,7 @@ impl GraphBuilder {
             local: OnceLock::new(),
             views: (0..self.num_nodes).map(|_| OnceLock::new()).collect(),
             priorities: Mutex::new(Vec::new()),
+            finals: OnceLock::new(),
         }
     }
 }
