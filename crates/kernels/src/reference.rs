@@ -30,7 +30,7 @@ impl SplitMix64 {
     }
 
     /// Uniform f64 in [0, 1).
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 

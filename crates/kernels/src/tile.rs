@@ -28,11 +28,13 @@
 //! per process high-water mark, not once per tile: when the last handle on
 //! it drops, it goes onto one process-wide LIFO free list, keyed by length
 //! and bounded by a byte budget (64 MiB; a buffer freed into a full list
-//! goes back to the allocator). [`Tile::zeros`], [`Tile::from_column_major`]
-//! (so the seeded generators and the wire decoder) and the copy-on-write
-//! take from the list before they allocate, and write every element before
-//! the tile is visible. A recycled buffer is neither page-faulted back in
-//! nor zeroed twice. Smaller tiles never touch the list or its lock.
+//! goes back to the allocator). [`Tile::zeros`], [`Tile::from_fill`] (so
+//! the seeded generators and the wire reader), [`Tile::from_column_major`]
+//! and the copy-on-write take from the list before they allocate, and write
+//! every element before the tile is visible. A recycled buffer is neither
+//! page-faulted back in nor zeroed twice, and [`Tile::from_fill`] does not
+//! zero it at all: its caller writes every value. Smaller tiles never
+//! touch the list or its lock.
 //!
 //! Equality stays by value.
 
@@ -171,10 +173,34 @@ impl Tile {
         Tile::from_fn(b, |i, j| if i == j { 1.0 } else { 0.0 })
     }
 
+    /// Creates a tile whose `b * b` column-major values `fill` writes, all
+    /// of them, into the tile's buffer in place: a recycled buffer when the
+    /// free list has one, holding a dropped tile's stale values (so it is
+    /// not zero-filled first), else a fresh zeroed one. The seeded
+    /// generators and the wire reader build their tiles here.
+    pub fn from_fill(b: usize, fill: impl FnOnce(&mut [f64])) -> Self {
+        let Ok(tile) = Tile::try_from_fill::<std::convert::Infallible>(b, |data| {
+            fill(data);
+            Ok(())
+        });
+        tile
+    }
+
+    /// [`Tile::from_fill`] with a fill that may fail, such as a read from
+    /// a stream; a failed fill's buffer goes back to the free list.
+    pub fn try_from_fill<E>(
+        b: usize,
+        fill: impl FnOnce(&mut [f64]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let data = recycled(b * b).unwrap_or_else(|| std::iter::repeat_n(0.0, b * b).collect());
+        let mut tile = Tile { b, data };
+        fill(unique(&mut tile.data))?;
+        Ok(tile)
+    }
+
     /// Creates a tile from `b * b` values in column-major order — a
-    /// `Vec`, or an exact-size iterator (a slice or range adapter, as in
-    /// the wire decoder and the seeded generators), written straight into
-    /// the tile's buffer with no staging `Vec`.
+    /// `Vec`, or an exact-size iterator (a slice or range adapter),
+    /// written straight into the tile's buffer with no staging `Vec`.
     ///
     /// # Panics
     /// Panics if `data` does not yield exactly `b * b` values.
@@ -585,10 +611,11 @@ mod tests {
                 let touched = match op {
                     0 => {
                         let fill = rng.below(1000) as f64;
-                        let t = match rng.below(3) {
+                        let t = match rng.below(4) {
                             0 => Tile::zeros(B),
                             1 => Tile::from_fn(B, |i, j| fill + (i * B + j) as f64),
-                            _ => Tile::from_column_major(B, vec![fill; B * B]),
+                            2 => Tile::from_column_major(B, vec![fill; B * B]),
+                            _ => Tile::from_fill(B, |data| data.fill(fill)),
                         };
                         let want = bits(&t);
                         live.push((t, want));

@@ -60,15 +60,41 @@ static TABLES: [[u32; 256]; 16] = {
 /// the CPU has it and the buffer is long enough, slicing-by-16 otherwise and
 /// for the tail.
 pub fn crc32(data: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if data.len() >= clmul::MIN_LEN && clmul::available() {
-        let whole_lanes = data.len() & !15;
-        // SAFETY: `available()` has just confirmed that this CPU has the
-        // features `fold` is compiled for.
-        let c = unsafe { clmul::fold(0xFFFF_FFFF, &data[..whole_lanes]) };
-        return sliced(c, &data[whole_lanes..]) ^ 0xFFFF_FFFF;
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A CRC-32 taken over several pieces in order: the value [`crc32`] gives
+/// for their concatenation, without concatenating them. The frame writer
+/// and reader chain it over a frame's fixed fields and its tiles' words.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    /// The CRC of nothing yet.
+    pub(crate) fn new() -> Crc32 {
+        Crc32(0xFFFF_FFFF)
     }
-    sliced(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+
+    /// Continues the CRC over `data`.
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= clmul::MIN_LEN && clmul::available() {
+            let whole_lanes = data.len() & !15;
+            // SAFETY: `available()` has just confirmed that this CPU has the
+            // features `fold` is compiled for.
+            let c = unsafe { clmul::fold(self.0, &data[..whole_lanes]) };
+            self.0 = sliced(c, &data[whole_lanes..]);
+            return;
+        }
+        self.0 = sliced(self.0, data);
+    }
+
+    /// The CRC of everything passed to [`Crc32::update`].
+    pub(crate) fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
 }
 
 /// One byte-at-a-time step of the raw (un-inverted) CRC state.
@@ -238,6 +264,23 @@ mod tests {
                 let expect = bytewise(data);
                 assert_eq!(portable(data), expect, "sliced, offset {offset} len {len}");
                 assert_eq!(crc32(data), expect, "dispatch, offset {offset} len {len}");
+            }
+        }
+    }
+
+    /// Chained over any split of a buffer, whatever path each piece takes,
+    /// the CRC is the one-shot CRC of the whole.
+    #[test]
+    fn a_chained_crc_is_the_crc_of_the_concatenation() {
+        let buf = bytes_of(600, 0xFEED);
+        for first in [0, 1, 15, 63, 64, 65, 200, 600] {
+            for second in [0, 3, 64, 130] {
+                let second = (first + second).min(buf.len());
+                let mut crc = Crc32::new();
+                crc.update(&buf[..first]);
+                crc.update(&buf[first..second]);
+                crc.update(&buf[second..]);
+                assert_eq!(crc.finish(), bytewise(&buf), "split at {first}, {second}");
             }
         }
     }

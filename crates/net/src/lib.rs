@@ -19,11 +19,12 @@
 //!   frames, tile payloads as raw `f64` words, CRC32 integrity check. A
 //!   frame is written to the peer's socket by the thread that sends it, so
 //!   the socket buffer is the backpressure window and a send to a peer that
-//!   hung up returns `None`. Send buffers come from a per-transport
-//!   [`BufferPool`] and frames are laid down in place with
-//!   [`wire::encode_into`], so a steady-state payload send performs zero
-//!   fresh heap allocations (see [`PoolStats`]). One reader thread per
-//!   inbound connection feeds the same channel inbox `InProc` receives
+//!   hung up returns `None`. A frame's fixed bytes are laid out in a
+//!   buffer from a per-transport [`BufferPool`] and written beside the
+//!   tile's own words, so a steady-state payload send performs zero fresh
+//!   heap allocations (see [`PoolStats`]) and copies no tile word. One
+//!   reader thread per inbound connection reads each tile's words straight
+//!   into its tile and feeds the same channel inbox `InProc` receives
 //!   through.
 //! * [`Faulty`] — a wrapper injecting drops, duplicates and delays into
 //!   payload-carrying sends for the failure-injection tests.

@@ -1,13 +1,14 @@
 //! A checkout/return pool of frame buffers: the allocation backstop of the
 //! payload hot path.
 //!
-//! Every stream send encodes its frame into a [`PooledBuf`] checked out of
-//! the transport's [`BufferPool`] instead of a fresh `Vec<u8>`. The sending
-//! thread writes the buffer to the socket and drops it, returning it to the
-//! pool with its capacity intact — so once the pool has warmed up to the
-//! run's working set (one buffer per send in progress), a steady-state
-//! payload send performs **zero fresh heap allocations**: `encode_into`
-//! reuses the returned buffer's capacity.
+//! Every stream send lays its frame's fixed bytes and CRC trailer out in a
+//! [`PooledBuf`] checked out of the transport's [`BufferPool`] instead of a
+//! fresh `Vec<u8>` (the tile's words go to the socket from the tile). The
+//! sending thread writes the frame and drops the buffer, returning it to
+//! the pool with its capacity intact — so once the pool has warmed up to
+//! the run's working set (one buffer per send in progress), a steady-state
+//! payload send performs **zero fresh heap allocations**: the layout reuses
+//! the returned buffer's capacity.
 //!
 //! The pool keeps exact counters — [`PoolStats::hits`] (checkout served
 //! from a returned buffer), [`PoolStats::misses`] (pool empty, fresh buffer

@@ -7,8 +7,9 @@
 //! between a reader and a writer.
 //!
 //! A frame is written by the thread that sends it: [`Transport::send`]
-//! encodes into a pooled buffer outside any lock, then `write_all`s it to
-//! the peer's outbound stream under that peer's mutex, on the caller's
+//! lays its fixed bytes and CRC out in a pooled buffer outside any lock,
+//! then writes them and the tile's own words to the peer's outbound stream
+//! (one `write_vectored` loop) under that peer's mutex, on the caller's
 //! thread. The socket buffer is the backpressure window — a sender to a
 //! slow peer blocks in the write — and a peer that hung up fails the write,
 //! so `send` returns `None` from then on. One reader thread per inbound
@@ -34,7 +35,7 @@ use crate::pool::{BufferPool, PoolStats};
 use crate::sock::{connect_retry, Backend, Conn, Listener};
 use crate::transport::{StatsCell, Traffic, Transport, TransportStats};
 use crate::wire::{self, Frame};
-use std::io::{self, Write};
+use std::io;
 use std::sync::{Arc, Mutex};
 use std::task::Waker;
 use std::time::{Duration, Instant};
@@ -183,14 +184,16 @@ impl Transport for StreamTransport {
     fn send(&self, dest: NodeId, msg: Message) -> Option<u64> {
         let traffic = Traffic::of(&msg);
         let frame = Frame::from_message(msg);
-        // encode in place into a buffer checked out of this transport's
-        // pool, before taking the peer's lock
+        // lay the fixed bytes out and take the CRC, into a buffer checked
+        // out of this transport's pool, before taking the peer's lock; the
+        // tile's words go to the socket from the tile itself
         let mut buf = self.pool.checkout();
-        let frame_bytes = wire::encode_into(&frame, &mut buf) as u64;
+        let out = wire::prepare_write(&frame, &mut buf);
+        let frame_bytes = out.len() as u64;
         let mut peer = self.peers[dest as usize]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if peer.as_mut()?.write_all(&buf).is_err() {
+        if out.write_to(peer.as_mut()?).is_err() {
             // the peer hung up: close our end too
             *peer = None;
             return None;

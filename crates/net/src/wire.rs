@@ -12,14 +12,25 @@
 //! of [`Tile::as_slice`] (bit-exact — what arrives is what was sent, so
 //! multi-process factors stay bit-identical to sequential ones).
 //!
+//! There is one writer and one reader. The writer lays a frame's fixed
+//! bytes (header, fields, tile names and dimensions, trailer) out in a
+//! caller-owned buffer and writes them with each tile's own words, viewed
+//! as little-endian bytes, in one `write_vectored` loop
+//! ([`write_frame_with`]); the reader reads the fixed bytes into a scratch
+//! buffer and each tile's words straight into a (recycled) tile buffer
+//! ([`read_frame_into`]). So no tile word is copied in user space on its
+//! way through a socket. [`encode_into`] and [`decode`] are the same writer
+//! into a `Vec` and the same reader over a slice: one serializer, one
+//! parser. A big-endian CPU takes a per-word byte swap inside them.
+//!
 //! Every tile that crosses a socket is checksummed twice (sender, reader
-//! thread), so [`crc32`] sets the codec's speed; how it is computed —
-//! slicing-by-16 everywhere, carry-less-multiply folding where the CPU has
-//! it — is in its module. Tile bodies are copied in bulk, so encode and
-//! decode run at about the CRC's speed (`net.{crc32,encode,decode}_mb_s` in
-//! `perf/`). The algorithm may change again; the *value* may not: the
-//! trailer stays CRC-32/ISO-HDLC as zlib computes it, and the bytes of a
-//! frame are pinned by a golden test.
+//! thread), chained over the fixed bytes and the words where they lie, so
+//! [`crc32`] sets the codec's speed; how it is computed — slicing-by-16
+//! everywhere, carry-less-multiply folding where the CPU has it — is in its
+//! module. Encode and decode are one CRC pass and one memcpy
+//! (`net.{crc32,encode,decode}_mb_s` in `perf/`). The algorithm may change
+//! again; the *value* may not: the trailer stays CRC-32/ISO-HDLC as zlib
+//! computes it, and the bytes of a frame are pinned by a golden test.
 //!
 //! | tag | frame | body |
 //! |-----|-------|------|
@@ -60,10 +71,11 @@
 //! deliberately does not depend on `sbc-obs`; the codes are the contract).
 
 pub use crate::crc::crc32;
+use crate::crc::Crc32;
 use crate::msg::{Message, NodeId, Payload, PeerStats};
 use sbc_kernels::Tile;
 use sbc_taskgraph::{TaskId, TileRef};
-use std::io::Read;
+use std::io::{IoSlice, IoSliceMut, Read};
 
 /// Upper bound on a frame body; anything larger is rejected before
 /// allocation (a corrupt length field must not OOM the receiver).
@@ -346,45 +358,71 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// A little-endian writer appending a frame body to a caller-owned buffer.
-///
-/// This is the single serialization surface of the protocol: every field
-/// kind the wire knows (integers, strings, tile refs, raw tile words) goes
-/// through one of these methods, and [`encode_into`] drives it directly
-/// over the output buffer — the body is laid down in place after the
-/// header, with no intermediate body `Vec`.
-struct FrameWriter<'a> {
-    out: &'a mut Vec<u8>,
+/// The bytes of `words` as the wire carries them, little-endian — which is
+/// how a little-endian CPU holds them, so the view is the words themselves.
+#[cfg(target_endian = "little")]
+fn le_bytes(words: &[f64]) -> &[u8] {
+    // SAFETY: an `f64` is eight initialized bytes with no padding, `u8` has
+    // alignment 1, and the view borrows `words` for as long as it lives.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), size_of_val(words)) }
 }
 
-impl FrameWriter<'_> {
+/// The bytes of `words`, for a read to overwrite with a tile's wire bytes
+/// ([`words_from_le`] then puts each word in the CPU's byte order).
+fn bytes_mut(words: &mut [f64]) -> &mut [u8] {
+    // SAFETY: as for `le_bytes`, and every pattern of eight bytes is a valid
+    // `f64`, so whatever is written through the view leaves valid values.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), size_of_val(words)) }
+}
+
+/// Turns words whose bytes came off the wire into values: nothing to do on
+/// a little-endian CPU, a byte swap per word on a big-endian one.
+fn words_from_le(words: &mut [f64]) {
+    #[cfg(target_endian = "big")]
+    for w in words.iter_mut() {
+        *w = f64::from_bits(u64::from_le(w.to_bits()));
+    }
+    #[cfg(target_endian = "little")]
+    let _ = words;
+}
+
+/// Where [`lay_out`] puts a frame body: its fixed bytes (fields, names,
+/// dimensions) and, apart from them, each tile's words.
+///
+/// This is the single serialization surface of the protocol: every field
+/// kind the wire knows goes through one of these methods, and every way a
+/// frame leaves this crate — [`encode_into`]'s buffer, or a socket through
+/// [`write_frame_with`] — is a sink of one [`lay_out`].
+trait Sink<'f> {
+    /// Fixed bytes, in wire order.
+    fn fixed(&mut self, bytes: &[u8]);
+
+    /// A tile's words, which travel little-endian.
+    fn words(&mut self, words: &'f [f64]);
+
     fn u8(&mut self, v: u8) {
-        self.out.push(v);
+        self.fixed(&[v]);
     }
 
     fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.fixed(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.fixed(&v.to_le_bytes());
     }
 
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
+        self.fixed(s.as_bytes());
     }
 
-    fn tile(&mut self, t: &Tile) {
+    fn tile(&mut self, t: &'f Tile) {
         self.u32(t.dim() as u32);
-        // an exact-size iterator: one reserve, then a copy the compiler
-        // turns into a memcpy on little-endian targets (`to_le_bytes` keeps
-        // every bit, NaN payloads included)
-        self.out
-            .extend(t.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+        self.words(t.as_slice());
     }
 
-    fn tiles(&mut self, tiles: &[(TileRef, Tile)]) {
+    fn tiles(&mut self, tiles: &'f [(TileRef, Tile)]) {
         self.u32(tiles.len() as u32);
         for (r, t) in tiles {
             self.tile_ref(*r);
@@ -406,22 +444,603 @@ impl FrameWriter<'_> {
     }
 }
 
-/// A bounds-checked little-endian reader over a frame body.
-struct Body<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Lays the body of `f` down into `s`, returning the frame's tag.
+fn lay_out<'f>(f: &'f Frame, s: &mut impl Sink<'f>) -> u8 {
+    match f {
+        Frame::Hello { src } => {
+            s.u32(*src);
+            TAG_HELLO
+        }
+        Frame::Payload {
+            src,
+            payload:
+                Payload::Data {
+                    job,
+                    producer,
+                    tile,
+                },
+        } => {
+            s.u32(*src);
+            s.u32(*job);
+            s.u32(*producer);
+            s.tile(tile);
+            TAG_DATA
+        }
+        Frame::Payload {
+            src,
+            payload:
+                Payload::Orig {
+                    job,
+                    tile_ref,
+                    tile,
+                },
+        } => {
+            s.u32(*src);
+            s.u32(*job);
+            s.tile_ref(*tile_ref);
+            s.tile(tile);
+            TAG_ORIG
+        }
+        Frame::Poison => TAG_POISON,
+        Frame::Result { tile_ref, tile } => {
+            s.tile_ref(*tile_ref);
+            s.tile(tile);
+            TAG_RESULT
+        }
+        Frame::Done { src, stats } => {
+            s.u32(*src);
+            s.u64(stats.sent);
+            s.u64(stats.sent_bytes);
+            s.u64(stats.applied);
+            TAG_DONE
+        }
+        Frame::Addr { src, addr } => {
+            s.u32(*src);
+            s.str(addr);
+            TAG_ADDR
+        }
+        Frame::Table { addrs } => {
+            s.u32(addrs.len() as u32);
+            for a in addrs {
+                s.str(a);
+            }
+            TAG_TABLE
+        }
+        Frame::Seq {
+            src,
+            seq,
+            payload:
+                Payload::Data {
+                    job,
+                    producer,
+                    tile,
+                },
+        } => {
+            s.u32(*src);
+            s.u64(*seq);
+            s.u32(*job);
+            s.u32(*producer);
+            s.tile(tile);
+            TAG_SEQ_DATA
+        }
+        Frame::Seq {
+            src,
+            seq,
+            payload:
+                Payload::Orig {
+                    job,
+                    tile_ref,
+                    tile,
+                },
+        } => {
+            s.u32(*src);
+            s.u64(*seq);
+            s.u32(*job);
+            s.tile_ref(*tile_ref);
+            s.tile(tile);
+            TAG_SEQ_ORIG
+        }
+        Frame::Ack { src, upto } => {
+            s.u32(*src);
+            s.u64(*upto);
+            TAG_ACK
+        }
+        Frame::JobSubmit {
+            req,
+            op,
+            prio,
+            batch,
+            nt,
+            b,
+            seed,
+            seed_rhs,
+        } => {
+            s.u32(*req);
+            s.u8(*op);
+            s.u8(*prio);
+            s.u32(*batch);
+            s.u32(*nt);
+            s.u32(*b);
+            s.u64(*seed);
+            s.u64(*seed_rhs);
+            TAG_JOB_SUBMIT
+        }
+        Frame::JobStatus { req, state, info } => {
+            s.u32(*req);
+            s.u8(*state);
+            s.str(info);
+            TAG_JOB_STATUS
+        }
+        Frame::JobResult {
+            req,
+            messages,
+            bytes,
+            elapsed_ns,
+            plan_cached,
+            tiles,
+        } => {
+            s.u32(*req);
+            s.u64(*messages);
+            s.u64(*bytes);
+            s.u64(*elapsed_ns);
+            s.u8(*plan_cached);
+            s.tiles(tiles);
+            TAG_JOB_RESULT
+        }
+        Frame::JobTiles { req, tiles } => {
+            s.u32(*req);
+            s.tiles(tiles);
+            TAG_JOB_TILES
+        }
+        Frame::Shutdown => TAG_SHUTDOWN,
+        Frame::StatsRequest => TAG_STATS_REQUEST,
+        Frame::StatsReply { text } => {
+            s.str(text);
+            TAG_STATS_REPLY
+        }
+        Frame::EventsRequest { max } => {
+            s.u32(*max);
+            TAG_EVENTS_REQUEST
+        }
+        Frame::EventsReply { events } => {
+            s.u32(events.len() as u32);
+            for e in events {
+                s.u64(e.seq);
+                s.u64(e.t.to_bits());
+                s.u8(e.severity);
+                s.u8(e.kind);
+                s.u32(e.job);
+                s.str(&e.detail);
+            }
+            TAG_EVENTS_REPLY
+        }
+    }
 }
 
-impl<'a> Body<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(FrameError::BadBody("body shorter than its layout"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+/// Counts a body's bytes.
+struct Count(usize);
+
+impl Sink<'_> for Count {
+    fn fixed(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn words(&mut self, words: &[f64]) {
+        self.0 += size_of_val(words);
+    }
+}
+
+/// Appends a frame's fixed bytes to a buffer, and its words too when
+/// `inline` (or on a big-endian CPU, whose words are not wire bytes), and
+/// chains the CRC over all of them in wire order.
+struct Fixed<'b> {
+    buf: &'b mut Vec<u8>,
+    inline: bool,
+    crc: Crc32,
+    /// How much of `buf` the CRC has taken.
+    taken: usize,
+}
+
+impl Sink<'_> for Fixed<'_> {
+    fn fixed(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn words(&mut self, words: &[f64]) {
+        #[cfg(target_endian = "little")]
+        if self.inline {
+            self.buf.extend_from_slice(le_bytes(words));
+        } else {
+            self.crc.update(&self.buf[self.taken..]);
+            self.taken = self.buf.len();
+            self.crc.update(le_bytes(words));
+        }
+        #[cfg(target_endian = "big")]
+        for w in words {
+            self.buf.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+}
+
+/// Lays `f` out into `buf`, reusing its capacity — header, fixed bytes and
+/// CRC trailer, and the tiles' words too when `inline` — and returns the
+/// frame's size on the wire.
+fn prepare(f: &Frame, buf: &mut Vec<u8>, inline: bool) -> usize {
+    let mut count = Count(0);
+    let tag = lay_out(f, &mut count);
+    buf.clear();
+    buf.push(tag);
+    buf.extend_from_slice(&(count.0 as u32).to_le_bytes());
+    let mut fixed = Fixed {
+        buf,
+        inline,
+        crc: Crc32::new(),
+        taken: 0,
+    };
+    lay_out(f, &mut fixed);
+    let Fixed {
+        buf,
+        mut crc,
+        taken,
+        ..
+    } = fixed;
+    crc.update(&buf[taken..]);
+    buf.extend_from_slice(&crc.finish().to_le_bytes());
+    5 + count.0 + 4
+}
+
+/// Serializes a frame into `out`, reusing its capacity: the frame's fixed
+/// bytes and its tiles' words, copied in bulk, in wire order, and the CRC
+/// trailer. Returns the encoded size. The same layout as a frame written to
+/// a socket by [`write_frame_with`], byte for byte.
+pub fn encode_into(f: &Frame, out: &mut Vec<u8>) -> usize {
+    prepare(f, out, true)
+}
+
+/// Serializes a frame into a fresh buffer. Convenience wrapper over
+/// [`encode_into`] for cold paths (setup, tests).
+pub fn encode(f: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(f, &mut out);
+    out
+}
+
+/// Pieces one `write_vectored` call takes at most.
+const PIECES: usize = 64;
+
+/// Writes a prepared frame: the runs of its fixed bytes between its tiles,
+/// and each tile's own words, queued as pieces and written with
+/// `write_vectored` until all are out.
+struct Pieces<'f, 'w, W: ?Sized> {
+    w: &'w mut W,
+    /// The frame's fixed bytes and trailer, as [`prepare`] laid them.
+    fixed: &'f [u8],
+    /// End of the fixed bytes the layout has passed.
+    at: usize,
+    /// End of the fixed bytes queued.
+    queued_to: usize,
+    queue: [IoSlice<'f>; PIECES],
+    queued: usize,
+    result: std::io::Result<()>,
+}
+
+impl<'f, W: std::io::Write + ?Sized> Pieces<'f, '_, W> {
+    fn push(&mut self, piece: &'f [u8]) {
+        if piece.is_empty() {
+            return;
+        }
+        if self.queued == PIECES {
+            self.flush();
+        }
+        self.queue[self.queued] = IoSlice::new(piece);
+        self.queued += 1;
+    }
+
+    /// Queues the fixed bytes up to where the layout is.
+    fn push_fixed(&mut self) {
+        let fixed = self.fixed;
+        self.push(&fixed[self.queued_to..self.at]);
+        self.queued_to = self.at;
+    }
+
+    fn flush(&mut self) {
+        let mut queue = &mut self.queue[..self.queued];
+        self.queued = 0;
+        while self.result.is_ok() && !queue.is_empty() {
+            match self.w.write_vectored(queue) {
+                Ok(0) => self.result = Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut queue, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => self.result = Err(e),
+            }
+        }
+    }
+}
+
+impl<'f, W: std::io::Write + ?Sized> Sink<'f> for Pieces<'f, '_, W> {
+    fn fixed(&mut self, bytes: &[u8]) {
+        self.at += bytes.len();
+    }
+
+    fn words(&mut self, words: &'f [f64]) {
+        #[cfg(target_endian = "little")]
+        {
+            self.push_fixed();
+            self.push(le_bytes(words));
+        }
+        // the fixed bytes hold the words already, in wire order
+        #[cfg(target_endian = "big")]
+        {
+            self.at += size_of_val(words);
+        }
+    }
+}
+
+/// A frame laid out for a stream: its fixed bytes and CRC trailer in a
+/// caller-owned (pooled) buffer, its tiles' words left in the tiles.
+pub(crate) struct Outgoing<'f> {
+    frame: &'f Frame,
+    fixed: &'f [u8],
+    len: usize,
+}
+
+/// Lays `f` out into `buf` for [`Outgoing::write_to`]: everything that
+/// takes time but the write, so a caller can do it before it takes the
+/// stream's lock.
+pub(crate) fn prepare_write<'f>(f: &'f Frame, buf: &'f mut Vec<u8>) -> Outgoing<'f> {
+    let len = prepare(f, buf, false);
+    Outgoing {
+        frame: f,
+        fixed: buf,
+        len,
+    }
+}
+
+impl Outgoing<'_> {
+    /// The frame's size on the wire.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Writes the frame: one `write_vectored` loop over its fixed bytes and
+    /// its tiles' words, which are not copied.
+    pub(crate) fn write_to(&self, w: &mut (impl std::io::Write + ?Sized)) -> std::io::Result<()> {
+        let mut out = Pieces {
+            w,
+            fixed: self.fixed,
+            at: 5,
+            queued_to: 0,
+            queue: [IoSlice::new(&[]); PIECES],
+            queued: 0,
+            result: Ok(()),
+        };
+        lay_out(self.frame, &mut out);
+        out.at = self.fixed.len();
+        out.push_fixed();
+        out.flush();
+        out.result
+    }
+}
+
+/// Frame bytes a read takes when it should take all that is left.
+const ALL: usize = usize::MAX;
+
+/// Fixed bytes a frame reader takes in one read before it grows its
+/// scratch only as fast as bytes arrive.
+const READ_CHUNK: usize = 64 << 10;
+
+/// How the fixed bytes of a frame sit around its tiles' words, which tells
+/// the reader how much to ask for before the first tile.
+enum Layout {
+    /// No tile: the whole body is fixed bytes.
+    Flat,
+    /// One tile, after `head` fixed bytes (its dimension last) and before
+    /// none: the frame's length says the tile's dimension.
+    One { head: usize },
+    /// A `count u32, (tile_ref, tile)*` list after the other fields, `head`
+    /// fixed bytes up to and including the first tile's dimension.
+    List { head: usize },
+}
+
+/// Bytes of a `tile_ref` and a tile's dimension.
+const TILE_NAME: usize = 11 + 4;
+
+fn layout(tag: u8) -> Layout {
+    match tag {
+        TAG_DATA => Layout::One { head: 3 * 4 + 4 },
+        TAG_ORIG => Layout::One {
+            head: 2 * 4 + TILE_NAME,
+        },
+        TAG_RESULT => Layout::One { head: TILE_NAME },
+        TAG_SEQ_DATA => Layout::One {
+            head: 4 + 8 + 2 * 4 + 4,
+        },
+        TAG_SEQ_ORIG => Layout::One {
+            head: 4 + 8 + 4 + TILE_NAME,
+        },
+        TAG_JOB_TILES => Layout::List {
+            head: 2 * 4 + TILE_NAME,
+        },
+        TAG_JOB_RESULT => Layout::List {
+            head: 4 + 3 * 8 + 1 + 4 + TILE_NAME,
+        },
+        _ => Layout::Flat,
+    }
+}
+
+/// Reads a frame body off a stream: its fixed bytes into the caller's
+/// scratch, each tile's words straight into the tile's buffer, and the
+/// CRC chained over both in wire order.
+///
+/// The parser asks for fields one by one; the reads come in runs — the
+/// fixed bytes up to the next tile's words, then those words and the fixed
+/// bytes after them in one `read_vectored` — and each run ends at the
+/// frame's end, so nothing past the frame is ever read. A tile's dimension
+/// is checked against the bytes the frame has left before a buffer is
+/// taken for it, and a run that reaches the frame's end checks the CRC
+/// before the parser sees a field of it.
+struct Body<'a, R: ?Sized> {
+    r: &'a mut R,
+    /// The header, then the fixed body bytes read so far, then the trailer
+    /// once read (at `end`).
+    buf: &'a mut Vec<u8>,
+    /// Parse position in `buf`.
+    pos: usize,
+    /// End of the body bytes in `buf`.
+    end: usize,
+    /// Body bytes not yet read.
+    unread: usize,
+    crc: Crc32,
+    /// Set once the trailer is read: whether the CRC matched.
+    checked: Option<Result<(), FrameError>>,
+    /// Set when the stream failed: every later read fails the same way.
+    broken: Option<FrameError>,
+    /// A one-tile frame's tile, read with the frame's fixed bytes.
+    ready: Option<Tile>,
+}
+
+impl<'a, R: Read + ?Sized> Body<'a, R> {
+    /// A body of `len` bytes after the header in `buf[..5]`.
+    fn new(r: &'a mut R, buf: &'a mut Vec<u8>, len: usize) -> Self {
+        let mut crc = Crc32::new();
+        crc.update(&buf[..5]);
+        Body {
+            r,
+            buf,
+            pos: 5,
+            end: 5,
+            unread: len,
+            crc,
+            checked: None,
+            broken: None,
+            ready: None,
+        }
+    }
+
+    /// Reads the frame's next bytes: `pre` fixed bytes, the bytes of
+    /// `words`, then `post` fixed bytes, each run cut at the body's end —
+    /// and the trailer, when the read reaches that end, whose CRC it then
+    /// checks. Once the trailer is read there is nothing left to read.
+    ///
+    /// Fixed bytes beyond [`READ_CHUNK`] come in reads of at most as many
+    /// as the scratch already holds, so the scratch grows with the bytes
+    /// that arrive, not with what a (possibly corrupt) length announces.
+    fn read(&mut self, pre: usize, words: &mut [u8], post: usize) -> Result<(), FrameError> {
+        let chunk = |body: &Self| READ_CHUNK.max(body.end);
+        let mut pre = pre.min(self.unread);
+        while pre > chunk(self) {
+            let step = chunk(self);
+            self.read_once(step, &mut [], 0)?;
+            pre -= step;
+        }
+        let mut post = post.min(self.unread.saturating_sub(pre + words.len()));
+        let first = post.min(chunk(self));
+        self.read_once(pre, words, first)?;
+        post -= first;
+        while post > 0 {
+            let step = post.min(chunk(self));
+            self.read_once(0, &mut [], step)?;
+            post -= step;
+        }
+        Ok(())
+    }
+
+    /// One `read_parts` of [`Body::read`].
+    fn read_once(&mut self, pre: usize, words: &mut [u8], post: usize) -> Result<(), FrameError> {
+        if let Some(e) = &self.broken {
+            return Err(e.clone());
+        }
+        if self.checked.is_some() {
+            return Ok(());
+        }
+        let pre = pre.min(self.unread);
+        assert!(
+            words.len() <= self.unread - pre,
+            "tile words past the body's end"
+        );
+        let post = post.min(self.unread - pre - words.len());
+        let ends = pre + words.len() + post == self.unread;
+        let trailer = if ends { 4 } else { 0 };
+        let (start, mid) = (self.end, self.end + pre);
+        let need = mid + post + trailer;
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        }
+        let (head, tail) = self.buf.split_at_mut(mid);
+        let mut parts = [
+            IoSliceMut::new(&mut head[start..]),
+            IoSliceMut::new(words),
+            IoSliceMut::new(&mut tail[..post + trailer]),
+        ];
+        if let Err(e) = read_parts(self.r, &mut parts) {
+            self.broken = Some(e.clone());
+            return Err(e);
+        }
+        self.crc.update(&self.buf[start..mid]);
+        self.crc.update(words);
+        self.crc.update(&self.buf[mid..mid + post]);
+        self.end = mid + post;
+        self.unread -= pre + words.len() + post;
+        if ends {
+            let stored = u32::from_le_bytes(self.buf[self.end..need].try_into().unwrap());
+            let computed = self.crc.finish();
+            let checked = if computed == stored {
+                Ok(())
+            } else {
+                Err(FrameError::BadCrc { computed, stored })
+            };
+            self.checked = Some(checked.clone());
+            checked?;
+        }
+        Ok(())
+    }
+
+    /// The first run: everything when the frame holds no tile; else the
+    /// fixed bytes up to the first tile's words — and, when the frame's
+    /// length says a one-tile frame's dimension, the tile and the trailer
+    /// too.
+    fn start(&mut self, tag: u8) -> Result<(), FrameError> {
+        let head = match layout(tag) {
+            Layout::Flat => ALL,
+            Layout::List { head } => head,
+            Layout::One { head } => {
+                let dim = self.unread.checked_sub(head).and_then(|bytes| {
+                    let dim = (bytes / 8).isqrt();
+                    (dim * dim * 8 == bytes).then_some(dim)
+                });
+                let Some(dim) = dim else {
+                    // no tile fits: the parser finds where the body breaks
+                    return self.read(head, &mut [], 0);
+                };
+                let tile = Tile::try_from_fill(dim, |words| {
+                    self.read(head, bytes_mut(words), ALL)?;
+                    words_from_le(words);
+                    Ok(())
+                })?;
+                self.ready = Some(tile);
+                return Ok(());
+            }
+        };
+        self.read(head, &mut [], 0)
+    }
+
+    /// Reads whatever of the frame is left, for a parse that is over.
+    fn finish(&mut self) -> Result<(), FrameError> {
+        if self.checked.is_none() {
+            self.read(ALL, &mut [], 0)?;
+        }
+        self.checked.clone().unwrap_or(Ok(()))
+    }
+
+    fn take(&mut self, n: usize) -> Result<&[u8], FrameError> {
+        if self.end - self.pos < n {
+            self.read(ALL, &mut [], 0)?;
+        }
+        if self.end - self.pos < n {
+            return Err(FrameError::BadBody("body shorter than its layout"));
+        }
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
     }
 
     fn u8(&mut self) -> Result<u8, FrameError> {
@@ -442,21 +1061,35 @@ impl<'a> Body<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadBody("non-UTF-8 string"))
     }
 
-    fn tile(&mut self) -> Result<Tile, FrameError> {
+    /// A tile, then `post` more fixed bytes read with its words.
+    fn tile(&mut self, post: usize) -> Result<Tile, FrameError> {
         let dim = self.u32()? as usize;
+        if let Some(tile) = self.ready.take() {
+            if tile.dim() != dim {
+                return Err(FrameError::BadBody(
+                    "tile dimension disagrees with the frame length",
+                ));
+            }
+            return Ok(tile);
+        }
         // `dim` is untrusted: `dim² · 8` must neither overflow nor exceed
         // the body before anything is sized by it
         let len = dim
             .checked_mul(dim)
             .and_then(|words| words.checked_mul(8))
+            .filter(|&len| len <= self.end - self.pos + self.unread)
             .ok_or(FrameError::BadBody("tile dimension overflows its body"))?;
-        let raw = self.take(len)?;
-        // exact-size iterator again: the tile's one allocation and a
-        // memcpy-speed copy into it
-        let words = raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
-        Ok(Tile::from_column_major(dim, words))
+        // bytes a run already read past the fixed fields (only a malformed
+        // frame's) are the tile's first
+        let held = len.min(self.end - self.pos);
+        Tile::try_from_fill(dim, |words| {
+            let bytes = bytes_mut(words);
+            bytes[..held].copy_from_slice(&self.buf[self.pos..self.pos + held]);
+            self.pos += held;
+            self.read(0, &mut bytes[held..], post)?;
+            words_from_le(words);
+            Ok(())
+        })
     }
 
     /// A `count u32, (tile_ref, tile)*` list, its count checked against
@@ -466,10 +1099,12 @@ impl<'a> Body<'a> {
         if count > MAX_BODY as usize / 16 {
             return Err(FrameError::BadBody("result tile count overflows its body"));
         }
-        let mut tiles = Vec::with_capacity(count);
-        for _ in 0..count {
+        let left = self.end - self.pos + self.unread;
+        let mut tiles = Vec::with_capacity(count.min(left / TILE_NAME));
+        for k in 0..count {
             let r = self.tile_ref()?;
-            let t = self.tile()?;
+            // the next tile's name comes with this tile's words
+            let t = self.tile(if k + 1 < count { TILE_NAME } else { ALL })?;
             tiles.push((r, t));
         }
         Ok(tiles)
@@ -490,7 +1125,7 @@ impl<'a> Body<'a> {
     }
 
     fn done(&mut self) -> Result<(), FrameError> {
-        if self.pos == self.buf.len() {
+        if self.pos == self.end && self.unread == 0 {
             Ok(())
         } else {
             Err(FrameError::BadBody("trailing bytes after the body layout"))
@@ -498,213 +1133,34 @@ impl<'a> Body<'a> {
     }
 }
 
-/// Serializes a frame into `out`, reusing its capacity: the buffer is
-/// cleared, the tag and a length placeholder go down first, the body is
-/// written in place, the length is patched at
-/// `out[1..5]` and the CRC trailer appended. Returns the encoded size.
-///
-/// This is the hot-path entry point — paired with a pooled buffer
-/// ([`crate::BufferPool`]) a steady-state send allocates nothing.
-pub fn encode_into(f: &Frame, out: &mut Vec<u8>) -> usize {
-    out.clear();
-    out.push(0); // tag, patched below
-    out.extend_from_slice(&[0u8; 4]); // body length, patched below
-    let mut w = FrameWriter { out };
-    let tag = match f {
-        Frame::Hello { src } => {
-            w.u32(*src);
-            TAG_HELLO
-        }
-        Frame::Payload {
-            src,
-            payload:
-                Payload::Data {
-                    job,
-                    producer,
-                    tile,
-                },
-        } => {
-            w.u32(*src);
-            w.u32(*job);
-            w.u32(*producer);
-            w.tile(tile);
-            TAG_DATA
-        }
-        Frame::Payload {
-            src,
-            payload:
-                Payload::Orig {
-                    job,
-                    tile_ref,
-                    tile,
-                },
-        } => {
-            w.u32(*src);
-            w.u32(*job);
-            w.tile_ref(*tile_ref);
-            w.tile(tile);
-            TAG_ORIG
-        }
-        Frame::Poison => TAG_POISON,
-        Frame::Result { tile_ref, tile } => {
-            w.tile_ref(*tile_ref);
-            w.tile(tile);
-            TAG_RESULT
-        }
-        Frame::Done { src, stats } => {
-            w.u32(*src);
-            w.u64(stats.sent);
-            w.u64(stats.sent_bytes);
-            w.u64(stats.applied);
-            TAG_DONE
-        }
-        Frame::Addr { src, addr } => {
-            w.u32(*src);
-            w.str(addr);
-            TAG_ADDR
-        }
-        Frame::Table { addrs } => {
-            w.u32(addrs.len() as u32);
-            for a in addrs {
-                w.str(a);
+/// `read_exact` over several buffers: `read_vectored` until all are full.
+fn read_parts(
+    r: &mut (impl Read + ?Sized),
+    mut parts: &mut [IoSliceMut<'_>],
+) -> Result<(), FrameError> {
+    IoSliceMut::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match r.read_vectored(parts) {
+            Ok(0) => return Err(FrameError::Truncated),
+            Ok(n) => IoSliceMut::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                return Err(FrameError::Truncated)
             }
-            TAG_TABLE
+            Err(e) => return Err(FrameError::Io(e.kind())),
         }
-        Frame::Seq {
-            src,
-            seq,
-            payload:
-                Payload::Data {
-                    job,
-                    producer,
-                    tile,
-                },
-        } => {
-            w.u32(*src);
-            w.u64(*seq);
-            w.u32(*job);
-            w.u32(*producer);
-            w.tile(tile);
-            TAG_SEQ_DATA
-        }
-        Frame::Seq {
-            src,
-            seq,
-            payload:
-                Payload::Orig {
-                    job,
-                    tile_ref,
-                    tile,
-                },
-        } => {
-            w.u32(*src);
-            w.u64(*seq);
-            w.u32(*job);
-            w.tile_ref(*tile_ref);
-            w.tile(tile);
-            TAG_SEQ_ORIG
-        }
-        Frame::Ack { src, upto } => {
-            w.u32(*src);
-            w.u64(*upto);
-            TAG_ACK
-        }
-        Frame::JobSubmit {
-            req,
-            op,
-            prio,
-            batch,
-            nt,
-            b,
-            seed,
-            seed_rhs,
-        } => {
-            w.u32(*req);
-            w.u8(*op);
-            w.u8(*prio);
-            w.u32(*batch);
-            w.u32(*nt);
-            w.u32(*b);
-            w.u64(*seed);
-            w.u64(*seed_rhs);
-            TAG_JOB_SUBMIT
-        }
-        Frame::JobStatus { req, state, info } => {
-            w.u32(*req);
-            w.u8(*state);
-            w.str(info);
-            TAG_JOB_STATUS
-        }
-        Frame::JobResult {
-            req,
-            messages,
-            bytes,
-            elapsed_ns,
-            plan_cached,
-            tiles,
-        } => {
-            w.u32(*req);
-            w.u64(*messages);
-            w.u64(*bytes);
-            w.u64(*elapsed_ns);
-            w.u8(*plan_cached);
-            w.tiles(tiles);
-            TAG_JOB_RESULT
-        }
-        Frame::JobTiles { req, tiles } => {
-            w.u32(*req);
-            w.tiles(tiles);
-            TAG_JOB_TILES
-        }
-        Frame::Shutdown => TAG_SHUTDOWN,
-        Frame::StatsRequest => TAG_STATS_REQUEST,
-        Frame::StatsReply { text } => {
-            w.str(text);
-            TAG_STATS_REPLY
-        }
-        Frame::EventsRequest { max } => {
-            w.u32(*max);
-            TAG_EVENTS_REQUEST
-        }
-        Frame::EventsReply { events } => {
-            w.u32(events.len() as u32);
-            for e in events {
-                w.u64(e.seq);
-                w.u64(e.t.to_bits());
-                w.u8(e.severity);
-                w.u8(e.kind);
-                w.u32(e.job);
-                w.str(&e.detail);
-            }
-            TAG_EVENTS_REPLY
-        }
-    };
-    let body_len = (out.len() - 5) as u32;
-    out[0] = tag;
-    out[1..5].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc32(out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.len()
+    }
+    Ok(())
 }
 
-/// Serializes a frame into a fresh buffer. Convenience wrapper over
-/// [`encode_into`] for cold paths (setup, tests); hot paths reuse a pooled
-/// buffer instead.
-pub fn encode(f: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_into(f, &mut out);
-    out
-}
-
-fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
-    let mut b = Body { buf: body, pos: 0 };
+fn parse_body<R: Read + ?Sized>(tag: u8, b: &mut Body<'_, R>) -> Result<Frame, FrameError> {
     let frame = match tag {
         TAG_HELLO => Frame::Hello { src: b.u32()? },
         TAG_DATA => {
             let src = b.u32()?;
             let job = b.u32()?;
             let producer: TaskId = b.u32()?;
-            let tile = b.tile()?;
+            let tile = b.tile(ALL)?;
             Frame::Payload {
                 src,
                 payload: Payload::Data {
@@ -718,7 +1174,7 @@ fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
             let src = b.u32()?;
             let job = b.u32()?;
             let tile_ref = b.tile_ref()?;
-            let tile = b.tile()?;
+            let tile = b.tile(ALL)?;
             Frame::Payload {
                 src,
                 payload: Payload::Orig {
@@ -731,7 +1187,7 @@ fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
         TAG_POISON => Frame::Poison,
         TAG_RESULT => {
             let tile_ref = b.tile_ref()?;
-            let tile = b.tile()?;
+            let tile = b.tile(ALL)?;
             Frame::Result { tile_ref, tile }
         }
         TAG_DONE => {
@@ -766,7 +1222,7 @@ fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
             let seq = b.u64()?;
             let job = b.u32()?;
             let producer: TaskId = b.u32()?;
-            let tile = b.tile()?;
+            let tile = b.tile(ALL)?;
             Frame::Seq {
                 src,
                 seq,
@@ -782,7 +1238,7 @@ fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
             let seq = b.u64()?;
             let job = b.u32()?;
             let tile_ref = b.tile_ref()?;
-            let tile = b.tile()?;
+            let tile = b.tile(ALL)?;
             Frame::Seq {
                 src,
                 seq,
@@ -876,39 +1332,32 @@ fn parse_body(tag: u8, body: &[u8]) -> Result<Frame, FrameError> {
 }
 
 /// Decodes one frame from the front of `buf`, returning it and the number
-/// of bytes consumed. Fails with [`FrameError::Truncated`] when `buf` holds
-/// less than one whole frame.
+/// of bytes consumed: the stream reader of [`read_frame_into`] over the
+/// slice. Fails with [`FrameError::Truncated`] when `buf` holds less than
+/// one whole frame.
 pub fn decode(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < 5 {
-        return Err(FrameError::Truncated);
+    let mut rest = buf;
+    match read_frame_into(&mut rest, &mut Vec::with_capacity(64))? {
+        Some((frame, total)) => Ok((frame, total as usize)),
+        None => Err(FrameError::Truncated),
     }
-    let tag = buf[0];
-    let len = u32::from_le_bytes(buf[1..5].try_into().unwrap());
-    if len > MAX_BODY {
-        return Err(FrameError::BadLength(len));
-    }
-    let total = 5 + len as usize + 4;
-    if buf.len() < total {
-        return Err(FrameError::Truncated);
-    }
-    let computed = crc32(&buf[..5 + len as usize]);
-    let stored = u32::from_le_bytes(buf[5 + len as usize..total].try_into().unwrap());
-    if computed != stored {
-        return Err(FrameError::BadCrc { computed, stored });
-    }
-    let frame = parse_body(tag, &buf[5..5 + len as usize])?;
-    Ok((frame, total))
 }
 
-/// Reads one frame from a stream into a caller-owned scratch buffer, so a
-/// long-lived reader (one per connection) reuses the same allocation for
-/// every frame up to its high-water size. The scratch only ever grows — its
-/// length is the largest frame seen so far and whatever lies past the
-/// current frame is stale and never looked at — so a steady-state read
-/// neither allocates nor zero-fills. `Ok(None)` is a clean end-of-stream
-/// (EOF exactly at a frame boundary); mid-frame EOF is
-/// [`FrameError::Truncated`]. On success also returns the total frame size
-/// read from the wire.
+/// Reads one frame from a stream, its fixed bytes into a caller-owned
+/// scratch buffer and each tile's words straight into the tile's buffer (a
+/// recycled one when the tile free list has it), so a long-lived reader
+/// (one per connection) reuses the same scratch for every frame and copies
+/// no tile word itself. The scratch only ever grows — to the most fixed
+/// bytes a frame has had — and whatever lies past the current frame's is
+/// stale and never looked at. A frame that is not a tile list takes two
+/// read calls when its bytes are already buffered — its header, then the
+/// rest — and a tile list at most one more per tile.
+///
+/// `Ok(None)` is a clean end-of-stream (EOF exactly at a frame boundary);
+/// mid-frame EOF is [`FrameError::Truncated`]. A frame is read to its end
+/// before it is answered for, so the errors rank as in one whole buffer:
+/// truncation first, then the CRC, then the body's layout. On success also
+/// returns the total frame size read from the wire.
 pub fn read_frame_into(
     r: &mut impl Read,
     scratch: &mut Vec<u8>,
@@ -926,22 +1375,15 @@ pub fn read_frame_into(
             Err(e) => return Err(FrameError::Io(e.kind())),
         }
     }
+    let tag = scratch[0];
     let len = u32::from_le_bytes(scratch[1..5].try_into().unwrap());
     if len > MAX_BODY {
         return Err(FrameError::BadLength(len));
     }
-    let total = 5 + len as usize + 4;
-    if scratch.len() < total {
-        scratch.resize(total, 0);
-    }
-    r.read_exact(&mut scratch[5..total])
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => FrameError::Truncated,
-            kind => FrameError::Io(kind),
-        })?;
-    let (frame, used) = decode(&scratch[..total])?;
-    debug_assert_eq!(used, total);
-    Ok(Some((frame, total as u64)))
+    let mut body = Body::new(r, scratch, len as usize);
+    let parsed = body.start(tag).and_then(|()| parse_body(tag, &mut body));
+    body.finish()?;
+    Ok(Some((parsed?, 5 + u64::from(len) + 4)))
 }
 
 /// Reads one frame from a stream with a throwaway scratch buffer. Cold-path
@@ -951,19 +1393,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameError>
     read_frame_into(r, &mut Vec::new())
 }
 
-/// Encodes `f` into `scratch` and writes it to a stream, returning the
-/// bytes written. The scratch buffer's capacity is reused across calls.
-pub(crate) fn write_frame_with(
-    w: &mut impl std::io::Write,
+/// Writes one frame to a stream, returning the bytes written: its fixed
+/// bytes laid out in `scratch` (whose capacity is reused across calls) and
+/// its tiles' words from the tiles themselves, in one `write_vectored`
+/// loop — no tile word is copied on the way to the stream.
+pub fn write_frame_with(
+    w: &mut (impl std::io::Write + ?Sized),
     f: &Frame,
     scratch: &mut Vec<u8>,
 ) -> std::io::Result<u64> {
-    let n = encode_into(f, scratch);
-    w.write_all(scratch)?;
-    Ok(n as u64)
+    let out = prepare_write(f, scratch);
+    out.write_to(w)?;
+    Ok(out.len() as u64)
 }
 
-/// Writes one encoded frame to a stream, returning the bytes written.
+/// Writes one frame to a stream, returning the bytes written.
 pub fn write_frame(w: &mut impl std::io::Write, f: &Frame) -> std::io::Result<u64> {
     write_frame_with(w, f, &mut Vec::new())
 }
@@ -1730,7 +2174,10 @@ mod tests {
         let mut scratch = Vec::new();
         let mut whole = std::io::Cursor::new(buf.clone());
         read_frame_into(&mut whole, &mut scratch).unwrap().unwrap();
-        assert_eq!(scratch, buf);
+        assert_eq!(
+            scratch,
+            [&buf[..5 + 11 + 4], &buf[buf.len() - 4..]].concat()
+        );
         for cut in [1, 4, 5, 6, buf.len() / 2, buf.len() - 1] {
             let mut cursor = std::io::Cursor::new(buf[..cut].to_vec());
             assert_eq!(
@@ -1744,6 +2191,285 @@ mod tests {
         let mut cursor = std::io::Cursor::new(encode(&ack));
         let (got, n) = read_frame_into(&mut cursor, &mut scratch).unwrap().unwrap();
         assert_eq!((got, n), (ack, 21));
+    }
+
+    /// A `Write` that takes at most `k` bytes per call, through
+    /// `write_vectored` across pieces, or only from the first piece (what
+    /// `Write`'s default `write_vectored` does).
+    struct Trickle {
+        out: Vec<u8>,
+        k: usize,
+        vectored: bool,
+    }
+
+    impl std::io::Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.k);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if !self.vectored {
+                let first = bufs.iter().find(|b| !b.is_empty());
+                return self.write(first.map_or(&[][..], |b| b));
+            }
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.k - n);
+                self.out.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Read` that gives at most `k` bytes per call, across the buffers
+    /// of a `read_vectored`, and counts its calls.
+    struct Drip<'a> {
+        data: &'a [u8],
+        k: usize,
+        calls: usize,
+    }
+
+    impl<'a> Drip<'a> {
+        fn new(data: &'a [u8], k: usize) -> Self {
+            Drip { data, k, calls: 0 }
+        }
+    }
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.read_vectored(&mut [IoSliceMut::new(buf)])
+        }
+
+        fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.k - n).min(self.data.len());
+                b[..take].copy_from_slice(&self.data[..take]);
+                self.data = &self.data[take..];
+                n += take;
+            }
+            Ok(n)
+        }
+    }
+
+    /// The frames of the two golden-bytes tests: a `Seq`/`Data` frame whose
+    /// words a lossy copy would change, and a `JobTiles` frame.
+    fn golden_frames() -> [Frame; 2] {
+        let words: [u64; 9] = [
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x7FEF_FFFF_FFFF_FFFF,
+            0x7FF4_0000_DEAD_BEEF,
+            0xFFF8_0000_0000_0001,
+            0x3FF0_0000_0000_0000,
+            0xC009_21FB_5444_2D18,
+            0x0010_0000_0000_0000,
+            0x0123_4567_89AB_CDEF,
+        ];
+        [
+            Frame::Seq {
+                src: 0x0102_0304,
+                seq: 0x1112_1314_1516_1718,
+                payload: Payload::Data {
+                    job: 0x2122_2324,
+                    producer: 0x3132_3334,
+                    tile: Tile::from_column_major(3, words.iter().map(|&w| f64::from_bits(w))),
+                },
+            },
+            Frame::JobTiles {
+                req: 0x0102_0304,
+                tiles: vec![
+                    (
+                        TileRef::A {
+                            phase: 0,
+                            slice: 0,
+                            i: 2,
+                            j: 1,
+                        },
+                        Tile::from_column_major(1, [-0.0]),
+                    ),
+                    (TileRef::B { i: 7 }, Tile::zeros(0)),
+                ],
+            },
+        ]
+    }
+
+    /// Every frame the codec tests walk: each tag's from a few seeds, both
+    /// golden frames, and the two tile lists with 0, 1 and 5 tiles.
+    fn samples() -> Vec<Frame> {
+        let mut frames: Vec<Frame> = (1..=20u8)
+            .flat_map(|tag| [0, 3, 7, 0xDEAD_BEEF].map(|seed| frame_of_tag(tag, seed)))
+            .collect();
+        frames.extend(golden_frames());
+        for count in [0usize, 1, 5] {
+            let tiles: Vec<(TileRef, Tile)> = (0..count)
+                .map(|k| (TileRef::B { i: k as u32 }, tile_of(3 + k % 2, k as u64)))
+                .collect();
+            frames.push(Frame::JobTiles {
+                req: 9,
+                tiles: tiles.clone(),
+            });
+            frames.push(Frame::JobResult {
+                req: 9,
+                messages: 1,
+                bytes: 2,
+                elapsed_ns: 3,
+                plan_cached: 0,
+                tiles,
+            });
+        }
+        frames
+    }
+
+    /// The stream writer, over a stream that takes a few bytes at a time,
+    /// writes exactly the bytes `encode` gives.
+    #[test]
+    fn the_stream_writer_writes_what_encode_encodes() {
+        for f in samples() {
+            let want = encode(&f);
+            for k in [1, 7, 4096] {
+                for vectored in [true, false] {
+                    let mut w = Trickle {
+                        out: Vec::new(),
+                        k,
+                        vectored,
+                    };
+                    let n = write_frame_with(&mut w, &f, &mut Vec::new()).unwrap();
+                    assert_eq!(n, want.len() as u64);
+                    assert_eq!(w.out, want, "{f:?}, {k} bytes a call");
+                }
+            }
+        }
+        // and into a `Vec`, which takes every piece in one call
+        for f in golden_frames() {
+            let mut out = Vec::new();
+            write_frame(&mut out, &f).unwrap();
+            assert_eq!(out, encode(&f));
+        }
+    }
+
+    /// The stream reader, over a stream that gives a few bytes at a time,
+    /// reads what `decode` decodes and not a byte past it, and fails the
+    /// same way at every cut and on every flipped bit.
+    #[test]
+    fn the_stream_reader_reads_what_decode_decodes() {
+        for f in samples() {
+            let buf = encode(&f);
+            let (want, used) = decode(&buf).unwrap();
+            assert_eq!(used, buf.len());
+            let next = encode(&Frame::Ack { src: 1, upto: 2 });
+            let stream = [&buf[..], &next].concat();
+            for k in [1, 7, 4096] {
+                let mut r = Drip::new(&stream, k);
+                let (got, n) = read_frame_into(&mut r, &mut Vec::new()).unwrap().unwrap();
+                // NaN != NaN: compared as re-encoded bytes
+                assert_eq!(encode(&got), encode(&want));
+                assert_eq!((n, r.data), (buf.len() as u64, &next[..]));
+            }
+            for cut in 0..buf.len() {
+                let mut r = Drip::new(&buf[..cut], 7);
+                let got = read_frame_into(&mut r, &mut Vec::new());
+                match cut {
+                    0 => assert_eq!(got, Ok(None)),
+                    _ => assert_eq!(got.unwrap_err(), FrameError::Truncated, "cut at {cut}"),
+                }
+            }
+            if buf.len() > 600 {
+                continue;
+            }
+            for bit in 0..buf.len() * 8 {
+                let mut bad = buf.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let mut r = Drip::new(&bad, 7);
+                let got = read_frame_into(&mut r, &mut Vec::new()).unwrap_err();
+                assert!(matches!(
+                    got,
+                    FrameError::BadCrc { .. } | FrameError::BadLength(_) | FrameError::Truncated
+                ));
+                assert_eq!(got, decode(&bad).unwrap_err(), "bit {bit}");
+            }
+        }
+    }
+
+    /// A tile whose dimension overruns what its frame's length leaves is a
+    /// `BadBody` before a buffer is taken for it: every byte after the
+    /// dimension is read into the scratch, none into a tile. A one-tile
+    /// frame's length names its tile's dimension, and a dimension field
+    /// that says otherwise is refused too.
+    #[test]
+    fn a_dimension_the_length_disagrees_with_is_refused() {
+        // a list: the tile claims 3 x 3 words, the body holds 2 x 2
+        let mut list = 7u32.to_le_bytes().to_vec(); // req
+        list.extend_from_slice(&1u32.to_le_bytes()); // one tile
+        list.extend_from_slice(&[2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]); // B { i: 1 }
+        list.extend_from_slice(&3u32.to_le_bytes());
+        list.extend(
+            tile_of(2, 1)
+                .as_slice()
+                .iter()
+                .flat_map(|v| v.to_le_bytes()),
+        );
+        // a one-tile frame: 2 x 2 words under a dimension of 3, and 3
+        // words, which no dimension fills
+        let mut result = vec![2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0];
+        result.extend_from_slice(&3u32.to_le_bytes());
+        let four_words: Vec<u8> = tile_of(2, 1)
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let four = [&result[..], &four_words].concat();
+        let three = four[..four.len() - 8].to_vec();
+        // whether the frame's bytes all end in the scratch: the one-tile
+        // frame whose length names a dimension read its words into a tile
+        // of that dimension before its field disagreed
+        let cases = [
+            (TAG_JOB_TILES, list, true),
+            (TAG_RESULT, four, false),
+            (TAG_RESULT, three, true),
+        ];
+        for (tag, body, all_scratch) in cases {
+            let frame = sealed(tag, &body);
+            for k in [1, 4096] {
+                let mut scratch = Vec::new();
+                let got = read_frame_into(&mut Drip::new(&frame, k), &mut scratch);
+                assert!(
+                    matches!(got, Err(FrameError::BadBody(_))),
+                    "tag {tag}: {got:?}"
+                );
+                assert_eq!(decode(&frame).unwrap_err(), got.unwrap_err());
+                if all_scratch {
+                    assert_eq!(&scratch[..frame.len()], &frame[..], "tag {tag}");
+                }
+            }
+        }
+    }
+
+    /// A frame that is not a tile list takes two read calls when its bytes
+    /// are all there: the header, then the rest. A tile list takes at most
+    /// one more per tile: the fixed bytes up to the first tile's words come
+    /// first, then each tile's words with the next tile's name.
+    #[test]
+    fn a_buffered_frame_takes_two_reads() {
+        for f in samples() {
+            let buf = encode(&f);
+            let mut r = Drip::new(&buf, usize::MAX);
+            read_frame_into(&mut r, &mut Vec::new()).unwrap().unwrap();
+            match &f {
+                Frame::JobTiles { tiles, .. } | Frame::JobResult { tiles, .. } => {
+                    assert!(r.calls <= 2 + tiles.len(), "{f:?}: {} reads", r.calls);
+                }
+                _ => assert_eq!(r.calls, 2, "{f:?}"),
+            }
+        }
     }
 
     proptest! {
@@ -1803,11 +2529,18 @@ mod tests {
             tag in 1u8..=20,
             seed in any::<u64>(),
             cut_frac in 0.0f64..1.0,
+            chunk in 1usize..200,
         ) {
             let buf = encode(&frame_of_tag(tag, seed));
             prop_assert_eq!(buf[0], tag);
             let cut = ((buf.len() - 1) as f64 * cut_frac) as usize;
             prop_assert_eq!(decode(&buf[..cut]).unwrap_err(), FrameError::Truncated);
+            // and through the stream reader, in pieces of any size
+            let mut stream = Drip::new(&buf[..cut], chunk);
+            match read_frame_into(&mut stream, &mut Vec::new()) {
+                Ok(None) => prop_assert_eq!(cut, 0),
+                other => prop_assert_eq!(other.unwrap_err(), FrameError::Truncated),
+            }
         }
 
         #[test]
@@ -1815,6 +2548,7 @@ mod tests {
             tag in 1u8..=20,
             seed in any::<u64>(),
             bit_frac in 0.0f64..1.0,
+            chunk in 1usize..200,
         ) {
             let frame = frame_of_tag(tag, seed);
             let mut buf = encode(&frame);
@@ -1822,6 +2556,12 @@ mod tests {
             let bit = ((buf.len() * 8) as f64 * bit_frac) as usize;
             buf[bit / 8] ^= 1 << (bit % 8);
             prop_assert!(decode(&buf).is_err(), "tag {} bit {} went undetected", tag, bit);
+            // the stream reader, in pieces of any size, fails the same way
+            let mut stream = Drip::new(&buf, chunk);
+            prop_assert_eq!(
+                read_frame_into(&mut stream, &mut Vec::new()).unwrap_err(),
+                decode(&buf).unwrap_err()
+            );
         }
     }
 }

@@ -329,19 +329,39 @@ struct JobAccum {
     /// Final result tiles the job's waiter has not taken yet (streaming
     /// jobs only).
     streamed: Vec<(TileRef, Tile)>,
-    /// Whether the job's waiter sleeps on `wake`: only then does a push or
-    /// the job's end signal it.
-    waiting: bool,
+    /// Who sleeps on `wake`, if anyone: a push signals only a waiter for
+    /// tiles, the job's end any waiter.
+    waiting: Waiting,
     /// What the job's waiter sleeps on, its own, so a push wakes nobody
     /// else.
     wake: Arc<Condvar>,
 }
 
+/// What a job's sleeping waiter waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Waiting {
+    /// Nobody sleeps.
+    No,
+    /// [`JobTable::wait_next`]: the next streamed tiles or the end.
+    Tiles,
+    /// [`JobTable::wait`]: the end only.
+    End,
+}
+
 impl JobAccum {
-    /// What wakes the job's waiter, if it sleeps, for the caller to signal
-    /// after the table lock; from here on the waiter counts as woken.
-    fn take_waiter(&mut self) -> Option<Arc<Condvar>> {
-        std::mem::take(&mut self.waiting).then(|| Arc::clone(&self.wake))
+    /// What wakes the job's waiter, if it sleeps and waits for `news` (a
+    /// push: `Tiles`; the end: `End`, which wakes either), for the caller to
+    /// signal after the table lock; from here on the waiter counts as woken.
+    fn take_waiter(&mut self, news: Waiting) -> Option<Arc<Condvar>> {
+        let wakes = match self.waiting {
+            Waiting::No => false,
+            Waiting::Tiles => true,
+            Waiting::End => news == Waiting::End,
+        };
+        wakes.then(|| {
+            self.waiting = Waiting::No;
+            Arc::clone(&self.wake)
+        })
     }
 }
 
@@ -589,7 +609,7 @@ impl<'a> JobTable<'a> {
                 expected,
                 started_emitted: false,
                 streamed: Vec::new(),
-                waiting: false,
+                waiting: Waiting::No,
                 wake: Arc::new(Condvar::new()),
             },
         );
@@ -629,6 +649,26 @@ impl<'a> JobTable<'a> {
     /// Panics if `id` is neither in flight nor finished and unclaimed: it
     /// was never admitted, or its end was already handed out.
     pub fn wait_next(&self, id: JobId) -> JobUpdate {
+        self.wait_for(id, Waiting::Tiles)
+    }
+
+    /// Blocks until `id` finishes, returning its outcome — or the engine
+    /// failure that killed the mesh while it was in flight. Streamed tiles
+    /// are dropped under the lock (the outcome holds them all), and a push
+    /// does not wake this waiter: only the job's end does.
+    ///
+    /// # Panics
+    /// As [`JobTable::wait_next`].
+    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
+        match self.wait_for(id, Waiting::End) {
+            JobUpdate::Done(outcome) => outcome,
+            JobUpdate::Tiles(_) => unreachable!("a wait for the end yields the end"),
+        }
+    }
+
+    /// [`JobTable::wait_next`] when `news` is `Tiles`; with `End`, the
+    /// job's end and nothing before it.
+    fn wait_for(&self, id: JobId, news: Waiting) -> JobUpdate {
         let mut st = lock(&self.state);
         let Finished {
             graph,
@@ -645,10 +685,12 @@ impl<'a> JobTable<'a> {
             let Some(acc) = st.accum.get_mut(&id) else {
                 panic!("job {id} is not in flight and has no outcome left to claim");
             };
-            if !acc.streamed.is_empty() {
+            if news == Waiting::End {
+                acc.streamed.clear();
+            } else if !acc.streamed.is_empty() {
                 return JobUpdate::Tiles(std::mem::take(&mut acc.streamed));
             }
-            acc.waiting = true;
+            acc.waiting = news;
             let wake = Arc::clone(&acc.wake);
             st = wake
                 .wait(st)
@@ -667,20 +709,6 @@ impl<'a> JobTable<'a> {
             stats,
             elapsed,
         }))
-    }
-
-    /// Blocks until `id` finishes, returning its outcome — or the engine
-    /// failure that killed the mesh while it was in flight: the updates of
-    /// [`JobTable::wait_next`], tiles dropped, up to the job's end.
-    ///
-    /// # Panics
-    /// As [`JobTable::wait_next`].
-    pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
-        loop {
-            if let JobUpdate::Done(outcome) = self.wait_next(id) {
-                return outcome;
-            }
-        }
     }
 
     /// Stops admitting jobs; engines exit once everything already admitted
@@ -735,15 +763,15 @@ impl<'a> JobTable<'a> {
 
     /// Engine side: result tile `r` of job `id` holds its final value. It
     /// waits in the job's entry for [`JobTable::wait_next`]; the waiter is
-    /// signalled, after the lock, only if it sleeps. A job no longer in
-    /// flight (failed) drops it.
+    /// signalled, after the lock, only if it sleeps waiting for tiles. A job
+    /// no longer in flight (failed) drops it.
     fn push_final(&self, id: JobId, r: TileRef, tile: Tile) {
         let mut st = lock(&self.state);
         let Some(acc) = st.accum.get_mut(&id) else {
             return;
         };
         acc.streamed.push((r, tile));
-        let waiter = acc.take_waiter();
+        let waiter = acc.take_waiter(Waiting::Tiles);
         drop(st);
         if let Some(wake) = waiter {
             wake.notify_one();
@@ -764,7 +792,7 @@ impl<'a> JobTable<'a> {
         acc.stores.push(c.tiles);
         if acc.stores.len() == self.reports {
             let mut acc = st.accum.remove(&id).expect("accumulator present");
-            let waiter = acc.take_waiter();
+            let waiter = acc.take_waiter(Waiting::End);
             let stats =
                 CommStats::from_per_node(acc.sent_per_node, acc.recv_per_node, acc.bytes_per_node);
             let measured = (stats.messages, stats.bytes);
@@ -808,7 +836,7 @@ impl<'a> JobTable<'a> {
         let waiters: Vec<Arc<Condvar>> = st
             .accum
             .values_mut()
-            .filter_map(JobAccum::take_waiter)
+            .filter_map(|acc| acc.take_waiter(Waiting::End))
             .collect();
         st.accum.clear();
         for q in &mut st.incoming {
@@ -2363,6 +2391,37 @@ mod tests {
         assert_streamed_gathered(&streamed, &out);
         assert_sequential(&out, &TwoDBlockCyclic::new(1, 1), 8, 5);
         assert!(matches!(table.wait_next(quiet), JobUpdate::Done(Ok(_))));
+    }
+
+    /// A waiter that wants only the outcome is signalled once, at the end:
+    /// while the hand-stepped job streams tile after tile its waiter stays
+    /// asleep — still marked as sleeping for the end, so no push took it —
+    /// and `wait` returns the job's outcome once the last step ran.
+    #[test]
+    fn a_streaming_job_waited_for_its_end_is_signalled_once() {
+        let table = JobTable::new(1, 1);
+        let (id, _) = one_rank_job(&table);
+        let mesh = inproc_mesh(1);
+        let engine = Engine::new(&mesh[0], &table, JobEngineConfig::default(), None, &ByHand);
+        let waiting = || lock(&table.state).accum.get(&id).map(|acc| acc.waiting);
+        let out = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| table.wait(id));
+            while waiting() != Some(Waiting::End) {
+                std::thread::yield_now();
+            }
+            let mut pushed = 0;
+            while engine.step() == Progress::Ran {
+                let st = lock(&table.state);
+                let Some(acc) = st.accum.get(&id) else { break };
+                assert_eq!(acc.waiting, Waiting::End, "a push woke the waiter");
+                pushed = acc.streamed.len();
+            }
+            assert!(pushed > 0, "nothing was streamed while the job ran");
+            waiter.join().expect("the waiter panicked")
+        });
+        let out = out.expect("the job finishes");
+        assert_sequential(&out, &TwoDBlockCyclic::new(1, 1), 8, 5);
+        assert_eq!(table.inflight(), 0);
     }
 
     /// `streamed` names result tiles of `out`'s graph, none twice, and each

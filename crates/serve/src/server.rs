@@ -4,7 +4,7 @@
 
 use crate::service::{Service, Submitted};
 use sbc_kernels::Tile;
-use sbc_net::wire::{encode_into, read_frame_into, EventRecord, Frame, MAX_BODY};
+use sbc_net::wire::{read_frame_into, write_frame_with, EventRecord, Frame, MAX_BODY};
 use sbc_net::{connect_retry, Conn, Listener};
 use sbc_planner::Op;
 use sbc_runtime::JobUpdate;
@@ -52,13 +52,14 @@ pub fn serve_on(service: Arc<Service>, listener: Listener) -> std::io::Result<()
         .map_err(|e| std::io::Error::other(format!("resident mesh failed: {e}")))
 }
 
-/// Encodes `f` into a buffer checked out of the service's reply pool and
-/// writes it — every reply on every client connection reuses the pool's
-/// recycled capacity instead of allocating (visible as `net.pool.hit`).
+/// Writes `f`, its fixed bytes laid out in a buffer checked out of the
+/// service's reply pool and its tiles' words from the tiles themselves —
+/// every reply on every client connection reuses the pool's recycled
+/// capacity instead of allocating (visible as `net.pool.hit`), and no
+/// factor word is copied on its way to the socket.
 fn write_reply(conn: &mut Conn, service: &Service, f: &Frame) -> std::io::Result<()> {
-    let mut buf = service.reply_pool().checkout();
-    encode_into(f, &mut buf);
-    conn.write_all(&buf)
+    write_frame_with(conn, f, &mut service.reply_pool().checkout())?;
+    Ok(())
 }
 
 /// One client connection: submissions stream in, per-job answers stream

@@ -186,26 +186,31 @@ impl Service {
     pub fn wait_next(&self, id: JobId) -> JobUpdate {
         let update = self.table.wait_next(id);
         if let JobUpdate::Done(Ok(out)) = &update {
-            self.throughput.set(self.jobs_per_sec());
-            let end = self.started.elapsed().as_secs_f64();
-            self.spans.push(TraceEvent {
-                task: id,
-                node: 0,
-                start: (end - out.elapsed.as_secs_f64()).max(0.0),
-                end,
-            });
+            self.finished(out);
         }
         update
     }
 
-    /// Blocks until `id` finishes: [`Service::wait_next`] up to the job's
-    /// end, its streamed tiles dropped (the outcome holds them all).
+    /// Blocks until `id` finishes ([`JobTable::wait`]): woken once, at the
+    /// job's end, its streamed tiles dropped (the outcome holds them all).
     pub fn wait(&self, id: JobId) -> Result<JobOutcome, ExecError> {
-        loop {
-            if let JobUpdate::Done(outcome) = self.wait_next(id) {
-                return outcome;
-            }
+        let outcome = self.table.wait(id);
+        if let Ok(out) = &outcome {
+            self.finished(out);
         }
+        outcome
+    }
+
+    /// A job's successful end: its trace span and the throughput gauge.
+    fn finished(&self, out: &JobOutcome) {
+        self.throughput.set(self.jobs_per_sec());
+        let end = self.started.elapsed().as_secs_f64();
+        self.spans.push(TraceEvent {
+            task: out.id,
+            node: 0,
+            start: (end - out.elapsed.as_secs_f64()).max(0.0),
+            end,
+        });
     }
 
     /// Assembles a POTRF job's lower-triangular factor from its outcome; the
