@@ -17,10 +17,8 @@
 //!
 //! The [`comm`] module counts communication volume *exactly* (one message
 //! per distinct (tile version, consumer node) pair, matching the
-//! StarPU/Chameleon behaviour the paper describes), per ordered node pair
-//! ([`comm::Traffic`]) so that a network topology can price it, and
-//! provides the
-//! closed-form expressions of Theorem 1, Section III-D/E and IV-A/B. The
+//! StarPU/Chameleon behaviour the paper describes) by hand for each single
+//! sweep, and provides the closed-form expressions of Theorem 1, Section III-D/E and IV-A/B. The
 //! [`balance`] module quantifies load balance; [`table1`] regenerates
 //! Table I.
 //!

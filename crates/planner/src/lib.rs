@@ -13,8 +13,8 @@
 //!   SBC basic/extended `r`, 2.5D slicings, and (for POTRI) the paper's
 //!   "SBC remap 2DBC" strategy;
 //! * [`model`] scores each candidate with a closed-form cost model that
-//!   combines the exact per-pair communication counters of
-//!   `sbc_dist::comm`, priced over one network topology (the platform's
+//!   combines the exact per-pair message count of the candidate's task
+//!   stream (`sbc_taskgraph::Workload::traffic`), priced over one network topology (the platform's
 //!   single switch unless `Planner::with_topology` gives another), the
 //!   LAPACK flop counts of `sbc_kernels`, and the hardware constants of an
 //!   `sbc_simgrid::Platform`;

@@ -8,8 +8,9 @@
 //!   GEMM efficiency at tile size `b`), stretched by the candidate's
 //!   trailing-update load imbalance. This is what separates a 28-node SBC
 //!   from a 20-node grid at the same budget.
-//! * **Communication**: the exact per-op message count from
-//!   [`sbc_dist::comm`], counted per node pair (`DistChoice::traffic`) and
+//! * **Communication**: the exact per-op message count of the task graph
+//!   that runs, counted per node pair from its task stream
+//!   (`DistChoice::traffic`) and
 //!   priced over one network [`Topology`]: each pair's messages pay the
 //!   port time of one `b x b` tile at their route's bottleneck, spread over
 //!   the candidate's NICs, and the busiest backbone link direction adds a

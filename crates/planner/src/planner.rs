@@ -267,12 +267,16 @@ mod tests {
         }
     }
 
+    /// The plan's message count is what its graph sends, for every
+    /// operation.
     #[test]
     fn plan_graph_matches_choice() {
         let planner = Planner::new(Platform::bora(6));
-        let plan = planner.plan(Op::Potrf, 8, 320);
-        let g = plan.graph();
-        assert_eq!(g.count_messages(), plan.cost.messages);
-        assert_eq!(plan.sim_config().tile_b, 320);
+        for op in Op::ALL {
+            let plan = planner.plan(op, 8, 320);
+            let g = plan.graph();
+            assert_eq!(plan.cost.messages, g.count_messages(), "{op:?}");
+            assert_eq!(plan.sim_config().tile_b, 320);
+        }
     }
 }

@@ -40,7 +40,7 @@ use sbc_matrix::{FullTiledMatrix, SymmetricTiledMatrix, TiledPanel};
 use sbc_net::{inproc_mesh, wait_for, Clock, Message, PeerStats, RealClock, Transport};
 use sbc_obs::Recorder;
 use sbc_planner::Plan;
-use sbc_taskgraph::{memo, ResultKind, TaskGraph, TileRef};
+use sbc_taskgraph::{ResultKind, TaskGraph, TileRef, Workload};
 use sbc_topo::{CriticalPath, Scheduler};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -203,46 +203,46 @@ impl<'a> Run<'a> {
     /// [`sbc_taskgraph::memo`], so every run of one placement shares one
     /// graph, built once.
     pub fn potrf<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::graph(memo::potrf(dist, nt))
+        Self::graph(Workload::Potrf(dist).graph(nt))
     }
 
     /// 2.5D Cholesky factorization (paper Section IV). The final value of
     /// tile `(i, j)` lives on the slice that executed iteration `j`.
     pub fn potrf_25d<D: Distribution>(d25: &TwoPointFiveD<D>, nt: usize) -> Self {
-        Self::graph(memo::potrf_25d(d25, nt))
+        Self::graph(Workload::Potrf25d(d25).graph(nt))
     }
 
     /// POSV: factorize the seeded SPD matrix and solve against the seeded
     /// right-hand side distributed by `rhs_dist`.
     pub fn posv<D: Distribution>(dist: &D, rhs_dist: &RowCyclic, nt: usize) -> Self {
-        Self::graph(memo::posv(dist, rhs_dist, nt))
+        Self::graph(Workload::Posv(dist, rhs_dist).graph(nt))
     }
 
     /// LU factorization (no pivoting) of the seeded diagonally dominant
     /// general matrix.
     pub fn lu<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::graph(memo::lu(dist, nt))
+        Self::graph(Workload::Lu(dist).graph(nt))
     }
 
     /// TRTRI of the lower triangle of the seeded matrix.
     pub fn trtri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::graph(memo::trtri(dist, nt))
+        Self::graph(Workload::Trtri(dist).graph(nt))
     }
 
     /// LAUUM of the lower triangle of the seeded matrix.
     pub fn lauum<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::graph(memo::lauum(dist, nt))
+        Self::graph(Workload::Lauum(dist).graph(nt))
     }
 
     /// POTRI (full SPD inverse) under one distribution.
     pub fn potri<D: Distribution>(dist: &D, nt: usize) -> Self {
-        Self::graph(memo::potri(dist, nt))
+        Self::graph(Workload::Potri(dist).graph(nt))
     }
 
     /// POTRI with the paper's "SBC remap 2DBC" strategy (Section V-F.2):
     /// factor under `sym`, remap to `bc` for the inversion, remap back.
     pub fn potri_remap<A: Distribution, B: Distribution>(sym: &A, bc: &B, nt: usize) -> Self {
-        Self::graph(memo::potri_remap(sym, bc, nt))
+        Self::graph(Workload::PotriRemap(sym, bc).graph(nt))
     }
 
     /// Tile dimension (default 32).

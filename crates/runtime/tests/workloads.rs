@@ -10,6 +10,7 @@ use sbc_matrix::{
     potri_tiled, random_general, random_panel, random_spd, solve_residual, trtri_tiled,
 };
 use sbc_runtime::Run;
+use sbc_taskgraph::Workload;
 use std::sync::Arc;
 
 const B: usize = 8;
@@ -96,10 +97,9 @@ fn posv_solves_and_counts() {
     let mut xs = rhs.clone();
     posv_tiled(&mut a, &mut xs).unwrap();
     assert!(out.solution().max_abs_diff(&xs) == 0.0);
-    // caching makes traffic at most the sum of the parts
-    let parts =
-        comm::potrf_messages(&dist, nt) + comm::solve_messages(&dist, &rhs_dist, nt).total();
-    assert!(out.stats.messages <= parts);
+    // the run sends exactly what the merged task stream counts
+    let exact = Workload::Posv(&dist, &rhs_dist).traffic(nt).total();
+    assert_eq!(out.stats.messages, exact);
 }
 
 #[test]

@@ -20,9 +20,13 @@
 //! "SBC remap 2DBC" POTRI with explicit redistribution tasks
 //! ([`build_potri_remap`], Section V-F.2).
 //!
-//! The [`TaskGraph::count_messages`] derivation is tested to agree exactly
-//! with the independent analytic counters in `sbc_dist::comm` — two
-//! implementations of the paper's communication model that must coincide.
+//! Each operation is one task stream ([`Workload`]): the graph is built from
+//! it, and so is its traffic per node pair ([`Workload::traffic`], what the
+//! planner prices), without building the graph. The
+//! [`TaskGraph::count_messages`] derivation is tested to agree exactly with
+//! the independent hand-derived single-sweep counters in `sbc_dist::comm` —
+//! two implementations of the paper's communication model that must
+//! coincide.
 
 #![warn(missing_docs)]
 
@@ -31,15 +35,17 @@ pub mod graph;
 pub mod memo;
 pub mod priority;
 pub mod task;
+mod traffic;
 pub mod view;
 
 pub use builders::{
     build_lauum, build_lu, build_posv, build_potrf, build_potrf_25d, build_potri,
-    build_potri_remap, build_trtri,
+    build_potri_remap, build_trtri, Workload,
 };
 pub use graph::{EdgeKind, InitialFetch, ResultKind, TaskGraph};
 pub use priority::{
     critical_path_length, critical_path_priorities, flops_priorities, upward_ranks,
 };
 pub use task::{Task, TaskId, TaskKind, TileRef, TileSpace};
+pub use traffic::Traffic;
 pub use view::{Input, RankView, Source};

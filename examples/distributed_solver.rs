@@ -8,9 +8,10 @@
 //!
 //! Run with: `cargo run --release --example distributed_solver`
 
-use sbc::dist::comm::{potrf_messages, solve_messages};
+use sbc::dist::comm::potrf_messages;
 use sbc::dist::{Distribution, RowCyclic, SbcExtended, TwoDBlockCyclic};
 use sbc::matrix::{random_panel, random_spd, solve_residual};
+use sbc::planner::{DistChoice, Op};
 use sbc::runtime::Run;
 
 fn main() {
@@ -42,29 +43,20 @@ fn main() {
     println!("solve residual: {res:.2e}");
     assert!(res < 1e-10);
 
-    // communication breakdown
+    // communication breakdown: the exact count of the merged graph (the
+    // planner's), of which the factorization alone sends `fact`
     let fact = potrf_messages(&sbc, nt);
-    let solve = solve_messages(&sbc, &rhs_dist, nt);
+    let total_sbc = DistChoice::SbcExtended { r: 6 }.messages(Op::Posv, nt);
     println!("factorization traffic (analytic): {fact} tiles");
-    println!(
-        "solve traffic (analytic): {} tiles ({} of A, {} of B)",
-        solve.total(),
-        solve.a_tiles,
-        solve.b_tiles
-    );
-    println!(
-        "measured total: {} tiles <= {} (caching dedups repeat tiles)",
-        stats.messages,
-        fact + solve.total()
-    );
-    assert!(stats.messages <= fact + solve.total());
+    println!("the solve sweeps add (exact): {} tiles", total_sbc - fact);
+    println!("measured total: {} tiles", stats.messages);
+    assert_eq!(stats.messages, total_sbc);
 
     // the paper's observation: the solve adds distribution-independent
     // traffic, so SBC's relative edge shrinks on POSV vs pure POTRF
     let dbc = TwoDBlockCyclic::new(5, 3);
     let fact_dbc = potrf_messages(&dbc, nt);
-    let total_sbc = fact + solve.total();
-    let total_dbc = fact_dbc + solve_messages(&dbc, &rhs_dist, nt).total();
+    let total_dbc = DistChoice::TwoDbc { p: 5, q: 3 }.messages(Op::Posv, nt);
     println!(
         "POTRF-only gain vs {}: {:.2}x ; POSV gain: {:.2}x (smaller, as in Fig 13)",
         dbc.name(),

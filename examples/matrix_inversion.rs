@@ -9,12 +9,10 @@
 //!
 //! Run with: `cargo run --release --example matrix_inversion`
 
-use sbc::dist::comm::{
-    lauum_messages, potrf_messages, potri_messages, potri_remap_messages, redistribution_messages,
-    trtri_messages,
-};
+use sbc::dist::comm::{lauum_messages, potrf_messages, trtri_messages};
 use sbc::dist::{Distribution, SbcExtended, TwoDBlockCyclic};
 use sbc::matrix::{inverse_residual, random_spd};
+use sbc::planner::{DistChoice, Op};
 use sbc::runtime::Run;
 
 fn main() {
@@ -54,27 +52,47 @@ fn main() {
         assert!(inv_bc.tile(i, j).max_abs_diff(inv_remap.tile(i, j)) < 1e-12);
     }
 
-    // communication accounting per step (paper-style, steps independent)
-    println!("\nper-step analytic tile counts:");
-    println!(
-        "  all-2DBC : potrf {} + trtri {} + lauum {} = {}",
+    // communication accounting per step (paper-style, each step as if it
+    // ran alone); a redistribution moves each tile whose owner changes
+    let moves = |from: &dyn Distribution, to: &dyn Distribution| {
+        let tiles = (0..nt).flat_map(|i| (0..=i).map(move |j| (i, j)));
+        tiles
+            .filter(|&(i, j)| from.owner(i, j) != to.owner(i, j))
+            .count() as u64
+    };
+    let steps_bc = [
         potrf_messages(&bc, nt),
         trtri_messages(&bc, nt),
         lauum_messages(&bc, nt),
-        potri_messages(&bc, nt)
-    );
-    println!(
-        "  remapped : potrf {} + move {} + trtri {} + move {} + lauum {} = {}",
+    ];
+    let steps_remap = [
         potrf_messages(&sym, nt),
-        redistribution_messages(&sym, &bc, nt),
+        moves(&sym, &bc),
         trtri_messages(&bc, nt),
-        redistribution_messages(&bc, &sym, nt),
+        moves(&bc, &sym),
         lauum_messages(&sym, nt),
-        potri_remap_messages(&sym, &bc, nt)
+    ];
+    println!("\nper-step analytic tile counts:");
+    let [f, t, l] = steps_bc;
+    println!(
+        "  all-2DBC : potrf {f} + trtri {t} + lauum {l} = {}",
+        f + t + l
     );
+    let [f, m1, t, m2, l] = steps_remap;
+    println!(
+        "  remapped : potrf {f} + move {m1} + trtri {t} + move {m2} + lauum {l} = {}",
+        f + m1 + t + m2 + l
+    );
+
+    // the merged graph reuses a tile version across steps: its exact count
+    // is the planner's, and each run sends exactly that
+    let exact_bc = DistChoice::TwoDbc { p: 5, q: 3 }.messages(Op::Potri, nt);
+    let exact_remap = DistChoice::PotriRemap { r: 6, p: 5, q: 3 }.messages(Op::Potri, nt);
     println!(
         "\nmeasured (with cross-step caching): all-2DBC {} vs SBC-remap {}",
         stats_bc.messages, stats_remap.messages
     );
+    assert_eq!(stats_bc.messages, exact_bc);
+    assert_eq!(stats_remap.messages, exact_remap);
     println!("OK");
 }

@@ -11,7 +11,7 @@ use sbc::matrix::{
 };
 use sbc::runtime::Run;
 use sbc::simgrid::{Platform, SimConfig, Simulator};
-use sbc::taskgraph::{build_potrf, build_potrf_25d};
+use sbc::taskgraph::{build_potrf, build_potrf_25d, Workload};
 
 const B: usize = 8;
 const SEED: u64 = 0xC0FFEE;
@@ -77,10 +77,10 @@ fn posv_end_to_end() {
     let a0 = random_spd(SEED, nt, B);
     let rhs = random_panel(SEED ^ 0x05EE_D0FB, nt, B);
     assert!(solve_residual(&a0, out.solution(), &rhs) < 1e-10);
-    // caching only reduces traffic vs independent-phase accounting
-    let upper =
-        comm::potrf_messages(&dist, nt) + comm::solve_messages(&dist, &rhs_dist, nt).total();
-    assert!(out.stats.messages <= upper);
+    // the run sends exactly what the merged task stream counts, more than
+    // the factorization alone
+    let exact = Workload::Posv(&dist, &rhs_dist).traffic(nt).total();
+    assert_eq!(out.stats.messages, exact);
     assert!(out.stats.messages > comm::potrf_messages(&dist, nt));
 }
 

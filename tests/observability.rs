@@ -7,7 +7,7 @@ use sbc::obs::{
     chrome_trace, json, metrics_from_recording, render_gantt, task_spans, Event, ExecProfile,
     GaugeKind, Recorder,
 };
-use sbc::planner::{compare, Op, Planner};
+use sbc::planner::{compare, DistChoice, Op, Plan, Planner};
 use sbc::runtime::Run;
 use sbc::simgrid::Platform;
 use sbc::topo::zoo;
@@ -74,6 +74,36 @@ fn recorded_distributed_cholesky_exports_everything() {
     let drift = compare(&plan, &profile);
     assert!(drift.comm_exact(), "{}", drift.render());
     assert!((drift.message_ratio() - 1.0).abs() < 1e-12);
+}
+
+/// A composed operation runs exactly the messages its plan priced: the
+/// planner counts the merged task stream the runtime executes, for POSV and
+/// for the POTRI remap strategy alike.
+#[test]
+fn composed_plans_drift_by_no_message() {
+    let planner = Planner::new(Platform::bora(6));
+    let (nt, b) = (12, 8);
+    let posv = planner.plan(Op::Posv, nt, b);
+    let (choice, cost) = planner
+        .scored_candidates(Op::Potri, nt, b)
+        .into_iter()
+        .find(|(c, _)| matches!(c, DistChoice::PotriRemap { .. }))
+        .expect("a remap candidate on 6 nodes");
+    let remap = Plan {
+        op: Op::Potri,
+        nt,
+        b,
+        choice,
+        cost,
+        cached: false,
+    };
+    for plan in [posv, remap] {
+        let recorder = Recorder::new();
+        let run = Run::plan(&plan).seed(3).recorder(&recorder);
+        run.execute().expect("distributed execution failed");
+        let drift = compare(&plan, &ExecProfile::from_recording(&recorder.drain()));
+        assert!(drift.comm_exact(), "{}", drift.render());
+    }
 }
 
 #[test]

@@ -6,6 +6,7 @@ use sbc::dist::comm::{
 };
 use sbc::dist::table1::{best_grid, table1};
 use sbc::dist::{SbcBasic, SbcExtended, TwoDBlockCyclic, TwoPointFiveD};
+use sbc::taskgraph::Workload;
 
 /// Theorem 1: with the SBC distribution each tile is communicated to
 /// `r - 1` (basic) / `r - 2` (extended) nodes; the total volume converges
@@ -119,12 +120,13 @@ fn potri_orderings() {
     let nt = 64;
     // TRTRI alone: 2DBC wins
     assert!(trtri_messages(&bc, nt) < trtri_messages(&sbc, nt));
-    // full POTRI: remap beats all-2DBC (paper: ratio 27/23 at leading order)
-    let all_bc = comm::potri_messages(&bc, nt);
-    let remap = comm::potri_remap_messages(&sbc, &bc, nt);
+    // full POTRI, exact counts of the merged graphs: remap beats all-2DBC
+    // (paper: ratio 27/23 at leading order)
+    let all_bc = Workload::Potri(&bc).traffic(nt).total();
+    let remap = Workload::PotriRemap(&sbc, &bc).traffic(nt).total();
     assert!(remap < all_bc, "remap {remap} vs all-2DBC {all_bc}");
     // and also beats naive all-SBC POTRI
-    let all_sbc = comm::potri_messages(&sbc, nt);
+    let all_sbc = Workload::Potri(&sbc).traffic(nt).total();
     assert!(remap < all_sbc, "remap {remap} vs all-SBC {all_sbc}");
 }
 
