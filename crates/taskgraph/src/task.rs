@@ -62,7 +62,7 @@ pub struct TileSpace {
 
 impl TileSpace {
     /// Slot of the first `A` tile: past the panel and the buffer planes.
-    fn a_base(&self) -> usize {
+    pub(crate) fn a_base(&self) -> usize {
         let buffers = if self.slices > 1 { self.slices } else { 0 };
         self.nt + buffers * self.nt * self.nt
     }
@@ -406,23 +406,12 @@ pub struct ReadSet {
 impl ReadSet {
     const EMPTY_SLOT: TileRef = TileRef::B { i: u32::MAX };
 
-    fn none() -> Self {
-        ReadSet {
-            arr: [Self::EMPTY_SLOT; 2],
-            len: 0,
-        }
-    }
-    fn one(a: TileRef) -> Self {
-        ReadSet {
-            arr: [a, Self::EMPTY_SLOT],
-            len: 1,
-        }
-    }
-    fn two(a: TileRef, b: TileRef) -> Self {
-        ReadSet {
-            arr: [a, b],
-            len: 2,
-        }
+    /// The reads `tiles`, at most two.
+    #[inline(always)]
+    fn of<const N: usize>(tiles: [TileRef; N]) -> Self {
+        let mut arr = [Self::EMPTY_SLOT; 2];
+        arr[..N].copy_from_slice(&tiles);
+        ReadSet { arr, len: N as u8 }
     }
 
     /// The reads as a slice.
@@ -432,10 +421,12 @@ impl ReadSet {
 }
 
 impl Task {
-    /// 2.5D slice executing iteration `k` for `c` slices.
+    /// 2.5D slice executing iteration `k` for `c` slices. A 2D graph
+    /// (`c == 1`) skips the division: the decode runs it up to three times
+    /// per task, and it is the decode's dearest instruction.
     #[inline]
     fn sigma(k: u32, c: usize) -> u8 {
-        (k as usize % c) as u8
+        (if c == 1 { 0 } else { k % c as u32 }) as u8
     }
 
     /// The tile this task read-modify-writes, for a graph with `c` slices.
@@ -443,6 +434,10 @@ impl Task {
     /// This is the single source of truth for task data accesses: the graph
     /// builders and the distributed runtime's executor both use it, so the
     /// dependence structure and the actual kernel operands cannot diverge.
+    /// Always inlined, like [`Task::reads`]: where the caller is inlined
+    /// into a loop nest's submit site, the task's kind is known there and
+    /// the match folds away.
+    #[inline(always)]
     pub fn output(&self, c: usize) -> TileRef {
         let ph = self.phase;
         let a = |slice: u8, i: u32, j: u32| TileRef::A {
@@ -500,6 +495,7 @@ impl Task {
     /// The tiles this task reads (excluding the read-modify-write target),
     /// for a graph with `c` slices, in the operand order the executor's
     /// kernel dispatch expects.
+    #[inline(always)]
     pub fn reads(&self, c: usize) -> ReadSet {
         let ph = self.phase;
         let a = |slice: u8, i: u32, j: u32| TileRef::A {
@@ -512,35 +508,35 @@ impl Task {
             TaskKind::Potrf { .. }
             | TaskKind::TrtriDiag { .. }
             | TaskKind::LauumDiag { .. }
-            | TaskKind::Getrf { .. } => ReadSet::none(),
-            TaskKind::TrsmRow { k, .. } | TaskKind::TrsmCol { k, .. } => ReadSet::one(a(0, k, k)),
-            TaskKind::GemmTrail { k, i, j } => ReadSet::two(a(0, i, k), a(0, k, j)),
-            TaskKind::Trsm { k, .. } => ReadSet::one(a(Self::sigma(k, c), k, k)),
-            TaskKind::Syrk { i, k } => ReadSet::one(a(Self::sigma(i, c), k, i)),
+            | TaskKind::Getrf { .. } => ReadSet::of([]),
+            TaskKind::TrsmRow { k, .. } | TaskKind::TrsmCol { k, .. } => ReadSet::of([a(0, k, k)]),
+            TaskKind::GemmTrail { k, i, j } => ReadSet::of([a(0, i, k), a(0, k, j)]),
+            TaskKind::Trsm { k, .. } => ReadSet::of([a(Self::sigma(k, c), k, k)]),
+            TaskKind::Syrk { i, k } => ReadSet::of([a(Self::sigma(i, c), k, i)]),
             TaskKind::Gemm { i, j, k } => {
                 let s = Self::sigma(i, c);
-                ReadSet::two(a(s, j, i), a(s, k, i))
+                ReadSet::of([a(s, j, i), a(s, k, i)])
             }
-            TaskKind::Reduce { i, j, from_slice } => ReadSet::one(TileRef::Buf {
+            TaskKind::Reduce { i, j, from_slice } => ReadSet::of([TileRef::Buf {
                 slice: from_slice as u8,
                 i,
                 j,
-            }),
-            TaskKind::TrsmFwd { i } | TaskKind::TrsmBwd { i } => ReadSet::one(a(0, i, i)),
-            TaskKind::GemmFwd { i, j } => ReadSet::two(a(0, j, i), TileRef::B { i }),
-            TaskKind::GemmBwd { i, j } => ReadSet::two(a(0, i, j), TileRef::B { i }),
-            TaskKind::TrsmRInv { k, .. } => ReadSet::one(a(0, k, k)),
-            TaskKind::GemmInv { k, m, n } => ReadSet::two(a(0, m, k), a(0, k, n)),
-            TaskKind::TrsmLInv { k, .. } => ReadSet::one(a(0, k, k)),
-            TaskKind::SyrkLu { k, n } => ReadSet::one(a(0, k, n)),
-            TaskKind::GemmLu { k, m, n } => ReadSet::two(a(0, k, m), a(0, k, n)),
-            TaskKind::TrmmLu { k, .. } => ReadSet::one(a(0, k, k)),
-            TaskKind::Move { i, j } => ReadSet::one(TileRef::A {
+            }]),
+            TaskKind::TrsmFwd { i } | TaskKind::TrsmBwd { i } => ReadSet::of([a(0, i, i)]),
+            TaskKind::GemmFwd { i, j } => ReadSet::of([a(0, j, i), TileRef::B { i }]),
+            TaskKind::GemmBwd { i, j } => ReadSet::of([a(0, i, j), TileRef::B { i }]),
+            TaskKind::TrsmRInv { k, .. } => ReadSet::of([a(0, k, k)]),
+            TaskKind::GemmInv { k, m, n } => ReadSet::of([a(0, m, k), a(0, k, n)]),
+            TaskKind::TrsmLInv { k, .. } => ReadSet::of([a(0, k, k)]),
+            TaskKind::SyrkLu { k, n } => ReadSet::of([a(0, k, n)]),
+            TaskKind::GemmLu { k, m, n } => ReadSet::of([a(0, k, m), a(0, k, n)]),
+            TaskKind::TrmmLu { k, .. } => ReadSet::of([a(0, k, k)]),
+            TaskKind::Move { i, j } => ReadSet::of([TileRef::A {
                 phase: ph - 1,
                 slice: 0,
                 i,
                 j,
-            }),
+            }]),
         }
     }
 }
